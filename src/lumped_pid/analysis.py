@@ -59,11 +59,14 @@ def trace_metrics(
     threshold: float,
     signal: str = "x0",
     window_frac: float = FINAL_WINDOW_FRAC,
+    observer: tuple[str, str] | None = ("f_true", "f_hat"),
 ) -> TraceMetrics:
     """Steady-state, settling, overshoot, and observer statistics.
 
     Settling uses permanently-below semantics: the reported time is the first
     sample after the last exceedance (inf if the trace ends above threshold).
+    ``observer`` names the (true, estimate) columns of the observed lumped
+    term; the observer RMSE is NaN without them or without any estimate.
     """
     if len(trace) == 0:
         raise ConfigError("empty trace")
@@ -85,8 +88,8 @@ def trace_metrics(
     crossings = np.nonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)[0]
     overshoot = float(np.max(np.abs(x[crossings[0] + 1:]))) if len(crossings) else 0.0
 
-    if "f_true" in trace and "f_hat" in trace and not np.isnan(trace["f_hat"]).all():
-        err = trace["f_true"][-w:] - trace["f_hat"][-w:]
+    if observer and all(c in trace for c in observer) and not np.isnan(trace[observer[1]]).all():
+        err = trace[observer[0]][-w:] - trace[observer[1]][-w:]
         observer_rmse = float(np.sqrt(np.mean(err * err)))
     else:
         observer_rmse = math.nan

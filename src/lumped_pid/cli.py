@@ -33,6 +33,14 @@ EXIT_DIVERGED = 3
 EXIT_PARTIAL = 4
 
 _PRIMARY_SIGNAL = {"chain": "x0", "vtol": "err_norm", "vehicle": "l"}
+# (true, estimate) trace columns of the lumped term each plant's observer tracks;
+# the vehicle's d_hat estimates d_lump, not the steering bias d_true
+_OBSERVER_COLUMNS = {"chain": ("f_true", "f_hat"), "vehicle": ("d_lump", "d_hat")}
+# observer-bandwidth option and its default, as each plant runner reads them
+_BANDWIDTH_OPTION = {"chain": ("omega_f", 1.0), "vtol": ("omega_f", 8.0),
+                     "vehicle": ("omega_d", 2.0)}
+# controllers that read no observer bandwidth
+_NO_OBSERVER = {("chain", "none"), ("chain", "homogeneous"), ("vehicle", "known_d")}
 _PLOT_POINTS = 2000
 
 
@@ -141,10 +149,24 @@ def _write_plots(trace, kind: str, outdir: Path) -> None:
                         "steering and estimate", "t [s]", "rad")
 
 
+def _observer_bandwidth(scenario) -> tuple[str | None, float]:
+    """The controller option that sets the observer bandwidth, and its value.
+
+    A controller without an observer gives no option; its value echoes the
+    configured (and unused) omega_f, or NaN.
+    """
+    option, default = _BANDWIDTH_OPTION[scenario.plant_kind]
+    kind = scenario.controller.get("kind")
+    if (scenario.plant_kind, kind) in _NO_OBSERVER:
+        return None, scenario.controller.get("omega_f", math.nan)
+    return option, scenario.controller.get(option, default)
+
+
 def _metrics_for(trace, flat: dict, scenario) -> MetricsRow:
     signal = _PRIMARY_SIGNAL[scenario.plant_kind]
     threshold = _float(flat, "metrics.threshold", 0.02)
-    metrics = trace_metrics(trace, threshold, signal=signal)
+    metrics = trace_metrics(trace, threshold, signal=signal,
+                            observer=_OBSERVER_COLUMNS.get(scenario.plant_kind))
     bound = None
     if scenario.plant_kind == "chain" and scenario.controller.get("kind") == "homogeneous":
         try:
@@ -155,7 +177,7 @@ def _metrics_for(trace, flat: dict, scenario) -> MetricsRow:
     return MetricsRow(
         scenario_id="scenario",
         omega=scenario.controller.get("omega", math.nan),
-        omega_f=scenario.controller.get("omega_f", math.nan),
+        omega_f=_observer_bandwidth(scenario)[1],
         sigma=scenario.noise.sigmas[0],
         metrics=metrics,
         bound=bound,
@@ -218,8 +240,14 @@ def cmd_sweep(args) -> int:
         flat["sim.seed"] = str(seed)
     grid = _parse_grid(args.grid)
     base_scenario = build_scenario(flat)  # validate the base config up front
+    bandwidth_option, base_bandwidth = _observer_bandwidth(base_scenario)
+    if "omega_f" in grid and bandwidth_option is None:
+        raise ConfigError(
+            f"--grid: omega_f: controller.kind {base_scenario.controller.get('kind')!r} "
+            f"of plant {base_scenario.plant_kind!r} has no observer bandwidth"
+        )
     omegas = grid.get("omega", [base_scenario.controller.get("omega", 1.0)])
-    omega_fs = grid.get("omega_f", [base_scenario.controller.get("omega_f", 1.0)])
+    omega_fs = grid.get("omega_f", [base_bandwidth])
     sigmas = grid.get("sigma", [base_scenario.noise.sigmas[0]])
 
     cells = []
@@ -229,7 +257,8 @@ def cmd_sweep(args) -> int:
             for sigma in sorted(sigmas):
                 cell = dict(flat)
                 cell["controller.omega"] = repr(omega)
-                cell["controller.omega_f"] = repr(omega_f)
+                if "omega_f" in grid:
+                    cell[f"controller.{bandwidth_option}"] = repr(omega_f)
                 cell["noise.sigma"] = repr(sigma)
                 if args.seed_policy == "per-cell":
                     cell["sim.seed"] = str(int(flat.get("sim.seed", "0")) + index)

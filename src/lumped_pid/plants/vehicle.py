@@ -30,6 +30,9 @@ STEER_LIMIT = 0.5 * math.pi - 1e-9
 HEADING_LIMIT = 0.5 * math.pi  # |e_theta| must stay below this
 DEFAULT_CAPTURE = 10.0  # m
 ZERO_SPEED = 1e-9  # below this the distance-domain observer freezes
+NEWTON_STEPS = 4  # Newton steps on the tangency root before falling back to bisection
+NEWTON_TOL = 1e-12  # a Newton step shorter than this (in segment fraction) has converged
+DESCENT_REACH = 50  # a hinted match searches this many samples either side of the hint
 
 
 def wrap_angle(a: float) -> float:
@@ -74,6 +77,7 @@ class LateralErrorState:
     s_d: float      # matched arc length [m]
     theta_d: float
     kappa_d: float
+    segment: int = 0  # path segment holding the matched point; the next call's hint
 
 
 class FrenetPath:
@@ -102,6 +106,8 @@ class FrenetPath:
         self._yf = self.y.tolist()
         self._tf = self.theta.tolist()
         self._kf = self.kappa.tolist()
+        self._cos_th = [math.cos(t) for t in self._tf]
+        self._sin_th = [math.sin(t) for t in self._tf]
 
     def __len__(self):
         return len(self.s)
@@ -179,6 +185,96 @@ def _tangency(path: FrenetPath, i: int, a: float, px: float, py: float) -> float
     return (x - px) * math.cos(th) + (y - py) * math.sin(th)
 
 
+def _sample_tangency(path: FrenetPath, j: int, px: float, py: float) -> float:
+    """The tangency function at sample j, shared by the segments on either side."""
+    return (path._xf[j] - px) * path._cos_th[j] + (path._yf[j] - py) * path._sin_th[j]
+
+
+def _bisect(path: FrenetPath, i: int, g0: float, px: float, py: float) -> float:
+    """Tangency root in segment i by 60 halvings of [0, 1]; g0 is g(0)."""
+    a0, a1, ga = 0.0, 1.0, g0
+    for _ in range(60):
+        am = 0.5 * (a0 + a1)
+        gm = _tangency(path, i, am, px, py)
+        if ga * gm <= 0.0:
+            a1 = am
+        else:
+            a0, ga = am, gm
+    return 0.5 * (a0 + a1)
+
+
+def _tangency_root(path: FrenetPath, i: int, g0: float, px: float, py: float) -> float:
+    """Tangency root in bracketing segment i: Newton from the chord projection.
+
+    Falls back to bisection when a step leaves [0, 1], the derivative
+    vanishes or NEWTON_STEPS steps do not converge.
+    """
+    x0, y0, t0 = path._xf[i], path._yf[i], path._tf[i]
+    dx = path._xf[i + 1] - x0
+    dy = path._yf[i + 1] - y0
+    dth = path._tf[i + 1] - t0
+    chord2 = dx * dx + dy * dy
+    if chord2 == 0.0:
+        return _bisect(path, i, g0, px, py)
+    a = min(max(((px - x0) * dx + (py - y0) * dy) / chord2, 0.0), 1.0)
+    for _ in range(NEWTON_STEPS):
+        th = t0 + a * dth
+        c = math.cos(th)
+        s = math.sin(th)
+        ex = x0 + a * dx - px
+        ey = y0 + a * dy - py
+        dg = dx * c + dy * s + dth * (ey * c - ex * s)
+        if dg == 0.0:
+            break
+        step = (ex * c + ey * s) / dg
+        a -= step
+        if not 0.0 <= a <= 1.0:
+            break
+        if abs(step) <= NEWTON_TOL:
+            return a
+    return _bisect(path, i, g0, px, py)
+
+
+def _nearest_sample(path: FrenetPath, px: float, py: float,
+                    hint_index: int | None) -> tuple[int, float]:
+    """Index and squared distance of the nearest path sample.
+
+    Without a hint every sample is scanned. With one, the search walks
+    downhill from ``hint_index`` (clamped to the table) while the distance
+    strictly decreases, at most DESCENT_REACH samples either way; on a
+    unimodal distance profile that is the nearest sample of the window.
+    """
+    xs, ys = path._xf, path._yf
+    n = len(xs)
+    if hint_index is None:
+        best_i, best_d2 = 0, math.inf
+        for i in range(n):
+            dx = xs[i] - px
+            dy = ys[i] - py
+            d2 = dx * dx + dy * dy
+            if d2 < best_d2:
+                best_d2 = d2
+                best_i = i
+        return best_i, best_d2
+    start = min(max(hint_index, 0), n - 1)
+    dx = xs[start] - px
+    dy = ys[start] - py
+    best_i, best_d2 = start, dx * dx + dy * dy
+    for step, stop in ((1, min(n - 1, start + DESCENT_REACH)),
+                       (-1, max(0, start - DESCENT_REACH))):
+        while best_i != stop:
+            dx = xs[best_i + step] - px
+            dy = ys[best_i + step] - py
+            d2 = dx * dx + dy * dy
+            if not d2 < best_d2:
+                break
+            best_i += step
+            best_d2 = d2
+        if best_i != start:
+            break
+    return best_i, best_d2
+
+
 def frenet_match(
     path: FrenetPath,
     pose,
@@ -187,29 +283,30 @@ def frenet_match(
 ) -> LateralErrorState:
     """Match a pose to the path and return the lateral error pair.
 
-    A coarse pass picks the nearest sample (full scan, or a local scan around
-    ``hint_index`` when tracking), then one interpolation inside the winning
-    segment enforces the tangency constraint. Raises OffPathError outside the
-    capture radius and AmbiguousMatchError when two non-adjacent samples are
-    equally close.
+    The matching point is the Frenet projection (Werling et al., ICRA 2010):
+    the root of the tangency constraint g(a) = e_x cos(theta_d(a)) +
+    e_y sin(theta_d(a)) on the linearly interpolated table.
+
+    1. Nearest sample: a full scan, or, when tracking with ``hint_index``
+       (for example the previous ``segment``), a downhill walk from the hint
+       within +-DESCENT_REACH samples.
+    2. The segments before and after that sample are candidates when g
+       changes sign over them. In each, the closed-form projection onto the
+       chord starts at most NEWTON_STEPS Newton steps on g, with the analytic
+       g'(a) = dx cos(theta) + dy sin(theta) + dtheta (e_y cos(theta) -
+       e_x sin(theta)); a step that leaves [0, 1], a zero g' or no
+       convergence falls back to 60-step bisection. Both agree to 1e-12 m in
+       s_d and l. Of two candidates the nearer point wins; with none the pose
+       projects beyond a table end and is clamped to it.
+
+    Raises OffPathError outside the capture radius and, on an unhinted call,
+    AmbiguousMatchError when two non-adjacent samples are equally close.
     """
     px, py, ptheta = float(pose[0]), float(pose[1]), float(pose[2])
     xs, ys = path._xf, path._yf
     n = len(xs)
-    if hint_index is None:
-        lo, hi = 0, n
-    else:
-        lo = max(0, hint_index - 50)
-        hi = min(n, hint_index + 51)
-    best_i, best_d2 = lo, math.inf
-    for i in range(lo, hi):
-        dx = xs[i] - px
-        dy = ys[i] - py
-        d2 = dx * dx + dy * dy
-        if d2 < best_d2:
-            best_d2 = d2
-            best_i = i
-    if best_d2 > capture_radius * capture_radius:
+    best_i, best_d2 = _nearest_sample(path, px, py, hint_index)
+    if not best_d2 <= capture_radius * capture_radius:  # also rejects a NaN pose
         raise OffPathError(
             f"pose ({px:g}, {py:g}) is {math.sqrt(best_d2):g} m from the path, "
             f"capture radius {capture_radius:g} m"
@@ -226,25 +323,14 @@ def frenet_match(
                         f"samples {best_i} and {i} are equally close to the pose"
                     )
 
-    # the tangency constraint g(a) changes sign at the matching point; look in
-    # the segment before and after the winning sample
     candidates = []
     for i in (best_i - 1, best_i):
         if 0 <= i < n - 1:
-            g0 = _tangency(path, i, 0.0, px, py)
-            g1 = _tangency(path, i, 1.0, px, py)
+            g0 = _sample_tangency(path, i, px, py)
             if g0 == 0.0:
                 candidates.append((i, 0.0))
-            elif g0 * g1 <= 0.0:
-                a0, a1, ga = 0.0, 1.0, g0
-                for _ in range(60):
-                    am = 0.5 * (a0 + a1)
-                    gm = _tangency(path, i, am, px, py)
-                    if ga * gm <= 0.0:
-                        a1 = am
-                    else:
-                        a0, ga = am, gm
-                candidates.append((i, 0.5 * (a0 + a1)))
+            elif g0 * _sample_tangency(path, i + 1, px, py) <= 0.0:
+                candidates.append((i, _tangency_root(path, i, g0, px, py)))
     if not candidates:
         # pose projects beyond the table ends; clamp to the nearest endpoint
         i, a = (0, 0.0) if best_i == 0 else (n - 2, 1.0)
@@ -260,7 +346,8 @@ def frenet_match(
     e_y = y_d - py
     l = -e_x * math.sin(theta_d) + e_y * math.cos(theta_d)
     e_theta = wrap_angle(theta_d - ptheta)
-    return LateralErrorState(l=l, e_theta=e_theta, s_d=s_d, theta_d=theta_d, kappa_d=kappa_d)
+    return LateralErrorState(l=l, e_theta=e_theta, s_d=s_d, theta_d=theta_d,
+                             kappa_d=kappa_d, segment=i)
 
 
 def lateral_error_derivatives(err: LateralErrorState, delta: float, d: float,
@@ -396,7 +483,7 @@ def run(scenario: Scenario) -> SimTrace:
         else:
             pose = (state[0] + noise[0][k], state[1] + noise[1][k], state[2] + noise[2][k])
         err = frenet_match(path, pose, capture_radius=capture, hint_index=hint)
-        hint = int(np.searchsorted(path.s, err.s_d))
+        hint = err.segment
         d_now = bias(t)
         if controller is None:
             delta = lateral_controller_known_d(err, err.kappa_d, d_now, L, k0, k1)

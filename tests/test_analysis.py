@@ -91,6 +91,16 @@ class TestTraceMetrics:
         m = trace_metrics(synthetic_trace(t, np.zeros(100), f_true, f_hat), 0.01)
         assert m.observer_rmse == pytest.approx(0.1, rel=1e-12)
 
+    def test_observer_rmse_named_columns(self):
+        # the vehicle's observer tracks d_lump; d_true is a different signal
+        t = np.arange(100) * 0.01
+        trace = SimTrace({"t": t, "l": np.zeros(100), "d_true": np.full(100, 0.5),
+                          "d_lump": np.full(100, 0.2), "d_hat": np.full(100, 0.25)})
+        m = trace_metrics(trace, 0.01, signal="l", observer=("d_lump", "d_hat"))
+        assert m.observer_rmse == pytest.approx(0.05, rel=1e-12)
+        assert math.isnan(trace_metrics(trace, 0.01, signal="l").observer_rmse)
+        assert math.isnan(trace_metrics(trace, 0.01, signal="l", observer=None).observer_rmse)
+
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
             trace_metrics(SimTrace({"t": np.array([]), "x0": np.array([])}), 0.01)

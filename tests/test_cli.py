@@ -23,6 +23,28 @@ sim.seed = 42
 """
 
 
+VEHICLE_CONF = """
+plant.kind = vehicle
+plant.wheelbase = 2.7
+plant.speed = 10.0
+path.kind = line
+path.length = 200.0
+controller.kind = observer
+controller.omega = 0.5
+controller.omega_d = 2.0
+disturbance.kind = constant
+disturbance.value = 0.03490658503988659
+sim.dt = 0.001
+sim.duration = 2.0
+sim.seed = 0
+"""
+
+
+def read_rows(csv_path):
+    header, *lines = csv_path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
 def write_conf(tmp_path, text, name="scenario.conf"):
     p = tmp_path / name
     p.write_text(text)
@@ -145,6 +167,17 @@ class TestSimulate:
                      "--out", str(tmp_path / "x")]) == 2
         capsys.readouterr()
 
+    def test_vehicle_observer_rmse_tracks_lumped_term(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, VEHICLE_CONF)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+        capsys.readouterr()
+        (row,) = read_rows(out / "metrics.csv")
+        # d_hat converges to d_lump on a straight path; against the steering
+        # bias d_true the error would stay near 0.05
+        assert float(row["observer_rmse"]) < 1e-6
+        assert float(row["omega_f"]) == 2.0
+
     def test_diverged_exit_code(self, tmp_path, capsys):
         text = """
 plant.kind = chain
@@ -212,6 +245,42 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         statuses = [line.split(",")[-1] for line in lines[1:]]
         assert "ok" in statuses and "diverged" in statuses
+
+    def test_vehicle_omega_f_axis_sets_observer_bandwidth(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, VEHICLE_CONF)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", conf, "--out", str(out),
+                     "--grid", "omega_f=1,50"]) == 0
+        capsys.readouterr()
+        slow, fast = read_rows(out / "sweep.csv")
+        assert (float(slow["omega_f"]), float(fast["omega_f"])) == (1.0, 50.0)
+        assert slow["sse_rms"] != fast["sse_rms"]
+        assert slow["observer_rmse"] != fast["observer_rmse"]
+
+    def test_row_reports_vehicle_observer_bandwidth(self, tmp_path, capsys):
+        # without controller.omega_d the row names the default the runner
+        # uses: the same bytes as a sweep that sets it explicitly
+        outputs = []
+        implicit = VEHICLE_CONF.replace("controller.omega_d = 2.0\n", "")
+        for name, text in (("implicit", implicit), ("explicit", VEHICLE_CONF)):
+            out = tmp_path / name
+            assert main(["sweep", "--config", write_conf(tmp_path, text, f"{name}.conf"),
+                         "--out", str(out), "--grid", "omega=0.5"]) == 0
+            outputs.append((out / "sweep.csv").read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        (row,) = read_rows(tmp_path / "implicit" / "sweep.csv")
+        assert float(row["omega_f"]) == 2.0
+
+    @pytest.mark.parametrize("text", [
+        VEHICLE_CONF.replace("controller.kind = observer", "controller.kind = known_d"),
+        CHAIN_CONF.replace("controller.kind = generalized", "controller.kind = homogeneous"),
+    ], ids=["vehicle_known_d", "chain_homogeneous"])
+    def test_omega_f_axis_rejected_without_observer(self, tmp_path, capsys, text):
+        conf = write_conf(tmp_path, text)
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--grid", "omega_f=1,50"]) == 2
+        assert "no observer bandwidth" in capsys.readouterr().err
 
     def test_bad_grid(self, tmp_path, capsys):
         conf = write_conf(tmp_path, CHAIN_CONF)

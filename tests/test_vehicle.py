@@ -1,8 +1,13 @@
+import io
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lumped_pid.plants import vehicle
 
 from lumped_pid.errors import (
     AmbiguousMatchError,
@@ -161,11 +166,129 @@ class TestFrenetMatch:
         with pytest.raises(OffPathError):
             frenet_match(path, (50.0, 25.0, 0.0))
 
+    def test_nan_pose_is_off_path(self):
+        path = FrenetPath.line(100.0)
+        for hint in (None, 40):
+            with pytest.raises(OffPathError):
+                frenet_match(path, (math.nan, 0.0, 0.0), hint_index=hint)
+
     def test_ambiguous_match_at_circle_center(self):
         radius = 5.0
         path = FrenetPath.circle(radius, 2 * math.pi * radius, spacing=0.05)
         with pytest.raises(AmbiguousMatchError):
             frenet_match(path, (0.0, radius, 0.0), capture_radius=100.0)
+
+
+def _curvy_csv_path():
+    """S-curve with kappa = 0.04 sin(s/15), written to CSV and loaded back."""
+    s = np.linspace(0.0, 120.0, 481)
+    theta = 0.6 * (1.0 - np.cos(s / 15.0))
+    ds = np.diff(s)
+    x = np.concatenate([[0.0], np.cumsum(0.5 * (np.cos(theta[1:]) + np.cos(theta[:-1])) * ds)])
+    y = np.concatenate([[0.0], np.cumsum(0.5 * (np.sin(theta[1:]) + np.sin(theta[:-1])) * ds)])
+    buf = io.StringIO()
+    FrenetPath(s, x, y, theta, 0.04 * np.sin(s / 15.0)).to_csv(buf)
+    buf.seek(0)
+    return FrenetPath.from_csv(buf)
+
+
+PATHS = {
+    "line": FrenetPath.line(100.0),
+    "circle": FrenetPath.circle(30.0, 150.0),
+    "csv": _curvy_csv_path(),
+}
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def near_path_pose(draw):
+    """(path, pose) with the pose up to 2 m either side of an interior point."""
+    path = PATHS[draw(st.sampled_from(sorted(PATHS)))]
+    s0 = draw(st.floats(1.0, path.length - 1.0))
+    offset = draw(st.floats(-2.0, 2.0))
+    _, x, y, th, _ = path.sample(s0)
+    heading = th + draw(st.floats(-0.5, 0.5))
+    return path, (x - offset * math.sin(th), y + offset * math.cos(th), heading)
+
+
+def tangency(path, s_d, px, py):
+    _, x_d, y_d, th_d, _ = path.sample(s_d)
+    return (x_d - px) * math.cos(th_d) + (y_d - py) * math.sin(th_d)
+
+
+def bisection_match(path, px, py):
+    """Oracle s_d: numpy-argmin nearest sample, then 60 halvings of the
+    tangency constraint in each bracketing neighbour segment; None if no
+    neighbour segment brackets a root."""
+    best = int(np.argmin((path.x - px) ** 2 + (path.y - py) ** 2))
+
+    def g(i, a):
+        _, x, y, th, _ = path._interp(i, a)
+        return (x - px) * math.cos(th) + (y - py) * math.sin(th)
+
+    roots = []
+    for i in (best - 1, best):
+        if 0 <= i < len(path) - 1 and g(i, 0.0) * g(i, 1.0) <= 0.0:
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if g(i, lo) * g(i, mid) <= 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            roots.append(path._interp(i, 0.5 * (lo + hi)))
+    if not roots:
+        return None
+    return min(roots, key=lambda r: (r[1] - px) ** 2 + (r[2] - py) ** 2)[0]
+
+
+class TestFrenetMatchProperties:
+    @PROPERTY
+    @given(near_path_pose())
+    def test_tangency_residual_at_round_off(self, case):
+        path, (px, py, th) = case
+        err = frenet_match(path, (px, py, th))
+        scale = max(1.0, abs(px), abs(py), err.s_d)
+        assert abs(tangency(path, err.s_d, px, py)) <= 1e-12 * scale
+
+    @PROPERTY
+    @given(near_path_pose())
+    def test_agrees_with_bisection_oracle(self, case):
+        path, (px, py, th) = case
+        s_ref = bisection_match(path, px, py)
+        assume(s_ref is not None)
+        err = frenet_match(path, (px, py, th))
+        assert abs(err.s_d - s_ref) <= 1e-12
+        hinted = frenet_match(path, (px, py, th), hint_index=err.segment)
+        assert abs(hinted.s_d - err.s_d) <= 1e-12
+
+    @PROPERTY
+    @given(near_path_pose(), st.integers(-60, 60))
+    def test_hinted_descent_finds_window_minimum(self, case, shift):
+        path, (px, py, _) = case
+        n = len(path)
+        d2 = (path.x - px) ** 2 + (path.y - py) ** 2
+        hint = min(max(int(np.argmin(d2)) + shift, 0), n - 1)
+        lo, hi = max(0, hint - 50), min(n - 1, hint + 50)
+        steps = np.sign(np.diff(d2[lo:hi + 1]))
+        turn = int(np.argmax(steps > 0)) if np.any(steps > 0) else len(steps)
+        assume(np.all(steps[:turn] < 0) and np.all(steps[turn:] > 0))  # strictly unimodal
+        assert vehicle._nearest_sample(path, px, py, hint)[0] == lo + int(np.argmin(d2[lo:hi + 1]))
+
+    def test_newton_leaving_segment_falls_back_to_bisection(self, monkeypatch):
+        # one coarse segment of a unit circle, pose near the centre of
+        # curvature: g' nearly vanishes at the chord projection (a = 0.48),
+        # so the first Newton step lands at a = -2.8
+        path = FrenetPath.circle(1.0, 1.0, spacing=1.0)
+        px, py = -0.05, 1.06
+        calls = []
+        bisect = vehicle._bisect
+        monkeypatch.setattr(vehicle, "_bisect",
+                            lambda *args: calls.append(args) or bisect(*args))
+        err = frenet_match(path, (px, py, 0.0))
+        assert len(calls) == 1
+        assert abs(tangency(path, err.s_d, px, py)) <= 1e-12
+        assert abs(err.s_d - bisection_match(path, px, py)) <= 1e-12
 
 
 class TestLateralErrorDerivatives:
