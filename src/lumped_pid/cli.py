@@ -1,7 +1,10 @@
 """Command-line entry point: tune, simulate, sweep, bode.
 
-Exit codes: 0 success, 2 config error, 3 diverged, 4 partial sweep failure.
-The environment variable LUMPED_PID_SEED overrides the scenario seed.
+Exit codes: 0 success; 2 config error (or another error outside a simulation
+run); 3 run failure, a simulation stopped mid-run by divergence or a physical
+limit (the vehicle's steering, the VTOL's attitude or thrust singularities);
+4 partial sweep failure. The environment variable LUMPED_PID_SEED overrides
+the scenario seed.
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ from .svgplot import write_line_plot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_DIVERGED = 3
+EXIT_RUN_FAILED = 3
 EXIT_PARTIAL = 4
 
 _PRIMARY_SIGNAL = {"chain": "x0", "vtol": "err_norm", "vehicle": "l"}
+# state-feedback bandwidth each plant runner uses without controller.omega
+_OMEGA_DEFAULT = {"chain": 1.0, "vtol": 2.0, "vehicle": 0.5}
 # (true, estimate) trace columns of the lumped term each plant's observer tracks;
 # the vehicle's d_hat estimates d_lump, not the steering bias d_true
 _OBSERVER_COLUMNS = {"chain": ("f_true", "f_hat"), "vehicle": ("d_lump", "d_hat")}
@@ -42,6 +47,10 @@ _BANDWIDTH_OPTION = {"chain": ("omega_f", 1.0), "vtol": ("omega_f", 8.0),
 # controllers that read no observer bandwidth
 _NO_OBSERVER = {("chain", "none"), ("chain", "homogeneous"), ("vehicle", "known_d")}
 _PLOT_POINTS = 2000
+# One lockstep step costs about as much as five float steps whatever the lane
+# count (measured on second-order chains, generalized and homogeneous), so
+# smaller groups of sweep cells run one at a time.
+_LOCKSTEP_MIN_CELLS = 5
 
 
 def _seed_override() -> int | None:
@@ -162,26 +171,26 @@ def _observer_bandwidth(scenario) -> tuple[str | None, float]:
     return option, scenario.controller.get(option, default)
 
 
+def _run_values(scenario) -> tuple[float, float, float]:
+    """The (omega, omega_f, sigma) a run of ``scenario`` uses, as its metrics
+    row reports them."""
+    omega = scenario.controller.get("omega", _OMEGA_DEFAULT[scenario.plant_kind])
+    return omega, _observer_bandwidth(scenario)[1], scenario.noise.sigmas[0]
+
+
 def _metrics_for(trace, flat: dict, scenario) -> MetricsRow:
     signal = _PRIMARY_SIGNAL[scenario.plant_kind]
     threshold = _float(flat, "metrics.threshold", 0.02)
     metrics = trace_metrics(trace, threshold, signal=signal,
                             observer=_OBSERVER_COLUMNS.get(scenario.plant_kind))
+    omega, omega_f, sigma = _run_values(scenario)
     bound = None
     if scenario.plant_kind == "chain" and scenario.controller.get("kind") == "homogeneous":
         try:
-            bound = check_bound(trace, scenario.controller.get("omega", 1.0),
-                                scenario.plant.get("order", 1))
+            bound = check_bound(trace, omega, scenario.plant.get("order", 1))
         except WindowTooShortError:
             bound = None
-    return MetricsRow(
-        scenario_id="scenario",
-        omega=scenario.controller.get("omega", math.nan),
-        omega_f=_observer_bandwidth(scenario)[1],
-        sigma=scenario.noise.sigmas[0],
-        metrics=metrics,
-        bound=bound,
-    )
+    return MetricsRow("scenario", omega, omega_f, sigma, metrics=metrics, bound=bound)
 
 
 def cmd_simulate(args) -> int:
@@ -189,7 +198,14 @@ def cmd_simulate(args) -> int:
     scenario = build_scenario(flat, seed_override=_seed_override())
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    trace = run_scenario(scenario)
+    try:
+        trace = run_scenario(scenario)
+    except ConfigError:
+        raise
+    except LumpedPidError as exc:
+        kind = "diverged" if isinstance(exc, DivergedError) else type(exc).__name__
+        print(f"run failed: {kind}: {exc}", file=sys.stderr)
+        return EXIT_RUN_FAILED
     trace.to_csv(outdir / "trace.csv")
     write_metrics_csv(outdir / "metrics.csv", [_metrics_for(trace, flat, scenario)])
     if args.plots:
@@ -219,18 +235,60 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
     return grid
 
 
-def _sweep_cell(payload) -> MetricsRow:
-    flat, scenario_id, omega, omega_f, sigma = payload
+def _failure_status(exc: LumpedPidError) -> str:
+    """The sweep status of a failed cell; comma-free, as CSV needs."""
+    if isinstance(exc, DivergedError):
+        return f"diverged at step {exc.step} t={exc.t:g}"
+    return f"error: {exc}".replace(",", ";")
+
+
+def _cell_row(cell, scenario, outcome) -> MetricsRow:
+    """A cell's row from its run's outcome: a trace, or the error that
+    stopped the cell (``scenario`` is None if it failed to build)."""
+    flat, scenario_id, omega, omega_f, sigma = cell
+    if not isinstance(outcome, LumpedPidError):
+        try:
+            row = _metrics_for(outcome, flat, scenario)
+            return MetricsRow(scenario_id, omega, omega_f, sigma, row.metrics, row.bound)
+        except LumpedPidError as exc:
+            outcome = exc
+    return MetricsRow(scenario_id, omega, omega_f, sigma, status=_failure_status(outcome))
+
+
+def _sweep_cell(cell) -> MetricsRow:
+    """The row of one sweep cell, run alone."""
+    scenario = None
     try:
-        scenario = build_scenario(flat)
-        trace = run_scenario(scenario)
-        row = _metrics_for(trace, flat, scenario)
-        return MetricsRow(scenario_id, omega, omega_f, sigma, row.metrics, row.bound)
-    except DivergedError:
-        return MetricsRow(scenario_id, omega, omega_f, sigma, status="diverged")
+        scenario = build_scenario(cell[0])
+        outcome = run_scenario(scenario)
     except LumpedPidError as exc:
-        return MetricsRow(scenario_id, omega, omega_f, sigma,
-                          status=f"error: {exc}".replace(",", ";"))
+        outcome = exc
+    return _cell_row(cell, scenario, outcome)
+
+
+def _sweep_cells(cells: list) -> list[MetricsRow]:
+    """Rows of sweep cells, each run alone."""
+    return [_sweep_cell(cell) for cell in cells]
+
+
+def _sweep_lanes(cells: list) -> list[MetricsRow]:
+    """Rows of chain sweep cells, run as the lanes of one lockstep run."""
+    if len(cells) < _LOCKSTEP_MIN_CELLS:
+        return _sweep_cells(cells)
+    scenarios, outcomes = {}, {}
+    for i, cell in enumerate(cells):
+        try:
+            scenarios[i] = build_scenario(cell[0])
+        except LumpedPidError as exc:
+            outcomes[i] = exc
+    try:
+        ran = run_scenario(list(scenarios.values())) if scenarios else []
+    except LumpedPidError:
+        # the run failed before its loop (say, on an invalid base option):
+        # run each cell alone so that its row names its own error
+        return _sweep_cells(cells)
+    outcomes.update(zip(scenarios, ran))
+    return [_cell_row(cell, scenarios.get(i), outcomes[i]) for i, cell in enumerate(cells)]
 
 
 def cmd_sweep(args) -> int:
@@ -246,31 +304,45 @@ def cmd_sweep(args) -> int:
             f"--grid: omega_f: controller.kind {base_scenario.controller.get('kind')!r} "
             f"of plant {base_scenario.plant_kind!r} has no observer bandwidth"
         )
-    omegas = grid.get("omega", [base_scenario.controller.get("omega", 1.0)])
+    base_omega, _, base_sigma = _run_values(base_scenario)
+    omegas = grid.get("omega", [base_omega])
     omega_fs = grid.get("omega_f", [base_bandwidth])
-    sigmas = grid.get("sigma", [base_scenario.noise.sigmas[0]])
+    sigmas = grid.get("sigma", [base_sigma])
 
     cells = []
     index = 0
     for omega in sorted(omegas):
         for omega_f in sorted(omega_fs):
             for sigma in sorted(sigmas):
+                # only grid axes are written: the rest is the base config's
                 cell = dict(flat)
-                cell["controller.omega"] = repr(omega)
+                if "omega" in grid:
+                    cell["controller.omega"] = repr(omega)
                 if "omega_f" in grid:
                     cell[f"controller.{bandwidth_option}"] = repr(omega_f)
-                cell["noise.sigma"] = repr(sigma)
+                if "sigma" in grid:
+                    cell["noise.sigma"] = repr(sigma)
                 if args.seed_policy == "per-cell":
                     cell["sim.seed"] = str(int(flat.get("sim.seed", "0")) + index)
                 scenario_id = f"omega={omega:g}_omegaf={omega_f:g}_sigma={sigma:g}"
                 cells.append((cell, scenario_id, omega, omega_f, sigma))
                 index += 1
 
+    if base_scenario.plant_kind == "chain":
+        # every cell differs from the base only in its axes and seed, so all
+        # are lanes of one lockstep run, or of one per --parallel worker
+        parts = max(1, min(args.parallel, len(cells)))
+        groups = [cells[len(cells) * i // parts:len(cells) * (i + 1) // parts]
+                  for i in range(parts)]
+        work = _sweep_lanes
+    else:
+        groups = [[cell] for cell in cells]
+        work = _sweep_cells
     if args.parallel > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+            rows = [row for part in pool.map(work, groups) for row in part]
     else:
-        rows = [_sweep_cell(c) for c in cells]
+        rows = [row for group in groups for row in work(group)]
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -344,9 +416,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergedError as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except LumpedPidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,13 +13,20 @@ PI/PID controller; :func:`reduce_to_pi` and :func:`reduce_to_pid` give the
 closed-form gains and :class:`GeneralizedController` can step either the
 literal integral form or the algebraically reduced PID form (see the class
 docstring for when the two discretizations differ).
+
+:func:`lockstep_controller` fuses per-cell controllers into one that steps
+every cell at once as a numpy lane, through the same ``step`` code.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, OrderMismatchError
 from .polylti import MAX_ORDER, Polynomial, RationalTransferFunction, binomial_poly, poly_mul
@@ -253,6 +260,8 @@ class GeneralizedController:
     omitted direct term), which is why both are provided.
     """
 
+    LANE_FIELDS = ("gains", "_a", "_omega_f")
+
     def __init__(
         self,
         config: ControllerConfig,
@@ -270,6 +279,7 @@ class GeneralizedController:
         self.observer_form = observer_form
         self.seed_integral = seed_integral
         self._a = self.gains.a
+        self._omega_f = config.omega_f
         self._integ = Integrator(rule)
         self.u_x = 0.0
         self.f_hat = 0.0
@@ -290,14 +300,14 @@ class GeneralizedController:
             if self._first and self.seed_integral:
                 self._integ.total = z[n - 1]
             integral = self._integ.push(ux, cfg.dt)
-            f_hat = cfg.omega_f * (z[n - 1] - integral)
+            f_hat = self._omega_f * (z[n - 1] - integral)
         else:
             integral = self._integ.push(z[0], cfg.dt)
             red = a[0] * integral
             for i in range(1, n):
                 red += a[i] * z[i - 1]
             top = z[n - 1] if n >= 2 else 0.0
-            f_hat = cfg.omega_f * (top + red)
+            f_hat = self._omega_f * (top + red)
         self._first = False
         self.u_x = ux
         self.f_hat = f_hat
@@ -306,6 +316,8 @@ class GeneralizedController:
 
 class HomogeneousController:
     """State feedback only (f_hat = 0); the uncompensated loop."""
+
+    LANE_FIELDS = ("gains",)
 
     def __init__(self, config: ControllerConfig):
         self.config = config
@@ -320,6 +332,8 @@ class HomogeneousController:
 
 class ClassicPidController:
     """Stateful wrapper around :func:`classic_pid_step` (n = 1 or 2)."""
+
+    LANE_FIELDS = ("gains",)
 
     def __init__(self, config: ControllerConfig, rule: str = RECTANGULAR):
         if config.n == 1:
@@ -347,3 +361,40 @@ class ClassicPidController:
         u = -(kd * e_dot + self.gains.kp * e + self.gains.ki * integral) / cfg.b
         self.u_x = u * cfg.b
         return u
+
+
+def _stack_lanes(values: Sequence):
+    """Per-lane values of one field as lanes: floats become a ``[lanes]``
+    float64 array, tuples and dataclasses are stacked field by field."""
+    first = values[0]
+    if first is None:
+        return None
+    if isinstance(first, tuple):
+        return tuple(_stack_lanes(column) for column in zip(*values))
+    if dataclasses.is_dataclass(first):
+        return dataclasses.replace(first, **{
+            f.name: _stack_lanes([getattr(v, f.name) for v in values])
+            for f in dataclasses.fields(first)
+        })
+    return np.array(values, dtype=float)
+
+
+def lockstep_controller(controllers: Sequence):
+    """One controller that steps every controller of ``controllers`` as a lane.
+
+    The controllers must be fresh (never stepped) instances of one class whose
+    configs differ only in ``omega`` and ``omega_f``. The result is a copy of
+    the first with each field of its class's ``LANE_FIELDS`` (gains, observer
+    bandwidth) stacked into ``[lanes]`` float64 arrays. Its ``step`` is the
+    class's own: it takes measurements as ``[lanes]`` arrays and returns
+    ``u`` likewise. Every operation of a ``step`` is an elementwise ``+``,
+    ``-``, ``*`` or ``/`` applied in the same order as on floats, and numpy
+    rounds each one exactly as Python does, so lane j of every result equals
+    ``controllers[j].step`` on lane j of the inputs, bit for bit. Its
+    ``config`` stays the first lane's; ``step`` reads only the shared
+    ``n``, ``b`` and ``dt`` from it.
+    """
+    lanes = copy.deepcopy(controllers[0])
+    for name in lanes.LANE_FIELDS:
+        setattr(lanes, name, _stack_lanes([getattr(c, name) for c in controllers]))
+    return lanes

@@ -9,15 +9,25 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from ..controller import (
     ClassicPidController,
     ControllerConfig,
     GeneralizedController,
     HomogeneousController,
+    lockstep_controller,
 )
 from ..errors import ConfigError
 from ..quadrature import RECTANGULAR
-from ..sim import PlantModel, Scenario, SimTrace, TraceRecorder, check_state, rk4_step
+from ..sim import (
+    LaneFailures,
+    PlantModel,
+    Scenario,
+    TraceRecorder,
+    check_state,
+    rk4_step,
+)
 from ..signals import noise_table
 
 CONTROLLER_KINDS = ("none", "homogeneous", "generalized", "pid")
@@ -82,8 +92,34 @@ def _build_controller(scenario: Scenario, n: int, b: float):
     )
 
 
-def run(scenario: Scenario) -> SimTrace:
-    opts = scenario.plant
+# the trace columns the sweep metrics read; all a lockstep run records
+LOCKSTEP_COLUMNS = ("t", "x0", "f_true", "f_hat")
+
+
+def _lane_key(scenario: Scenario) -> tuple:
+    """What every scenario of one lockstep run must share."""
+    controller = {k: v for k, v in scenario.controller.items() if k not in ("omega", "omega_f")}
+    return (scenario.plant, controller, scenario.disturbance, scenario.dt,
+            scenario.duration, scenario.decimation)
+
+
+def run(scenario: Scenario | Sequence[Scenario]):
+    """Simulate one scenario, or a list of lane-compatible ones in lockstep.
+
+    A list runs through this same loop with every per-scenario quantity held
+    as a ``[lanes]`` float64 array: state, measurements, control and
+    estimates, per-lane gains and ``omega_f``. ``f0(t)`` stays one float per
+    step, shared by every lane. The plant and controllers use only
+    elementwise ``+``, ``-``, ``*`` and ``/``, so each lane is bit-identical
+    to its scenario run alone. A list gives one outcome per scenario, as
+    :func:`lumped_pid.sim.run_scenario` describes.
+    """
+    lockstep = not isinstance(scenario, Scenario)
+    scenarios = list(scenario) if lockstep else [scenario]
+    first = scenarios[0]
+    if any(_lane_key(s) != _lane_key(first) for s in scenarios[1:]):
+        raise ConfigError("lockstep scenarios differ in more than omega, omega_f and noise")
+    opts = first.plant
     n = int(opts.get("order", 1))
     b = float(opts.get("b", 1.0))
     plant = IntegratorChain(n, b, opts.get("state_coeffs", ()))
@@ -91,33 +127,48 @@ def run(scenario: Scenario) -> SimTrace:
     if len(x0) != n:
         raise ConfigError(f"plant.x0: expected {n} values, got {len(x0)}")
 
-    controller = _build_controller(scenario, n, b)
-    f0 = scenario.disturbance
-    dt = scenario.dt
-    n_steps = scenario.n_steps
-    noise = noise_table(scenario.noise, n, n_steps + 1)
-
+    controllers = [_build_controller(s, n, b) for s in scenarios]
+    controller = controllers[0]
+    f0 = first.disturbance
+    dt = first.dt
+    n_steps = first.n_steps
     names = (
         ["t"]
         + [f"x{i}" for i in range(n)]
         + ["u", "f_true", "f_hat"]
         + [f"z{i}" for i in range(n)]
     )
-    rec = TraceRecorder(names, scenario.decimation)
+    if lockstep:
+        if controller is not None:
+            controller = lockstep_controller(controllers)
+        noise = noise_table([s.noise for s in scenarios], n, n_steps + 1)
+        lanes = LaneFailures(len(scenarios))
+        rec = TraceRecorder.lockstep(names, LOCKSTEP_COLUMNS, len(scenarios), n_steps,
+                                     first.decimation)
+        state = [np.full(len(scenarios), float(v)) for v in x0]
+    else:
+        noise = noise_table(first.noise, n, n_steps + 1)
+        lanes = None
+        rec = TraceRecorder(names, first.decimation)
+        state = [float(v) for v in x0]
 
-    state = [float(v) for v in x0]
-    for k in range(n_steps + 1):
-        t = k * dt
-        check_state(state, t, k)
-        z = [state[i] + noise[i][k] for i in range(n)]
-        if controller is None:
-            u = 0.0
-            f_hat = math.nan
-        else:
-            u = controller.step(z)
-            f_hat = controller.f_hat
-        f_true = plant.lumped_disturbance(state, f0(t))
-        rec.record(k, [t, *state, u, f_true, f_hat, *z])
-        if k < n_steps:
-            state = rk4_step(plant, state, u, f0, t, dt)
-    return rec.build()
+    # a masked lane may overflow to inf or NaN; that is recorded in `lanes`
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            t = k * dt
+            check_state(state, t, k, lanes)
+            z = [state[i] + noise[i][k] for i in range(n)]
+            if controller is None:
+                u = 0.0
+                f_hat = math.nan
+            else:
+                u = controller.step(z)
+                f_hat = controller.f_hat
+            f_true = plant.lumped_disturbance(state, f0(t))
+            rec.record(k, [t, *state, u, f_true, f_hat, *z])
+            if k < n_steps:
+                state = rk4_step(plant, state, u, f0, t, dt, lanes)
+    if not lockstep:
+        return rec.build()
+    return [trace if error is None else error
+            for trace, error in zip(rec.build(), lanes.errors)]

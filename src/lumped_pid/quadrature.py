@@ -19,6 +19,10 @@ class Integrator:
     ``push(y_k)`` returns the integral up to t_k: the left-rectangular rule
     uses previous samples only, the trapezoidal rule closes the last panel
     with the new sample. The first push always returns the seed value.
+
+    Samples may be floats or ``[lanes]`` float64 arrays (one lane per
+    lockstep cell); the running total is rebound, never updated in place, so
+    a returned total or a stored sample is never changed by a later push.
     """
 
     __slots__ = ("rule", "total", "_prev", "_started")
@@ -34,9 +38,9 @@ class Integrator:
     def push(self, sample: float, dt: float) -> float:
         if self._started:
             if self.rule == RECTANGULAR:
-                self.total += self._prev * dt
+                self.total = self.total + self._prev * dt
             else:
-                self.total += 0.5 * (self._prev + sample) * dt
+                self.total = self.total + 0.5 * (self._prev + sample) * dt
         else:
             self._started = True
         self._prev = sample

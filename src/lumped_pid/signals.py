@@ -123,9 +123,24 @@ def noise_channel(spec: NoiseSpec, channel: int, n_samples: int) -> np.ndarray:
     return sigma * ndtri(np.maximum(u, _MIN_UNIFORM))
 
 
-def noise_table(spec: NoiseSpec, n_channels: int, n_samples: int) -> list[list[float]]:
-    """Per-channel sample lists for a whole run (plain floats for the hot loop)."""
-    return [noise_channel(spec, c, n_samples).tolist() for c in range(n_channels)]
+def noise_table(
+    spec: NoiseSpec | Sequence[NoiseSpec], n_channels: int, n_samples: int
+) -> list:
+    """Per-channel sample lists for a whole run (plain floats for the hot loop).
+
+    Given one spec per lane of a lockstep run, each channel is instead a
+    ``[n_samples, lanes]`` float64 array whose column j is lane j's channel,
+    so row k is every lane's sample k.
+    """
+    if isinstance(spec, NoiseSpec):
+        return [noise_channel(spec, c, n_samples).tolist() for c in range(n_channels)]
+    table = []
+    for c in range(n_channels):
+        channel = np.empty((n_samples, len(spec)))
+        for j, lane in enumerate(spec):
+            channel[:, j] = noise_channel(lane, c, n_samples)
+        table.append(channel)
+    return table
 
 
 def triple(signal_or_triple) -> tuple:

@@ -1,7 +1,11 @@
+import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+from lumped_pid import cli
 from lumped_pid.cli import main
 from lumped_pid.config import build_scenario, load_config, parse_config_text
 from lumped_pid.errors import ConfigError
@@ -38,6 +42,17 @@ sim.dt = 0.001
 sim.duration = 2.0
 sim.seed = 0
 """
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def stock(name, **changes):
+    """A stock config's text with keys replaced (None drops a key)."""
+    lines = [line for line in (CONFIGS / name).read_text().splitlines()
+             if line.split("=", 1)[0].strip() not in changes]
+    lines += [f"{key} = {value}" for key, value in changes.items() if value is not None]
+    return "\n".join(lines) + "\n"
 
 
 def read_rows(csv_path):
@@ -244,7 +259,7 @@ class TestSweep:
         assert code == 4
         lines = (out / "sweep.csv").read_text().splitlines()
         statuses = [line.split(",")[-1] for line in lines[1:]]
-        assert "ok" in statuses and "diverged" in statuses
+        assert statuses[0] == "ok" and statuses[1].startswith("diverged at step ")
 
     def test_vehicle_omega_f_axis_sets_observer_bandwidth(self, tmp_path, capsys):
         conf = write_conf(tmp_path, VEHICLE_CONF)
@@ -287,6 +302,132 @@ class TestSweep:
         assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
                      "--grid", "banana=1"]) == 2
         capsys.readouterr()
+
+
+def sweep_bytes(tmp_path, monkeypatch, text, grid, *extra, lockstep):
+    """sweep.csv bytes with every chain cell run in lockstep, or each alone."""
+    monkeypatch.setattr(cli, "_LOCKSTEP_MIN_CELLS", 1 if lockstep else 10**9)
+    name = f"{'lockstep' if lockstep else 'alone'}{len(list(tmp_path.iterdir()))}"
+    out = tmp_path / name
+    code = main(["sweep", "--config", write_conf(tmp_path, text, name + ".conf"),
+                 "--out", str(out), "--grid", *grid, *extra])
+    assert code in (0, 4)
+    return (out / "sweep.csv").read_bytes()
+
+
+# (config text, grid, extra arguments)
+LOCKSTEP_CASES = {
+    "chain_step_benchmark_grid": (
+        stock("chain_step.conf"), ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"), ()),
+    "bound_demo_benchmark_grid": (stock("bound_demo.conf"), ("omega=2,5", "sigma=0,0.01"), ()),
+    "seed_per_cell": (
+        stock("chain_step.conf", **{"sim.duration": 1.0}),
+        ("omega=1,2", "omega_f=10,20", "sigma=0.01,0.02"), ("--seed-policy", "per-cell")),
+    "trapezoidal": (
+        stock("chain_step.conf", **{"sim.duration": 1.0, "controller.quadrature": "trapezoidal"}),
+        ("omega=1,2", "omega_f=10,20", "sigma=0,0.01"), ()),
+    "observer_form_pid": (
+        stock("chain_step.conf", **{"sim.duration": 1.0, "controller.observer_form": "pid"}),
+        ("omega=1,2", "omega_f=10,20", "sigma=0,0.01"), ()),
+    "pid": (
+        stock("chain_step.conf", **{"sim.duration": 1.0, "controller.kind": "pid"}),
+        ("omega=1,2", "omega_f=10,20", "sigma=0,0.01"), ()),
+    "none": (
+        stock("chain_step.conf", **{"sim.duration": 1.0, "controller.kind": "none"}),
+        ("omega=1,2", "sigma=0,0.01,0.02"), ()),
+    "decimation_state_coeffs": (
+        stock("chain_step.conf", **{"sim.duration": 1.0, "sim.decimation": 7,
+                                    "plant.state_coeffs": "0.3,-0.2"}),
+        ("omega=1,2", "omega_f=10,20", "sigma=0,0.01"), ()),
+    "256_cells": (
+        stock("chain_step.conf", **{"sim.duration": 1.0}),
+        ("omega=" + ",".join(str(0.5 * i) for i in range(1, 17)),
+         "omega_f=" + ",".join(str(5 * i) for i in range(1, 9)), "sigma=0,0.01"), ()),
+}
+
+
+class TestLockstepSweep:
+    """Chain sweeps run their cells as lanes of one lockstep run; the bytes
+    equal those of every cell run alone through the float path."""
+
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_matches_cells_run_alone(self, tmp_path, capsys, monkeypatch, case):
+        text, grid, extra = LOCKSTEP_CASES[case]
+        lockstep = sweep_bytes(tmp_path, monkeypatch, text, grid, *extra, lockstep=True)
+        alone = sweep_bytes(tmp_path, monkeypatch, text, grid, *extra, lockstep=False)
+        capsys.readouterr()
+        assert lockstep == alone
+        cells = math.prod(len(axis.split("=")[1].split(",")) for axis in grid)
+        statuses = [line.rsplit(",", 1)[1] for line in lockstep.decode().splitlines()[1:]]
+        assert statuses == ["ok"] * cells
+
+    def test_parallel_groups_match_cells_run_alone(self, tmp_path, capsys, monkeypatch):
+        text = stock("chain_step.conf", **{"sim.duration": 1.0})
+        grid = ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01")
+        alone = sweep_bytes(tmp_path, monkeypatch, text, grid, lockstep=False)
+        # two workers, nine lanes each: both run in lockstep at the default size
+        monkeypatch.undo()
+        out = tmp_path / "parallel"
+        assert main(["sweep", "--config", write_conf(tmp_path, text), "--out", str(out),
+                     "--grid", *grid, "--parallel", "2"]) == 0
+        capsys.readouterr()
+        assert (out / "sweep.csv").read_bytes() == alone
+
+    def test_diverged_rows_say_where(self, tmp_path, capsys, monkeypatch):
+        text = stock("chain_step.conf")
+        lockstep = sweep_bytes(tmp_path, monkeypatch, text, ("omega=2,2000",), lockstep=True)
+        alone = sweep_bytes(tmp_path, monkeypatch, text, ("omega=2,2000",), lockstep=False)
+        capsys.readouterr()
+        assert lockstep == alone
+        ok, diverged = (line.split(",") for line in lockstep.decode().splitlines()[1:])
+        assert ok[-1] == "ok"
+        match = re.fullmatch(r"diverged at step (\d+) t=(\S+)", diverged[-1])
+        assert match and float(match[2]) == pytest.approx(int(match[1]) * 0.001)
+        assert all(field == "" for field in diverged[4:-1])
+
+
+    def test_failure_before_the_loop_is_each_cells_error(self, tmp_path, capsys, monkeypatch):
+        text = stock("chain_step.conf", **{"sim.duration": 1.0, "plant.x0": "1,2,3"})
+        grid = ("omega=1,2,5", "sigma=0,0.01")
+        lockstep = sweep_bytes(tmp_path, monkeypatch, text, grid, lockstep=True)
+        alone = sweep_bytes(tmp_path, monkeypatch, text, grid, lockstep=False)
+        capsys.readouterr()
+        assert lockstep == alone
+        statuses = {line.rsplit(",", 1)[1] for line in lockstep.decode().splitlines()[1:]}
+        assert statuses == {"error: plant.x0: expected 2 values; got 3"}
+
+
+class TestRunFailures:
+    def test_mid_run_failure_exits_3(self, tmp_path, capsys):
+        # a 1.6 rad steering bias drives the effective steering past pi/2
+        conf = write_conf(tmp_path, stock("vehicle_bias.conf", **{"disturbance.value": 1.6}))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 3
+        assert "run failed: SteeringLimitError" in capsys.readouterr().err
+
+    def test_config_error_inside_run_exits_2(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, stock("chain_step.conf", **{"plant.x0": "1,2,3"}))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        assert "plant.x0" in capsys.readouterr().err
+
+
+class TestSweepBaseValues:
+    def test_one_cell_sweep_equals_simulate(self, tmp_path, capsys):
+        # neither controller.omega nor the three noise channels are axes, so
+        # the cell runs the config as given: the vehicle's default omega 0.5
+        # and per-channel noise
+        text = stock("vehicle_bias.conf", **{"controller.omega": None,
+                                             "noise.sigma": "0.01,0.01,0.001"})
+        conf = write_conf(tmp_path, text)
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "sweep"),
+                     "--grid", "omega_f=2"]) == 0
+        capsys.readouterr()
+        (simulated,) = read_rows(tmp_path / "sim" / "metrics.csv")
+        (swept,) = read_rows(tmp_path / "sweep" / "sweep.csv")
+        assert swept.pop("scenario_id") == "omega=0.5_omegaf=2_sigma=0.01"
+        simulated.pop("scenario_id")
+        assert swept == simulated
+        assert (float(swept["omega"]), float(swept["sigma"])) == (0.5, 0.01)
 
 
 class TestBode:

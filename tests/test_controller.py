@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumped_pid.controller import (
     ClassicPidController,
@@ -13,7 +16,9 @@ from lumped_pid.controller import (
     classic_pid_step,
     closed_loop_tf,
     control_output,
+    HomogeneousController,
     homogeneous_control,
+    lockstep_controller,
     observer_step,
     observer_tfs,
     reduce_to_pi,
@@ -334,3 +339,83 @@ class TestGeneralizedController:
     def test_rejects_unknown_form(self):
         with pytest.raises(ConfigError):
             GeneralizedController(cfg(), observer_form="magic")
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+measurement = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def lane_streams(draw, n, max_lanes=5, max_steps=40):
+    """Measurement streams: steps x lanes x n floats."""
+    lanes = draw(st.integers(1, max_lanes))
+    steps = draw(st.integers(1, max_steps))
+    flat = draw(st.lists(measurement, min_size=steps * lanes * n, max_size=steps * lanes * n))
+    return np.array(flat).reshape(steps, lanes, n)
+
+
+class TestLanes:
+    """Lockstep stepping of lanes against per-lane float stepping, bitwise."""
+
+    @PROPERTY
+    @given(st.sampled_from([RECTANGULAR, TRAPEZOIDAL]), st.floats(-5.0, 5.0),
+           st.floats(1e-4, 0.5), lane_streams(n=1))
+    def test_integrator_push(self, rule, seed, dt, stream):
+        samples = stream[:, :, 0]
+        lanes = Integrator(rule, seed)
+        alone = [Integrator(rule, seed) for _ in range(samples.shape[1])]
+        for row in samples:
+            total = lanes.push(row.copy(), dt)
+            expected = [integ.push(float(y), dt) for integ, y in zip(alone, row)]
+            assert bits(np.broadcast_to(total, row.shape)) == bits(expected)
+
+    @PROPERTY
+    @given(st.data())
+    def test_controller_step(self, data):
+        kind = data.draw(st.sampled_from(["integral", "pid_form", "seed_integral",
+                                          "homogeneous", "classic"]))
+        n = data.draw(st.integers(1, 2) if kind == "classic" else st.integers(1, 4))
+        rule = data.draw(st.sampled_from([RECTANGULAR, TRAPEZOIDAL]))
+        b = data.draw(st.sampled_from([1.0, -0.5, 2.3]))
+        dt = data.draw(st.floats(1e-4, 1e-2))
+        stream = data.draw(lane_streams(n=n))
+        configs = [
+            cfg(n=n, b=b, dt=dt, omega=data.draw(st.floats(0.1, 10.0)),
+                omega_f=data.draw(st.floats(0.1, 50.0)))
+            for _ in range(stream.shape[1])
+        ]
+
+        def build(config):
+            if kind == "homogeneous":
+                return HomogeneousController(config)
+            if kind == "classic":
+                return ClassicPidController(config, rule=rule)
+            form = "pid" if kind == "pid_form" else "integral"
+            return GeneralizedController(config, rule=rule, observer_form=form,
+                                         seed_integral=kind == "seed_integral")
+
+        alone = [build(c) for c in configs]
+        lanes = lockstep_controller([build(c) for c in configs])
+        for row in stream:
+            u = lanes.step([row[:, i].copy() for i in range(n)])
+            expected_u = [c.step([float(v) for v in z]) for c, z in zip(alone, row)]
+            assert bits(u) == bits(expected_u)
+            assert bits(np.broadcast_to(lanes.f_hat, u.shape)) == bits([c.f_hat for c in alone])
+
+    @PROPERTY
+    @given(st.integers(1, 2), st.sampled_from([RECTANGULAR, TRAPEZOIDAL]),
+           st.sampled_from([1.0, -0.5, 2.3]), st.floats(0.2, 8.0), st.floats(0.5, 40.0),
+           st.floats(1e-4, 1e-2), lane_streams(n=2, max_lanes=1, max_steps=300))
+    def test_pid_observer_form_matches_classic(self, n, rule, b, omega, omega_f, dt, stream):
+        config = cfg(n=n, b=b, omega=omega, omega_f=omega_f, dt=dt)
+        gen = GeneralizedController(config, rule=rule, observer_form="pid")
+        pid = ClassicPidController(config, rule=rule)
+        for row in stream[:, 0, :n]:
+            z = [float(v) for v in row]
+            # the two forms group the same products differently: equal up to
+            # rounding of terms of size (kp + ki + kd) * |z| / |b|
+            assert gen.step(z) == pytest.approx(pid.step(z), rel=1e-9, abs=1e-9)

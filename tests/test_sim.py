@@ -249,3 +249,96 @@ class TestNoiseInjectionScaling:
             return float(np.sqrt(np.mean(u * u)))
 
         assert control_rms(10.0) < control_rms(20.0) < control_rms(40.0)
+
+
+LOCKSTEP_COLUMNS = ("t", "x0", "f_true", "f_hat")
+
+
+def assert_lockstep_matches_alone(scenarios):
+    """Every lane of a lockstep run equals its scenario run alone, bit for bit."""
+    outcomes = run_scenario(scenarios)
+    assert len(outcomes) == len(scenarios)
+    for scenario, outcome in zip(scenarios, outcomes):
+        try:
+            alone = run_scenario(scenario)
+        except DivergedError as exc:
+            assert isinstance(outcome, DivergedError)
+            assert (outcome.step, outcome.t, str(outcome)) == (exc.step, exc.t, str(exc))
+            continue
+        assert not isinstance(outcome, DivergedError), outcome
+        for name in LOCKSTEP_COLUMNS:
+            assert outcome[name].tobytes() == alone[name].tobytes(), name
+    return outcomes
+
+
+def lanes_over(omegas, omega_fs=(None,), sigmas=(0.0,), **overrides):
+    controller = overrides.pop("controller", {"kind": "generalized"})
+    noise = overrides.pop("noise", None)
+    scenarios = []
+    for i, (omega, omega_f, sigma) in enumerate(
+        (w, wf, s) for w in omegas for wf in omega_fs for s in sigmas
+    ):
+        opts = dict(controller, omega=omega)
+        if omega_f is not None:
+            opts["omega_f"] = omega_f
+        spec = noise if noise is not None else NoiseSpec(sigmas=(sigma,))
+        scenarios.append(make_scenario(controller=opts, noise=spec, seed=42 + i, **overrides))
+    return scenarios
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("controller", [
+        {"kind": "generalized"},
+        {"kind": "generalized", "quadrature": "trapezoidal"},
+        {"kind": "generalized", "observer_form": "pid"},
+        {"kind": "generalized", "seed_integral": True},
+        {"kind": "pid"},
+        {"kind": "pid", "quadrature": "trapezoidal"},
+    ], ids=["integral", "trapezoidal", "observer_pid", "seed_integral", "pid", "pid_trapezoidal"])
+    def test_observer_controllers_match_alone(self, controller):
+        assert_lockstep_matches_alone(lanes_over(
+            (1.0, 2.5), (5.0, 30.0), (0.0, 0.01), controller=controller,
+            disturbance=Sinusoid(1.0, 3.0), duration=0.5))
+
+    @pytest.mark.parametrize("kind", ["homogeneous", "none"])
+    def test_observerless_controllers_match_alone(self, kind):
+        assert_lockstep_matches_alone(lanes_over(
+            (1.0, 2.0, 5.0), sigmas=(0.0, 0.02), controller={"kind": kind},
+            disturbance=Sinusoid(1.0, 1.0), duration=0.5))
+
+    def test_first_order_pi_and_multichannel_noise_match_alone(self):
+        assert_lockstep_matches_alone(lanes_over(
+            (1.0, 3.0), (4.0, 9.0), controller={"kind": "pid"},
+            plant={"order": 1, "b": -0.7}, noise=NoiseSpec(sigmas=(0.05,)), duration=0.5))
+        assert_lockstep_matches_alone(lanes_over(
+            (1.0, 3.0), (4.0, 9.0), plant={"order": 3, "b": 1.3},
+            noise=NoiseSpec(sigmas=(0.0, 0.01, 0.02)), duration=0.5))
+
+    def test_decimation_and_state_coeffs_match_alone(self):
+        outcomes = assert_lockstep_matches_alone(lanes_over(
+            (1.0, 2.0), (10.0, 20.0), (0.0, 0.01),
+            plant={"order": 2, "b": 1.0, "state_coeffs": (0.3, -0.2), "x0": [0.5, -1.0]},
+            decimation=7, duration=0.5))
+        assert len(outcomes[0]) == 500 // 7 + 1
+        # a state-fed disturbance is a lane of its own
+        assert outcomes[0]["f_true"].tobytes() != outcomes[1]["f_true"].tobytes()
+
+    def test_diverged_lane_keeps_its_step_and_leaves_others(self):
+        # the omega = 2000 lane runs away; its neighbours finish untouched
+        outcomes = assert_lockstep_matches_alone(lanes_over((2.0, 2000.0, 3.0), duration=2.0))
+        assert [isinstance(o, DivergedError) for o in outcomes] == [False, True, False]
+        assert outcomes[1].step is not None and outcomes[1].t == outcomes[1].step * 1e-3
+
+    def test_non_finite_step_reported_at_the_integrating_step(self):
+        # noise near the float range drives u to inf at step 0, so the
+        # integrator's own guard fires before the per-step runaway guard
+        outcomes = assert_lockstep_matches_alone(
+            lanes_over((2.0,), (10.0,), (0.0, 1e307, 0.01), duration=0.05))
+        assert [isinstance(o, DivergedError) for o in outcomes] == [False, True, False]
+        assert "after step" in str(outcomes[1]) and outcomes[1].step == 0
+
+    def test_incompatible_scenarios_rejected(self):
+        with pytest.raises(ConfigError, match="differ"):
+            run_scenario([make_scenario(duration=1.0), make_scenario(duration=2.0)])
+        with pytest.raises(ConfigError, match="chain"):
+            run_scenario([make_scenario(), make_scenario(plant_kind="vehicle")])
