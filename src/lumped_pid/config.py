@@ -91,6 +91,13 @@ def _floats(flat, key, default=None):
         raise ConfigError(f"{key}: expected comma-separated numbers, got {flat[key]!r}") from None
 
 
+def _floats3(flat, key, default=None):
+    values = _floats(flat, key, default)
+    if values is not None and len(values) != 3:
+        raise ConfigError(f"{key}: expected 3 components, got {len(values)}")
+    return values
+
+
 def _bool(flat, key, default=False):
     if key not in flat:
         return default
@@ -124,15 +131,11 @@ def _triple_signal(flat: dict, prefix: str):
     if kind == "none":
         return None
     if kind in ("constant", "step"):
-        values = _floats(flat, prefix + ".value", (0.0, 0.0, 0.0))
-        if len(values) != 3:
-            raise ConfigError(f"{prefix}.value: expected 3 components")
+        values = _floats3(flat, prefix + ".value", (0.0, 0.0, 0.0))
         t0 = _float(flat, prefix + ".t_start", 0.0)
         return tuple(build_signal(kind, {"value": v, "t_start": t0}) for v in values)
     if kind == "sinusoid":
-        amps = _floats(flat, prefix + ".amplitude", (0.0, 0.0, 0.0))
-        if len(amps) != 3:
-            raise ConfigError(f"{prefix}.amplitude: expected 3 components")
+        amps = _floats3(flat, prefix + ".amplitude", (0.0, 0.0, 0.0))
         freq = _float(flat, prefix + ".freq", 1.0)
         phase = _float(flat, prefix + ".phase", 0.0)
         return tuple(build_signal(kind, {"amplitude": a, "freq": freq, "phase": phase})
@@ -181,23 +184,23 @@ def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
         ref = {"kind": flat.get("reference.kind", "hover"),
                "psi": _float(flat, "reference.psi", 0.0)}
         if ref["kind"] == "hover":
-            ref["position"] = _floats(flat, "reference.position", (0.0, 0.0, 0.0))
+            ref["position"] = _floats3(flat, "reference.position", (0.0, 0.0, 0.0))
         elif ref["kind"] == "circle":
             ref["radius"] = _float(flat, "reference.radius", 1.0)
             ref["omega"] = _float(flat, "reference.omega", 1.0)
             ref["height"] = _float(flat, "reference.height", 0.0)
         elif ref["kind"] == "lissajous":
-            ref["amplitude"] = _floats(flat, "reference.amplitude", (1.0, 1.0, 0.0))
-            ref["freq"] = _floats(flat, "reference.freq", (1.0, 2.0, 0.0))
-            ref["phase"] = _floats(flat, "reference.phase", (0.0, 0.0, 0.0))
+            ref["amplitude"] = _floats3(flat, "reference.amplitude", (1.0, 1.0, 0.0))
+            ref["freq"] = _floats3(flat, "reference.freq", (1.0, 2.0, 0.0))
+            ref["phase"] = _floats3(flat, "reference.phase", (0.0, 0.0, 0.0))
             ref["height"] = _float(flat, "reference.height", 0.0)
         else:
             raise ConfigError(f"reference.kind: unknown kind {ref['kind']!r}")
         plant["reference"] = ref
         if "plant.p0" in flat:
-            plant["p0"] = _floats(flat, "plant.p0")
+            plant["p0"] = _floats3(flat, "plant.p0")
         if "plant.v0" in flat:
-            plant["v0"] = _floats(flat, "plant.v0")
+            plant["v0"] = _floats3(flat, "plant.v0")
         disturbance = {
             "force": _triple_signal(flat, "disturbance.force"),
             "torque": _triple_signal(flat, "disturbance.torque"),

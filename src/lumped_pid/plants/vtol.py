@@ -32,9 +32,8 @@ from ..errors import (
 )
 from ..quadrature import RECTANGULAR, RULES
 from ..sim import Scenario, SimTrace, TraceRecorder, check_state
-from ..signals import noise_table, sample_triple
+from ..signals import Constant, noise_table, sample_triple
 from ..so3 import (
-    add3,
     cross3,
     det3,
     dot3,
@@ -48,6 +47,7 @@ from ..so3 import (
     norm3,
     ortho_error3,
     rodrigues3,
+    rodrigues_e3,
     scale3,
     sub3,
     trace,
@@ -99,33 +99,49 @@ class AttitudeError:
     omega_tilde: np.ndarray
 
 
-def _accel_core(v, R9, w, f, tau, mass, g, J9, Jinv9, d_f, d_tau):
-    """Scalar-core (v_dot, omega_dot); the integrator advances R separately."""
-    inv_m = 1.0 / mass
-    v_dot = (
-        (-f * R9[2] + d_f[0]) * inv_m,
-        (-f * R9[5] + d_f[1]) * inv_m,
-        g + (-f * R9[8] + d_f[2]) * inv_m,
+def _accel_core(n, w, f, tau, inv_m, g, J9, Jinv9, d_f, d_tau):
+    """Scalar-core (v_dot, omega_dot). The attitude enters only through the
+    thrust axis n = R e3; the integrator advances R separately."""
+    wx, wy, wz = w
+    J0, J1, J2, J3, J4, J5, J6, J7, J8 = J9
+    K0, K1, K2, K3, K4, K5, K6, K7, K8 = Jinv9
+    jx = J0 * wx + J1 * wy + J2 * wz
+    jy = J3 * wx + J4 * wy + J5 * wz
+    jz = J6 * wx + J7 * wy + J8 * wz
+    # tau - omega x (J omega) + d_tau
+    ux = tau[0] - (wy * jz - wz * jy) + d_tau[0]
+    uy = tau[1] - (wz * jx - wx * jz) + d_tau[1]
+    uz = tau[2] - (wx * jy - wy * jx) + d_tau[2]
+    return (
+        (-f * n[0] + d_f[0]) * inv_m,
+        (-f * n[1] + d_f[1]) * inv_m,
+        g + (-f * n[2] + d_f[2]) * inv_m,
+    ), (
+        K0 * ux + K1 * uy + K2 * uz,
+        K3 * ux + K4 * uy + K5 * uz,
+        K6 * ux + K7 * uy + K8 * uz,
     )
-    jw = mat_vec(J9, w)
-    gyro = cross3(w, jw)
-    w_dot = mat_vec(
-        Jinv9,
-        (tau[0] - gyro[0] + d_tau[0], tau[1] - gyro[1] + d_tau[1], tau[2] - gyro[2] + d_tau[2]),
-    )
-    return v_dot, w_dot
+
+
+def _triple_sampler(signals):
+    """t -> disturbance triple; absent or all-Constant signals are sampled once."""
+    if not signals:
+        return lambda t: (0.0, 0.0, 0.0)
+    if all(isinstance(s, Constant) for s in signals):
+        value = sample_triple(signals, 0.0)
+        return lambda t: value
+    return lambda t: sample_triple(signals, t)
 
 
 def vtol_derivative(state: RigidBodyState, f: float, tau, params: VtolParams, t: float):
     """(p_dot, v_dot, R_dot, omega_dot) of the four-equation model at time t."""
-    d_f = sample_triple(params.d_f, t) if params.d_f else (0.0, 0.0, 0.0)
-    d_tau = sample_triple(params.d_tau, t) if params.d_tau else (0.0, 0.0, 0.0)
     J9 = so3.flatten9(params.inertia)
     R9 = so3.flatten9(state.R)
-    w = tuple(state.omega)
+    w = tuple(np.asarray(state.omega, float).tolist())
     v_dot, w_dot = _accel_core(
-        tuple(state.v), R9, w, float(f), tuple(np.asarray(tau, float)),
-        params.mass, params.gravity, J9, inv3(J9), d_f, d_tau,
+        (R9[2], R9[5], R9[8]), w, float(f), tuple(np.asarray(tau, float).tolist()),
+        1.0 / params.mass, params.gravity, J9, inv3(J9),
+        _triple_sampler(params.d_f)(t), _triple_sampler(params.d_tau)(t),
     )
     r_dot = mat_mul(R9, hat3(w))
     return (
@@ -306,25 +322,28 @@ class VtolController:
 
     def compute(self, t, p, v, R9, w):
         dt = self.dt
-        g = self.params.gravity
         m = self.params.mass
-        p_err = sub3(p, self.reference.position(t))
-        v_err = sub3(v, self.reference.velocity(t))
+        k0, k1 = self.k0_pos, self.k1_pos
+        px, py, pz = p
+        vx, vy, vz = v
+        rx, ry, rz = self.reference.position(t)
+        rvx, rvy, rvz = self.reference.velocity(t)
         psi_d = self.reference.heading(t)
+        ex, ey, ez = p_err = (px - rx, py - ry, pz - rz)
+        evx, evy, evz = vx - rvx, vy - rvy, vz - rvz
 
-        F_x = (
-            -self.k0_pos * p_err[0] - self.k1_pos * v_err[0],
-            -self.k0_pos * p_err[1] - self.k1_pos * v_err[1],
-            -self.k0_pos * p_err[2] - self.k1_pos * v_err[2],
-        )
+        F_x = (-k0 * ex - k1 * evx, -k0 * ey - k1 * evy, -k0 * ez - k1 * evz)
+        ix, iy, iz = self._int_F
         if self._started:
-            self._int_F = add3(self._int_F, scale3(dt, self._prev_Fx))
+            qx, qy, qz = self._prev_Fx
+            ix, iy, iz = self._int_F = (ix + dt * qx, iy + dt * qy, iz + dt * qz)
         self._prev_Fx = F_x
-        d_f_hat = scale3(self.omega_f, sub3(v_err, self._int_F))
+        of = self.omega_f
+        d_f_hat = (of * (evx - ix), of * (evy - iy), of * (evz - iz))
         F_d = (
             -m * (F_x[0] - d_f_hat[0]),
             -m * (F_x[1] - d_f_hat[1]),
-            -m * (F_x[2] - d_f_hat[2] - g),
+            -m * (F_x[2] - d_f_hat[2] - self.params.gravity),
         )
 
         Rd9, _ = _desired_attitude_core(F_d, psi_d)
@@ -333,22 +352,35 @@ class VtolController:
         if self._prev_Rd is None:
             w_d = (0.0, 0.0, 0.0)
         else:
-            S = mat_tmul(Rd9, sub9(Rd9, self._prev_Rd))
+            # omega_d = vee(skew part of R_d^T (R_d - R_d,prev)) / dt; only
+            # the off-diagonal entries of S = R_d^T (R_d - R_d,prev) are read
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = Rd9
+            q0, q1, q2, q3, q4, q5, q6, q7, q8 = self._prev_Rd
+            d0, d1, d2 = a0 - q0, a1 - q1, a2 - q2
+            d3, d4, d5 = a3 - q3, a4 - q4, a5 - q5
+            d6, d7, d8 = a6 - q6, a7 - q7, a8 - q8
             inv2dt = 0.5 / dt
-            w_d = ((S[7] - S[5]) * inv2dt, (S[2] - S[6]) * inv2dt, (S[3] - S[1]) * inv2dt)
+            w_d = (
+                ((a2 * d1 + a5 * d4 + a8 * d7) - (a1 * d2 + a4 * d5 + a7 * d8)) * inv2dt,
+                ((a0 * d2 + a3 * d5 + a6 * d8) - (a2 * d0 + a5 * d3 + a8 * d6)) * inv2dt,
+                ((a1 * d0 + a4 * d3 + a7 * d6) - (a0 * d1 + a3 * d4 + a6 * d7)) * inv2dt,
+            )
         self._prev_Rd = Rd9
 
         g_t, g_dot, G, _ = _attitude_error_core(R9, Rd9, w, w_d)
-        tau_x = (
-            -self.k0_att * g_t[0] - self.k1_att * g_dot[0],
-            -self.k0_att * g_t[1] - self.k1_att * g_dot[1],
-            -self.k0_att * g_t[2] - self.k1_att * g_dot[2],
-        )
+        k0, k1 = self.k0_att, self.k1_att
+        gx, gy, gz = g_dot
+        tau_x = (-k0 * g_t[0] - k1 * gx, -k0 * g_t[1] - k1 * gy, -k0 * g_t[2] - k1 * gz)
+        ix, iy, iz = self._int_T
         if self._started:
-            self._int_T = add3(self._int_T, scale3(dt, self._prev_Tx))
+            qx, qy, qz = self._prev_Tx
+            ix, iy, iz = self._int_T = (ix + dt * qx, iy + dt * qy, iz + dt * qz)
         self._prev_Tx = tau_x
-        d_tau_hat = scale3(self.omega_tau, sub3(g_dot, self._int_T))
-        tau = mat_vec(self._J9, mat_vec(inv3(G), sub3(tau_x, d_tau_hat)))
+        ot = self.omega_tau
+        d_tau_hat = (ot * (gx - ix), ot * (gy - iy), ot * (gz - iz))
+        tau = mat_vec(self._J9, mat_vec(inv3(G), (
+            tau_x[0] - d_tau_hat[0], tau_x[1] - d_tau_hat[1], tau_x[2] - d_tau_hat[2],
+        )))
 
         self._started = True
         self.d_f_hat = d_f_hat
@@ -357,52 +389,55 @@ class VtolController:
         return f, tau
 
 
-def sub9(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval, d_tau_eval):
     """One integration step: RK4 on (p, v, omega) with the rotation carried to
     stage times by the Rodrigues exponential, then a full-step exponential
-    with the RK4-averaged angular velocity and Gram-Schmidt cleanup."""
+    with the RK4-averaged angular velocity and Gram-Schmidt cleanup.
+
+    The derivative reads a stage rotation only through its thrust axis R e3,
+    so the stages carry just that column."""
     half = 0.5 * dt
+    inv_m = 1.0 / mass
     df0, df_m, df1 = d_f_eval(t), d_f_eval(t + half), d_f_eval(t + dt)
     dt0, dt_m, dt1 = d_tau_eval(t), d_tau_eval(t + half), d_tau_eval(t + dt)
+    px, py, pz = p
+    vx, vy, vz = v
+    wx, wy, wz = w
 
-    R_mid = mat_mul(R9, rodrigues3(scale3(half, w)))
-    R_end = mat_mul(R9, rodrigues3(scale3(dt, w)))
+    n_mid = mat_vec(R9, rodrigues_e3((half * wx, half * wy, half * wz)))
+    n_end = mat_vec(R9, rodrigues_e3((dt * wx, dt * wy, dt * wz)))
 
-    a1, al1 = _accel_core(v, R9, w, f, tau, mass, g, J9, Jinv9, df0, dt0)
-    v2 = add3(v, scale3(half, a1))
-    w2 = add3(w, scale3(half, al1))
-    a2, al2 = _accel_core(v2, R_mid, w2, f, tau, mass, g, J9, Jinv9, df_m, dt_m)
-    v3 = add3(v, scale3(half, a2))
-    w3 = add3(w, scale3(half, al2))
-    a3, al3 = _accel_core(v3, R_mid, w3, f, tau, mass, g, J9, Jinv9, df_m, dt_m)
-    v4 = add3(v, scale3(dt, a3))
-    w4 = add3(w, scale3(dt, al3))
-    a4, al4 = _accel_core(v4, R_end, w4, f, tau, mass, g, J9, Jinv9, df1, dt1)
+    a1, l1 = _accel_core((R9[2], R9[5], R9[8]), w, f, tau, inv_m, g, J9, Jinv9, df0, dt0)
+    v2 = (vx + half * a1[0], vy + half * a1[1], vz + half * a1[2])
+    w2 = (wx + half * l1[0], wy + half * l1[1], wz + half * l1[2])
+    a2, l2 = _accel_core(n_mid, w2, f, tau, inv_m, g, J9, Jinv9, df_m, dt_m)
+    v3 = (vx + half * a2[0], vy + half * a2[1], vz + half * a2[2])
+    w3 = (wx + half * l2[0], wy + half * l2[1], wz + half * l2[2])
+    a3, l3 = _accel_core(n_mid, w3, f, tau, inv_m, g, J9, Jinv9, df_m, dt_m)
+    v4 = (vx + dt * a3[0], vy + dt * a3[1], vz + dt * a3[2])
+    w4 = (wx + dt * l3[0], wy + dt * l3[1], wz + dt * l3[2])
+    a4, l4 = _accel_core(n_end, w4, f, tau, inv_m, g, J9, Jinv9, df1, dt1)
 
     sixth = dt / 6.0
     p_new = (
-        p[0] + sixth * (v[0] + 2.0 * (v2[0] + v3[0]) + v4[0]),
-        p[1] + sixth * (v[1] + 2.0 * (v2[1] + v3[1]) + v4[1]),
-        p[2] + sixth * (v[2] + 2.0 * (v2[2] + v3[2]) + v4[2]),
+        px + sixth * (vx + 2.0 * (v2[0] + v3[0]) + v4[0]),
+        py + sixth * (vy + 2.0 * (v2[1] + v3[1]) + v4[1]),
+        pz + sixth * (vz + 2.0 * (v2[2] + v3[2]) + v4[2]),
     )
     v_new = (
-        v[0] + sixth * (a1[0] + 2.0 * (a2[0] + a3[0]) + a4[0]),
-        v[1] + sixth * (a1[1] + 2.0 * (a2[1] + a3[1]) + a4[1]),
-        v[2] + sixth * (a1[2] + 2.0 * (a2[2] + a3[2]) + a4[2]),
+        vx + sixth * (a1[0] + 2.0 * (a2[0] + a3[0]) + a4[0]),
+        vy + sixth * (a1[1] + 2.0 * (a2[1] + a3[1]) + a4[1]),
+        vz + sixth * (a1[2] + 2.0 * (a2[2] + a3[2]) + a4[2]),
     )
     w_new = (
-        w[0] + sixth * (al1[0] + 2.0 * (al2[0] + al3[0]) + al4[0]),
-        w[1] + sixth * (al1[1] + 2.0 * (al2[1] + al3[1]) + al4[1]),
-        w[2] + sixth * (al1[2] + 2.0 * (al2[2] + al3[2]) + al4[2]),
+        wx + sixth * (l1[0] + 2.0 * (l2[0] + l3[0]) + l4[0]),
+        wy + sixth * (l1[1] + 2.0 * (l2[1] + l3[1]) + l4[1]),
+        wz + sixth * (l1[2] + 2.0 * (l2[2] + l3[2]) + l4[2]),
     )
     w_avg = (
-        (w[0] + 2.0 * (w2[0] + w3[0]) + w4[0]) / 6.0,
-        (w[1] + 2.0 * (w2[1] + w3[1]) + w4[1]) / 6.0,
-        (w[2] + 2.0 * (w2[2] + w3[2]) + w4[2]) / 6.0,
+        (wx + 2.0 * (w2[0] + w3[0]) + w4[0]) / 6.0,
+        (wy + 2.0 * (w2[1] + w3[1]) + w4[1]) / 6.0,
+        (wz + 2.0 * (w2[2] + w3[2]) + w4[2]) / 6.0,
     )
     R_new = gram_schmidt3(mat_mul(R9, rodrigues3(scale3(dt, w_avg))))
     return p_new, v_new, R_new, w_new
@@ -459,11 +494,12 @@ def run(scenario: Scenario) -> SimTrace:
     m, g = params.mass, params.gravity
     J9 = so3.flatten9(params.inertia)
     Jinv9 = inv3(J9)
-    d_f_eval = (lambda t: sample_triple(params.d_f, t)) if params.d_f else (lambda t: (0.0, 0.0, 0.0))
-    d_tau_eval = (lambda t: sample_triple(params.d_tau, t)) if params.d_tau else (lambda t: (0.0, 0.0, 0.0))
+    d_f_eval = _triple_sampler(params.d_f)
+    d_tau_eval = _triple_sampler(params.d_tau)
 
     dt = scenario.dt
     n_steps = scenario.n_steps
+    decimation = scenario.decimation
     # measurement noise channels: p(0-2), v(3-5), omega(6-8); R is not noised
     noise = None if scenario.noise.silent else noise_table(scenario.noise, 9, n_steps + 1)
 
@@ -487,7 +523,7 @@ def run(scenario: Scenario) -> SimTrace:
             zv = (v[0] + noise[3][k], v[1] + noise[4][k], v[2] + noise[5][k])
             zw = (w[0] + noise[6][k], w[1] + noise[7][k], w[2] + noise[8][k])
         f, tau = controller.compute(t, zp, zv, R9, zw)
-        if k % scenario.decimation == 0:
+        if k % decimation == 0:
             err = controller.p_err
             rec.record(k, [
                 t, *p, *v, *R9, *w, f, *tau, *err, norm3(err),

@@ -4,6 +4,11 @@ The hot simulation loops run on plain floats (tuples for 3-vectors, flat
 row-major 9-tuples for matrices); the ``numpy`` entry points at the bottom
 wrap the same scalar core. Array dispatch overhead on 3x3 operations is what
 pushed the rigid-body runs past their time budget, hence the split.
+
+The flat helpers take and return Python floats. ``flatten9`` is the way in
+from numpy: it converts, because ``np.float64`` elements would turn every
+later product into a numpy-scalar operation, several times slower, with the
+same results.
 """
 
 from __future__ import annotations
@@ -95,10 +100,6 @@ def mat_tmul(a, b):
     )
 
 
-def transpose(m):
-    return (m[0], m[3], m[6], m[1], m[4], m[7], m[2], m[5], m[8])
-
-
 def trace(m):
     return m[0] + m[4] + m[8]
 
@@ -135,25 +136,21 @@ def hat3(v):
     return (0.0, -v[2], v[1], v[2], 0.0, -v[0], -v[1], v[0], 0.0)
 
 
-def vee3(m):
-    """Inverse of hat3 for exactly skew input (no symmetry check here)."""
-    return (m[7], m[2], m[3])
-
-
-def rodrigues3(r):
-    """exp(hat(r)) for a rotation vector r = omega * dt.
+def _exp_coeffs(phi2):
+    """sin(phi)/phi and (1-cos(phi))/phi^2 for phi^2 = |r|^2.
 
     Series fallback below ~1e-6 rad keeps the small-angle factors accurate.
     """
-    x, y, z = r
-    phi2 = x * x + y * y + z * z
     phi = math.sqrt(phi2)
     if phi < 1e-6:
-        a = 1.0 - phi2 / 6.0          # sin(phi)/phi
-        b = 0.5 - phi2 / 24.0         # (1-cos(phi))/phi^2
-    else:
-        a = math.sin(phi) / phi
-        b = (1.0 - math.cos(phi)) / phi2
+        return 1.0 - phi2 / 6.0, 0.5 - phi2 / 24.0
+    return math.sin(phi) / phi, (1.0 - math.cos(phi)) / phi2
+
+
+def rodrigues3(r):
+    """exp(hat(r)) for a rotation vector r = omega * dt."""
+    x, y, z = r
+    a, b = _exp_coeffs(x * x + y * y + z * z)
     # I + a*hat(r) + b*hat(r)^2
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
@@ -162,6 +159,13 @@ def rodrigues3(r):
         b * xy + a * z, 1.0 - b * (xx + zz), b * yz - a * x,
         b * xz - a * y, b * yz + a * x, 1.0 - b * (xx + yy),
     )
+
+
+def rodrigues_e3(r):
+    """exp(hat(r)) e3, the third column of ``rodrigues3(r)``, bit for bit."""
+    x, y, z = r
+    a, b = _exp_coeffs(x * x + y * y + z * z)
+    return (b * (x * z) + a * y, b * (y * z) - a * x, 1.0 - b * (x * x + y * y))
 
 
 def gram_schmidt3(m):
@@ -215,4 +219,4 @@ def flatten9(m) -> tuple:
     arr = np.asarray(m, dtype=float)
     if arr.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {arr.shape}")
-    return tuple(arr.ravel())
+    return tuple(arr.ravel().tolist())

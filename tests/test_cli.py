@@ -410,6 +410,21 @@ class TestRunFailures:
         assert "plant.x0" in capsys.readouterr().err
 
 
+class TestVtolTriples:
+    @pytest.mark.parametrize("changes", [
+        {"plant.p0": "1,2"},
+        {"plant.v0": "0,0,0,5"},
+        {"reference.position": "1,2"},
+        {"reference.kind": "lissajous", "reference.amplitude": "1,2"},
+        {"reference.kind": "lissajous", "reference.freq": "1"},
+        {"reference.kind": "lissajous", "reference.phase": "0,0,0,0"},
+    ], ids=lambda changes: list(changes)[-1])
+    def test_wrong_length_is_a_config_error(self, tmp_path, capsys, changes):
+        conf = write_conf(tmp_path, stock("vtol_wind.conf", **changes))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        assert f"{list(changes)[-1]}: expected 3 components" in capsys.readouterr().err
+
+
 class TestSweepBaseValues:
     def test_one_cell_sweep_equals_simulate(self, tmp_path, capsys):
         # neither controller.omega nor the three noise channels are axes, so

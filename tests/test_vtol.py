@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from lumped_pid.cli import main
 from lumped_pid.errors import (
     AttitudeSingularityError,
     ConfigError,
@@ -67,6 +69,13 @@ class TestRodrigues:
     def test_small_angle_series(self):
         r = np.array([1e-9, -2e-9, 5e-10])
         assert np.allclose(so3.rodrigues(r), expm(so3.hat(r)), atol=1e-15)
+
+    def test_e3_column_is_bitwise_third_column(self):
+        rng = random.Random(5)
+        for scale in (2.0, 1e-3, 1e-7):
+            for _ in range(50):
+                r = tuple(rng.uniform(-scale, scale) for _ in range(3))
+                assert so3.rodrigues_e3(r) == so3.rodrigues3(r)[2::3]
 
     def test_orthonormalize_repairs_drift(self):
         R = so3.rodrigues([0.3, -0.1, 0.7]) + 1e-6 * np.ones((3, 3))
@@ -279,3 +288,111 @@ class TestVtolScenario:
             trace = run_scenario(scenario)
             errors.append(np.max(trace["err_norm"][trace.t >= 6.0]))
         assert errors[1] < errors[0]
+
+
+class TestNativeFloats:
+    def test_flatten9_returns_floats(self):
+        flat = so3.flatten9(np.diag([0.02, 0.02, 0.04]))
+        assert len(flat) == 9
+        assert all(type(x) is float for x in flat)
+
+    def test_closed_loop_state_stays_on_floats(self):
+        J = np.array([[0.02, 0.001, -0.002], [0.001, 0.025, 0.0015], [-0.002, 0.0015, 0.04]])
+        par = VtolParams(mass=1.2, gravity=9.81, inertia=J)
+        ctrl = VtolController(par, HoverRef((0.1, -0.2, 0.3), psi=0.2), dt=1e-3,
+                              omega_pos=2.0, omega_f=8.0, omega_att=10.0, omega_tau=20.0)
+        J9 = so3.flatten9(par.inertia)
+        Jinv9 = so3.inv3(J9)
+        wind = lambda t: (0.5, -0.1, 0.0)
+        spin = lambda t: (0.001, 0.0, -0.002)
+        p, v, R9, w = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), so3.IDENTITY9, (0.3, -0.2, 0.1)
+        for k in range(5):
+            f, tau = ctrl.compute(k * 1e-3, p, v, R9, w)
+            p, v, R9, w = advance_rigid_body(p, v, R9, w, f, tau, k * 1e-3, 1e-3,
+                                             par.mass, par.gravity, J9, Jinv9, wind, spin)
+        for name, values in (("f", (f,)), ("tau", tau), ("p", p), ("v", v), ("R9", R9),
+                             ("w", w)):
+            assert all(type(x) is float for x in values), name
+
+
+VTOL_BASE_CONF = """
+plant.kind = vtol
+plant.mass = 1.0
+plant.gravity = 9.81
+controller.omega = 2.0
+controller.omega_f = 8.0
+controller.omega_att = 10.0
+controller.omega_tau = 20.0
+sim.dt = 0.001
+sim.duration = 2.0
+sim.seed = 0
+"""
+
+# SHA-256 of trace.csv, recorded before the rigid-body loop moved to native
+# floats; every VTOL speed-up must keep these bytes.
+TRACE_DIGESTS = {
+    "hover_constant_wind": (
+        """
+plant.inertia = 0.02,0.02,0.04
+reference.kind = hover
+reference.position = 0,0,0
+disturbance.force.kind = constant
+disturbance.force.value = 0.5,0,0
+disturbance.torque.kind = constant
+disturbance.torque.value = 0.001,0,-0.0005
+""",
+        "09ef20a2b921396e354c93f70f704bb52b3299ec5d023a4a63af6c60314d7a43",
+    ),
+    "sinusoid_force_and_torque": (
+        """
+plant.inertia = 0.02,0.02,0.04
+reference.kind = hover
+reference.position = 0,0,1
+disturbance.force.kind = sinusoid
+disturbance.force.amplitude = 0.3,-0.2,0.1
+disturbance.force.freq = 2.0
+disturbance.force.phase = 0.5
+disturbance.torque.kind = sinusoid
+disturbance.torque.amplitude = 0.002,0.001,-0.001
+disturbance.torque.freq = 3.0
+""",
+        "ff6c90ed13cf4f5c52c473ca694ec6c6b034b4e075e2fce5304f4245f1ec2ef4",
+    ),
+    "lissajous_with_noise": (
+        """
+plant.inertia = 0.02,0.02,0.04
+reference.kind = lissajous
+reference.amplitude = 1.0,0.5,0.2
+reference.freq = 1.0,2.0,0.5
+reference.phase = 0,0.3,0
+reference.height = 1.0
+noise.sigma = 0.001,0.001,0.001,0.002,0.002,0.002,0.0005,0.0005,0.0005
+""",
+        "a108264b14fe755dc0853ecb719c683039ea08b4c5b5e75a73e7afbac67209a6",
+    ),
+    "non_diagonal_inertia": (
+        """
+plant.inertia = 0.02,0.001,-0.002,0.001,0.025,0.0015,-0.002,0.0015,0.04
+plant.p0 = 0.2,-0.1,0.1
+plant.v0 = 0,0.5,0
+reference.kind = circle
+reference.radius = 1.0
+reference.omega = 1.0
+reference.psi = 0.3
+disturbance.torque.kind = step
+disturbance.torque.value = 0.001,-0.002,0.0005
+disturbance.torque.t_start = 0.5
+""",
+        "de5687c98257ae74b93a57d5edde2e352a13f2ee3e9d93e18cde940899c43bc5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_DIGESTS))
+def test_trace_bytes_match_recorded_digest(tmp_path, capsys, case):
+    text, digest = TRACE_DIGESTS[case]
+    conf = tmp_path / "vtol.conf"
+    conf.write_text(VTOL_BASE_CONF + text)
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "run" / "trace.csv").read_bytes()).hexdigest() == digest
