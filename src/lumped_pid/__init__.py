@@ -18,12 +18,8 @@ from .controller import (
     GeneralizedController,
     HomogeneousController,
     HomogeneousGains,
-    ObserverState,
-    classic_pid_step,
     closed_loop_tf,
-    control_output,
     homogeneous_control,
-    observer_step,
     observer_tfs,
     reduce_to_pi,
     reduce_to_pid,
@@ -40,7 +36,7 @@ from .polylti import (
     poly_mul,
 )
 from .signals import Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise
-from .sim import PlantModel, Scenario, SimTrace, rk4_step, run_scenario
+from .sim import Scenario, SimTrace, rk4_step, run_scenario
 
 __version__ = "0.1.0"
 
@@ -55,8 +51,6 @@ __all__ = [
     "HomogeneousController",
     "HomogeneousGains",
     "NoiseSpec",
-    "ObserverState",
-    "PlantModel",
     "Polynomial",
     "RationalTransferFunction",
     "Scenario",
@@ -67,15 +61,12 @@ __all__ = [
     "TraceMetrics",
     "binomial_poly",
     "check_bound",
-    "classic_pid_step",
     "closed_loop_tf",
-    "control_output",
     "dc_gain",
     "evaluate_at",
     "frequency_response",
     "gaussian_noise",
     "homogeneous_control",
-    "observer_step",
     "observer_tfs",
     "poly_mul",
     "reduce_to_pi",

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, WindowTooShortError
-from .polylti import ComplexResponse, RationalTransferFunction, frequency_response, log_grid
+from .polylti import log_grid
 from .sim import SimTrace
 
 FINAL_WINDOW_FRAC = 0.2
@@ -128,11 +128,6 @@ def check_bound(
         measured_limsup=measured,
         satisfied=measured <= bound * (1.0 + margin) + BOUND_ABS_FLOOR,
     )
-
-
-def bode_table(tf: RationalTransferFunction, freq_grid: Sequence[float]) -> list[ComplexResponse]:
-    """Frequency-response rows on a positive ascending grid."""
-    return frequency_response(tf, freq_grid)
 
 
 def default_grid(omega: float, omega_f: float, points_per_decade: int = 50) -> list[float]:

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .analysis import (
     MetricsRow,
-    bode_table,
     check_bound,
     default_grid,
     trace_metrics,
@@ -27,6 +26,8 @@ from .analysis import (
 from .config import _float, _int, build_scenario, load_config
 from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_to_pi, reduce_to_pid, synthesize_gains
 from .errors import ConfigError, DivergedError, LumpedPidError, WindowTooShortError
+from .plants import chain, vehicle, vtol
+from .polylti import frequency_response
 from .sim import run_scenario
 from .svgplot import write_line_plot
 
@@ -35,17 +36,11 @@ EXIT_CONFIG = 2
 EXIT_RUN_FAILED = 3
 EXIT_PARTIAL = 4
 
+_PLANTS = {"chain": chain, "vtol": vtol, "vehicle": vehicle}
 _PRIMARY_SIGNAL = {"chain": "x0", "vtol": "err_norm", "vehicle": "l"}
-# state-feedback bandwidth each plant runner uses without controller.omega
-_OMEGA_DEFAULT = {"chain": 1.0, "vtol": 2.0, "vehicle": 0.5}
 # (true, estimate) trace columns of the lumped term each plant's observer tracks;
 # the vehicle's d_hat estimates d_lump, not the steering bias d_true
 _OBSERVER_COLUMNS = {"chain": ("f_true", "f_hat"), "vehicle": ("d_lump", "d_hat")}
-# observer-bandwidth option and its default, as each plant runner reads them
-_BANDWIDTH_OPTION = {"chain": ("omega_f", 1.0), "vtol": ("omega_f", 8.0),
-                     "vehicle": ("omega_d", 2.0)}
-# controllers that read no observer bandwidth
-_NO_OBSERVER = {("chain", "none"), ("chain", "homogeneous"), ("vehicle", "known_d")}
 _PLOT_POINTS = 2000
 # One lockstep step costs about as much as five float steps whatever the lane
 # count (measured on second-order chains, generalized and homogeneous), so
@@ -164,17 +159,17 @@ def _observer_bandwidth(scenario) -> tuple[str | None, float]:
     A controller without an observer gives no option; its value echoes the
     configured (and unused) omega_f, or NaN.
     """
-    option, default = _BANDWIDTH_OPTION[scenario.plant_kind]
-    kind = scenario.controller.get("kind")
-    if (scenario.plant_kind, kind) in _NO_OBSERVER:
+    plant = _PLANTS[scenario.plant_kind]
+    if scenario.controller.get("kind") in plant.NO_OBSERVER:
         return None, scenario.controller.get("omega_f", math.nan)
-    return option, scenario.controller.get(option, default)
+    option = plant.BANDWIDTH
+    return option, scenario.controller.get(option, plant.DEFAULTS[option])
 
 
 def _run_values(scenario) -> tuple[float, float, float]:
     """The (omega, omega_f, sigma) a run of ``scenario`` uses, as its metrics
     row reports them."""
-    omega = scenario.controller.get("omega", _OMEGA_DEFAULT[scenario.plant_kind])
+    omega = scenario.controller.get("omega", _PLANTS[scenario.plant_kind].DEFAULTS["omega"])
     return omega, _observer_bandwidth(scenario)[1], scenario.noise.sigmas[0]
 
 
@@ -227,8 +222,9 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
             vals = [float(v) for v in values.split(",") if v]
         except ValueError:
             raise ConfigError(f"--grid: bad numbers in {spec!r}") from None
-        if not vals or any(v < 0 or (name != "sigma" and v <= 0) for v in vals):
-            raise ConfigError(f"--grid: {name} values must be positive")
+        if not vals or not all(0.0 <= v < math.inf and (v > 0.0 or name == "sigma")
+                               for v in vals):
+            raise ConfigError(f"--grid: {name} values must be finite and positive")
         grid[name] = vals
     if "omega" not in grid and "omega_f" not in grid and "sigma" not in grid:
         raise ConfigError("--grid: need at least one axis")
@@ -366,7 +362,7 @@ def cmd_bode(args) -> int:
     with open(out, "w", newline="") as fh:
         fh.write("tf,freq,mag,phase_rad\n")
         for name, tf in tables:
-            for row in bode_table(tf, grid):
+            for row in frequency_response(tf, grid):
                 fh.write(f"{name},{row.frequency:.17g},{row.magnitude:.17g},"
                          f"{row.phase:.17g}\n")
     print(f"wrote {out} ({len(grid)} frequencies x {len(tables)} transfer functions)")

@@ -25,6 +25,8 @@ line|circle|csv) and a scalar disturbance acting as steering bias [rad].
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 from .signals import NoiseSpec, Sum, build_signal
 from .sim import Scenario
@@ -66,9 +68,12 @@ def _float(flat, key, default=None):
             raise ConfigError(f"{key}: required")
         return default
     try:
-        return float(flat[key])
+        value = float(flat[key])
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {flat[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {flat[key]!r}")
+    return value
 
 
 def _int(flat, key, default=None):
@@ -86,9 +91,12 @@ def _floats(flat, key, default=None):
     if key not in flat:
         return default
     try:
-        return tuple(float(v) for v in flat[key].split(","))
+        values = tuple(float(v) for v in flat[key].split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated numbers, got {flat[key]!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key}: expected finite numbers, got {flat[key]!r}")
+    return values
 
 
 def _floats3(flat, key, default=None):
@@ -110,8 +118,10 @@ def _bool(flat, key, default=False):
 
 
 def _signal_params(flat: dict, prefix: str) -> dict:
-    plen = len(prefix) + 1
-    return {k[plen:]: v for k, v in flat.items() if k.startswith(prefix + ".")}
+    """The numeric fields of the signal at ``prefix``, parsed."""
+    return {name: _float(flat, f"{prefix}.{name}")
+            for name in ("value", "t_start", "amplitude", "freq", "phase")
+            if f"{prefix}.{name}" in flat}
 
 
 def _scalar_signal(flat: dict, prefix: str = "disturbance"):

@@ -70,10 +70,6 @@ class HomogeneousGains:
 
     a: tuple[float, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
 
 @dataclass(frozen=True)
 class ClassicPidGains:
@@ -82,31 +78,6 @@ class ClassicPidGains:
     kp: float
     ki: float
     kd: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class ObserverState:
-    """Observer runtime state.
-
-    ``ux_integral`` starts at 0: the omitted initial-value term is treated as
-    part of the lumped disturbance. ``prev_ux``/``started`` are quadrature
-    bookkeeping (left-rectangular and trapezoidal rules both need the
-    previous sample).
-    """
-
-    ux_integral: float = 0.0
-    f_hat: float = 0.0
-    prev_ux: float = 0.0
-    started: bool = False
-
-
-@dataclass(frozen=True)
-class PidState:
-    """Classic-PID integral accumulator (same quadrature as the observer)."""
-
-    integral: float = 0.0
-    prev_e: float = 0.0
-    started: bool = False
 
 
 def synthesize_gains(n: int, omega: float) -> HomogeneousGains:
@@ -118,52 +89,13 @@ def synthesize_gains(n: int, omega: float) -> HomogeneousGains:
     return HomogeneousGains(a=poly.coeffs[:-1])
 
 
-def homogeneous_control(gains: HomogeneousGains, x_derivs: Sequence[float]) -> float:
-    """State feedback ``u_x = -sum a[i] * x_derivs[i]``."""
-    if len(x_derivs) != gains.n:
-        raise DimensionMismatchError(
-            f"expected {gains.n} state derivatives, got {len(x_derivs)}"
-        )
+def homogeneous_control(a: Sequence[float], x_derivs: Sequence[float]) -> float:
+    """State feedback ``u_x = -sum a[i] * x_derivs[i]``; the caller checks
+    that both have the plant order's length."""
     acc = 0.0
-    for ai, xi in zip(gains.a, x_derivs):
+    for ai, xi in zip(a, x_derivs):
         acc += ai * xi
     return -acc
-
-
-def observer_step(
-    state: ObserverState,
-    x_top: float,
-    u_x: float,
-    omega_f: float,
-    dt: float,
-    rule: str = RECTANGULAR,
-) -> tuple[ObserverState, float]:
-    """Advance the running integral of u_x, then estimate the disturbance.
-
-    Call once per control instant t_k = k*dt with the current ``u_x`` sample.
-    The left-rectangular rule integrates past samples only, so the estimate
-    ``f_hat = omega_f * (x_top - ux_integral)`` is aligned with t_k.
-    """
-    if not (dt > 0.0):
-        raise ConfigError(f"dt must be positive, got {dt!r}")
-    if rule not in RULES:
-        raise ConfigError(f"unknown quadrature rule {rule!r}")
-    if state.started:
-        if rule == RECTANGULAR:
-            integral = state.ux_integral + state.prev_ux * dt
-        else:
-            integral = state.ux_integral + 0.5 * (state.prev_ux + u_x) * dt
-    else:
-        integral = state.ux_integral
-    f_hat = omega_f * (x_top - integral)
-    return ObserverState(integral, f_hat, u_x, True), f_hat
-
-
-def control_output(u_x: float, f_hat: float, b: float) -> float:
-    """Final plant input ``u = (u_x - f_hat) / b``."""
-    if b == 0.0:
-        raise ConfigError("input coefficient b must be nonzero")
-    return (u_x - f_hat) / b
 
 
 def reduce_to_pi(config: ControllerConfig) -> ClassicPidGains:
@@ -185,36 +117,6 @@ def reduce_to_pid(config: ControllerConfig) -> ClassicPidGains:
     a1 = 2.0 * config.omega
     wf = config.omega_f
     return ClassicPidGains(kp=a0 + wf * a1, ki=wf * a0, kd=a1 + wf)
-
-
-def classic_pid_step(
-    gains: ClassicPidGains,
-    state: PidState,
-    e: float,
-    e_dot: float,
-    dt: float,
-    b: float = 1.0,
-    rule: str = RECTANGULAR,
-) -> tuple[PidState, float]:
-    """One PID evaluation: ``u = -(kd*e_dot + kp*e + ki*integral(e))/b``.
-
-    The integral accumulates with the same quadrature rule as the observer;
-    ``kd`` of None (PI) contributes nothing.
-    """
-    if not (dt > 0.0):
-        raise ConfigError(f"dt must be positive, got {dt!r}")
-    if rule not in RULES:
-        raise ConfigError(f"unknown quadrature rule {rule!r}")
-    if state.started:
-        if rule == RECTANGULAR:
-            integral = state.integral + state.prev_e * dt
-        else:
-            integral = state.integral + 0.5 * (state.prev_e + e) * dt
-    else:
-        integral = state.integral
-    kd = gains.kd if gains.kd is not None else 0.0
-    u = -(kd * e_dot + gains.kp * e + gains.ki * integral) / b
-    return PidState(integral, e, True), u
 
 
 def closed_loop_tf(config: ControllerConfig) -> RationalTransferFunction:
@@ -258,9 +160,13 @@ class GeneralizedController:
     The two forms agree in continuous time; discretely they differ by the
     quadrature error of the top-derivative channel (and, for n=1, by the
     omitted direct term), which is why both are provided.
+
+    The running integral starts at 0, or at the first z^(n-1) with
+    ``seed_integral``: the omitted initial-value term is part of the lumped
+    disturbance.
     """
 
-    LANE_FIELDS = ("gains", "_a", "_omega_f")
+    LANE_FIELDS = ("gains", "_omega_f")
 
     def __init__(
         self,
@@ -278,7 +184,6 @@ class GeneralizedController:
         self.rule = rule
         self.observer_form = observer_form
         self.seed_integral = seed_integral
-        self._a = self.gains.a
         self._omega_f = config.omega_f
         self._integ = Integrator(rule)
         self.u_x = 0.0
@@ -291,11 +196,8 @@ class GeneralizedController:
         n = cfg.n
         if len(z) != n:
             raise DimensionMismatchError(f"expected {n} measurements, got {len(z)}")
-        a = self._a
-        ux = 0.0
-        for i in range(n):
-            ux += a[i] * z[i]
-        ux = -ux
+        a = self.gains.a
+        ux = homogeneous_control(a, z)
         if self.observer_form == "integral":
             if self._first and self.seed_integral:
                 self._integ.total = z[n - 1]
@@ -326,12 +228,18 @@ class HomogeneousController:
         self.f_hat = 0.0
 
     def step(self, z: Sequence[float]) -> float:
-        self.u_x = homogeneous_control(self.gains, z)
+        if len(z) != self.config.n:
+            raise DimensionMismatchError(f"expected {self.config.n} measurements, got {len(z)}")
+        self.u_x = homogeneous_control(self.gains.a, z)
         return self.u_x / self.config.b
 
 
 class ClassicPidController:
-    """Stateful wrapper around :func:`classic_pid_step` (n = 1 or 2)."""
+    """Textbook PI/PID stepping (n = 1 or 2) with the gains of
+    :func:`reduce_to_pi` / :func:`reduce_to_pid`:
+    ``u = -(kd*e_dot + kp*e + ki*integral(e))/b``, the integral accumulated
+    with the observer's quadrature rule; a PI (``kd`` of None) has no
+    derivative term."""
 
     LANE_FIELDS = ("gains",)
 

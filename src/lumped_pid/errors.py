@@ -42,10 +42,6 @@ class AmbiguousMatchError(LumpedPidError):
     """Two path matching candidates are equally close."""
 
 
-class NonSkewError(LumpedPidError):
-    """Matrix passed to vee() is not skew-symmetric."""
-
-
 class AttitudeSingularityError(LumpedPidError):
     """Error-rotation vector parameterization is singular (tr(R~) close to -1)."""
 

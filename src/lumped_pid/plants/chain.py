@@ -22,7 +22,6 @@ from ..errors import ConfigError
 from ..quadrature import RECTANGULAR
 from ..sim import (
     LaneFailures,
-    PlantModel,
     Scenario,
     TraceRecorder,
     check_state,
@@ -31,9 +30,14 @@ from ..sim import (
 from ..signals import noise_table
 
 CONTROLLER_KINDS = ("none", "homogeneous", "generalized", "pid")
+# Controller options a run falls back to. BANDWIDTH names the option that
+# sets the observer bandwidth; the controller kinds in NO_OBSERVER read none.
+DEFAULTS = {"omega": 1.0, "omega_f": 1.0}
+BANDWIDTH = "omega_f"
+NO_OBSERVER = ("none", "homogeneous")
 
 
-class IntegratorChain(PlantModel):
+class IntegratorChain:
     def __init__(self, n: int, b: float, state_coeffs: Sequence[float] = ()):
         if n < 1:
             raise ConfigError(f"plant.order: must be >= 1, got {n}")
@@ -46,7 +50,6 @@ class IntegratorChain(PlantModel):
         self.n = n
         self.b = b
         self.state_coeffs = tuple(float(c) for c in state_coeffs)
-        self.state_dim = n
 
     def lumped_disturbance(self, state: Sequence[float], f0: float) -> float:
         f = f0
@@ -58,9 +61,6 @@ class IntegratorChain(PlantModel):
         out = list(state[1:])
         out.append(self.lumped_disturbance(state, d) + self.b * u)
         return out
-
-    def measurements(self, state, t):
-        return list(state)
 
 
 def _build_controller(scenario: Scenario, n: int, b: float):
@@ -75,8 +75,8 @@ def _build_controller(scenario: Scenario, n: int, b: float):
     config = ControllerConfig(
         n=n,
         b=b,
-        omega=float(opts.get("omega", 1.0)),
-        omega_f=float(opts.get("omega_f", 1.0)),
+        omega=float(opts.get("omega", DEFAULTS["omega"])),
+        omega_f=float(opts.get("omega_f", DEFAULTS["omega_f"])),
         dt=scenario.dt,
     )
     rule = opts.get("quadrature", RECTANGULAR)

@@ -23,7 +23,7 @@ from ..errors import (
     SteeringLimitError,
 )
 from ..quadrature import RECTANGULAR, RULES, Integrator
-from ..sim import PlantModel, Scenario, SimTrace, TraceRecorder, check_state, rk4_step
+from ..sim import Scenario, SimTrace, TraceRecorder, check_state, rk4_step
 from ..signals import noise_table
 
 STEER_LIMIT = 0.5 * math.pi - 1e-9
@@ -33,6 +33,11 @@ ZERO_SPEED = 1e-9  # below this the distance-domain observer freezes
 NEWTON_STEPS = 4  # Newton steps on the tangency root before falling back to bisection
 NEWTON_TOL = 1e-12  # a Newton step shorter than this (in segment fraction) has converged
 DESCENT_REACH = 50  # a hinted match searches this many samples either side of the hint
+# Controller options a run falls back to. BANDWIDTH names the option that
+# sets the observer bandwidth; the controller kinds in NO_OBSERVER read none.
+DEFAULTS = {"omega": 0.5, "omega_d": 2.0}
+BANDWIDTH = "omega_d"
+NO_OBSERVER = ("known_d",)
 
 
 def wrap_angle(a: float) -> float:
@@ -43,10 +48,8 @@ def wrap_angle(a: float) -> float:
     return a - math.pi
 
 
-class Bicycle(PlantModel):
+class Bicycle:
     """Kinematic bicycle; state (x, y, theta), input delta, disturbance d."""
-
-    state_dim = 3
 
     def __init__(self, wheelbase: float, speed: float):
         if not (wheelbase > 0.0):
@@ -56,9 +59,6 @@ class Bicycle(PlantModel):
 
     def derivative(self, state, u, d, t):
         return bicycle_derivative(state, self.speed, u, d, self.wheelbase)
-
-    def measurements(self, state, t):
-        return list(state)
 
 
 def bicycle_derivative(state, v: float, delta: float, d: float, L: float):
@@ -442,14 +442,14 @@ def run(scenario: Scenario) -> SimTrace:
 
     copts = scenario.controller
     kind = copts.get("kind", "observer")
-    omega = float(copts.get("omega", 0.5))  # rad/m, distance-domain pole
+    omega = float(copts.get("omega", DEFAULTS["omega"]))  # rad/m, distance-domain pole
     k0 = omega * omega
     k1 = 2.0 * omega
     bias = scenario.disturbance  # steering disturbance signal d(t) [rad]
 
     if kind == "observer":
         controller = LateralObserverController(
-            L, k0, k1, float(copts.get("omega_d", 2.0)),
+            L, k0, k1, float(copts.get("omega_d", DEFAULTS["omega_d"])),
             rule=copts.get("quadrature", RECTANGULAR),
         )
     elif kind == "known_d":

@@ -38,7 +38,6 @@ from ..so3 import (
     det3,
     dot3,
     gram_schmidt3,
-    hat3,
     inv3,
     mat_mul,
     mat_tmul,
@@ -56,6 +55,11 @@ from ..so3 import (
 THRUST_EPS = 1e-8      # smallest ||F_d|| that still defines a thrust axis
 CROSS_EPS = 1e-8       # smallest ||b3d x b_d|| before the heading degenerates
 TRACE_SINGULARITY = 1e-6  # tr(R~) + 1 below this is the g~ singularity
+# Controller options a run falls back to. BANDWIDTH names the option that
+# sets the observer bandwidth; the controller kinds in NO_OBSERVER read none.
+DEFAULTS = {"omega": 2.0, "omega_f": 8.0, "omega_att": 10.0, "omega_tau": 20.0}
+BANDWIDTH = "omega_f"
+NO_OBSERVER = ()
 
 
 @dataclass(frozen=True)
@@ -79,29 +83,11 @@ class VtolParams:
         object.__setattr__(self, "inertia", J)
 
 
-@dataclass
-class RigidBodyState:
-    p: np.ndarray
-    v: np.ndarray
-    R: np.ndarray
-    omega: np.ndarray
-
-    @classmethod
-    def at_rest(cls, p=(0.0, 0.0, 0.0)):
-        return cls(np.asarray(p, float), np.zeros(3), np.eye(3), np.zeros(3))
-
-
-@dataclass(frozen=True)
-class AttitudeError:
-    g_tilde: np.ndarray
-    g_tilde_dot: np.ndarray
-    G: np.ndarray
-    omega_tilde: np.ndarray
-
-
-def _accel_core(n, w, f, tau, inv_m, g, J9, Jinv9, d_f, d_tau):
-    """Scalar-core (v_dot, omega_dot). The attitude enters only through the
-    thrust axis n = R e3; the integrator advances R separately."""
+def rigid_body_accel(n, w, f, tau, inv_m, g, J9, Jinv9, d_f, d_tau):
+    """(v_dot, omega_dot) of the model above, with ``inv_m = 1/m`` and the
+    disturbance values ``d_f``, ``d_tau``. The attitude enters only through
+    the thrust axis n = R e3; the integrator advances R separately
+    (R_dot = R hat(omega))."""
     wx, wy, wz = w
     J0, J1, J2, J3, J4, J5, J6, J7, J8 = J9
     K0, K1, K2, K3, K4, K5, K6, K7, K8 = Jinv9
@@ -133,26 +119,9 @@ def _triple_sampler(signals):
     return lambda t: sample_triple(signals, t)
 
 
-def vtol_derivative(state: RigidBodyState, f: float, tau, params: VtolParams, t: float):
-    """(p_dot, v_dot, R_dot, omega_dot) of the four-equation model at time t."""
-    J9 = so3.flatten9(params.inertia)
-    R9 = so3.flatten9(state.R)
-    w = tuple(np.asarray(state.omega, float).tolist())
-    v_dot, w_dot = _accel_core(
-        (R9[2], R9[5], R9[8]), w, float(f), tuple(np.asarray(tau, float).tolist()),
-        1.0 / params.mass, params.gravity, J9, inv3(J9),
-        _triple_sampler(params.d_f)(t), _triple_sampler(params.d_tau)(t),
-    )
-    r_dot = mat_mul(R9, hat3(w))
-    return (
-        np.asarray(state.v, float).copy(),
-        np.asarray(v_dot, float),
-        np.asarray(r_dot, float).reshape(3, 3),
-        np.asarray(w_dot, float),
-    )
-
-
-def _desired_attitude_core(F_d, psi_d):
+def desired_attitude(F_d, psi_d):
+    """Desired rotation R_d = [b2d x b3d, (b3d x b_d)/||.||, F_d/||F_d||] for
+    the heading b_d = (cos psi_d, sin psi_d, 0), as a flat 9-tuple."""
     nF = norm3(F_d)
     if nF <= THRUST_EPS:
         raise DegenerateThrustError(f"||F_d|| = {nF:g} too small to define a thrust axis")
@@ -164,20 +133,12 @@ def _desired_attitude_core(F_d, psi_d):
         raise GimbalDegenerateError("thrust axis is parallel to the heading vector")
     b2 = scale3(1.0 / nc, c)
     b1 = cross3(b2, b3)
-    return (b1[0], b2[0], b3[0], b1[1], b2[1], b3[1], b1[2], b2[2], b3[2]), nF
+    return (b1[0], b2[0], b3[0], b1[1], b2[1], b3[1], b1[2], b2[2], b3[2])
 
 
-def desired_attitude(F_d, psi_d: float, R) -> tuple[np.ndarray, float]:
-    """Desired rotation R_d = [b2d x b3d, (b3d x b_d)/||.||, F_d/||F_d||] and
-    the thrust f = e3^T R^T F_d projected through the current attitude."""
-    Fd = tuple(np.asarray(F_d, float))
-    Rd9, _ = _desired_attitude_core(Fd, float(psi_d))
-    R9 = so3.flatten9(R)
-    f = dot3((R9[2], R9[5], R9[8]), Fd)
-    return np.asarray(Rd9).reshape(3, 3), f
-
-
-def _attitude_error_core(R9, Rd9, w, wd):
+def attitude_error(R9, Rd9, w, wd):
+    """Error-rotation vector g~ of R~ = R_d^T R, its rate g~_dot = G w~ with
+    w~ = w - R~^T w_d, and the map G, from flat 9-tuples."""
     Rt = mat_tmul(Rd9, R9)  # R~ = R_d^T R
     denom = trace(Rt) + 1.0
     if denom < TRACE_SINGULARITY:
@@ -196,21 +157,7 @@ def _attitude_error_core(R9, Rd9, w, wd):
     )
     w_t = sub3(w, mat_tvec(Rt, wd))
     g_dot = mat_vec(G, w_t)
-    return g_t, g_dot, G, w_t
-
-
-def attitude_error(R, R_d, omega, omega_d) -> AttitudeError:
-    """Error-rotation vector g~, its rate g~_dot = G omega~, and G."""
-    g_t, g_dot, G, w_t = _attitude_error_core(
-        so3.flatten9(R), so3.flatten9(R_d),
-        tuple(np.asarray(omega, float)), tuple(np.asarray(omega_d, float)),
-    )
-    return AttitudeError(
-        g_tilde=np.asarray(g_t),
-        g_tilde_dot=np.asarray(g_dot),
-        G=np.asarray(G).reshape(3, 3),
-        omega_tilde=np.asarray(w_t),
-    )
+    return g_t, g_dot, G
 
 
 class Reference:
@@ -346,7 +293,7 @@ class VtolController:
             -m * (F_x[2] - d_f_hat[2] - self.params.gravity),
         )
 
-        Rd9, _ = _desired_attitude_core(F_d, psi_d)
+        Rd9 = desired_attitude(F_d, psi_d)
         f = dot3((R9[2], R9[5], R9[8]), F_d)
 
         if self._prev_Rd is None:
@@ -367,7 +314,7 @@ class VtolController:
             )
         self._prev_Rd = Rd9
 
-        g_t, g_dot, G, _ = _attitude_error_core(R9, Rd9, w, w_d)
+        g_t, g_dot, G = attitude_error(R9, Rd9, w, w_d)
         k0, k1 = self.k0_att, self.k1_att
         gx, gy, gz = g_dot
         tau_x = (-k0 * g_t[0] - k1 * gx, -k0 * g_t[1] - k1 * gy, -k0 * g_t[2] - k1 * gz)
@@ -407,16 +354,16 @@ def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval,
     n_mid = mat_vec(R9, rodrigues_e3((half * wx, half * wy, half * wz)))
     n_end = mat_vec(R9, rodrigues_e3((dt * wx, dt * wy, dt * wz)))
 
-    a1, l1 = _accel_core((R9[2], R9[5], R9[8]), w, f, tau, inv_m, g, J9, Jinv9, df0, dt0)
+    a1, l1 = rigid_body_accel((R9[2], R9[5], R9[8]), w, f, tau, inv_m, g, J9, Jinv9, df0, dt0)
     v2 = (vx + half * a1[0], vy + half * a1[1], vz + half * a1[2])
     w2 = (wx + half * l1[0], wy + half * l1[1], wz + half * l1[2])
-    a2, l2 = _accel_core(n_mid, w2, f, tau, inv_m, g, J9, Jinv9, df_m, dt_m)
+    a2, l2 = rigid_body_accel(n_mid, w2, f, tau, inv_m, g, J9, Jinv9, df_m, dt_m)
     v3 = (vx + half * a2[0], vy + half * a2[1], vz + half * a2[2])
     w3 = (wx + half * l2[0], wy + half * l2[1], wz + half * l2[2])
-    a3, l3 = _accel_core(n_mid, w3, f, tau, inv_m, g, J9, Jinv9, df_m, dt_m)
+    a3, l3 = rigid_body_accel(n_mid, w3, f, tau, inv_m, g, J9, Jinv9, df_m, dt_m)
     v4 = (vx + dt * a3[0], vy + dt * a3[1], vz + dt * a3[2])
     w4 = (wx + dt * l3[0], wy + dt * l3[1], wz + dt * l3[2])
-    a4, l4 = _accel_core(n_end, w4, f, tau, inv_m, g, J9, Jinv9, df1, dt1)
+    a4, l4 = rigid_body_accel(n_end, w4, f, tau, inv_m, g, J9, Jinv9, df1, dt1)
 
     sixth = dt / 6.0
     p_new = (
@@ -479,10 +426,10 @@ def run(scenario: Scenario) -> SimTrace:
     copts = scenario.controller
     controller = VtolController(
         params, reference, scenario.dt,
-        omega_pos=float(copts.get("omega", 2.0)),
-        omega_f=float(copts.get("omega_f", 8.0)),
-        omega_att=float(copts.get("omega_att", 10.0)),
-        omega_tau=float(copts.get("omega_tau", 20.0)),
+        omega_pos=float(copts.get("omega", DEFAULTS["omega"])),
+        omega_f=float(copts.get("omega_f", DEFAULTS["omega_f"])),
+        omega_att=float(copts.get("omega_att", DEFAULTS["omega_att"])),
+        omega_tau=float(copts.get("omega_tau", DEFAULTS["omega_tau"])),
         rule=copts.get("quadrature", RECTANGULAR),
     )
 

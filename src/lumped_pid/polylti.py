@@ -159,10 +159,3 @@ def log_grid(w_lo: float, w_hi: float, points_per_decade: int = 50) -> list[floa
     step = (math.log10(w_hi) - math.log10(w_lo)) / (n - 1)
     return [10.0 ** (math.log10(w_lo) + k * step) for k in range(n)]
 
-
-def write_bode_csv(path, rows: Sequence[ComplexResponse]) -> None:
-    """CSV export with header ``freq,mag,phase_rad``, ascending frequencies."""
-    with open(path, "w", newline="") as fh:
-        fh.write("freq,mag,phase_rad\n")
-        for r in rows:
-            fh.write(f"{r.frequency:.17g},{r.magnitude:.17g},{r.phase:.17g}\n")

@@ -1,4 +1,4 @@
-"""Fixed-step closed-loop simulation: plants, RK4, scenarios, traces.
+"""Fixed-step closed-loop simulation: RK4, guards, scenarios, traces.
 
 Time is kept on an integer step counter with t = k*dt (never accumulated), so
 trace timestamps sit exactly on the grid. Control inputs are held constant
@@ -14,7 +14,6 @@ instead of raising.
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -32,20 +31,6 @@ RUNAWAY_BOUND = 1e12
 # a sum within this screen puts every lane below RUNAWAY_BOUND / 2, and only
 # a sum beyond it (or NaN) needs the lane-by-lane check.
 _LANE_SCREEN = 0.25 * RUNAWAY_BOUND**2
-
-
-class PlantModel(abc.ABC):
-    """Deterministic plant dynamics plus its measurement map."""
-
-    state_dim: int
-
-    @abc.abstractmethod
-    def derivative(self, state: Sequence[float], u, d, t: float) -> list[float]:
-        """State derivative given held control u and disturbance value d."""
-
-    @abc.abstractmethod
-    def measurements(self, state: Sequence[float], t: float) -> list[float]:
-        """Measured quantities (before noise)."""
 
 
 class LaneFailures:
@@ -77,7 +62,7 @@ class LaneFailures:
 
 
 def rk4_step(
-    plant: PlantModel,
+    plant,
     state: Sequence[float],
     u,
     d_eval: Callable[[float], object],
@@ -87,6 +72,8 @@ def rk4_step(
 ) -> list[float]:
     """Classical 4th-order Runge-Kutta step with u held over the step.
 
+    ``plant.derivative(state, u, d, t)`` gives the state derivative for the
+    held control u and the disturbance value d.
     The disturbance evaluator is sampled at the stage times. Raises
     DivergedError if the new state is non-finite; the error carries the grid
     index ``round(t / dt)`` of the step. With ``lanes``, the state and ``u``

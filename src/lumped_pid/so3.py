@@ -1,14 +1,11 @@
-"""Minimal SO(3) kinematics: skew maps, Rodrigues exponential, Gram-Schmidt.
+"""Minimal SO(3) kinematics: skew map, Rodrigues exponential, Gram-Schmidt.
 
-The hot simulation loops run on plain floats (tuples for 3-vectors, flat
-row-major 9-tuples for matrices); the ``numpy`` entry points at the bottom
-wrap the same scalar core. Array dispatch overhead on 3x3 operations is what
-pushed the rigid-body runs past their time budget, hence the split.
-
-The flat helpers take and return Python floats. ``flatten9`` is the way in
-from numpy: it converts, because ``np.float64`` elements would turn every
-later product into a numpy-scalar operation, several times slower, with the
-same results.
+The helpers take and return Python floats: tuples for 3-vectors, flat
+row-major 9-tuples for matrices. Array dispatch overhead on 3x3 operations is
+what pushed the rigid-body runs past their time budget. ``flatten9`` is the
+way in from numpy: it converts, because ``np.float64`` elements would turn
+every later product into a numpy-scalar operation, several times slower,
+with the same results.
 """
 
 from __future__ import annotations
@@ -17,14 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import NonSkewError
-
 IDENTITY9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
-SKEW_TOL = 1e-9
-
-
-# -- scalar core: vectors are (x, y, z), matrices are row-major 9-tuples -----
 
 def dot3(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -40,10 +31,6 @@ def cross3(a, b):
 
 def norm3(a):
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def add3(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def sub3(a, b):
@@ -190,32 +177,8 @@ def ortho_error3(m):
     return math.sqrt(acc)
 
 
-# -- numpy-facing wrappers ---------------------------------------------------
-
-def hat(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    return np.array(hat3((v[0], v[1], v[2]))).reshape(3, 3)
-
-
-def vee(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    skew_defect = np.linalg.norm(m + m.T)
-    if skew_defect > SKEW_TOL:
-        raise NonSkewError(f"matrix is not skew-symmetric: ||M + M^T|| = {skew_defect:g}")
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
-def rodrigues(rotation_vector) -> np.ndarray:
-    r = np.asarray(rotation_vector, dtype=float)
-    return np.array(rodrigues3((r[0], r[1], r[2]))).reshape(3, 3)
-
-
-def orthonormalize(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    return np.array(gram_schmidt3(tuple(m.ravel()))).reshape(3, 3)
-
-
 def flatten9(m) -> tuple:
+    """A 3x3 array-like as a flat row-major 9-tuple of Python floats."""
     arr = np.asarray(m, dtype=float)
     if arr.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {arr.shape}")

@@ -18,7 +18,8 @@ from lumped_pid.controller import (
     reduce_to_pid,
 )
 from lumped_pid.polylti import Polynomial, RationalTransferFunction, binomial_poly, dc_gain, evaluate_at, poly_mul
-from lumped_pid.plants.vtol import RigidBodyState, VtolParams, vtol_derivative
+from lumped_pid import so3
+from lumped_pid.plants.vtol import VtolParams, rigid_body_accel
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL
 from lumped_pid.signals import Constant, NoiseSpec, Sinusoid, Step
 from lumped_pid.sim import Scenario, run_scenario
@@ -184,11 +185,14 @@ def test_noise_monotonicity():
 @criterion("criterion 7: VTOL hover equilibrium and wind rejection")
 def test_vtol_hover_and_wind():
     params = VtolParams(mass=1.0, gravity=9.81, inertia=np.diag([0.02, 0.02, 0.04]))
-    state = RigidBodyState.at_rest()
-    p_dot, v_dot, r_dot, w_dot = vtol_derivative(
-        state, params.mass * params.gravity, np.zeros(3), params, 0.0)
-    residual = math.sqrt(
-        np.sum(p_dot**2) + np.sum(v_dot**2) + np.sum(r_dot**2) + np.sum(w_dot**2))
+    # at rest: p = v = omega = 0, R = I, zero torque and disturbance
+    zero, R9 = (0.0, 0.0, 0.0), so3.IDENTITY9
+    J9 = so3.flatten9(params.inertia)
+    v_dot, w_dot = rigid_body_accel(
+        (R9[2], R9[5], R9[8]), zero, params.mass * params.gravity, zero,
+        1.0 / params.mass, params.gravity, J9, so3.inv3(J9), zero, zero)
+    p_dot, r_dot = zero, so3.mat_mul(R9, so3.hat3(zero))  # p_dot = v, R_dot = R hat(omega)
+    residual = math.sqrt(sum(x * x for x in p_dot + v_dot + r_dot + w_dot))
     assert residual < 1e-12, f"hover derivative norm {residual:.3e}"
 
     start = time.perf_counter()

@@ -5,7 +5,6 @@ import pytest
 
 from lumped_pid.analysis import (
     MetricsRow,
-    bode_table,
     check_bound,
     default_grid,
     trace_metrics,
@@ -14,6 +13,7 @@ from lumped_pid.analysis import (
 )
 from lumped_pid.controller import observer_tfs
 from lumped_pid.errors import ConfigError, WindowTooShortError
+from lumped_pid.polylti import frequency_response
 from lumped_pid.signals import Constant, Sinusoid
 from lumped_pid.sim import Scenario, SimTrace, run_scenario
 
@@ -142,10 +142,10 @@ class TestCheckBound:
 class TestBodeTable:
     def test_dc_and_bandwidth_points(self):
         g_o, g_e = observer_tfs(10.0)
-        rows = bode_table(g_o, [0.001, 10.0, 1e5])
+        rows = frequency_response(g_o, [0.001, 10.0, 1e5])
         assert rows[0].magnitude == pytest.approx(1.0, abs=1e-6)
         assert rows[1].magnitude == pytest.approx(1 / math.sqrt(2), rel=1e-9)
-        rows_e = bode_table(g_e, [10.0])
+        rows_e = frequency_response(g_e, [10.0])
         assert rows_e[0].magnitude == pytest.approx(1 / math.sqrt(2), rel=1e-9)
 
     def test_default_grid_bounds(self):
@@ -158,7 +158,7 @@ class TestBodeTable:
         from lumped_pid.controller import ControllerConfig, closed_loop_tf
 
         tf = closed_loop_tf(ControllerConfig(n=2, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3))
-        rows = bode_table(tf, [1e-4, 1e-3, 1e-2])
+        rows = frequency_response(tf, [1e-4, 1e-3, 1e-2])
         slope1 = 20.0 * math.log10(rows[1].magnitude / rows[0].magnitude)
         slope2 = 20.0 * math.log10(rows[2].magnitude / rows[1].magnitude)
         assert slope1 == pytest.approx(20.0, abs=0.1)

@@ -425,6 +425,34 @@ class TestVtolTriples:
         assert f"{list(changes)[-1]}: expected 3 components" in capsys.readouterr().err
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("key,value", [
+        ("plant.mass", "inf"),
+        ("plant.gravity", "nan"),
+        ("disturbance.force.value", "inf,0,0"),
+        ("plant.p0", "nan,0,0"),
+    ])
+    def test_config_value_is_a_config_error(self, tmp_path, capsys, key, value):
+        conf = write_conf(tmp_path, stock("vtol_wind.conf", **{key: value, "sim.duration": 0.01}))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: expected" in err and "finite" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "abc"])
+    def test_scalar_disturbance_is_a_config_error(self, tmp_path, capsys, value):
+        conf = write_conf(tmp_path, stock("chain_step.conf", **{"disturbance.value": value,
+                                                                 "sim.duration": 0.01}))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        assert "disturbance.value: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["omega=nan", "omega_f=inf", "sigma=inf"])
+    def test_grid_value_is_a_config_error(self, tmp_path, capsys, axis):
+        conf = write_conf(tmp_path, stock("chain_step.conf", **{"sim.duration": 0.05}))
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--grid", axis]) == 2
+        assert "values must be finite" in capsys.readouterr().err
+
+
 class TestSweepBaseValues:
     def test_one_cell_sweep_equals_simulate(self, tmp_path, capsys):
         # neither controller.omega nor the three noise channels are axes, so

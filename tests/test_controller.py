@@ -10,16 +10,10 @@ from lumped_pid.controller import (
     ClassicPidController,
     ControllerConfig,
     GeneralizedController,
-    HomogeneousGains,
-    ObserverState,
-    PidState,
-    classic_pid_step,
-    closed_loop_tf,
-    control_output,
     HomogeneousController,
+    closed_loop_tf,
     homogeneous_control,
     lockstep_controller,
-    observer_step,
     observer_tfs,
     reduce_to_pi,
     reduce_to_pid,
@@ -73,81 +67,85 @@ class TestSynthesizeGains:
 
 class TestHomogeneousControl:
     def test_origin(self):
-        assert homogeneous_control(HomogeneousGains((4.0, 4.0)), [0.0, 0.0]) == 0.0
+        assert homogeneous_control((4.0, 4.0), [0.0, 0.0]) == 0.0
 
     def test_single_term(self):
-        assert homogeneous_control(HomogeneousGains((4.0, 4.0)), [1.0, 0.0]) == -4.0
+        assert homogeneous_control((4.0, 4.0), [1.0, 0.0]) == -4.0
 
     def test_hand_dot_product(self):
         # independent summation order: 8*0.5 + 12*(-1) + 6*2 = 4 - 12 + 12 = 4
         terms = [8.0 * 0.5, 12.0 * -1.0, 6.0 * 2.0]
         expected = -math.fsum(terms)
-        got = homogeneous_control(HomogeneousGains((8.0, 12.0, 6.0)), [0.5, -1.0, 2.0])
+        got = homogeneous_control((8.0, 12.0, 6.0), [0.5, -1.0, 2.0])
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(-4.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            homogeneous_control(HomogeneousGains((4.0, 4.0)), [1.0])
+        # homogeneous_control leaves the length check to the stepping controllers
+        for z in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(DimensionMismatchError):
+                HomogeneousController(cfg(n=2)).step(z)
 
 
 class TestObserverStep:
+    """The integral-form observer f_hat = omega_f (z_{n-1} - int u_x dt) as
+    GeneralizedController steps it."""
+
     def test_at_rest(self):
-        state, f_hat = observer_step(ObserverState(), 0.0, 0.0, 10.0, 1e-3)
-        assert f_hat == 0.0
-        assert state.ux_integral == 0.0
+        gen = GeneralizedController(cfg(n=2))
+        assert gen.step([0.0, 0.0]) == 0.0
+        assert (gen.u_x, gen.f_hat) == (0.0, 0.0)
 
     @pytest.mark.parametrize("rule", [RECTANGULAR, TRAPEZOIDAL])
     def test_constant_ux_accumulation(self, rule):
-        # closed form: with u_x = c and x_top = 0, f_hat(k dt) = -wf*c*k*dt
+        # closed form: with u_x = c and z1 = 0, f_hat(k dt) = -wf*c*k*dt;
+        # a0 = omega^2 = 4 and z0 = -c/4 give u_x = c exactly
         wf, c, dt = 4.0, 0.7, 0.01
-        state = ObserverState()
+        gen = GeneralizedController(cfg(n=2, omega=2.0, omega_f=wf, dt=dt), rule=rule)
         for k in range(50):
-            state, f_hat = observer_step(state, 0.0, c, wf, dt, rule=rule)
-            assert f_hat == pytest.approx(-wf * c * k * dt, abs=1e-13)
+            gen.step([-c / 4.0, 0.0])
+            assert gen.u_x == c
+            assert gen.f_hat == pytest.approx(-wf * c * k * dt, abs=1e-13)
 
     def test_first_order_lag_tracking(self):
         # closed loop on xdot = f + u with constant f: the estimate must trace
         # the lag response 1 - exp(-wf t) within discretization error.
         wf, omega, f_true, dt = 10.0, 2.0, 1.0, 1e-4
+        gen = GeneralizedController(cfg(n=1, omega=omega, omega_f=wf, dt=dt))
         x = 0.0
-        state = ObserverState()
         worst = 0.0
         for k in range(30000):
-            u_x = -omega * x
-            state, f_hat = observer_step(state, x, u_x, wf, dt)
-            u = control_output(u_x, f_hat, 1.0)
+            u = gen.step([x])
             x += (f_true + u) * dt  # exact for input held over the step
             t = (k + 1) * dt
-            worst = max(worst, abs(f_hat - (1.0 - math.exp(-wf * t))))
+            worst = max(worst, abs(gen.f_hat - (1.0 - math.exp(-wf * t))))
         assert worst < 1e-3
 
     def test_seeded_integral_zeroes_initial_estimate(self):
-        # seeding the integral with x_top(0) makes f_hat(0) exactly zero
-        state = ObserverState(ux_integral=3.5)
-        state, f_hat = observer_step(state, 3.5, -1.0, 10.0, 1e-3)
-        assert f_hat == 0.0
+        # seeding the integral with z_{n-1}(0) makes f_hat(0) exactly zero
+        gen = GeneralizedController(cfg(n=1), seed_integral=True)
+        gen.step([3.5])
+        assert gen.f_hat == 0.0
 
     def test_rejects_bad_dt_and_rule(self):
         with pytest.raises(ConfigError):
-            observer_step(ObserverState(), 0.0, 0.0, 10.0, 0.0)
+            GeneralizedController(cfg(dt=0.0))
         with pytest.raises(ConfigError):
-            observer_step(ObserverState(), 0.0, 0.0, 10.0, 1e-3, rule="simpson")
+            GeneralizedController(cfg(), rule="simpson")
 
 
 class TestControlOutput:
+    """u = (u_x - f_hat) / b. On the first step of an n = 1 loop with
+    omega = 4 and omega_f = 1 at z = [1], u_x = -4 and f_hat = 1."""
+
     def test_zero(self):
-        assert control_output(0.0, 0.0, 1.0) == 0.0
+        assert GeneralizedController(cfg(n=1)).step([0.0]) == 0.0
 
     def test_arithmetic(self):
-        assert control_output(-4.0, 1.0, 2.0) == -2.5
+        assert GeneralizedController(cfg(n=1, b=2.0, omega=4.0, omega_f=1.0)).step([1.0]) == -2.5
 
     def test_sign_flip_through_negative_b(self):
-        assert control_output(-4.0, 1.0, -2.0) == 2.5
-
-    def test_rejects_zero_b(self):
-        with pytest.raises(ConfigError):
-            control_output(1.0, 0.0, 0.0)
+        assert GeneralizedController(cfg(n=1, b=-2.0, omega=4.0, omega_f=1.0)).step([1.0]) == 2.5
 
 
 class TestReductions:
@@ -186,17 +184,15 @@ class TestReductions:
 
 class TestClassicPidStep:
     def test_zero_history(self):
-        gains = reduce_to_pid(cfg(n=2, omega=2.0, omega_f=10.0))
-        _, u = classic_pid_step(gains, PidState(), 0.0, 0.0, 1e-3)
-        assert u == 0.0
+        pid = ClassicPidController(cfg(n=2, omega=2.0, omega_f=10.0))
+        assert pid.step([0.0, 0.0]) == 0.0
 
     def test_constant_error_accumulation(self):
         # u(k dt) = -44 - 40*k*dt under the rectangular rule
-        gains = reduce_to_pid(cfg(n=2, omega=2.0, omega_f=10.0))
-        state = PidState()
         dt = 0.01
+        pid = ClassicPidController(cfg(n=2, omega=2.0, omega_f=10.0, dt=dt))
         for k in range(40):
-            state, u = classic_pid_step(gains, state, 1.0, 0.0, dt)
+            u = pid.step([1.0, 0.0])
             assert u == pytest.approx(-44.0 - 40.0 * k * dt, abs=1e-12)
 
 
@@ -312,18 +308,20 @@ class TestPidEquivalence:
 
 class TestGeneralizedController:
     def test_matches_primitive_composition(self):
-        # the stateful stepper is the composition of the three primitive ops
+        # the stateful stepper is the paper's formula: u_x = -sum a_i z_i,
+        # f_hat = omega_f (z_{n-1} - sum of past u_x dt), u = (u_x - f_hat)/b
         config = cfg(n=3, b=1.7, omega=1.5, omega_f=6.0, dt=1e-3)
         gen = GeneralizedController(config)
-        gains = synthesize_gains(config.n, config.omega)
-        state = ObserverState()
+        a = synthesize_gains(config.n, config.omega).a
+        integral = 0.0
         rng = random.Random(5)
         for _ in range(200):
             z = [rng.uniform(-1, 1) for _ in range(3)]
-            u_x = homogeneous_control(gains, z)
-            state, f_hat = observer_step(state, z[-1], u_x, config.omega_f, config.dt)
-            expected = control_output(u_x, f_hat, config.b)
+            u_x = -sum(ai * zi for ai, zi in zip(a, z))
+            f_hat = config.omega_f * (z[-1] - integral)
+            expected = (u_x - f_hat) / config.b
             assert gen.step(z) == pytest.approx(expected, abs=1e-15)
+            integral += u_x * config.dt
 
     def test_dimension_check(self):
         gen = GeneralizedController(cfg(n=2))

@@ -15,7 +15,6 @@ from lumped_pid.polylti import (
     log_grid,
     poly_add,
     poly_mul,
-    write_bode_csv,
 )
 
 
@@ -198,18 +197,6 @@ class TestFrequencyResponse:
         assert grid[0] == pytest.approx(0.01)
         assert grid[-1] == pytest.approx(100.0)
         assert all(b > a for a, b in zip(grid, grid[1:]))
-
-
-def test_bode_csv_export(tmp_path):
-    tf = RationalTransferFunction(Polynomial([10.0]), Polynomial([10.0, 1.0]))
-    rows = frequency_response(tf, log_grid(0.1, 10.0, 5))
-    out = tmp_path / "bode.csv"
-    write_bode_csv(out, rows)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "freq,mag,phase_rad"
-    assert len(lines) == len(rows) + 1
-    freqs = [float(line.split(",")[0]) for line in lines[1:]]
-    assert freqs == sorted(freqs)
 
 
 def test_poly_add():
