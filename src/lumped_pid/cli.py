@@ -10,23 +10,18 @@ the scenario seed.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .analysis import (
-    MetricsRow,
-    check_bound,
-    default_grid,
-    trace_metrics,
-    write_metrics_csv,
-)
+from .analysis import MetricsRow, default_grid, trace_metrics, write_metrics_csv
 from .config import _float, _int, build_scenario, load_config
 from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_to_pi, reduce_to_pid, synthesize_gains
-from .errors import ConfigError, DivergedError, LumpedPidError, WindowTooShortError
-from .plants import chain, vehicle, vtol
+from .errors import ConfigError, LumpedPidError
+from .plants import plant_module
 from .polylti import frequency_response
 from .sim import run_scenario
 from .svgplot import write_line_plot
@@ -36,11 +31,6 @@ EXIT_CONFIG = 2
 EXIT_RUN_FAILED = 3
 EXIT_PARTIAL = 4
 
-_PLANTS = {"chain": chain, "vtol": vtol, "vehicle": vehicle}
-_PRIMARY_SIGNAL = {"chain": "x0", "vtol": "err_norm", "vehicle": "l"}
-# (true, estimate) trace columns of the lumped term each plant's observer tracks;
-# the vehicle's d_hat estimates d_lump, not the steering bias d_true
-_OBSERVER_COLUMNS = {"chain": ("f_true", "f_hat"), "vehicle": ("d_lump", "d_hat")}
 _PLOT_POINTS = 2000
 # One lockstep step costs about as much as five float steps whatever the lane
 # count (measured on second-order chains, generalized and homogeneous), so
@@ -59,15 +49,9 @@ def _seed_override() -> int | None:
 
 
 def _tune_config(flat: dict) -> ControllerConfig:
-    if "plant.order" in flat:
-        n = _int(flat, "plant.order")
-    elif "controller.n" in flat:
-        n = _int(flat, "controller.n")
-    else:
-        raise ConfigError("plant.order (or controller.n): required")
     return ControllerConfig(
-        n=n,
-        b=_float(flat, "plant.b", _float(flat, "controller.b", 1.0)),
+        n=_int(flat, "plant.order"),
+        b=_float(flat, "plant.b", 1.0),
         omega=_float(flat, "controller.omega"),
         omega_f=_float(flat, "controller.omega_f"),
         dt=_float(flat, "sim.dt", 1e-3),
@@ -118,50 +102,22 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
-def _decimate_for_plot(arr):
-    step = max(1, len(arr) // _PLOT_POINTS)
-    return arr[::step]
-
-
-def _write_plots(trace, kind: str, outdir: Path) -> None:
-    t = _decimate_for_plot(trace.t)
-    if kind == "chain":
-        state = {name: _decimate_for_plot(trace[name])
-                 for name in trace.names if name.startswith("x")}
-        write_line_plot(outdir / "plot_state.svg", t, state, "state", "t [s]", "x")
-        write_line_plot(outdir / "plot_control.svg", t,
-                        {"u": _decimate_for_plot(trace["u"])}, "control", "t [s]", "u")
-        write_line_plot(outdir / "plot_observer.svg", t,
-                        {"f_true": _decimate_for_plot(trace["f_true"]),
-                         "f_hat": _decimate_for_plot(trace["f_hat"])},
-                        "disturbance estimate", "t [s]", "f")
-    elif kind == "vtol":
-        write_line_plot(outdir / "plot_position.svg", t,
-                        {n: _decimate_for_plot(trace[n]) for n in ("px", "py", "pz")},
-                        "position", "t [s]", "p [m]")
-        write_line_plot(outdir / "plot_error.svg", t,
-                        {"err_norm": _decimate_for_plot(trace["err_norm"])},
-                        "tracking error", "t [s]", "|p err| [m]")
-    else:
-        write_line_plot(outdir / "plot_lateral.svg", t,
-                        {"l": _decimate_for_plot(trace["l"]),
-                         "e_theta": _decimate_for_plot(trace["e_theta"])},
-                        "lateral error", "t [s]", "l [m], e_theta [rad]")
-        write_line_plot(outdir / "plot_steering.svg", t,
-                        {"delta": _decimate_for_plot(trace["delta"]),
-                         "d_hat": _decimate_for_plot(trace["d_hat"])},
-                        "steering and estimate", "t [s]", "rad")
+def _write_plots(trace, plant, outdir: Path) -> None:
+    """The plant's SVG plots; a column pattern may name several columns."""
+    step = max(1, len(trace) // _PLOT_POINTS)
+    t = trace.t[::step]
+    for stem, patterns, title, ylabel in plant.PLOTS:
+        series = {name: trace[name][::step]
+                  for pattern in patterns for name in fnmatch.filter(trace.names, pattern)}
+        write_line_plot(outdir / f"plot_{stem}.svg", t, series, title, "t [s]", ylabel)
 
 
 def _observer_bandwidth(scenario) -> tuple[str | None, float]:
-    """The controller option that sets the observer bandwidth, and its value.
-
-    A controller without an observer gives no option; its value echoes the
-    configured (and unused) omega_f, or NaN.
-    """
-    plant = _PLANTS[scenario.plant_kind]
+    """The option that sets the observer bandwidth and the value a run uses;
+    (None, NaN) for a controller without an observer: a blank field."""
+    plant = plant_module(scenario.plant_kind)
     if scenario.controller.get("kind") in plant.NO_OBSERVER:
-        return None, scenario.controller.get("omega_f", math.nan)
+        return None, math.nan
     option = plant.BANDWIDTH
     return option, scenario.controller.get(option, plant.DEFAULTS[option])
 
@@ -169,22 +125,17 @@ def _observer_bandwidth(scenario) -> tuple[str | None, float]:
 def _run_values(scenario) -> tuple[float, float, float]:
     """The (omega, omega_f, sigma) a run of ``scenario`` uses, as its metrics
     row reports them."""
-    omega = scenario.controller.get("omega", _PLANTS[scenario.plant_kind].DEFAULTS["omega"])
+    omega = scenario.controller.get("omega", plant_module(scenario.plant_kind).DEFAULTS["omega"])
     return omega, _observer_bandwidth(scenario)[1], scenario.noise.sigmas[0]
 
 
 def _metrics_for(trace, flat: dict, scenario) -> MetricsRow:
-    signal = _PRIMARY_SIGNAL[scenario.plant_kind]
+    plant = plant_module(scenario.plant_kind)
     threshold = _float(flat, "metrics.threshold", 0.02)
-    metrics = trace_metrics(trace, threshold, signal=signal,
-                            observer=_OBSERVER_COLUMNS.get(scenario.plant_kind))
+    observer = None if scenario.controller.get("kind") in plant.NO_OBSERVER else plant.OBSERVER
+    metrics = trace_metrics(trace, threshold, signal=plant.SIGNAL, observer=observer)
     omega, omega_f, sigma = _run_values(scenario)
-    bound = None
-    if scenario.plant_kind == "chain" and scenario.controller.get("kind") == "homogeneous":
-        try:
-            bound = check_bound(trace, omega, scenario.plant.get("order", 1))
-        except WindowTooShortError:
-            bound = None
+    bound = plant.bound and plant.bound(trace, scenario)
     return MetricsRow("scenario", omega, omega_f, sigma, metrics=metrics, bound=bound)
 
 
@@ -195,16 +146,15 @@ def cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         trace = run_scenario(scenario)
-    except ConfigError:
-        raise
     except LumpedPidError as exc:
-        kind = "diverged" if isinstance(exc, DivergedError) else type(exc).__name__
-        print(f"run failed: {kind}: {exc}", file=sys.stderr)
+        if exc.step is None:  # raised before the run's loop: not a run failure
+            raise
+        print(f"run failed: {_failure_status(exc)}: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED
     trace.to_csv(outdir / "trace.csv")
     write_metrics_csv(outdir / "metrics.csv", [_metrics_for(trace, flat, scenario)])
     if args.plots:
-        _write_plots(trace, scenario.plant_kind, outdir)
+        _write_plots(trace, plant_module(scenario.plant_kind), outdir)
     print(f"wrote {outdir / 'trace.csv'} ({len(trace)} rows)")
     return EXIT_OK
 
@@ -232,10 +182,11 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
 
 
 def _failure_status(exc: LumpedPidError) -> str:
-    """The sweep status of a failed cell; comma-free, as CSV needs."""
-    if isinstance(exc, DivergedError):
-        return f"diverged at step {exc.step} t={exc.t:g}"
-    return f"error: {exc}".replace(",", ";")
+    """How a failed run reads: ``<kind> at step K t=T`` if it stopped in its
+    loop, else ``error: <message>``; comma-free, as CSV needs."""
+    if exc.step is None:
+        return f"error: {exc}".replace(",", ";")
+    return f"{exc.kind} at step {exc.step} t={exc.t:g}"
 
 
 def _cell_row(cell, scenario, outcome) -> MetricsRow:
@@ -320,11 +271,12 @@ def cmd_sweep(args) -> int:
                     cell["noise.sigma"] = repr(sigma)
                 if args.seed_policy == "per-cell":
                     cell["sim.seed"] = str(int(flat.get("sim.seed", "0")) + index)
-                scenario_id = f"omega={omega:g}_omegaf={omega_f:g}_sigma={sigma:g}"
+                omegaf = "" if bandwidth_option is None else f"_omegaf={omega_f:g}"
+                scenario_id = f"omega={omega:g}{omegaf}_sigma={sigma:g}"
                 cells.append((cell, scenario_id, omega, omega_f, sigma))
                 index += 1
 
-    if base_scenario.plant_kind == "chain":
+    if plant_module(base_scenario.plant_kind).LOCKSTEP:
         # every cell differs from the base only in its axes and seed, so all
         # are lanes of one lockstep run, or of one per --parallel worker
         parts = max(1, min(args.parallel, len(cells)))

@@ -16,11 +16,8 @@ Example (integrator chain):
     sim.duration = 10.0
     sim.seed = 42
 
-Plant-specific keys: chain uses plant.order/plant.b/plant.x0/plant.state_coeffs;
-vtol uses plant.mass/plant.gravity/plant.inertia, reference.* (kind =
-hover|circle|lissajous) and disturbance.force.* / disturbance.torque.*;
-vehicle uses plant.wheelbase/plant.speed/plant.x0, path.* (kind =
-line|circle|csv) and a scalar disturbance acting as steering bias [rad].
+Each module of lumped_pid.plants declares the plant.*, controller.*,
+reference.* and path.* keys it reads, and parses its disturbance.* keys.
 """
 
 from __future__ import annotations
@@ -99,13 +96,6 @@ def _floats(flat, key, default=None):
     return values
 
 
-def _floats3(flat, key, default=None):
-    values = _floats(flat, key, default)
-    if values is not None and len(values) != 3:
-        raise ConfigError(f"{key}: expected 3 components, got {len(values)}")
-    return values
-
-
 def _bool(flat, key, default=False):
     if key not in flat:
         return default
@@ -136,117 +126,39 @@ def _scalar_signal(flat: dict, prefix: str = "disturbance"):
     return build_signal(kind, _signal_params(flat, prefix))
 
 
-def _triple_signal(flat: dict, prefix: str):
-    kind = flat.get(prefix + ".kind", "none")
-    if kind == "none":
-        return None
-    if kind in ("constant", "step"):
-        values = _floats3(flat, prefix + ".value", (0.0, 0.0, 0.0))
-        t0 = _float(flat, prefix + ".t_start", 0.0)
-        return tuple(build_signal(kind, {"value": v, "t_start": t0}) for v in values)
-    if kind == "sinusoid":
-        amps = _floats3(flat, prefix + ".amplitude", (0.0, 0.0, 0.0))
-        freq = _float(flat, prefix + ".freq", 1.0)
-        phase = _float(flat, prefix + ".phase", 0.0)
-        return tuple(build_signal(kind, {"amplitude": a, "freq": freq, "phase": phase})
-                     for a in amps)
-    raise ConfigError(f"{prefix}.kind: unknown kind {kind!r}")
-
-
-def _controller_options(flat: dict) -> dict:
-    opts = {}
-    for key, cast in (
-        ("kind", str), ("quadrature", str), ("observer_form", str),
-    ):
-        if f"controller.{key}" in flat:
-            opts[key] = cast(flat[f"controller.{key}"])
-    for key in ("omega", "omega_f", "omega_att", "omega_tau", "omega_d"):
-        if f"controller.{key}" in flat:
-            opts[key] = _float(flat, f"controller.{key}")
-    if "controller.seed_integral" in flat:
-        opts["seed_integral"] = _bool(flat, "controller.seed_integral")
-    return opts
+def _str(flat, key):
+    return flat[key]
 
 
 def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
-    """Typed Scenario from a flat config mapping; field-level errors."""
+    """Typed Scenario from a flat config mapping; field-level errors. A plant
+    section key its plant module does not declare is an error; ``reference.*``
+    and ``path.*`` options nest in the plant options under their section."""
+    from .plants import plant_module  # the plant modules import this one
+
     kind = flat.get("plant.kind")
     if kind is None:
         raise ConfigError("plant.kind: required")
-
-    if kind == "chain":
-        plant = {"order": _int(flat, "plant.order", 1), "b": _float(flat, "plant.b", 1.0)}
-        if "plant.x0" in flat:
-            plant["x0"] = _floats(flat, "plant.x0")
-        if "plant.state_coeffs" in flat:
-            plant["state_coeffs"] = _floats(flat, "plant.state_coeffs")
-        disturbance = _scalar_signal(flat)
-    elif kind == "vtol":
-        plant = {
-            "mass": _float(flat, "plant.mass", 1.0),
-            "gravity": _float(flat, "plant.gravity", 9.81),
-        }
-        inertia = _floats(flat, "plant.inertia", (0.02, 0.02, 0.04))
-        if len(inertia) not in (3, 9):
-            raise ConfigError("plant.inertia: expected 3 (diagonal) or 9 values")
-        plant["inertia"] = (inertia if len(inertia) == 3
-                            else [inertia[0:3], inertia[3:6], inertia[6:9]])
-        ref = {"kind": flat.get("reference.kind", "hover"),
-               "psi": _float(flat, "reference.psi", 0.0)}
-        if ref["kind"] == "hover":
-            ref["position"] = _floats3(flat, "reference.position", (0.0, 0.0, 0.0))
-        elif ref["kind"] == "circle":
-            ref["radius"] = _float(flat, "reference.radius", 1.0)
-            ref["omega"] = _float(flat, "reference.omega", 1.0)
-            ref["height"] = _float(flat, "reference.height", 0.0)
-        elif ref["kind"] == "lissajous":
-            ref["amplitude"] = _floats3(flat, "reference.amplitude", (1.0, 1.0, 0.0))
-            ref["freq"] = _floats3(flat, "reference.freq", (1.0, 2.0, 0.0))
-            ref["phase"] = _floats3(flat, "reference.phase", (0.0, 0.0, 0.0))
-            ref["height"] = _float(flat, "reference.height", 0.0)
-        else:
-            raise ConfigError(f"reference.kind: unknown kind {ref['kind']!r}")
-        plant["reference"] = ref
-        if "plant.p0" in flat:
-            plant["p0"] = _floats3(flat, "plant.p0")
-        if "plant.v0" in flat:
-            plant["v0"] = _floats3(flat, "plant.v0")
-        disturbance = {
-            "force": _triple_signal(flat, "disturbance.force"),
-            "torque": _triple_signal(flat, "disturbance.torque"),
-        }
-    elif kind == "vehicle":
-        plant = {
-            "wheelbase": _float(flat, "plant.wheelbase", 2.7),
-            "speed": _float(flat, "plant.speed", 10.0),
-        }
-        if "plant.x0" in flat:
-            plant["x0"] = _floats(flat, "plant.x0")
-        if "plant.capture_radius" in flat:
-            plant["capture_radius"] = _float(flat, "plant.capture_radius")
-        path = {"kind": flat.get("path.kind", "line")}
-        if "path.length" in flat:
-            path["length"] = _float(flat, "path.length")
-        if "path.radius" in flat:
-            path["radius"] = _float(flat, "path.radius")
-        if "path.arc" in flat:
-            path["arc"] = _float(flat, "path.arc")
-        if "path.spacing" in flat:
-            path["spacing"] = _float(flat, "path.spacing")
-        if "path.file" in flat:
-            path["file"] = flat["path.file"]
-        plant["path"] = path
-        disturbance = _scalar_signal(flat)
-    else:
-        raise ConfigError(f"plant.kind: unknown plant {kind!r}")
+    module = plant_module(kind)
+    parsers = {**dict.fromkeys(module.DEFAULTS, _float), **module.OPTIONS}
+    keys = {**module.KEYS, **{f"controller.{name}": parse for name, parse in parsers.items()}}
+    options = {"plant": {}, "controller": {}}
+    for key in flat:
+        section = key.split(".", 1)[0]
+        if section not in ("plant", "controller", "reference", "path") or key == "plant.kind":
+            continue
+        if key not in keys:
+            raise ConfigError(f"{key}: not a key of plant {kind!r}")
+        into = options[section] if section in options else options["plant"].setdefault(section, {})
+        into[key[len(section) + 1:]] = keys[key](flat, key)
 
     seed = _int(flat, "sim.seed", 0) if seed_override is None else seed_override
     noise = NoiseSpec(sigmas=_floats(flat, "noise.sigma", (0.0,)), seed=seed)
     return Scenario(
         plant_kind=kind,
-        plant=plant,
-        controller=_controller_options(flat),
-        disturbance=disturbance,
+        plant=options["plant"],
+        controller=options["controller"],
+        disturbance=module.parse_disturbance(flat),
         noise=noise,
         dt=_float(flat, "sim.dt", 1e-3),
         duration=_float(flat, "sim.duration"),

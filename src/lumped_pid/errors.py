@@ -2,7 +2,20 @@
 
 
 class LumpedPidError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``kind`` names one in reports, and
+    one that stops a run's loop carries the ``step`` and time ``t`` of it."""
+
+    def __init__(self, message, t=None, step=None):
+        super().__init__(message)
+        self.t = t
+        self.step = step
+
+    kind = property(lambda self: type(self).__name__)
+
+    def at(self, step, t) -> None:
+        """Record the step and time at which it stopped a run's loop, unless set."""
+        if self.step is None:
+            self.step, self.t = step, t
 
 
 class ConfigError(LumpedPidError):
@@ -24,10 +37,7 @@ class PoleHitError(LumpedPidError):
 class DivergedError(LumpedPidError):
     """Simulation state became non-finite or exceeded the runaway bound."""
 
-    def __init__(self, message, t=None, step=None):
-        super().__init__(message)
-        self.t = t
-        self.step = step
+    kind = "diverged"
 
 
 class WindowTooShortError(LumpedPidError):

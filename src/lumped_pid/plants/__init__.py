@@ -1,0 +1,25 @@
+"""The plants, one module each: the only place that knows its plant.
+
+Each declares its config ``KEYS`` and ``OPTIONS`` (with parsers), controller
+``DEFAULTS``, ``BANDWIDTH``, ``NO_OBSERVER`` and ``parse_disturbance``; its
+trace's metric ``SIGNAL``, ``OBSERVER`` (true, estimate) columns and
+``PLOTS`` (file stem, column patterns, title, y label); ``LOCKSTEP``, whether
+``run`` takes a list of lanes; ``run``; and ``bound``, a trace's
+ultimate-bound check or None. The registry holds modules, so a function
+replaced on one (by a profiler, say) is the one called.
+"""
+
+from ..errors import ConfigError
+from . import chain, vehicle, vtol
+
+PLANTS = {"chain": chain, "vtol": vtol, "vehicle": vehicle}
+
+
+def plant_module(kind: str):
+    """The module of the plant named ``kind``."""
+    try:
+        return PLANTS[kind]
+    except KeyError:
+        raise ConfigError(
+            f"plant.kind: unknown plant {kind!r}, expected one of {sorted(PLANTS)}"
+        ) from None

@@ -7,10 +7,13 @@ state-coupling coefficients c_i; the state vector is (x, xdot, ..., x^(n-1)).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from typing import Sequence
 
 import numpy as np
 
+from ..analysis import BoundReport, check_bound
+from ..config import _bool, _float, _floats, _int, _scalar_signal, _str
 from ..controller import (
     ClassicPidController,
     ControllerConfig,
@@ -18,11 +21,12 @@ from ..controller import (
     HomogeneousController,
     lockstep_controller,
 )
-from ..errors import ConfigError
+from ..errors import ConfigError, LumpedPidError, WindowTooShortError
 from ..quadrature import RECTANGULAR
 from ..sim import (
     LaneFailures,
     Scenario,
+    SimTrace,
     TraceRecorder,
     check_state,
     rk4_step,
@@ -35,6 +39,19 @@ CONTROLLER_KINDS = ("none", "homogeneous", "generalized", "pid")
 DEFAULTS = {"omega": 1.0, "omega_f": 1.0}
 BANDWIDTH = "omega_f"
 NO_OBSERVER = ("none", "homogeneous")
+OPTIONS = {"kind": _str, "quadrature": _str,
+           "observer_form": _str, "seed_integral": _bool}
+KEYS = {"plant.order": _int, "plant.b": _float, "plant.x0": _floats,
+        "plant.state_coeffs": _floats}
+parse_disturbance = _scalar_signal  # f0(t)
+SIGNAL = "x0"
+OBSERVER = ("f_true", "f_hat")
+PLOTS = (
+    ("state", ("x*",), "state", "x"),
+    ("control", ("u",), "control", "u"),
+    ("observer", OBSERVER, "disturbance estimate", "f"),
+)
+LOCKSTEP = True
 
 
 class IntegratorChain:
@@ -93,7 +110,7 @@ def _build_controller(scenario: Scenario, n: int, b: float):
 
 
 # the trace columns the sweep metrics read; all a lockstep run records
-LOCKSTEP_COLUMNS = ("t", "x0", "f_true", "f_hat")
+LOCKSTEP_COLUMNS = ("t", SIGNAL, *OBSERVER)
 
 
 def _lane_key(scenario: Scenario) -> tuple:
@@ -111,8 +128,9 @@ def run(scenario: Scenario | Sequence[Scenario]):
     estimates, per-lane gains and ``omega_f``. ``f0(t)`` stays one float per
     step, shared by every lane. The plant and controllers use only
     elementwise ``+``, ``-``, ``*`` and ``/``, so each lane is bit-identical
-    to its scenario run alone. A list gives one outcome per scenario, as
-    :func:`lumped_pid.sim.run_scenario` describes.
+    to its scenario run alone. A list gives one outcome per scenario, in
+    order: a SimTrace of the LOCKSTEP_COLUMNS, or the DivergedError that
+    stopped that scenario.
     """
     lockstep = not isinstance(scenario, Scenario)
     scenarios = list(scenario) if lockstep else [scenario]
@@ -154,21 +172,34 @@ def run(scenario: Scenario | Sequence[Scenario]):
 
     # a masked lane may overflow to inf or NaN; that is recorded in `lanes`
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):
-            t = k * dt
-            check_state(state, t, k, lanes)
-            z = [state[i] + noise[i][k] for i in range(n)]
-            if controller is None:
-                u = 0.0
-                f_hat = math.nan
-            else:
-                u = controller.step(z)
-                f_hat = controller.f_hat
-            f_true = plant.lumped_disturbance(state, f0(t))
-            rec.record(k, [t, *state, u, f_true, f_hat, *z])
-            if k < n_steps:
-                state = rk4_step(plant, state, u, f0, t, dt, lanes)
+        try:
+            for k in range(n_steps + 1):
+                t = k * dt
+                check_state(state, t, k, lanes)
+                z = [state[i] + noise[i][k] for i in range(n)]
+                if controller is None:
+                    u = 0.0
+                    f_hat = math.nan
+                else:
+                    u = controller.step(z)
+                    f_hat = controller.f_hat
+                f_true = plant.lumped_disturbance(state, f0(t))
+                rec.record(k, [t, *state, u, f_true, f_hat, *z])
+                if k < n_steps:
+                    state = rk4_step(plant, state, u, f0, t, dt, lanes)
+        except LumpedPidError as exc:
+            exc.at(k, t)
+            raise
     if not lockstep:
         return rec.build()
     return [trace if error is None else error
             for trace, error in zip(rec.build(), lanes.errors)]
+
+
+def bound(trace: SimTrace, scenario: Scenario) -> BoundReport | None:
+    """The ultimate-bound check of a homogeneous run, if its tail is long enough."""
+    if scenario.controller.get("kind") == "homogeneous":
+        with suppress(WindowTooShortError):
+            return check_bound(trace, scenario.controller.get("omega", DEFAULTS["omega"]),
+                               int(scenario.plant.get("order", 1)))
+    return None

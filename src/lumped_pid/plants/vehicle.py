@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import _float, _floats, _scalar_signal, _str
 from ..errors import (
     AmbiguousMatchError,
     ConfigError,
+    LumpedPidError,
     OffPathError,
     SteeringLimitError,
 )
@@ -33,11 +35,22 @@ ZERO_SPEED = 1e-9  # below this the distance-domain observer freezes
 NEWTON_STEPS = 4  # Newton steps on the tangency root before falling back to bisection
 NEWTON_TOL = 1e-12  # a Newton step shorter than this (in segment fraction) has converged
 DESCENT_REACH = 50  # a hinted match searches this many samples either side of the hint
-# Controller options a run falls back to. BANDWIDTH names the option that
-# sets the observer bandwidth; the controller kinds in NO_OBSERVER read none.
 DEFAULTS = {"omega": 0.5, "omega_d": 2.0}
 BANDWIDTH = "omega_d"
 NO_OBSERVER = ("known_d",)
+OPTIONS = {"kind": _str, "quadrature": _str}
+KEYS = {"plant.wheelbase": _float, "plant.speed": _float, "plant.x0": _floats,
+        "plant.capture_radius": _float, "path.kind": _str, "path.length": _float,
+        "path.radius": _float, "path.arc": _float, "path.spacing": _float, "path.file": _str}
+parse_disturbance = _scalar_signal  # the steering bias d(t) [rad]
+SIGNAL = "l"
+OBSERVER = ("d_lump", "d_hat")  # d_hat estimates the lumped term, not the bias d_true
+PLOTS = (
+    ("lateral", ("l", "e_theta"), "lateral error", "l [m], e_theta [rad]"),
+    ("steering", ("delta", "d_hat"), "steering and estimate", "rad"),
+)
+LOCKSTEP = False
+bound = None  # no ultimate-bound check applies
 
 
 def wrap_angle(a: float) -> float:
@@ -475,35 +488,40 @@ def run(scenario: Scenario) -> SimTrace:
 
     hint = None
     prev_sd = None
-    for k in range(n_steps + 1):
-        t = k * dt
-        check_state(state, t, k)
-        if noise is None:
-            pose = state
-        else:
-            pose = (state[0] + noise[0][k], state[1] + noise[1][k], state[2] + noise[2][k])
-        err = frenet_match(path, pose, capture_radius=capture, hint_index=hint)
-        hint = err.segment
-        d_now = bias(t)
-        if controller is None:
-            delta = lateral_controller_known_d(err, err.kappa_d, d_now, L, k0, k1)
-            u_x = k0 * err.l + k1 * math.sin(err.e_theta)
-            d_hat = math.nan
-        else:
-            delta = controller.step(err, ds)
-            u_x = controller.u_x
-            d_hat = controller.d_hat
-        # diagnostics: true r_s from matched-point speed, and the lumped term
-        r_s = 1.0 if prev_sd is None else (err.s_d - prev_sd) / ds
-        prev_sd = err.s_d
-        tan_d = math.tan(d_now)
-        tan_delta = math.tan(delta)
-        d_lump = math.cos(err.e_theta) * (
-            r_s * err.kappa_d
-            - tan_d * (1.0 + tan_delta * tan_delta) / (L * (1.0 - tan_delta * tan_d))
-        )
-        rec.record(k, [t, *state, err.s_d, err.l, err.e_theta, delta,
-                       u_x, d_hat, d_now, d_lump, r_s])
-        if k < n_steps:
-            state = rk4_step(plant, state, delta, bias, t, dt)
+    try:
+        for k in range(n_steps + 1):
+            t = k * dt
+            check_state(state, t, k)
+            if noise is None:
+                pose = state
+            else:
+                pose = (state[0] + noise[0][k], state[1] + noise[1][k], state[2] + noise[2][k])
+            err = frenet_match(path, pose, capture_radius=capture, hint_index=hint)
+            hint = err.segment
+            d_now = bias(t)
+            if controller is None:
+                delta = lateral_controller_known_d(err, err.kappa_d, d_now, L, k0, k1)
+                u_x = k0 * err.l + k1 * math.sin(err.e_theta)
+                d_hat = math.nan
+            else:
+                delta = controller.step(err, ds)
+                u_x = controller.u_x
+                d_hat = controller.d_hat
+            # diagnostics: true r_s from matched-point speed, and the lumped term
+            r_s = 1.0 if prev_sd is None else (err.s_d - prev_sd) / ds
+            prev_sd = err.s_d
+            tan_d = math.tan(d_now)
+            tan_delta = math.tan(delta)
+            d_lump = math.cos(err.e_theta) * (
+                r_s * err.kappa_d
+                - tan_d * (1.0 + tan_delta * tan_delta) / (L * (1.0 - tan_delta * tan_d))
+            )
+            rec.record(k, [t, *state, err.s_d, err.l, err.e_theta, delta,
+                           u_x, d_hat, d_now, d_lump, r_s])
+            if k < n_steps:
+                state = rk4_step(plant, state, delta, bias, t, dt)
+    except LumpedPidError as exc:
+        exc.at(k, t)
+        raise
     return rec.build()
+

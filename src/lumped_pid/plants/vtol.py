@@ -24,15 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import so3
+from ..config import _float, _floats, _str
 from ..errors import (
     AttitudeSingularityError,
     ConfigError,
     DegenerateThrustError,
     GimbalDegenerateError,
+    LumpedPidError,
 )
 from ..quadrature import RECTANGULAR, RULES
 from ..sim import Scenario, SimTrace, TraceRecorder, check_state
-from ..signals import Constant, noise_table, sample_triple
+from ..signals import Constant, build_signal, noise_table, sample_triple
 from ..so3 import (
     cross3,
     det3,
@@ -55,11 +57,61 @@ from ..so3 import (
 THRUST_EPS = 1e-8      # smallest ||F_d|| that still defines a thrust axis
 CROSS_EPS = 1e-8       # smallest ||b3d x b_d|| before the heading degenerates
 TRACE_SINGULARITY = 1e-6  # tr(R~) + 1 below this is the g~ singularity
-# Controller options a run falls back to. BANDWIDTH names the option that
-# sets the observer bandwidth; the controller kinds in NO_OBSERVER read none.
 DEFAULTS = {"omega": 2.0, "omega_f": 8.0, "omega_att": 10.0, "omega_tau": 20.0}
 BANDWIDTH = "omega_f"
 NO_OBSERVER = ()
+OPTIONS = {"quadrature": _str}
+
+
+def _floats3(flat, key, default=None):
+    values = _floats(flat, key, default)
+    if values is not None and len(values) != 3:
+        raise ConfigError(f"{key}: expected 3 components, got {len(values)}")
+    return values
+
+
+def _inertia(flat, key):
+    """A diagonal (3 values) or full (9 values, row by row) inertia matrix."""
+    values = _floats(flat, key)
+    if len(values) not in (3, 9):
+        raise ConfigError(f"{key}: expected 3 (diagonal) or 9 values")
+    return values if len(values) == 3 else [values[0:3], values[3:6], values[6:9]]
+
+
+KEYS = {"plant.mass": _float, "plant.gravity": _float, "plant.inertia": _inertia,
+        "plant.p0": _floats3, "plant.v0": _floats3, "reference.kind": _str,
+        "reference.psi": _float, "reference.position": _floats3, "reference.radius": _float,
+        "reference.omega": _float, "reference.height": _float, "reference.amplitude": _floats3,
+        "reference.freq": _floats3, "reference.phase": _floats3}
+
+
+def _triple_signal(flat: dict, prefix: str):
+    """Three signals of one kind, one per component of value or amplitude."""
+    kind = flat.get(prefix + ".kind", "none")
+    if kind == "none":
+        return None
+    if kind not in ("constant", "step", "sinusoid"):
+        raise ConfigError(f"{prefix}.kind: unknown kind {kind!r}")
+    vector = "amplitude" if kind == "sinusoid" else "value"
+    shared = {name: _float(flat, f"{prefix}.{name}") for name in ("t_start", "freq", "phase")
+              if f"{prefix}.{name}" in flat}
+    return tuple(build_signal(kind, {**shared, vector: c})
+                 for c in _floats3(flat, f"{prefix}.{vector}", (0.0, 0.0, 0.0)))
+
+
+def parse_disturbance(flat: dict) -> dict:
+    """The force [N] and torque [N m] disturbance triples."""
+    return {part: _triple_signal(flat, f"disturbance.{part}") for part in ("force", "torque")}
+
+
+SIGNAL = "err_norm"
+OBSERVER = None  # the trace records the estimates but not the true disturbances
+PLOTS = (
+    ("position", ("px", "py", "pz"), "position", "p [m]"),
+    ("error", ("err_norm",), "tracking error", "|p err| [m]"),
+)
+LOCKSTEP = False
+bound = None  # no ultimate-bound check applies
 
 
 @dataclass(frozen=True)
@@ -421,7 +473,7 @@ def run(scenario: Scenario) -> SimTrace:
         d_f=dist.get("force"),
         d_tau=dist.get("torque"),
     )
-    reference = _build_reference(opts.get("reference", {"kind": "hover"}))
+    reference = _build_reference(opts.get("reference", {}))
 
     copts = scenario.controller
     controller = VtolController(
@@ -460,25 +512,30 @@ def run(scenario: Scenario) -> SimTrace:
     )
     rec = TraceRecorder(names, scenario.decimation)
 
-    for k in range(n_steps + 1):
-        t = k * dt
-        check_state(p + v + w, t, k)
-        if noise is None:
-            zp, zv, zw = p, v, w
-        else:
-            zp = (p[0] + noise[0][k], p[1] + noise[1][k], p[2] + noise[2][k])
-            zv = (v[0] + noise[3][k], v[1] + noise[4][k], v[2] + noise[5][k])
-            zw = (w[0] + noise[6][k], w[1] + noise[7][k], w[2] + noise[8][k])
-        f, tau = controller.compute(t, zp, zv, R9, zw)
-        if k % decimation == 0:
-            err = controller.p_err
-            rec.record(k, [
-                t, *p, *v, *R9, *w, f, *tau, *err, norm3(err),
-                *controller.d_f_hat, *controller.d_tau_hat,
-                ortho_error3(R9), det3(R9) - 1.0,
-            ])
-        if k < n_steps:
-            p, v, R9, w = advance_rigid_body(
-                p, v, R9, w, f, tau, t, dt, m, g, J9, Jinv9, d_f_eval, d_tau_eval
-            )
+    try:
+        for k in range(n_steps + 1):
+            t = k * dt
+            check_state(p + v + w, t, k)
+            if noise is None:
+                zp, zv, zw = p, v, w
+            else:
+                zp = (p[0] + noise[0][k], p[1] + noise[1][k], p[2] + noise[2][k])
+                zv = (v[0] + noise[3][k], v[1] + noise[4][k], v[2] + noise[5][k])
+                zw = (w[0] + noise[6][k], w[1] + noise[7][k], w[2] + noise[8][k])
+            f, tau = controller.compute(t, zp, zv, R9, zw)
+            if k % decimation == 0:
+                err = controller.p_err
+                rec.record(k, [
+                    t, *p, *v, *R9, *w, f, *tau, *err, norm3(err),
+                    *controller.d_f_hat, *controller.d_tau_hat,
+                    ortho_error3(R9), det3(R9) - 1.0,
+                ])
+            if k < n_steps:
+                p, v, R9, w = advance_rigid_body(
+                    p, v, R9, w, f, tau, t, dt, m, g, J9, Jinv9, d_f_eval, d_tau_eval
+                )
+    except LumpedPidError as exc:
+        exc.at(k, t)
+        raise
     return rec.build()
+

@@ -273,25 +273,15 @@ class TraceRecorder:
 def run_scenario(scenario: Scenario | Sequence[Scenario]):
     """Simulate one scenario to completion; bit-reproducible for a fixed seed.
 
-    Given a list of lane-compatible chain scenarios (same plant, controller
-    options but ``omega``/``omega_f``, disturbance, ``dt``, duration and
-    decimation), runs them in lockstep and returns one outcome per scenario,
-    in order: a SimTrace of ``t``, ``x0``, ``f_true`` and ``f_hat``, or the
-    DivergedError that stopped that scenario. Each outcome is bit-identical
-    to what running the scenario alone gives (or raises).
+    Given a list of lane-compatible scenarios of a plant whose module sets
+    ``LOCKSTEP``, runs them in lockstep and returns one outcome per scenario,
+    in order, as that module's ``run`` describes.
     """
-    from .plants import chain, vehicle, vtol
+    from .plants import plant_module  # the plant modules import this one
 
-    if not isinstance(scenario, Scenario):
-        kinds = sorted({s.plant_kind for s in scenario})
-        if kinds != ["chain"]:
-            raise ConfigError(f"lockstep runs take one or more chain scenarios, got {kinds}")
-        return chain.run(scenario)
-    runners = {"chain": chain.run, "vtol": vtol.run, "vehicle": vehicle.run}
-    try:
-        runner = runners[scenario.plant_kind]
-    except KeyError:
-        raise ConfigError(
-            f"plant.kind: unknown plant {scenario.plant_kind!r}, expected one of {sorted(runners)}"
-        ) from None
-    return runner(scenario)
+    if isinstance(scenario, Scenario):
+        return plant_module(scenario.plant_kind).run(scenario)
+    kinds = sorted({s.plant_kind for s in scenario})
+    if len(kinds) != 1 or not plant_module(kinds[0]).LOCKSTEP:
+        raise ConfigError(f"lockstep runs take scenarios of one lockstep plant, got {kinds}")
+    return plant_module(kinds[0]).run(scenario)

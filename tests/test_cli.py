@@ -45,6 +45,7 @@ sim.seed = 0
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BENCH_INPUTS = CONFIGS.parent / "perfbench" / "inputs"
 
 
 def stock(name, **changes):
@@ -409,6 +410,90 @@ class TestRunFailures:
         assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
         assert "plant.x0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("conf,changes,kind", [
+        ("vehicle_bias.conf", {"disturbance.kind": "step", "disturbance.value": 1.6,
+                               "disturbance.t_start": 0.5}, "SteeringLimitError"),
+        # a sudden 30 N lift at 0.5 s flips the body through the g~ singularity
+        ("vtol_wind.conf", {"disturbance.force.kind": "step",
+                            "disturbance.force.value": "0,0,-30",
+                            "disturbance.force.t_start": 0.5}, "AttitudeSingularityError"),
+    ], ids=["steering_limit", "vtol_singularity"])
+    def test_run_failure_says_where(self, tmp_path, capsys, conf, changes, kind):
+        conf = write_conf(tmp_path, stock(conf, **changes, **{"sim.duration": 2.0}))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        match = re.match(rf"run failed: {kind} at step (\d+) t=(\S+): ", err)
+        assert match, err
+        step, t = int(match[1]), float(match[2])
+        assert 490 <= step < 1000 and t == pytest.approx(step * 0.001)
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "s"),
+                     "--grid", "omega=1,2"]) == 4
+        capsys.readouterr()
+        statuses = [row["status"] for row in read_rows(tmp_path / "s" / "sweep.csv")]
+        assert all(re.fullmatch(rf"{kind} at step \d+ t=\S+", s) for s in statuses), statuses
+
+
+class TestNoObserverRows:
+    """A controller without an observer has no bandwidth and no estimate, so
+    its rows leave omega_f and observer_rmse blank."""
+
+    @pytest.mark.parametrize("text", [
+        stock("bound_demo.conf"),
+        stock("chain_step.conf", **{"controller.kind": "none", "sim.duration": 1.0}),
+        stock("vehicle_bias.conf", **{"controller.kind": "known_d",
+                                      "controller.omega_d": None, "sim.duration": 2.0}),
+    ], ids=["homogeneous", "chain_none", "vehicle_known_d"])
+    def test_observer_fields_blank(self, tmp_path, capsys, text):
+        conf = write_conf(tmp_path, text)
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
+        (row,) = read_rows(tmp_path / "sim" / "metrics.csv")
+        assert (row["omega_f"], row["observer_rmse"], row["status"]) == ("", "", "ok")
+        # five cells run in lockstep on a chain, two run one by one
+        for grid in ("omega=2,5", "omega=1,2,3,4,5"):
+            out = tmp_path / grid
+            assert main(["sweep", "--config", conf, "--out", str(out), "--grid", grid]) == 0
+            rows = read_rows(out / "sweep.csv")
+            assert [r["scenario_id"] for r in rows] == [
+                f"omega={w}_sigma=0" for w in grid[len("omega="):].split(",")]
+            assert all((r["omega_f"], r["observer_rmse"]) == ("", "") for r in rows)
+        capsys.readouterr()
+
+    def test_bound_still_reported(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, stock("bound_demo.conf"))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        (row,) = read_rows(tmp_path / "sim" / "metrics.csv")
+        assert row["satisfied"] == "true" and float(row["bound"]) > 0.0
+
+
+class TestUnreadKeys:
+    @pytest.mark.parametrize("conf,key,value", [
+        ("chain_step.conf", "plant.ordr", "2"),
+        ("chain_step.conf", "controller.omega_d", "2.0"),
+        ("chain_step.conf", "controller.omega_att", "10.0"),
+        ("chain_step.conf", "path.kind", "line"),
+        ("chain_step.conf", "reference.kind", "hover"),
+        ("vtol_wind.conf", "controller.kind", "homogeneous"),
+        ("vtol_wind.conf", "controller.seed_integral", "true"),
+        ("vtol_wind.conf", "plant.b", "1.0"),
+        ("vehicle_bias.conf", "controller.observer_form", "pid"),
+        ("vehicle_bias.conf", "controller.omega_f", "10.0"),
+        ("vehicle_bias.conf", "plant.order", "2"),
+    ], ids=lambda v: str(v).replace(".conf", ""))
+    def test_key_the_plant_never_reads_is_a_config_error(self, tmp_path, capsys, conf, key,
+                                                         value):
+        text = stock(conf, **{key: value})
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: not a key of plant"):
+            build_scenario(parse_config_text(text))
+        path = write_conf(tmp_path, text)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"{key}: not a key of plant" in capsys.readouterr().err
+
+    def test_unused_bandwidth_of_a_chain_is_still_read(self):
+        # homogeneous and none read no omega_f, but other chain kinds do
+        scenario = build_scenario(load_config(CONFIGS / "bound_demo.conf"))
+        assert scenario.controller["omega_f"] == 1.0
+
 
 class TestVtolTriples:
     @pytest.mark.parametrize("changes", [
@@ -501,10 +586,10 @@ class TestBode:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize("name", ["chain_step.conf", "bound_demo.conf",
-                                      "vtol_wind.conf", "vehicle_bias.conf"])
-    def test_parse_and_build(self, name):
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        flat = load_config(os.path.join(here, "configs", name))
-        scenario = build_scenario(flat)
+    # every stock config, and every benchmark input, passes the key check
+    @pytest.mark.parametrize(
+        "path", [*sorted(CONFIGS.glob("*.conf")), *sorted(BENCH_INPUTS.glob("*.conf"))],
+        ids=lambda p: p.name if p.parent == CONFIGS else f"perfbench/inputs/{p.name}")
+    def test_parse_and_build(self, path):
+        scenario = build_scenario(load_config(path))
         assert scenario.duration > 0
