@@ -1,16 +1,18 @@
 """Command-line entry point: tune, simulate, sweep, bode.
 
-Exit codes: 0 success; 2 config error (or another error outside a simulation
-run); 3 run failure, a simulation stopped mid-run by divergence or a physical
-limit (the vehicle's steering, the VTOL's attitude or thrust singularities);
-4 partial sweep failure. The environment variable LUMPED_PID_SEED overrides
-the scenario seed.
+Exit codes: 0 success; 2 config error, or another error raised before a
+simulation's loop (a sweep's too); 3 run failure, a simulation stopped
+mid-run by divergence or a physical limit (the vehicle's steering, the
+VTOL's attitude or thrust singularities); 4 some sweep cells stopped mid-run.
+The environment variable LUMPED_PID_SEED overrides the scenario seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fnmatch
+import itertools
 import math
 import os
 import sys
@@ -23,7 +25,8 @@ from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_t
 from .errors import ConfigError, LumpedPidError
 from .plants import plant_module
 from .polylti import frequency_response
-from .sim import run_scenario
+from .signals import NoiseSpec
+from .sim import run_each, run_scenario
 from .svgplot import write_line_plot
 
 EXIT_OK = 0
@@ -129,19 +132,23 @@ def _run_values(scenario) -> tuple[float, float, float]:
     return omega, _observer_bandwidth(scenario)[1], scenario.noise.sigmas[0]
 
 
-def _metrics_for(trace, flat: dict, scenario) -> MetricsRow:
+def _threshold(flat: dict) -> float:
+    return _float(flat, "metrics.threshold", 0.02)
+
+
+def _metrics_for(trace, scenario, threshold: float, scenario_id: str = "scenario") -> MetricsRow:
     plant = plant_module(scenario.plant_kind)
-    threshold = _float(flat, "metrics.threshold", 0.02)
     observer = None if scenario.controller.get("kind") in plant.NO_OBSERVER else plant.OBSERVER
     metrics = trace_metrics(trace, threshold, signal=plant.SIGNAL, observer=observer)
     omega, omega_f, sigma = _run_values(scenario)
     bound = plant.bound and plant.bound(trace, scenario)
-    return MetricsRow("scenario", omega, omega_f, sigma, metrics=metrics, bound=bound)
+    return MetricsRow(scenario_id, omega, omega_f, sigma, metrics=metrics, bound=bound)
 
 
 def cmd_simulate(args) -> int:
     flat = load_config(args.config)
     scenario = build_scenario(flat, seed_override=_seed_override())
+    threshold = _threshold(flat)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -152,7 +159,7 @@ def cmd_simulate(args) -> int:
         print(f"run failed: {_failure_status(exc)}: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED
     trace.to_csv(outdir / "trace.csv")
-    write_metrics_csv(outdir / "metrics.csv", [_metrics_for(trace, flat, scenario)])
+    write_metrics_csv(outdir / "metrics.csv", [_metrics_for(trace, scenario, threshold)])
     if args.plots:
         _write_plots(trace, plant_module(scenario.plant_kind), outdir)
     print(f"wrote {outdir / 'trace.csv'} ({len(trace)} rows)")
@@ -182,115 +189,67 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
 
 
 def _failure_status(exc: LumpedPidError) -> str:
-    """How a failed run reads: ``<kind> at step K t=T`` if it stopped in its
-    loop, else ``error: <message>``; comma-free, as CSV needs."""
-    if exc.step is None:
-        return f"error: {exc}".replace(",", ";")
+    """How a failed run reads: ``<kind> at step K t=T``; comma-free, as CSV needs."""
     return f"{exc.kind} at step {exc.step} t={exc.t:g}"
 
 
-def _cell_row(cell, scenario, outcome) -> MetricsRow:
-    """A cell's row from its run's outcome: a trace, or the error that
-    stopped the cell (``scenario`` is None if it failed to build)."""
-    flat, scenario_id, omega, omega_f, sigma = cell
-    if not isinstance(outcome, LumpedPidError):
-        try:
-            row = _metrics_for(outcome, flat, scenario)
-            return MetricsRow(scenario_id, omega, omega_f, sigma, row.metrics, row.bound)
-        except LumpedPidError as exc:
-            outcome = exc
-    return MetricsRow(scenario_id, omega, omega_f, sigma, status=_failure_status(outcome))
-
-
-def _sweep_cell(cell) -> MetricsRow:
-    """The row of one sweep cell, run alone."""
-    scenario = None
-    try:
-        scenario = build_scenario(cell[0])
-        outcome = run_scenario(scenario)
-    except LumpedPidError as exc:
-        outcome = exc
-    return _cell_row(cell, scenario, outcome)
-
-
-def _sweep_cells(cells: list) -> list[MetricsRow]:
-    """Rows of sweep cells, each run alone."""
-    return [_sweep_cell(cell) for cell in cells]
-
-
-def _sweep_lanes(cells: list) -> list[MetricsRow]:
-    """Rows of chain sweep cells, run as the lanes of one lockstep run."""
-    if len(cells) < _LOCKSTEP_MIN_CELLS:
-        return _sweep_cells(cells)
-    scenarios, outcomes = {}, {}
-    for i, cell in enumerate(cells):
-        try:
-            scenarios[i] = build_scenario(cell[0])
-        except LumpedPidError as exc:
-            outcomes[i] = exc
-    try:
-        ran = run_scenario(list(scenarios.values())) if scenarios else []
-    except LumpedPidError:
-        # the run failed before its loop (say, on an invalid base option):
-        # run each cell alone so that its row names its own error
-        return _sweep_cells(cells)
-    outcomes.update(zip(scenarios, ran))
-    return [_cell_row(cell, scenarios.get(i), outcomes[i]) for i, cell in enumerate(cells)]
+def _sweep_rows(cells: list, threshold: float) -> list[MetricsRow]:
+    """The rows of a contiguous group of ``(scenario_id, scenario)`` sweep cells."""
+    scenarios = [scenario for _, scenario in cells]
+    # a lockstep plant runs a large group as the lanes of one run
+    outcomes = iter((run_scenario if len(cells) >= _LOCKSTEP_MIN_CELLS else run_each)(scenarios))
+    rows = []
+    for scenario_id, scenario in cells:
+        outcome = next(outcomes)  # not zip(): each trace is freed before the next cell runs
+        if isinstance(outcome, LumpedPidError):
+            rows.append(MetricsRow(scenario_id, *_run_values(scenario),
+                                   status=_failure_status(outcome)))
+        else:
+            rows.append(_metrics_for(outcome, scenario, threshold, scenario_id))
+        del outcome
+    return rows
 
 
 def cmd_sweep(args) -> int:
     flat = load_config(args.config)
-    seed = _seed_override()
-    if seed is not None:
-        flat["sim.seed"] = str(seed)
     grid = _parse_grid(args.grid)
-    base_scenario = build_scenario(flat)  # validate the base config up front
-    bandwidth_option, base_bandwidth = _observer_bandwidth(base_scenario)
+    base = build_scenario(flat, seed_override=_seed_override())
+    threshold = _threshold(flat)
+    bandwidth_option = _observer_bandwidth(base)[0]
     if "omega_f" in grid and bandwidth_option is None:
         raise ConfigError(
-            f"--grid: omega_f: controller.kind {base_scenario.controller.get('kind')!r} "
-            f"of plant {base_scenario.plant_kind!r} has no observer bandwidth"
+            f"--grid: omega_f: controller.kind {base.controller.get('kind')!r} "
+            f"of plant {base.plant_kind!r} has no observer bandwidth"
         )
-    base_omega, _, base_sigma = _run_values(base_scenario)
-    omegas = grid.get("omega", [base_omega])
-    omega_fs = grid.get("omega_f", [base_bandwidth])
-    sigmas = grid.get("sigma", [base_sigma])
+    base_values = zip(("omega", "omega_f", "sigma"), _run_values(base))
+    axes = [sorted(grid.get(axis, [value])) for axis, value in base_values]
 
     cells = []
-    index = 0
-    for omega in sorted(omegas):
-        for omega_f in sorted(omega_fs):
-            for sigma in sorted(sigmas):
-                # only grid axes are written: the rest is the base config's
-                cell = dict(flat)
-                if "omega" in grid:
-                    cell["controller.omega"] = repr(omega)
-                if "omega_f" in grid:
-                    cell[f"controller.{bandwidth_option}"] = repr(omega_f)
-                if "sigma" in grid:
-                    cell["noise.sigma"] = repr(sigma)
-                if args.seed_policy == "per-cell":
-                    cell["sim.seed"] = str(int(flat.get("sim.seed", "0")) + index)
-                omegaf = "" if bandwidth_option is None else f"_omegaf={omega_f:g}"
-                scenario_id = f"omega={omega:g}{omegaf}_sigma={sigma:g}"
-                cells.append((cell, scenario_id, omega, omega_f, sigma))
-                index += 1
+    for index, (omega, omega_f, sigma) in enumerate(itertools.product(*axes)):
+        # only grid axes are written: the rest is the base scenario's
+        controller = dict(base.controller)
+        if "omega" in grid:
+            controller["omega"] = omega
+        if "omega_f" in grid:
+            controller[bandwidth_option] = omega_f
+        scenario = dataclasses.replace(
+            base, controller=controller,
+            noise=NoiseSpec((sigma,)) if "sigma" in grid else base.noise,
+            seed=base.seed + index if args.seed_policy == "per-cell" else base.seed,
+        )
+        omegaf = "" if bandwidth_option is None else f"_omegaf={omega_f:g}"
+        cells.append((f"omega={omega:g}{omegaf}_sigma={sigma:g}", scenario))
 
-    if plant_module(base_scenario.plant_kind).LOCKSTEP:
-        # every cell differs from the base only in its axes and seed, so all
-        # are lanes of one lockstep run, or of one per --parallel worker
-        parts = max(1, min(args.parallel, len(cells)))
-        groups = [cells[len(cells) * i // parts:len(cells) * (i + 1) // parts]
-                  for i in range(parts)]
-        work = _sweep_lanes
+    # every cell differs from the base only in its axes and seed, so a
+    # lockstep plant runs each group as the lanes of one run
+    parts = max(1, min(args.parallel, len(cells)))
+    groups = [cells[len(cells) * i // parts:len(cells) * (i + 1) // parts] for i in range(parts)]
+    if parts > 1:
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            rows = [row for part in pool.map(_sweep_rows, groups, itertools.repeat(threshold))
+                    for row in part]
     else:
-        groups = [[cell] for cell in cells]
-        work = _sweep_cells
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = [row for part in pool.map(work, groups) for row in part]
-    else:
-        rows = [row for group in groups for row in work(group)]
+        rows = _sweep_rows(cells, threshold)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -17,12 +17,14 @@ Example (integrator chain):
     sim.seed = 42
 
 Each module of lumped_pid.plants declares the plant.*, controller.*,
-reference.* and path.* keys it reads, and parses its disturbance.* keys.
+reference.* and path.* keys it reads, and parses its disturbance.* keys. A
+key that nothing reads is an error.
 """
 
 from __future__ import annotations
 
 import math
+from collections import UserDict
 
 from .errors import ConfigError
 from .signals import NoiseSpec, Sum, build_signal
@@ -107,35 +109,44 @@ def _bool(flat, key, default=False):
     raise ConfigError(f"{key}: expected true/false, got {flat[key]!r}")
 
 
-def _signal_params(flat: dict, prefix: str) -> dict:
-    """The numeric fields of the signal at ``prefix``, parsed."""
-    return {name: _float(flat, f"{prefix}.{name}")
-            for name in ("value", "t_start", "amplitude", "freq", "phase")
-            if f"{prefix}.{name}" in flat}
+def _signal(flat: dict, prefix: str):
+    """The signal at ``prefix``; it reads only the fields of its kind."""
+    return build_signal(flat.get(prefix + ".kind", "none"),
+                        lambda name, default: _float(flat, f"{prefix}.{name}", default))
 
 
 def _scalar_signal(flat: dict, prefix: str = "disturbance"):
-    kind = flat.get(prefix + ".kind", "none")
-    if kind == "sum":
-        n_terms = _int(flat, prefix + ".terms")
-        terms = []
-        for i in range(n_terms):
-            sub = prefix + f".term{i}"
-            terms.append(build_signal(flat.get(sub + ".kind", "none"), _signal_params(flat, sub)))
-        return Sum(tuple(terms))
-    return build_signal(kind, _signal_params(flat, prefix))
+    if flat.get(prefix + ".kind") == "sum":
+        return Sum(tuple(_signal(flat, f"{prefix}.term{i}")
+                         for i in range(_int(flat, prefix + ".terms"))))
+    return _signal(flat, prefix)
 
 
 def _str(flat, key):
     return flat[key]
 
 
+class _ReadKeys(UserDict):
+    """A flat config that records the keys looked up in it, ``get`` too."""
+
+    def __init__(self, flat: dict):
+        super().__init__(flat)
+        # read not by a run but by whatever reduces its trace to metrics
+        self.read = {"metrics.threshold"}
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
-    """Typed Scenario from a flat config mapping; field-level errors. A plant
-    section key its plant module does not declare is an error; ``reference.*``
-    and ``path.*`` options nest in the plant options under their section."""
+    """Typed Scenario from a flat config mapping; field-level errors. A key
+    that neither the run nor its metrics read is an error, such as a plant
+    section key its plant module does not declare; ``reference.*`` and
+    ``path.*`` options nest in the plant options under their section."""
     from .plants import plant_module  # the plant modules import this one
 
+    flat = _ReadKeys(flat)
     kind = flat.get("plant.kind")
     if kind is None:
         raise ConfigError("plant.kind: required")
@@ -144,24 +155,25 @@ def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
     keys = {**module.KEYS, **{f"controller.{name}": parse for name, parse in parsers.items()}}
     options = {"plant": {}, "controller": {}}
     for key in flat:
-        section = key.split(".", 1)[0]
-        if section not in ("plant", "controller", "reference", "path") or key == "plant.kind":
-            continue
-        if key not in keys:
-            raise ConfigError(f"{key}: not a key of plant {kind!r}")
-        into = options[section] if section in options else options["plant"].setdefault(section, {})
-        into[key[len(section) + 1:]] = keys[key](flat, key)
+        if key in keys:
+            section, name = key.split(".", 1)
+            into = options[section] if section in options else options["plant"].setdefault(section, {})
+            into[name] = keys[key](flat, key)
 
-    seed = _int(flat, "sim.seed", 0) if seed_override is None else seed_override
-    noise = NoiseSpec(sigmas=_floats(flat, "noise.sigma", (0.0,)), seed=seed)
-    return Scenario(
+    seed = _int(flat, "sim.seed", 0)
+    seed = seed if seed_override is None else seed_override
+    scenario = Scenario(
         plant_kind=kind,
         plant=options["plant"],
         controller=options["controller"],
         disturbance=module.parse_disturbance(flat),
-        noise=noise,
+        noise=NoiseSpec(sigmas=_floats(flat, "noise.sigma", (0.0,)), seed=seed),
         dt=_float(flat, "sim.dt", 1e-3),
         duration=_float(flat, "sim.duration"),
         seed=seed,
         decimation=_int(flat, "sim.decimation", 1),
     )
+    unread = [key for key in flat if key not in flat.read]
+    if unread:
+        raise ConfigError(f"{unread[0]}: not a key of plant {kind!r}")
+    return scenario

@@ -179,12 +179,15 @@ class FrenetPath:
 
     @classmethod
     def from_csv(cls, path) -> "FrenetPath":
-        """Columns ``s,x,y,theta,kappa`` with a header row."""
+        """Columns ``s,x,y,theta,kappa`` with a header row, checked by
+        :meth:`validate_geometry`."""
         data = np.genfromtxt(path, delimiter=",", names=True)
         for col in ("s", "x", "y", "theta", "kappa"):
             if col not in (data.dtype.names or ()):
                 raise ConfigError(f"path csv missing column {col!r}")
-        return cls(data["s"], data["x"], data["y"], data["theta"], data["kappa"])
+        path = cls(data["s"], data["x"], data["y"], data["theta"], data["kappa"])
+        path.validate_geometry()
+        return path
 
     def to_csv(self, path) -> None:
         data = np.column_stack([self.s, self.x, self.y, self.theta, self.kappa])
@@ -481,6 +484,7 @@ def run(scenario: Scenario) -> SimTrace:
     n_steps = scenario.n_steps
     # measurement noise channels: x(0), y(1), theta(2); the controller sees
     # the noised pose, the trace records the true one
+    scenario.noise.check_channels(3)
     noise = None if scenario.noise.silent else noise_table(scenario.noise, 3, n_steps + 1)
     names = ["t", "x", "y", "theta", "s_d", "l", "e_theta", "delta",
              "u_x", "d_hat", "d_true", "d_lump", "r_s"]

@@ -93,10 +93,11 @@ def _triple_signal(flat: dict, prefix: str):
     if kind not in ("constant", "step", "sinusoid"):
         raise ConfigError(f"{prefix}.kind: unknown kind {kind!r}")
     vector = "amplitude" if kind == "sinusoid" else "value"
-    shared = {name: _float(flat, f"{prefix}.{name}") for name in ("t_start", "freq", "phase")
-              if f"{prefix}.{name}" in flat}
-    return tuple(build_signal(kind, {**shared, vector: c})
-                 for c in _floats3(flat, f"{prefix}.{vector}", (0.0, 0.0, 0.0)))
+    return tuple(
+        build_signal(kind, lambda name, default, c=c:
+                     c if name == vector else _float(flat, f"{prefix}.{name}", default))
+        for c in _floats3(flat, f"{prefix}.{vector}", (0.0, 0.0, 0.0))
+    )
 
 
 def parse_disturbance(flat: dict) -> dict:
@@ -500,6 +501,7 @@ def run(scenario: Scenario) -> SimTrace:
     n_steps = scenario.n_steps
     decimation = scenario.decimation
     # measurement noise channels: p(0-2), v(3-5), omega(6-8); R is not noised
+    scenario.noise.check_channels(9)
     noise = None if scenario.noise.silent else noise_table(scenario.noise, 9, n_steps + 1)
 
     names = (

@@ -82,15 +82,15 @@ class NoiseSpec:
             if not (s >= 0.0):
                 raise ConfigError(f"noise.sigma: deviations must be >= 0, got {s!r}")
 
-    def sigma_for(self, channel: int) -> float:
-        if len(self.sigmas) == 1:
-            return self.sigmas[0]
-        try:
-            return self.sigmas[channel]
-        except IndexError:
+    def check_channels(self, n_channels: int) -> None:
+        """Reject a count of deviations other than 1 or ``n_channels``."""
+        if len(self.sigmas) not in (1, n_channels):
             raise ConfigError(
-                f"noise.sigma: {len(self.sigmas)} values cannot cover channel {channel}"
-            ) from None
+                f"noise.sigma: expected 1 or {n_channels} values, got {len(self.sigmas)}"
+            )
+
+    def sigma_for(self, channel: int) -> float:
+        return self.sigmas[0] if len(self.sigmas) == 1 else self.sigmas[channel]
 
     @property
     def silent(self) -> bool:
@@ -130,8 +130,11 @@ def noise_table(
 
     Given one spec per lane of a lockstep run, each channel is instead a
     ``[n_samples, lanes]`` float64 array whose column j is lane j's channel,
-    so row k is every lane's sample k.
+    so row k is every lane's sample k. Every spec must give 1 or
+    ``n_channels`` deviations.
     """
+    for lane in [spec] if isinstance(spec, NoiseSpec) else spec:
+        lane.check_channels(n_channels)
     if isinstance(spec, NoiseSpec):
         return [noise_channel(spec, c, n_samples).tolist() for c in range(n_channels)]
     table = []
@@ -143,30 +146,18 @@ def noise_table(
     return table
 
 
-def triple(signal_or_triple) -> tuple:
-    """Normalize a disturbance spec to a 3-tuple of scalar signals."""
-    if isinstance(signal_or_triple, tuple):
-        if len(signal_or_triple) != 3:
-            raise ConfigError("vector disturbance needs exactly 3 components")
-        return signal_or_triple
-    return (signal_or_triple, signal_or_triple, signal_or_triple)
-
-
-def build_signal(kind: str, params: dict) -> DisturbanceSignal:
-    """Construct a scalar signal from flat-config style fields."""
+def build_signal(kind: str, field: Callable[[str, float], float]) -> DisturbanceSignal:
+    """Construct a scalar signal of ``kind``; ``field(name, default)`` gives
+    the value of each of its parameters, and only its kind's are asked for."""
     kind = kind.lower()
     if kind == "none":
         return ZERO
     if kind == "constant":
-        return Constant(float(params.get("value", 0.0)))
+        return Constant(field("value", 0.0))
     if kind == "step":
-        return Step(float(params.get("value", 0.0)), float(params.get("t_start", 0.0)))
+        return Step(field("value", 0.0), field("t_start", 0.0))
     if kind == "sinusoid":
-        return Sinusoid(
-            float(params.get("amplitude", 0.0)),
-            float(params.get("freq", 1.0)),
-            float(params.get("phase", 0.0)),
-        )
+        return Sinusoid(field("amplitude", 0.0), field("freq", 1.0), field("phase", 0.0))
     raise ConfigError(f"disturbance.kind: unknown kind {kind!r}")
 
 

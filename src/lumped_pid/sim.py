@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergedError
+from .errors import ConfigError, DivergedError, LumpedPidError
 from .signals import NoiseSpec
 
 # States beyond this magnitude abort the run as diverged rather than waiting
@@ -273,15 +273,34 @@ class TraceRecorder:
 def run_scenario(scenario: Scenario | Sequence[Scenario]):
     """Simulate one scenario to completion; bit-reproducible for a fixed seed.
 
-    Given a list of lane-compatible scenarios of a plant whose module sets
-    ``LOCKSTEP``, runs them in lockstep and returns one outcome per scenario,
-    in order, as that module's ``run`` describes.
+    Given a list of scenarios of one plant, gives one outcome per scenario,
+    in order: its trace, or the run failure (with ``step``) that stopped it.
+    A ``LOCKSTEP`` plant runs the list as the lanes of one run; any other
+    runs each scenario alone (:func:`run_each`). An error raised before a
+    run's loop propagates.
     """
     from .plants import plant_module  # the plant modules import this one
 
     if isinstance(scenario, Scenario):
         return plant_module(scenario.plant_kind).run(scenario)
     kinds = sorted({s.plant_kind for s in scenario})
-    if len(kinds) != 1 or not plant_module(kinds[0]).LOCKSTEP:
-        raise ConfigError(f"lockstep runs take scenarios of one lockstep plant, got {kinds}")
-    return plant_module(kinds[0]).run(scenario)
+    if len(kinds) != 1:
+        raise ConfigError(f"a list of scenarios takes one plant, got {kinds}")
+    plant = plant_module(kinds[0])
+    return plant.run(scenario) if plant.LOCKSTEP else run_each(scenario)
+
+
+def run_each(scenarios: Sequence[Scenario]) -> Iterator:
+    """Run each scenario alone, in order, yielding its trace or the run
+    failure that stopped it; an error raised before a run's loop propagates.
+    A trace is released before the next run starts, once the caller drops it.
+    """
+    for scenario in scenarios:
+        try:
+            outcome = run_scenario(scenario)
+        except LumpedPidError as exc:
+            if exc.step is None:
+                raise
+            outcome = exc
+        yield outcome
+        del outcome

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import os
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from lumped_pid import cli
 from lumped_pid.cli import main
 from lumped_pid.config import build_scenario, load_config, parse_config_text
 from lumped_pid.errors import ConfigError
+from lumped_pid.plants import vehicle
 from lumped_pid.signals import Sum
 
 
@@ -94,7 +97,8 @@ class TestConfigParsing:
         assert scenario.seed == 42
 
     def test_sum_disturbance(self):
-        text = CHAIN_CONF + (
+        # the sum replaces the constant: its disturbance.value would go unread
+        text = CHAIN_CONF.replace("disturbance.value = 1.0\n", "") + (
             "disturbance.kind = sum\ndisturbance.terms = 2\n"
             "disturbance.term0.kind = constant\ndisturbance.term0.value = 1.0\n"
             "disturbance.term1.kind = sinusoid\ndisturbance.term1.amplitude = 0.5\n"
@@ -386,16 +390,111 @@ class TestLockstepSweep:
         assert match and float(match[2]) == pytest.approx(int(match[1]) * 0.001)
         assert all(field == "" for field in diverged[4:-1])
 
+    def test_failure_before_the_loop_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the base config is invalid, so no cell runs: exit 2, as simulate does
+        conf = write_conf(tmp_path, stock("chain_step.conf", **{"sim.duration": 1.0,
+                                                                "plant.x0": "1,2,3"}))
+        for min_cells in (1, 10**9):  # every cell in lockstep, or each alone
+            monkeypatch.setattr(cli, "_LOCKSTEP_MIN_CELLS", min_cells)
+            assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                         "--grid", "omega=1,2,5", "sigma=0,0.01"]) == 2
+            assert "plant.x0: expected 2 values, got 3" in capsys.readouterr().err
+            assert not (tmp_path / "x" / "sweep.csv").exists()
 
-    def test_failure_before_the_loop_is_each_cells_error(self, tmp_path, capsys, monkeypatch):
-        text = stock("chain_step.conf", **{"sim.duration": 1.0, "plant.x0": "1,2,3"})
-        grid = ("omega=1,2,5", "sigma=0,0.01")
-        lockstep = sweep_bytes(tmp_path, monkeypatch, text, grid, lockstep=True)
-        alone = sweep_bytes(tmp_path, monkeypatch, text, grid, lockstep=False)
+
+# name: (config text, grid, extra arguments, LUMPED_PID_SEED, exit code, SHA-256 of
+# sweep.csv); the digests were recorded before sweep cells were derived from the
+# base scenario, so they pin that every cell runs as it did when built from its
+# own config text
+SWEEP_DIGESTS = {
+    "chain_step_benchmark_grid": (
+        stock("chain_step.conf"), ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"), (),
+        None, 0, "74de75df345e07521ea32e7c76661c3fce90b94e661908d292bab8cb85d7f594"),
+    "chain_step_benchmark_grid_per_cell": (
+        stock("chain_step.conf"), ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"),
+        ("--seed-policy", "per-cell"),
+        None, 0, "f95924ae644bbd5bddc4ac3d5ed0ddcd78d29851e25c7a70a9e1429722e2b781"),
+    "bound_demo_benchmark_grid": (
+        stock("bound_demo.conf"), ("omega=2,5", "sigma=0,0.01"), (),
+        None, 0, "26a26e419e1d0799cd0fb08095a8e7a595ed619725a7e9c7ecbed5c6acc95d79"),
+    "vehicle_bias_2s": (
+        stock("vehicle_bias.conf", **{"sim.duration": 2.0}), ("omega=0.5,1", "omega_f=1,2"), (),
+        None, 0, "8fd1763d3d93031d56cd49b13dd9d42aa0fcf92add83975e3a53e2e8c99b168c"),
+    "vtol_wind_3s": (
+        stock("vtol_wind.conf", **{"sim.duration": 3.0}), ("omega=1,2", "sigma=0,0.001"),
+        ("--parallel", "1"),
+        None, 0, "5a770fcf03e5baa45d01df139e2c85961397da31748919670a300f0a015b24b1"),
+    "vtol_wind_3s_parallel": (
+        stock("vtol_wind.conf", **{"sim.duration": 3.0}), ("omega=1,2", "sigma=0,0.001"),
+        ("--parallel", "2"),
+        None, 0, "5a770fcf03e5baa45d01df139e2c85961397da31748919670a300f0a015b24b1"),
+    "chain_step_2s_parallel_per_cell": (
+        stock("chain_step.conf", **{"sim.duration": 2.0}),
+        ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"),
+        ("--parallel", "2", "--seed-policy", "per-cell"),
+        None, 0, "8525f0398daae7c46d81a16a096892da1302af6e160970cbbbf41bbb78b5ea17"),
+    "chain_step_2s_diverged": (
+        stock("chain_step.conf", **{"sim.duration": 2.0}), ("omega=2,2000",), (),
+        None, 4, "e33d3ffbd2b051d277079f67e139676a83edc8e0cef22fd3465b34a32636b7dc"),
+    "chain_step_1s_env_seed_per_cell": (
+        stock("chain_step.conf", **{"sim.duration": 1.0}),
+        ("omega=1,2", "omega_f=10,20", "sigma=0.01,0.02"), ("--seed-policy", "per-cell"),
+        "7", 0, "c4a70b7b11eb73431119cd96eac0dd34afb6a9f2f86c76bd732b2369bb1ef5cd"),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_DIGESTS)
+def test_sweep_bytes_match_recorded_digest(tmp_path, capsys, monkeypatch, case):
+    text, grid, extra, seed, code, digest = SWEEP_DIGESTS[case]
+    if seed is None:
+        monkeypatch.delenv("LUMPED_PID_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LUMPED_PID_SEED", seed)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_conf(tmp_path, text), "--out", str(out),
+                 "--grid", *grid, *extra]) == code
+    capsys.readouterr()
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == digest
+
+
+class TestSweepBaseConfig:
+    """A sweep derives its cells from the base scenario, so a base config
+    that only a run or the metrics reject exits 2 and names the key."""
+
+    @pytest.mark.parametrize("conf,changes,message", [
+        ("chain_step.conf", {"plant.x0": "1,2,3"}, "plant.x0: expected 2 values"),
+        ("vehicle_bias.conf", {"path.kind": "csv"}, "path.file: required"),
+        ("chain_step.conf", {"metrics.threshold": "abc"}, "metrics.threshold: expected a number"),
+    ], ids=["chain_x0", "vehicle_csv_without_file", "metrics_threshold"])
+    @pytest.mark.parametrize("grid", ["omega=1,2", "omega=1,2,3,4,5"], ids=["2_cells", "5_cells"])
+    def test_exits_2_and_names_the_key(self, tmp_path, capsys, conf, changes, message, grid):
+        conf = write_conf(tmp_path, stock(conf, **changes, **{"sim.duration": 0.05}))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "sweep"),
+                     "--grid", grid]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_each_trace_is_freed_before_the_next_cell_runs(self, tmp_path, capsys,
+                                                           monkeypatch):
+        traces = []
+        run = vehicle.run
+
+        def spy(scenario):
+            assert all(trace() is None for trace in traces), "an earlier trace is alive"
+            trace = run(scenario)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(vehicle, "run", spy)
+        conf = write_conf(tmp_path, stock("vehicle_bias.conf", **{"sim.duration": 0.05}))
+        # two cells go through run_each, five through run_scenario's list
+        for grid in ("omega=1,2", "omega=1,2,3,4,5"):
+            traces.clear()
+            assert main(["sweep", "--config", conf, "--out", str(tmp_path / grid),
+                         "--grid", grid]) == 0
+            assert len(traces) == len(grid.split(","))
         capsys.readouterr()
-        assert lockstep == alone
-        statuses = {line.rsplit(",", 1)[1] for line in lockstep.decode().splitlines()[1:]}
-        assert statuses == {"error: plant.x0: expected 2 values; got 3"}
 
 
 class TestRunFailures:
@@ -489,6 +588,35 @@ class TestUnreadKeys:
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert f"{key}: not a key of plant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("conf,key,value", [
+        ("chain_step.conf", "disturbance.amplitud", "3"),
+        ("chain_step.conf", "disturbance.freq", "3"),  # a constant reads only its value
+        ("chain_step.conf", "disturbance.force.kind", "constant"),
+        ("chain_step.conf", "disturbance.term0.kind", "constant"),  # not a sum
+        ("vtol_wind.conf", "disturbance.kind", "constant"),
+        ("vtol_wind.conf", "disturbance.force.t_start", "1.0"),
+        ("vtol_wind.conf", "disturbance.torque.value", "0,0,1"),  # torque.kind is none
+        ("chain_step.conf", "noise.sigmaa", "0.1"),
+        ("chain_step.conf", "sim.durationn", "3"),
+        ("vehicle_bias.conf", "sim.rate", "10"),
+        ("chain_step.conf", "metrics.thresh", "0.5"),
+    ], ids=lambda v: str(v).replace(".conf", ""))
+    def test_key_of_another_section_nothing_reads_is_a_config_error(
+            self, tmp_path, capsys, conf, key, value):
+        text = stock(conf, **{key: value})
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: not a key of plant"):
+            build_scenario(parse_config_text(text))
+        path = write_conf(tmp_path, text)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"{key}: not a key of plant" in capsys.readouterr().err
+
+    def test_sim_seed_is_checked_under_the_seed_override(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LUMPED_PID_SEED", "7")
+        text = stock("chain_step.conf", **{"sim.seed": "abc"})
+        assert main(["simulate", "--config", write_conf(tmp_path, text),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "sim.seed: expected an integer" in capsys.readouterr().err
+
     def test_unused_bandwidth_of_a_chain_is_still_read(self):
         # homogeneous and none read no omega_f, but other chain kinds do
         scenario = build_scenario(load_config(CONFIGS / "bound_demo.conf"))
@@ -508,6 +636,63 @@ class TestVtolTriples:
         conf = write_conf(tmp_path, stock("vtol_wind.conf", **changes))
         assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
         assert f"{list(changes)[-1]}: expected 3 components" in capsys.readouterr().err
+
+
+class TestNoiseChannels:
+    """noise.sigma gives one deviation for every channel or one per channel:
+    the chain's plant.order, the vehicle's 3 (x, y, theta), the VTOL's 9."""
+
+    @pytest.mark.parametrize("conf,sigma,channels", [
+        ("chain_step.conf", "0.1,0.2,0.3,0.4", 2),
+        ("chain_step.conf", "0.1,0.2,0.3", 2),
+        ("vehicle_bias.conf", "0.01,0.01,0.001,0.01", 3),
+        ("vehicle_bias.conf", "0,0", 3),  # noise-free runs are checked too
+        ("vtol_wind.conf", "0,0,0", 9),
+        ("vtol_wind.conf", ",".join(["0.001"] * 10), 9),
+    ], ids=["chain_4", "chain_3", "vehicle_4", "vehicle_silent_2", "vtol_silent_3", "vtol_10"])
+    def test_wrong_count_is_a_config_error(self, tmp_path, capsys, conf, sigma, channels):
+        conf = write_conf(tmp_path, stock(conf, **{"noise.sigma": sigma, "sim.duration": 0.05}))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        count = len(sigma.split(","))
+        assert (f"noise.sigma: expected 1 or {channels} values, got {count}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("grid", ["omega=1,2", "omega=1,2,3,4,5"])
+    def test_sweep_over_a_wrong_count_exits_2(self, tmp_path, capsys, grid):
+        conf = write_conf(tmp_path, stock("chain_step.conf", **{"noise.sigma": "0,0.1,0.2",
+                                                                "sim.duration": 0.05}))
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--grid", grid]) == 2
+        assert "noise.sigma: expected 1 or 2 values, got 3" in capsys.readouterr().err
+
+
+class TestCsvPath:
+    def write_path(self, tmp_path, kappa):
+        s = [0.25 * i for i in range(801)]
+        rows = "".join(f"{v!r},{v!r},0,0,{kappa!r}\n" for v in s)
+        path = tmp_path / "path.csv"
+        path.write_text("s,x,y,theta,kappa\n" + rows)
+        return path
+
+    def test_consistent_csv_runs(self, tmp_path, capsys):
+        text = stock("vehicle_bias.conf", **{"path.kind": "csv", "path.length": None,
+                                             "path.file": self.write_path(tmp_path, 0.0),
+                                             "sim.duration": 0.5})
+        assert main(["simulate", "--config", write_conf(tmp_path, text),
+                     "--out", str(tmp_path / "x")]) == 0
+        capsys.readouterr()
+
+    def test_curvature_inconsistent_with_heading_is_a_config_error(self, tmp_path, capsys):
+        # a straight line whose kappa column says it turns
+        text = stock("vehicle_bias.conf", **{"path.kind": "csv", "path.length": None,
+                                             "path.file": self.write_path(tmp_path, 0.05),
+                                             "sim.duration": 0.5})
+        conf = write_conf(tmp_path, text)
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        assert "inconsistent with curvature" in capsys.readouterr().err
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "s"),
+                     "--grid", "omega=0.5,1"]) == 2
+        assert "inconsistent with curvature" in capsys.readouterr().err
 
 
 class TestNonFiniteInputs:

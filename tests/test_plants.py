@@ -2,15 +2,17 @@
 
 import dataclasses
 import fnmatch
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lumped_pid import plants
 from lumped_pid.config import build_scenario, load_config
-from lumped_pid.errors import ConfigError
+from lumped_pid.errors import ConfigError, SteeringLimitError
 from lumped_pid.plants import chain, plant_module
-from lumped_pid.sim import run_scenario
+from lumped_pid.sim import SimTrace, run_each, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STOCK = {"chain": "chain_step.conf", "vtol": "vtol_wind.conf", "vehicle": "vehicle_bias.conf"}
@@ -44,8 +46,55 @@ class TestRunLookup:
 
     def test_lockstep_only_where_the_module_allows_it(self):
         assert [kind for kind, module in plants.PLANTS.items() if module.LOCKSTEP] == ["chain"]
-        with pytest.raises(ConfigError, match="lockstep"):
-            run_scenario([short_scenario("vtol"), short_scenario("vtol")])
+        # a list of another plant's scenarios gives each scenario's run alone
+        first = short_scenario("vtol")
+        second = dataclasses.replace(first, controller={**first.controller, "omega": 3.0})
+        outcomes = list(run_scenario([first, second]))
+        assert len(outcomes) == 2
+        for scenario, outcome in zip([first, second], outcomes):
+            alone = run_scenario(scenario)
+            assert outcome.names == alone.names
+            assert all(np.array_equal(outcome[name], alone[name]) for name in alone.names)
+        assert not np.array_equal(outcomes[0]["px"], outcomes[1]["px"])
+        with pytest.raises(ConfigError, match="one plant"):
+            run_scenario([short_scenario("vtol"), short_scenario("chain")])
+
+
+class TestRunEach:
+    def test_run_failure_is_an_outcome(self):
+        ok = short_scenario("vehicle")
+        # a 1.6 rad steering bias drives the effective steering past pi/2
+        bad = build_scenario({**load_config(CONFIGS / STOCK["vehicle"]), "disturbance.value": "1.6"})
+        outcomes = list(run_each([ok, bad, ok]))
+        assert isinstance(outcomes[0], SimTrace) and isinstance(outcomes[2], SimTrace)
+        assert isinstance(outcomes[1], SteeringLimitError) and outcomes[1].step == 0
+
+    def test_error_before_the_loop_propagates(self):
+        ok = short_scenario("vehicle")
+        bad = dataclasses.replace(ok, plant={**ok.plant, "path": {"kind": "csv"}})
+        outcomes = run_each([ok, bad])
+        assert isinstance(next(outcomes), SimTrace)
+        with pytest.raises(ConfigError, match="path.file: required") as raised:
+            next(outcomes)
+        assert raised.value.step is None
+
+    def test_previous_trace_is_released_before_the_next_run(self, monkeypatch):
+        traces = []
+        run = chain.run
+
+        def spy(scenario):
+            assert all(trace() is None for trace in traces), "an earlier trace is alive"
+            trace = run(scenario)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(chain, "run", spy)
+        outcomes = run_each([short_scenario("chain")] * 3)
+        for _ in range(3):
+            trace = next(outcomes)
+            assert isinstance(trace, SimTrace)
+            del trace
+        assert len(traces) == 3
 
 
 @pytest.mark.parametrize("kind", sorted(STOCK))

@@ -116,6 +116,18 @@ class TestFrenetPath:
         with pytest.raises(ConfigError):
             FrenetPath.from_csv(f)
 
+    @pytest.mark.parametrize("column,message", [
+        ("kappa", "curvature"),  # a straight line whose kappa says it turns
+        ("theta", "heading"),    # a line along +x whose heading says +y
+    ])
+    def test_csv_geometry_is_validated(self, tmp_path, column, message):
+        line = FrenetPath.line(10.0)
+        columns = {"s": line.s, "x": line.x, "y": line.y, "theta": line.theta, "kappa": line.kappa}
+        columns[column] = np.full(len(line), 0.05 if column == "kappa" else math.pi / 2)
+        FrenetPath(**columns).to_csv(tmp_path / "path.csv")
+        with pytest.raises(ConfigError, match=f"inconsistent with {message}"):
+            FrenetPath.from_csv(tmp_path / "path.csv")
+
 
 class TestFrenetMatch:
     def test_on_path_zero_errors(self):
