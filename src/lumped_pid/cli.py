@@ -1,10 +1,12 @@
 """Command-line entry point: tune, simulate, sweep, bode.
 
-Exit codes: 0 success; 2 config error, or another error raised before a
-simulation's loop (a sweep's too); 3 run failure, a simulation stopped
-mid-run by divergence or a physical limit (the vehicle's steering, the
-VTOL's attitude or thrust singularities); 4 some sweep cells stopped mid-run.
-The environment variable LUMPED_PID_SEED overrides the scenario seed.
+Every command reads its config through ``config.build_scenario``; tune and
+bode take chain scenarios only. Exit codes: 0 success; 2 config error, or
+another error raised before a simulation's loop (a sweep's too); 3 run
+failure, a simulation stopped mid-run by divergence or a physical limit (the
+vehicle's steering, the VTOL's attitude or thrust singularities); 4 some
+sweep cells stopped mid-run. The environment variable LUMPED_PID_SEED
+overrides the scenario seed.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .analysis import MetricsRow, default_grid, trace_metrics, write_metrics_csv
-from .config import _float, _int, build_scenario, load_config
+from .config import build_scenario, load_config
 from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_to_pi, reduce_to_pid, synthesize_gains
 from .errors import ConfigError, LumpedPidError
-from .plants import plant_module
+from .plants import chain, plant_module
 from .polylti import frequency_response
 from .signals import NoiseSpec
 from .sim import run_each, run_scenario
@@ -51,19 +53,18 @@ def _seed_override() -> int | None:
         raise ConfigError(f"LUMPED_PID_SEED: expected an integer, got {raw!r}") from None
 
 
-def _tune_config(flat: dict) -> ControllerConfig:
-    return ControllerConfig(
-        n=_int(flat, "plant.order"),
-        b=_float(flat, "plant.b", 1.0),
-        omega=_float(flat, "controller.omega"),
-        omega_f=_float(flat, "controller.omega_f"),
-        dt=_float(flat, "sim.dt", 1e-3),
-    )
+def _chain_config(args) -> ControllerConfig:
+    """The synthesis inputs of the chain scenario in ``args.config``, read
+    as ``simulate`` reads it."""
+    scenario = build_scenario(load_config(args.config))
+    if scenario.plant_kind != "chain":
+        raise ConfigError(f"plant.kind: {args.command} takes a chain plant, "
+                          f"got {scenario.plant_kind!r}")
+    return chain.controller_config(scenario)
 
 
 def cmd_tune(args) -> int:
-    flat = load_config(args.config)
-    config = _tune_config(flat)
+    config = _chain_config(args)
     gains = synthesize_gains(config.n, config.omega)
     lines = [
         f"n        = {config.n}",
@@ -119,36 +120,29 @@ def _observer_bandwidth(scenario) -> tuple[str | None, float]:
     """The option that sets the observer bandwidth and the value a run uses;
     (None, NaN) for a controller without an observer: a blank field."""
     plant = plant_module(scenario.plant_kind)
+    # a plant with one controller (the VTOL's) declares no controller kind
     if scenario.controller.get("kind") in plant.NO_OBSERVER:
         return None, math.nan
-    option = plant.BANDWIDTH
-    return option, scenario.controller.get(option, plant.DEFAULTS[option])
+    return plant.BANDWIDTH, scenario.controller[plant.BANDWIDTH]
 
 
 def _run_values(scenario) -> tuple[float, float, float]:
     """The (omega, omega_f, sigma) a run of ``scenario`` uses, as its metrics
     row reports them."""
-    omega = scenario.controller.get("omega", plant_module(scenario.plant_kind).DEFAULTS["omega"])
-    return omega, _observer_bandwidth(scenario)[1], scenario.noise.sigmas[0]
+    return scenario.controller["omega"], _observer_bandwidth(scenario)[1], scenario.noise.sigmas[0]
 
 
-def _threshold(flat: dict) -> float:
-    return _float(flat, "metrics.threshold", 0.02)
-
-
-def _metrics_for(trace, scenario, threshold: float, scenario_id: str = "scenario") -> MetricsRow:
+def _metrics_for(trace, scenario, scenario_id: str = "scenario") -> MetricsRow:
     plant = plant_module(scenario.plant_kind)
-    observer = None if scenario.controller.get("kind") in plant.NO_OBSERVER else plant.OBSERVER
-    metrics = trace_metrics(trace, threshold, signal=plant.SIGNAL, observer=observer)
+    observer = plant.OBSERVER if _observer_bandwidth(scenario)[0] else None
+    metrics = trace_metrics(trace, scenario.threshold, signal=plant.SIGNAL, observer=observer)
     omega, omega_f, sigma = _run_values(scenario)
     bound = plant.bound and plant.bound(trace, scenario)
     return MetricsRow(scenario_id, omega, omega_f, sigma, metrics=metrics, bound=bound)
 
 
 def cmd_simulate(args) -> int:
-    flat = load_config(args.config)
-    scenario = build_scenario(flat, seed_override=_seed_override())
-    threshold = _threshold(flat)
+    scenario = build_scenario(load_config(args.config), seed_override=_seed_override())
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -159,7 +153,7 @@ def cmd_simulate(args) -> int:
         print(f"run failed: {_failure_status(exc)}: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED
     trace.to_csv(outdir / "trace.csv")
-    write_metrics_csv(outdir / "metrics.csv", [_metrics_for(trace, scenario, threshold)])
+    write_metrics_csv(outdir / "metrics.csv", [_metrics_for(trace, scenario)])
     if args.plots:
         _write_plots(trace, plant_module(scenario.plant_kind), outdir)
     print(f"wrote {outdir / 'trace.csv'} ({len(trace)} rows)")
@@ -175,6 +169,8 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
         name = name.strip()
         if name not in ("omega", "omega_f", "sigma"):
             raise ConfigError(f"--grid: unknown axis {name!r} (omega, omega_f, sigma)")
+        if name in grid:
+            raise ConfigError(f"--grid: axis {name!r} given twice")
         try:
             vals = [float(v) for v in values.split(",") if v]
         except ValueError:
@@ -193,7 +189,7 @@ def _failure_status(exc: LumpedPidError) -> str:
     return f"{exc.kind} at step {exc.step} t={exc.t:g}"
 
 
-def _sweep_rows(cells: list, threshold: float) -> list[MetricsRow]:
+def _sweep_rows(cells: list) -> list[MetricsRow]:
     """The rows of a contiguous group of ``(scenario_id, scenario)`` sweep cells."""
     scenarios = [scenario for _, scenario in cells]
     # a lockstep plant runs a large group as the lanes of one run
@@ -205,20 +201,21 @@ def _sweep_rows(cells: list, threshold: float) -> list[MetricsRow]:
             rows.append(MetricsRow(scenario_id, *_run_values(scenario),
                                    status=_failure_status(outcome)))
         else:
-            rows.append(_metrics_for(outcome, scenario, threshold, scenario_id))
+            rows.append(_metrics_for(outcome, scenario, scenario_id))
         del outcome
     return rows
 
 
 def cmd_sweep(args) -> int:
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel: expected a worker count >= 1, got {args.parallel}")
     flat = load_config(args.config)
     grid = _parse_grid(args.grid)
     base = build_scenario(flat, seed_override=_seed_override())
-    threshold = _threshold(flat)
     bandwidth_option = _observer_bandwidth(base)[0]
     if "omega_f" in grid and bandwidth_option is None:
         raise ConfigError(
-            f"--grid: omega_f: controller.kind {base.controller.get('kind')!r} "
+            f"--grid: omega_f: controller.kind {base.controller['kind']!r} "
             f"of plant {base.plant_kind!r} has no observer bandwidth"
         )
     base_values = zip(("omega", "omega_f", "sigma"), _run_values(base))
@@ -242,14 +239,13 @@ def cmd_sweep(args) -> int:
 
     # every cell differs from the base only in its axes and seed, so a
     # lockstep plant runs each group as the lanes of one run
-    parts = max(1, min(args.parallel, len(cells)))
+    parts = min(args.parallel, len(cells))
     groups = [cells[len(cells) * i // parts:len(cells) * (i + 1) // parts] for i in range(parts)]
     if parts > 1:
         with ProcessPoolExecutor(max_workers=parts) as pool:
-            rows = [row for part in pool.map(_sweep_rows, groups, itertools.repeat(threshold))
-                    for row in part]
+            rows = [row for part in pool.map(_sweep_rows, groups) for row in part]
     else:
-        rows = _sweep_rows(cells, threshold)
+        rows = _sweep_rows(cells)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -260,8 +256,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bode(args) -> int:
-    flat = load_config(args.config)
-    config = _tune_config(flat)
+    config = _chain_config(args)
     grid = default_grid(config.omega, config.omega_f, args.points_per_decade)
     tables = [
         ("G", closed_loop_tf(config)),

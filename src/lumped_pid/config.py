@@ -16,9 +16,10 @@ Example (integrator chain):
     sim.duration = 10.0
     sim.seed = 42
 
-Each module of lumped_pid.plants declares the plant.*, controller.*,
-reference.* and path.* keys it reads, and parses its disturbance.* keys. A
-key that nothing reads is an error.
+Each module of lumped_pid.plants declares the plant.*, reference.* and
+path.* keys it reads, its controller.* options with their defaults, and
+parses its disturbance.* keys. A key that nothing reads is an error.
+``metrics.threshold`` (default 0.02) is the settling band of the metrics.
 """
 
 from __future__ import annotations
@@ -131,8 +132,7 @@ class _ReadKeys(UserDict):
 
     def __init__(self, flat: dict):
         super().__init__(flat)
-        # read not by a run but by whatever reduces its trace to metrics
-        self.read = {"metrics.threshold"}
+        self.read = set()
 
     def __getitem__(self, key):
         self.read.add(key)
@@ -151,8 +151,8 @@ def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
     if kind is None:
         raise ConfigError("plant.kind: required")
     module = plant_module(kind)
-    parsers = {**dict.fromkeys(module.DEFAULTS, _float), **module.OPTIONS}
-    keys = {**module.KEYS, **{f"controller.{name}": parse for name, parse in parsers.items()}}
+    keys = {**module.KEYS,
+            **{f"controller.{name}": parse for name, (parse, _) in module.CONTROLLER.items()}}
     options = {"plant": {}, "controller": {}}
     for key in flat:
         if key in keys:
@@ -172,6 +172,7 @@ def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
         duration=_float(flat, "sim.duration"),
         seed=seed,
         decimation=_int(flat, "sim.decimation", 1),
+        threshold=_float(flat, "metrics.threshold", 0.02),
     )
     unread = [key for key in flat if key not in flat.read]
     if unread:

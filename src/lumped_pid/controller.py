@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, OrderMismatchError
 from .polylti import MAX_ORDER, Polynomial, RationalTransferFunction, binomial_poly, poly_mul
-from .quadrature import RECTANGULAR, RULES, Integrator
+from .quadrature import RECTANGULAR, Integrator
 
 OBSERVER_FORMS = ("integral", "pid")
 
@@ -175,8 +175,6 @@ class GeneralizedController:
         observer_form: str = "integral",
         seed_integral: bool = False,
     ):
-        if rule not in RULES:
-            raise ConfigError(f"unknown quadrature rule {rule!r}")
         if observer_form not in OBSERVER_FORMS:
             raise ConfigError(f"observer_form must be one of {OBSERVER_FORMS}, got {observer_form!r}")
         self.config = config
@@ -250,8 +248,6 @@ class ClassicPidController:
             self.gains = reduce_to_pid(config)
         else:
             raise OrderMismatchError(f"classic PID stepping requires n in {{1, 2}}, got {config.n}")
-        if rule not in RULES:
-            raise ConfigError(f"unknown quadrature rule {rule!r}")
         self.config = config
         self.rule = rule
         self._integ = Integrator(rule)

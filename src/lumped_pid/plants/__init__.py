@@ -1,8 +1,9 @@
 """The plants, one module each: the only place that knows its plant.
 
-Each declares its config ``KEYS`` and ``OPTIONS`` (with parsers), controller
-``DEFAULTS``, ``BANDWIDTH``, ``NO_OBSERVER`` and ``parse_disturbance``; its
-trace's metric ``SIGNAL``, ``OBSERVER`` (true, estimate) columns and
+Each declares its plant, reference and path config ``KEYS`` (with parsers);
+``CONTROLLER``, each controller option's parser and default, which a
+Scenario fills in; ``BANDWIDTH``, ``NO_OBSERVER`` and ``parse_disturbance``;
+its trace's metric ``SIGNAL``, ``OBSERVER`` (true, estimate) columns and
 ``PLOTS`` (file stem, column patterns, title, y label); ``LOCKSTEP``, whether
 ``run`` takes a list of lanes; ``run``; and ``bound``, a trace's
 ultimate-bound check or None. The registry holds modules, so a function

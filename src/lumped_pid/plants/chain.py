@@ -34,13 +34,14 @@ from ..sim import (
 from ..signals import noise_table
 
 CONTROLLER_KINDS = ("none", "homogeneous", "generalized", "pid")
-# Controller options a run falls back to. BANDWIDTH names the option that
-# sets the observer bandwidth; the controller kinds in NO_OBSERVER read none.
-DEFAULTS = {"omega": 1.0, "omega_f": 1.0}
+# Each controller.* option: its parser and the value a scenario without it
+# takes. BANDWIDTH names the option that sets the observer bandwidth; the
+# controller kinds in NO_OBSERVER read none.
+CONTROLLER = {"kind": (_str, "generalized"), "omega": (_float, 1.0), "omega_f": (_float, 1.0),
+              "quadrature": (_str, RECTANGULAR), "observer_form": (_str, "integral"),
+              "seed_integral": (_bool, False)}
 BANDWIDTH = "omega_f"
 NO_OBSERVER = ("none", "homogeneous")
-OPTIONS = {"kind": _str, "quadrature": _str,
-           "observer_form": _str, "seed_integral": _bool}
 KEYS = {"plant.order": _int, "plant.b": _float, "plant.x0": _floats,
         "plant.state_coeffs": _floats}
 parse_disturbance = _scalar_signal  # f0(t)
@@ -80,32 +81,46 @@ class IntegratorChain:
         return out
 
 
-def _build_controller(scenario: Scenario, n: int, b: float):
+def _plant(scenario: Scenario) -> tuple[IntegratorChain, list]:
+    """The scenario's chain and initial state."""
+    opts = scenario.plant
+    n = int(opts.get("order", 1))
+    plant = IntegratorChain(n, float(opts.get("b", 1.0)), opts.get("state_coeffs", ()))
+    x0 = list(opts.get("x0", [0.0] * n))
+    if len(x0) != n:
+        raise ConfigError(f"plant.x0: expected {n} values, got {len(x0)}")
+    return plant, x0
+
+
+def controller_config(scenario: Scenario) -> ControllerConfig:
+    """The synthesis inputs of a chain scenario, once its plant and controller
+    kind are checked: what its controller, its bound check and the ``tune``
+    and ``bode`` commands use."""
+    plant, _ = _plant(scenario)
     opts = scenario.controller
-    kind = opts.get("kind", "generalized")
-    if kind not in CONTROLLER_KINDS:
+    if opts["kind"] not in CONTROLLER_KINDS:
         raise ConfigError(
-            f"controller.kind: unknown kind {kind!r}, expected one of {CONTROLLER_KINDS}"
+            f"controller.kind: unknown kind {opts['kind']!r}, expected one of {CONTROLLER_KINDS}"
         )
+    return ControllerConfig(n=plant.n, b=plant.b, omega=float(opts["omega"]),
+                            omega_f=float(opts["omega_f"]), dt=scenario.dt)
+
+
+def _build_controller(scenario: Scenario):
+    opts = scenario.controller
+    kind = opts["kind"]
     if kind == "none":
         return None
-    config = ControllerConfig(
-        n=n,
-        b=b,
-        omega=float(opts.get("omega", DEFAULTS["omega"])),
-        omega_f=float(opts.get("omega_f", DEFAULTS["omega_f"])),
-        dt=scenario.dt,
-    )
-    rule = opts.get("quadrature", RECTANGULAR)
+    config = controller_config(scenario)
     if kind == "homogeneous":
         return HomogeneousController(config)
     if kind == "pid":
-        return ClassicPidController(config, rule=rule)
+        return ClassicPidController(config, rule=opts["quadrature"])
     return GeneralizedController(
         config,
-        rule=rule,
-        observer_form=opts.get("observer_form", "integral"),
-        seed_integral=bool(opts.get("seed_integral", False)),
+        rule=opts["quadrature"],
+        observer_form=opts["observer_form"],
+        seed_integral=bool(opts["seed_integral"]),
     )
 
 
@@ -137,15 +152,9 @@ def run(scenario: Scenario | Sequence[Scenario]):
     first = scenarios[0]
     if any(_lane_key(s) != _lane_key(first) for s in scenarios[1:]):
         raise ConfigError("lockstep scenarios differ in more than omega, omega_f and noise")
-    opts = first.plant
-    n = int(opts.get("order", 1))
-    b = float(opts.get("b", 1.0))
-    plant = IntegratorChain(n, b, opts.get("state_coeffs", ()))
-    x0 = list(opts.get("x0", [0.0] * n))
-    if len(x0) != n:
-        raise ConfigError(f"plant.x0: expected {n} values, got {len(x0)}")
-
-    controllers = [_build_controller(s, n, b) for s in scenarios]
+    plant, x0 = _plant(first)
+    n = plant.n
+    controllers = [_build_controller(s) for s in scenarios]
     controller = controllers[0]
     f0 = first.disturbance
     dt = first.dt
@@ -198,8 +207,8 @@ def run(scenario: Scenario | Sequence[Scenario]):
 
 def bound(trace: SimTrace, scenario: Scenario) -> BoundReport | None:
     """The ultimate-bound check of a homogeneous run, if its tail is long enough."""
-    if scenario.controller.get("kind") == "homogeneous":
+    if scenario.controller["kind"] == "homogeneous":
+        config = controller_config(scenario)
         with suppress(WindowTooShortError):
-            return check_bound(trace, scenario.controller.get("omega", DEFAULTS["omega"]),
-                               int(scenario.plant.get("order", 1)))
+            return check_bound(trace, config.omega, config.n)
     return None

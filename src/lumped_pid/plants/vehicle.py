@@ -24,7 +24,7 @@ from ..errors import (
     OffPathError,
     SteeringLimitError,
 )
-from ..quadrature import RECTANGULAR, RULES, Integrator
+from ..quadrature import RECTANGULAR, Integrator
 from ..sim import Scenario, SimTrace, TraceRecorder, check_state, rk4_step
 from ..signals import noise_table
 
@@ -35,10 +35,11 @@ ZERO_SPEED = 1e-9  # below this the distance-domain observer freezes
 NEWTON_STEPS = 4  # Newton steps on the tangency root before falling back to bisection
 NEWTON_TOL = 1e-12  # a Newton step shorter than this (in segment fraction) has converged
 DESCENT_REACH = 50  # a hinted match searches this many samples either side of the hint
-DEFAULTS = {"omega": 0.5, "omega_d": 2.0}
+# controller.* options: parser and default; omega is the distance-domain pole [rad/m]
+CONTROLLER = {"kind": (_str, "observer"), "omega": (_float, 0.5), "omega_d": (_float, 2.0),
+              "quadrature": (_str, RECTANGULAR)}
 BANDWIDTH = "omega_d"
 NO_OBSERVER = ("known_d",)
-OPTIONS = {"kind": _str, "quadrature": _str}
 KEYS = {"plant.wheelbase": _float, "plant.speed": _float, "plant.x0": _floats,
         "plant.capture_radius": _float, "path.kind": _str, "path.length": _float,
         "path.radius": _float, "path.arc": _float, "path.spacing": _float, "path.file": _str}
@@ -142,14 +143,6 @@ class FrenetPath:
             raise ConfigError("path tangent inconsistent with heading column")
         if np.max(np.abs(dth - k_mid)) > tol:
             raise ConfigError("path heading rate inconsistent with curvature column")
-
-    def sample(self, s_query: float):
-        """(x_d, y_d, theta_d, kappa_d) at s_query, clamped to the table range."""
-        i = int(np.searchsorted(self.s, s_query)) - 1
-        i = min(max(i, 0), len(self.s) - 2)
-        a = (s_query - self._sf[i]) / (self._sf[i + 1] - self._sf[i])
-        a = min(max(a, 0.0), 1.0)
-        return self._interp(i, a)
 
     def _interp(self, i, a):
         x = self._xf[i] + a * (self._xf[i + 1] - self._xf[i])
@@ -405,8 +398,6 @@ class LateralObserverController:
 
     def __init__(self, L: float, k0: float, k1: float, omega_d: float,
                  rule: str = RECTANGULAR):
-        if rule not in RULES:
-            raise ConfigError(f"unknown quadrature rule {rule!r}")
         if not (omega_d > 0.0):
             raise ConfigError(f"controller.omega_d: must be positive, got {omega_d!r}")
         self.L = L
@@ -457,17 +448,15 @@ def run(scenario: Scenario) -> SimTrace:
     capture = float(opts.get("capture_radius", DEFAULT_CAPTURE))
 
     copts = scenario.controller
-    kind = copts.get("kind", "observer")
-    omega = float(copts.get("omega", DEFAULTS["omega"]))  # rad/m, distance-domain pole
+    kind = copts["kind"]
+    omega = float(copts["omega"])
     k0 = omega * omega
     k1 = 2.0 * omega
     bias = scenario.disturbance  # steering disturbance signal d(t) [rad]
 
     if kind == "observer":
-        controller = LateralObserverController(
-            L, k0, k1, float(copts.get("omega_d", DEFAULTS["omega_d"])),
-            rule=copts.get("quadrature", RECTANGULAR),
-        )
+        controller = LateralObserverController(L, k0, k1, float(copts["omega_d"]),
+                                               rule=copts["quadrature"])
     elif kind == "known_d":
         controller = None
     else:

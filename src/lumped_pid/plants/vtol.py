@@ -32,7 +32,6 @@ from ..errors import (
     GimbalDegenerateError,
     LumpedPidError,
 )
-from ..quadrature import RECTANGULAR, RULES
 from ..sim import Scenario, SimTrace, TraceRecorder, check_state
 from ..signals import Constant, build_signal, noise_table, sample_triple
 from ..so3 import (
@@ -57,10 +56,11 @@ from ..so3 import (
 THRUST_EPS = 1e-8      # smallest ||F_d|| that still defines a thrust axis
 CROSS_EPS = 1e-8       # smallest ||b3d x b_d|| before the heading degenerates
 TRACE_SINGULARITY = 1e-6  # tr(R~) + 1 below this is the g~ singularity
-DEFAULTS = {"omega": 2.0, "omega_f": 8.0, "omega_att": 10.0, "omega_tau": 20.0}
+# controller.* options: parser and default, one bandwidth per loop and observer
+CONTROLLER = {"omega": (_float, 2.0), "omega_f": (_float, 8.0), "omega_att": (_float, 10.0),
+              "omega_tau": (_float, 20.0)}
 BANDWIDTH = "omega_f"
 NO_OBSERVER = ()
-OPTIONS = {"quadrature": _str}
 
 
 def _floats3(flat, key, default=None):
@@ -289,16 +289,11 @@ class VtolController:
     (k0 = omega^2, k1 = 2 omega) and per-loop disturbance observers."""
 
     def __init__(self, params: VtolParams, reference: Reference, dt: float,
-                 omega_pos: float, omega_f: float, omega_att: float, omega_tau: float,
-                 rule: str = RECTANGULAR):
+                 omega_pos: float, omega_f: float, omega_att: float, omega_tau: float):
         for name, val in (("omega", omega_pos), ("omega_f", omega_f),
                           ("omega_att", omega_att), ("omega_tau", omega_tau)):
             if not (val > 0.0):
                 raise ConfigError(f"controller.{name}: must be positive, got {val!r}")
-        if rule not in RULES:
-            raise ConfigError(f"unknown quadrature rule {rule!r}")
-        if rule != RECTANGULAR:
-            raise ConfigError("vtol controller supports the rectangular rule only")
         self.params = params
         self.reference = reference
         self.dt = dt
@@ -479,11 +474,10 @@ def run(scenario: Scenario) -> SimTrace:
     copts = scenario.controller
     controller = VtolController(
         params, reference, scenario.dt,
-        omega_pos=float(copts.get("omega", DEFAULTS["omega"])),
-        omega_f=float(copts.get("omega_f", DEFAULTS["omega_f"])),
-        omega_att=float(copts.get("omega_att", DEFAULTS["omega_att"])),
-        omega_tau=float(copts.get("omega_tau", DEFAULTS["omega_tau"])),
-        rule=copts.get("quadrature", RECTANGULAR),
+        omega_pos=float(copts["omega"]),
+        omega_f=float(copts["omega_f"]),
+        omega_att=float(copts["omega_att"]),
+        omega_tau=float(copts["omega_tau"]),
     )
 
     p = tuple(float(x) for x in opts.get("p0", reference.position(0.0)))

@@ -155,6 +155,8 @@ def log_grid(w_lo: float, w_hi: float, points_per_decade: int = 50) -> list[floa
     """Logarithmic frequency grid, endpoints included."""
     if not (0.0 < w_lo < w_hi):
         raise ConfigError("need 0 < w_lo < w_hi for a log grid")
+    if points_per_decade < 1:
+        raise ConfigError(f"points per decade: must be >= 1, got {points_per_decade}")
     n = max(2, int(round(math.log10(w_hi / w_lo) * points_per_decade)) + 1)
     step = (math.log10(w_hi) - math.log10(w_lo)) / (n - 1)
     return [10.0 ** (math.log10(w_lo) + k * step) for k in range(n)]

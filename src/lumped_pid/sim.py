@@ -140,7 +140,9 @@ def check_state(
 
 @dataclass
 class Scenario:
-    """Declarative experiment description; see config.py for the file schema."""
+    """Declarative experiment description; see config.py for the file schema.
+    Each controller option of the plant that ``controller`` lacks takes its
+    default; ``threshold`` is the settling band of the run's metrics."""
 
     plant_kind: str
     plant: dict
@@ -151,8 +153,12 @@ class Scenario:
     duration: float = 1.0
     seed: int = 0
     decimation: int = 1
+    threshold: float = 0.02
 
     def __post_init__(self):
+        from .plants import plant_module  # the plant modules import this one
+        declared = plant_module(self.plant_kind).CONTROLLER
+        self.controller = {**{name: d for name, (_, d) in declared.items()}, **self.controller}
         if not (self.dt > 0.0):
             raise ConfigError(f"sim.dt: must be positive, got {self.dt!r}")
         if not (self.duration > 0.0):

@@ -10,6 +10,7 @@ import pytest
 from lumped_pid import cli
 from lumped_pid.cli import main
 from lumped_pid.config import build_scenario, load_config, parse_config_text
+from lumped_pid.controller import synthesize_gains
 from lumped_pid.errors import ConfigError
 from lumped_pid.plants import vehicle
 from lumped_pid.signals import Sum
@@ -155,6 +156,48 @@ class TestTune:
         values = dict(line.split(",") for line in lines[1:])
         assert float(values["kd"]) == 14.0
         assert float(values["kp_over_b"]) == 44.0
+
+    def test_gains_are_those_a_run_uses(self, tmp_path, capsys):
+        # no controller.omega: tune takes the default a simulate run takes
+        conf = write_conf(tmp_path, stock("chain_step.conf", **{"controller.omega": None}))
+        assert main(["tune", "--config", conf, "--out", str(tmp_path / "gains.csv")]) == 0
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        (row,) = read_rows(tmp_path / "sim" / "metrics.csv")
+        gains = dict(line.split(",") for line in
+                     (tmp_path / "gains.csv").read_text().splitlines()[1:])
+        omega = float(row["omega"])
+        assert float(gains["omega"]) == omega == 1.0
+        assert float(gains["omega_f"]) == float(row["omega_f"])
+        a = synthesize_gains(2, omega).a
+        assert [float(gains["a0"]), float(gains["a1"])] == list(a)
+
+
+@pytest.mark.parametrize("command", ["tune", "bode"])
+class TestChainCommandsReadAsSimulate:
+    """tune and bode read a config as simulate does, and take only chains."""
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"controller.omegaa": 3}, "controller.omegaa: not a key of plant 'chain'"),
+        ({"plant.x0": "1,2,3"}, "plant.x0: expected 2 values"),
+        ({"plant.x0": "1,abc"}, "plant.x0: expected comma-separated numbers"),
+        ({"controller.kind": "lqr"}, "controller.kind: unknown kind 'lqr'"),
+        ({"sim.duration": None}, "sim.duration: required"),
+    ], ids=["unread_key", "x0_length", "x0_number", "controller_kind", "no_duration"])
+    def test_what_simulate_rejects_exits_2(self, tmp_path, capsys, command, changes, message):
+        conf = write_conf(tmp_path, stock("chain_step.conf", **changes))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 2
+        assert message in capsys.readouterr().err
+        assert main([command, "--config", conf, "--out", str(tmp_path / "out.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_other_plants_exit_2(self, tmp_path, capsys, command):
+        for name, kind in (("vtol_wind.conf", "vtol"), ("vehicle_bias.conf", "vehicle")):
+            assert main([command, "--config", str(CONFIGS / name),
+                         "--out", str(tmp_path / "out.csv")]) == 2
+            assert f"plant.kind: {command} takes a chain plant, got '{kind}'" in \
+                capsys.readouterr().err
 
 
 class TestSimulate:
@@ -307,6 +350,22 @@ class TestSweep:
         assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
                      "--grid", "banana=1"]) == 2
         capsys.readouterr()
+
+    def test_axis_given_twice(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, CHAIN_CONF)
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--grid", "omega=1", "omega=2,3"]) == 2
+        assert "--grid: axis 'omega' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one(self, tmp_path, capsys, workers):
+        conf = write_conf(tmp_path, CHAIN_CONF)
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--grid", "omega=1,2", "--parallel", workers]) == 2
+        assert f"--parallel: expected a worker count >= 1, got {workers}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def sweep_bytes(tmp_path, monkeypatch, text, grid, *extra, lockstep):
@@ -575,6 +634,9 @@ class TestUnreadKeys:
         ("vtol_wind.conf", "controller.kind", "homogeneous"),
         ("vtol_wind.conf", "controller.seed_integral", "true"),
         ("vtol_wind.conf", "plant.b", "1.0"),
+        # the VTOL integrates by one rule only, so it has no quadrature option
+        ("vtol_wind.conf", "controller.quadrature", "rectangular"),
+        ("vtol_wind.conf", "controller.quadrature", "trapezoidal"),
         ("vehicle_bias.conf", "controller.observer_form", "pid"),
         ("vehicle_bias.conf", "controller.omega_f", "10.0"),
         ("vehicle_bias.conf", "plant.order", "2"),
@@ -768,6 +830,15 @@ class TestBode:
         assert main(["bode", "--config", conf, "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_points_per_decade_below_one(self, tmp_path, capsys, points):
+        conf = write_conf(tmp_path, CHAIN_CONF)
+        out = tmp_path / "bode.csv"
+        assert main(["bode", "--config", conf, "--out", str(out),
+                     "--points-per-decade", points]) == 2
+        assert f"points per decade: must be >= 1, got {points}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestShippedConfigs:

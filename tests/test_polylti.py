@@ -198,6 +198,11 @@ class TestFrequencyResponse:
         assert grid[-1] == pytest.approx(100.0)
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
+    @pytest.mark.parametrize("points", [0, -5])
+    def test_log_grid_needs_a_point_per_decade(self, points):
+        with pytest.raises(ConfigError, match="points per decade"):
+            log_grid(0.01, 100.0, points_per_decade=points)
+
 
 def test_poly_add():
     a = Polynomial([1.0, 2.0])

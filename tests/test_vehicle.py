@@ -212,19 +212,27 @@ PATHS = {
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 
+def point_at(path, s):
+    """(s, x, y, theta, kappa) of the path at arc length s, interpolated in
+    its segment as the matcher interpolates."""
+    i = min(max(int(np.searchsorted(path.s, s)) - 1, 0), len(path) - 2)
+    a = min(max((s - path.s[i]) / (path.s[i + 1] - path.s[i]), 0.0), 1.0)
+    return path._interp(i, a)
+
+
 @st.composite
 def near_path_pose(draw):
     """(path, pose) with the pose up to 2 m either side of an interior point."""
     path = PATHS[draw(st.sampled_from(sorted(PATHS)))]
     s0 = draw(st.floats(1.0, path.length - 1.0))
     offset = draw(st.floats(-2.0, 2.0))
-    _, x, y, th, _ = path.sample(s0)
+    _, x, y, th, _ = point_at(path, s0)
     heading = th + draw(st.floats(-0.5, 0.5))
     return path, (x - offset * math.sin(th), y + offset * math.cos(th), heading)
 
 
 def tangency(path, s_d, px, py):
-    _, x_d, y_d, th_d, _ = path.sample(s_d)
+    _, x_d, y_d, th_d, _ = point_at(path, s_d)
     return (x_d - px) * math.cos(th_d) + (y_d - py) * math.sin(th_d)
 
 
