@@ -17,8 +17,10 @@ Example (integrator chain):
     sim.seed = 42
 
 Each module of lumped_pid.plants declares the plant.*, reference.* and
-path.* keys it reads, its controller.* options with their defaults, and
-parses its disturbance.* keys. A key that nothing reads is an error.
+path.* keys it reads, its controller.* options with their defaults (a
+string option names its choices), and parses its disturbance.* keys. A key
+that nothing reads is an error, and so is a noise.sigma list whose length is
+neither 1 nor the plant's count of noised channels.
 ``metrics.threshold`` (default 0.02) is the settling band of the metrics.
 """
 
@@ -127,6 +129,18 @@ def _str(flat, key):
     return flat[key]
 
 
+def _choice(*choices: str):
+    """A parser of a string option that takes one of ``choices``."""
+
+    def parse(flat, key):
+        if flat[key] not in choices:
+            raise ConfigError(f"{key}: unknown {key.rsplit('.', 1)[-1]} {flat[key]!r}, "
+                              f"expected one of {choices}")
+        return flat[key]
+
+    return parse
+
+
 class _ReadKeys(UserDict):
     """A flat config that records the keys looked up in it, ``get`` too."""
 
@@ -177,4 +191,5 @@ def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
     unread = [key for key in flat if key not in flat.read]
     if unread:
         raise ConfigError(f"{unread[0]}: not a key of plant {kind!r}")
+    scenario.noise.check_channels(module.noise_channels(scenario))
     return scenario

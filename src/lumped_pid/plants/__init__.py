@@ -5,7 +5,8 @@ Each declares its plant, reference and path config ``KEYS`` (with parsers);
 Scenario fills in; ``BANDWIDTH``, ``NO_OBSERVER`` and ``parse_disturbance``;
 its trace's metric ``SIGNAL``, ``OBSERVER`` (true, estimate) columns and
 ``PLOTS`` (file stem, column patterns, title, y label); ``LOCKSTEP``, whether
-``run`` takes a list of lanes; ``run``; and ``bound``, a trace's
+``run`` takes a list of lanes; ``noise_channels``, a scenario's count of
+noised measurement channels; ``run``; and ``bound``, a trace's
 ultimate-bound check or None. The registry holds modules, so a function
 replaced on one (by a profiler, say) is the one called.
 """

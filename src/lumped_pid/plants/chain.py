@@ -13,8 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis import BoundReport, check_bound
-from ..config import _bool, _float, _floats, _int, _scalar_signal, _str
+from ..config import _bool, _choice, _float, _floats, _int, _scalar_signal
 from ..controller import (
+    OBSERVER_FORMS,
     ClassicPidController,
     ControllerConfig,
     GeneralizedController,
@@ -22,7 +23,7 @@ from ..controller import (
     lockstep_controller,
 )
 from ..errors import ConfigError, LumpedPidError, WindowTooShortError
-from ..quadrature import RECTANGULAR
+from ..quadrature import RECTANGULAR, RULES
 from ..sim import (
     LaneFailures,
     Scenario,
@@ -37,8 +38,9 @@ CONTROLLER_KINDS = ("none", "homogeneous", "generalized", "pid")
 # Each controller.* option: its parser and the value a scenario without it
 # takes. BANDWIDTH names the option that sets the observer bandwidth; the
 # controller kinds in NO_OBSERVER read none.
-CONTROLLER = {"kind": (_str, "generalized"), "omega": (_float, 1.0), "omega_f": (_float, 1.0),
-              "quadrature": (_str, RECTANGULAR), "observer_form": (_str, "integral"),
+CONTROLLER = {"kind": (_choice(*CONTROLLER_KINDS), "generalized"), "omega": (_float, 1.0),
+              "omega_f": (_float, 1.0), "quadrature": (_choice(*RULES), RECTANGULAR),
+              "observer_form": (_choice(*OBSERVER_FORMS), "integral"),
               "seed_integral": (_bool, False)}
 BANDWIDTH = "omega_f"
 NO_OBSERVER = ("none", "homogeneous")
@@ -75,9 +77,11 @@ class IntegratorChain:
             f += c * x
         return f
 
-    def derivative(self, state, u, d, t):
+    def derivative(self, state, bu, d, t):
+        """The state derivative under the held input term ``bu`` = b*u,
+        which the caller forms once per step rather than once per stage."""
         out = list(state[1:])
-        out.append(self.lumped_disturbance(state, d) + self.b * u)
+        out.append(self.lumped_disturbance(state, d) + bu)
         return out
 
 
@@ -90,6 +94,11 @@ def _plant(scenario: Scenario) -> tuple[IntegratorChain, list]:
     if len(x0) != n:
         raise ConfigError(f"plant.x0: expected {n} values, got {len(x0)}")
     return plant, x0
+
+
+def noise_channels(scenario: Scenario) -> int:
+    """The noised measurement channels, x ... x^(n-1): the plant's order."""
+    return _plant(scenario)[0].n
 
 
 def controller_config(scenario: Scenario) -> ControllerConfig:
@@ -195,7 +204,7 @@ def run(scenario: Scenario | Sequence[Scenario]):
                 f_true = plant.lumped_disturbance(state, f0(t))
                 rec.record(k, [t, *state, u, f_true, f_hat, *z])
                 if k < n_steps:
-                    state = rk4_step(plant, state, u, f0, t, dt, lanes)
+                    state = rk4_step(plant, state, plant.b * u, f0, t, dt, lanes)
         except LumpedPidError as exc:
             exc.at(k, t)
             raise

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import _float, _floats, _scalar_signal, _str
+from ..config import _choice, _float, _floats, _scalar_signal, _str
 from ..errors import (
     AmbiguousMatchError,
     ConfigError,
@@ -24,7 +24,7 @@ from ..errors import (
     OffPathError,
     SteeringLimitError,
 )
-from ..quadrature import RECTANGULAR, Integrator
+from ..quadrature import RECTANGULAR, RULES, Integrator
 from ..sim import Scenario, SimTrace, TraceRecorder, check_state, rk4_step
 from ..signals import noise_table
 
@@ -36,8 +36,8 @@ NEWTON_STEPS = 4  # Newton steps on the tangency root before falling back to bis
 NEWTON_TOL = 1e-12  # a Newton step shorter than this (in segment fraction) has converged
 DESCENT_REACH = 50  # a hinted match searches this many samples either side of the hint
 # controller.* options: parser and default; omega is the distance-domain pole [rad/m]
-CONTROLLER = {"kind": (_str, "observer"), "omega": (_float, 0.5), "omega_d": (_float, 2.0),
-              "quadrature": (_str, RECTANGULAR)}
+CONTROLLER = {"kind": (_choice("observer", "known_d"), "observer"), "omega": (_float, 0.5),
+              "omega_d": (_float, 2.0), "quadrature": (_choice(*RULES), RECTANGULAR)}
 BANDWIDTH = "omega_d"
 NO_OBSERVER = ("known_d",)
 KEYS = {"plant.wheelbase": _float, "plant.speed": _float, "plant.x0": _floats,
@@ -52,6 +52,11 @@ PLOTS = (
 )
 LOCKSTEP = False
 bound = None  # no ultimate-bound check applies
+
+
+def noise_channels(scenario: Scenario) -> int:
+    """The noised measurement channels: the pose x, y, theta."""
+    return 3
 
 
 def wrap_angle(a: float) -> float:
@@ -471,9 +476,7 @@ def run(scenario: Scenario) -> SimTrace:
     dt = scenario.dt
     ds = v * dt
     n_steps = scenario.n_steps
-    # measurement noise channels: x(0), y(1), theta(2); the controller sees
-    # the noised pose, the trace records the true one
-    scenario.noise.check_channels(3)
+    # the controller sees the noised pose, the trace records the true one
     noise = None if scenario.noise.silent else noise_table(scenario.noise, 3, n_steps + 1)
     names = ["t", "x", "y", "theta", "s_d", "l", "e_theta", "delta",
              "u_x", "d_hat", "d_true", "d_lump", "r_s"]

@@ -63,6 +63,12 @@ BANDWIDTH = "omega_f"
 NO_OBSERVER = ()
 
 
+def noise_channels(scenario: Scenario) -> int:
+    """The noised measurement channels: p (0-2), v (3-5) and the body rate
+    (6-8); R is not noised."""
+    return 9
+
+
 def _floats3(flat, key, default=None):
     values = _floats(flat, key, default)
     if values is not None and len(values) != 3:
@@ -494,8 +500,6 @@ def run(scenario: Scenario) -> SimTrace:
     dt = scenario.dt
     n_steps = scenario.n_steps
     decimation = scenario.decimation
-    # measurement noise channels: p(0-2), v(3-5), omega(6-8); R is not noised
-    scenario.noise.check_channels(9)
     noise = None if scenario.noise.silent else noise_table(scenario.noise, 9, n_steps + 1)
 
     names = (

@@ -173,23 +173,32 @@ class TestTune:
         assert [float(gains["a0"]), float(gains["a1"])] == list(a)
 
 
+# chain configs every command rejects, and the start of the message naming the key
+CHAIN_REJECTED = pytest.mark.parametrize("changes,message", [
+    ({"controller.omegaa": 3}, "controller.omegaa: not a key of plant 'chain'"),
+    ({"plant.x0": "1,2,3"}, "plant.x0: expected 2 values"),
+    ({"plant.x0": "1,abc"}, "plant.x0: expected comma-separated numbers"),
+    ({"controller.kind": "lqr"}, "controller.kind: unknown kind 'lqr'"),
+    ({"sim.duration": None}, "sim.duration: required"),
+    ({"controller.quadrature": "simpson"}, "controller.quadrature: unknown quadrature 'simpson'"),
+    ({"controller.observer_form": "bogus"},
+     "controller.observer_form: unknown observer_form 'bogus'"),
+    ({"noise.sigma": "0.1,0.2,0.3"}, "noise.sigma: expected 1 or 2 values, got 3"),
+], ids=["unread_key", "x0_length", "x0_number", "controller_kind", "no_duration",
+        "quadrature", "observer_form", "sigma_count"])
+
+
 @pytest.mark.parametrize("command", ["tune", "bode"])
 class TestChainCommandsReadAsSimulate:
     """tune and bode read a config as simulate does, and take only chains."""
 
-    @pytest.mark.parametrize("changes,message", [
-        ({"controller.omegaa": 3}, "controller.omegaa: not a key of plant 'chain'"),
-        ({"plant.x0": "1,2,3"}, "plant.x0: expected 2 values"),
-        ({"plant.x0": "1,abc"}, "plant.x0: expected comma-separated numbers"),
-        ({"controller.kind": "lqr"}, "controller.kind: unknown kind 'lqr'"),
-        ({"sim.duration": None}, "sim.duration: required"),
-    ], ids=["unread_key", "x0_length", "x0_number", "controller_kind", "no_duration"])
+    @CHAIN_REJECTED
     def test_what_simulate_rejects_exits_2(self, tmp_path, capsys, command, changes, message):
         conf = write_conf(tmp_path, stock("chain_step.conf", **changes))
         assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert main([command, "--config", conf, "--out", str(tmp_path / "out.csv")]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out.csv").exists()
 
     def test_other_plants_exit_2(self, tmp_path, capsys, command):
@@ -198,6 +207,15 @@ class TestChainCommandsReadAsSimulate:
                          "--out", str(tmp_path / "out.csv")]) == 2
             assert f"plant.kind: {command} takes a chain plant, got '{kind}'" in \
                 capsys.readouterr().err
+
+
+@CHAIN_REJECTED
+def test_sweep_rejects_what_simulate_rejects(tmp_path, capsys, changes, message):
+    conf = write_conf(tmp_path, stock("chain_step.conf", **changes))
+    assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                 "--grid", "omega=1,2"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "x" / "sweep.csv").exists()
 
 
 class TestSimulate:

@@ -5,6 +5,7 @@ import pytest
 
 from lumped_pid.errors import ConfigError, DivergedError
 from lumped_pid.plants.chain import IntegratorChain
+from lumped_pid import signals
 from lumped_pid.signals import Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise, noise_channel
 from lumped_pid.sim import Scenario, rk4_step, run_scenario
 
@@ -114,6 +115,26 @@ class TestGaussianNoise:
         earlier = gaussian_noise(spec, 0, 3)
         assert gaussian_noise(spec, 1, 3) == later
         assert gaussian_noise(spec, 0, 3) == earlier
+
+    def test_inverse_cdf_is_scipys_bit_for_bit_on_the_addressed_stream(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        n = 10**6
+        for seed, channel in ((0, 0), (2**64 - 1, 5)):
+            spec = NoiseSpec(sigmas=(1.0,), seed=seed)
+            u = np.random.Generator(signals._stream(seed, channel)).random(n)
+            expected = ndtri(np.maximum(u, signals._MIN_UNIFORM))
+            assert np.array_equal(noise_channel(spec, channel, n).view(np.int64),
+                                  expected.view(np.int64))
+
+    def test_inverse_cdf_is_scipys_bit_for_bit_at_edges_and_branch_points(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        ys = [2.0**-54, 5e-324, 0.5, 1.0 - 2.0**-53]
+        # the central/tail branch points, and y = exp(-32), where x = 8
+        # switches the tail from P1/Q1 to P2/Q2
+        for point in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32)):
+            ys += [math.nextafter(point, 0.0), point, math.nextafter(point, 1.0)]
+        ys = np.array(ys)
+        assert np.array_equal(signals._ndtri(ys).view(np.int64), ndtri(ys).view(np.int64))
 
     def test_moments(self):
         big = noise_channel(NoiseSpec(sigmas=(1.0,), seed=123), 0, 10**6)
