@@ -18,7 +18,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .analysis import MetricsRow, default_grid, trace_metrics, write_metrics_csv
@@ -28,7 +27,7 @@ from .errors import ConfigError, LumpedPidError
 from .plants import chain, plant_module
 from .polylti import frequency_response
 from .signals import NoiseSpec
-from .sim import run_each, run_scenario
+from .sim import run_scenario
 from .svgplot import write_line_plot
 
 EXIT_OK = 0
@@ -37,10 +36,6 @@ EXIT_RUN_FAILED = 3
 EXIT_PARTIAL = 4
 
 _PLOT_POINTS = 2000
-# One lockstep step costs about as much as five float steps whatever the lane
-# count (measured on second-order chains, generalized and homogeneous), so
-# smaller groups of sweep cells run one at a time.
-_LOCKSTEP_MIN_CELLS = 5
 
 
 def _seed_override() -> int | None:
@@ -191,9 +186,8 @@ def _failure_status(exc: LumpedPidError) -> str:
 
 def _sweep_rows(cells: list) -> list[MetricsRow]:
     """The rows of a contiguous group of ``(scenario_id, scenario)`` sweep cells."""
-    scenarios = [scenario for _, scenario in cells]
-    # a lockstep plant runs a large group as the lanes of one run
-    outcomes = iter((run_scenario if len(cells) >= _LOCKSTEP_MIN_CELLS else run_each)(scenarios))
+    # a lockstep plant runs a large enough group as the lanes of one run
+    outcomes = iter(run_scenario([scenario for _, scenario in cells]))
     rows = []
     for scenario_id, scenario in cells:
         outcome = next(outcomes)  # not zip(): each trace is freed before the next cell runs
@@ -242,6 +236,8 @@ def cmd_sweep(args) -> int:
     parts = min(args.parallel, len(cells))
     groups = [cells[len(cells) * i // parts:len(cells) * (i + 1) // parts] for i in range(parts)]
     if parts > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: a costly import
+
         with ProcessPoolExecutor(max_workers=parts) as pool:
             rows = [row for part in pool.map(_sweep_rows, groups) for row in part]
     else:

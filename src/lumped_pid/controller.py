@@ -251,7 +251,6 @@ class ClassicPidController:
         self.config = config
         self.rule = rule
         self._integ = Integrator(rule)
-        self.u_x = 0.0
         self.f_hat = math.nan  # the classic form has no separate estimate
 
     def step(self, z: Sequence[float]) -> float:
@@ -262,9 +261,7 @@ class ClassicPidController:
         e_dot = z[1] if cfg.n == 2 else 0.0
         integral = self._integ.push(e, cfg.dt)
         kd = self.gains.kd if self.gains.kd is not None else 0.0
-        u = -(kd * e_dot + self.gains.kp * e + self.gains.ki * integral) / cfg.b
-        self.u_x = u * cfg.b
-        return u
+        return -(kd * e_dot + self.gains.kp * e + self.gains.ki * integral) / cfg.b
 
 
 def _stack_lanes(values: Sequence):

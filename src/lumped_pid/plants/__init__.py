@@ -4,8 +4,9 @@ Each declares its plant, reference and path config ``KEYS`` (with parsers);
 ``CONTROLLER``, each controller option's parser and default, which a
 Scenario fills in; ``BANDWIDTH``, ``NO_OBSERVER`` and ``parse_disturbance``;
 its trace's metric ``SIGNAL``, ``OBSERVER`` (true, estimate) columns and
-``PLOTS`` (file stem, column patterns, title, y label); ``LOCKSTEP``, whether
-``run`` takes a list of lanes; ``noise_channels``, a scenario's count of
+``PLOTS`` (file stem, column patterns, title, y label); ``LOCKSTEP``, the
+fewest scenarios ``run`` takes as the lanes of one run, or None if it takes
+no list; ``noise_channels``, a scenario's count of
 noised measurement channels; ``run``; and ``bound``, a trace's
 ultimate-bound check or None. The registry holds modules, so a function
 replaced on one (by a profiler, say) is the one called.

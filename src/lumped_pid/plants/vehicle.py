@@ -50,7 +50,7 @@ PLOTS = (
     ("lateral", ("l", "e_theta"), "lateral error", "l [m], e_theta [rad]"),
     ("steering", ("delta", "d_hat"), "steering and estimate", "rad"),
 )
-LOCKSTEP = False
+LOCKSTEP = None
 bound = None  # no ultimate-bound check applies
 
 
@@ -179,7 +179,10 @@ class FrenetPath:
     def from_csv(cls, path) -> "FrenetPath":
         """Columns ``s,x,y,theta,kappa`` with a header row, checked by
         :meth:`validate_geometry`."""
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        try:
+            data = np.genfromtxt(path, delimiter=",", names=True)
+        except OSError as exc:
+            raise ConfigError(f"path.file: cannot read {path}: {exc}") from exc
         for col in ("s", "x", "y", "theta", "kappa"):
             if col not in (data.dtype.names or ()):
                 raise ConfigError(f"path csv missing column {col!r}")
@@ -364,15 +367,6 @@ def frenet_match(
                              kappa_d=kappa_d, segment=i)
 
 
-def lateral_error_derivatives(err: LateralErrorState, delta: float, d: float,
-                              L: float, r_s: float, kappa_d: float) -> tuple[float, float]:
-    """Distance-domain error model: l' = sin(e_theta) and
-    l'' = cos(e_theta) (r_s kappa_d - tan(delta+d)/L)."""
-    lp = math.sin(err.e_theta)
-    lpp = math.cos(err.e_theta) * (r_s * kappa_d - math.tan(delta + d) / L)
-    return lp, lpp
-
-
 def _check_heading(e_theta: float) -> float:
     if abs(e_theta) >= HEADING_LIMIT:
         raise SteeringLimitError(
@@ -427,9 +421,8 @@ class LateralObserverController:
         return math.atan(self.L * sec * (u_x + d_hat))
 
 
-def _build_path(opts: dict) -> FrenetPath:
+def _build_path(opts: dict, spacing: float) -> FrenetPath:
     kind = opts.get("kind", "line")
-    spacing = float(opts.get("spacing", 0.25))
     if kind == "line":
         return FrenetPath.line(float(opts.get("length", 200.0)), spacing)
     if kind == "circle":
@@ -446,15 +439,19 @@ def run(scenario: Scenario) -> SimTrace:
     opts = scenario.plant
     L = float(opts.get("wheelbase", 2.7))
     v = float(opts.get("speed", 10.0))
-    if not (v > 0.0):
-        raise ConfigError(f"plant.speed: must be positive, got {v!r}")
-    plant = Bicycle(L, v)
-    path = _build_path(opts.get("path", {"kind": "line"}))
+    path_opts = opts.get("path", {"kind": "line"})
+    spacing = float(path_opts.get("spacing", 0.25))
     capture = float(opts.get("capture_radius", DEFAULT_CAPTURE))
-
     copts = scenario.controller
-    kind = copts["kind"]
     omega = float(copts["omega"])
+    for key, value in (("plant.speed", v), ("path.spacing", spacing),
+                       ("plant.capture_radius", capture), ("controller.omega", omega)):
+        if not (value > 0.0):
+            raise ConfigError(f"{key}: must be positive, got {value!r}")
+    plant = Bicycle(L, v)
+    path = _build_path(path_opts, spacing)
+
+    kind = copts["kind"]
     k0 = omega * omega
     k1 = 2.0 * omega
     bias = scenario.disturbance  # steering disturbance signal d(t) [rad]
@@ -477,7 +474,8 @@ def run(scenario: Scenario) -> SimTrace:
     ds = v * dt
     n_steps = scenario.n_steps
     # the controller sees the noised pose, the trace records the true one
-    noise = None if scenario.noise.silent else noise_table(scenario.noise, 3, n_steps + 1)
+    noise = (None if scenario.noise.silent
+             else noise_table(scenario.noise, noise_channels(scenario), n_steps + 1))
     names = ["t", "x", "y", "theta", "s_d", "l", "e_theta", "delta",
              "u_x", "d_hat", "d_true", "d_lump", "r_s"]
     rec = TraceRecorder(names, scenario.decimation)

@@ -117,7 +117,7 @@ PLOTS = (
     ("position", ("px", "py", "pz"), "position", "p [m]"),
     ("error", ("err_norm",), "tracking error", "|p err| [m]"),
 )
-LOCKSTEP = False
+LOCKSTEP = None
 bound = None  # no ultimate-bound check applies
 
 
@@ -219,20 +219,9 @@ def attitude_error(R9, Rd9, w, wd):
     return g_t, g_dot, G
 
 
-class Reference:
-    """Position/heading reference with velocity (accelerations are lumped)."""
-
-    def position(self, t):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def velocity(self, t):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def heading(self, t) -> float:
-        return 0.0
-
-
-class HoverRef(Reference):
+# A reference gives position(t) and velocity(t) (its accelerations are
+# lumped) and holds the constant heading psi.
+class HoverRef:
     def __init__(self, p, psi=0.0):
         self.p = tuple(float(x) for x in p)
         self.psi = float(psi)
@@ -243,11 +232,8 @@ class HoverRef(Reference):
     def velocity(self, t):
         return (0.0, 0.0, 0.0)
 
-    def heading(self, t):
-        return self.psi
 
-
-class CircleRef(Reference):
+class CircleRef:
     def __init__(self, radius, omega, height, psi=0.0):
         self.radius = float(radius)
         self.omega = float(omega)
@@ -262,11 +248,8 @@ class CircleRef(Reference):
         rw = self.radius * self.omega
         return (-rw * math.sin(self.omega * t), rw * math.cos(self.omega * t), 0.0)
 
-    def heading(self, t):
-        return self.psi
 
-
-class LissajousRef(Reference):
+class LissajousRef:
     def __init__(self, amplitude, freq, phase, height, psi=0.0):
         self.amplitude = tuple(float(a) for a in amplitude)
         self.freq = tuple(float(f) for f in freq)
@@ -286,15 +269,12 @@ class LissajousRef(Reference):
                 a[1] * f[1] * math.cos(f[1] * t + ph[1]),
                 a[2] * f[2] * math.cos(f[2] * t + ph[2]))
 
-    def heading(self, t):
-        return self.psi
-
 
 class VtolController:
     """Translational + attitude loops with per-loop equal-pole gains
     (k0 = omega^2, k1 = 2 omega) and per-loop disturbance observers."""
 
-    def __init__(self, params: VtolParams, reference: Reference, dt: float,
+    def __init__(self, params: VtolParams, reference, dt: float,
                  omega_pos: float, omega_f: float, omega_att: float, omega_tau: float):
         for name, val in (("omega", omega_pos), ("omega_f", omega_f),
                           ("omega_att", omega_att), ("omega_tau", omega_tau)):
@@ -329,7 +309,7 @@ class VtolController:
         vx, vy, vz = v
         rx, ry, rz = self.reference.position(t)
         rvx, rvy, rvz = self.reference.velocity(t)
-        psi_d = self.reference.heading(t)
+        psi_d = self.reference.psi
         ex, ey, ez = p_err = (px - rx, py - ry, pz - rz)
         evx, evy, evz = vx - rvx, vy - rvy, vz - rvz
 
@@ -444,7 +424,7 @@ def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval,
     return p_new, v_new, R_new, w_new
 
 
-def _build_reference(opts: dict) -> Reference:
+def _build_reference(opts: dict) -> HoverRef | CircleRef | LissajousRef:
     kind = opts.get("kind", "hover")
     psi = float(opts.get("psi", 0.0))
     if kind == "hover":
@@ -500,7 +480,8 @@ def run(scenario: Scenario) -> SimTrace:
     dt = scenario.dt
     n_steps = scenario.n_steps
     decimation = scenario.decimation
-    noise = None if scenario.noise.silent else noise_table(scenario.noise, 9, n_steps + 1)
+    noise = (None if scenario.noise.silent
+             else noise_table(scenario.noise, noise_channels(scenario), n_steps + 1))
 
     names = (
         ["t", "px", "py", "pz", "vx", "vy", "vz"]

@@ -105,15 +105,6 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    out = [0.0] * max(len(a.coeffs), len(b.coeffs))
-    for i, c in enumerate(a.coeffs):
-        out[i] += c
-    for i, c in enumerate(b.coeffs):
-        out[i] += c
-    return Polynomial(out)
-
-
 def evaluate_at(tf: RationalTransferFunction, s: complex) -> complex:
     """num(s)/den(s) via complex Horner evaluation.
 

@@ -157,8 +157,20 @@ class Scenario:
 
     def __post_init__(self):
         from .plants import plant_module  # the plant modules import this one
-        declared = plant_module(self.plant_kind).CONTROLLER
-        self.controller = {**{name: d for name, (_, d) in declared.items()}, **self.controller}
+        module = plant_module(self.plant_kind)
+        declared = {*module.KEYS, *(f"controller.{name}" for name in module.CONTROLLER)}
+        given = [f"controller.{name}" for name in self.controller]
+        for name, value in self.plant.items():
+            # a nested dict holds the options of a reference.* or path.* section
+            given += ([f"{name}.{key}" for key in value] if isinstance(value, dict)
+                      else [f"plant.{name}"])
+        unknown = [key for key in given if key not in declared]
+        if unknown:
+            raise ConfigError(f"{unknown[0]}: not a key of plant {self.plant_kind!r}")
+        self.controller = {**{name: d for name, (_, d) in module.CONTROLLER.items()},
+                           **self.controller}
+        if not (self.threshold > 0.0):
+            raise ConfigError(f"metrics.threshold: must be positive, got {self.threshold!r}")
         if not (self.dt > 0.0):
             raise ConfigError(f"sim.dt: must be positive, got {self.dt!r}")
         if not (self.duration > 0.0):
@@ -281,9 +293,9 @@ def run_scenario(scenario: Scenario | Sequence[Scenario]):
 
     Given a list of scenarios of one plant, gives one outcome per scenario,
     in order: its trace, or the run failure (with ``step``) that stopped it.
-    A ``LOCKSTEP`` plant runs the list as the lanes of one run; any other
-    runs each scenario alone (:func:`run_each`). An error raised before a
-    run's loop propagates.
+    A list of at least the plant's ``LOCKSTEP`` scenarios runs as the lanes
+    of one run; any other runs each scenario alone (:func:`run_each`). An
+    error raised before a run's loop propagates.
     """
     from .plants import plant_module  # the plant modules import this one
 
@@ -293,7 +305,8 @@ def run_scenario(scenario: Scenario | Sequence[Scenario]):
     if len(kinds) != 1:
         raise ConfigError(f"a list of scenarios takes one plant, got {kinds}")
     plant = plant_module(kinds[0])
-    return plant.run(scenario) if plant.LOCKSTEP else run_each(scenario)
+    lockstep = plant.LOCKSTEP is not None and len(scenario) >= plant.LOCKSTEP
+    return plant.run(scenario) if lockstep else run_each(scenario)
 
 
 def run_each(scenarios: Sequence[Scenario]) -> Iterator:

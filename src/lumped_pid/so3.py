@@ -1,4 +1,4 @@
-"""Minimal SO(3) kinematics: skew map, Rodrigues exponential, Gram-Schmidt.
+"""Minimal SO(3) kinematics: Rodrigues exponential, Gram-Schmidt.
 
 The helpers take and return Python floats: tuples for 3-vectors, flat
 row-major 9-tuples for matrices. Array dispatch overhead on 3x3 operations is
@@ -116,11 +116,6 @@ def inv3(m):
         (m[1] * m[6] - m[0] * m[7]) * inv_d,
         (m[0] * m[4] - m[1] * m[3]) * inv_d,
     )
-
-
-def hat3(v):
-    """(x1,x2,x3) -> [[0,-x3,x2],[x3,0,-x1],[-x2,x1,0]]; hat(v) w = v x w."""
-    return (0.0, -v[2], v[1], v[2], 0.0, -v[0], -v[1], v[0], 0.0)
 
 
 def _exp_coeffs(phi2):

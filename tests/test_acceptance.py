@@ -54,6 +54,11 @@ def chain_scenario(**overrides):
     return Scenario(**base)
 
 
+def hat3(v):
+    """The skew matrix of v, flat row-major: hat(v) w = v x w."""
+    return (0.0, -v[2], v[1], v[2], 0.0, -v[0], -v[1], v[0], 0.0)
+
+
 @criterion("criterion 1: PI/PID equivalence")
 def test_pi_pid_equivalence():
     # 100 randomized configs, 1e4-step random measurement sequences, both
@@ -191,7 +196,7 @@ def test_vtol_hover_and_wind():
     v_dot, w_dot = rigid_body_accel(
         (R9[2], R9[5], R9[8]), zero, params.mass * params.gravity, zero,
         1.0 / params.mass, params.gravity, J9, so3.inv3(J9), zero, zero)
-    p_dot, r_dot = zero, so3.mat_mul(R9, so3.hat3(zero))  # p_dot = v, R_dot = R hat(omega)
+    p_dot, r_dot = zero, so3.mat_mul(R9, hat3(zero))  # p_dot = v, R_dot = R hat(omega)
     residual = math.sqrt(sum(x * x for x in p_dot + v_dot + r_dot + w_dot))
     assert residual < 1e-12, f"hover derivative norm {residual:.3e}"
 

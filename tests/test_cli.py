@@ -7,12 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from lumped_pid import cli
 from lumped_pid.cli import main
 from lumped_pid.config import build_scenario, load_config, parse_config_text
 from lumped_pid.controller import synthesize_gains
 from lumped_pid.errors import ConfigError
-from lumped_pid.plants import vehicle
+from lumped_pid.plants import chain, vehicle
 from lumped_pid.signals import Sum
 
 
@@ -388,7 +387,7 @@ class TestSweep:
 
 def sweep_bytes(tmp_path, monkeypatch, text, grid, *extra, lockstep):
     """sweep.csv bytes with every chain cell run in lockstep, or each alone."""
-    monkeypatch.setattr(cli, "_LOCKSTEP_MIN_CELLS", 1 if lockstep else 10**9)
+    monkeypatch.setattr(chain, "LOCKSTEP", 1 if lockstep else None)
     name = f"{'lockstep' if lockstep else 'alone'}{len(list(tmp_path.iterdir()))}"
     out = tmp_path / name
     code = main(["sweep", "--config", write_conf(tmp_path, text, name + ".conf"),
@@ -471,8 +470,8 @@ class TestLockstepSweep:
         # the base config is invalid, so no cell runs: exit 2, as simulate does
         conf = write_conf(tmp_path, stock("chain_step.conf", **{"sim.duration": 1.0,
                                                                 "plant.x0": "1,2,3"}))
-        for min_cells in (1, 10**9):  # every cell in lockstep, or each alone
-            monkeypatch.setattr(cli, "_LOCKSTEP_MIN_CELLS", min_cells)
+        for min_cells in (1, None):  # every cell in lockstep, or each alone
+            monkeypatch.setattr(chain, "LOCKSTEP", min_cells)
             assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
                          "--grid", "omega=1,2,5", "sigma=0,0.01"]) == 2
             assert "plant.x0: expected 2 values, got 3" in capsys.readouterr().err
@@ -773,6 +772,44 @@ class TestCsvPath:
         assert main(["sweep", "--config", conf, "--out", str(tmp_path / "s"),
                      "--grid", "omega=0.5,1"]) == 2
         assert "inconsistent with curvature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_unreadable_file_is_a_config_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        text = stock("vehicle_bias.conf", **{"path.kind": "csv", "path.length": None,
+                                             "path.file": path, "sim.duration": 0.5})
+        conf = write_conf(tmp_path, text)
+        for command in (["simulate"], ["sweep", "--grid", "omega=0.5,1"]):
+            assert main([command[0], "--config", conf, "--out", str(tmp_path / "x"),
+                         *command[1:]]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: path.file: cannot read {path}")
+
+
+@pytest.mark.parametrize("conf,changes,message", [
+    ("vehicle_bias.conf", {"controller.omega": 0}, "controller.omega: must be positive, got 0.0"),
+    ("vehicle_bias.conf", {"controller.omega": -0.5}, "controller.omega: must be positive"),
+    ("vehicle_bias.conf", {"controller.kind": "known_d", "controller.omega": 0},
+     "controller.omega: must be positive"),
+    ("vehicle_bias.conf", {"path.spacing": 0}, "path.spacing: must be positive, got 0.0"),
+    ("vehicle_bias.conf", {"path.spacing": -1}, "path.spacing: must be positive"),
+    ("vehicle_bias.conf", {"plant.capture_radius": -1}, "plant.capture_radius: must be positive"),
+    ("chain_step.conf", {"metrics.threshold": -1}, "metrics.threshold: must be positive"),
+    ("chain_step.conf", {"metrics.threshold": 0}, "metrics.threshold: must be positive"),
+    ("vtol_wind.conf", {"metrics.threshold": -0.5}, "metrics.threshold: must be positive"),
+], ids=["omega_zero", "omega_negative", "known_d_omega_zero", "spacing_zero",
+        "spacing_negative", "capture_radius_negative", "threshold_negative", "threshold_zero",
+        "vtol_threshold"])
+def test_out_of_domain_option_exits_2(tmp_path, capsys, conf, changes, message):
+    """An option outside its domain is a config error for simulate and sweep,
+    whose message starts with the key."""
+    conf = write_conf(tmp_path, stock(conf, **changes, **{"sim.duration": 0.05}))
+    assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert main(["sweep", "--config", conf, "--out", str(tmp_path / "sweep"),
+                 "--grid", "sigma=0,0.01"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "sim").exists() or not any((tmp_path / "sim").iterdir())
 
 
 class TestNonFiniteInputs:

@@ -20,12 +20,21 @@ from lumped_pid.controller import (
     synthesize_gains,
 )
 from lumped_pid.errors import ConfigError, DimensionMismatchError, OrderMismatchError
-from lumped_pid.polylti import binomial_poly, dc_gain, evaluate_at, poly_add
+from lumped_pid.polylti import Polynomial, binomial_poly, dc_gain, evaluate_at
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL, Integrator
 
 
 def cfg(n=2, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3):
     return ControllerConfig(n=n, b=b, omega=omega, omega_f=omega_f, dt=dt)
+
+
+def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
+    out = [0.0] * max(len(a.coeffs), len(b.coeffs))
+    for i, c in enumerate(a.coeffs):
+        out[i] += c
+    for i, c in enumerate(b.coeffs):
+        out[i] += c
+    return Polynomial(out)
 
 
 class TestConfigValidation:

@@ -23,14 +23,14 @@ def test_star_import():
     assert set(lumped_pid.__all__) <= set(namespace)
 
 
-# Prints the scipy modules loaded once the statements before it have run.
-_SCIPY_MODULES = "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
-
-
-def _scipy_modules_after(code: str, tmp_path) -> str:
+def _loaded_after(code: str, tmp_path, *packages: str) -> str:
+    """The modules of ``packages`` that a fresh interpreter has loaded once
+    ``code`` has run, as a printed list."""
     # run from tmp_path, with the package importable as the tests import it
     package_root = Path(lumped_pid.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", f"{code}; {_SCIPY_MODULES}"],
+    report = (f"import sys; print([m for m in sys.modules "
+              f"if m in {packages!r} or m.startswith({tuple(p + '.' for p in packages)!r})])")
+    proc = subprocess.run([sys.executable, "-c", f"{code}; {report}"],
                           capture_output=True, text=True, cwd=tmp_path, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(package_root)})
     assert proc.returncode == 0, proc.stderr
@@ -41,7 +41,7 @@ class TestRuntimeWithoutScipy:
     """The library and CLI run on numpy alone; scipy is a test reference."""
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
-        assert _scipy_modules_after("import sys, lumped_pid.cli", tmp_path) == "[]"
+        assert _loaded_after("import lumped_pid.cli", tmp_path, "scipy") == "[]"
 
     def test_noisy_simulate_loads_no_scipy(self, tmp_path):
         text = (ROOT / "configs" / "chain_step.conf").read_text()
@@ -49,10 +49,10 @@ class TestRuntimeWithoutScipy:
         conf.write_text("\n".join(line for line in text.splitlines()
                                   if not line.startswith(("noise.sigma", "sim.duration")))
                         + "\nnoise.sigma = 0.01\nsim.duration = 0.5\n")
-        code = ("import sys, lumped_pid.cli; "
+        code = ("import lumped_pid.cli; "
                 f"assert lumped_pid.cli.main(['simulate', '--config', {str(conf)!r}, "
                 f"'--out', {str(tmp_path / 'out')!r}]) == 0")
-        assert _scipy_modules_after(code, tmp_path) == "[]"
+        assert _loaded_after(code, tmp_path, "scipy") == "[]"
         assert (tmp_path / "out" / "trace.csv").is_file()
 
     def test_runtime_dependencies_are_numpy_only(self):
@@ -61,3 +61,22 @@ class TestRuntimeWithoutScipy:
         names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
         assert names == ["numpy"]
         assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+class TestProcessPoolOnlyForParallelSweeps:
+    """Only ``sweep --parallel N`` with N > 1 imports the process pool."""
+
+    POOL = ("concurrent.futures", "multiprocessing")
+
+    def test_cli_import_loads_no_pool(self, tmp_path):
+        assert _loaded_after("import lumped_pid.cli", tmp_path, *self.POOL) == "[]"
+
+    def test_serial_sweep_loads_no_pool(self, tmp_path):
+        conf = tmp_path / "short.conf"
+        conf.write_text((ROOT / "configs" / "chain_step.conf").read_text()
+                        + "\nsim.duration = 0.05\n")
+        code = ("import lumped_pid.cli; "
+                f"assert lumped_pid.cli.main(['sweep', '--config', {str(conf)!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}, '--grid', 'omega=1,2']) == 0")
+        assert _loaded_after(code, tmp_path, *self.POOL) == "[]"
+        assert (tmp_path / "out" / "sweep.csv").is_file()

@@ -42,11 +42,16 @@ class TestRunLookup:
         monkeypatch.setattr(chain, "run", spy)
         scenario = short_scenario("chain")
         assert run_scenario(scenario) == "traced"
-        assert run_scenario([scenario, scenario]) == "traced"
-        assert calls == [scenario, [scenario, scenario]]
+        # five chain scenarios run as the lanes of one run, four one at a time
+        assert run_scenario([scenario] * 5) == "traced"
+        assert calls == [scenario, [scenario] * 5]
+        calls.clear()
+        assert list(run_scenario([scenario] * 4)) == ["traced"] * 4
+        assert calls == [scenario] * 4
 
     def test_lockstep_only_where_the_module_allows_it(self):
-        assert [kind for kind, module in plants.PLANTS.items() if module.LOCKSTEP] == ["chain"]
+        assert {kind: module.LOCKSTEP for kind, module in plants.PLANTS.items()} == {
+            "chain": 5, "vtol": None, "vehicle": None}
         # a list of another plant's scenarios gives each scenario's run alone
         first = short_scenario("vtol")
         second = dataclasses.replace(first, controller={**first.controller, "omega": 3.0})
@@ -132,3 +137,27 @@ def test_a_direct_scenario_carries_every_declared_option(kind):
     # as is every option a config leaves out
     built = build_scenario({"plant.kind": kind, "sim.duration": "1"})
     assert built.controller == scenario.controller
+
+
+@pytest.mark.parametrize("kind,plant,controller,key", [
+    ("vehicle", {"speeed": 5.0, "path": {"kind": "line", "lenght": 50}}, {"omgea": 3.0},
+     "controller.omgea"),
+    ("vehicle", {"speeed": 5.0}, {}, "plant.speeed"),
+    ("vehicle", {"path": {"kind": "line", "lenght": 50}}, {}, "path.lenght"),
+    ("vtol", {"reference": {"kind": "hover", "psii": 1.0}}, {}, "reference.psii"),
+    ("vtol", {"path": {"kind": "line"}}, {}, "path.kind"),
+    ("chain", {"order": 2, "speed": 1.0}, {}, "plant.speed"),
+    ("chain", {}, {"omega_d": 2.0}, "controller.omega_d"),
+], ids=["first_of_three", "plant", "nested_path", "nested_reference", "other_plants_section",
+        "chain_plant", "chain_controller"])
+def test_a_direct_scenario_rejects_undeclared_options(kind, plant, controller, key):
+    with pytest.raises(ConfigError) as raised:
+        Scenario(plant_kind=kind, plant=plant, controller=controller, disturbance=Constant(0.0))
+    assert str(raised.value) == f"{key}: not a key of plant {kind!r}"
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, float("nan")])
+def test_a_direct_scenario_rejects_a_threshold_that_is_not_positive(threshold):
+    with pytest.raises(ConfigError, match="^metrics.threshold: must be positive"):
+        Scenario(plant_kind="chain", plant={}, controller={}, disturbance=Constant(0.0),
+                 threshold=threshold)

@@ -13,7 +13,6 @@ from lumped_pid.polylti import (
     evaluate_at,
     frequency_response,
     log_grid,
-    poly_add,
     poly_mul,
 )
 
@@ -202,9 +201,3 @@ class TestFrequencyResponse:
     def test_log_grid_needs_a_point_per_decade(self, points):
         with pytest.raises(ConfigError, match="points per decade"):
             log_grid(0.01, 100.0, points_per_decade=points)
-
-
-def test_poly_add():
-    a = Polynomial([1.0, 2.0])
-    b = Polynomial([0.0, -2.0, 3.0])
-    assert poly_add(a, b).coeffs == (1.0, 0.0, 3.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lumped_pid.errors import ConfigError, DivergedError
+from lumped_pid.plants import chain
 from lumped_pid.plants.chain import IntegratorChain
 from lumped_pid import signals
 from lumped_pid.signals import Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise, noise_channel
@@ -276,8 +277,9 @@ LOCKSTEP_COLUMNS = ("t", "x0", "f_true", "f_hat")
 
 
 def assert_lockstep_matches_alone(scenarios):
-    """Every lane of a lockstep run equals its scenario run alone, bit for bit."""
-    outcomes = run_scenario(scenarios)
+    """Every lane of a lockstep run equals its scenario run alone, bit for bit;
+    the chain's own ``run`` takes a list of any length as lanes."""
+    outcomes = chain.run(scenarios)
     assert len(outcomes) == len(scenarios)
     for scenario, outcome in zip(scenarios, outcomes):
         try:
@@ -360,6 +362,7 @@ class TestLockstep:
 
     def test_incompatible_scenarios_rejected(self):
         with pytest.raises(ConfigError, match="differ"):
-            run_scenario([make_scenario(duration=1.0), make_scenario(duration=2.0)])
+            chain.run([make_scenario(duration=1.0), make_scenario(duration=2.0)])
         with pytest.raises(ConfigError, match="chain"):
-            run_scenario([make_scenario(), make_scenario(plant_kind="vehicle")])
+            run_scenario([make_scenario(), make_scenario(plant_kind="vehicle", plant={},
+                                                         controller={})])

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from lumped_pid.plants.vehicle import (
     bicycle_derivative,
     frenet_match,
     lateral_controller_known_d,
-    lateral_error_derivatives,
     wrap_angle,
 )
 from lumped_pid.signals import Constant
@@ -42,6 +42,24 @@ def vehicle_scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+@pytest.mark.parametrize("plant,controller,message", [
+    ({}, {"omega": 0.0}, "controller.omega: must be positive, got 0.0"),
+    ({}, {"kind": "known_d", "omega": -0.5}, "controller.omega: must be positive"),
+    ({"path": {"kind": "line", "spacing": 0.0}}, {}, "path.spacing: must be positive"),
+    ({"path": {"kind": "circle", "spacing": -1.0}}, {}, "path.spacing: must be positive"),
+    ({"capture_radius": -1.0}, {}, "plant.capture_radius: must be positive"),
+    ({"path": {"kind": "csv", "file": str(Path(__file__).parent / "no_such_path.csv")}}, {},
+     "path.file: cannot read"),
+], ids=["omega_zero", "known_d_omega_negative", "spacing_zero", "circle_spacing_negative",
+        "capture_radius_negative", "unreadable_path_file"])
+def test_a_direct_scenario_outside_its_domain_fails_before_the_run(plant, controller, message):
+    scenario = vehicle_scenario(plant=plant, controller=controller, duration=0.05)
+    with pytest.raises(ConfigError) as raised:
+        run_scenario(scenario)
+    assert str(raised.value).startswith(message)
+    assert raised.value.step is None
 
 
 class TestWrapAngle:
@@ -309,6 +327,15 @@ class TestFrenetMatchProperties:
         assert len(calls) == 1
         assert abs(tangency(path, err.s_d, px, py)) <= 1e-12
         assert abs(err.s_d - bisection_match(path, px, py)) <= 1e-12
+
+
+def lateral_error_derivatives(err: LateralErrorState, delta: float, d: float,
+                              L: float, r_s: float, kappa_d: float) -> tuple[float, float]:
+    """Distance-domain error model: l' = sin(e_theta) and
+    l'' = cos(e_theta) (r_s kappa_d - tan(delta+d)/L)."""
+    lp = math.sin(err.e_theta)
+    lpp = math.cos(err.e_theta) * (r_s * kappa_d - math.tan(delta + d) / L)
+    return lp, lpp
 
 
 class TestLateralErrorDerivatives:

