@@ -155,15 +155,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
+def _parse_grid(specs: list[str], axes: list[str]) -> dict[str, list[float]]:
     grid = {}
     for spec in specs:
         if "=" not in spec:
             raise ConfigError(f"--grid: expected name=v1,v2,..., got {spec!r}")
         name, values = spec.split("=", 1)
         name = name.strip()
-        if name not in ("omega", "omega_f", "sigma"):
-            raise ConfigError(f"--grid: unknown axis {name!r} (omega, omega_f, sigma)")
+        if name not in axes:
+            raise ConfigError(f"--grid: unknown axis {name!r} ({', '.join(axes)})")
         if name in grid:
             raise ConfigError(f"--grid: axis {name!r} given twice")
         try:
@@ -174,8 +174,6 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
                                for v in vals):
             raise ConfigError(f"--grid: {name} values must be finite and positive")
         grid[name] = vals
-    if "omega" not in grid and "omega_f" not in grid and "sigma" not in grid:
-        raise ConfigError("--grid: need at least one axis")
     return grid
 
 
@@ -203,33 +201,38 @@ def _sweep_rows(cells: list) -> list[MetricsRow]:
 def cmd_sweep(args) -> int:
     if args.parallel < 1:
         raise ConfigError(f"--parallel: expected a worker count >= 1, got {args.parallel}")
-    flat = load_config(args.config)
-    grid = _parse_grid(args.grid)
-    base = build_scenario(flat, seed_override=_seed_override())
+    base = build_scenario(load_config(args.config), seed_override=_seed_override())
+    plant = plant_module(base.plant_kind)
+    # the axes: each float-valued controller option, the observer bandwidth
+    # under the name omega_f, then sigma
+    options = {("omega_f" if name == plant.BANDWIDTH else name): name
+               for name, (_, default) in plant.CONTROLLER.items() if isinstance(default, float)}
+    grid = _parse_grid(args.grid, [*options, "sigma"])
     bandwidth_option = _observer_bandwidth(base)[0]
     if "omega_f" in grid and bandwidth_option is None:
         raise ConfigError(
             f"--grid: omega_f: controller.kind {base.controller['kind']!r} "
             f"of plant {base.plant_kind!r} has no observer bandwidth"
         )
-    base_values = zip(("omega", "omega_f", "sigma"), _run_values(base))
-    axes = [sorted(grid.get(axis, [value])) for axis, value in base_values]
+    axes = [axis for axis in [*options, "sigma"] if axis in grid]
 
     cells = []
-    for index, (omega, omega_f, sigma) in enumerate(itertools.product(*axes)):
+    for index, values in enumerate(itertools.product(*(sorted(grid[axis]) for axis in axes))):
         # only grid axes are written: the rest is the base scenario's
-        controller = dict(base.controller)
-        if "omega" in grid:
-            controller["omega"] = omega
-        if "omega_f" in grid:
-            controller[bandwidth_option] = omega_f
+        cell = dict(zip(axes, values))
+        controller = {**base.controller,
+                      **{options[axis]: value for axis, value in cell.items() if axis != "sigma"}}
         scenario = dataclasses.replace(
             base, controller=controller,
-            noise=NoiseSpec((sigma,)) if "sigma" in grid else base.noise,
+            noise=NoiseSpec((cell["sigma"],)) if "sigma" in cell else base.noise,
             seed=base.seed + index if args.seed_policy == "per-cell" else base.seed,
         )
+        # the id names the values the row reports, then each further grid axis
+        omega, omega_f, sigma = _run_values(scenario)
         omegaf = "" if bandwidth_option is None else f"_omegaf={omega_f:g}"
-        cells.append((f"omega={omega:g}{omegaf}_sigma={sigma:g}", scenario))
+        further = "".join(f"_{axis}={value:g}" for axis, value in cell.items()
+                          if axis in options and axis not in ("omega", "omega_f"))
+        cells.append((f"omega={omega:g}{omegaf}{further}_sigma={sigma:g}", scenario))
 
     # every cell differs from the base only in its axes and seed, so a
     # lockstep plant runs each group as the lanes of one run
@@ -293,8 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter grid; one metrics row per cell")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--grid", nargs="+", required=True,
-                   metavar="AXIS=V1,V2", help="axes: omega, omega_f, sigma")
+    p.add_argument("--grid", nargs="+", required=True, metavar="AXIS=V1,V2",
+                   help="axes: the plant's float controller options, its observer bandwidth "
+                        "as omega_f, then sigma (chain and vehicle: omega, omega_f, sigma; "
+                        "VTOL: omega, omega_f, omega_att, omega_tau, sigma)")
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--seed-policy", choices=("fixed", "per-cell"), default="fixed")
     p.set_defaults(func=cmd_sweep)

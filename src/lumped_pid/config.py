@@ -19,8 +19,8 @@ Example (integrator chain):
 Each module of lumped_pid.plants declares the plant.*, reference.* and
 path.* keys it reads, its controller.* options with their defaults (a
 string option names its choices), and parses its disturbance.* keys. A key
-that nothing reads is an error, and so is a noise.sigma list whose length is
-neither 1 nor the plant's count of noised channels.
+given twice or that nothing reads is an error, and so is a noise.sigma list
+whose length is neither 1 nor the plant's count of noised channels.
 ``metrics.threshold`` (default 0.02) is the settling band of the metrics.
 """
 
@@ -39,6 +39,7 @@ _KNOWN_PREFIXES = ("plant", "controller", "disturbance", "noise", "sim",
 
 def parse_config_text(text: str) -> dict[str, str]:
     flat: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -52,7 +53,11 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
         if key.split(".", 1)[0] not in _KNOWN_PREFIXES:
             raise ConfigError(f"line {lineno}: unknown section {key.split('.', 1)[0]!r}")
+        if key in flat:
+            raise ConfigError(
+                f"line {lineno}: {key} given twice (first on line {first_line[key]})")
         flat[key] = value
+        first_line[key] = lineno
     return flat
 
 
@@ -71,11 +76,22 @@ def _float(flat, key, default=None):
         return default
     try:
         value = float(flat[key])
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected a number, got {flat[key]!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {flat[key]!r}")
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     return value
+
+
+def _positive(flat, key):
+    """A finite number > 0."""
+    value = _float(flat, key)
+    if not value > 0.0:
+        raise ConfigError(f"{key}: must be positive, got {value!r}")
+    return value
+
+
+_positive.checks = True  # it takes a typed value too, so a Scenario built in code runs it
 
 
 def _int(flat, key, default=None):
@@ -115,13 +131,16 @@ def _bool(flat, key, default=False):
 def _signal(flat: dict, prefix: str):
     """The signal at ``prefix``; it reads only the fields of its kind."""
     return build_signal(flat.get(prefix + ".kind", "none"),
-                        lambda name, default: _float(flat, f"{prefix}.{name}", default))
+                        lambda name, default: _float(flat, f"{prefix}.{name}", default),
+                        prefix + ".kind")
 
 
 def _scalar_signal(flat: dict, prefix: str = "disturbance"):
     if flat.get(prefix + ".kind") == "sum":
-        return Sum(tuple(_signal(flat, f"{prefix}.term{i}")
-                         for i in range(_int(flat, prefix + ".terms"))))
+        terms = _int(flat, prefix + ".terms")
+        if terms < 1:
+            raise ConfigError(f"{prefix}.terms: must be >= 1, got {terms}")
+        return Sum(tuple(_signal(flat, f"{prefix}.term{i}") for i in range(terms)))
     return _signal(flat, prefix)
 
 
@@ -138,6 +157,7 @@ def _choice(*choices: str):
                               f"expected one of {choices}")
         return flat[key]
 
+    parse.checks = True
     return parse
 
 
@@ -158,15 +178,14 @@ def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
     that neither the run nor its metrics read is an error, such as a plant
     section key its plant module does not declare; ``reference.*`` and
     ``path.*`` options nest in the plant options under their section."""
-    from .plants import plant_module  # the plant modules import this one
+    from .plants import option_parsers, plant_module  # the plant modules import this one
 
     flat = _ReadKeys(flat)
     kind = flat.get("plant.kind")
     if kind is None:
         raise ConfigError("plant.kind: required")
     module = plant_module(kind)
-    keys = {**module.KEYS,
-            **{f"controller.{name}": parse for name, (parse, _) in module.CONTROLLER.items()}}
+    keys = option_parsers(module)
     options = {"plant": {}, "controller": {}}
     for key in flat:
         if key in keys:

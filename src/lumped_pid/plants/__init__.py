@@ -26,3 +26,9 @@ def plant_module(kind: str):
         raise ConfigError(
             f"plant.kind: unknown plant {kind!r}, expected one of {sorted(PLANTS)}"
         ) from None
+
+
+def option_parsers(plant) -> dict:
+    """Each config key the module ``plant`` declares, with its parser."""
+    return {**plant.KEYS,
+            **{f"controller.{name}": parse for name, (parse, _) in plant.CONTROLLER.items()}}

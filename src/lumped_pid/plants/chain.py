@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis import BoundReport, check_bound
-from ..config import _bool, _choice, _float, _floats, _int, _scalar_signal
+from ..config import _bool, _choice, _float, _floats, _int, _positive, _scalar_signal
 from ..controller import (
     OBSERVER_FORMS,
     ClassicPidController,
@@ -34,12 +34,12 @@ from ..sim import (
 )
 from ..signals import noise_table
 
-CONTROLLER_KINDS = ("none", "homogeneous", "generalized", "pid")
 # Each controller.* option: its parser and the value a scenario without it
 # takes. BANDWIDTH names the option that sets the observer bandwidth; the
 # controller kinds in NO_OBSERVER read none.
-CONTROLLER = {"kind": (_choice(*CONTROLLER_KINDS), "generalized"), "omega": (_float, 1.0),
-              "omega_f": (_float, 1.0), "quadrature": (_choice(*RULES), RECTANGULAR),
+CONTROLLER = {"kind": (_choice("none", "homogeneous", "generalized", "pid"), "generalized"),
+              "omega": (_positive, 1.0), "omega_f": (_positive, 1.0),
+              "quadrature": (_choice(*RULES), RECTANGULAR),
               "observer_form": (_choice(*OBSERVER_FORMS), "integral"),
               "seed_integral": (_bool, False)}
 BANDWIDTH = "omega_f"
@@ -105,15 +105,11 @@ def noise_channels(scenario: Scenario) -> int:
 
 
 def controller_config(scenario: Scenario) -> ControllerConfig:
-    """The synthesis inputs of a chain scenario, once its plant and controller
-    kind are checked: what its controller, its bound check and the ``tune``
-    and ``bode`` commands use."""
+    """The synthesis inputs of a chain scenario, once its plant is checked:
+    what its controller, its bound check and the ``tune`` and ``bode``
+    commands use."""
     plant, _ = _plant(scenario)
     opts = scenario.controller
-    if opts["kind"] not in CONTROLLER_KINDS:
-        raise ConfigError(
-            f"controller.kind: unknown kind {opts['kind']!r}, expected one of {CONTROLLER_KINDS}"
-        )
     return ControllerConfig(n=plant.n, b=plant.b, omega=float(opts["omega"]),
                             omega_f=float(opts["omega_f"]), dt=scenario.dt)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import _choice, _float, _floats, _scalar_signal, _str
+from ..config import _choice, _floats, _positive, _scalar_signal, _str
 from ..errors import (
     AmbiguousMatchError,
     ConfigError,
@@ -36,13 +36,14 @@ NEWTON_STEPS = 4  # Newton steps on the tangency root before falling back to bis
 NEWTON_TOL = 1e-12  # a Newton step shorter than this (in segment fraction) has converged
 DESCENT_REACH = 50  # a hinted match searches this many samples either side of the hint
 # controller.* options: parser and default; omega is the distance-domain pole [rad/m]
-CONTROLLER = {"kind": (_choice("observer", "known_d"), "observer"), "omega": (_float, 0.5),
-              "omega_d": (_float, 2.0), "quadrature": (_choice(*RULES), RECTANGULAR)}
+CONTROLLER = {"kind": (_choice("observer", "known_d"), "observer"), "omega": (_positive, 0.5),
+              "omega_d": (_positive, 2.0), "quadrature": (_choice(*RULES), RECTANGULAR)}
 BANDWIDTH = "omega_d"
 NO_OBSERVER = ("known_d",)
-KEYS = {"plant.wheelbase": _float, "plant.speed": _float, "plant.x0": _floats,
-        "plant.capture_radius": _float, "path.kind": _str, "path.length": _float,
-        "path.radius": _float, "path.arc": _float, "path.spacing": _float, "path.file": _str}
+KEYS = {"plant.wheelbase": _positive, "plant.speed": _positive, "plant.x0": _floats,
+        "plant.capture_radius": _positive, "path.kind": _choice("line", "circle", "csv"),
+        "path.length": _positive, "path.radius": _positive, "path.arc": _positive,
+        "path.spacing": _positive, "path.file": _str}
 parse_disturbance = _scalar_signal  # the steering bias d(t) [rad]
 SIGNAL = "l"
 OBSERVER = ("d_lump", "d_hat")  # d_hat estimates the lumped term, not the bias d_true
@@ -71,8 +72,6 @@ class Bicycle:
     """Kinematic bicycle; state (x, y, theta), input delta, disturbance d."""
 
     def __init__(self, wheelbase: float, speed: float):
-        if not (wheelbase > 0.0):
-            raise ConfigError(f"plant.wheelbase: must be positive, got {wheelbase!r}")
         self.wheelbase = wheelbase
         self.speed = speed
 
@@ -137,16 +136,17 @@ class FrenetPath:
 
     def validate_geometry(self, tol: float = 1e-3) -> None:
         """Finite-difference consistency: d(x,y)/ds vs (cos,sin) theta and
-        d(theta)/ds vs kappa, midpoint-sampled."""
+        d(theta)/ds vs kappa, midpoint-sampled; a non-finite value fails it."""
         ds = np.diff(self.s)
         dx = np.diff(self.x) / ds
         dy = np.diff(self.y) / ds
         dth = np.diff(self.theta) / ds
         th_mid = 0.5 * (self.theta[:-1] + self.theta[1:])
         k_mid = 0.5 * (self.kappa[:-1] + self.kappa[1:])
-        if np.max(np.abs(dx - np.cos(th_mid))) > tol or np.max(np.abs(dy - np.sin(th_mid))) > tol:
+        if not (np.max(np.abs(dx - np.cos(th_mid))) <= tol
+                and np.max(np.abs(dy - np.sin(th_mid))) <= tol):
             raise ConfigError("path tangent inconsistent with heading column")
-        if np.max(np.abs(dth - k_mid)) > tol:
+        if not np.max(np.abs(dth - k_mid)) <= tol:
             raise ConfigError("path heading rate inconsistent with curvature column")
 
     def _interp(self, i, a):
@@ -167,8 +167,6 @@ class FrenetPath:
     @classmethod
     def circle(cls, radius: float, arc: float, spacing: float = 0.25) -> "FrenetPath":
         """Counterclockwise circle from the origin, initial heading +x."""
-        if not (radius > 0.0):
-            raise ConfigError(f"path.radius: must be positive, got {radius!r}")
         n = max(2, int(math.ceil(arc / spacing)) + 1)
         s = np.linspace(0.0, arc, n)
         ang = s / radius
@@ -178,17 +176,19 @@ class FrenetPath:
     @classmethod
     def from_csv(cls, path) -> "FrenetPath":
         """Columns ``s,x,y,theta,kappa`` with a header row, checked by
-        :meth:`validate_geometry`."""
+        :meth:`validate_geometry`; each fault is a ``path.file`` error."""
         try:
-            data = np.genfromtxt(path, delimiter=",", names=True)
+            data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+            for col in ("s", "x", "y", "theta", "kappa"):
+                if col not in (data.dtype.names or ()):
+                    raise ConfigError(f"missing column {col!r} in {path}")
+            frenet = cls(data["s"], data["x"], data["y"], data["theta"], data["kappa"])
+            frenet.validate_geometry()
         except OSError as exc:
             raise ConfigError(f"path.file: cannot read {path}: {exc}") from exc
-        for col in ("s", "x", "y", "theta", "kappa"):
-            if col not in (data.dtype.names or ()):
-                raise ConfigError(f"path csv missing column {col!r}")
-        path = cls(data["s"], data["x"], data["y"], data["theta"], data["kappa"])
-        path.validate_geometry()
-        return path
+        except ConfigError as exc:
+            raise ConfigError(f"path.file: {exc}") from None
+        return frenet
 
     def to_csv(self, path) -> None:
         data = np.column_stack([self.s, self.x, self.y, self.theta, self.kappa])
@@ -397,8 +397,6 @@ class LateralObserverController:
 
     def __init__(self, L: float, k0: float, k1: float, omega_d: float,
                  rule: str = RECTANGULAR):
-        if not (omega_d > 0.0):
-            raise ConfigError(f"controller.omega_d: must be positive, got {omega_d!r}")
         self.L = L
         self.k0 = k0
         self.k1 = k1
@@ -421,50 +419,36 @@ class LateralObserverController:
         return math.atan(self.L * sec * (u_x + d_hat))
 
 
-def _build_path(opts: dict, spacing: float) -> FrenetPath:
+def _build_path(opts: dict) -> FrenetPath:
     kind = opts.get("kind", "line")
+    spacing = float(opts.get("spacing", 0.25))
     if kind == "line":
         return FrenetPath.line(float(opts.get("length", 200.0)), spacing)
     if kind == "circle":
         return FrenetPath.circle(float(opts.get("radius", 50.0)),
                                  float(opts.get("arc", 300.0)), spacing)
-    if kind == "csv":
-        if "file" not in opts:
-            raise ConfigError("path.file: required for path.kind = csv")
-        return FrenetPath.from_csv(opts["file"])
-    raise ConfigError(f"path.kind: unknown kind {kind!r}")
+    if "file" not in opts:  # path.kind = csv
+        raise ConfigError("path.file: required for path.kind = csv")
+    return FrenetPath.from_csv(opts["file"])
 
 
 def run(scenario: Scenario) -> SimTrace:
     opts = scenario.plant
     L = float(opts.get("wheelbase", 2.7))
     v = float(opts.get("speed", 10.0))
-    path_opts = opts.get("path", {"kind": "line"})
-    spacing = float(path_opts.get("spacing", 0.25))
     capture = float(opts.get("capture_radius", DEFAULT_CAPTURE))
     copts = scenario.controller
     omega = float(copts["omega"])
-    for key, value in (("plant.speed", v), ("path.spacing", spacing),
-                       ("plant.capture_radius", capture), ("controller.omega", omega)):
-        if not (value > 0.0):
-            raise ConfigError(f"{key}: must be positive, got {value!r}")
     plant = Bicycle(L, v)
-    path = _build_path(path_opts, spacing)
+    path = _build_path(opts.get("path", {}))
 
-    kind = copts["kind"]
     k0 = omega * omega
     k1 = 2.0 * omega
     bias = scenario.disturbance  # steering disturbance signal d(t) [rad]
 
-    if kind == "observer":
-        controller = LateralObserverController(L, k0, k1, float(copts["omega_d"]),
-                                               rule=copts["quadrature"])
-    elif kind == "known_d":
-        controller = None
-    else:
-        raise ConfigError(
-            f"controller.kind: unknown kind {kind!r}, expected 'observer' or 'known_d'"
-        )
+    controller = (LateralObserverController(L, k0, k1, float(copts["omega_d"]),
+                                            rule=copts["quadrature"])
+                  if copts["kind"] == "observer" else None)
 
     state = [float(x) for x in opts.get("x0", (0.0, 0.0, 0.0))]
     if len(state) != 3:

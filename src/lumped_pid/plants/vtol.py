@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import so3
-from ..config import _float, _floats, _str
+from ..config import _choice, _float, _floats, _positive
 from ..errors import (
     AttitudeSingularityError,
     ConfigError,
@@ -57,8 +57,8 @@ THRUST_EPS = 1e-8      # smallest ||F_d|| that still defines a thrust axis
 CROSS_EPS = 1e-8       # smallest ||b3d x b_d|| before the heading degenerates
 TRACE_SINGULARITY = 1e-6  # tr(R~) + 1 below this is the g~ singularity
 # controller.* options: parser and default, one bandwidth per loop and observer
-CONTROLLER = {"omega": (_float, 2.0), "omega_f": (_float, 8.0), "omega_att": (_float, 10.0),
-              "omega_tau": (_float, 20.0)}
+CONTROLLER = {"omega": (_positive, 2.0), "omega_f": (_positive, 8.0),
+              "omega_att": (_positive, 10.0), "omega_tau": (_positive, 20.0)}
 BANDWIDTH = "omega_f"
 NO_OBSERVER = ()
 
@@ -84,8 +84,9 @@ def _inertia(flat, key):
     return values if len(values) == 3 else [values[0:3], values[3:6], values[6:9]]
 
 
-KEYS = {"plant.mass": _float, "plant.gravity": _float, "plant.inertia": _inertia,
-        "plant.p0": _floats3, "plant.v0": _floats3, "reference.kind": _str,
+KEYS = {"plant.mass": _positive, "plant.gravity": _float, "plant.inertia": _inertia,
+        "plant.p0": _floats3, "plant.v0": _floats3,
+        "reference.kind": _choice("hover", "circle", "lissajous"),
         "reference.psi": _float, "reference.position": _floats3, "reference.radius": _float,
         "reference.omega": _float, "reference.height": _float, "reference.amplitude": _floats3,
         "reference.freq": _floats3, "reference.phase": _floats3}
@@ -96,12 +97,11 @@ def _triple_signal(flat: dict, prefix: str):
     kind = flat.get(prefix + ".kind", "none")
     if kind == "none":
         return None
-    if kind not in ("constant", "step", "sinusoid"):
-        raise ConfigError(f"{prefix}.kind: unknown kind {kind!r}")
     vector = "amplitude" if kind == "sinusoid" else "value"
     return tuple(
         build_signal(kind, lambda name, default, c=c:
-                     c if name == vector else _float(flat, f"{prefix}.{name}", default))
+                     c if name == vector else _float(flat, f"{prefix}.{name}", default),
+                     prefix + ".kind")
         for c in _floats3(flat, f"{prefix}.{vector}", (0.0, 0.0, 0.0))
     )
 
@@ -130,15 +130,13 @@ class VtolParams:
     d_tau: tuple = None  # triple of scalar signals [N m]
 
     def __post_init__(self):
-        if not (self.mass > 0.0):
-            raise ConfigError(f"plant.mass: must be positive, got {self.mass!r}")
         J = np.asarray(self.inertia, dtype=float)
         if J.shape != (3, 3):
             raise ConfigError("plant.inertia: expected a 3x3 matrix")
         if not np.allclose(J, J.T, atol=1e-12):
             raise ConfigError("plant.inertia: must be symmetric")
         if np.any(np.linalg.eigvalsh(J) <= 0.0):
-            raise ConfigError("plant.inertia: must be positive definite")
+            raise ConfigError("plant.inertia: must be a positive-definite matrix")
         object.__setattr__(self, "inertia", J)
 
 
@@ -276,10 +274,6 @@ class VtolController:
 
     def __init__(self, params: VtolParams, reference, dt: float,
                  omega_pos: float, omega_f: float, omega_att: float, omega_tau: float):
-        for name, val in (("omega", omega_pos), ("omega_f", omega_f),
-                          ("omega_att", omega_att), ("omega_tau", omega_tau)):
-            if not (val > 0.0):
-                raise ConfigError(f"controller.{name}: must be positive, got {val!r}")
         self.params = params
         self.reference = reference
         self.dt = dt
@@ -432,14 +426,12 @@ def _build_reference(opts: dict) -> HoverRef | CircleRef | LissajousRef:
     if kind == "circle":
         return CircleRef(opts.get("radius", 1.0), opts.get("omega", 1.0),
                          opts.get("height", 0.0), psi)
-    if kind == "lissajous":
-        return LissajousRef(
-            opts.get("amplitude", (1.0, 1.0, 0.0)),
-            opts.get("freq", (1.0, 2.0, 0.0)),
-            opts.get("phase", (0.0, 0.0, 0.0)),
-            opts.get("height", 0.0), psi,
-        )
-    raise ConfigError(f"reference.kind: unknown kind {kind!r}")
+    return LissajousRef(
+        opts.get("amplitude", (1.0, 1.0, 0.0)),
+        opts.get("freq", (1.0, 2.0, 0.0)),
+        opts.get("phase", (0.0, 0.0, 0.0)),
+        opts.get("height", 0.0), psi,
+    )
 
 
 def run(scenario: Scenario) -> SimTrace:
@@ -457,14 +449,9 @@ def run(scenario: Scenario) -> SimTrace:
     )
     reference = _build_reference(opts.get("reference", {}))
 
-    copts = scenario.controller
-    controller = VtolController(
-        params, reference, scenario.dt,
-        omega_pos=float(copts["omega"]),
-        omega_f=float(copts["omega_f"]),
-        omega_att=float(copts["omega_att"]),
-        omega_tau=float(copts["omega_tau"]),
-    )
+    # the controller takes the four bandwidths in the order CONTROLLER declares them
+    controller = VtolController(params, reference, scenario.dt,
+                                *(float(scenario.controller[name]) for name in CONTROLLER))
 
     p = tuple(float(x) for x in opts.get("p0", reference.position(0.0)))
     v = tuple(float(x) for x in opts.get("v0", reference.velocity(0.0)))

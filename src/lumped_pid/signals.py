@@ -248,10 +248,10 @@ def noise_table(
     return table
 
 
-def build_signal(kind: str, field: Callable[[str, float], float]) -> DisturbanceSignal:
-    """Construct a scalar signal of ``kind``; ``field(name, default)`` gives
-    the value of each of its parameters, and only its kind's are asked for."""
-    kind = kind.lower()
+def build_signal(kind: str, field: Callable[[str, float], float], key: str) -> DisturbanceSignal:
+    """Construct a scalar signal of ``kind``, the value of config ``key``;
+    ``field(name, default)`` gives the value of each of its parameters, and
+    only its kind's are asked for."""
     if kind == "none":
         return ZERO
     if kind == "constant":
@@ -260,7 +260,7 @@ def build_signal(kind: str, field: Callable[[str, float], float]) -> Disturbance
         return Step(field("value", 0.0), field("t_start", 0.0))
     if kind == "sinusoid":
         return Sinusoid(field("amplitude", 0.0), field("freq", 1.0), field("phase", 0.0))
-    raise ConfigError(f"disturbance.kind: unknown kind {kind!r}")
+    raise ConfigError(f"{key}: unknown kind {kind!r}")
 
 
 def sample_triple(signals: Sequence[DisturbanceSignal], t: float) -> tuple[float, float, float]:

@@ -141,8 +141,9 @@ def check_state(
 @dataclass
 class Scenario:
     """Declarative experiment description; see config.py for the file schema.
-    Each controller option of the plant that ``controller`` lacks takes its
-    default; ``threshold`` is the settling band of the run's metrics."""
+    Each option given is checked by its config parser if that takes typed
+    values; each controller option of the plant that ``controller`` lacks
+    takes its default. ``threshold`` is the settling band of the metrics."""
 
     plant_kind: str
     plant: dict
@@ -156,27 +157,30 @@ class Scenario:
     threshold: float = 0.02
 
     def __post_init__(self):
-        from .plants import plant_module  # the plant modules import this one
+        from .plants import option_parsers, plant_module  # the plant modules import this one
         module = plant_module(self.plant_kind)
-        declared = {*module.KEYS, *(f"controller.{name}" for name in module.CONTROLLER)}
-        given = [f"controller.{name}" for name in self.controller]
+        parsers = option_parsers(module)
+        given = {f"controller.{name}": value for name, value in self.controller.items()}
         for name, value in self.plant.items():
             # a nested dict holds the options of a reference.* or path.* section
-            given += ([f"{name}.{key}" for key in value] if isinstance(value, dict)
-                      else [f"plant.{name}"])
-        unknown = [key for key in given if key not in declared]
+            given.update({f"{name}.{key}": v for key, v in value.items()}
+                         if isinstance(value, dict) else {f"plant.{name}": value})
+        unknown = [key for key in given if key not in parsers]
         if unknown:
             raise ConfigError(f"{unknown[0]}: not a key of plant {self.plant_kind!r}")
+        for key, value in given.items():
+            if getattr(parsers[key], "checks", False):
+                parsers[key]({key: value}, key)
         self.controller = {**{name: d for name, (_, d) in module.CONTROLLER.items()},
                            **self.controller}
-        if not (self.threshold > 0.0):
-            raise ConfigError(f"metrics.threshold: must be positive, got {self.threshold!r}")
-        if not (self.dt > 0.0):
-            raise ConfigError(f"sim.dt: must be positive, got {self.dt!r}")
-        if not (self.duration > 0.0):
-            raise ConfigError(f"sim.duration: must be positive, got {self.duration!r}")
-        if self.dt > self.duration:
-            raise ConfigError("sim.dt: step exceeds duration")
+        for key, value in (("metrics.threshold", self.threshold), ("sim.dt", self.dt),
+                           ("sim.duration", self.duration)):
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{key}: must be positive, got {value!r}")
+        steps = self.duration / self.dt  # a dt beyond the duration is a fraction of a step
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(f"sim.duration: must be a whole number of sim.dt steps, "
+                              f"got {self.duration!r} / {self.dt!r} = {steps!r}")
         if self.decimation < 1:
             raise ConfigError("sim.decimation: must be >= 1")
         if self.noise.seed != self.seed:

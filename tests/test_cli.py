@@ -98,7 +98,8 @@ class TestConfigParsing:
 
     def test_sum_disturbance(self):
         # the sum replaces the constant: its disturbance.value would go unread
-        text = CHAIN_CONF.replace("disturbance.value = 1.0\n", "") + (
+        text = CHAIN_CONF.replace("disturbance.value = 1.0\n", "").replace(
+            "disturbance.kind = constant\n", "") + (
             "disturbance.kind = sum\ndisturbance.terms = 2\n"
             "disturbance.term0.kind = constant\ndisturbance.term0.value = 1.0\n"
             "disturbance.term1.kind = sinusoid\ndisturbance.term1.amplitude = 0.5\n"
@@ -183,8 +184,9 @@ CHAIN_REJECTED = pytest.mark.parametrize("changes,message", [
     ({"controller.observer_form": "bogus"},
      "controller.observer_form: unknown observer_form 'bogus'"),
     ({"noise.sigma": "0.1,0.2,0.3"}, "noise.sigma: expected 1 or 2 values, got 3"),
+    ({"controller.omega": -1}, "controller.omega: must be positive, got -1.0"),
 ], ids=["unread_key", "x0_length", "x0_number", "controller_kind", "no_duration",
-        "quadrature", "observer_form", "sigma_count"])
+        "quadrature", "observer_form", "sigma_count", "omega_negative"])
 
 
 @pytest.mark.parametrize("command", ["tune", "bode"])
@@ -773,6 +775,25 @@ class TestCsvPath:
                      "--grid", "omega=0.5,1"]) == 2
         assert "inconsistent with curvature" in capsys.readouterr().err
 
+    LINE = [f"{0.25 * i!r},{0.25 * i!r},0,0,0" for i in range(9)]
+
+    @pytest.mark.parametrize("header,rows,message", [
+        ("t,x,y,theta,kappa", LINE, "path.file: missing column 's' in "),
+        ("s,x,y,theta,kappa", [*LINE[:3], LINE[2], *LINE[3:]],
+         "path.file: path arc length must be strictly increasing"),
+        ("s,x,y,theta,kappa", LINE[:1], "path.file: path needs at least two samples"),
+        ("s,x,y,theta,kappa", [*LINE[:4], "1.0,nan,0,0,0", *LINE[5:]],
+         "path.file: path tangent inconsistent with heading column"),
+    ], ids=["missing_column", "s_not_increasing", "one_row", "nan_sample"])
+    def test_fault_in_the_file_names_path_file(self, tmp_path, capsys, header, rows, message):
+        path = tmp_path / "path.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        text = stock("vehicle_bias.conf", **{"path.kind": "csv", "path.length": None,
+                                             "path.file": path, "sim.duration": 0.5})
+        assert main(["simulate", "--config", write_conf(tmp_path, text),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
     @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
     def test_unreadable_file_is_a_config_error(self, tmp_path, capsys, name):
         path = tmp_path / name
@@ -797,9 +818,20 @@ class TestCsvPath:
     ("chain_step.conf", {"metrics.threshold": -1}, "metrics.threshold: must be positive"),
     ("chain_step.conf", {"metrics.threshold": 0}, "metrics.threshold: must be positive"),
     ("vtol_wind.conf", {"metrics.threshold": -0.5}, "metrics.threshold: must be positive"),
+    ("vehicle_bias.conf", {"path.length": -5}, "path.length: must be positive, got -5.0"),
+    ("vehicle_bias.conf", {"path.kind": "circle", "path.length": None, "path.arc": 0},
+     "path.arc: must be positive, got 0.0"),
+    ("vehicle_bias.conf", {"plant.wheelbase": 0}, "plant.wheelbase: must be positive"),
+    ("chain_step.conf", {"controller.omega_f": 0}, "controller.omega_f: must be positive"),
+    ("vtol_wind.conf", {"plant.mass": -1}, "plant.mass: must be positive, got -1.0"),
+    ("vtol_wind.conf", {"controller.omega_tau": 0}, "controller.omega_tau: must be positive"),
+    ("vehicle_bias.conf", {"path.kind": "spiral"}, "path.kind: unknown kind 'spiral'"),
+    ("vtol_wind.conf", {"reference.kind": "spiral"}, "reference.kind: unknown kind 'spiral'"),
 ], ids=["omega_zero", "omega_negative", "known_d_omega_zero", "spacing_zero",
         "spacing_negative", "capture_radius_negative", "threshold_negative", "threshold_zero",
-        "vtol_threshold"])
+        "vtol_threshold", "path_length_negative", "path_arc_zero", "wheelbase_zero",
+        "chain_omega_f_zero", "vtol_mass_negative", "vtol_omega_tau_zero", "path_kind",
+        "reference_kind"])
 def test_out_of_domain_option_exits_2(tmp_path, capsys, conf, changes, message):
     """An option outside its domain is a config error for simulate and sweep,
     whose message starts with the key."""
@@ -838,6 +870,83 @@ class TestNonFiniteInputs:
         assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
                      "--grid", axis]) == 2
         assert "values must be finite" in capsys.readouterr().err
+
+
+class TestInputContract:
+    """Each fault names its key, and exits 2 before any run."""
+
+    def test_repeated_key(self, tmp_path, capsys):
+        text = (CONFIGS / "chain_step.conf").read_text() + "controller.omega = 3.0\n"
+        assert main(["simulate", "--config", write_conf(tmp_path, text),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 14: controller.omega given twice (first on line 6)\n")
+
+    def test_duration_not_a_whole_number_of_steps(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, stock("chain_step.conf",
+                                          **{"sim.duration": 0.0125, "sim.dt": 0.005}))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: sim.duration: must be a whole number of sim.dt steps")
+
+    SUM = {"disturbance.kind": "sum", "disturbance.value": None, "disturbance.terms": 2,
+           "disturbance.term0.kind": "constant", "disturbance.term0.value": 1.0,
+           "disturbance.term1.kind": "step"}
+
+    @pytest.mark.parametrize("changes,message", [
+        ({**SUM, "disturbance.term1.kind": "bogus"},
+         "disturbance.term1.kind: unknown kind 'bogus'"),
+        ({**SUM, "disturbance.terms": 0, "disturbance.term0.kind": None,
+          "disturbance.term0.value": None, "disturbance.term1.kind": None},
+         "disturbance.terms: must be >= 1, got 0"),
+        ({**SUM, "disturbance.terms": -3, "disturbance.term0.kind": None,
+          "disturbance.term0.value": None, "disturbance.term1.kind": None},
+         "disturbance.terms: must be >= 1, got -3"),
+        ({"disturbance.kind": "CONSTANT"}, "disturbance.kind: unknown kind 'CONSTANT'"),
+    ], ids=["term_kind", "no_terms", "negative_terms", "kind_case"])
+    def test_signal_fault(self, tmp_path, capsys, changes, message):
+        conf = write_conf(tmp_path, stock("chain_step.conf", **changes))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_vtol_sweeps_its_attitude_bandwidth(self, tmp_path, capsys):
+        text = stock("vtol_wind.conf", **{"sim.duration": 0.5})
+        conf = write_conf(tmp_path, text)
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "sweep"),
+                     "--grid", "omega_att=10,5"]) == 0
+        alone = write_conf(tmp_path, stock("vtol_wind.conf", **{"sim.duration": 0.5,
+                                                                "controller.omega_att": 5}),
+                           "alone.conf")
+        assert main(["simulate", "--config", alone, "--out", str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        slow, fast = read_rows(tmp_path / "sweep" / "sweep.csv")
+        (simulated,) = read_rows(tmp_path / "sim" / "metrics.csv")
+        assert slow.pop("scenario_id") == "omega=2_omegaf=8_omega_att=5_sigma=0"
+        assert fast["scenario_id"] == "omega=2_omegaf=8_omega_att=10_sigma=0"
+        simulated.pop("scenario_id")
+        assert slow == simulated
+        assert slow["sse_rms"] != fast["sse_rms"]
+
+    def test_further_axes_name_the_cell_in_table_order(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, stock("vtol_wind.conf", **{"sim.duration": 0.05}))
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "sweep"),
+                     "--grid", "sigma=0,0.001", "omega_tau=15", "omega_att=5"]) == 0
+        capsys.readouterr()
+        assert [row["scenario_id"] for row in read_rows(tmp_path / "sweep" / "sweep.csv")] == [
+            f"omega=2_omegaf=8_omega_att=5_omega_tau=15_sigma={sigma}" for sigma in ("0", "0.001")]
+
+    @pytest.mark.parametrize("conf,axis,axes", [
+        ("chain_step.conf", "omega_att", "omega, omega_f, sigma"),
+        ("vehicle_bias.conf", "omega_d", "omega, omega_f, sigma"),
+        ("vtol_wind.conf", "omega_d", "omega, omega_f, omega_att, omega_tau, sigma"),
+    ], ids=["chain", "vehicle", "vtol"])
+    def test_unknown_axis_lists_the_plant_axes(self, tmp_path, capsys, conf, axis, axes):
+        conf = write_conf(tmp_path, stock(conf, **{"sim.duration": 0.05}))
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--grid", f"{axis}=1"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --grid: unknown axis {axis!r} ({axes})\n")
+        assert not (tmp_path / "x").exists()
 
 
 class TestSweepBaseValues:

@@ -73,8 +73,8 @@ class TestProcessPoolOnlyForParallelSweeps:
 
     def test_serial_sweep_loads_no_pool(self, tmp_path):
         conf = tmp_path / "short.conf"
-        conf.write_text((ROOT / "configs" / "chain_step.conf").read_text()
-                        + "\nsim.duration = 0.05\n")
+        text = (ROOT / "configs" / "chain_step.conf").read_text()
+        conf.write_text(text.replace("sim.duration = 10.0", "sim.duration = 0.05"))
         code = ("import lumped_pid.cli; "
                 f"assert lumped_pid.cli.main(['sweep', '--config', {str(conf)!r}, "
                 f"'--out', {str(tmp_path / 'out')!r}, '--grid', 'omega=1,2']) == 0")

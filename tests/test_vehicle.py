@@ -55,9 +55,8 @@ def vehicle_scenario(**overrides):
 ], ids=["omega_zero", "known_d_omega_negative", "spacing_zero", "circle_spacing_negative",
         "capture_radius_negative", "unreadable_path_file"])
 def test_a_direct_scenario_outside_its_domain_fails_before_the_run(plant, controller, message):
-    scenario = vehicle_scenario(plant=plant, controller=controller, duration=0.05)
     with pytest.raises(ConfigError) as raised:
-        run_scenario(scenario)
+        run_scenario(vehicle_scenario(plant=plant, controller=controller, duration=0.05))
     assert str(raised.value).startswith(message)
     assert raised.value.step is None
 

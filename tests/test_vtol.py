@@ -127,8 +127,8 @@ class TestVtolDerivative:
     def test_inertia_validation(self):
         with pytest.raises(ConfigError):
             VtolParams(mass=1.0, gravity=9.81, inertia=np.diag([1.0, -1.0, 1.0]))
-        with pytest.raises(ConfigError):
-            VtolParams(mass=0.0, gravity=9.81, inertia=np.eye(3))
+        with pytest.raises(ConfigError, match="^plant.mass: must be positive, got 0.0"):
+            vtol_scenario(plant={"mass": 0.0})
 
 
 class TestAttitudeError:
@@ -246,9 +246,9 @@ class TestVtolController:
         assert all(abs(x) < 1e-15 for x in tau)
 
     def test_rejects_bad_bandwidths(self):
-        p = params()
-        with pytest.raises(ConfigError):
-            VtolController(p, HoverRef((0, 0, 0)), 1e-3, 0.0, 8.0, 10.0, 20.0)
+        for name in ("omega", "omega_f", "omega_att", "omega_tau"):
+            with pytest.raises(ConfigError, match=f"^controller.{name}: must be positive"):
+                vtol_scenario(controller={name: 0.0})
 
 
 def vtol_scenario(**overrides):
