@@ -18,6 +18,7 @@ import itertools
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analysis import MetricsRow, default_grid, trace_metrics, write_metrics_csv
@@ -46,6 +47,16 @@ def _seed_override() -> int | None:
         return int(raw)
     except ValueError:
         raise ConfigError(f"LUMPED_PID_SEED: expected an integer, got {raw!r}") from None
+
+
+@contextmanager
+def _out_errors(out):
+    """Make a failure to create or write the ``--out`` path ``out`` a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {exc.filename or out}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _chain_config(args) -> ControllerConfig:
@@ -93,11 +104,14 @@ def cmd_tune(args) -> int:
             rows.append((f"{k}_over_b", v / config.b))
     print("\n".join(lines))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("name,value\n")
-            for name, value in rows:
-                fh.write(f"{name},{value:.17g}\n" if isinstance(value, float)
-                         else f"{name},{value}\n")
+        out = Path(args.out)
+        with _out_errors(out):
+            out.parent.mkdir(parents=True, exist_ok=True)
+            with open(out, "w", newline="") as fh:
+                fh.write("name,value\n")
+                for name, value in rows:
+                    fh.write(f"{name},{value:.17g}\n" if isinstance(value, float)
+                             else f"{name},{value}\n")
     return EXIT_OK
 
 
@@ -139,7 +153,8 @@ def _metrics_for(trace, scenario, scenario_id: str = "scenario") -> MetricsRow:
 def cmd_simulate(args) -> int:
     scenario = build_scenario(load_config(args.config), seed_override=_seed_override())
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _out_errors(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     try:
         trace = run_scenario(scenario)
     except LumpedPidError as exc:
@@ -147,10 +162,11 @@ def cmd_simulate(args) -> int:
             raise
         print(f"run failed: {_failure_status(exc)}: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED
-    trace.to_csv(outdir / "trace.csv")
-    write_metrics_csv(outdir / "metrics.csv", [_metrics_for(trace, scenario)])
-    if args.plots:
-        _write_plots(trace, plant_module(scenario.plant_kind), outdir)
+    with _out_errors(outdir):
+        trace.to_csv(outdir / "trace.csv")
+        write_metrics_csv(outdir / "metrics.csv", [_metrics_for(trace, scenario)])
+        if args.plots:
+            _write_plots(trace, plant_module(scenario.plant_kind), outdir)
     print(f"wrote {outdir / 'trace.csv'} ({len(trace)} rows)")
     return EXIT_OK
 
@@ -206,7 +222,7 @@ def cmd_sweep(args) -> int:
     # the axes: each float-valued controller option, the observer bandwidth
     # under the name omega_f, then sigma
     options = {("omega_f" if name == plant.BANDWIDTH else name): name
-               for name, (_, default) in plant.CONTROLLER.items() if isinstance(default, float)}
+               for name, value in base.controller.items() if isinstance(value, float)}
     grid = _parse_grid(args.grid, [*options, "sigma"])
     bandwidth_option = _observer_bandwidth(base)[0]
     if "omega_f" in grid and bandwidth_option is None:
@@ -234,6 +250,9 @@ def cmd_sweep(args) -> int:
                           if axis in options and axis not in ("omega", "omega_f"))
         cells.append((f"omega={omega:g}{omegaf}{further}_sigma={sigma:g}", scenario))
 
+    outdir = Path(args.out)
+    with _out_errors(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     # every cell differs from the base only in its axes and seed, so a
     # lockstep plant runs each group as the lanes of one run
     parts = min(args.parallel, len(cells))
@@ -246,9 +265,8 @@ def cmd_sweep(args) -> int:
     else:
         rows = _sweep_rows(cells)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(outdir / "sweep.csv", rows)
+    with _out_errors(outdir):
+        write_metrics_csv(outdir / "sweep.csv", rows)
     failed = [r for r in rows if r.status != "ok"]
     print(f"wrote {outdir / 'sweep.csv'} ({len(rows)} cells, {len(failed)} failed)")
     return EXIT_PARTIAL if failed else EXIT_OK
@@ -263,13 +281,14 @@ def cmd_bode(args) -> int:
         ("G_e", observer_tfs(config.omega_f)[1]),
     ]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        fh.write("tf,freq,mag,phase_rad\n")
-        for name, tf in tables:
-            for row in frequency_response(tf, grid):
-                fh.write(f"{name},{row.frequency:.17g},{row.magnitude:.17g},"
-                         f"{row.phase:.17g}\n")
+    with _out_errors(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with open(out, "w", newline="") as fh:
+            fh.write("tf,freq,mag,phase_rad\n")
+            for name, tf in tables:
+                for row in frequency_response(tf, grid):
+                    fh.write(f"{name},{row.frequency:.17g},{row.magnitude:.17g},"
+                             f"{row.phase:.17g}\n")
     print(f"wrote {out} ({len(grid)} frequencies x {len(tables)} transfer functions)")
     return EXIT_OK
 

@@ -16,11 +16,11 @@ Example (integrator chain):
     sim.duration = 10.0
     sim.seed = 42
 
-Each module of lumped_pid.plants declares the plant.*, reference.* and
-path.* keys it reads, its controller.* options with their defaults (a
-string option names its choices), and parses its disturbance.* keys. A key
-given twice or that nothing reads is an error, and so is a noise.sigma list
-whose length is neither 1 nor the plant's count of noised channels.
+Each module of lumped_pid.plants declares the plant.*, reference.*, path.*
+and controller.* options it reads, each with a parser of config text or
+typed values and a default, and parses its disturbance.* keys. A key given
+twice or that nothing reads is an error, and so is a noise.sigma list whose
+length is neither 1 nor the plant's count of noised channels.
 ``metrics.threshold`` (default 0.02) is the settling band of the metrics.
 """
 
@@ -31,7 +31,7 @@ from collections import UserDict
 
 from .errors import ConfigError
 from .signals import NoiseSpec, Sum, build_signal
-from .sim import Scenario
+from .sim import Scenario, nest
 
 _KNOWN_PREFIXES = ("plant", "controller", "disturbance", "noise", "sim",
                    "reference", "path", "metrics")
@@ -91,36 +91,39 @@ def _positive(flat, key):
     return value
 
 
-_positive.checks = True  # it takes a typed value too, so a Scenario built in code runs it
-
-
 def _int(flat, key, default=None):
+    """An integer; a bool or a number with a fraction is none."""
     if key not in flat:
         if default is None:
             raise ConfigError(f"{key}: required")
         return default
+    value = flat[key]
     try:
-        return int(flat[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {flat[key]!r}") from None
+        number = int(value)
+        if isinstance(value, bool) or not isinstance(value, str) and number != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+    return number
 
 
 def _floats(flat, key, default=None):
     if key not in flat:
         return default
+    value = flat[key]
     try:
-        values = tuple(float(v) for v in flat[key].split(","))
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {flat[key]!r}") from None
+        values = tuple(float(v) for v in (value.split(",") if isinstance(value, str) else value))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected comma-separated numbers, got {value!r}") from None
     if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{key}: expected finite numbers, got {flat[key]!r}")
+        raise ConfigError(f"{key}: expected finite numbers, got {value!r}")
     return values
 
 
 def _bool(flat, key, default=False):
     if key not in flat:
         return default
-    val = flat[key].lower()
+    val = str(flat[key]).lower()  # a bool reads as True or False
     if val in ("true", "1", "yes"):
         return True
     if val in ("false", "0", "no"):
@@ -144,6 +147,12 @@ def _scalar_signal(flat: dict, prefix: str = "disturbance"):
     return _signal(flat, prefix)
 
 
+def _check_signal(disturbance) -> None:
+    """Reject a scalar disturbance that is not a signal of t."""
+    if not callable(disturbance):
+        raise ConfigError(f"disturbance: expected a signal of t, got {disturbance!r}")
+
+
 def _str(flat, key):
     return flat[key]
 
@@ -157,7 +166,6 @@ def _choice(*choices: str):
                               f"expected one of {choices}")
         return flat[key]
 
-    parse.checks = True
     return parse
 
 
@@ -176,29 +184,22 @@ class _ReadKeys(UserDict):
 def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
     """Typed Scenario from a flat config mapping; field-level errors. A key
     that neither the run nor its metrics read is an error, such as a plant
-    section key its plant module does not declare; ``reference.*`` and
-    ``path.*`` options nest in the plant options under their section."""
-    from .plants import option_parsers, plant_module  # the plant modules import this one
+    section key its plant module does not declare."""
+    from .plants import plant_module  # the plant modules import this one
 
     flat = _ReadKeys(flat)
     kind = flat.get("plant.kind")
     if kind is None:
         raise ConfigError("plant.kind: required")
     module = plant_module(kind)
-    keys = option_parsers(module)
-    options = {"plant": {}, "controller": {}}
-    for key in flat:
-        if key in keys:
-            section, name = key.split(".", 1)
-            into = options[section] if section in options else options["plant"].setdefault(section, {})
-            into[name] = keys[key](flat, key)
+    plant, controller = nest({key: flat[key] for key in flat if key in module.OPTIONS})
 
     seed = _int(flat, "sim.seed", 0)
     seed = seed if seed_override is None else seed_override
     scenario = Scenario(
         plant_kind=kind,
-        plant=options["plant"],
-        controller=options["controller"],
+        plant=plant,
+        controller=controller,
         disturbance=module.parse_disturbance(flat),
         noise=NoiseSpec(sigmas=_floats(flat, "noise.sigma", (0.0,)), seed=seed),
         dt=_float(flat, "sim.dt", 1e-3),

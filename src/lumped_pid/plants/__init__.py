@@ -1,9 +1,9 @@
 """The plants, one module each: the only place that knows its plant.
 
-Each declares its plant, reference and path config ``KEYS`` (with parsers);
-``CONTROLLER``, each controller option's parser and default, which a
-Scenario fills in; ``BANDWIDTH``, ``NO_OBSERVER`` and ``parse_disturbance``;
-its trace's metric ``SIGNAL``, ``OBSERVER`` (true, estimate) columns and
+Each declares ``OPTIONS``, each config option's parser and default (None:
+the run derives it), which a Scenario applies; ``BANDWIDTH``,
+``NO_OBSERVER``, ``parse_disturbance`` and ``check_disturbance``; its
+trace's metric ``SIGNAL``, ``OBSERVER`` (true, estimate) columns and
 ``PLOTS`` (file stem, column patterns, title, y label); ``LOCKSTEP``, the
 fewest scenarios ``run`` takes as the lanes of one run, or None if it takes
 no list; ``noise_channels``, a scenario's count of
@@ -26,9 +26,3 @@ def plant_module(kind: str):
         raise ConfigError(
             f"plant.kind: unknown plant {kind!r}, expected one of {sorted(PLANTS)}"
         ) from None
-
-
-def option_parsers(plant) -> dict:
-    """Each config key the module ``plant`` declares, with its parser."""
-    return {**plant.KEYS,
-            **{f"controller.{name}": parse for name, (parse, _) in plant.CONTROLLER.items()}}

@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis import BoundReport, check_bound
-from ..config import _bool, _choice, _float, _floats, _int, _positive, _scalar_signal
+from ..config import (_bool, _check_signal, _choice, _float, _floats, _int, _positive,
+                      _scalar_signal)
 from ..controller import (
     OBSERVER_FORMS,
     ClassicPidController,
@@ -23,6 +24,7 @@ from ..controller import (
     lockstep_controller,
 )
 from ..errors import ConfigError, LumpedPidError, WindowTooShortError
+from ..polylti import MAX_ORDER
 from ..quadrature import RECTANGULAR, RULES
 from ..sim import (
     LaneFailures,
@@ -34,19 +36,21 @@ from ..sim import (
 )
 from ..signals import noise_table
 
-# Each controller.* option: its parser and the value a scenario without it
-# takes. BANDWIDTH names the option that sets the observer bandwidth; the
-# controller kinds in NO_OBSERVER read none.
-CONTROLLER = {"kind": (_choice("none", "homogeneous", "generalized", "pid"), "generalized"),
-              "omega": (_positive, 1.0), "omega_f": (_positive, 1.0),
-              "quadrature": (_choice(*RULES), RECTANGULAR),
-              "observer_form": (_choice(*OBSERVER_FORMS), "integral"),
-              "seed_integral": (_bool, False)}
+# Each option: its parser and the value a scenario without it takes; an x0
+# of None is the zero state. BANDWIDTH names the option that sets the
+# observer bandwidth; the controller kinds in NO_OBSERVER read none.
+OPTIONS = {"plant.order": (_int, 1), "plant.b": (_float, 1.0), "plant.x0": (_floats, None),
+           "plant.state_coeffs": (_floats, ()),
+           "controller.kind": (_choice("none", "homogeneous", "generalized", "pid"),
+                               "generalized"),
+           "controller.omega": (_positive, 1.0), "controller.omega_f": (_positive, 1.0),
+           "controller.quadrature": (_choice(*RULES), RECTANGULAR),
+           "controller.observer_form": (_choice(*OBSERVER_FORMS), "integral"),
+           "controller.seed_integral": (_bool, False)}
 BANDWIDTH = "omega_f"
 NO_OBSERVER = ("none", "homogeneous")
-KEYS = {"plant.order": _int, "plant.b": _float, "plant.x0": _floats,
-        "plant.state_coeffs": _floats}
 parse_disturbance = _scalar_signal  # f0(t)
+check_disturbance = _check_signal
 SIGNAL = "x0"
 OBSERVER = ("f_true", "f_hat")
 PLOTS = (
@@ -88,14 +92,13 @@ class IntegratorChain:
         return out
 
 
-def _plant(scenario: Scenario) -> tuple[IntegratorChain, list]:
+def _plant(scenario: Scenario) -> tuple[IntegratorChain, tuple]:
     """The scenario's chain and initial state."""
     opts = scenario.plant
-    n = int(opts.get("order", 1))
-    plant = IntegratorChain(n, float(opts.get("b", 1.0)), opts.get("state_coeffs", ()))
-    x0 = list(opts.get("x0", [0.0] * n))
-    if len(x0) != n:
-        raise ConfigError(f"plant.x0: expected {n} values, got {len(x0)}")
+    plant = IntegratorChain(opts["order"], opts["b"], opts["state_coeffs"])
+    x0 = (0.0,) * plant.n if opts["x0"] is None else opts["x0"]
+    if len(x0) != plant.n:
+        raise ConfigError(f"plant.x0: expected {plant.n} values, got {len(x0)}")
     return plant, x0
 
 
@@ -110,8 +113,11 @@ def controller_config(scenario: Scenario) -> ControllerConfig:
     commands use."""
     plant, _ = _plant(scenario)
     opts = scenario.controller
-    return ControllerConfig(n=plant.n, b=plant.b, omega=float(opts["omega"]),
-                            omega_f=float(opts["omega_f"]), dt=scenario.dt)
+    if plant.n > MAX_ORDER:  # the synthesis limit; a chain without a controller has none
+        raise ConfigError(f"plant.order: must be at most {MAX_ORDER} with controller.kind "
+                          f"{opts['kind']!r}, got {plant.n}")
+    return ControllerConfig(n=plant.n, b=plant.b, omega=opts["omega"],
+                            omega_f=opts["omega_f"], dt=scenario.dt)
 
 
 def _build_controller(scenario: Scenario):
@@ -128,7 +134,7 @@ def _build_controller(scenario: Scenario):
         config,
         rule=opts["quadrature"],
         observer_form=opts["observer_form"],
-        seed_integral=bool(opts["seed_integral"]),
+        seed_integral=opts["seed_integral"],
     )
 
 
@@ -180,12 +186,12 @@ def run(scenario: Scenario | Sequence[Scenario]):
         lanes = LaneFailures(len(scenarios))
         rec = TraceRecorder.lockstep(names, LOCKSTEP_COLUMNS, len(scenarios), n_steps,
                                      first.decimation)
-        state = [np.full(len(scenarios), float(v)) for v in x0]
+        state = [np.full(len(scenarios), v) for v in x0]
     else:
         noise = noise_table(first.noise, n, n_steps + 1)
         lanes = None
         rec = TraceRecorder(names, first.decimation)
-        state = [float(v) for v in x0]
+        state = x0
 
     # a masked lane may overflow to inf or NaN; that is recorded in `lanes`
     with np.errstate(over="ignore", invalid="ignore"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import _choice, _floats, _positive, _scalar_signal, _str
+from ..config import _check_signal, _choice, _floats, _positive, _scalar_signal, _str
 from ..errors import (
     AmbiguousMatchError,
     ConfigError,
@@ -35,16 +35,22 @@ ZERO_SPEED = 1e-9  # below this the distance-domain observer freezes
 NEWTON_STEPS = 4  # Newton steps on the tangency root before falling back to bisection
 NEWTON_TOL = 1e-12  # a Newton step shorter than this (in segment fraction) has converged
 DESCENT_REACH = 50  # a hinted match searches this many samples either side of the hint
-# controller.* options: parser and default; omega is the distance-domain pole [rad/m]
-CONTROLLER = {"kind": (_choice("observer", "known_d"), "observer"), "omega": (_positive, 0.5),
-              "omega_d": (_positive, 2.0), "quadrature": (_choice(*RULES), RECTANGULAR)}
+# Each option: its parser and default; path.file is required for a csv path.
+# controller.omega is the distance-domain pole [rad/m].
+OPTIONS = {"plant.wheelbase": (_positive, 2.7), "plant.speed": (_positive, 10.0),
+           "plant.x0": (_floats, (0.0, 0.0, 0.0)),
+           "plant.capture_radius": (_positive, DEFAULT_CAPTURE),
+           "path.kind": (_choice("line", "circle", "csv"), "line"),
+           "path.length": (_positive, 200.0), "path.radius": (_positive, 50.0),
+           "path.arc": (_positive, 300.0), "path.spacing": (_positive, 0.25),
+           "path.file": (_str, None),
+           "controller.kind": (_choice("observer", "known_d"), "observer"),
+           "controller.omega": (_positive, 0.5), "controller.omega_d": (_positive, 2.0),
+           "controller.quadrature": (_choice(*RULES), RECTANGULAR)}
 BANDWIDTH = "omega_d"
 NO_OBSERVER = ("known_d",)
-KEYS = {"plant.wheelbase": _positive, "plant.speed": _positive, "plant.x0": _floats,
-        "plant.capture_radius": _positive, "path.kind": _choice("line", "circle", "csv"),
-        "path.length": _positive, "path.radius": _positive, "path.arc": _positive,
-        "path.spacing": _positive, "path.file": _str}
 parse_disturbance = _scalar_signal  # the steering bias d(t) [rad]
+check_disturbance = _check_signal
 SIGNAL = "l"
 OBSERVER = ("d_lump", "d_hat")  # d_hat estimates the lumped term, not the bias d_true
 PLOTS = (
@@ -420,37 +426,33 @@ class LateralObserverController:
 
 
 def _build_path(opts: dict) -> FrenetPath:
-    kind = opts.get("kind", "line")
-    spacing = float(opts.get("spacing", 0.25))
-    if kind == "line":
-        return FrenetPath.line(float(opts.get("length", 200.0)), spacing)
-    if kind == "circle":
-        return FrenetPath.circle(float(opts.get("radius", 50.0)),
-                                 float(opts.get("arc", 300.0)), spacing)
-    if "file" not in opts:  # path.kind = csv
+    if opts["kind"] == "line":
+        return FrenetPath.line(opts["length"], opts["spacing"])
+    if opts["kind"] == "circle":
+        return FrenetPath.circle(opts["radius"], opts["arc"], opts["spacing"])
+    if opts["file"] is None:  # path.kind = csv
         raise ConfigError("path.file: required for path.kind = csv")
     return FrenetPath.from_csv(opts["file"])
 
 
 def run(scenario: Scenario) -> SimTrace:
     opts = scenario.plant
-    L = float(opts.get("wheelbase", 2.7))
-    v = float(opts.get("speed", 10.0))
-    capture = float(opts.get("capture_radius", DEFAULT_CAPTURE))
+    L = opts["wheelbase"]
+    v = opts["speed"]
+    capture = opts["capture_radius"]
     copts = scenario.controller
-    omega = float(copts["omega"])
+    omega = copts["omega"]
     plant = Bicycle(L, v)
-    path = _build_path(opts.get("path", {}))
+    path = _build_path(opts["path"])
 
     k0 = omega * omega
     k1 = 2.0 * omega
     bias = scenario.disturbance  # steering disturbance signal d(t) [rad]
 
-    controller = (LateralObserverController(L, k0, k1, float(copts["omega_d"]),
-                                            rule=copts["quadrature"])
+    controller = (LateralObserverController(L, k0, k1, copts["omega_d"], rule=copts["quadrature"])
                   if copts["kind"] == "observer" else None)
 
-    state = [float(x) for x in opts.get("x0", (0.0, 0.0, 0.0))]
+    state = opts["x0"]
     if len(state) != 3:
         raise ConfigError(f"plant.x0: expected 3 values (x, y, theta), got {len(state)}")
 

@@ -56,9 +56,6 @@ from ..so3 import (
 THRUST_EPS = 1e-8      # smallest ||F_d|| that still defines a thrust axis
 CROSS_EPS = 1e-8       # smallest ||b3d x b_d|| before the heading degenerates
 TRACE_SINGULARITY = 1e-6  # tr(R~) + 1 below this is the g~ singularity
-# controller.* options: parser and default, one bandwidth per loop and observer
-CONTROLLER = {"omega": (_positive, 2.0), "omega_f": (_positive, 8.0),
-              "omega_att": (_positive, 10.0), "omega_tau": (_positive, 20.0)}
 BANDWIDTH = "omega_f"
 NO_OBSERVER = ()
 
@@ -77,19 +74,32 @@ def _floats3(flat, key, default=None):
 
 
 def _inertia(flat, key):
-    """A diagonal (3 values) or full (9 values, row by row) inertia matrix."""
-    values = _floats(flat, key)
+    """A diagonal (3 values) or full (9 values row by row, or 3 rows) inertia
+    matrix, as 3 rows."""
+    value = flat[key]
+    if not isinstance(value, str):  # rows, or a matrix, read row by row
+        value = np.ravel(np.asarray(value, dtype=object))
+    values = _floats({key: value}, key)
     if len(values) not in (3, 9):
         raise ConfigError(f"{key}: expected 3 (diagonal) or 9 values")
-    return values if len(values) == 3 else [values[0:3], values[3:6], values[6:9]]
+    if len(values) == 3:
+        values = (values[0], 0.0, 0.0, 0.0, values[1], 0.0, 0.0, 0.0, values[2])
+    return values[0:3], values[3:6], values[6:9]
 
 
-KEYS = {"plant.mass": _positive, "plant.gravity": _float, "plant.inertia": _inertia,
-        "plant.p0": _floats3, "plant.v0": _floats3,
-        "reference.kind": _choice("hover", "circle", "lissajous"),
-        "reference.psi": _float, "reference.position": _floats3, "reference.radius": _float,
-        "reference.omega": _float, "reference.height": _float, "reference.amplitude": _floats3,
-        "reference.freq": _floats3, "reference.phase": _floats3}
+# Each option: its parser and default; a p0 or v0 of None is the reference's
+# at t = 0. The controller options are one bandwidth per loop and observer.
+OPTIONS = {"plant.mass": (_positive, 1.0), "plant.gravity": (_float, 9.81),
+           "plant.inertia": (_inertia, ((0.02, 0.0, 0.0), (0.0, 0.02, 0.0), (0.0, 0.0, 0.04))),
+           "plant.p0": (_floats3, None), "plant.v0": (_floats3, None),
+           "reference.kind": (_choice("hover", "circle", "lissajous"), "hover"),
+           "reference.psi": (_float, 0.0), "reference.position": (_floats3, (0.0, 0.0, 0.0)),
+           "reference.radius": (_float, 1.0), "reference.omega": (_float, 1.0),
+           "reference.height": (_float, 0.0), "reference.amplitude": (_floats3, (1.0, 1.0, 0.0)),
+           "reference.freq": (_floats3, (1.0, 2.0, 0.0)),
+           "reference.phase": (_floats3, (0.0, 0.0, 0.0)),
+           "controller.omega": (_positive, 2.0), "controller.omega_f": (_positive, 8.0),
+           "controller.omega_att": (_positive, 10.0), "controller.omega_tau": (_positive, 20.0)}
 
 
 def _triple_signal(flat: dict, prefix: str):
@@ -109,6 +119,16 @@ def _triple_signal(flat: dict, prefix: str):
 def parse_disturbance(flat: dict) -> dict:
     """The force [N] and torque [N m] disturbance triples."""
     return {part: _triple_signal(flat, f"disturbance.{part}") for part in ("force", "torque")}
+
+
+def check_disturbance(disturbance) -> None:
+    """Reject a disturbance other than a dict of ``force`` and ``torque``
+    parts, each None or three signals of t."""
+    if not (isinstance(disturbance, dict) and set(disturbance) <= {"force", "torque"}
+            and all(part is None or isinstance(part, (tuple, list)) and len(part) == 3
+                    and all(map(callable, part)) for part in disturbance.values())):
+        raise ConfigError(f"disturbance: expected a dict of force and torque triples of "
+                          f"signals of t, got {disturbance!r}")
 
 
 SIGNAL = "err_norm"
@@ -219,10 +239,10 @@ def attitude_error(R9, Rd9, w, wd):
 
 # A reference gives position(t) and velocity(t) (its accelerations are
 # lumped) and holds the constant heading psi.
+@dataclass(frozen=True)
 class HoverRef:
-    def __init__(self, p, psi=0.0):
-        self.p = tuple(float(x) for x in p)
-        self.psi = float(psi)
+    p: tuple
+    psi: float = 0.0
 
     def position(self, t):
         return self.p
@@ -231,12 +251,12 @@ class HoverRef:
         return (0.0, 0.0, 0.0)
 
 
+@dataclass(frozen=True)
 class CircleRef:
-    def __init__(self, radius, omega, height, psi=0.0):
-        self.radius = float(radius)
-        self.omega = float(omega)
-        self.height = float(height)
-        self.psi = float(psi)
+    radius: float
+    omega: float
+    height: float
+    psi: float = 0.0
 
     def position(self, t):
         return (self.radius * math.cos(self.omega * t),
@@ -247,13 +267,13 @@ class CircleRef:
         return (-rw * math.sin(self.omega * t), rw * math.cos(self.omega * t), 0.0)
 
 
+@dataclass(frozen=True)
 class LissajousRef:
-    def __init__(self, amplitude, freq, phase, height, psi=0.0):
-        self.amplitude = tuple(float(a) for a in amplitude)
-        self.freq = tuple(float(f) for f in freq)
-        self.phase = tuple(float(p) for p in phase)
-        self.height = float(height)
-        self.psi = float(psi)
+    amplitude: tuple
+    freq: tuple
+    phase: tuple
+    height: float
+    psi: float = 0.0
 
     def position(self, t):
         a, f, ph = self.amplitude, self.freq, self.phase
@@ -284,11 +304,8 @@ class VtolController:
         self.omega_f = omega_f
         self.omega_tau = omega_tau
         self._J9 = so3.flatten9(params.inertia)
-        self._int_F = (0.0, 0.0, 0.0)
-        self._prev_Fx = (0.0, 0.0, 0.0)
+        self._int_F = (0.0, 0.0, 0.0)  # the observer integrals of F_x and tau_x
         self._int_T = (0.0, 0.0, 0.0)
-        self._prev_Tx = (0.0, 0.0, 0.0)
-        self._started = False
         self._prev_Rd = None
         # last-step diagnostics
         self.d_f_hat = (0.0, 0.0, 0.0)
@@ -309,12 +326,9 @@ class VtolController:
 
         F_x = (-k0 * ex - k1 * evx, -k0 * ey - k1 * evy, -k0 * ez - k1 * evz)
         ix, iy, iz = self._int_F
-        if self._started:
-            qx, qy, qz = self._prev_Fx
-            ix, iy, iz = self._int_F = (ix + dt * qx, iy + dt * qy, iz + dt * qz)
-        self._prev_Fx = F_x
         of = self.omega_f
         d_f_hat = (of * (evx - ix), of * (evy - iy), of * (evz - iz))
+        self._int_F = (ix + dt * F_x[0], iy + dt * F_x[1], iz + dt * F_x[2])
         F_d = (
             -m * (F_x[0] - d_f_hat[0]),
             -m * (F_x[1] - d_f_hat[1]),
@@ -347,17 +361,13 @@ class VtolController:
         gx, gy, gz = g_dot
         tau_x = (-k0 * g_t[0] - k1 * gx, -k0 * g_t[1] - k1 * gy, -k0 * g_t[2] - k1 * gz)
         ix, iy, iz = self._int_T
-        if self._started:
-            qx, qy, qz = self._prev_Tx
-            ix, iy, iz = self._int_T = (ix + dt * qx, iy + dt * qy, iz + dt * qz)
-        self._prev_Tx = tau_x
         ot = self.omega_tau
         d_tau_hat = (ot * (gx - ix), ot * (gy - iy), ot * (gz - iz))
+        self._int_T = (ix + dt * tau_x[0], iy + dt * tau_x[1], iz + dt * tau_x[2])
         tau = mat_vec(self._J9, mat_vec(inv3(G), (
             tau_x[0] - d_tau_hat[0], tau_x[1] - d_tau_hat[1], tau_x[2] - d_tau_hat[2],
         )))
 
-        self._started = True
         self.d_f_hat = d_f_hat
         self.d_tau_hat = d_tau_hat
         self.p_err = p_err
@@ -419,42 +429,26 @@ def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval,
 
 
 def _build_reference(opts: dict) -> HoverRef | CircleRef | LissajousRef:
-    kind = opts.get("kind", "hover")
-    psi = float(opts.get("psi", 0.0))
-    if kind == "hover":
-        return HoverRef(opts.get("position", (0.0, 0.0, 0.0)), psi)
-    if kind == "circle":
-        return CircleRef(opts.get("radius", 1.0), opts.get("omega", 1.0),
-                         opts.get("height", 0.0), psi)
-    return LissajousRef(
-        opts.get("amplitude", (1.0, 1.0, 0.0)),
-        opts.get("freq", (1.0, 2.0, 0.0)),
-        opts.get("phase", (0.0, 0.0, 0.0)),
-        opts.get("height", 0.0), psi,
-    )
+    if opts["kind"] == "hover":
+        return HoverRef(opts["position"], opts["psi"])
+    if opts["kind"] == "circle":
+        return CircleRef(opts["radius"], opts["omega"], opts["height"], opts["psi"])
+    return LissajousRef(opts["amplitude"], opts["freq"], opts["phase"], opts["height"],
+                        opts["psi"])
 
 
 def run(scenario: Scenario) -> SimTrace:
     opts = scenario.plant
-    inertia = np.asarray(opts.get("inertia", np.diag([0.02, 0.02, 0.04])), dtype=float)
-    if inertia.shape == (3,):
-        inertia = np.diag(inertia)
-    dist = scenario.disturbance if isinstance(scenario.disturbance, dict) else {}
-    params = VtolParams(
-        mass=float(opts.get("mass", 1.0)),
-        gravity=float(opts.get("gravity", 9.81)),
-        inertia=inertia,
-        d_f=dist.get("force"),
-        d_tau=dist.get("torque"),
-    )
-    reference = _build_reference(opts.get("reference", {}))
+    dist = scenario.disturbance
+    params = VtolParams(mass=opts["mass"], gravity=opts["gravity"], inertia=opts["inertia"],
+                        d_f=dist.get("force"), d_tau=dist.get("torque"))
+    reference = _build_reference(opts["reference"])
 
-    # the controller takes the four bandwidths in the order CONTROLLER declares them
-    controller = VtolController(params, reference, scenario.dt,
-                                *(float(scenario.controller[name]) for name in CONTROLLER))
+    # the controller takes the four bandwidths in the order OPTIONS declares them
+    controller = VtolController(params, reference, scenario.dt, *scenario.controller.values())
 
-    p = tuple(float(x) for x in opts.get("p0", reference.position(0.0)))
-    v = tuple(float(x) for x in opts.get("v0", reference.velocity(0.0)))
+    p = reference.position(0.0) if opts["p0"] is None else opts["p0"]
+    v = reference.velocity(0.0) if opts["v0"] is None else opts["v0"]
     R9 = so3.IDENTITY9
     w = (0.0, 0.0, 0.0)
 

@@ -138,12 +138,24 @@ def check_state(
             )
 
 
+def nest(options: dict) -> tuple[dict, dict]:
+    """The plant and controller dicts of options by config key; a
+    ``reference.*`` or ``path.*`` option nests in the plant dict."""
+    nested = {"plant": {}, "controller": {}}
+    for key, value in options.items():
+        section, name = key.split(".", 1)
+        into = nested[section] if section in nested else nested["plant"].setdefault(section, {})
+        into[name] = value
+    return nested["plant"], nested["controller"]
+
+
 @dataclass
 class Scenario:
     """Declarative experiment description; see config.py for the file schema.
-    Each option given is checked by its config parser if that takes typed
-    values; each controller option of the plant that ``controller`` lacks
-    takes its default. ``threshold`` is the settling band of the metrics."""
+    Each option given (by name, :func:`nest`) is parsed by its plant's parser;
+    every option of the plant is stored, at its default if not given or None.
+    ``disturbance`` has the shape of the plant's ``parse_disturbance``.
+    ``threshold`` is the settling band of the metrics."""
 
     plant_kind: str
     plant: dict
@@ -157,22 +169,20 @@ class Scenario:
     threshold: float = 0.02
 
     def __post_init__(self):
-        from .plants import option_parsers, plant_module  # the plant modules import this one
+        from .plants import plant_module  # the plant modules import this one
         module = plant_module(self.plant_kind)
-        parsers = option_parsers(module)
         given = {f"controller.{name}": value for name, value in self.controller.items()}
         for name, value in self.plant.items():
             # a nested dict holds the options of a reference.* or path.* section
             given.update({f"{name}.{key}": v for key, v in value.items()}
                          if isinstance(value, dict) else {f"plant.{name}": value})
-        unknown = [key for key in given if key not in parsers]
+        unknown = [key for key in given if key not in module.OPTIONS]
         if unknown:
             raise ConfigError(f"{unknown[0]}: not a key of plant {self.plant_kind!r}")
-        for key, value in given.items():
-            if getattr(parsers[key], "checks", False):
-                parsers[key]({key: value}, key)
-        self.controller = {**{name: d for name, (_, d) in module.CONTROLLER.items()},
-                           **self.controller}
+        self.plant, self.controller = nest({
+            key: default if given.get(key) is None else parse({key: given[key]}, key)
+            for key, (parse, default) in module.OPTIONS.items()})
+        module.check_disturbance(self.disturbance)
         for key, value in (("metrics.threshold", self.threshold), ("sim.dt", self.dt),
                            ("sim.duration", self.duration)):
             if not 0.0 < value < math.inf:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lumped_pid import cli
 from lumped_pid.cli import main
 from lumped_pid.config import build_scenario, load_config, parse_config_text
 from lumped_pid.controller import synthesize_gains
@@ -185,8 +186,9 @@ CHAIN_REJECTED = pytest.mark.parametrize("changes,message", [
      "controller.observer_form: unknown observer_form 'bogus'"),
     ({"noise.sigma": "0.1,0.2,0.3"}, "noise.sigma: expected 1 or 2 values, got 3"),
     ({"controller.omega": -1}, "controller.omega: must be positive, got -1.0"),
+    ({"plant.order": 25, "plant.x0": None}, "plant.order: must be at most 20"),
 ], ids=["unread_key", "x0_length", "x0_number", "controller_kind", "no_duration",
-        "quadrature", "observer_form", "sigma_count", "omega_negative"])
+        "quadrature", "observer_form", "sigma_count", "omega_negative", "order_too_high"])
 
 
 @pytest.mark.parametrize("command", ["tune", "bode"])
@@ -217,6 +219,52 @@ def test_sweep_rejects_what_simulate_rejects(tmp_path, capsys, changes, message)
                  "--grid", "omega=1,2"]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "x" / "sweep.csv").exists()
+
+
+class TestOutputPaths:
+    """Each command creates its output directory before any run, and an
+    ``--out`` path that cannot be created or written exits 2 naming it."""
+
+    def test_tune_creates_the_parent_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "gains.csv"
+        assert main(["tune", "--config", write_conf(tmp_path, CHAIN_CONF),
+                     "--out", str(out)]) == 0
+        assert out.read_text().startswith("name,value\n")
+
+    @pytest.mark.parametrize("command", ["tune", "bode"])
+    def test_a_file_path_that_is_a_directory_exits_2(self, tmp_path, capsys, command):
+        assert main([command, "--config", write_conf(tmp_path, CHAIN_CONF),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --out: cannot write {tmp_path}: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_a_directory_path_that_is_a_file_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        grid = ["--grid", "omega=1,2"] if command == "sweep" else []
+        assert main([command, "--config", write_conf(tmp_path, CHAIN_CONF),
+                     "--out", str(out), *grid]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --out: cannot write {out}: ")
+        assert out.read_text() == "kept"
+
+    def test_sweep_creates_its_directory_before_any_cell_runs(self, tmp_path, capsys,
+                                                              monkeypatch):
+        out = tmp_path / "new" / "sweep"
+        sweep_rows = cli._sweep_rows
+
+        def spy(cells):
+            assert out.is_dir()
+            return sweep_rows(cells)
+
+        monkeypatch.setattr(cli, "_sweep_rows", spy)
+        conf = write_conf(tmp_path, CHAIN_CONF.replace("sim.duration = 2.0", "sim.duration = 0.1"))
+        assert main(["sweep", "--config", conf, "--out", str(out), "--grid", "omega=1,2"]) == 0
+        # and a directory that cannot be created stops the sweep before its first cell
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(cli, "_sweep_rows", None)
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "file" / "sweep"),
+                     "--grid", "omega=1,2"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --out: cannot write ")
 
 
 class TestSimulate:

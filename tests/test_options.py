@@ -1,40 +1,47 @@
-"""Each option has one check, its parser in the plant's table, and a Scenario
-built in code runs it on construction: a value is accepted or rejected alike
-whether it comes from a config file or from code."""
+"""Each option has one parser, in its plant's ``OPTIONS``, and a Scenario
+runs it on every option it is given, once: a value is accepted or rejected
+alike, and resolves to the same value, whether it comes from a config file
+or from code."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumped_pid.config import _positive, build_scenario
+from lumped_pid.config import _bool, _float, _floats, _int, _positive, _str, build_scenario
 from lumped_pid.errors import ConfigError
-from lumped_pid.plants import PLANTS, option_parsers
-from lumped_pid.signals import ZERO
+from lumped_pid.plants import PLANTS
+from lumped_pid.plants.vtol import _floats3, _inertia
+from lumped_pid.signals import ZERO, Constant
 from lumped_pid.sim import Scenario
 
-# every option with a checking parser, as (plant kind, key, parser)
-CHECKED = [(kind, key, parse) for kind, module in PLANTS.items()
-           for key, parse in option_parsers(module).items() if getattr(parse, "checks", False)]
+# every option, as (plant kind, key, parser)
+OPTIONS = [(kind, key, parse) for kind, module in PLANTS.items()
+           for key, (parse, _) in module.OPTIONS.items()]
 # each plant's choices, plus values that are no choice of any plant
 WORDS = ["none", "homogeneous", "generalized", "pid", "rectangular", "trapezoidal", "integral",
          "observer", "known_d", "line", "circle", "csv", "hover", "lissajous", "simpson",
          "Line", "bogus"]
 
+numbers = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1e-300]))
 
-def test_the_checked_options():
-    assert {(kind, key) for kind, key, _ in CHECKED} == {
-        *(("chain", f"controller.{name}") for name in
-          ("kind", "omega", "omega_f", "quadrature", "observer_form")),
-        *(("vehicle", key) for key in
-          ("controller.kind", "controller.omega", "controller.omega_d", "controller.quadrature",
-           "plant.wheelbase", "plant.speed", "plant.capture_radius", "path.kind", "path.length",
-           "path.radius", "path.arc", "path.spacing")),
-        *(("vtol", key) for key in
-          ("controller.omega", "controller.omega_f", "controller.omega_att",
-           "controller.omega_tau", "plant.mass", "reference.kind")),
-    }
+
+def values(parse):
+    """A strategy of (value typed in code, its config text) pairs for ``parse``."""
+    if parse in (_float, _positive):
+        return numbers.map(lambda v: (v, repr(float(v))))
+    if parse is _int:
+        return st.integers(-3, 25).map(lambda v: (v, str(v)))
+    if parse is _bool:
+        return st.booleans().map(lambda v: (v, str(v).lower()))
+    if parse in (_floats, _floats3, _inertia):
+        return st.lists(numbers, min_size=1, max_size=10).map(
+            lambda v: (v, ",".join(repr(float(x)) for x in v)))
+    words = st.sampled_from(WORDS) | st.from_regex(r"\A[a-z_]{1,8}\Z")
+    assert parse is _str or parse.__qualname__.startswith("_choice"), parse
+    return words.map(lambda w: (w, w))
 
 
 def from_config(kind, key, text):
@@ -48,56 +55,106 @@ def from_code(kind, key, value):
     else:
         plant = {name: value} if section == "plant" else {section: {name: value}}
         controller = {}
-    disturbance = PLANTS[kind].parse_disturbance({})
-    return Scenario(plant_kind=kind, plant=plant, controller=controller,
-                    disturbance=disturbance, duration=0.01)
+    module = PLANTS[kind]
+    scenario = Scenario(plant_kind=kind, plant=plant, controller=controller,
+                        disturbance=module.parse_disturbance({}), duration=0.01)
+    module.noise_channels(scenario)  # as build_scenario does, to check noise.sigma
+    return scenario
 
 
 def outcome(build, *args):
-    """None if ``build(*args)`` succeeds, else its ConfigError message."""
+    """The Scenario ``build(*args)`` gives, or its ConfigError's message up to
+    the rejected value, which reads as text or as typed."""
     try:
-        build(*args)
+        return build(*args)
     except ConfigError as exc:
-        return str(exc)
-    return None
+        return str(exc).split(" got ")[0]
 
 
-numbers = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1e-300]))
-
-
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_a_value_from_config_or_from_code_has_one_outcome(data):
-    kind, key, parse = data.draw(st.sampled_from(CHECKED))
-    if parse is _positive:
-        value = data.draw(numbers)
-        text = repr(float(value))
-    else:
-        value = text = data.draw(st.sampled_from(WORDS) | st.from_regex(r"\A[a-z_]{1,8}\Z"))
+    kind, key, parse = data.draw(st.sampled_from(OPTIONS))
+    value, text = data.draw(values(parse))
     code = outcome(from_code, kind, key, value)
-    assert code == outcome(from_config, kind, key, text)
-    if parse is _positive:
-        assert (code is None) == (math.isfinite(value) and value > 0)
-    if code is not None:
+    config = outcome(from_config, kind, key, text)
+    if isinstance(code, str) or isinstance(config, str):
+        assert code == config
         assert code.startswith(f"{key}: ")
+    else:
+        assert (code.plant, code.controller) == (config.plant, config.controller)
+    if parse is _positive:
+        assert isinstance(code, Scenario) == (math.isfinite(value) and value > 0)
 
 
 @pytest.mark.parametrize("kind,key,value,message", [
     ("chain", "controller.quadrature", "simpson",
      "controller.quadrature: unknown quadrature 'simpson'"),
     ("chain", "controller.omega", -1, "controller.omega: must be positive, got -1.0"),
+    ("chain", "plant.order", 2.7, "plant.order: expected an integer, got 2.7"),
+    ("chain", "plant.order", True, "plant.order: expected an integer, got True"),
+    ("chain", "plant.b", "fast", "plant.b: expected a number, got 'fast'"),
+    ("chain", "plant.state_coeffs", 0.5, "plant.state_coeffs: expected comma-separated numbers"),
+    ("chain", "controller.seed_integral", "maybe",
+     "controller.seed_integral: expected true/false, got 'maybe'"),
     ("vehicle", "path.length", -5, "path.length: must be positive, got -5.0"),
     ("vehicle", "path.arc", 0, "path.arc: must be positive, got 0.0"),
     ("vehicle", "path.kind", "spiral", "path.kind: unknown kind 'spiral'"),
     ("vtol", "reference.kind", "spiral", "reference.kind: unknown kind 'spiral'"),
+    ("vtol", "reference.position", (1.0, 2.0), "reference.position: expected 3 components"),
+    ("vtol", "plant.inertia", [[1.0, 0.0], [0.0, 1.0]],
+     "plant.inertia: expected 3 (diagonal) or 9 values"),
     ("vtol", "controller.omega_att", float("inf"),
      "controller.omega_att: expected a finite number, got inf"),
-], ids=["quadrature", "chain_omega", "path_length", "path_arc", "path_kind", "reference_kind",
-        "vtol_omega_att_inf"])
+], ids=["quadrature", "chain_omega", "order_fraction", "order_bool", "b_word",
+        "state_coeffs_scalar", "seed_integral", "path_length", "path_arc", "path_kind",
+        "reference_kind", "reference_position", "inertia_2x2", "vtol_omega_att_inf"])
 def test_a_code_built_scenario_raises_on_construction(kind, key, value, message):
     with pytest.raises(ConfigError) as raised:
         from_code(kind, key, value)
     assert str(raised.value).startswith(message)
+
+
+@pytest.mark.parametrize("kind,key,value,resolved", [
+    ("chain", "plant.order", 3.0, 3),
+    ("chain", "plant.order", np.int64(3), 3),
+    ("chain", "plant.b", 2, 2.0),
+    ("chain", "plant.state_coeffs", np.array([0.5]), (0.5,)),
+    ("chain", "controller.seed_integral", "yes", True),
+    ("vehicle", "plant.x0", [0, 1, 0], (0.0, 1.0, 0.0)),
+    ("vtol", "plant.inertia", (1.0, 2.0, 3.0),
+     ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))),
+    ("vtol", "plant.inertia", np.diag([1.0, 2.0, 3.0]),
+     ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))),
+    ("vtol", "plant.inertia", [[1, 0.1, 0], [0.1, 2, 0], [0, 0, 3]],
+     ((1.0, 0.1, 0.0), (0.1, 2.0, 0.0), (0.0, 0.0, 3.0))),
+], ids=["order_integral_float", "order_numpy", "b_int", "state_coeffs_array", "seed_word",
+        "vehicle_x0_list", "inertia_diagonal", "inertia_matrix", "inertia_rows"])
+def test_a_typed_value_resolves(kind, key, value, resolved):
+    section, name = key.split(".", 1)
+    options = from_code(kind, key, value)
+    options = options.controller if section == "controller" else options.plant
+    assert (options if section in ("plant", "controller") else options[section])[name] == resolved
+
+
+def test_a_given_none_takes_the_default():
+    scenario = Scenario(plant_kind="vehicle", plant={"speed": None, "path": {"arc": None}},
+                        controller={"omega": None}, disturbance=ZERO)
+    assert scenario.plant["speed"] == PLANTS["vehicle"].OPTIONS["plant.speed"][1]
+    assert scenario.plant["path"]["arc"] == PLANTS["vehicle"].OPTIONS["path.arc"][1]
+    assert scenario.controller["omega"] == PLANTS["vehicle"].OPTIONS["controller.omega"][1]
+
+
+@pytest.mark.parametrize("kind,disturbance", [
+    ("vtol", Constant(5.0)),
+    ("vtol", {"force": Constant(5.0)}),
+    ("vtol", {"wind": None}),
+    ("chain", {"force": None, "torque": None}),
+    ("vehicle", {"force": None, "torque": None}),
+], ids=["vtol_scalar", "vtol_scalar_part", "vtol_unknown_part", "chain_dict", "vehicle_dict"])
+def test_a_disturbance_of_another_shape_is_rejected(kind, disturbance):
+    with pytest.raises(ConfigError, match="^disturbance: "):
+        Scenario(plant_kind=kind, plant={}, controller={}, disturbance=disturbance)
 
 
 def chain_run(dt, duration):

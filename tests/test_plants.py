@@ -13,7 +13,7 @@ from lumped_pid.config import build_scenario, load_config
 from lumped_pid.errors import ConfigError, SteeringLimitError
 from lumped_pid.plants import chain, plant_module
 from lumped_pid.signals import Constant
-from lumped_pid.sim import Scenario, SimTrace, run_each, run_scenario
+from lumped_pid.sim import Scenario, SimTrace, nest, run_each, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STOCK = {"chain": "chain_step.conf", "vtol": "vtol_wind.conf", "vehicle": "vehicle_bias.conf"}
@@ -116,27 +116,40 @@ def test_trace_holds_every_column_the_module_names(kind):
 @pytest.mark.parametrize("kind", sorted(STOCK))
 def test_declarations_are_consistent(kind):
     module = plant_module(kind)
-    assert module.BANDWIDTH in module.CONTROLLER and "omega" in module.CONTROLLER
+    controller = [key.split(".", 1)[1] for key in module.OPTIONS if key.startswith("controller.")]
+    assert module.BANDWIDTH in controller and "omega" in controller
     # every default reads back through its own parser as itself
-    for name, (parse, default) in module.CONTROLLER.items():
-        key = f"controller.{name}"
-        assert parse({key: str(default)}, key) == default, name
-    assert not module.NO_OBSERVER or "kind" in module.CONTROLLER
-    assert all(key.split(".", 1)[0] in ("plant", "reference", "path") for key in module.KEYS)
+    for key, (parse, default) in module.OPTIONS.items():
+        if default is not None:
+            assert parse({key: default}, key) == default, key
+    assert not module.NO_OBSERVER or "kind" in controller
+    assert all(key.split(".", 1)[0] in ("plant", "reference", "path", "controller")
+               for key in module.OPTIONS)
 
 
 @pytest.mark.parametrize("kind", sorted(STOCK))
 def test_a_direct_scenario_carries_every_declared_option(kind):
     module = plant_module(kind)
-    scenario = Scenario(plant_kind=kind, plant={}, controller={}, disturbance=Constant(0.0))
-    assert scenario.controller == {name: d for name, (_, d) in module.CONTROLLER.items()}
+    scenario = Scenario(plant_kind=kind, plant={}, controller={},
+                        disturbance=module.parse_disturbance({}))
+    assert scenario.controller == {key.split(".", 1)[1]: default
+                                   for key, (_, default) in module.OPTIONS.items()
+                                   if key.startswith("controller.")}
+    assert scenario.plant == nest({key: default for key, (_, default) in module.OPTIONS.items()
+                                   if not key.startswith("controller.")})[0]
     # a given option is kept, and the rest are still filled in
-    given = Scenario(plant_kind=kind, plant={}, controller={"omega": 3.0},
-                     disturbance=Constant(0.0))
+    given = dataclasses.replace(scenario, controller={"omega": 3.0})
     assert given.controller == {**scenario.controller, "omega": 3.0}
     # as is every option a config leaves out
     built = build_scenario({"plant.kind": kind, "sim.duration": "1"})
-    assert built.controller == scenario.controller
+    assert (built.plant, built.controller) == (scenario.plant, scenario.controller)
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    missing = [key for module in plants.PLANTS.values() for key in module.OPTIONS
+               if f"`{key}`" not in readme]
+    assert not missing
 
 
 @pytest.mark.parametrize("kind,plant,controller,key", [
