@@ -17,11 +17,13 @@ Example (integrator chain):
     sim.seed = 42
 
 Each module of lumped_pid.plants declares the plant.*, reference.*, path.*
-and controller.* options it reads, each with a parser of config text or
-typed values and a default, and parses its disturbance.* keys. A key given
-twice or that nothing reads is an error, and so is a noise.sigma list whose
-length is neither 1 nor the plant's count of noised channels.
-``metrics.threshold`` (default 0.02) is the settling band of the metrics.
+and controller.* options it reads, and SCENARIO_OPTIONS the sim.*,
+noise.sigma and metrics.threshold ones, each with a parser of config text or
+typed values and a default, which a Scenario applies; each plant module
+parses its disturbance.* keys. A key given twice or that nothing reads is an
+error, and so is a noise.sigma list whose length is neither 1 nor the
+plant's count of noised channels. ``metrics.threshold`` is the settling band
+of the metrics.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import math
 from collections import UserDict
 
 from .errors import ConfigError
-from .signals import NoiseSpec, Sum, build_signal
-from .sim import Scenario, nest
+from .signals import Sum, build_signal
+from .sim import FIELDS, Scenario, nest
 
 _KNOWN_PREFIXES = ("plant", "controller", "disturbance", "noise", "sim",
                    "reference", "path", "metrics")
@@ -69,35 +71,26 @@ def load_config(path) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _float(flat, key, default=None):
-    if key not in flat:
-        if default is None:
-            raise ConfigError(f"{key}: required")
-        return default
+def _float(value, key):
     try:
-        value = float(flat[key])
+        number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected a number, got {flat[key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-    return value
+        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {number!r}")
+    return number
 
 
-def _positive(flat, key):
+def _positive(value, key):
     """A finite number > 0."""
-    value = _float(flat, key)
-    if not value > 0.0:
-        raise ConfigError(f"{key}: must be positive, got {value!r}")
-    return value
+    number = _float(value, key)
+    if not number > 0.0:
+        raise ConfigError(f"{key}: must be positive, got {number!r}")
+    return number
 
 
-def _int(flat, key, default=None):
+def _int(value, key):
     """An integer; a bool or a number with a fraction is none."""
-    if key not in flat:
-        if default is None:
-            raise ConfigError(f"{key}: required")
-        return default
-    value = flat[key]
     try:
         number = int(value)
         if isinstance(value, bool) or not isinstance(value, str) and number != value:
@@ -107,10 +100,15 @@ def _int(flat, key, default=None):
     return number
 
 
-def _floats(flat, key, default=None):
-    if key not in flat:
-        return default
-    value = flat[key]
+def _count(value, key):
+    """An integer >= 1."""
+    number = _int(value, key)
+    if number < 1:
+        raise ConfigError(f"{key}: must be >= 1, got {number}")
+    return number
+
+
+def _floats(value, key):
     try:
         values = tuple(float(v) for v in (value.split(",") if isinstance(value, str) else value))
     except (TypeError, ValueError):
@@ -120,29 +118,70 @@ def _floats(flat, key, default=None):
     return values
 
 
-def _bool(flat, key, default=False):
-    if key not in flat:
-        return default
-    val = str(flat[key]).lower()  # a bool reads as True or False
+def _floats3(value, key):
+    values = _floats(value, key)
+    if len(values) != 3:
+        raise ConfigError(f"{key}: expected 3 components, got {len(values)}")
+    return values
+
+
+def _bool(value, key):
+    val = str(value).lower()  # a bool reads as True or False
     if val in ("true", "1", "yes"):
         return True
     if val in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected true/false, got {flat[key]!r}")
+    raise ConfigError(f"{key}: expected true/false, got {value!r}")
+
+
+def _str(value, key):
+    return value
+
+
+def _choice(*choices: str):
+    """A parser of a string option that takes one of ``choices``."""
+
+    def parse(value, key):
+        if value not in choices:
+            raise ConfigError(f"{key}: unknown {key.rsplit('.', 1)[-1]} {value!r}, "
+                              f"expected one of {choices}")
+        return value
+
+    return parse
+
+
+# The default of an option that must be given
+REQUIRED = object()
+# Each scenario-wide option, a Scenario field (sim.FIELDS): its parser and
+# default. A Scenario checks the noise.sigma count against its plant's.
+SCENARIO_OPTIONS = {"sim.dt": (_positive, 1e-3), "sim.duration": (_positive, REQUIRED),
+                    "sim.seed": (_int, 0), "sim.decimation": (_count, 1),
+                    "noise.sigma": (_floats, (0.0,)), "metrics.threshold": (_positive, 0.02)}
+
+
+def resolve(value, key, parse, default):
+    """The option ``key``: ``value`` parsed, or if it is None, ``default``."""
+    if value is not None:
+        return parse(value, key)
+    if default is REQUIRED:
+        raise ConfigError(f"{key}: required")
+    return default
+
+
+def _reader(flat: dict, prefix: str, parse=_float):
+    """``field(name, default)`` of :func:`build_signal`: ``prefix.name`` resolved."""
+    return lambda name, default: resolve(flat.get(f"{prefix}.{name}"), f"{prefix}.{name}",
+                                         parse, default)
 
 
 def _signal(flat: dict, prefix: str):
     """The signal at ``prefix``; it reads only the fields of its kind."""
-    return build_signal(flat.get(prefix + ".kind", "none"),
-                        lambda name, default: _float(flat, f"{prefix}.{name}", default),
-                        prefix + ".kind")
+    return build_signal(flat.get(prefix + ".kind", "none"), _reader(flat, prefix), prefix + ".kind")
 
 
 def _scalar_signal(flat: dict, prefix: str = "disturbance"):
     if flat.get(prefix + ".kind") == "sum":
-        terms = _int(flat, prefix + ".terms")
-        if terms < 1:
-            raise ConfigError(f"{prefix}.terms: must be >= 1, got {terms}")
+        terms = _reader(flat, prefix, _count)("terms", REQUIRED)
         return Sum(tuple(_signal(flat, f"{prefix}.term{i}") for i in range(terms)))
     return _signal(flat, prefix)
 
@@ -151,22 +190,6 @@ def _check_signal(disturbance) -> None:
     """Reject a scalar disturbance that is not a signal of t."""
     if not callable(disturbance):
         raise ConfigError(f"disturbance: expected a signal of t, got {disturbance!r}")
-
-
-def _str(flat, key):
-    return flat[key]
-
-
-def _choice(*choices: str):
-    """A parser of a string option that takes one of ``choices``."""
-
-    def parse(flat, key):
-        if flat[key] not in choices:
-            raise ConfigError(f"{key}: unknown {key.rsplit('.', 1)[-1]} {flat[key]!r}, "
-                              f"expected one of {choices}")
-        return flat[key]
-
-    return parse
 
 
 class _ReadKeys(UserDict):
@@ -182,9 +205,10 @@ class _ReadKeys(UserDict):
 
 
 def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
-    """Typed Scenario from a flat config mapping; field-level errors. A key
-    that neither the run nor its metrics read is an error, such as a plant
-    section key its plant module does not declare."""
+    """Typed Scenario from a flat config mapping; field-level errors. It parses
+    the disturbance and hands every other key's text to the Scenario. A key
+    that nothing reads is an error, such as a plant section key its plant
+    module does not declare."""
     from .plants import plant_module  # the plant modules import this one
 
     flat = _ReadKeys(flat)
@@ -193,23 +217,13 @@ def build_scenario(flat: dict, seed_override: int | None = None) -> Scenario:
         raise ConfigError("plant.kind: required")
     module = plant_module(kind)
     plant, controller = nest({key: flat[key] for key in flat if key in module.OPTIONS})
-
-    seed = _int(flat, "sim.seed", 0)
-    seed = seed if seed_override is None else seed_override
-    scenario = Scenario(
-        plant_kind=kind,
-        plant=plant,
-        controller=controller,
-        disturbance=module.parse_disturbance(flat),
-        noise=NoiseSpec(sigmas=_floats(flat, "noise.sigma", (0.0,)), seed=seed),
-        dt=_float(flat, "sim.dt", 1e-3),
-        duration=_float(flat, "sim.duration"),
-        seed=seed,
-        decimation=_int(flat, "sim.decimation", 1),
-        threshold=_float(flat, "metrics.threshold", 0.02),
-    )
+    disturbance = module.parse_disturbance(flat)
+    fields = {name: flat.get(key) for key, name in FIELDS.items()}
+    if seed_override is not None:
+        _int(flat.get("sim.seed", 0), "sim.seed")  # checked even when overridden
+        fields["seed"] = seed_override
     unread = [key for key in flat if key not in flat.read]
     if unread:
         raise ConfigError(f"{unread[0]}: not a key of plant {kind!r}")
-    scenario.noise.check_channels(module.noise_channels(scenario))
-    return scenario
+    return Scenario(plant_kind=kind, plant=plant, controller=controller,
+                    disturbance=disturbance, **fields)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import _check_signal, _choice, _floats, _positive, _scalar_signal, _str
+from ..config import _check_signal, _choice, _floats3, _positive, _scalar_signal, _str
 from ..errors import (
     AmbiguousMatchError,
     ConfigError,
@@ -38,7 +38,7 @@ DESCENT_REACH = 50  # a hinted match searches this many samples either side of t
 # Each option: its parser and default; path.file is required for a csv path.
 # controller.omega is the distance-domain pole [rad/m].
 OPTIONS = {"plant.wheelbase": (_positive, 2.7), "plant.speed": (_positive, 10.0),
-           "plant.x0": (_floats, (0.0, 0.0, 0.0)),
+           "plant.x0": (_floats3, (0.0, 0.0, 0.0)),
            "plant.capture_radius": (_positive, DEFAULT_CAPTURE),
            "path.kind": (_choice("line", "circle", "csv"), "line"),
            "path.length": (_positive, 200.0), "path.radius": (_positive, 50.0),
@@ -453,8 +453,6 @@ def run(scenario: Scenario) -> SimTrace:
                   if copts["kind"] == "observer" else None)
 
     state = opts["x0"]
-    if len(state) != 3:
-        raise ConfigError(f"plant.x0: expected 3 values (x, y, theta), got {len(state)}")
 
     dt = scenario.dt
     ds = v * dt

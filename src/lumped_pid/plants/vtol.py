@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import so3
-from ..config import _choice, _float, _floats, _positive
+from ..config import _choice, _float, _floats, _floats3, _positive, _reader
 from ..errors import (
     AttitudeSingularityError,
     ConfigError,
@@ -66,20 +66,12 @@ def noise_channels(scenario: Scenario) -> int:
     return 9
 
 
-def _floats3(flat, key, default=None):
-    values = _floats(flat, key, default)
-    if values is not None and len(values) != 3:
-        raise ConfigError(f"{key}: expected 3 components, got {len(values)}")
-    return values
-
-
-def _inertia(flat, key):
+def _inertia(value, key):
     """A diagonal (3 values) or full (9 values row by row, or 3 rows) inertia
     matrix, as 3 rows."""
-    value = flat[key]
     if not isinstance(value, str):  # rows, or a matrix, read row by row
         value = np.ravel(np.asarray(value, dtype=object))
-    values = _floats({key: value}, key)
+    values = _floats(value, key)
     if len(values) not in (3, 9):
         raise ConfigError(f"{key}: expected 3 (diagonal) or 9 values")
     if len(values) == 3:
@@ -108,11 +100,11 @@ def _triple_signal(flat: dict, prefix: str):
     if kind == "none":
         return None
     vector = "amplitude" if kind == "sinusoid" else "value"
+    field = _reader(flat, prefix)
     return tuple(
-        build_signal(kind, lambda name, default, c=c:
-                     c if name == vector else _float(flat, f"{prefix}.{name}", default),
+        build_signal(kind, lambda name, default, c=c: c if name == vector else field(name, default),
                      prefix + ".kind")
-        for c in _floats3(flat, f"{prefix}.{vector}", (0.0, 0.0, 0.0))
+        for c in _reader(flat, prefix, _floats3)(vector, (0.0, 0.0, 0.0))
     )
 
 
@@ -146,8 +138,6 @@ class VtolParams:
     mass: float
     gravity: float
     inertia: np.ndarray  # 3x3, symmetric positive definite
-    d_f: tuple = None    # triple of scalar signals [N]
-    d_tau: tuple = None  # triple of scalar signals [N m]
 
     def __post_init__(self):
         J = np.asarray(self.inertia, dtype=float)
@@ -439,9 +429,7 @@ def _build_reference(opts: dict) -> HoverRef | CircleRef | LissajousRef:
 
 def run(scenario: Scenario) -> SimTrace:
     opts = scenario.plant
-    dist = scenario.disturbance
-    params = VtolParams(mass=opts["mass"], gravity=opts["gravity"], inertia=opts["inertia"],
-                        d_f=dist.get("force"), d_tau=dist.get("torque"))
+    params = VtolParams(mass=opts["mass"], gravity=opts["gravity"], inertia=opts["inertia"])
     reference = _build_reference(opts["reference"])
 
     # the controller takes the four bandwidths in the order OPTIONS declares them
@@ -455,8 +443,8 @@ def run(scenario: Scenario) -> SimTrace:
     m, g = params.mass, params.gravity
     J9 = so3.flatten9(params.inertia)
     Jinv9 = inv3(J9)
-    d_f_eval = _triple_sampler(params.d_f)
-    d_tau_eval = _triple_sampler(params.d_tau)
+    d_f_eval = _triple_sampler(scenario.disturbance.get("force"))
+    d_tau_eval = _triple_sampler(scenario.disturbance.get("torque"))
 
     dt = scenario.dt
     n_steps = scenario.n_steps

@@ -85,13 +85,6 @@ class NoiseSpec:
             if not (s >= 0.0):
                 raise ConfigError(f"noise.sigma: deviations must be >= 0, got {s!r}")
 
-    def check_channels(self, n_channels: int) -> None:
-        """Reject a count of deviations other than 1 or ``n_channels``."""
-        if len(self.sigmas) not in (1, n_channels):
-            raise ConfigError(
-                f"noise.sigma: expected 1 or {n_channels} values, got {len(self.sigmas)}"
-            )
-
     def sigma_for(self, channel: int) -> float:
         return self.sigmas[0] if len(self.sigmas) == 1 else self.sigmas[channel]
 
@@ -232,11 +225,9 @@ def noise_table(
 
     Given one spec per lane of a lockstep run, each channel is instead a
     ``[n_samples, lanes]`` float64 array whose column j is lane j's channel,
-    so row k is every lane's sample k. Every spec must give 1 or
+    so row k is every lane's sample k. A Scenario's spec gives 1 or
     ``n_channels`` deviations.
     """
-    for lane in [spec] if isinstance(spec, NoiseSpec) else spec:
-        lane.check_channels(n_channels)
     if isinstance(spec, NoiseSpec):
         return [noise_channel(spec, c, n_samples).tolist() for c in range(n_channels)]
     table = []

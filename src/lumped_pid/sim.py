@@ -15,7 +15,7 @@ instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -149,26 +149,33 @@ def nest(options: dict) -> tuple[dict, dict]:
     return nested["plant"], nested["controller"]
 
 
+# The config key of each scenario-wide Scenario field
+FIELDS = {"sim.dt": "dt", "sim.duration": "duration", "sim.seed": "seed",
+          "sim.decimation": "decimation", "noise.sigma": "noise", "metrics.threshold": "threshold"}
+
+
 @dataclass
 class Scenario:
     """Declarative experiment description; see config.py for the file schema.
-    Each option given (by name, :func:`nest`) is parsed by its plant's parser;
-    every option of the plant is stored, at its default if not given or None.
-    ``disturbance`` has the shape of the plant's ``parse_disturbance``.
-    ``threshold`` is the settling band of the metrics."""
+    Each option given (by name, :func:`nest`) and each field of :data:`FIELDS`
+    is parsed once, config text or typed, and one not given or None takes its
+    default; ``duration`` has none. ``noise`` takes a NoiseSpec or its
+    deviations and becomes a NoiseSpec of ``seed``. ``disturbance`` has the
+    shape of the plant's ``parse_disturbance``."""
 
     plant_kind: str
     plant: dict
     controller: dict
     disturbance: object
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    dt: float = 1e-3
-    duration: float = 1.0
-    seed: int = 0
-    decimation: int = 1
-    threshold: float = 0.02
+    noise: NoiseSpec | Sequence[float] | str | None = None
+    dt: float = None
+    duration: float = None
+    seed: int = None
+    decimation: int = None
+    threshold: float = None
 
     def __post_init__(self):
+        from .config import SCENARIO_OPTIONS, resolve  # config.py imports this one
         from .plants import plant_module  # the plant modules import this one
         module = plant_module(self.plant_kind)
         given = {f"controller.{name}": value for name, value in self.controller.items()}
@@ -179,23 +186,24 @@ class Scenario:
         unknown = [key for key in given if key not in module.OPTIONS]
         if unknown:
             raise ConfigError(f"{unknown[0]}: not a key of plant {self.plant_kind!r}")
-        self.plant, self.controller = nest({
-            key: default if given.get(key) is None else parse({key: given[key]}, key)
-            for key, (parse, default) in module.OPTIONS.items()})
+        given.update({key: getattr(self, name) for key, name in FIELDS.items()})
+        if isinstance(self.noise, NoiseSpec):
+            given["noise.sigma"] = self.noise.sigmas
+        options = {key: resolve(given.get(key), key, parse, default)
+                   for key, (parse, default) in {**SCENARIO_OPTIONS, **module.OPTIONS}.items()}
+        for key, name in FIELDS.items():
+            setattr(self, name, options.pop(key))
+        self.plant, self.controller = nest(options)
         module.check_disturbance(self.disturbance)
-        for key, value in (("metrics.threshold", self.threshold), ("sim.dt", self.dt),
-                           ("sim.duration", self.duration)):
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"{key}: must be positive, got {value!r}")
         steps = self.duration / self.dt  # a dt beyond the duration is a fraction of a step
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
             raise ConfigError(f"sim.duration: must be a whole number of sim.dt steps, "
                               f"got {self.duration!r} / {self.dt!r} = {steps!r}")
-        if self.decimation < 1:
-            raise ConfigError("sim.decimation: must be >= 1")
-        if self.noise.seed != self.seed:
-            # scenario seed is authoritative; NoiseSpec carries it for addressing
-            self.noise = NoiseSpec(sigmas=self.noise.sigmas, seed=self.seed)
+        self.noise = NoiseSpec(sigmas=self.noise, seed=self.seed)
+        channels = module.noise_channels(self)
+        if len(self.noise.sigmas) not in (1, channels):
+            raise ConfigError(f"noise.sigma: expected 1 or {channels} values, "
+                              f"got {len(self.noise.sigmas)}")
 
     @property
     def n_steps(self) -> int:

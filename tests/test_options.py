@@ -1,7 +1,7 @@
-"""Each option has one parser, in its plant's ``OPTIONS``, and a Scenario
-runs it on every option it is given, once: a value is accepted or rejected
-alike, and resolves to the same value, whether it comes from a config file
-or from code."""
+"""Each option has one parser, in its plant's ``OPTIONS`` or in
+``SCENARIO_OPTIONS``, and a Scenario runs it on every option it is given,
+once: a value is accepted or rejected alike, and resolves to the same value,
+whether it comes from a config file or from code."""
 
 import math
 
@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumped_pid.config import _bool, _float, _floats, _int, _positive, _str, build_scenario
+from lumped_pid.config import (SCENARIO_OPTIONS, _bool, _count, _float, _floats, _floats3, _int,
+                               _positive, _str, build_scenario)
 from lumped_pid.errors import ConfigError
 from lumped_pid.plants import PLANTS
-from lumped_pid.plants.vtol import _floats3, _inertia
-from lumped_pid.signals import ZERO, Constant
-from lumped_pid.sim import Scenario
+from lumped_pid.plants.vtol import _inertia
+from lumped_pid.signals import ZERO, Constant, NoiseSpec
+from lumped_pid.sim import FIELDS, Scenario
 
 # every option, as (plant kind, key, parser)
 OPTIONS = [(kind, key, parse) for kind, module in PLANTS.items()
-           for key, (parse, _) in module.OPTIONS.items()]
+           for key, (parse, _) in {**SCENARIO_OPTIONS, **module.OPTIONS}.items()]
 # each plant's choices, plus values that are no choice of any plant
 WORDS = ["none", "homogeneous", "generalized", "pid", "rectangular", "trapezoidal", "integral",
          "observer", "known_d", "line", "circle", "csv", "hover", "lissajous", "simpson",
@@ -32,7 +33,7 @@ def values(parse):
     """A strategy of (value typed in code, its config text) pairs for ``parse``."""
     if parse in (_float, _positive):
         return numbers.map(lambda v: (v, repr(float(v))))
-    if parse is _int:
+    if parse in (_int, _count):
         return st.integers(-3, 25).map(lambda v: (v, str(v)))
     if parse is _bool:
         return st.booleans().map(lambda v: (v, str(v).lower()))
@@ -50,16 +51,15 @@ def from_config(kind, key, text):
 
 def from_code(kind, key, value):
     section, name = key.split(".", 1)
-    if section == "controller":
-        plant, controller = {}, {name: value}
+    plant, controller, fields = {}, {}, {"duration": 0.01}
+    if key in FIELDS:
+        fields[FIELDS[key]] = value
+    elif section == "controller":
+        controller = {name: value}
     else:
         plant = {name: value} if section == "plant" else {section: {name: value}}
-        controller = {}
-    module = PLANTS[kind]
-    scenario = Scenario(plant_kind=kind, plant=plant, controller=controller,
-                        disturbance=module.parse_disturbance({}), duration=0.01)
-    module.noise_channels(scenario)  # as build_scenario does, to check noise.sigma
-    return scenario
+    return Scenario(plant_kind=kind, plant=plant, controller=controller,
+                    disturbance=PLANTS[kind].parse_disturbance({}), **fields)
 
 
 def outcome(build, *args):
@@ -78,13 +78,16 @@ def test_a_value_from_config_or_from_code_has_one_outcome(data):
     value, text = data.draw(values(parse))
     code = outcome(from_code, kind, key, value)
     config = outcome(from_config, kind, key, text)
+    # a step that does not divide the duration is the one error of two keys
+    whole_steps = "sim.duration: must be a whole number of sim.dt steps,"
     if isinstance(code, str) or isinstance(config, str):
         assert code == config
-        assert code.startswith(f"{key}: ")
+        assert code.startswith(f"{key}: ") or key == "sim.dt" and code == whole_steps
     else:
-        assert (code.plant, code.controller) == (config.plant, config.controller)
+        assert code == config
     if parse is _positive:
-        assert isinstance(code, Scenario) == (math.isfinite(value) and value > 0)
+        accepted = isinstance(code, Scenario) or code == whole_steps
+        assert accepted == (math.isfinite(value) and value > 0)
 
 
 @pytest.mark.parametrize("kind,key,value,message", [
@@ -100,6 +103,7 @@ def test_a_value_from_config_or_from_code_has_one_outcome(data):
     ("vehicle", "path.length", -5, "path.length: must be positive, got -5.0"),
     ("vehicle", "path.arc", 0, "path.arc: must be positive, got 0.0"),
     ("vehicle", "path.kind", "spiral", "path.kind: unknown kind 'spiral'"),
+    ("vehicle", "plant.x0", (0.0, 0.0), "plant.x0: expected 3 components, got 2"),
     ("vtol", "reference.kind", "spiral", "reference.kind: unknown kind 'spiral'"),
     ("vtol", "reference.position", (1.0, 2.0), "reference.position: expected 3 components"),
     ("vtol", "plant.inertia", [[1.0, 0.0], [0.0, 1.0]],
@@ -108,7 +112,7 @@ def test_a_value_from_config_or_from_code_has_one_outcome(data):
      "controller.omega_att: expected a finite number, got inf"),
 ], ids=["quadrature", "chain_omega", "order_fraction", "order_bool", "b_word",
         "state_coeffs_scalar", "seed_integral", "path_length", "path_arc", "path_kind",
-        "reference_kind", "reference_position", "inertia_2x2", "vtol_omega_att_inf"])
+        "vehicle_x0", "reference_kind", "reference_position", "inertia_2x2", "vtol_omega_att_inf"])
 def test_a_code_built_scenario_raises_on_construction(kind, key, value, message):
     with pytest.raises(ConfigError) as raised:
         from_code(kind, key, value)
@@ -137,9 +141,40 @@ def test_a_typed_value_resolves(kind, key, value, resolved):
     assert (options if section in ("plant", "controller") else options[section])[name] == resolved
 
 
+@pytest.mark.parametrize("kind,fields,outcome", [
+    ("chain", {"decimation": 2.5}, "sim.decimation: expected an integer, got 2.5"),
+    ("chain", {"decimation": True}, "sim.decimation: expected an integer, got True"),
+    ("chain", {"decimation": 0}, "sim.decimation: must be >= 1, got 0"),
+    ("chain", {"seed": 1.5}, "sim.seed: expected an integer, got 1.5"),
+    ("chain", {"dt": "abc"}, "sim.dt: expected a number, got 'abc'"),
+    ("chain", {"seed": "x", "noise": NoiseSpec((0.1,))}, "sim.seed: expected an integer, got 'x'"),
+    ("chain", {"duration": None}, "sim.duration: required"),
+    ("chain", {"dt": "0.01", "duration": "0.5", "threshold": "0.1", "seed": "3", "noise": "0.1"},
+     {"dt": 0.01, "duration": 0.5, "threshold": 0.1, "seed": 3, "noise": (0.1,)}),
+    ("chain", {"noise": NoiseSpec((0.1,), seed=7), "seed": 3}, {"noise": [0.1], "seed": 3}),
+    ("vehicle", {"noise": NoiseSpec((0.0, 0.0))}, "noise.sigma: expected 1 or 3 values, got 2"),
+    ("vtol", {"noise": NoiseSpec((0.0, 0.0))}, "noise.sigma: expected 1 or 9 values, got 2"),
+], ids=["decimation_fraction", "decimation_bool", "decimation_zero", "seed_fraction", "dt_word",
+        "noisy_seed_word", "no_duration", "text", "noise_spec", "vehicle_sigmas", "vtol_sigmas"])
+def test_a_code_built_field_is_parsed_on_construction(kind, fields, outcome):
+    def build(fields):
+        return Scenario(plant_kind=kind, plant={}, controller={},
+                        disturbance=PLANTS[kind].parse_disturbance({}),
+                        **{"duration": 0.5, **fields})
+
+    if isinstance(outcome, str):
+        with pytest.raises(ConfigError) as raised:
+            build(fields)
+        assert str(raised.value) == outcome
+    else:
+        assert build(fields) == build(outcome)
+
+
 def test_a_given_none_takes_the_default():
     scenario = Scenario(plant_kind="vehicle", plant={"speed": None, "path": {"arc": None}},
-                        controller={"omega": None}, disturbance=ZERO)
+                        controller={"omega": None}, disturbance=ZERO, dt=None, seed=None,
+                        duration=1.0)
+    assert (scenario.dt, scenario.seed) == (1e-3, 0)
     assert scenario.plant["speed"] == PLANTS["vehicle"].OPTIONS["plant.speed"][1]
     assert scenario.plant["path"]["arc"] == PLANTS["vehicle"].OPTIONS["path.arc"][1]
     assert scenario.controller["omega"] == PLANTS["vehicle"].OPTIONS["controller.omega"][1]
@@ -154,7 +189,7 @@ def test_a_given_none_takes_the_default():
 ], ids=["vtol_scalar", "vtol_scalar_part", "vtol_unknown_part", "chain_dict", "vehicle_dict"])
 def test_a_disturbance_of_another_shape_is_rejected(kind, disturbance):
     with pytest.raises(ConfigError, match="^disturbance: "):
-        Scenario(plant_kind=kind, plant={}, controller={}, disturbance=disturbance)
+        Scenario(plant_kind=kind, plant={}, controller={}, disturbance=disturbance, duration=1.0)
 
 
 def chain_run(dt, duration):
@@ -178,5 +213,5 @@ def test_a_duration_of_whole_steps():
 @pytest.mark.parametrize("key,dt,duration", [("sim.dt", math.inf, 1.0),
                                              ("sim.duration", 1e-3, math.inf)])
 def test_a_step_or_duration_that_is_not_finite(key, dt, duration):
-    with pytest.raises(ConfigError, match=f"^{key}: must be positive, got inf"):
+    with pytest.raises(ConfigError, match=f"^{key}: expected a finite number, got inf"):
         chain_run(dt, duration)

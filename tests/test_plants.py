@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lumped_pid import plants
-from lumped_pid.config import build_scenario, load_config
+from lumped_pid.config import REQUIRED, SCENARIO_OPTIONS, build_scenario, load_config
 from lumped_pid.errors import ConfigError, SteeringLimitError
 from lumped_pid.plants import chain, plant_module
 from lumped_pid.signals import Constant
@@ -119,9 +119,9 @@ def test_declarations_are_consistent(kind):
     controller = [key.split(".", 1)[1] for key in module.OPTIONS if key.startswith("controller.")]
     assert module.BANDWIDTH in controller and "omega" in controller
     # every default reads back through its own parser as itself
-    for key, (parse, default) in module.OPTIONS.items():
-        if default is not None:
-            assert parse({key: default}, key) == default, key
+    for key, (parse, default) in {**SCENARIO_OPTIONS, **module.OPTIONS}.items():
+        if default is not None and default is not REQUIRED:
+            assert parse(default, key) == default, key
     assert not module.NO_OBSERVER or "kind" in controller
     assert all(key.split(".", 1)[0] in ("plant", "reference", "path", "controller")
                for key in module.OPTIONS)
@@ -131,7 +131,9 @@ def test_declarations_are_consistent(kind):
 def test_a_direct_scenario_carries_every_declared_option(kind):
     module = plant_module(kind)
     scenario = Scenario(plant_kind=kind, plant={}, controller={},
-                        disturbance=module.parse_disturbance({}))
+                        disturbance=module.parse_disturbance({}), duration=1.0)
+    assert (scenario.dt, scenario.seed, scenario.decimation, scenario.threshold,
+            scenario.noise.sigmas) == (1e-3, 0, 1, 0.02, (0.0,))
     assert scenario.controller == {key.split(".", 1)[1]: default
                                    for key, (_, default) in module.OPTIONS.items()
                                    if key.startswith("controller.")}
@@ -142,13 +144,15 @@ def test_a_direct_scenario_carries_every_declared_option(kind):
     assert given.controller == {**scenario.controller, "omega": 3.0}
     # as is every option a config leaves out
     built = build_scenario({"plant.kind": kind, "sim.duration": "1"})
-    assert (built.plant, built.controller) == (scenario.plant, scenario.controller)
+    assert built == scenario
 
 
 def test_readme_names_every_option():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    missing = [key for module in plants.PLANTS.values() for key in module.OPTIONS
-               if f"`{key}`" not in readme]
+    tables = "\n".join(line for line in readme.splitlines() if line.startswith("| `"))
+    keys = [*SCENARIO_OPTIONS,
+            *(key for module in plants.PLANTS.values() for key in module.OPTIONS)]
+    missing = [key for key in keys if f"`{key}`" not in tables]
     assert not missing
 
 
@@ -169,8 +173,11 @@ def test_a_direct_scenario_rejects_undeclared_options(kind, plant, controller, k
     assert str(raised.value) == f"{key}: not a key of plant {kind!r}"
 
 
-@pytest.mark.parametrize("threshold", [-1.0, 0.0, float("nan")])
-def test_a_direct_scenario_rejects_a_threshold_that_is_not_positive(threshold):
-    with pytest.raises(ConfigError, match="^metrics.threshold: must be positive"):
+@pytest.mark.parametrize("threshold,message", [
+    (-1.0, "must be positive"), (0.0, "must be positive"),
+    (float("nan"), "expected a finite number"),
+], ids=["-1.0", "0.0", "nan"])
+def test_a_direct_scenario_rejects_a_threshold_that_is_not_positive(threshold, message):
+    with pytest.raises(ConfigError, match=f"^metrics.threshold: {message}"):
         Scenario(plant_kind="chain", plant={}, controller={}, disturbance=Constant(0.0),
-                 threshold=threshold)
+                 duration=1.0, threshold=threshold)

@@ -27,16 +27,17 @@ from lumped_pid.sim import Scenario, run_scenario
 from lumped_pid import so3
 
 
-def params(m=1.0, g=9.81, J=(0.02, 0.02, 0.04), d_f=None, d_tau=None):
-    return VtolParams(mass=m, gravity=g, inertia=np.diag(J), d_f=d_f, d_tau=d_tau)
+def params(m=1.0, g=9.81, J=(0.02, 0.02, 0.04)):
+    return VtolParams(mass=m, gravity=g, inertia=np.diag(J))
 
 
-def accel(par, f, w=(0.0, 0.0, 0.0), R9=so3.IDENTITY9, t=0.0):
-    """(v_dot, omega_dot) of ``par`` with zero control torque."""
+def accel(par, f, w=(0.0, 0.0, 0.0), R9=so3.IDENTITY9, t=0.0, d_f=None, d_tau=None):
+    """(v_dot, omega_dot) of ``par`` with zero control torque, under the
+    disturbance triples of signals ``d_f`` and ``d_tau`` (None: zero)."""
     J9 = so3.flatten9(par.inertia)
     zero = (0.0, 0.0, 0.0)
-    d_f = sample_triple(par.d_f, t) if par.d_f else zero
-    d_tau = sample_triple(par.d_tau, t) if par.d_tau else zero
+    d_f = sample_triple(d_f, t) if d_f else zero
+    d_tau = sample_triple(d_tau, t) if d_tau else zero
     return rigid_body_accel((R9[2], R9[5], R9[8]), w, f, zero, 1.0 / par.mass, par.gravity,
                             J9, so3.inv3(J9), d_f, d_tau)
 
@@ -120,8 +121,8 @@ class TestVtolDerivative:
         assert np.linalg.norm(w_dot) < 1e-14
 
     def test_disturbance_enters_translation(self):
-        p = params(d_f=(Constant(0.5), Constant(0.0), Constant(0.0)))
-        v_dot, _ = accel(p, p.mass * p.gravity)
+        p = params()
+        v_dot, _ = accel(p, p.mass * p.gravity, d_f=(Constant(0.5), Constant(0.0), Constant(0.0)))
         assert v_dot[0] == pytest.approx(0.5)
 
     def test_inertia_validation(self):
