@@ -29,6 +29,7 @@ of the metrics.
 from __future__ import annotations
 
 import math
+import operator
 from collections import UserDict
 
 from .errors import ConfigError
@@ -90,14 +91,14 @@ def _positive(value, key):
 
 
 def _int(value, key):
-    """An integer; a bool or a number with a fraction is none."""
+    """An integer: an int (not a bool) or integer text. A float is none, even
+    ``2.0``, as the text ``2.0`` is none, so code and config agree."""
     try:
-        number = int(value)
-        if isinstance(value, bool) or not isinstance(value, str) and number != value:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
+        if isinstance(value, bool):
+            raise TypeError
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-    return number
 
 
 def _count(value, key):

@@ -287,8 +287,9 @@ def lockstep_controller(controllers: Sequence):
     configs differ only in ``omega`` and ``omega_f``. The result is a copy of
     the first with each field of its class's ``LANE_FIELDS`` (gains, observer
     bandwidth) stacked into ``[lanes]`` float64 arrays. Its ``step`` is the
-    class's own: it takes measurements as ``[lanes]`` arrays and returns
-    ``u`` likewise. Every operation of a ``step`` is an elementwise ``+``,
+    class's own: it takes the measurements as an ``[n, lanes]`` array, whose
+    rows it reads one by one, and returns ``u`` as a ``[lanes]`` array. Every
+    operation of a ``step`` is an elementwise ``+``,
     ``-``, ``*`` or ``/`` applied in the same order as on floats, and numpy
     rounds each one exactly as Python does, so lane j of every result equals
     ``controllers[j].step`` on lane j of the inputs, bit for bit. Its

@@ -58,10 +58,11 @@ PLOTS = (
     ("control", ("u",), "control", "u"),
     ("observer", OBSERVER, "disturbance estimate", "f"),
 )
-# One lockstep step costs about as much as five float steps whatever the lane
-# count (measured on second-order chains, generalized and homogeneous), so a
-# list of fewer scenarios runs one at a time.
-LOCKSTEP = 5
+# One lockstep step of 2 to 5 lanes costs about three float steps (2.8 to 3.3
+# measured on the second-order generalized and homogeneous chains of
+# chain_step.conf and bound_demo.conf), so three scenarios only break even
+# and a list of fewer than four runs one at a time.
+LOCKSTEP = 4
 
 
 class IntegratorChain:
@@ -77,6 +78,8 @@ class IntegratorChain:
         self.n = n
         self.b = b
         self.state_coeffs = tuple(float(c) for c in state_coeffs)
+        # the rows of an [n, lanes] derivative before its top row is written
+        self._shift = np.minimum(np.arange(1, n + 1), n - 1)
 
     def lumped_disturbance(self, state: Sequence[float], f0: float) -> float:
         f = f0
@@ -86,10 +89,15 @@ class IntegratorChain:
 
     def derivative(self, state, bu, d, t):
         """The state derivative under the held input term ``bu`` = b*u,
-        which the caller forms once per step rather than once per stage."""
-        out = list(state[1:])
-        out.append(self.lumped_disturbance(state, d) + bu)
-        return out
+        which the caller forms once per step rather than once per stage.
+        An ``[n, lanes]`` state gives an array: its shifted rows over one
+        top row."""
+        top = self.lumped_disturbance(state, d) + bu
+        if isinstance(state, np.ndarray):
+            out = state.take(self._shift, axis=0)
+            out[-1] = top
+            return out
+        return [*state[1:], top]
 
 
 def _plant(scenario: Scenario) -> tuple[IntegratorChain, tuple]:
@@ -152,14 +160,16 @@ def _lane_key(scenario: Scenario) -> tuple:
 def run(scenario: Scenario | Sequence[Scenario]):
     """Simulate one scenario, or a list of lane-compatible ones in lockstep.
 
-    A list runs through this same loop with every per-scenario quantity held
-    as a ``[lanes]`` float64 array: state, measurements, control and
-    estimates, per-lane gains and ``omega_f``. ``f0(t)`` stays one float per
-    step, shared by every lane. The plant and controllers use only
-    elementwise ``+``, ``-``, ``*`` and ``/``, so each lane is bit-identical
-    to its scenario run alone. A list gives one outcome per scenario, in
-    order: a SimTrace of the LOCKSTEP_COLUMNS, or the DivergedError that
-    stopped that scenario.
+    A list runs through this same loop with the state and measurements held
+    as ``[n, lanes]`` float64 arrays (row i is component i of every lane),
+    the noise as one ``[steps, n, lanes]`` table, and every other
+    per-scenario quantity as a ``[lanes]`` array: control and estimates,
+    per-lane gains and ``omega_f``. ``f0(t)`` stays one float per step,
+    shared by every lane. The plant and controllers use only elementwise
+    ``+``, ``-``, ``*`` and ``/``, so each lane is bit-identical to its
+    scenario run alone. A list gives one outcome per scenario, in order: a
+    SimTrace of the LOCKSTEP_COLUMNS, or the DivergedError that stopped that
+    scenario.
     """
     lockstep = not isinstance(scenario, Scenario)
     scenarios = list(scenario) if lockstep else [scenario]
@@ -186,7 +196,7 @@ def run(scenario: Scenario | Sequence[Scenario]):
         lanes = LaneFailures(len(scenarios))
         rec = TraceRecorder.lockstep(names, LOCKSTEP_COLUMNS, len(scenarios), n_steps,
                                      first.decimation)
-        state = [np.full(len(scenarios), v) for v in x0]
+        state = np.repeat(np.array(x0, dtype=float)[:, None], len(scenarios), axis=1)
     else:
         noise = noise_table(first.noise, n, n_steps + 1)
         lanes = None
@@ -199,7 +209,7 @@ def run(scenario: Scenario | Sequence[Scenario]):
             for k in range(n_steps + 1):
                 t = k * dt
                 check_state(state, t, k, lanes)
-                z = [state[i] + noise[i][k] for i in range(n)]
+                z = state + noise[k] if lockstep else [state[i] + noise[i][k] for i in range(n)]
                 if controller is None:
                     u = 0.0
                     f_hat = math.nan

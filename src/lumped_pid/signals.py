@@ -220,22 +220,21 @@ def noise_channel(spec: NoiseSpec, channel: int, n_samples: int) -> np.ndarray:
 
 def noise_table(
     spec: NoiseSpec | Sequence[NoiseSpec], n_channels: int, n_samples: int
-) -> list:
+) -> list | np.ndarray:
     """Per-channel sample lists for a whole run (plain floats for the hot loop).
 
-    Given one spec per lane of a lockstep run, each channel is instead a
-    ``[n_samples, lanes]`` float64 array whose column j is lane j's channel,
-    so row k is every lane's sample k. A Scenario's spec gives 1 or
+    Given one spec per lane of a lockstep run, the table is instead one
+    ``[n_samples, n_channels, lanes]`` float64 array, filled in place, whose
+    ``[:, c, j]`` is lane j's channel c; so ``table[k]`` is every channel and
+    lane's sample k, shaped as a lockstep state. A Scenario's spec gives 1 or
     ``n_channels`` deviations.
     """
     if isinstance(spec, NoiseSpec):
         return [noise_channel(spec, c, n_samples).tolist() for c in range(n_channels)]
-    table = []
+    table = np.empty((n_samples, n_channels, len(spec)))
     for c in range(n_channels):
-        channel = np.empty((n_samples, len(spec)))
         for j, lane in enumerate(spec):
-            channel[:, j] = noise_channel(lane, c, n_samples)
-        table.append(channel)
+            table[:, c, j] = noise_channel(lane, c, n_samples)
     return table
 
 

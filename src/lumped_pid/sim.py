@@ -6,10 +6,11 @@ over each integration step (zero-order hold) at the integrator rate. A run is
 a pure function of its scenario, seed included.
 
 A lockstep run advances several scenarios at once: each per-scenario
-quantity is a ``[lanes]`` float64 array, one lane per scenario, and goes
-through the same plant, integrator and controller code as a float does. The
-guards take a :class:`LaneFailures` record then and mask failing lanes
-instead of raising.
+quantity is a ``[lanes]`` float64 array, one lane per scenario, and the state
+one ``[n, lanes]`` array, row i holding component i. It goes through the same
+plant, integrator and controller code as a float state does, each RK4 stage
+and guard as a fixed handful of whole-array operations. The guards take a
+:class:`LaneFailures` record then and mask failing lanes instead of raising.
 """
 
 from __future__ import annotations
@@ -26,10 +27,13 @@ from .signals import NoiseSpec
 # States beyond this magnitude abort the run as diverged rather than waiting
 # for overflow, so parameter sweeps can record the failure.
 RUNAWAY_BOUND = 1e12
-# Lockstep guards test each state component's sum of squares over the lanes
-# first. Rounding is monotone, so the sum is at least every rounded square:
-# a sum within this screen puts every lane below RUNAWAY_BOUND / 2, and only
-# a sum beyond it (or NaN) needs the lane-by-lane check.
+# The most steps a scenario may take: a run beyond it would not end, and a
+# noisy one would first allocate a noise sample per step and channel.
+MAX_STEPS = 10**8
+# Lockstep guards test the sum of squares of the whole state array first.
+# Rounding is monotone, so the sum is at least every rounded square: a sum
+# within this screen puts every element below RUNAWAY_BOUND / 2, and only a
+# sum beyond it (or NaN) needs the lane-by-lane check.
 _LANE_SCREEN = 0.25 * RUNAWAY_BOUND**2
 
 
@@ -47,9 +51,12 @@ class LaneFailures:
         self.errors: list[Optional[DivergedError]] = [None] * lanes
         self._live: Optional[np.ndarray] = None  # running lanes, once one has failed
 
-    def live(self, x: np.ndarray) -> np.ndarray:
-        """The running lanes of ``x``."""
-        return x if self._live is None else x[self._live]
+    def screen(self, x: np.ndarray, bound: float) -> bool:
+        """Whether the running lanes of the ``[n, lanes]`` array ``x`` have a
+        sum of squares below ``bound``: one dot over the whole array, False
+        if an element is NaN."""
+        live = (x if self._live is None else x[:, self._live]).ravel()
+        return live.dot(live) < bound
 
     def fail(self, mask: np.ndarray, message: str, t: float, step: int) -> None:
         """Mask each running lane set in ``mask``, recording its failure."""
@@ -59,6 +66,30 @@ class LaneFailures:
                 self.errors[j] = DivergedError(message, t=t, step=step)
             self.running &= ~mask
             self._live = np.flatnonzero(self.running)
+
+
+# The RK4 arithmetic, elementwise: one ufunc per operation on an array state,
+# a loop over the components of a list of floats (a plain loop, as a
+# comprehension would add a second frame per call).
+
+def _stage(x, h, k):
+    """``x + h * k``."""
+    if isinstance(x, np.ndarray):
+        return x + h * k
+    out = []
+    for xi, ki in zip(x, k):
+        out.append(xi + h * ki)
+    return out
+
+
+def _rk4_sum(x, h, k1, k2, k3, k4):
+    """``x + h * (k1 + 2 (k2 + k3) + k4)``."""
+    if isinstance(x, np.ndarray):
+        return x + h * (k1 + 2.0 * (k2 + k3) + k4)
+    out = []
+    for xi, a, b, c, d in zip(x, k1, k2, k3, k4):
+        out.append(xi + h * (a + 2.0 * (b + c) + d))
+    return out
 
 
 def rk4_step(
@@ -73,12 +104,12 @@ def rk4_step(
     """Classical 4th-order Runge-Kutta step with u held over the step.
 
     ``plant.derivative(state, u, d, t)`` gives the state derivative for the
-    held control u and the disturbance value d.
+    held control u and the disturbance value d, in the state's own form.
     The disturbance evaluator is sampled at the stage times. Raises
     DivergedError if the new state is non-finite; the error carries the grid
-    index ``round(t / dt)`` of the step. With ``lanes``, the state and ``u``
-    are ``[lanes]`` arrays and each lane with a non-finite result is masked
-    in ``lanes`` instead.
+    index ``round(t / dt)`` of the step. With ``lanes``, the state is an
+    ``[n, lanes]`` array and ``u`` a ``[lanes]`` array; each lane with a
+    non-finite result is masked in ``lanes`` instead.
     """
     if not (dt > 0.0):
         raise ConfigError(f"dt must be positive, got {dt!r}")
@@ -87,21 +118,13 @@ def rk4_step(
     dm = d_eval(t + half)
     d1 = d_eval(t + dt)
     k1 = plant.derivative(state, u, d0, t)
-    s2 = [x + half * k for x, k in zip(state, k1)]
-    k2 = plant.derivative(s2, u, dm, t + half)
-    s3 = [x + half * k for x, k in zip(state, k2)]
-    k3 = plant.derivative(s3, u, dm, t + half)
-    s4 = [x + dt * k for x, k in zip(state, k3)]
-    k4 = plant.derivative(s4, u, d1, t + dt)
-    sixth = dt / 6.0
-    out = [
-        x + sixth * (a + 2.0 * (b + c) + d)
-        for x, a, b, c, d in zip(state, k1, k2, k3, k4)
-    ]
+    k2 = plant.derivative(_stage(state, half, k1), u, dm, t + half)
+    k3 = plant.derivative(_stage(state, half, k2), u, dm, t + half)
+    k4 = plant.derivative(_stage(state, dt, k3), u, d1, t + dt)
+    out = _rk4_sum(state, dt / 6.0, k1, k2, k3, k4)
     if lanes is not None:
-        for x in out:
-            live = lanes.live(x)
-            if not live.dot(live) < math.inf:  # a lane is non-finite, or merely huge
+        if not lanes.screen(out, math.inf):  # a lane is non-finite, or merely huge
+            for x in out:
                 lanes.fail(~np.isfinite(x), f"non-finite state component after step at t={t:g}",
                            t, round(t / dt))
         return out
@@ -117,14 +140,13 @@ def check_state(
 ) -> None:
     """Per-step non-finite and runaway guard for simulation loops.
 
-    With ``lanes``, the state components are ``[lanes]`` arrays and each
-    failing lane is masked in ``lanes`` instead of raising; a lane fails for
-    the same first reason as it would alone.
+    With ``lanes``, the state is an ``[n, lanes]`` array and each failing
+    lane is masked in ``lanes`` instead of raising; a lane fails for the same
+    first reason, component by component, as it would alone.
     """
     if lanes is not None:
-        for x in state:
-            live = lanes.live(x)
-            if not live.dot(live) <= _LANE_SCREEN:  # a lane is NaN, inf or past half the bound
+        if not lanes.screen(state, _LANE_SCREEN):  # NaN, inf or past half the bound
+            for x in state:
                 lanes.fail(~np.isfinite(x), f"non-finite state at t={t:g}", t, step)
                 lanes.fail(~(np.abs(x) <= RUNAWAY_BOUND),
                            f"diverged: |state| exceeded {RUNAWAY_BOUND:g} at t={t:g}", t, step)
@@ -199,6 +221,9 @@ class Scenario:
         if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
             raise ConfigError(f"sim.duration: must be a whole number of sim.dt steps, "
                               f"got {self.duration!r} / {self.dt!r} = {steps!r}")
+        if round(steps) > MAX_STEPS:
+            raise ConfigError(f"sim.duration: at most {MAX_STEPS:g} sim.dt steps, "
+                              f"got {self.duration!r} / {self.dt!r} = {steps:g}")
         self.noise = NoiseSpec(sigmas=self.noise, seed=self.seed)
         channels = module.noise_channels(self)
         if len(self.noise.sigmas) not in (1, channels):

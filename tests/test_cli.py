@@ -492,6 +492,25 @@ class TestLockstepSweep:
         statuses = [line.rsplit(",", 1)[1] for line in lockstep.decode().splitlines()[1:]]
         assert statuses == ["ok"] * cells
 
+    @pytest.mark.parametrize("case,cells", [("chain_step_benchmark_grid", 18),
+                                            ("bound_demo_benchmark_grid", 4)])
+    def test_benchmark_grid_is_one_lockstep_run(self, tmp_path, capsys, monkeypatch, case,
+                                                cells):
+        text, grid, extra = LOCKSTEP_CASES[case]
+        lanes = []
+        run = chain.run
+
+        def spy(scenario):
+            lanes.append(len(scenario) if isinstance(scenario, list) else 1)
+            return run(scenario)
+
+        monkeypatch.setattr(chain, "run", spy)
+        conf = write_conf(tmp_path, re.sub(r"sim\.duration = .*", "sim.duration = 0.1", text))
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--grid", *grid, *extra]) == 0
+        capsys.readouterr()
+        assert lanes == [cells]
+
     def test_parallel_groups_match_cells_run_alone(self, tmp_path, capsys, monkeypatch):
         text = stock("chain_step.conf", **{"sim.duration": 1.0})
         grid = ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01")
@@ -581,6 +600,29 @@ def test_sweep_bytes_match_recorded_digest(tmp_path, capsys, monkeypatch, case):
                  "--grid", *grid, *extra]) == code
     capsys.readouterr()
     assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == digest
+
+
+# stock config: SHA-256 of its simulate run's trace.csv and metrics.csv
+STOCK_DIGESTS = {
+    "chain_step.conf": ("20ed538563a482d4975b479bcb3a56363d9b6852f59274ed1fd0f67ac80230b4",
+                        "c2caaf3b96dadf09aaadd778973d8df507d42c974b8163c5df0c5f300240a119"),
+    "bound_demo.conf": ("9897c58eee77522d088187bc62ce58dc849a564444d239b0f720736a310fe869",
+                        "c319499f0013f6c5afeba50d10abbc6c64395a4f0a59a40dad2cad9da2c02d67"),
+    "vehicle_bias.conf": ("d7840a673a7c124026cbd1875d10c97ed49eddee5321d20a7b74a8d811e719f8",
+                          "e6b1b57180aed2962b3c11e831c997f5f1cec66506e3453ae1563ce4d971cb97"),
+    "vtol_wind.conf": ("50939dea75d73d5d558565db8634a05b536c5e41ef1ba6093237421933401a28",
+                       "da9fab8641e4799dcfa99fae84de4b4afb50ed524984925cc7f41a38a99b23d6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.conf")))
+def test_stock_config_bytes_match_recorded_digest(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.delenv("LUMPED_PID_SEED", raising=False)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert tuple(hashlib.sha256((out / csv).read_bytes()).hexdigest()
+                 for csv in ("trace.csv", "metrics.csv")) == STOCK_DIGESTS[name]
 
 
 class TestSweepBaseConfig:
@@ -673,7 +715,8 @@ class TestNoObserverRows:
         assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
         (row,) = read_rows(tmp_path / "sim" / "metrics.csv")
         assert (row["omega_f"], row["observer_rmse"], row["status"]) == ("", "", "ok")
-        # five cells run in lockstep on a chain, two run one by one
+        # five cells run in lockstep on a chain (chain.LOCKSTEP is 4), two run
+        # one by one
         for grid in ("omega=2,5", "omega=1,2,3,4,5"):
             out = tmp_path / grid
             assert main(["sweep", "--config", conf, "--out", str(out), "--grid", grid]) == 0

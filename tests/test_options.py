@@ -16,7 +16,7 @@ from lumped_pid.errors import ConfigError
 from lumped_pid.plants import PLANTS
 from lumped_pid.plants.vtol import _inertia
 from lumped_pid.signals import ZERO, Constant, NoiseSpec
-from lumped_pid.sim import FIELDS, Scenario
+from lumped_pid.sim import FIELDS, MAX_STEPS, Scenario
 
 # every option, as (plant kind, key, parser)
 OPTIONS = [(kind, key, parse) for kind, module in PLANTS.items()
@@ -34,7 +34,9 @@ def values(parse):
     if parse in (_float, _positive):
         return numbers.map(lambda v: (v, repr(float(v))))
     if parse in (_int, _count):
-        return st.integers(-3, 25).map(lambda v: (v, str(v)))
+        # an integral float is no integer, typed or as its text
+        return st.integers(-3, 25).flatmap(
+            lambda v: st.sampled_from([(v, str(v)), (float(v), repr(float(v)))]))
     if parse is _bool:
         return st.booleans().map(lambda v: (v, str(v).lower()))
     if parse in (_floats, _floats3, _inertia):
@@ -78,15 +80,17 @@ def test_a_value_from_config_or_from_code_has_one_outcome(data):
     value, text = data.draw(values(parse))
     code = outcome(from_code, kind, key, value)
     config = outcome(from_config, kind, key, text)
-    # a step that does not divide the duration is the one error of two keys
-    whole_steps = "sim.duration: must be a whole number of sim.dt steps,"
+    # a step that does not divide the duration, or divides it into too many
+    # steps, is an error of two keys
+    step_count = ("sim.duration: must be a whole number of sim.dt steps,",
+                  "sim.duration: at most 1e+08 sim.dt steps,")
     if isinstance(code, str) or isinstance(config, str):
         assert code == config
-        assert code.startswith(f"{key}: ") or key == "sim.dt" and code == whole_steps
+        assert code.startswith(f"{key}: ") or key == "sim.dt" and code in step_count
     else:
         assert code == config
     if parse is _positive:
-        accepted = isinstance(code, Scenario) or code == whole_steps
+        accepted = isinstance(code, Scenario) or code in step_count
         assert accepted == (math.isfinite(value) and value > 0)
 
 
@@ -96,6 +100,7 @@ def test_a_value_from_config_or_from_code_has_one_outcome(data):
     ("chain", "controller.omega", -1, "controller.omega: must be positive, got -1.0"),
     ("chain", "plant.order", 2.7, "plant.order: expected an integer, got 2.7"),
     ("chain", "plant.order", True, "plant.order: expected an integer, got True"),
+    ("chain", "plant.order", 3.0, "plant.order: expected an integer, got 3.0"),
     ("chain", "plant.b", "fast", "plant.b: expected a number, got 'fast'"),
     ("chain", "plant.state_coeffs", 0.5, "plant.state_coeffs: expected comma-separated numbers"),
     ("chain", "controller.seed_integral", "maybe",
@@ -110,7 +115,8 @@ def test_a_value_from_config_or_from_code_has_one_outcome(data):
      "plant.inertia: expected 3 (diagonal) or 9 values"),
     ("vtol", "controller.omega_att", float("inf"),
      "controller.omega_att: expected a finite number, got inf"),
-], ids=["quadrature", "chain_omega", "order_fraction", "order_bool", "b_word",
+], ids=["quadrature", "chain_omega", "order_fraction", "order_bool", "order_integral_float",
+         "b_word",
         "state_coeffs_scalar", "seed_integral", "path_length", "path_arc", "path_kind",
         "vehicle_x0", "reference_kind", "reference_position", "inertia_2x2", "vtol_omega_att_inf"])
 def test_a_code_built_scenario_raises_on_construction(kind, key, value, message):
@@ -120,7 +126,6 @@ def test_a_code_built_scenario_raises_on_construction(kind, key, value, message)
 
 
 @pytest.mark.parametrize("kind,key,value,resolved", [
-    ("chain", "plant.order", 3.0, 3),
     ("chain", "plant.order", np.int64(3), 3),
     ("chain", "plant.b", 2, 2.0),
     ("chain", "plant.state_coeffs", np.array([0.5]), (0.5,)),
@@ -132,7 +137,7 @@ def test_a_code_built_scenario_raises_on_construction(kind, key, value, message)
      ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))),
     ("vtol", "plant.inertia", [[1, 0.1, 0], [0.1, 2, 0], [0, 0, 3]],
      ((1.0, 0.1, 0.0), (0.1, 2.0, 0.0), (0.0, 0.0, 3.0))),
-], ids=["order_integral_float", "order_numpy", "b_int", "state_coeffs_array", "seed_word",
+], ids=["order_numpy", "b_int", "state_coeffs_array", "seed_word",
         "vehicle_x0_list", "inertia_diagonal", "inertia_matrix", "inertia_rows"])
 def test_a_typed_value_resolves(kind, key, value, resolved):
     section, name = key.split(".", 1)
@@ -143,6 +148,7 @@ def test_a_typed_value_resolves(kind, key, value, resolved):
 
 @pytest.mark.parametrize("kind,fields,outcome", [
     ("chain", {"decimation": 2.5}, "sim.decimation: expected an integer, got 2.5"),
+    ("chain", {"decimation": 2.0}, "sim.decimation: expected an integer, got 2.0"),
     ("chain", {"decimation": True}, "sim.decimation: expected an integer, got True"),
     ("chain", {"decimation": 0}, "sim.decimation: must be >= 1, got 0"),
     ("chain", {"seed": 1.5}, "sim.seed: expected an integer, got 1.5"),
@@ -154,7 +160,7 @@ def test_a_typed_value_resolves(kind, key, value, resolved):
     ("chain", {"noise": NoiseSpec((0.1,), seed=7), "seed": 3}, {"noise": [0.1], "seed": 3}),
     ("vehicle", {"noise": NoiseSpec((0.0, 0.0))}, "noise.sigma: expected 1 or 3 values, got 2"),
     ("vtol", {"noise": NoiseSpec((0.0, 0.0))}, "noise.sigma: expected 1 or 9 values, got 2"),
-], ids=["decimation_fraction", "decimation_bool", "decimation_zero", "seed_fraction", "dt_word",
+], ids=["decimation_fraction", "decimation_integral_float", "decimation_bool", "decimation_zero", "seed_fraction", "dt_word",
         "noisy_seed_word", "no_duration", "text", "noise_spec", "vehicle_sigmas", "vtol_sigmas"])
 def test_a_code_built_field_is_parsed_on_construction(kind, fields, outcome):
     def build(fields):
@@ -202,6 +208,20 @@ def chain_run(dt, duration):
 def test_a_duration_of_a_fraction_of_a_step(dt, duration):
     with pytest.raises(ConfigError, match="^sim.duration: must be a whole number of sim.dt"):
         chain_run(dt, duration)
+
+
+@pytest.mark.parametrize("dt,duration", [(1e-300, 0.01), (1e-9, 1000.0), (1e-3, 100000.001)],
+                         ids=["tiny_step", "1e12_steps", "one_past_the_cap"])
+def test_a_duration_of_too_many_steps(dt, duration):
+    # such a run would never end, and a noisy one would first allocate a noise
+    # sample per step and channel
+    with pytest.raises(ConfigError, match=r"^sim.duration: at most 1e\+08 sim.dt steps, got "):
+        chain_run(dt, duration)
+    text = {"plant.kind": "chain", "sim.dt": repr(dt), "sim.duration": repr(duration),
+            "noise.sigma": "0.1"}
+    with pytest.raises(ConfigError, match=r"^sim.duration: at most 1e\+08 sim.dt steps, got "):
+        build_scenario(text)
+    assert chain_run(1e-3, 100000.0).n_steps == MAX_STEPS
 
 
 def test_a_duration_of_whole_steps():

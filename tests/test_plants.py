@@ -42,16 +42,16 @@ class TestRunLookup:
         monkeypatch.setattr(chain, "run", spy)
         scenario = short_scenario("chain")
         assert run_scenario(scenario) == "traced"
-        # five chain scenarios run as the lanes of one run, four one at a time
-        assert run_scenario([scenario] * 5) == "traced"
-        assert calls == [scenario, [scenario] * 5]
+        # four chain scenarios run as the lanes of one run, three one at a time
+        assert run_scenario([scenario] * 4) == "traced"
+        assert calls == [scenario, [scenario] * 4]
         calls.clear()
-        assert list(run_scenario([scenario] * 4)) == ["traced"] * 4
-        assert calls == [scenario] * 4
+        assert list(run_scenario([scenario] * 3)) == ["traced"] * 3
+        assert calls == [scenario] * 3
 
     def test_lockstep_only_where_the_module_allows_it(self):
         assert {kind: module.LOCKSTEP for kind, module in plants.PLANTS.items()} == {
-            "chain": 5, "vtol": None, "vehicle": None}
+            "chain": 4, "vtol": None, "vehicle": None}
         # a list of another plant's scenarios gives each scenario's run alone
         first = short_scenario("vtol")
         second = dataclasses.replace(first, controller={**first.controller, "omega": 3.0})

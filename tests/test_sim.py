@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lumped_pid.controller import OBSERVER_FORMS
 from lumped_pid.errors import ConfigError, DivergedError
 from lumped_pid.plants import chain
 from lumped_pid.plants.chain import IntegratorChain
 from lumped_pid import signals
+from lumped_pid.quadrature import RULES
 from lumped_pid.signals import Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise, noise_channel
 from lumped_pid.sim import Scenario, rk4_step, run_scenario
 
@@ -366,3 +370,40 @@ class TestLockstep:
         with pytest.raises(ConfigError, match="chain"):
             run_scenario([make_scenario(), make_scenario(plant_kind="vehicle", plant={},
                                                          controller={})])
+
+
+@st.composite
+def lockstep_lanes(draw):
+    """1 to 6 lane-compatible chain scenarios: one plant, controller kind and
+    form, disturbance and decimation, each lane with its own omega, omega_f,
+    noise and seed. An omega of 2000 runs away at this step."""
+    kind = draw(st.sampled_from(["generalized", "pid", "homogeneous", "none"]))
+    order = draw(st.integers(1, 2 if kind == "pid" else 3))
+    controller = {"kind": kind}
+    if kind in ("generalized", "pid"):
+        controller["quadrature"] = draw(st.sampled_from(RULES))
+    if kind == "generalized":
+        controller["observer_form"] = draw(st.sampled_from(OBSERVER_FORMS))
+        controller["seed_integral"] = draw(st.booleans())
+    components = st.lists(st.floats(-2.0, 2.0), min_size=order, max_size=order).map(tuple)
+    plant = {"order": order, "b": draw(st.sampled_from([1.0, -0.7, 2.5])),
+             "x0": draw(st.none() | components),
+             "state_coeffs": draw(st.just(()) | components)}
+    shared = dict(plant=plant, dt=1e-3, duration=draw(st.sampled_from([0.01, 0.05, 0.1])),
+                  decimation=draw(st.integers(1, 4)),
+                  disturbance=draw(st.sampled_from([Constant(1.0), Sinusoid(1.0, 3.0),
+                                                    Step(0.5, 0.02)])))
+    sigmas = st.floats(0.0, 0.05).map(lambda s: (s,)) | st.lists(
+        st.floats(0.0, 0.05), min_size=order, max_size=order).map(tuple)
+    lanes = draw(st.lists(st.tuples(st.floats(0.5, 50.0) | st.just(2000.0),
+                                    st.floats(1.0, 100.0), sigmas), min_size=1, max_size=6))
+    return [make_scenario(controller={**controller, "omega": omega, "omega_f": omega_f},
+                          noise=NoiseSpec(sigmas=sigmas), seed=42 + j, **shared)
+            for j, (omega, omega_f, sigmas) in enumerate(lanes)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(lockstep_lanes())
+def test_every_lane_matches_its_scenario_run_alone(scenarios):
+    # order 1 has no shifted rows in its derivative: the top row is all of it
+    assert_lockstep_matches_alone(scenarios)
