@@ -232,7 +232,7 @@ def cmd_sweep(args) -> int:
         )
     axes = [axis for axis in [*options, "sigma"] if axis in grid]
 
-    cells = []
+    cells = {}  # by scenario_id
     for index, values in enumerate(itertools.product(*(sorted(grid[axis]) for axis in axes))):
         # only grid axes are written: the rest is the base scenario's
         cell = dict(zip(axes, values))
@@ -248,7 +248,11 @@ def cmd_sweep(args) -> int:
         omegaf = "" if bandwidth_option is None else f"_omegaf={omega_f:g}"
         further = "".join(f"_{axis}={value:g}" for axis, value in cell.items()
                           if axis in options and axis not in ("omega", "omega_f"))
-        cells.append((f"omega={omega:g}{omegaf}{further}_sigma={sigma:g}", scenario))
+        scenario_id = f"omega={omega:g}{omegaf}{further}_sigma={sigma:g}"
+        if scenario_id in cells:  # %g keeps 6 significant digits
+            raise ConfigError(f"--grid: two cells share the scenario_id {scenario_id!r}")
+        cells[scenario_id] = scenario
+    cells = list(cells.items())
 
     outdir = Path(args.out)
     with _out_errors(outdir):

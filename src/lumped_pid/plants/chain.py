@@ -146,7 +146,8 @@ def _build_controller(scenario: Scenario):
     )
 
 
-# the trace columns the sweep metrics read; all a lockstep run records
+# the trace columns the sweep metrics read; all a lockstep run records, its
+# row [t, state[0], f_true, f_hat]
 LOCKSTEP_COLUMNS = ("t", SIGNAL, *OBSERVER)
 
 
@@ -183,27 +184,28 @@ def run(scenario: Scenario | Sequence[Scenario]):
     f0 = first.disturbance
     dt = first.dt
     n_steps = first.n_steps
-    names = (
-        ["t"]
-        + [f"x{i}" for i in range(n)]
-        + ["u", "f_true", "f_hat"]
-        + [f"z{i}" for i in range(n)]
-    )
     if lockstep:
         if controller is not None:
             controller = lockstep_controller(controllers)
         noise = noise_table([s.noise for s in scenarios], n, n_steps + 1)
         lanes = LaneFailures(len(scenarios))
-        rec = TraceRecorder.lockstep(names, LOCKSTEP_COLUMNS, len(scenarios), n_steps,
+        rec = TraceRecorder.lockstep(LOCKSTEP_COLUMNS, len(scenarios), n_steps,
                                      first.decimation)
         state = np.repeat(np.array(x0, dtype=float)[:, None], len(scenarios), axis=1)
     else:
         noise = noise_table(first.noise, n, n_steps + 1)
         lanes = None
+        names = (
+            ["t"]
+            + [f"x{i}" for i in range(n)]
+            + ["u", "f_true", "f_hat"]
+            + [f"z{i}" for i in range(n)]
+        )
         rec = TraceRecorder(names, first.decimation)
         state = x0
 
-    # a masked lane may overflow to inf or NaN; that is recorded in `lanes`
+    # a lane may overflow to inf or NaN; check_state masks it in `lanes` at
+    # the next step
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(n_steps + 1):
@@ -217,9 +219,10 @@ def run(scenario: Scenario | Sequence[Scenario]):
                     u = controller.step(z)
                     f_hat = controller.f_hat
                 f_true = plant.lumped_disturbance(state, f0(t))
-                rec.record(k, [t, *state, u, f_true, f_hat, *z])
+                rec.record(k, [t, state[0], f_true, f_hat] if lockstep
+                           else [t, *state, u, f_true, f_hat, *z])
                 if k < n_steps:
-                    state = rk4_step(plant, state, plant.b * u, f0, t, dt, lanes)
+                    state = rk4_step(plant, state, plant.b * u, f0, t, dt)
         except LumpedPidError as exc:
             exc.at(k, t)
             raise

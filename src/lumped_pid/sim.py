@@ -9,8 +9,13 @@ A lockstep run advances several scenarios at once: each per-scenario
 quantity is a ``[lanes]`` float64 array, one lane per scenario, and the state
 one ``[n, lanes]`` array, row i holding component i. It goes through the same
 plant, integrator and controller code as a float state does, each RK4 stage
-and guard as a fixed handful of whole-array operations. The guards take a
-:class:`LaneFailures` record then and mask failing lanes instead of raising.
+and guard as a fixed handful of whole-array operations.
+
+:func:`check_state`, at the top of each step of a plant's loop, is the one
+divergence guard: :func:`rk4_step` returns its state unchecked, so a step
+that makes the state non-finite is reported at the next step. In a lockstep
+run it takes a :class:`LaneFailures` record and masks failing lanes instead
+of raising.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ RUNAWAY_BOUND = 1e12
 # The most steps a scenario may take: a run beyond it would not end, and a
 # noisy one would first allocate a noise sample per step and channel.
 MAX_STEPS = 10**8
-# Lockstep guards test the sum of squares of the whole state array first.
+# The lockstep guard tests the sum of squares of the whole state array first.
 # Rounding is monotone, so the sum is at least every rounded square: a sum
 # within this screen puts every element below RUNAWAY_BOUND / 2, and only a
 # sum beyond it (or NaN) needs the lane-by-lane check.
@@ -40,7 +45,7 @@ _LANE_SCREEN = 0.25 * RUNAWAY_BOUND**2
 class LaneFailures:
     """The first failure of each lane of a lockstep run.
 
-    A lane whose state fails a guard is masked: it keeps the DivergedError of
+    A lane whose state fails the guard is masked: it keeps the DivergedError of
     its first failing step, and later failures of it are ignored. Its state
     goes on advancing (as inf or NaN) without touching the other lanes,
     because every lockstep operation is elementwise.
@@ -51,12 +56,12 @@ class LaneFailures:
         self.errors: list[Optional[DivergedError]] = [None] * lanes
         self._live: Optional[np.ndarray] = None  # running lanes, once one has failed
 
-    def screen(self, x: np.ndarray, bound: float) -> bool:
+    def screen(self, x: np.ndarray) -> bool:
         """Whether the running lanes of the ``[n, lanes]`` array ``x`` have a
-        sum of squares below ``bound``: one dot over the whole array, False
-        if an element is NaN."""
+        sum of squares within the lockstep screen: one dot over the whole
+        array, False if an element is NaN."""
         live = (x if self._live is None else x[:, self._live]).ravel()
-        return live.dot(live) < bound
+        return live.dot(live) < _LANE_SCREEN
 
     def fail(self, mask: np.ndarray, message: str, t: float, step: int) -> None:
         """Mask each running lane set in ``mask``, recording its failure."""
@@ -99,17 +104,15 @@ def rk4_step(
     d_eval: Callable[[float], object],
     t: float,
     dt: float,
-    lanes: Optional[LaneFailures] = None,
-) -> list[float]:
+):
     """Classical 4th-order Runge-Kutta step with u held over the step.
 
     ``plant.derivative(state, u, d, t)`` gives the state derivative for the
-    held control u and the disturbance value d, in the state's own form.
-    The disturbance evaluator is sampled at the stage times. Raises
-    DivergedError if the new state is non-finite; the error carries the grid
-    index ``round(t / dt)`` of the step. With ``lanes``, the state is an
-    ``[n, lanes]`` array and ``u`` a ``[lanes]`` array; each lane with a
-    non-finite result is masked in ``lanes`` instead.
+    held control u and the disturbance value d, in the state's own form: a
+    list of floats, or an ``[n, lanes]`` array with ``u`` a ``[lanes]``
+    array. The disturbance evaluator is sampled at the stage times. The new
+    state is returned unchecked, possibly non-finite: the caller's loop runs
+    :func:`check_state` on it at the top of its next step.
     """
     if not (dt > 0.0):
         raise ConfigError(f"dt must be positive, got {dt!r}")
@@ -121,31 +124,21 @@ def rk4_step(
     k2 = plant.derivative(_stage(state, half, k1), u, dm, t + half)
     k3 = plant.derivative(_stage(state, half, k2), u, dm, t + half)
     k4 = plant.derivative(_stage(state, dt, k3), u, d1, t + dt)
-    out = _rk4_sum(state, dt / 6.0, k1, k2, k3, k4)
-    if lanes is not None:
-        if not lanes.screen(out, math.inf):  # a lane is non-finite, or merely huge
-            for x in out:
-                lanes.fail(~np.isfinite(x), f"non-finite state component after step at t={t:g}",
-                           t, round(t / dt))
-        return out
-    for x in out:
-        if not math.isfinite(x):
-            raise DivergedError(f"non-finite state component after step at t={t:g}",
-                                t=t, step=round(t / dt))
-    return out
+    return _rk4_sum(state, dt / 6.0, k1, k2, k3, k4)
 
 
 def check_state(
     state: Sequence[float], t: float, step: int, lanes: Optional[LaneFailures] = None
 ) -> None:
-    """Per-step non-finite and runaway guard for simulation loops.
+    """Per-step non-finite and runaway guard for simulation loops, the only
+    one: a loop runs it on each step's state before anything reads it.
 
     With ``lanes``, the state is an ``[n, lanes]`` array and each failing
     lane is masked in ``lanes`` instead of raising; a lane fails for the same
     first reason, component by component, as it would alone.
     """
     if lanes is not None:
-        if not lanes.screen(state, _LANE_SCREEN):  # NaN, inf or past half the bound
+        if not lanes.screen(state):  # NaN, inf or past half the bound
             for x in state:
                 lanes.fail(~np.isfinite(x), f"non-finite state at t={t:g}", t, step)
                 lanes.fail(~(np.abs(x) <= RUNAWAY_BOUND),
@@ -269,17 +262,16 @@ class SimTrace:
 
 
 class _LaneColumns:
-    """Preallocated storage for the kept columns of a lockstep recorder;
-    ``append`` takes a full row of the recorder's names.
+    """Preallocated storage for the columns of a lockstep recorder;
+    ``append`` takes one row of values, in the order of ``names``.
 
     A column is allocated at the first row: ``[lanes, rows]`` if its value is
     an array, or one ``[rows]`` array shared by every lane if it is a float
     (time, or a disturbance no state feeds back into).
     """
 
-    def __init__(self, names: Sequence[str], keep: Sequence[str], lanes: int, rows: int):
-        self.keep = list(keep)
-        self.index = [list(names).index(name) for name in keep]
+    def __init__(self, names: Sequence[str], lanes: int, rows: int):
+        self.names = list(names)
         self.lanes = lanes
         self.columns: dict[str, np.ndarray] = {}
         self._arrays: list[np.ndarray] = []
@@ -289,13 +281,13 @@ class _LaneColumns:
     def append(self, values: Sequence) -> None:
         row = self.rows
         if row == 0:
-            for name, i in zip(self.keep, self.index):
-                lanes = () if isinstance(values[i], float) else (self.lanes,)
+            for name, value in zip(self.names, values):
+                lanes = () if isinstance(value, float) else (self.lanes,)
                 self.columns[name] = np.empty(lanes + (self._capacity,))
             # row-first views: one assignment writes row k of every lane
-            self._arrays = [self.columns[name].T for name in self.keep]
-        for array, i in zip(self._arrays, self.index):
-            array[row] = values[i]
+            self._arrays = [self.columns[name].T for name in self.names]
+        for array, value in zip(self._arrays, values):
+            array[row] = value
         self.rows = row + 1
 
     def lane(self, j: int) -> dict[str, np.ndarray]:
@@ -313,15 +305,13 @@ class TraceRecorder:
 
     @classmethod
     def lockstep(
-        cls, names: Sequence[str], keep: Sequence[str], lanes: int, n_steps: int,
-        decimation: int = 1,
+        cls, names: Sequence[str], lanes: int, n_steps: int, decimation: int = 1
     ) -> TraceRecorder:
-        """A recorder for a lockstep run of ``n_steps`` steps: ``record`` still
-        takes full rows of ``names`` (floats or ``[lanes]`` arrays), but only
-        the columns in ``keep`` are stored, into preallocated arrays, and
-        ``build`` returns one SimTrace per lane."""
+        """A recorder for a lockstep run of ``n_steps`` steps: ``record`` takes
+        rows of ``names`` (floats or ``[lanes]`` arrays), stored into
+        preallocated arrays, and ``build`` returns one SimTrace per lane."""
         rec = cls(names, decimation)
-        rec._rows = _LaneColumns(rec.names, keep, lanes, n_steps // decimation + 1)
+        rec._rows = _LaneColumns(rec.names, lanes, n_steps // decimation + 1)
         return rec
 
     def record(self, step_index: int, values: Sequence[float]) -> None:

@@ -425,6 +425,16 @@ class TestSweep:
         assert "--grid: axis 'omega' given twice" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("grid", ["omega=1,1", "omega=1.0000001,1.0000002"],
+                             ids=["repeated_value", "equal_to_six_digits"])
+    def test_cells_sharing_a_scenario_id(self, tmp_path, capsys, grid):
+        conf = write_conf(tmp_path, CHAIN_CONF)
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--grid", grid]) == 2
+        assert capsys.readouterr().err == ("config error: --grid: two cells share the "
+                                           "scenario_id 'omega=1_omegaf=10_sigma=0'\n")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one(self, tmp_path, capsys, workers):
         conf = write_conf(tmp_path, CHAIN_CONF)

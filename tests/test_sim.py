@@ -80,10 +80,18 @@ class TestRk4Step:
         with pytest.raises(ConfigError):
             rk4_step(IntegratorChain(1, 1.0), [0.0], 0.0, Constant(0.0), 0.0, 0.0)
 
-    def test_nonfinite_detection(self):
+    def test_nonfinite_state_is_returned_and_caught_at_the_next_step(self):
+        # rk4_step does not guard its result; check_state, at the top of the
+        # next step, is the run's one divergence guard
         plant = IntegratorChain(1, 1.0)
-        with pytest.raises(DivergedError):
-            rk4_step(plant, [1e308], 0.0, Constant(1e308), 0.0, 1.0)
+        out = rk4_step(plant, [0.0], 0.0, Constant(1e308), 0.0, 1.0)
+        assert not math.isfinite(out[0])
+        overflow = make_scenario(plant={"order": 1, "b": 1.0}, controller={"kind": "none"},
+                                 disturbance=Constant(1e308), dt=1.0, duration=3.0)
+        with pytest.raises(DivergedError) as info:
+            run_scenario(overflow)
+        assert info.value.step == 1 and info.value.t == 1.0
+        assert str(info.value) == "non-finite state at t=1"
 
 
 class TestDisturbanceSignals:
@@ -356,13 +364,19 @@ class TestLockstep:
         assert [isinstance(o, DivergedError) for o in outcomes] == [False, True, False]
         assert outcomes[1].step is not None and outcomes[1].t == outcomes[1].step * 1e-3
 
-    def test_non_finite_step_reported_at_the_integrating_step(self):
-        # noise near the float range drives u to inf at step 0, so the
-        # integrator's own guard fires before the per-step runaway guard
-        outcomes = assert_lockstep_matches_alone(
-            lanes_over((2.0,), (10.0,), (0.0, 1e307, 0.01), duration=0.05))
+    def test_non_finite_step_reported_at_the_next_step(self):
+        # noise near the float range drives u to inf at step 0, so the RK4
+        # step makes the state non-finite; check_state reports it at step 1,
+        # in the lane as in the scenario run alone. It screens component by
+        # component, and x0 comes out finite but past the runaway bound.
+        scenarios = lanes_over((2.0,), (10.0,), (0.0, 1e307, 0.01), duration=0.05)
+        outcomes = assert_lockstep_matches_alone(scenarios)
         assert [isinstance(o, DivergedError) for o in outcomes] == [False, True, False]
-        assert "after step" in str(outcomes[1]) and outcomes[1].step == 0
+        with pytest.raises(DivergedError) as alone:
+            run_scenario(scenarios[1])
+        for error in (outcomes[1], alone.value):
+            assert error.step == 1
+            assert str(error) == "diverged: |state| exceeded 1e+12 at t=0.001"
 
     def test_incompatible_scenarios_rejected(self):
         with pytest.raises(ConfigError, match="differ"):
