@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis import BoundReport, check_bound
-from ..config import (_bool, _check_signal, _choice, _float, _floats, _int, _positive,
+from ..config import (_bool, _check_signal, _choice, _count, _float, _floats, _positive,
                       _scalar_signal)
 from ..controller import (
     OBSERVER_FORMS,
@@ -39,7 +39,7 @@ from ..signals import noise_table
 # Each option: its parser and the value a scenario without it takes; an x0
 # of None is the zero state. BANDWIDTH names the option that sets the
 # observer bandwidth; the controller kinds in NO_OBSERVER read none.
-OPTIONS = {"plant.order": (_int, 1), "plant.b": (_float, 1.0), "plant.x0": (_floats, None),
+OPTIONS = {"plant.order": (_count, 1), "plant.b": (_float, 1.0), "plant.x0": (_floats, None),
            "plant.state_coeffs": (_floats, ()),
            "controller.kind": (_choice("none", "homogeneous", "generalized", "pid"),
                                "generalized"),
@@ -58,17 +58,15 @@ PLOTS = (
     ("control", ("u",), "control", "u"),
     ("observer", OBSERVER, "disturbance estimate", "f"),
 )
-# One lockstep step of 2 to 5 lanes costs about three float steps (2.8 to 3.3
-# measured on the second-order generalized and homogeneous chains of
-# chain_step.conf and bound_demo.conf), so three scenarios only break even
-# and a list of fewer than four runs one at a time.
+# One lockstep step of 2 to 6 lanes costs about 4.2 to 4.6 float steps on the
+# second-order generalized chain of chain_step.conf and 3.4 to 3.9 on the
+# homogeneous one of bound_demo.conf, so four lanes about break even and a
+# list of fewer than four runs one at a time.
 LOCKSTEP = 4
 
 
 class IntegratorChain:
     def __init__(self, n: int, b: float, state_coeffs: Sequence[float] = ()):
-        if n < 1:
-            raise ConfigError(f"plant.order: must be >= 1, got {n}")
         if b == 0.0:
             raise ConfigError("plant.b: input coefficient must be nonzero")
         if state_coeffs and len(state_coeffs) != n:
@@ -78,8 +76,6 @@ class IntegratorChain:
         self.n = n
         self.b = b
         self.state_coeffs = tuple(float(c) for c in state_coeffs)
-        # the rows of an [n, lanes] derivative before its top row is written
-        self._shift = np.minimum(np.arange(1, n + 1), n - 1)
 
     def lumped_disturbance(self, state: Sequence[float], f0: float) -> float:
         f = f0
@@ -88,16 +84,42 @@ class IntegratorChain:
         return f
 
     def derivative(self, state, bu, d, t):
-        """The state derivative under the held input term ``bu`` = b*u,
-        which the caller forms once per step rather than once per stage.
-        An ``[n, lanes]`` state gives an array: its shifted rows over one
-        top row."""
-        top = self.lumped_disturbance(state, d) + bu
-        if isinstance(state, np.ndarray):
-            out = state.take(self._shift, axis=0)
-            out[-1] = top
-            return out
-        return [*state[1:], top]
+        """The derivative of a list of floats under the held input term ``bu`` = b*u."""
+        return [*state[1:], self.lumped_disturbance(state, d) + bu]
+
+
+def rk4_map(plant: IntegratorChain, dt: float):
+    """One RK4 step of the chain under a held ``bu`` = b*u, as the affine map
+    ``x+ = M x + q bu + p0 f0(t) + pm f0(t+h/2) + p1 f0(t+h)`` that
+    :func:`rk4_step` builds on ``n + 4`` basis inputs: RK4 up to rounding.
+    Gives ``step(x, bu, d)`` for ``x`` a list of floats or an ``[n, lanes]``
+    array and ``d`` the disturbance at t, t+h/2 and t+h: each row one sum in
+    a fixed order, without terms of coefficient 0 and with those of 1 taken
+    as they are, so each lane is bit-identical to its run alone."""
+    n = plant.n
+    # each value of (*d, *x, bu) alone, as (state, bu, time of a unit disturbance)
+    inputs = [([0.0] * n, 0.0, at) for at in (0.0, 0.5 * dt, dt)]
+    inputs += [([float(i == j) for i in range(n)], 0.0, None) for j in range(n)]
+    inputs.append(([0.0] * n, 1.0, None))
+    basis = [rk4_step(plant, x, bu, lambda t, at=at: float(t == at), 0.0, dt)
+             for x, bu, at in inputs]
+    # row i sums the disturbance, bu, the other state rows, then its own
+    # last, as RK4 adds its increment last; None is a coefficient of 1
+    rows = [[(k, None if basis[k][i] == 1.0 else basis[k][i])
+             for k in (0, 1, 2, 3 + n, *(3 + j for j in range(n) if j != i), 3 + i)
+             if basis[k][i] != 0.0] for i in range(n)]
+
+    def step(x, bu, d):
+        values = (*d, *x, bu)
+        out = x.copy()
+        for i, terms in enumerate(rows):
+            acc = 0.0
+            for k, c in terms:
+                acc = acc + (values[k] if c is None else c * values[k])
+            out[i] = acc
+        return out
+
+    return step
 
 
 def _plant(scenario: Scenario) -> tuple[IntegratorChain, tuple]:
@@ -138,12 +160,9 @@ def _build_controller(scenario: Scenario):
         return HomogeneousController(config)
     if kind == "pid":
         return ClassicPidController(config, rule=opts["quadrature"])
-    return GeneralizedController(
-        config,
-        rule=opts["quadrature"],
-        observer_form=opts["observer_form"],
-        seed_integral=opts["seed_integral"],
-    )
+    return GeneralizedController(config, rule=opts["quadrature"],
+                                 observer_form=opts["observer_form"],
+                                 seed_integral=opts["seed_integral"])
 
 
 # the trace columns the sweep metrics read; all a lockstep run records, its
@@ -179,10 +198,12 @@ def run(scenario: Scenario | Sequence[Scenario]):
         raise ConfigError("lockstep scenarios differ in more than omega, omega_f and noise")
     plant, x0 = _plant(first)
     n = plant.n
+    step = rk4_map(plant, first.dt)
     controllers = [_build_controller(s) for s in scenarios]
     controller = controllers[0]
     f0 = first.disturbance
     dt = first.dt
+    half = 0.5 * dt
     n_steps = first.n_steps
     if lockstep:
         if controller is not None:
@@ -195,14 +216,10 @@ def run(scenario: Scenario | Sequence[Scenario]):
     else:
         noise = noise_table(first.noise, n, n_steps + 1)
         lanes = None
-        names = (
-            ["t"]
-            + [f"x{i}" for i in range(n)]
-            + ["u", "f_true", "f_hat"]
-            + [f"z{i}" for i in range(n)]
-        )
+        names = ["t", *(f"x{i}" for i in range(n)), "u", "f_true", "f_hat",
+                 *(f"z{i}" for i in range(n))]
         rec = TraceRecorder(names, first.decimation)
-        state = x0
+        state = list(x0)
 
     # a lane may overflow to inf or NaN; check_state masks it in `lanes` at
     # the next step
@@ -218,11 +235,12 @@ def run(scenario: Scenario | Sequence[Scenario]):
                 else:
                     u = controller.step(z)
                     f_hat = controller.f_hat
-                f_true = plant.lumped_disturbance(state, f0(t))
+                d0 = f0(t)
+                f_true = plant.lumped_disturbance(state, d0)
                 rec.record(k, [t, state[0], f_true, f_hat] if lockstep
                            else [t, *state, u, f_true, f_hat, *z])
                 if k < n_steps:
-                    state = rk4_step(plant, state, plant.b * u, f0, t, dt)
+                    state = step(state, plant.b * u, (d0, f0(t + half), f0(t + dt)))
         except LumpedPidError as exc:
             exc.at(k, t)
             raise

@@ -8,14 +8,14 @@ a pure function of its scenario, seed included.
 A lockstep run advances several scenarios at once: each per-scenario
 quantity is a ``[lanes]`` float64 array, one lane per scenario, and the state
 one ``[n, lanes]`` array, row i holding component i. It goes through the same
-plant, integrator and controller code as a float state does, each RK4 stage
-and guard as a fixed handful of whole-array operations.
+plant step and controller code as a float state does. A chain steps by its
+RK4 step as one affine map, which :func:`rk4_step` builds once per run.
 
 :func:`check_state`, at the top of each step of a plant's loop, is the one
-divergence guard: :func:`rk4_step` returns its state unchecked, so a step
-that makes the state non-finite is reported at the next step. In a lockstep
-run it takes a :class:`LaneFailures` record and masks failing lanes instead
-of raising.
+divergence guard: a plant step returns its state unchecked, so a step that
+makes the state non-finite is reported at the next step. In a lockstep run
+it takes a :class:`LaneFailures` record and masks failing lanes instead of
+raising.
 """
 
 from __future__ import annotations
@@ -73,30 +73,6 @@ class LaneFailures:
             self._live = np.flatnonzero(self.running)
 
 
-# The RK4 arithmetic, elementwise: one ufunc per operation on an array state,
-# a loop over the components of a list of floats (a plain loop, as a
-# comprehension would add a second frame per call).
-
-def _stage(x, h, k):
-    """``x + h * k``."""
-    if isinstance(x, np.ndarray):
-        return x + h * k
-    out = []
-    for xi, ki in zip(x, k):
-        out.append(xi + h * ki)
-    return out
-
-
-def _rk4_sum(x, h, k1, k2, k3, k4):
-    """``x + h * (k1 + 2 (k2 + k3) + k4)``."""
-    if isinstance(x, np.ndarray):
-        return x + h * (k1 + 2.0 * (k2 + k3) + k4)
-    out = []
-    for xi, a, b, c, d in zip(x, k1, k2, k3, k4):
-        out.append(xi + h * (a + 2.0 * (b + c) + d))
-    return out
-
-
 def rk4_step(
     plant,
     state: Sequence[float],
@@ -105,26 +81,31 @@ def rk4_step(
     t: float,
     dt: float,
 ):
-    """Classical 4th-order Runge-Kutta step with u held over the step.
+    """Classical 4th-order Runge-Kutta step with u held over the step, on a
+    state of Python floats; a chain run calls it only to build its step map.
 
-    ``plant.derivative(state, u, d, t)`` gives the state derivative for the
-    held control u and the disturbance value d, in the state's own form: a
-    list of floats, or an ``[n, lanes]`` array with ``u`` a ``[lanes]``
-    array. The disturbance evaluator is sampled at the stage times. The new
-    state is returned unchecked, possibly non-finite: the caller's loop runs
+    ``plant.derivative(state, u, d, t)`` gives the state derivative, a
+    sequence of floats, for the held control u and the disturbance value d.
+    The disturbance evaluator is sampled at the stage times. The new state is
+    returned unchecked, possibly non-finite: the caller's loop runs
     :func:`check_state` on it at the top of its next step.
     """
     if not (dt > 0.0):
         raise ConfigError(f"dt must be positive, got {dt!r}")
     half = 0.5 * dt
-    d0 = d_eval(t)
-    dm = d_eval(t + half)
-    d1 = d_eval(t + dt)
-    k1 = plant.derivative(state, u, d0, t)
-    k2 = plant.derivative(_stage(state, half, k1), u, dm, t + half)
-    k3 = plant.derivative(_stage(state, half, k2), u, dm, t + half)
-    k4 = plant.derivative(_stage(state, dt, k3), u, d1, t + dt)
-    return _rk4_sum(state, dt / 6.0, k1, k2, k3, k4)
+    d0, dm, d1 = d_eval(t), d_eval(t + half), d_eval(t + dt)
+    ks = [plant.derivative(state, u, d0, t)]
+    # plain loops, as a comprehension would add a frame per call
+    for h, d in ((half, dm), (half, dm), (dt, d1)):
+        stage = []
+        for x, k in zip(state, ks[-1]):
+            stage.append(x + h * k)
+        ks.append(plant.derivative(stage, u, d, t + h))
+    sixth = dt / 6.0
+    out = []
+    for x, a, b, c, d in zip(state, *ks):
+        out.append(x + sixth * (a + 2.0 * (b + c) + d))
+    return out
 
 
 def check_state(

@@ -337,6 +337,15 @@ sim.duration = 10.0
         assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
 
 
+    def test_seed_override_that_is_not_an_integer_exits_2(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setenv("LUMPED_PID_SEED", "abc")
+        conf = write_conf(tmp_path, CHAIN_CONF)
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: LUMPED_PID_SEED: expected an integer, got 'abc'\n")
+
+
 class TestSweep:
     def test_grid_rows_sorted_and_complete(self, tmp_path, capsys):
         conf = write_conf(tmp_path, CHAIN_CONF.replace("sim.duration = 2.0",
@@ -417,6 +426,17 @@ class TestSweep:
         assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
                      "--grid", "banana=1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("axis,message", [
+        ("omega", "--grid: expected name=v1,v2,..., got 'omega'"),
+        ("omega=a,b", "--grid: bad numbers in 'omega=a,b'"),
+    ], ids=["no_equals", "not_numbers"])
+    def test_malformed_grid_axis(self, tmp_path, capsys, axis, message):
+        conf = write_conf(tmp_path, CHAIN_CONF)
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--grid", axis]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_axis_given_twice(self, tmp_path, capsys):
         conf = write_conf(tmp_path, CHAIN_CONF)
@@ -558,20 +578,22 @@ class TestLockstepSweep:
 
 
 # name: (config text, grid, extra arguments, LUMPED_PID_SEED, exit code, SHA-256 of
-# sweep.csv); the digests were recorded before sweep cells were derived from the
-# base scenario, so they pin that every cell runs as it did when built from its
-# own config text
+# sweep.csv). The vehicle and VTOL digests were recorded before sweep cells were
+# derived from the base scenario, so they pin that every cell runs as it did when
+# built from its own config text. The chain digests were re-recorded when the
+# chain's RK4 step became one affine map, a change at round-off in which no
+# cell's status moved.
 SWEEP_DIGESTS = {
     "chain_step_benchmark_grid": (
         stock("chain_step.conf"), ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"), (),
-        None, 0, "74de75df345e07521ea32e7c76661c3fce90b94e661908d292bab8cb85d7f594"),
+        None, 0, "75364e6998f60b4c4dfbfda65094a092e35d0e6a79ff086a0e92c307200d2b98"),
     "chain_step_benchmark_grid_per_cell": (
         stock("chain_step.conf"), ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"),
         ("--seed-policy", "per-cell"),
-        None, 0, "f95924ae644bbd5bddc4ac3d5ed0ddcd78d29851e25c7a70a9e1429722e2b781"),
+        None, 0, "7a4fcf0ebc889f711a8ce75aef40d74c69e6c161e2b85621749523afc7df1c4a"),
     "bound_demo_benchmark_grid": (
         stock("bound_demo.conf"), ("omega=2,5", "sigma=0,0.01"), (),
-        None, 0, "26a26e419e1d0799cd0fb08095a8e7a595ed619725a7e9c7ecbed5c6acc95d79"),
+        None, 0, "6ff4f1e756a24809006136d53e82cc5a7c6e4772c53960c6e7a9ee089bdd55d8"),
     "vehicle_bias_2s": (
         stock("vehicle_bias.conf", **{"sim.duration": 2.0}), ("omega=0.5,1", "omega_f=1,2"), (),
         None, 0, "8fd1763d3d93031d56cd49b13dd9d42aa0fcf92add83975e3a53e2e8c99b168c"),
@@ -587,14 +609,14 @@ SWEEP_DIGESTS = {
         stock("chain_step.conf", **{"sim.duration": 2.0}),
         ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"),
         ("--parallel", "2", "--seed-policy", "per-cell"),
-        None, 0, "8525f0398daae7c46d81a16a096892da1302af6e160970cbbbf41bbb78b5ea17"),
+        None, 0, "e559a473908187a09a090612d5627d504ec447dffa4fe3b6991ea58fe14a0f6b"),
     "chain_step_2s_diverged": (
         stock("chain_step.conf", **{"sim.duration": 2.0}), ("omega=2,2000",), (),
-        None, 4, "e33d3ffbd2b051d277079f67e139676a83edc8e0cef22fd3465b34a32636b7dc"),
+        None, 4, "0631bc155955e2f74f25b90da054e8b8d34bb83ba182ca7f3f233a938a1c7a76"),
     "chain_step_1s_env_seed_per_cell": (
         stock("chain_step.conf", **{"sim.duration": 1.0}),
         ("omega=1,2", "omega_f=10,20", "sigma=0.01,0.02"), ("--seed-policy", "per-cell"),
-        "7", 0, "c4a70b7b11eb73431119cd96eac0dd34afb6a9f2f86c76bd732b2369bb1ef5cd"),
+        "7", 0, "a2fcdea4d23464ff06e6a365743f126f9eadfaf8dcadd5f3be31ce5de782635e"),
 }
 
 
@@ -614,10 +636,10 @@ def test_sweep_bytes_match_recorded_digest(tmp_path, capsys, monkeypatch, case):
 
 # stock config: SHA-256 of its simulate run's trace.csv and metrics.csv
 STOCK_DIGESTS = {
-    "chain_step.conf": ("20ed538563a482d4975b479bcb3a56363d9b6852f59274ed1fd0f67ac80230b4",
-                        "c2caaf3b96dadf09aaadd778973d8df507d42c974b8163c5df0c5f300240a119"),
-    "bound_demo.conf": ("9897c58eee77522d088187bc62ce58dc849a564444d239b0f720736a310fe869",
-                        "c319499f0013f6c5afeba50d10abbc6c64395a4f0a59a40dad2cad9da2c02d67"),
+    "chain_step.conf": ("9246a0c4247ea14dbcf9e71acfefaad58e95c0873fcc7247237d928b7922e52e",
+                        "7fda56f00a325921ef2fdb945fe0c300925a5ddd9051810eab203dad796b01f9"),
+    "bound_demo.conf": ("42c890d266b2083bb879b2453685a9f5e509ba77852a5bbd85a5e70fd5641c8a",
+                        "66fd89f4bf5a8ba17327e71d8799a109d30ad95159c704fac651863e9f944650"),
     "vehicle_bias.conf": ("d7840a673a7c124026cbd1875d10c97ed49eddee5321d20a7b74a8d811e719f8",
                           "e6b1b57180aed2962b3c11e831c997f5f1cec66506e3453ae1563ce4d971cb97"),
     "vtol_wind.conf": ("50939dea75d73d5d558565db8634a05b536c5e41ef1ba6093237421933401a28",
@@ -928,11 +950,14 @@ class TestCsvPath:
     ("vtol_wind.conf", {"controller.omega_tau": 0}, "controller.omega_tau: must be positive"),
     ("vehicle_bias.conf", {"path.kind": "spiral"}, "path.kind: unknown kind 'spiral'"),
     ("vtol_wind.conf", {"reference.kind": "spiral"}, "reference.kind: unknown kind 'spiral'"),
+    ("chain_step.conf", {"plant.order": 0}, "plant.order: must be >= 1, got 0\n"),
+    ("vtol_wind.conf", {"plant.inertia": "0.02,0.001,0,0,0.02,0,0,0,0.04"},
+     "plant.inertia: must be symmetric\n"),
 ], ids=["omega_zero", "omega_negative", "known_d_omega_zero", "spacing_zero",
         "spacing_negative", "capture_radius_negative", "threshold_negative", "threshold_zero",
         "vtol_threshold", "path_length_negative", "path_arc_zero", "wheelbase_zero",
         "chain_omega_f_zero", "vtol_mass_negative", "vtol_omega_tau_zero", "path_kind",
-        "reference_kind"])
+        "reference_kind", "chain_order_zero", "vtol_inertia_asymmetric"])
 def test_out_of_domain_option_exits_2(tmp_path, capsys, conf, changes, message):
     """An option outside its domain is a config error for simulate and sweep,
     whose message starts with the key."""
@@ -1104,6 +1129,16 @@ class TestBode:
                      "--points-per-decade", points]) == 2
         assert f"points per decade: must be >= 1, got {points}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_an_error_raised_outside_a_run_exits_2(self, tmp_path, capsys):
+        # a tiny omega puts the closed loop's repeated pole so near the
+        # lowest grid frequency that |den| underflows: a PoleHitError, which
+        # is neither a config error nor a run failure
+        conf = write_conf(tmp_path, CHAIN_CONF.replace("controller.omega = 2.0",
+                                                       "controller.omega = 1e-200"))
+        assert main(["bode", "--config", conf, "--out", str(tmp_path / "b.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: denominator magnitude 0 below 1e-300 at s=1e-202j\n")
 
 
 class TestShippedConfigs:

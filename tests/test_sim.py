@@ -86,12 +86,69 @@ class TestRk4Step:
         plant = IntegratorChain(1, 1.0)
         out = rk4_step(plant, [0.0], 0.0, Constant(1e308), 0.0, 1.0)
         assert not math.isfinite(out[0])
+        # a chain run steps by its RK4 map, which folds the sum k1 + 2 (k2 +
+        # k3) + k4 that overflows above into one weight per stage time: the
+        # state reaches 1e308 itself, finite but past the runaway bound
         overflow = make_scenario(plant={"order": 1, "b": 1.0}, controller={"kind": "none"},
                                  disturbance=Constant(1e308), dt=1.0, duration=3.0)
         with pytest.raises(DivergedError) as info:
             run_scenario(overflow)
         assert info.value.step == 1 and info.value.t == 1.0
-        assert str(info.value) == "non-finite state at t=1"
+        assert str(info.value) == "diverged: |state| exceeded 1e+12 at t=1"
+
+    def test_a_chain_step_that_overflows_is_caught_at_the_next_step(self):
+        # at dt = 2 the map's own result, 2e308, overflows to inf
+        overflow = make_scenario(plant={"order": 1, "b": 1.0}, controller={"kind": "none"},
+                                 disturbance=Constant(1e308), dt=2.0, duration=6.0)
+        with pytest.raises(DivergedError) as info:
+            run_scenario(overflow)
+        assert info.value.step == 1 and info.value.t == 2.0
+        assert str(info.value) == "non-finite state at t=2"
+
+
+@st.composite
+def chain_steps(draw):
+    """A chain of order 1 to 3, a step size, a disturbance, a state and an
+    input term: what one RK4 step of the chain reads."""
+    order = draw(st.integers(1, 3))
+    values = st.floats(-10.0, 10.0)
+    plant = IntegratorChain(order, draw(st.sampled_from([1.0, -0.7, 2.5])),
+                            draw(st.just(()) | st.lists(st.floats(-5.0, 5.0), min_size=order,
+                                                        max_size=order)))
+    disturbance = draw(st.sampled_from([Constant(1.0), Sinusoid(1.0, 3.0), Step(0.5, 0.02),
+                                        Sum((Constant(-0.3), Sinusoid(2.0, 7.0)))]))
+    state = draw(st.lists(values, min_size=order, max_size=order))
+    return (plant, draw(st.sampled_from([1e-4, 1e-3, 0.01, 0.1])), disturbance,
+            draw(st.floats(0.0, 1.0)), state, draw(values))
+
+
+class TestRk4Map:
+    """A chain run steps by its RK4 step as one affine map, which rk4_step
+    builds; rk4_step, stage by stage, is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_steps())
+    def test_a_map_step_is_an_rk4_step(self, case):
+        plant, dt, f0, t, state, bu = case
+        expected = rk4_step(plant, state, bu, f0, t, dt)
+        out = chain.rk4_map(plant, dt)(state, bu, (f0(t), f0(t + 0.5 * dt), f0(t + dt)))
+        tol = 1e-12 * (1.0 + max(map(abs, state)))
+        assert all(abs(a - b) <= tol for a, b in zip(out, expected)), (out, expected)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_a_run_calls_rk4_step_only_to_build_its_map(self, monkeypatch, order):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return rk4_step(*args)
+
+        monkeypatch.setattr(chain, "rk4_step", spy)
+        scenario = make_scenario(plant={"order": order, "b": 1.0}, duration=0.1)
+        run_scenario(scenario)
+        assert len(calls) == order + 4
+        chain.run([scenario] * 3)  # the lanes of one run share its map
+        assert len(calls) == 2 * (order + 4)
 
 
 class TestDisturbanceSignals:

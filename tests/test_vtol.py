@@ -128,6 +128,9 @@ class TestVtolDerivative:
     def test_inertia_validation(self):
         with pytest.raises(ConfigError):
             VtolParams(mass=1.0, gravity=9.81, inertia=np.diag([1.0, -1.0, 1.0]))
+        # the plant.inertia parser always gives 3 rows; only code reaches this
+        with pytest.raises(ConfigError, match="^plant.inertia: expected a 3x3 matrix$"):
+            VtolParams(mass=1.0, gravity=9.81, inertia=np.eye(2))
         with pytest.raises(ConfigError, match="^plant.mass: must be positive, got 0.0"):
             vtol_scenario(plant={"mass": 0.0})
 
