@@ -12,7 +12,9 @@ For first- and second-order plants this composition collapses to the classic
 PI/PID controller; :func:`reduce_to_pi` and :func:`reduce_to_pid` give the
 closed-form gains and :class:`GeneralizedController` can step either the
 literal integral form or the algebraically reduced PID form (see the class
-docstring for when the two discretizations differ).
+docstring for when the two discretizations differ). :func:`observer_step` is
+the integral form's one channel: the vehicle's lateral law steps through it,
+and the VTOL's two loops write it out on three axes.
 
 :func:`lockstep_controller` fuses per-cell controllers into one that steps
 every cell at once as a numpy lane, through the same ``step`` code.
@@ -98,23 +100,31 @@ def homogeneous_control(a: Sequence[float], x_derivs: Sequence[float]) -> float:
     return -acc
 
 
+def observer_step(a: Sequence[float], z: Sequence[float], integ: Integrator,
+                  omega_f: float, dt: float) -> tuple[float, float]:
+    """One channel of the integral-form law on floats or ``[lanes]`` arrays:
+    ``u_x = -sum a[i] z[i]`` is pushed into ``integ`` over ``dt``, and
+    ``(u_x, f_hat = omega_f * (z[-1] - integral of u_x))`` is returned."""
+    u_x = homogeneous_control(a, z)
+    return u_x, omega_f * (z[-1] - integ.push(u_x, dt))
+
+
 def reduce_to_pi(config: ControllerConfig) -> ClassicPidGains:
-    """First-order reduction: kp = omega, ki = omega_f * omega (pre-1/b)."""
+    """First-order reduction: kp = a0 = omega, ki = omega_f * a0 (pre-1/b)."""
     if config.n != 1:
         raise OrderMismatchError(f"PI reduction requires n=1, got n={config.n}")
-    a0 = config.omega
+    (a0,) = synthesize_gains(1, config.omega).a
     return ClassicPidGains(kp=a0, ki=config.omega_f * a0, kd=None)
 
 
 def reduce_to_pid(config: ControllerConfig) -> ClassicPidGains:
-    """Second-order reduction with a1 = 2*omega, a0 = omega**2 (pre-1/b):
+    """Second-order reduction with (a0, a1) of :func:`synthesize_gains` (pre-1/b):
 
     kd = a1 + omega_f, kp = a0 + omega_f*a1, ki = omega_f*a0.
     """
     if config.n != 2:
         raise OrderMismatchError(f"PID reduction requires n=2, got n={config.n}")
-    a0 = config.omega * config.omega
-    a1 = 2.0 * config.omega
+    a0, a1 = synthesize_gains(2, config.omega).a
     wf = config.omega_f
     return ClassicPidGains(kp=a0 + wf * a1, ki=wf * a0, kd=a1 + wf)
 
@@ -195,13 +205,12 @@ class GeneralizedController:
         if len(z) != n:
             raise DimensionMismatchError(f"expected {n} measurements, got {len(z)}")
         a = self.gains.a
-        ux = homogeneous_control(a, z)
         if self.observer_form == "integral":
             if self._first and self.seed_integral:
                 self._integ.total = z[n - 1]
-            integral = self._integ.push(ux, cfg.dt)
-            f_hat = self._omega_f * (z[n - 1] - integral)
+            ux, f_hat = observer_step(a, z, self._integ, self._omega_f, cfg.dt)
         else:
+            ux = homogeneous_control(a, z)
             integral = self._integ.push(z[0], cfg.dt)
             red = a[0] * integral
             for i in range(1, n):

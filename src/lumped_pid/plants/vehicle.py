@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import _check_signal, _choice, _floats3, _positive, _scalar_signal, _str
+from ..controller import homogeneous_control, observer_step, synthesize_gains
 from ..errors import (
     AmbiguousMatchError,
     ConfigError,
@@ -31,7 +32,7 @@ from ..signals import noise_table
 STEER_LIMIT = 0.5 * math.pi - 1e-9
 HEADING_LIMIT = 0.5 * math.pi  # |e_theta| must stay below this
 DEFAULT_CAPTURE = 10.0  # m
-ZERO_SPEED = 1e-9  # below this the distance-domain observer freezes
+ZERO_SPEED = 1e-9  # a step shorter than this [m] is no distance: the observer integral holds
 NEWTON_STEPS = 4  # Newton steps on the tangency root before falling back to bisection
 NEWTON_TOL = 1e-12  # a Newton step shorter than this (in segment fraction) has converged
 DESCENT_REACH = 50  # a hinted match searches this many samples either side of the hint
@@ -381,31 +382,31 @@ def _check_heading(e_theta: float) -> float:
     return 1.0 / math.cos(e_theta)
 
 
-def lateral_controller_known_d(err: LateralErrorState, kappa_d: float, d: float,
-                               L: float, k0: float, k1: float) -> float:
-    """Known-disturbance feedback linearization (r_s = 1 assumed):
+def lateral_controller_known_d(err: LateralErrorState, u_x: float, d: float, L: float) -> float:
+    """Known-disturbance feedback linearization (r_s = 1 assumed) of the
+    feedback u_x = k0 l + k1 sin(e_theta):
 
-    delta = arctan(L (kappa_d + sec(e_theta)(k0 l + k1 sin e_theta))) - d,
+    delta = arctan(L (kappa_d + sec(e_theta) u_x)) - d,
     which turns the error model into l'' = -k0 l - k1 l'.
     """
     sec = _check_heading(err.e_theta)
-    return math.atan(L * (kappa_d + sec * (k0 * err.l + k1 * math.sin(err.e_theta)))) - d
+    return math.atan(L * (err.kappa_d + sec * u_x)) - d
 
 
 class LateralObserverController:
-    """Unknown-disturbance lateral law in the distance domain.
-
-    u_x = k0 l + k1 sin(e_theta) enters with a negative input coefficient
-    (-cos e_theta / L), so the estimate accumulates d^ = omega_d (sin e_theta
-    + integral of u_x ds); the curvature feedforward is absorbed into d^. The
-    integral advances by ds = v dt and freezes near zero speed.
+    """Unknown-disturbance lateral law in the distance domain: the chain's
+    n = 2 law (:func:`~lumped_pid.controller.observer_step`) on z = (l, sin
+    e_theta), with gains ``a`` = (k0, k1), omega_f = omega_d and dt = ds = v dt.
+    The input coefficient is -cos(e_theta)/L, so u_x = k0 l + k1 sin(e_theta)
+    is the chain's with its sign flipped, and d^ = omega_d (sin e_theta +
+    integral of u_x ds); the curvature feedforward is absorbed into d^. A
+    step shorter than ZERO_SPEED covers no distance.
     """
 
-    def __init__(self, L: float, k0: float, k1: float, omega_d: float,
+    def __init__(self, L: float, a: tuple[float, float], omega_d: float,
                  rule: str = RECTANGULAR):
         self.L = L
-        self.k0 = k0
-        self.k1 = k1
+        self.a = a
         self.omega_d = omega_d
         self._integ = Integrator(rule)
         self.u_x = 0.0
@@ -413,16 +414,10 @@ class LateralObserverController:
 
     def step(self, err: LateralErrorState, ds: float) -> float:
         sec = _check_heading(err.e_theta)
-        sin_et = math.sin(err.e_theta)
-        u_x = self.k0 * err.l + self.k1 * sin_et
-        if ds > ZERO_SPEED:
-            integral = self._integ.push(u_x, ds)
-        else:
-            integral = self._integ.total
-        d_hat = self.omega_d * (sin_et + integral)
-        self.u_x = u_x
-        self.d_hat = d_hat
-        return math.atan(self.L * sec * (u_x + d_hat))
+        u_x, self.d_hat = observer_step(self.a, (err.l, math.sin(err.e_theta)), self._integ,
+                                        self.omega_d, ds if ds > ZERO_SPEED else 0.0)
+        self.u_x = -u_x
+        return math.atan(self.L * sec * (self.u_x + self.d_hat))
 
 
 def _build_path(opts: dict) -> FrenetPath:
@@ -441,15 +436,13 @@ def run(scenario: Scenario) -> SimTrace:
     v = opts["speed"]
     capture = opts["capture_radius"]
     copts = scenario.controller
-    omega = copts["omega"]
     plant = Bicycle(L, v)
     path = _build_path(opts["path"])
 
-    k0 = omega * omega
-    k1 = 2.0 * omega
+    a = synthesize_gains(2, copts["omega"]).a
     bias = scenario.disturbance  # steering disturbance signal d(t) [rad]
 
-    controller = (LateralObserverController(L, k0, k1, copts["omega_d"], rule=copts["quadrature"])
+    controller = (LateralObserverController(L, a, copts["omega_d"], rule=copts["quadrature"])
                   if copts["kind"] == "observer" else None)
 
     state = opts["x0"]
@@ -478,8 +471,8 @@ def run(scenario: Scenario) -> SimTrace:
             hint = err.segment
             d_now = bias(t)
             if controller is None:
-                delta = lateral_controller_known_d(err, err.kappa_d, d_now, L, k0, k1)
-                u_x = k0 * err.l + k1 * math.sin(err.e_theta)
+                u_x = -homogeneous_control(a, (err.l, math.sin(err.e_theta)))
+                delta = lateral_controller_known_d(err, u_x, d_now, L)
                 d_hat = math.nan
             else:
                 delta = controller.step(err, ds)

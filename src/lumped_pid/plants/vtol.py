@@ -25,6 +25,7 @@ import numpy as np
 
 from .. import so3
 from ..config import _choice, _float, _floats, _floats3, _positive, _reader
+from ..controller import synthesize_gains
 from ..errors import (
     AttitudeSingularityError,
     ConfigError,
@@ -278,19 +279,31 @@ class LissajousRef:
                 a[2] * f[2] * math.cos(f[2] * t + ph[2]))
 
 
+def _observer_step3(a, e, e_dot, integral, omega_f, dt):
+    """The n = 2 law of :func:`~lumped_pid.controller.observer_step` with
+    b = 1 on three axes at once, by the rectangular rule: u_x = -k0 e -
+    k1 e_dot and f_hat = omega_f (e_dot - integral) per axis, for the gains
+    ``a`` = (k0, k1). Returns u_x, f_hat and the integral advanced by dt u_x."""
+    k0, k1 = a
+    ex, ey, ez = e
+    vx, vy, vz = e_dot
+    ix, iy, iz = integral
+    u_x = (-k0 * ex - k1 * vx, -k0 * ey - k1 * vy, -k0 * ez - k1 * vz)
+    f_hat = (omega_f * (vx - ix), omega_f * (vy - iy), omega_f * (vz - iz))
+    return u_x, f_hat, (ix + dt * u_x[0], iy + dt * u_x[1], iz + dt * u_x[2])
+
+
 class VtolController:
-    """Translational + attitude loops with per-loop equal-pole gains
-    (k0 = omega^2, k1 = 2 omega) and per-loop disturbance observers."""
+    """Translational + attitude loops, each the n = 2 law on three axes
+    (:func:`_observer_step3`) with its own equal-pole gains and observer."""
 
     def __init__(self, params: VtolParams, reference, dt: float,
                  omega_pos: float, omega_f: float, omega_att: float, omega_tau: float):
         self.params = params
         self.reference = reference
         self.dt = dt
-        self.k0_pos = omega_pos * omega_pos
-        self.k1_pos = 2.0 * omega_pos
-        self.k0_att = omega_att * omega_att
-        self.k1_att = 2.0 * omega_att
+        self.a_pos = synthesize_gains(2, omega_pos).a
+        self.a_att = synthesize_gains(2, omega_att).a
         self.omega_f = omega_f
         self.omega_tau = omega_tau
         self._J9 = so3.flatten9(params.inertia)
@@ -305,27 +318,16 @@ class VtolController:
     def compute(self, t, p, v, R9, w):
         dt = self.dt
         m = self.params.mass
-        k0, k1 = self.k0_pos, self.k1_pos
-        px, py, pz = p
-        vx, vy, vz = v
-        rx, ry, rz = self.reference.position(t)
-        rvx, rvy, rvz = self.reference.velocity(t)
-        psi_d = self.reference.psi
-        ex, ey, ez = p_err = (px - rx, py - ry, pz - rz)
-        evx, evy, evz = vx - rvx, vy - rvy, vz - rvz
-
-        F_x = (-k0 * ex - k1 * evx, -k0 * ey - k1 * evy, -k0 * ez - k1 * evz)
-        ix, iy, iz = self._int_F
-        of = self.omega_f
-        d_f_hat = (of * (evx - ix), of * (evy - iy), of * (evz - iz))
-        self._int_F = (ix + dt * F_x[0], iy + dt * F_x[1], iz + dt * F_x[2])
+        p_err = sub3(p, self.reference.position(t))
+        F_x, d_f_hat, self._int_F = _observer_step3(
+            self.a_pos, p_err, sub3(v, self.reference.velocity(t)), self._int_F, self.omega_f, dt)
         F_d = (
             -m * (F_x[0] - d_f_hat[0]),
             -m * (F_x[1] - d_f_hat[1]),
             -m * (F_x[2] - d_f_hat[2] - self.params.gravity),
         )
 
-        Rd9 = desired_attitude(F_d, psi_d)
+        Rd9 = desired_attitude(F_d, self.reference.psi)
         f = dot3((R9[2], R9[5], R9[8]), F_d)
 
         if self._prev_Rd is None:
@@ -347,16 +349,9 @@ class VtolController:
         self._prev_Rd = Rd9
 
         g_t, g_dot, G = attitude_error(R9, Rd9, w, w_d)
-        k0, k1 = self.k0_att, self.k1_att
-        gx, gy, gz = g_dot
-        tau_x = (-k0 * g_t[0] - k1 * gx, -k0 * g_t[1] - k1 * gy, -k0 * g_t[2] - k1 * gz)
-        ix, iy, iz = self._int_T
-        ot = self.omega_tau
-        d_tau_hat = (ot * (gx - ix), ot * (gy - iy), ot * (gz - iz))
-        self._int_T = (ix + dt * tau_x[0], iy + dt * tau_x[1], iz + dt * tau_x[2])
-        tau = mat_vec(self._J9, mat_vec(inv3(G), (
-            tau_x[0] - d_tau_hat[0], tau_x[1] - d_tau_hat[1], tau_x[2] - d_tau_hat[2],
-        )))
+        tau_x, d_tau_hat, self._int_T = _observer_step3(
+            self.a_att, g_t, g_dot, self._int_T, self.omega_tau, dt)
+        tau = mat_vec(self._J9, mat_vec(inv3(G), sub3(tau_x, d_tau_hat)))
 
         self.d_f_hat = d_f_hat
         self.d_tau_hat = d_tau_hat

@@ -158,6 +158,14 @@ class TestControlOutput:
 
 
 class TestReductions:
+    @pytest.mark.parametrize("omega", [2.0, 38.01493908756587])
+    def test_pid_gains_are_built_on_synthesize_gains(self, omega):
+        # with glibc 2.36, omega**2 (synthesize_gains) and omega * omega
+        # differ by one ulp at the second omega; the PI/PID pair shares a0
+        a0, a1 = synthesize_gains(2, omega).a
+        g = reduce_to_pid(cfg(n=2, omega=omega, omega_f=7.0))
+        assert (g.kd, g.kp, g.ki) == (a1 + 7.0, a0 + 7.0 * a1, 7.0 * a0)
+
     def test_pi_values(self):
         g = reduce_to_pi(cfg(n=1, omega=5.0, omega_f=20.0))
         assert (g.kp, g.ki, g.kd) == (5.0, 100.0, None)

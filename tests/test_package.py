@@ -1,5 +1,7 @@
+import importlib
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,24 @@ def test_every_public_name_resolves():
     missing = [name for name in lumped_pid.__all__ if not hasattr(lumped_pid, name)]
     assert missing == []
     assert len(set(lumped_pid.__all__)) == len(lumped_pid.__all__)
+
+
+def test_every_benchmark_layer_resolves():
+    # perfbench wraps each layer by its module and attribute path; one that
+    # no longer resolves would silently drop out of the per-layer metrics
+    layers = runpy.run_path(str(ROOT / "perfbench" / "layers.py"))["LAYERS"]
+    unresolved = []
+    for name, module, attr, _ in layers:
+        try:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+            continue
+        if not callable(owner):
+            unresolved.append(name)
+    assert layers and unresolved == []
 
 
 def test_star_import():

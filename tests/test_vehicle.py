@@ -327,6 +327,39 @@ class TestFrenetMatchProperties:
         assert abs(tangency(path, err.s_d, px, py)) <= 1e-12
         assert abs(err.s_d - bisection_match(path, px, py)) <= 1e-12
 
+    @staticmethod
+    def _match_by_bisection(monkeypatch, path, px, py):
+        """frenet_match with a spy on _bisect: the match and the spy's calls."""
+        calls = []
+        bisect = vehicle._bisect
+        monkeypatch.setattr(vehicle, "_bisect",
+                            lambda *args: calls.append(args) or bisect(*args))
+        return frenet_match(path, (px, py, 0.0)), calls
+
+    def test_zero_chord_falls_back_to_bisection(self, monkeypatch):
+        # a table built directly may repeat (x, y) with distinct theta; the
+        # segment from (1, 0) back to (1, 0) turns theta from 0 to pi/2, and
+        # its tangency root for the pose (2, -1) is theta = pi/4, a = 1/2
+        path = FrenetPath([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.5 * math.pi], [0.0, 0.0, 0.0])
+        err, calls = self._match_by_bisection(monkeypatch, path, 2.0, -1.0)
+        assert [args[1] for args in calls] == [1]
+        assert err.segment == 1
+        assert err.s_d == pytest.approx(1.5, abs=1e-15)
+        assert err.theta_d == pytest.approx(0.25 * math.pi, abs=1e-15)
+
+    def test_vanishing_derivative_falls_back_to_bisection(self, monkeypatch):
+        # chord (1, 0) and theta 0 -> 1 rad; the pose (-0.1, 1) projects
+        # before the chord, so Newton starts at a = 0, where g'(0) = dx +
+        # dtheta e_y = 1 - 1 is exactly 0
+        path = FrenetPath([0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0])
+        err, calls = self._match_by_bisection(monkeypatch, path, -0.1, 1.0)
+        assert [args[1] for args in calls] == [0]
+        x_d, y_d = err.s_d, 0.0  # s, x and theta run together on this table
+        residual = (x_d + 0.1) * math.cos(err.theta_d) + (y_d - 1.0) * math.sin(err.theta_d)
+        assert abs(residual) <= 1e-15
+        assert 0.0 < err.s_d < 1.0
+
 
 def lateral_error_derivatives(err: LateralErrorState, delta: float, d: float,
                               L: float, r_s: float, kappa_d: float) -> tuple[float, float]:
@@ -355,12 +388,12 @@ class TestLateralErrorDerivatives:
 class TestKnownDisturbanceLaw:
     def test_trivial_zero(self):
         err = LateralErrorState(l=0.0, e_theta=0.0, s_d=0.0, theta_d=0.0, kappa_d=0.0)
-        assert lateral_controller_known_d(err, 0.0, 0.0, 2.7, 0.25, 1.0) == 0.0
+        assert lateral_controller_known_d(err, 0.0, 0.0, 2.7) == 0.0
 
     def test_pure_curvature_feedforward(self):
         err = LateralErrorState(l=0.0, e_theta=0.0, s_d=0.0, theta_d=0.0, kappa_d=1 / 50.0)
         d = 0.01
-        delta = lateral_controller_known_d(err, 1 / 50.0, d, 2.7, 0.25, 1.0)
+        delta = lateral_controller_known_d(err, 0.0, d, 2.7)
         assert delta == pytest.approx(math.atan(2.7 / 50.0) - d, rel=1e-12)
 
     def test_feedback_linearization_identity_random_states(self):
@@ -376,15 +409,15 @@ class TestKnownDisturbanceLaw:
                 kappa_d=rng.uniform(-0.03, 0.03),
             )
             d = rng.uniform(-0.05, 0.05)
-            delta = lateral_controller_known_d(err, err.kappa_d, d, L, k0, k1)
-            _, lpp = lateral_error_derivatives(err, delta, d, L, 1.0, err.kappa_d)
             expected = -k0 * err.l - k1 * math.sin(err.e_theta)
+            delta = lateral_controller_known_d(err, -expected, d, L)
+            _, lpp = lateral_error_derivatives(err, delta, d, L, 1.0, err.kappa_d)
             assert lpp == pytest.approx(expected, abs=1e-9)
 
     def test_heading_singularity_guarded(self):
         err = LateralErrorState(l=0.0, e_theta=math.pi / 2, s_d=0.0, theta_d=0.0, kappa_d=0.0)
         with pytest.raises(SteeringLimitError):
-            lateral_controller_known_d(err, 0.0, 0.0, 2.7, 0.25, 1.0)
+            lateral_controller_known_d(err, 0.0, 0.0, 2.7)
 
 
 class TestKnownDisturbanceClosedLoop:
@@ -430,7 +463,7 @@ class TestObserverLaw:
         assert trace["d_hat"][-1] == pytest.approx(1.0 / 50.0, rel=0.02)
 
     def test_zero_speed_freezes_distance_integral(self):
-        ctrl = LateralObserverController(2.7, 0.25, 1.0, 2.0)
+        ctrl = LateralObserverController(2.7, (0.25, 1.0), 2.0)
         err = LateralErrorState(l=1.0, e_theta=0.1, s_d=0.0, theta_d=0.0, kappa_d=0.0)
         ctrl.step(err, 0.01)
         ctrl.step(err, 0.01)
