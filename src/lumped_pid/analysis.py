@@ -1,6 +1,6 @@
 """Quantitative checks over simulation traces and transfer functions.
 
-The "final window" of a trace is its last 20% by default. The reported
+The "final window" of a trace is its last 20%. The reported
 limsup is the maximum over that window after the transient has been given at
 least ten homogeneous time constants to settle; it is an estimate of the
 mathematical limsup, not the limit itself.
@@ -40,8 +40,8 @@ class BoundReport:
     satisfied: bool
 
 
-def _final_window(n: int, window_frac: float) -> int:
-    return max(1, int(math.ceil(window_frac * n)))
+def _final_window(n: int) -> int:
+    return max(1, int(math.ceil(FINAL_WINDOW_FRAC * n)))
 
 
 def ultimate_bound(f_bar: float, omega: float, n: int) -> float:
@@ -58,7 +58,6 @@ def trace_metrics(
     trace: SimTrace,
     threshold: float,
     signal: str = "x0",
-    window_frac: float = FINAL_WINDOW_FRAC,
     observer: tuple[str, str] | None = ("f_true", "f_hat"),
 ) -> TraceMetrics:
     """Steady-state, settling, overshoot, and observer statistics.
@@ -72,7 +71,7 @@ def trace_metrics(
         raise ConfigError("empty trace")
     x = trace[signal]
     t = trace.t
-    w = _final_window(len(x), window_frac)
+    w = _final_window(len(x))
     tail = x[-w:]
     sse_rms = float(np.sqrt(np.mean(tail * tail)))
     sse_max = float(np.max(np.abs(tail)))
@@ -96,23 +95,14 @@ def trace_metrics(
     return TraceMetrics(sse_rms, sse_max, settling, overshoot, observer_rmse)
 
 
-def check_bound(
-    trace: SimTrace,
-    omega: float,
-    n: int,
-    margin: float = BOUND_MARGIN,
-    signal: str = "x0",
-    window_frac: float = FINAL_WINDOW_FRAC,
-) -> BoundReport:
-    """Empirical ultimate-bound check on an uncompensated homogeneous run.
+def check_bound(trace: SimTrace, omega: float, n: int) -> BoundReport:
+    """Empirical ultimate-bound check of ``x0`` on an uncompensated chain run.
 
     The trace must come from state feedback alone (no observer), so that
-    x^(n) = -sum C(n,i) omega^i x^(n-i) + f. The tail must span at least ten
-    homogeneous time constants.
+    x^(n) = -sum C(n,i) omega^i x^(n-i) + f. A tail shorter than ten
+    homogeneous time constants, a one-row trace's too, is WindowTooShortError.
     """
-    if len(trace) < 2:
-        raise ConfigError("trace too short for a bound check")
-    w = _final_window(len(trace), window_frac)
+    w = _final_window(len(trace))
     t = trace.t
     tail_span = float(t[-1] - t[len(t) - w])
     if tail_span < 10.0 / omega:
@@ -121,12 +111,12 @@ def check_bound(
         )
     f_bar = float(np.max(np.abs(trace["f_true"][-w:])))
     bound = ultimate_bound(f_bar, omega, n)
-    measured = float(np.max(np.abs(trace[signal][-w:])))
+    measured = float(np.max(np.abs(trace["x0"][-w:])))
     return BoundReport(
         f_bar=f_bar,
         theoretical_bound=bound,
         measured_limsup=measured,
-        satisfied=measured <= bound * (1.0 + margin) + BOUND_ABS_FLOOR,
+        satisfied=measured <= bound * (1.0 + BOUND_MARGIN) + BOUND_ABS_FLOOR,
     )
 
 

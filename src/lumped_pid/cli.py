@@ -26,7 +26,7 @@ from .config import build_scenario, load_config
 from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_to_pi, reduce_to_pid, synthesize_gains
 from .errors import ConfigError, LumpedPidError
 from .plants import chain, plant_module
-from .polylti import frequency_response
+from .polylti import MAX_ORDER, frequency_response
 from .signals import NoiseSpec
 from .sim import run_scenario
 from .svgplot import write_line_plot
@@ -61,11 +61,14 @@ def _out_errors(out):
 
 def _chain_config(args) -> ControllerConfig:
     """The synthesis inputs of the chain scenario in ``args.config``, read
-    as ``simulate`` reads it."""
+    as ``simulate`` reads it; they exist for every controller kind."""
     scenario = build_scenario(load_config(args.config))
     if scenario.plant_kind != "chain":
         raise ConfigError(f"plant.kind: {args.command} takes a chain plant, "
                           f"got {scenario.plant_kind!r}")
+    if scenario.plant["order"] > MAX_ORDER:  # checked by the scenario unless kind is none
+        raise ConfigError(f"plant.order: {args.command} takes at most {MAX_ORDER}, "
+                          f"got {scenario.plant['order']}")
     return chain.controller_config(scenario)
 
 

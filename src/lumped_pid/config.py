@@ -20,10 +20,10 @@ Each module of lumped_pid.plants declares the plant.*, reference.*, path.*
 and controller.* options it reads, and SCENARIO_OPTIONS the sim.*,
 noise.sigma and metrics.threshold ones, each with a parser of config text or
 typed values and a default, which a Scenario applies; each plant module
-parses its disturbance.* keys. A key given twice or that nothing reads is an
-error, and so is a noise.sigma list whose length is neither 1 nor the
-plant's count of noised channels. ``metrics.threshold`` is the settling band
-of the metrics.
+parses its disturbance.* keys, and its ``check`` holds each rule that spans
+options. A key given twice or that nothing reads is an error, and so is a
+noise.sigma list whose length is neither 1 nor the plant's count of noised
+channels. ``metrics.threshold`` is the settling band of the metrics.
 """
 
 from __future__ import annotations
@@ -191,6 +191,15 @@ def _check_signal(disturbance) -> None:
     """Reject a scalar disturbance that is not a signal of t."""
     if not callable(disturbance):
         raise ConfigError(f"disturbance: expected a signal of t, got {disturbance!r}")
+
+
+def _check_read(controller: dict, options: dict, unread: dict) -> None:
+    """Reject a controller option set away from its default that the chosen
+    controller does not read: ``unread`` maps (option, value) to those."""
+    for (key, value), names in unread.items():
+        for name in names if controller[key] == value else ():
+            if controller[name] != options[f"controller.{name}"][1]:
+                raise ConfigError(f"controller.{name}: not read by controller.{key} {value!r}")
 
 
 class _ReadKeys(UserDict):

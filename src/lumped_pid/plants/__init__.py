@@ -1,15 +1,15 @@
 """The plants, one module each: the only place that knows its plant.
 
 Each declares ``OPTIONS``, each config option's parser and default (None:
-the run derives it), which a Scenario applies; ``BANDWIDTH``,
-``NO_OBSERVER``, ``parse_disturbance`` and ``check_disturbance``; its
-trace's metric ``SIGNAL``, ``OBSERVER`` (true, estimate) columns and
-``PLOTS`` (file stem, column patterns, title, y label); ``LOCKSTEP``, the
-fewest scenarios ``run`` takes as the lanes of one run, or None if it takes
-no list; ``noise_channels``, a scenario's count of
-noised measurement channels; ``run``; and ``bound``, a trace's
-ultimate-bound check or None. The registry holds modules, so a function
-replaced on one (by a profiler, say) is the one called.
+the run derives it), which a Scenario applies; ``check``, every rule that
+spans options, which a Scenario runs once they are parsed; ``BANDWIDTH``,
+``NO_OBSERVER`` and ``parse_disturbance``; its trace's metric ``SIGNAL``,
+``OBSERVER`` (true, estimate) columns and ``PLOTS`` (file stem, column
+patterns, title, y label); ``LOCKSTEP``, the fewest scenarios ``run`` takes
+as the lanes of one run, or None if it takes no list; ``noise_channels``, a
+scenario's count of noised measurement channels; ``run``; and ``bound``, a
+trace's ultimate-bound check or None. The registry holds modules, so a
+function replaced on one (by a profiler, say) is the one called.
 """
 
 from ..errors import ConfigError

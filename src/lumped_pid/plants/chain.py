@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis import BoundReport, check_bound
-from ..config import (_bool, _check_signal, _choice, _count, _float, _floats, _positive,
-                      _scalar_signal)
+from ..config import (_bool, _check_read, _check_signal, _choice, _count, _float, _floats,
+                      _positive, _scalar_signal)
 from ..controller import (
     OBSERVER_FORMS,
     ClassicPidController,
@@ -49,8 +49,13 @@ OPTIONS = {"plant.order": (_count, 1), "plant.b": (_float, 1.0), "plant.x0": (_f
            "controller.seed_integral": (_bool, False)}
 BANDWIDTH = "omega_f"
 NO_OBSERVER = ("none", "homogeneous")
+# The controller options a controller setting does not read; every kind
+# reads omega and omega_f, as tune and bode do whatever the kind.
+_UNREAD = {("kind", "none"): ("quadrature", "observer_form", "seed_integral"),
+           ("kind", "homogeneous"): ("quadrature", "observer_form", "seed_integral"),
+           ("kind", "pid"): ("observer_form", "seed_integral"),
+           ("observer_form", "pid"): ("seed_integral",)}
 parse_disturbance = _scalar_signal  # f0(t)
-check_disturbance = _check_signal
 SIGNAL = "x0"
 OBSERVER = ("f_true", "f_hat")
 PLOTS = (
@@ -65,14 +70,29 @@ PLOTS = (
 LOCKSTEP = 4
 
 
+def check(scenario: Scenario) -> None:
+    """The rules that span options: the plant's shape, the order a
+    controller takes, and no option set that the controller does not read."""
+    _check_signal(scenario.disturbance)
+    opts, copts = scenario.plant, scenario.controller
+    n, kind = opts["order"], copts["kind"]
+    if opts["b"] == 0.0:
+        raise ConfigError("plant.b: input coefficient must be nonzero")
+    if opts["state_coeffs"] and len(opts["state_coeffs"]) != n:
+        raise ConfigError(
+            f"plant.state_coeffs: expected {n} coefficients, got {len(opts['state_coeffs'])}")
+    if opts["x0"] is not None and len(opts["x0"]) != n:
+        raise ConfigError(f"plant.x0: expected {n} values, got {len(opts['x0'])}")
+    if kind == "pid" and n > 2:
+        raise ConfigError(f"plant.order: must be 1 or 2 with controller.kind 'pid', got {n}")
+    if kind != "none" and n > MAX_ORDER:  # the synthesis limit
+        raise ConfigError(f"plant.order: must be at most {MAX_ORDER} with controller.kind "
+                          f"{kind!r}, got {n}")
+    _check_read(copts, OPTIONS, _UNREAD)
+
+
 class IntegratorChain:
     def __init__(self, n: int, b: float, state_coeffs: Sequence[float] = ()):
-        if b == 0.0:
-            raise ConfigError("plant.b: input coefficient must be nonzero")
-        if state_coeffs and len(state_coeffs) != n:
-            raise ConfigError(
-                f"plant.state_coeffs: expected {n} coefficients, got {len(state_coeffs)}"
-            )
         self.n = n
         self.b = b
         self.state_coeffs = tuple(float(c) for c in state_coeffs)
@@ -122,32 +142,17 @@ def rk4_map(plant: IntegratorChain, dt: float):
     return step
 
 
-def _plant(scenario: Scenario) -> tuple[IntegratorChain, tuple]:
-    """The scenario's chain and initial state."""
-    opts = scenario.plant
-    plant = IntegratorChain(opts["order"], opts["b"], opts["state_coeffs"])
-    x0 = (0.0,) * plant.n if opts["x0"] is None else opts["x0"]
-    if len(x0) != plant.n:
-        raise ConfigError(f"plant.x0: expected {plant.n} values, got {len(x0)}")
-    return plant, x0
-
-
 def noise_channels(scenario: Scenario) -> int:
     """The noised measurement channels, x ... x^(n-1): the plant's order."""
-    return _plant(scenario)[0].n
+    return scenario.plant["order"]
 
 
 def controller_config(scenario: Scenario) -> ControllerConfig:
-    """The synthesis inputs of a chain scenario, once its plant is checked:
-    what its controller, its bound check and the ``tune`` and ``bode``
-    commands use."""
-    plant, _ = _plant(scenario)
+    """The synthesis inputs of a chain scenario: what its controller, its
+    bound check and the ``tune`` and ``bode`` commands use."""
     opts = scenario.controller
-    if plant.n > MAX_ORDER:  # the synthesis limit; a chain without a controller has none
-        raise ConfigError(f"plant.order: must be at most {MAX_ORDER} with controller.kind "
-                          f"{opts['kind']!r}, got {plant.n}")
-    return ControllerConfig(n=plant.n, b=plant.b, omega=opts["omega"],
-                            omega_f=opts["omega_f"], dt=scenario.dt)
+    return ControllerConfig(n=scenario.plant["order"], b=scenario.plant["b"],
+                            omega=opts["omega"], omega_f=opts["omega_f"], dt=scenario.dt)
 
 
 def _build_controller(scenario: Scenario):
@@ -196,7 +201,9 @@ def run(scenario: Scenario | Sequence[Scenario]):
     first = scenarios[0]
     if any(_lane_key(s) != _lane_key(first) for s in scenarios[1:]):
         raise ConfigError("lockstep scenarios differ in more than omega, omega_f and noise")
-    plant, x0 = _plant(first)
+    opts = first.plant
+    plant = IntegratorChain(opts["order"], opts["b"], opts["state_coeffs"])
+    x0 = (0.0,) * plant.n if opts["x0"] is None else opts["x0"]
     n = plant.n
     step = rk4_map(plant, first.dt)
     controllers = [_build_controller(s) for s in scenarios]

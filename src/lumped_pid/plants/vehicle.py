@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import _check_signal, _choice, _floats3, _positive, _scalar_signal, _str
+from ..config import (_check_read, _check_signal, _choice, _floats3, _positive, _scalar_signal,
+                      _str)
 from ..controller import homogeneous_control, observer_step, synthesize_gains
 from ..errors import (
     AmbiguousMatchError,
@@ -36,6 +37,7 @@ ZERO_SPEED = 1e-9  # a step shorter than this [m] is no distance: the observer i
 NEWTON_STEPS = 4  # Newton steps on the tangency root before falling back to bisection
 NEWTON_TOL = 1e-12  # a Newton step shorter than this (in segment fraction) has converged
 DESCENT_REACH = 50  # a hinted match searches this many samples either side of the hint
+GEOMETRY_TOL = 1e-3  # the finite-difference slack of a csv path's heading and curvature
 # Each option: its parser and default; path.file is required for a csv path.
 # controller.omega is the distance-domain pole [rad/m].
 OPTIONS = {"plant.wheelbase": (_positive, 2.7), "plant.speed": (_positive, 10.0),
@@ -50,8 +52,8 @@ OPTIONS = {"plant.wheelbase": (_positive, 2.7), "plant.speed": (_positive, 10.0)
            "controller.quadrature": (_choice(*RULES), RECTANGULAR)}
 BANDWIDTH = "omega_d"
 NO_OBSERVER = ("known_d",)
+_UNREAD = {("kind", "known_d"): ("omega_d", "quadrature")}  # the options it does not read
 parse_disturbance = _scalar_signal  # the steering bias d(t) [rad]
-check_disturbance = _check_signal
 SIGNAL = "l"
 OBSERVER = ("d_lump", "d_hat")  # d_hat estimates the lumped term, not the bias d_true
 PLOTS = (
@@ -60,6 +62,15 @@ PLOTS = (
 )
 LOCKSTEP = None
 bound = None  # no ultimate-bound check applies
+
+
+def check(scenario: Scenario) -> None:
+    """The rules that span options: a csv path names its file (read when the
+    scenario runs), and no option is set that the controller does not read."""
+    _check_signal(scenario.disturbance)
+    if scenario.plant["path"]["kind"] == "csv" and scenario.plant["path"]["file"] is None:
+        raise ConfigError("path.file: required for path.kind = csv")
+    _check_read(scenario.controller, OPTIONS, _UNREAD)
 
 
 def noise_channels(scenario: Scenario) -> int:
@@ -141,19 +152,19 @@ class FrenetPath:
     def length(self) -> float:
         return float(self.s[-1])
 
-    def validate_geometry(self, tol: float = 1e-3) -> None:
-        """Finite-difference consistency: d(x,y)/ds vs (cos,sin) theta and
-        d(theta)/ds vs kappa, midpoint-sampled; a non-finite value fails it."""
+    def validate_geometry(self) -> None:
+        """Finite-difference consistency to GEOMETRY_TOL: d(x,y)/ds vs (cos,sin)
+        theta and d(theta)/ds vs kappa, midpoint-sampled; non-finite fails it."""
         ds = np.diff(self.s)
         dx = np.diff(self.x) / ds
         dy = np.diff(self.y) / ds
         dth = np.diff(self.theta) / ds
         th_mid = 0.5 * (self.theta[:-1] + self.theta[1:])
         k_mid = 0.5 * (self.kappa[:-1] + self.kappa[1:])
-        if not (np.max(np.abs(dx - np.cos(th_mid))) <= tol
-                and np.max(np.abs(dy - np.sin(th_mid))) <= tol):
+        if not (np.max(np.abs(dx - np.cos(th_mid))) <= GEOMETRY_TOL
+                and np.max(np.abs(dy - np.sin(th_mid))) <= GEOMETRY_TOL):
             raise ConfigError("path tangent inconsistent with heading column")
-        if not np.max(np.abs(dth - k_mid)) <= tol:
+        if not np.max(np.abs(dth - k_mid)) <= GEOMETRY_TOL:
             raise ConfigError("path heading rate inconsistent with curvature column")
 
     def _interp(self, i, a):
@@ -425,8 +436,6 @@ def _build_path(opts: dict) -> FrenetPath:
         return FrenetPath.line(opts["length"], opts["spacing"])
     if opts["kind"] == "circle":
         return FrenetPath.circle(opts["radius"], opts["arc"], opts["spacing"])
-    if opts["file"] is None:  # path.kind = csv
-        raise ConfigError("path.file: required for path.kind = csv")
     return FrenetPath.from_csv(opts["file"])
 
 

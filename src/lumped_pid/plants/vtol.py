@@ -68,8 +68,9 @@ def noise_channels(scenario: Scenario) -> int:
 
 
 def _inertia(value, key):
-    """A diagonal (3 values) or full (9 values row by row, or 3 rows) inertia
-    matrix, as 3 rows."""
+    """A symmetric positive-definite inertia matrix, given diagonal (3
+    values) or full (9 values row by row, or 3 rows), as the flat row-major
+    9-tuple of Python floats that the rigid body reads."""
     if not isinstance(value, str):  # rows, or a matrix, read row by row
         value = np.ravel(np.asarray(value, dtype=object))
     values = _floats(value, key)
@@ -77,13 +78,19 @@ def _inertia(value, key):
         raise ConfigError(f"{key}: expected 3 (diagonal) or 9 values")
     if len(values) == 3:
         values = (values[0], 0.0, 0.0, 0.0, values[1], 0.0, 0.0, 0.0, values[2])
-    return values[0:3], values[3:6], values[6:9]
+    J = np.reshape(values, (3, 3))
+    with np.errstate(over="ignore"):  # a huge asymmetry overflows to inf: not close
+        if not np.allclose(J, J.T, atol=1e-12):
+            raise ConfigError(f"{key}: must be symmetric")
+    if np.any(np.linalg.eigvalsh(J) <= 0.0):
+        raise ConfigError(f"{key}: must be a positive-definite matrix")
+    return values
 
 
 # Each option: its parser and default; a p0 or v0 of None is the reference's
 # at t = 0. The controller options are one bandwidth per loop and observer.
 OPTIONS = {"plant.mass": (_positive, 1.0), "plant.gravity": (_float, 9.81),
-           "plant.inertia": (_inertia, ((0.02, 0.0, 0.0), (0.0, 0.02, 0.0), (0.0, 0.0, 0.04))),
+           "plant.inertia": (_inertia, (0.02, 0.0, 0.0, 0.0, 0.02, 0.0, 0.0, 0.0, 0.04)),
            "plant.p0": (_floats3, None), "plant.v0": (_floats3, None),
            "reference.kind": (_choice("hover", "circle", "lissajous"), "hover"),
            "reference.psi": (_float, 0.0), "reference.position": (_floats3, (0.0, 0.0, 0.0)),
@@ -114,9 +121,10 @@ def parse_disturbance(flat: dict) -> dict:
     return {part: _triple_signal(flat, f"disturbance.{part}") for part in ("force", "torque")}
 
 
-def check_disturbance(disturbance) -> None:
-    """Reject a disturbance other than a dict of ``force`` and ``torque``
-    parts, each None or three signals of t."""
+def check(scenario: Scenario) -> None:
+    """The rule that spans options: the disturbance is a dict of ``force``
+    and ``torque`` parts, each None or three signals of t."""
+    disturbance = scenario.disturbance
     if not (isinstance(disturbance, dict) and set(disturbance) <= {"force", "torque"}
             and all(part is None or isinstance(part, (tuple, list)) and len(part) == 3
                     and all(map(callable, part)) for part in disturbance.values())):
@@ -138,17 +146,10 @@ bound = None  # no ultimate-bound check applies
 class VtolParams:
     mass: float
     gravity: float
-    inertia: np.ndarray  # 3x3, symmetric positive definite
+    inertia: tuple  # any value plant.inertia takes; kept as its parser's 9-tuple
 
     def __post_init__(self):
-        J = np.asarray(self.inertia, dtype=float)
-        if J.shape != (3, 3):
-            raise ConfigError("plant.inertia: expected a 3x3 matrix")
-        if not np.allclose(J, J.T, atol=1e-12):
-            raise ConfigError("plant.inertia: must be symmetric")
-        if np.any(np.linalg.eigvalsh(J) <= 0.0):
-            raise ConfigError("plant.inertia: must be a positive-definite matrix")
-        object.__setattr__(self, "inertia", J)
+        object.__setattr__(self, "inertia", _inertia(self.inertia, "plant.inertia"))
 
 
 def rigid_body_accel(n, w, f, tau, inv_m, g, J9, Jinv9, d_f, d_tau):
@@ -306,7 +307,6 @@ class VtolController:
         self.a_att = synthesize_gains(2, omega_att).a
         self.omega_f = omega_f
         self.omega_tau = omega_tau
-        self._J9 = so3.flatten9(params.inertia)
         self._int_F = (0.0, 0.0, 0.0)  # the observer integrals of F_x and tau_x
         self._int_T = (0.0, 0.0, 0.0)
         self._prev_Rd = None
@@ -351,7 +351,7 @@ class VtolController:
         g_t, g_dot, G = attitude_error(R9, Rd9, w, w_d)
         tau_x, d_tau_hat, self._int_T = _observer_step3(
             self.a_att, g_t, g_dot, self._int_T, self.omega_tau, dt)
-        tau = mat_vec(self._J9, mat_vec(inv3(G), sub3(tau_x, d_tau_hat)))
+        tau = mat_vec(self.params.inertia, mat_vec(inv3(G), sub3(tau_x, d_tau_hat)))
 
         self.d_f_hat = d_f_hat
         self.d_tau_hat = d_tau_hat
@@ -436,7 +436,7 @@ def run(scenario: Scenario) -> SimTrace:
     w = (0.0, 0.0, 0.0)
 
     m, g = params.mass, params.gravity
-    J9 = so3.flatten9(params.inertia)
+    J9 = params.inertia
     Jinv9 = inv3(J9)
     d_f_eval = _triple_sampler(scenario.disturbance.get("force"))
     d_tau_eval = _triple_sampler(scenario.disturbance.get("torque"))

@@ -18,7 +18,7 @@ class Integrator:
 
     ``push(y_k)`` returns the integral up to t_k: the left-rectangular rule
     uses previous samples only, the trapezoidal rule closes the last panel
-    with the new sample. The first push always returns the seed value.
+    with the new sample. The first push returns ``total``: 0 unless set.
 
     Samples may be floats or ``[lanes]`` float64 arrays (one lane per
     lockstep cell); the running total is rebound, never updated in place, so
@@ -27,11 +27,11 @@ class Integrator:
 
     __slots__ = ("rule", "total", "_prev", "_started")
 
-    def __init__(self, rule: str = RECTANGULAR, seed: float = 0.0):
+    def __init__(self, rule: str = RECTANGULAR):
         if rule not in RULES:
             raise ConfigError(f"unknown quadrature rule {rule!r}, expected one of {RULES}")
         self.rule = rule
-        self.total = float(seed)
+        self.total = 0.0
         self._prev = 0.0
         self._started = False
 

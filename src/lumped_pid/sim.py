@@ -190,7 +190,7 @@ class Scenario:
         for key, name in FIELDS.items():
             setattr(self, name, options.pop(key))
         self.plant, self.controller = nest(options)
-        module.check_disturbance(self.disturbance)
+        module.check(self)
         steps = self.duration / self.dt  # a dt beyond the duration is a fraction of a step
         if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
             raise ConfigError(f"sim.duration: must be a whole number of sim.dt steps, "

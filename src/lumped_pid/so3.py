@@ -2,17 +2,14 @@
 
 The helpers take and return Python floats: tuples for 3-vectors, flat
 row-major 9-tuples for matrices. Array dispatch overhead on 3x3 operations is
-what pushed the rigid-body runs past their time budget. ``flatten9`` is the
-way in from numpy: it converts, because ``np.float64`` elements would turn
-every later product into a numpy-scalar operation, several times slower,
-with the same results.
+what pushed the rigid-body runs past their time budget, and ``np.float64``
+elements would turn every product into a numpy-scalar operation, several
+times slower, with the same results.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 IDENTITY9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
@@ -101,10 +98,7 @@ def det3(m):
 
 def inv3(m):
     """Closed-form 3x3 inverse via the adjugate."""
-    d = det3(m)
-    if d == 0.0:
-        raise ZeroDivisionError("singular 3x3 matrix")
-    inv_d = 1.0 / d
+    inv_d = 1.0 / det3(m)  # ZeroDivisionError if singular
     return (
         (m[4] * m[8] - m[5] * m[7]) * inv_d,
         (m[2] * m[7] - m[1] * m[8]) * inv_d,
@@ -170,11 +164,3 @@ def ortho_error3(m):
         d = g[i] - IDENTITY9[i]
         acc += d * d
     return math.sqrt(acc)
-
-
-def flatten9(m) -> tuple:
-    """A 3x3 array-like as a flat row-major 9-tuple of Python floats."""
-    arr = np.asarray(m, dtype=float)
-    if arr.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {arr.shape}")
-    return tuple(arr.ravel().tolist())

@@ -13,15 +13,14 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _W, _H = 800, 480
 _ML, _MR, _MT, _MB = 70, 20, 36, 48  # margins
+_TICKS = 5  # at most this many tick intervals per axis
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+def _ticks(lo: float, hi: float) -> list[float]:  # line_plot_svg gives lo < hi
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / _TICKS))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= _TICKS:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -36,8 +35,6 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 def line_plot_svg(x: Sequence[float], series: dict[str, Sequence[float]],
                   title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     xs = [float(v) for v in x]
-    if not xs:
-        raise ValueError("empty x axis")
     x_lo, x_hi = min(xs), max(xs)
     y_lo = min(min(float(v) for v in ys) for ys in series.values())
     y_hi = max(max(float(v) for v in ys) for ys in series.values())

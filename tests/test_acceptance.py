@@ -192,7 +192,7 @@ def test_vtol_hover_and_wind():
     params = VtolParams(mass=1.0, gravity=9.81, inertia=np.diag([0.02, 0.02, 0.04]))
     # at rest: p = v = omega = 0, R = I, zero torque and disturbance
     zero, R9 = (0.0, 0.0, 0.0), so3.IDENTITY9
-    J9 = so3.flatten9(params.inertia)
+    J9 = params.inertia
     v_dot, w_dot = rigid_body_accel(
         (R9[2], R9[5], R9[8]), zero, params.mass * params.gravity, zero,
         1.0 / params.mass, params.gravity, J9, so3.inv3(J9), zero, zero)

@@ -85,6 +85,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("plant.kind chain\n")
 
+    def test_empty_value(self):
+        with pytest.raises(ConfigError, match="^line 2: empty key or value in 'plant.order ='$"):
+            parse_config_text("plant.kind = chain\nplant.order =\n")
+
+    def test_missing_plant_kind(self):
+        with pytest.raises(ConfigError, match="^plant.kind: required$"):
+            build_scenario({"sim.duration": "1"})
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError):
             parse_config_text("plnt.kind = chain\n")
@@ -187,8 +195,30 @@ CHAIN_REJECTED = pytest.mark.parametrize("changes,message", [
     ({"noise.sigma": "0.1,0.2,0.3"}, "noise.sigma: expected 1 or 2 values, got 3"),
     ({"controller.omega": -1}, "controller.omega: must be positive, got -1.0"),
     ({"plant.order": 25, "plant.x0": None}, "plant.order: must be at most 20"),
+    ({"plant.order": 21}, "plant.order: must be at most 20 with controller.kind 'generalized', "
+                          "got 21"),
+    ({"controller.kind": "pid", "plant.order": 3},
+     "plant.order: must be 1 or 2 with controller.kind 'pid', got 3"),
+    ({"plant.b": 0}, "plant.b: input coefficient must be nonzero"),
+    ({"plant.state_coeffs": "0.5"}, "plant.state_coeffs: expected 2 coefficients, got 1"),
+    # an option the controller kind does not read, set to a value other than its default
+    *(({"controller.kind": kind, f"controller.{key}": value},
+       f"controller.{key}: not read by controller.kind '{kind}'")
+      for kind in ("homogeneous", "none")
+      for key, value in (("quadrature", "trapezoidal"), ("observer_form", "pid"),
+                         ("seed_integral", "true"))),
+    ({"controller.kind": "pid", "controller.observer_form": "pid"},
+     "controller.observer_form: not read by controller.kind 'pid'"),
+    ({"controller.kind": "pid", "controller.seed_integral": "true"},
+     "controller.seed_integral: not read by controller.kind 'pid'"),
+    ({"controller.observer_form": "pid", "controller.seed_integral": "true", "plant.x0": "0.5,0.3"},
+     "controller.seed_integral: not read by controller.observer_form 'pid'"),
 ], ids=["unread_key", "x0_length", "x0_number", "controller_kind", "no_duration",
-        "quadrature", "observer_form", "sigma_count", "omega_negative", "order_too_high"])
+        "quadrature", "observer_form", "sigma_count", "omega_negative", "order_too_high",
+        "order_21", "pid_order_3", "b_zero", "state_coeffs_length",
+        *(f"{kind}_{key}" for kind in ("homogeneous", "none")
+          for key in ("quadrature", "observer_form", "seed_integral")),
+        "pid_observer_form", "pid_seed_integral", "pid_form_seed_integral"])
 
 
 @pytest.mark.parametrize("command", ["tune", "bode"])
@@ -200,9 +230,20 @@ class TestChainCommandsReadAsSimulate:
         conf = write_conf(tmp_path, stock("chain_step.conf", **changes))
         assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "sim").exists()
         assert main([command, "--config", conf, "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out.csv").exists()
+
+    def test_order_beyond_synthesis_without_a_controller(self, tmp_path, capsys, command):
+        # simulate runs it; tune and bode synthesize gains whatever the kind
+        conf = write_conf(tmp_path, stock("chain_step.conf", **{
+            "controller.kind": "none", "plant.order": 21, "sim.duration": 0.01}))
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", conf, "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: plant.order: {command} takes at most 20, got 21\n")
 
     def test_other_plants_exit_2(self, tmp_path, capsys, command):
         for name, kind in (("vtol_wind.conf", "vtol"), ("vehicle_bias.conf", "vehicle")):
@@ -218,7 +259,57 @@ def test_sweep_rejects_what_simulate_rejects(tmp_path, capsys, changes, message)
     assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
                  "--grid", "omega=1,2"]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
-    assert not (tmp_path / "x" / "sweep.csv").exists()
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        build_scenario(parse_config_text(stock("chain_step.conf", **changes)))
+
+
+# configs of the other plants that break a rule across options, and the start
+# of the message naming the key
+OTHERS_REJECTED = pytest.mark.parametrize("conf,changes,message", [
+    ("vehicle_bias.conf", {"path.kind": "csv", "path.length": None},
+     "path.file: required for path.kind = csv"),
+    ("vehicle_bias.conf", {"controller.kind": "known_d", "controller.omega_d": 7},
+     "controller.omega_d: not read by controller.kind 'known_d'"),
+    ("vehicle_bias.conf", {"controller.kind": "known_d", "controller.quadrature": "trapezoidal"},
+     "controller.quadrature: not read by controller.kind 'known_d'"),
+    ("vtol_wind.conf", {"plant.inertia": "0.02,0.001,0,0,0.02,0,0,0,0.04"},
+     "plant.inertia: must be symmetric"),
+    ("vtol_wind.conf", {"plant.inertia": "0.02,-0.02,0.04"},
+     "plant.inertia: must be a positive-definite matrix"),
+], ids=["csv_without_file", "known_d_omega_d", "known_d_quadrature", "vtol_inertia_asymmetric",
+        "vtol_inertia_indefinite"])
+
+
+@OTHERS_REJECTED
+def test_simulate_and_sweep_reject_before_any_output(tmp_path, capsys, conf, changes, message):
+    text = stock(conf, **changes)
+    for command, *grid in (["simulate"], ["sweep", "--grid", "omega=1,2"]):
+        out = tmp_path / command
+        assert main([command, "--config", write_conf(tmp_path, text), "--out", str(out),
+                     *grid]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        build_scenario(parse_config_text(text))
+
+
+def test_options_a_kind_does_not_read_are_judged_by_value(tmp_path, capsys):
+    """An option a kind does not read may be given at its default, and every
+    chain kind reads omega and omega_f: tune and bode read them."""
+    text = stock("bound_demo.conf", **{"controller.quadrature": "rectangular",
+                                       "controller.observer_form": "integral",
+                                       "controller.seed_integral": "false",
+                                       "sim.duration": 1.0})
+    conf = write_conf(tmp_path, text)
+    assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
+    assert main(["tune", "--config", conf]) == 0
+    assert "omega_f  = 1" in capsys.readouterr().out
+    text = stock("vehicle_bias.conf", **{"controller.kind": "known_d",
+                                         "controller.omega_d": 2.0, "sim.duration": 0.1})
+    assert main(["simulate", "--config", write_conf(tmp_path, text),
+                 "--out", str(tmp_path / "vehicle")]) == 0
+    capsys.readouterr()
 
 
 class TestOutputPaths:
@@ -285,6 +376,43 @@ class TestSimulate:
         for name in ("plot_state.svg", "plot_control.svg", "plot_observer.svg"):
             content = (out / name).read_text()
             assert content.startswith("<svg") and "polyline" in content
+
+    def test_plot_of_a_constant_series(self, tmp_path, capsys):
+        # without a controller u stays 0: its plot widens the flat y range
+        conf = write_conf(tmp_path, stock("chain_step.conf", **{"controller.kind": "none",
+                                                                "sim.duration": 0.1}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", conf, "--out", str(out), "--plots"]) == 0
+        capsys.readouterr()
+        content = (out / "plot_control.svg").read_text()
+        assert "polyline" in content and ">-1</text>" in content and ">1</text>" in content
+
+
+class TestOneRowTrace:
+    """A trace of one row, at t = 0, spans no time: its metrics row reads ok
+    and leaves the bound blank, as any tail too short for the bound does."""
+
+    TEXT = stock("bound_demo.conf", **{"sim.duration": 0.05, "sim.decimation": 20})
+
+    def test_simulate(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", write_conf(tmp_path, self.TEXT),
+                     "--out", str(out), "--plots"]) == 0
+        capsys.readouterr()
+        assert len((out / "trace.csv").read_text().splitlines()) == 2
+        (row,) = read_rows(out / "metrics.csv")
+        assert (row["bound"], row["limsup"], row["satisfied"], row["status"]) == ("", "", "", "ok")
+        # one point: the plot widens the empty t range
+        assert "polyline" in (out / "plot_state.svg").read_text()
+
+    def test_sweep(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_conf(tmp_path, self.TEXT),
+                     "--out", str(out), "--grid", "omega=2,5"]) == 0
+        capsys.readouterr()
+        rows = read_rows(out / "sweep.csv")
+        assert [(r["bound"], r["limsup"], r["satisfied"], r["status"]) for r in rows] == [
+            ("", "", "", "ok")] * 2
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         conf = write_conf(tmp_path, CHAIN_CONF.replace("plant.kind = chain",

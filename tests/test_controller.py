@@ -204,6 +204,15 @@ class TestClassicPidStep:
         pid = ClassicPidController(cfg(n=2, omega=2.0, omega_f=10.0))
         assert pid.step([0.0, 0.0]) == 0.0
 
+    def test_order_beyond_two_rejected(self):
+        with pytest.raises(OrderMismatchError, match="requires n in {1, 2}, got 3"):
+            ClassicPidController(cfg(n=3, omega=2.0, omega_f=10.0))
+
+    def test_measurement_count_checked(self):
+        pid = ClassicPidController(cfg(n=2, omega=2.0, omega_f=10.0))
+        with pytest.raises(DimensionMismatchError, match="expected 2 measurements, got 1"):
+            pid.step([0.0])
+
     def test_constant_error_accumulation(self):
         # u(k dt) = -44 - 40*k*dt under the rectangular rule
         dt = 0.01
@@ -381,8 +390,10 @@ class TestLanes:
            st.floats(1e-4, 0.5), lane_streams(n=1))
     def test_integrator_push(self, rule, seed, dt, stream):
         samples = stream[:, :, 0]
-        lanes = Integrator(rule, seed)
-        alone = [Integrator(rule, seed) for _ in range(samples.shape[1])]
+        lanes = Integrator(rule)
+        alone = [Integrator(rule) for _ in range(samples.shape[1])]
+        for integ in (lanes, *alone):
+            integ.total = seed
         for row in samples:
             total = lanes.push(row.copy(), dt)
             expected = [integ.push(float(y), dt) for integ, y in zip(alone, row)]

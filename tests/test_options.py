@@ -81,12 +81,13 @@ def test_a_value_from_config_or_from_code_has_one_outcome(data):
     code = outcome(from_code, kind, key, value)
     config = outcome(from_config, kind, key, text)
     # a step that does not divide the duration, or divides it into too many
-    # steps, is an error of two keys
+    # steps, is an error of two keys, and so is a csv path without its file
     step_count = ("sim.duration: must be a whole number of sim.dt steps,",
                   "sim.duration: at most 1e+08 sim.dt steps,")
     if isinstance(code, str) or isinstance(config, str):
         assert code == config
-        assert code.startswith(f"{key}: ") or key == "sim.dt" and code in step_count
+        assert (code.startswith(f"{key}: ") or key == "sim.dt" and code in step_count
+                or key == "path.kind" and code == "path.file: required for path.kind = csv")
     else:
         assert code == config
     if parse is _positive:
@@ -131,12 +132,11 @@ def test_a_code_built_scenario_raises_on_construction(kind, key, value, message)
     ("chain", "plant.state_coeffs", np.array([0.5]), (0.5,)),
     ("chain", "controller.seed_integral", "yes", True),
     ("vehicle", "plant.x0", [0, 1, 0], (0.0, 1.0, 0.0)),
-    ("vtol", "plant.inertia", (1.0, 2.0, 3.0),
-     ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))),
+    ("vtol", "plant.inertia", (1.0, 2.0, 3.0), (1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0)),
     ("vtol", "plant.inertia", np.diag([1.0, 2.0, 3.0]),
-     ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))),
+     (1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0)),
     ("vtol", "plant.inertia", [[1, 0.1, 0], [0.1, 2, 0], [0, 0, 3]],
-     ((1.0, 0.1, 0.0), (0.1, 2.0, 0.0), (0.0, 0.0, 3.0))),
+     (1.0, 0.1, 0.0, 0.1, 2.0, 0.0, 0.0, 0.0, 3.0)),
 ], ids=["order_numpy", "b_int", "state_coeffs_array", "seed_word",
         "vehicle_x0_list", "inertia_diagonal", "inertia_matrix", "inertia_rows"])
 def test_a_typed_value_resolves(kind, key, value, resolved):

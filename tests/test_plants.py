@@ -75,12 +75,13 @@ class TestRunEach:
         assert isinstance(outcomes[0], SimTrace) and isinstance(outcomes[2], SimTrace)
         assert isinstance(outcomes[1], SteeringLimitError) and outcomes[1].step == 0
 
-    def test_error_before_the_loop_propagates(self):
+    def test_error_before_the_loop_propagates(self, tmp_path):
         ok = short_scenario("vehicle")
-        bad = dataclasses.replace(ok, plant={**ok.plant, "path": {"kind": "csv"}})
+        missing = str(tmp_path / "missing.csv")
+        bad = dataclasses.replace(ok, plant={**ok.plant, "path": {"kind": "csv", "file": missing}})
         outcomes = run_each([ok, bad])
         assert isinstance(next(outcomes), SimTrace)
-        with pytest.raises(ConfigError, match="path.file: required") as raised:
+        with pytest.raises(ConfigError, match="path.file: cannot read") as raised:
             next(outcomes)
         assert raised.value.step is None
 
@@ -171,6 +172,36 @@ def test_a_direct_scenario_rejects_undeclared_options(kind, plant, controller, k
     with pytest.raises(ConfigError) as raised:
         Scenario(plant_kind=kind, plant=plant, controller=controller, disturbance=Constant(0.0))
     assert str(raised.value) == f"{key}: not a key of plant {kind!r}"
+
+
+@pytest.mark.parametrize("kind,plant,controller,message", [
+    ("chain", {"order": 3}, {"kind": "pid"},
+     "plant.order: must be 1 or 2 with controller.kind 'pid', got 3"),
+    ("chain", {"order": 21}, {}, "plant.order: must be at most 20 with controller.kind "
+                                 "'generalized', got 21"),
+    ("chain", {}, {"kind": "homogeneous", "quadrature": "trapezoidal"},
+     "controller.quadrature: not read by controller.kind 'homogeneous'"),
+    ("chain", {"order": 2, "x0": (0.5, 0.3)}, {"observer_form": "pid", "seed_integral": True},
+     "controller.seed_integral: not read by controller.observer_form 'pid'"),
+    ("chain", {}, {}, "disturbance: expected a signal of t, got 1.0"),
+    ("vehicle", {"path": {"kind": "csv"}}, {}, "path.file: required for path.kind = csv"),
+    ("vehicle", {}, {"kind": "known_d", "omega_d": 7.0},
+     "controller.omega_d: not read by controller.kind 'known_d'"),
+    ("vehicle", {}, {}, "disturbance: expected a signal of t, got 1.0"),
+    ("vtol", {"inertia": ((0.02, 0.001, 0.0), (0.0, 0.02, 0.0), (0.0, 0.0, 0.04))}, {},
+     "plant.inertia: must be symmetric"),
+    ("vtol", {"inertia": (0.02, -0.02, 0.04)}, {}, "plant.inertia: must be a positive-definite"),
+    ("vtol", {}, {}, "disturbance: expected a dict of force and torque triples"),
+], ids=["pid_order_3", "order_21", "homogeneous_quadrature", "pid_form_seed_integral",
+        "chain_disturbance", "csv_without_file", "known_d_omega_d", "vehicle_disturbance",
+        "inertia_asymmetric", "inertia_indefinite", "vtol_disturbance"])
+def test_a_direct_scenario_checks_rules_across_options(kind, plant, controller, message):
+    disturbance = (1.0 if message.startswith("disturbance")
+                   else plants.PLANTS[kind].parse_disturbance({}))
+    with pytest.raises(ConfigError) as raised:
+        Scenario(plant_kind=kind, plant=plant, controller=controller, disturbance=disturbance,
+                 duration=1.0)
+    assert str(raised.value).startswith(message)
 
 
 @pytest.mark.parametrize("threshold,message", [

@@ -42,6 +42,10 @@ class TestPolynomial:
         p = Polynomial([0.0, 0.0])
         assert p.is_zero and p.coeffs == (0.0,)
 
+    def test_no_coefficients_is_the_zero_polynomial(self):
+        p = Polynomial([])
+        assert p.is_zero and p.coeffs == (0.0,) and p.degree == 0
+
     def test_horner_evaluation(self):
         p = Polynomial([1.0, -3.0, 2.0])  # 1 - 3s + 2s^2
         assert p(2.0) == 1.0 - 6.0 + 8.0

@@ -12,7 +12,7 @@ from lumped_pid.plants.chain import IntegratorChain
 from lumped_pid import signals
 from lumped_pid.quadrature import RULES
 from lumped_pid.signals import Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise, noise_channel
-from lumped_pid.sim import Scenario, rk4_step, run_scenario
+from lumped_pid.sim import Scenario, SimTrace, rk4_step, run_scenario
 
 
 class Decay(IntegratorChain):
@@ -217,6 +217,14 @@ class TestGaussianNoise:
 
 
 class TestRunScenario:
+    def test_trace_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ConfigError, match="^trace columns must have equal length$"):
+            SimTrace({"t": np.zeros(3), "x0": np.zeros(2)})
+
+    def test_no_noise_deviation_rejected(self):
+        with pytest.raises(ConfigError, match="^noise.sigma: need at least one value$"):
+            make_scenario(noise=())
+
     def test_equilibrium_stays_zero(self):
         trace = run_scenario(make_scenario(disturbance=Constant(0.0), duration=1.0))
         for name in ("x0", "x1", "u", "f_hat"):
@@ -455,7 +463,9 @@ def lockstep_lanes(draw):
         controller["quadrature"] = draw(st.sampled_from(RULES))
     if kind == "generalized":
         controller["observer_form"] = draw(st.sampled_from(OBSERVER_FORMS))
-        controller["seed_integral"] = draw(st.booleans())
+        # the PID form does not read seed_integral
+        if controller["observer_form"] == "integral":
+            controller["seed_integral"] = draw(st.booleans())
     components = st.lists(st.floats(-2.0, 2.0), min_size=order, max_size=order).map(tuple)
     plant = {"order": order, "b": draw(st.sampled_from([1.0, -0.7, 2.5])),
              "x0": draw(st.none() | components),

@@ -118,6 +118,10 @@ class TestFrenetPath:
         with pytest.raises(ConfigError):
             FrenetPath([0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
 
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ConfigError, match="^path columns must have equal length$"):
+            FrenetPath([0.0, 1.0], [0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+
     def test_csv_round_trip(self, tmp_path):
         path = FrenetPath.circle(20.0, 40.0)
         f = tmp_path / "path.csv"

@@ -17,6 +17,7 @@ from lumped_pid.plants.vtol import (
     VtolController,
     VtolParams,
     HoverRef,
+    _inertia,
     advance_rigid_body,
     attitude_error,
     desired_attitude,
@@ -34,7 +35,7 @@ def params(m=1.0, g=9.81, J=(0.02, 0.02, 0.04)):
 def accel(par, f, w=(0.0, 0.0, 0.0), R9=so3.IDENTITY9, t=0.0, d_f=None, d_tau=None):
     """(v_dot, omega_dot) of ``par`` with zero control torque, under the
     disturbance triples of signals ``d_f`` and ``d_tau`` (None: zero)."""
-    J9 = so3.flatten9(par.inertia)
+    J9 = par.inertia
     zero = (0.0, 0.0, 0.0)
     d_f = sample_triple(d_f, t) if d_f else zero
     d_tau = sample_triple(d_tau, t) if d_tau else zero
@@ -44,6 +45,11 @@ def accel(par, f, w=(0.0, 0.0, 0.0), R9=so3.IDENTITY9, t=0.0, d_f=None, d_tau=No
 
 def mat(m9):
     return np.reshape(m9, (3, 3))
+
+
+def flat9(m):
+    """A 3x3 matrix as the flat row-major 9-tuple of floats the so3 helpers take."""
+    return tuple(np.ravel(m).tolist())
 
 
 def hat3(v):
@@ -95,7 +101,7 @@ class TestRodrigues:
 
     def test_orthonormalize_repairs_drift(self):
         R = mat(so3.rodrigues3((0.3, -0.1, 0.7))) + 1e-6 * np.ones((3, 3))
-        fixed = mat(so3.gram_schmidt3(so3.flatten9(R)))
+        fixed = mat(so3.gram_schmidt3(flat9(R)))
         assert np.linalg.norm(fixed.T @ fixed - np.eye(3)) < 1e-14
         assert np.linalg.det(fixed) == pytest.approx(1.0, abs=1e-14)
 
@@ -128,8 +134,9 @@ class TestVtolDerivative:
     def test_inertia_validation(self):
         with pytest.raises(ConfigError):
             VtolParams(mass=1.0, gravity=9.81, inertia=np.diag([1.0, -1.0, 1.0]))
-        # the plant.inertia parser always gives 3 rows; only code reaches this
-        with pytest.raises(ConfigError, match="^plant.inertia: expected a 3x3 matrix$"):
+        # VtolParams checks its inertia with the plant.inertia parser
+        with pytest.raises(ConfigError,
+                           match=r"^plant.inertia: expected 3 \(diagonal\) or 9 values$"):
             VtolParams(mass=1.0, gravity=9.81, inertia=np.eye(2))
         with pytest.raises(ConfigError, match="^plant.mass: must be positive, got 0.0"):
             vtol_scenario(plant={"mass": 0.0})
@@ -211,7 +218,7 @@ class TestDesiredAttitude:
 class TestRigidBodyIntegration:
     def test_pure_spin_matches_exact_rotation(self):
         m, g = 1.0, 0.0  # gravity off; thrust zero
-        J9 = so3.flatten9(np.diag([0.02, 0.02, 0.04]))
+        J9 = params().inertia
         Jinv9 = so3.inv3(J9)
         zero3 = lambda t: (0.0, 0.0, 0.0)
         w = (0.0, 0.0, 2.0)
@@ -227,7 +234,7 @@ class TestRigidBodyIntegration:
 
     def test_free_fall_kinematics(self):
         m, g = 2.0, 9.81
-        J9 = so3.flatten9(np.diag([0.02, 0.02, 0.04]))
+        J9 = params().inertia
         Jinv9 = so3.inv3(J9)
         zero3 = lambda t: (0.0, 0.0, 0.0)
         p, v, R9, w = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), so3.IDENTITY9, (0.0, 0.0, 0.0)
@@ -307,17 +314,24 @@ class TestVtolScenario:
 
 
 class TestNativeFloats:
-    def test_flatten9_returns_floats(self):
-        flat = so3.flatten9(np.diag([0.02, 0.02, 0.04]))
+    @pytest.mark.parametrize("value", [
+        "0.02,0.001,0,0.001,0.025,0,0,0,0.04",
+        ((0.02, 0.001, 0.0), (0.001, 0.025, 0.0), (0.0, 0.0, 0.04)),
+        np.array([[0.02, 0.001, 0.0], [0.001, 0.025, 0.0], [0.0, 0.0, 0.04]]),
+        np.array([0.02, 0.025, 0.04]),
+    ], ids=["text", "rows", "matrix", "diagonal_array"])
+    def test_inertia_parser_returns_floats(self, value):
+        flat = _inertia(value, "plant.inertia")
         assert len(flat) == 9
         assert all(type(x) is float for x in flat)
+        assert flat[4] == 0.025
 
     def test_closed_loop_state_stays_on_floats(self):
         J = np.array([[0.02, 0.001, -0.002], [0.001, 0.025, 0.0015], [-0.002, 0.0015, 0.04]])
         par = VtolParams(mass=1.2, gravity=9.81, inertia=J)
         ctrl = VtolController(par, HoverRef((0.1, -0.2, 0.3), psi=0.2), dt=1e-3,
                               omega_pos=2.0, omega_f=8.0, omega_att=10.0, omega_tau=20.0)
-        J9 = so3.flatten9(par.inertia)
+        J9 = par.inertia
         Jinv9 = so3.inv3(J9)
         wind = lambda t: (0.5, -0.1, 0.0)
         spin = lambda t: (0.001, 0.0, -0.002)
