@@ -193,13 +193,13 @@ def _check_signal(disturbance) -> None:
         raise ConfigError(f"disturbance: expected a signal of t, got {disturbance!r}")
 
 
-def _check_read(controller: dict, options: dict, unread: dict) -> None:
-    """Reject a controller option set away from its default that the chosen
-    controller does not read: ``unread`` maps (option, value) to those."""
+def _check_read(values: dict, options: dict, unread: dict, section: str = "controller") -> None:
+    """Reject an option of ``section`` set away from its default that the chosen
+    setting does not read: ``unread`` maps (option, value) to those."""
     for (key, value), names in unread.items():
-        for name in names if controller[key] == value else ():
-            if controller[name] != options[f"controller.{name}"][1]:
-                raise ConfigError(f"controller.{name}: not read by controller.{key} {value!r}")
+        for name in names if values[key] == value else ():
+            if values[name] != options[f"{section}.{name}"][1]:
+                raise ConfigError(f"{section}.{name}: not read by {section}.{key} {value!r}")
 
 
 class _ReadKeys(UserDict):

@@ -217,15 +217,14 @@ def run(scenario: Scenario | Sequence[Scenario]):
             controller = lockstep_controller(controllers)
         noise = noise_table([s.noise for s in scenarios], n, n_steps + 1)
         lanes = LaneFailures(len(scenarios))
-        rec = TraceRecorder.lockstep(LOCKSTEP_COLUMNS, len(scenarios), n_steps,
-                                     first.decimation)
+        rec = TraceRecorder(LOCKSTEP_COLUMNS, n_steps, first.decimation, lanes=len(scenarios))
         state = np.repeat(np.array(x0, dtype=float)[:, None], len(scenarios), axis=1)
     else:
         noise = noise_table(first.noise, n, n_steps + 1)
         lanes = None
         names = ["t", *(f"x{i}" for i in range(n)), "u", "f_true", "f_hat",
                  *(f"z{i}" for i in range(n))]
-        rec = TraceRecorder(names, first.decimation)
+        rec = TraceRecorder(names, n_steps, first.decimation)
         state = list(x0)
 
     # a lane may overflow to inf or NaN; check_state masks it in `lanes` at
@@ -235,7 +234,8 @@ def run(scenario: Scenario | Sequence[Scenario]):
             for k in range(n_steps + 1):
                 t = k * dt
                 check_state(state, t, k, lanes)
-                z = state + noise[k] if lockstep else [state[i] + noise[i][k] for i in range(n)]
+                z = (state + noise[k] if lockstep
+                     else [x + e for x, e in zip(state, noise[k].tolist())])
                 if controller is None:
                     u = 0.0
                     f_hat = math.nan

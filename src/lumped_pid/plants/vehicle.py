@@ -53,6 +53,9 @@ OPTIONS = {"plant.wheelbase": (_positive, 2.7), "plant.speed": (_positive, 10.0)
 BANDWIDTH = "omega_d"
 NO_OBSERVER = ("known_d",)
 _UNREAD = {("kind", "known_d"): ("omega_d", "quadrature")}  # the options it does not read
+_UNREAD_PATH = {("kind", "line"): ("radius", "arc", "file"),
+                ("kind", "circle"): ("length", "file"),
+                ("kind", "csv"): ("length", "radius", "arc", "spacing")}
 parse_disturbance = _scalar_signal  # the steering bias d(t) [rad]
 SIGNAL = "l"
 OBSERVER = ("d_lump", "d_hat")  # d_hat estimates the lumped term, not the bias d_true
@@ -65,12 +68,14 @@ bound = None  # no ultimate-bound check applies
 
 
 def check(scenario: Scenario) -> None:
-    """The rules that span options: a csv path names its file (read when the
-    scenario runs), and no option is set that the controller does not read."""
+    """Rules across options: a csv path names its file (read when the scenario runs),
+    and the controller and path kinds read each option set away from its default."""
     _check_signal(scenario.disturbance)
-    if scenario.plant["path"]["kind"] == "csv" and scenario.plant["path"]["file"] is None:
+    path = scenario.plant["path"]
+    if path["kind"] == "csv" and path["file"] is None:
         raise ConfigError("path.file: required for path.kind = csv")
     _check_read(scenario.controller, OPTIONS, _UNREAD)
+    _check_read(path, OPTIONS, _UNREAD_PATH, "path")
 
 
 def noise_channels(scenario: Scenario) -> int:
@@ -207,11 +212,6 @@ class FrenetPath:
         except ConfigError as exc:
             raise ConfigError(f"path.file: {exc}") from None
         return frenet
-
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.s, self.x, self.y, self.theta, self.kappa])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",", comments="",
-                   header="s,x,y,theta,kappa")
 
 
 def _tangency(path: FrenetPath, i: int, a: float, px: float, py: float) -> float:
@@ -464,7 +464,7 @@ def run(scenario: Scenario) -> SimTrace:
              else noise_table(scenario.noise, noise_channels(scenario), n_steps + 1))
     names = ["t", "x", "y", "theta", "s_d", "l", "e_theta", "delta",
              "u_x", "d_hat", "d_true", "d_lump", "r_s"]
-    rec = TraceRecorder(names, scenario.decimation)
+    rec = TraceRecorder(names, n_steps, scenario.decimation)
 
     hint = None
     prev_sd = None
@@ -475,7 +475,8 @@ def run(scenario: Scenario) -> SimTrace:
             if noise is None:
                 pose = state
             else:
-                pose = (state[0] + noise[0][k], state[1] + noise[1][k], state[2] + noise[2][k])
+                e = noise[k].tolist()
+                pose = (state[0] + e[0], state[1] + e[1], state[2] + e[2])
             err = frenet_match(path, pose, capture_radius=capture, hint_index=hint)
             hint = err.segment
             d_now = bias(t)

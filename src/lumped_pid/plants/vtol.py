@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import so3
-from ..config import _choice, _float, _floats, _floats3, _positive, _reader
+from ..config import _check_read, _choice, _float, _floats, _floats3, _positive, _reader
 from ..controller import synthesize_gains
 from ..errors import (
     AttitudeSingularityError,
@@ -100,6 +100,10 @@ OPTIONS = {"plant.mass": (_positive, 1.0), "plant.gravity": (_float, 9.81),
            "reference.phase": (_floats3, (0.0, 0.0, 0.0)),
            "controller.omega": (_positive, 2.0), "controller.omega_f": (_positive, 8.0),
            "controller.omega_att": (_positive, 10.0), "controller.omega_tau": (_positive, 20.0)}
+# The reference options a reference kind does not read; every kind reads psi.
+_UNREAD = {("kind", "hover"): ("radius", "omega", "height", "amplitude", "freq", "phase"),
+           ("kind", "circle"): ("position", "amplitude", "freq", "phase"),
+           ("kind", "lissajous"): ("position", "radius", "omega")}
 
 
 def _triple_signal(flat: dict, prefix: str):
@@ -122,14 +126,15 @@ def parse_disturbance(flat: dict) -> dict:
 
 
 def check(scenario: Scenario) -> None:
-    """The rule that spans options: the disturbance is a dict of ``force``
-    and ``torque`` parts, each None or three signals of t."""
+    """Rules across options: the disturbance is a dict of ``force`` and ``torque``
+    parts, each None or three signals of t; the reference kind reads every non-default option."""
     disturbance = scenario.disturbance
     if not (isinstance(disturbance, dict) and set(disturbance) <= {"force", "torque"}
             and all(part is None or isinstance(part, (tuple, list)) and len(part) == 3
                     and all(map(callable, part)) for part in disturbance.values())):
         raise ConfigError(f"disturbance: expected a dict of force and torque triples of "
                           f"signals of t, got {disturbance!r}")
+    _check_read(scenario.plant["reference"], OPTIONS, _UNREAD, "reference")
 
 
 SIGNAL = "err_norm"
@@ -455,7 +460,7 @@ def run(scenario: Scenario) -> SimTrace:
            "dfhx", "dfhy", "dfhz", "dthx", "dthy", "dthz",
            "ortho_err", "det_err"]
     )
-    rec = TraceRecorder(names, scenario.decimation)
+    rec = TraceRecorder(names, n_steps, decimation)
 
     try:
         for k in range(n_steps + 1):
@@ -464,9 +469,10 @@ def run(scenario: Scenario) -> SimTrace:
             if noise is None:
                 zp, zv, zw = p, v, w
             else:
-                zp = (p[0] + noise[0][k], p[1] + noise[1][k], p[2] + noise[2][k])
-                zv = (v[0] + noise[3][k], v[1] + noise[4][k], v[2] + noise[5][k])
-                zw = (w[0] + noise[6][k], w[1] + noise[7][k], w[2] + noise[8][k])
+                e = noise[k].tolist()
+                zp = (p[0] + e[0], p[1] + e[1], p[2] + e[2])
+                zv = (v[0] + e[3], v[1] + e[4], v[2] + e[5])
+                zw = (w[0] + e[6], w[1] + e[7], w[2] + e[8])
             f, tau = controller.compute(t, zp, zv, R9, zw)
             if k % decimation == 0:
                 err = controller.p_err

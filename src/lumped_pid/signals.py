@@ -220,22 +220,19 @@ def noise_channel(spec: NoiseSpec, channel: int, n_samples: int) -> np.ndarray:
 
 def noise_table(
     spec: NoiseSpec | Sequence[NoiseSpec], n_channels: int, n_samples: int
-) -> list | np.ndarray:
-    """Per-channel sample lists for a whole run (plain floats for the hot loop).
-
-    Given one spec per lane of a lockstep run, the table is instead one
-    ``[n_samples, n_channels, lanes]`` float64 array, filled in place, whose
-    ``[:, c, j]`` is lane j's channel c; so ``table[k]`` is every channel and
-    lane's sample k, shaped as a lockstep state. A Scenario's spec gives 1 or
-    ``n_channels`` deviations.
-    """
-    if isinstance(spec, NoiseSpec):
-        return [noise_channel(spec, c, n_samples).tolist() for c in range(n_channels)]
-    table = np.empty((n_samples, n_channels, len(spec)))
+) -> np.ndarray:
+    """Every sample of a run in one float64 table, 8 B per sample and channel:
+    ``[n_samples, n_channels, lanes]`` for one spec per lane of a lockstep
+    run, so ``table[k]`` is sample k shaped as a lockstep state, and
+    ``[n_samples, n_channels]`` for a single spec (one lane), whose
+    ``table[k].tolist()`` is sample k as the plain floats a single run's loop
+    adds. A Scenario's spec gives 1 or ``n_channels`` deviations."""
+    lanes = [spec] if isinstance(spec, NoiseSpec) else spec
+    table = np.empty((n_samples, n_channels, len(lanes)))
     for c in range(n_channels):
-        for j, lane in enumerate(spec):
+        for j, lane in enumerate(lanes):
             table[:, c, j] = noise_channel(lane, c, n_samples)
-    return table
+    return table[:, :, 0] if isinstance(spec, NoiseSpec) else table
 
 
 def build_signal(kind: str, field: Callable[[str, float], float], key: str) -> DisturbanceSignal:

@@ -244,7 +244,7 @@ class SimTrace:
 
 class _LaneColumns:
     """Preallocated storage for the columns of a lockstep recorder;
-    ``append`` takes one row of values, in the order of ``names``.
+    ``columns[row] = values`` writes one row, in the order of ``names``.
 
     A column is allocated at the first row: ``[lanes, rows]`` if its value is
     an array, or one ``[rows]`` array shared by every lane if it is a float
@@ -257,10 +257,8 @@ class _LaneColumns:
         self.columns: dict[str, np.ndarray] = {}
         self._arrays: list[np.ndarray] = []
         self._capacity = rows
-        self.rows = 0
 
-    def append(self, values: Sequence) -> None:
-        row = self.rows
+    def __setitem__(self, row: int, values: Sequence) -> None:
         if row == 0:
             for name, value in zip(self.names, values):
                 lanes = () if isinstance(value, float) else (self.lanes,)
@@ -269,7 +267,6 @@ class _LaneColumns:
             self._arrays = [self.columns[name].T for name in self.names]
         for array, value in zip(self._arrays, values):
             array[row] = value
-        self.rows = row + 1
 
     def lane(self, j: int) -> dict[str, np.ndarray]:
         """Lane j's columns, as views."""
@@ -277,33 +274,31 @@ class _LaneColumns:
 
 
 class TraceRecorder:
-    """Accumulates decimated rows during a run."""
+    """The decimated rows of a run of ``n_steps`` steps, written as they come
+    into float64 storage preallocated for ``n_steps // decimation + 1`` rows,
+    8 B per value: for a single run, one ``[rows, columns]`` block whose
+    columns ``build`` gives as views; with ``lanes``, :class:`_LaneColumns`
+    of floats and ``[lanes]`` arrays, which ``build`` gives as one SimTrace
+    per lane."""
 
-    def __init__(self, names: Sequence[str], decimation: int = 1):
+    def __init__(self, names: Sequence[str], n_steps: int, decimation: int = 1,
+                 lanes: Optional[int] = None):
         self.names = list(names)
         self.decimation = decimation
-        self._rows: list[tuple] = []
-
-    @classmethod
-    def lockstep(
-        cls, names: Sequence[str], lanes: int, n_steps: int, decimation: int = 1
-    ) -> TraceRecorder:
-        """A recorder for a lockstep run of ``n_steps`` steps: ``record`` takes
-        rows of ``names`` (floats or ``[lanes]`` arrays), stored into
-        preallocated arrays, and ``build`` returns one SimTrace per lane."""
-        rec = cls(names, decimation)
-        rec._rows = _LaneColumns(rec.names, lanes, n_steps // decimation + 1)
-        return rec
+        self.lanes = lanes
+        rows = n_steps // decimation + 1
+        # column-major, so that each column is one contiguous view
+        self._data = (np.empty((rows, len(self.names)), order="F") if lanes is None
+                      else _LaneColumns(self.names, lanes, rows))
 
     def record(self, step_index: int, values: Sequence[float]) -> None:
         if step_index % self.decimation == 0:
-            self._rows.append(tuple(values))
+            self._data[step_index // self.decimation] = values
 
     def build(self) -> SimTrace | list[SimTrace]:
-        if isinstance(self._rows, _LaneColumns):
-            return [SimTrace(self._rows.lane(j)) for j in range(self._rows.lanes)]
-        data = np.asarray(self._rows, dtype=float)
-        return SimTrace({name: data[:, i] for i, name in enumerate(self.names)})
+        if self.lanes is None:
+            return SimTrace(dict(zip(self.names, self._data.T)))
+        return [SimTrace(self._data.lane(j)) for j in range(self.lanes)]
 
 
 def run_scenario(scenario: Scenario | Sequence[Scenario]):

@@ -277,8 +277,17 @@ OTHERS_REJECTED = pytest.mark.parametrize("conf,changes,message", [
      "plant.inertia: must be symmetric"),
     ("vtol_wind.conf", {"plant.inertia": "0.02,-0.02,0.04"},
      "plant.inertia: must be a positive-definite matrix"),
+    # a path or reference option the kind does not read, set away from its default
+    ("vehicle_bias.conf", {"path.kind": "circle", "path.length": 5},
+     "path.length: not read by path.kind 'circle'"),
+    ("vehicle_bias.conf", {"path.radius": 20}, "path.radius: not read by path.kind 'line'"),
+    ("vtol_wind.conf", {"reference.radius": 2},
+     "reference.radius: not read by reference.kind 'hover'"),
+    ("vtol_wind.conf", {"reference.kind": "circle", "reference.position": "1,0,0"},
+     "reference.position: not read by reference.kind 'circle'"),
 ], ids=["csv_without_file", "known_d_omega_d", "known_d_quadrature", "vtol_inertia_asymmetric",
-        "vtol_inertia_indefinite"])
+        "vtol_inertia_indefinite", "circle_path_length", "line_path_radius",
+        "hover_reference_radius", "circle_reference_position"])
 
 
 @OTHERS_REJECTED
@@ -305,10 +314,15 @@ def test_options_a_kind_does_not_read_are_judged_by_value(tmp_path, capsys):
     assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
     assert main(["tune", "--config", conf]) == 0
     assert "omega_f  = 1" in capsys.readouterr().out
-    text = stock("vehicle_bias.conf", **{"controller.kind": "known_d",
-                                         "controller.omega_d": 2.0, "sim.duration": 0.1})
-    assert main(["simulate", "--config", write_conf(tmp_path, text),
-                 "--out", str(tmp_path / "vehicle")]) == 0
+    # path.length = 200.0 and reference.position = 0,0,0 stay in the stock configs
+    for conf, changes in (("vehicle_bias.conf", {"controller.kind": "known_d",
+                                                 "controller.omega_d": 2.0}),
+                          ("vehicle_bias.conf", {"path.kind": "circle"}),
+                          ("vtol_wind.conf", {"reference.kind": "circle"}),
+                          ("vtol_wind.conf", {"reference.radius": 1.0})):
+        text = stock(conf, **changes, **{"sim.duration": 0.1})
+        assert main(["simulate", "--config", write_conf(tmp_path, text),
+                     "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()
 
 
@@ -783,6 +797,38 @@ def test_stock_config_bytes_match_recorded_digest(tmp_path, capsys, monkeypatch,
     capsys.readouterr()
     assert tuple(hashlib.sha256((out / csv).read_bytes()).hexdigest()
                  for csv in ("trace.csv", "metrics.csv")) == STOCK_DIGESTS[name]
+
+
+# short noisy runs: config text and the SHA-256 of its simulate run's trace.csv
+# and metrics.csv, recorded before the noise table became one float64 array
+NOISY_DIGESTS = {
+    "chain_step_noisy": (
+        stock("chain_step.conf", **{"sim.duration": 2.0, "noise.sigma": "0.01,0.02"}),
+        "5df8a2921e65d9304f7d1c4441e71d4bc45f29e939e2cf5baf01a6fc4bc06dca",
+        "09e8e3fb994519f1cbc8d7eff3dbfe407cd1c413ba4c90da5fb92c551757e0e2"),
+    "vehicle_circle_noisy": (
+        stock("vehicle_bias.conf", **{"sim.duration": 2.0, "path.kind": "circle",
+                                      "noise.sigma": "0.01,0.01,0.001"}),
+        "1294d68a248096b7a2e82df4fdf33e77eed92e25556415d77c52f729a31e1122",
+        "c69456360a0adac4b9380834e5e3a318b9b6ff2bf5b853d4347377367066c4ec"),
+    "vtol_circle_noisy": (
+        stock("vtol_wind.conf", **{"reference.kind": "circle", "reference.radius": 1.0,
+                                   "reference.omega": 1.0, "sim.duration": 2.0,
+                                   "noise.sigma": 0.001}),
+        "c9affc49afc740444616e8a19f58688e421af9c1bf597e28be54f47a4597de3c",
+        "966b3a47b39aa08678ac385eddff299578ae863b0292d71f41008cf1f901aa77"),
+}
+
+
+@pytest.mark.parametrize("case", NOISY_DIGESTS)
+def test_noisy_run_bytes_match_recorded_digest(tmp_path, capsys, monkeypatch, case):
+    text, *digests = NOISY_DIGESTS[case]
+    monkeypatch.delenv("LUMPED_PID_SEED", raising=False)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_conf(tmp_path, text), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert [hashlib.sha256((out / csv).read_bytes()).hexdigest()
+            for csv in ("trace.csv", "metrics.csv")] == digests
 
 
 class TestSweepBaseConfig:

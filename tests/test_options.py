@@ -26,6 +26,12 @@ WORDS = ["none", "homogeneous", "generalized", "pid", "rectangular", "trapezoida
          "observer", "known_d", "line", "circle", "csv", "hover", "lissajous", "simpson",
          "Line", "bogus"]
 
+# the options the default path and reference kinds (line, hover) do not read,
+# each rejected when set away from its default
+UNREAD_BY_DEFAULT_KIND = {"path.radius", "path.arc", "path.file", "reference.radius",
+                          "reference.omega", "reference.height", "reference.amplitude",
+                          "reference.freq", "reference.phase"}
+
 numbers = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1e-300]))
 
 
@@ -92,7 +98,8 @@ def test_a_value_from_config_or_from_code_has_one_outcome(data):
         assert code == config
     if parse is _positive:
         accepted = isinstance(code, Scenario) or code in step_count
-        assert accepted == (math.isfinite(value) and value > 0)
+        unread = key in UNREAD_BY_DEFAULT_KIND and value != PLANTS[kind].OPTIONS[key][1]
+        assert accepted == (math.isfinite(value) and value > 0 and not unread)
 
 
 @pytest.mark.parametrize("kind,key,value,message", [

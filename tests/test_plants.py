@@ -192,9 +192,14 @@ def test_a_direct_scenario_rejects_undeclared_options(kind, plant, controller, k
      "plant.inertia: must be symmetric"),
     ("vtol", {"inertia": (0.02, -0.02, 0.04)}, {}, "plant.inertia: must be a positive-definite"),
     ("vtol", {}, {}, "disturbance: expected a dict of force and torque triples"),
+    ("vehicle", {"path": {"kind": "csv", "file": "path.csv", "spacing": 0.5}}, {},
+     "path.spacing: not read by path.kind 'csv'"),
+    ("vtol", {"reference": {"kind": "lissajous", "omega": 3.0}}, {},
+     "reference.omega: not read by reference.kind 'lissajous'"),
 ], ids=["pid_order_3", "order_21", "homogeneous_quadrature", "pid_form_seed_integral",
         "chain_disturbance", "csv_without_file", "known_d_omega_d", "vehicle_disturbance",
-        "inertia_asymmetric", "inertia_indefinite", "vtol_disturbance"])
+        "inertia_asymmetric", "inertia_indefinite", "vtol_disturbance", "csv_path_spacing",
+        "lissajous_reference_omega"])
 def test_a_direct_scenario_checks_rules_across_options(kind, plant, controller, message):
     disturbance = (1.0 if message.startswith("disturbance")
                    else plants.PLANTS[kind].parse_disturbance({}))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from lumped_pid.plants import chain
 from lumped_pid.plants.chain import IntegratorChain
 from lumped_pid import signals
 from lumped_pid.quadrature import RULES
-from lumped_pid.signals import Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise, noise_channel
+from lumped_pid.signals import (Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise,
+                                noise_channel, noise_table)
 from lumped_pid.sim import Scenario, SimTrace, rk4_step, run_scenario
 
 
@@ -215,6 +217,17 @@ class TestGaussianNoise:
         with pytest.raises(ConfigError):
             NoiseSpec(sigmas=(-0.1,), seed=0)
 
+    def test_table_is_one_float64_array_for_a_run_and_for_lanes(self):
+        # a single spec is one lane: [samples, channels], 8 B per sample and channel
+        specs = [NoiseSpec(sigmas=(0.3, 0.0, 1.1), seed=4), NoiseSpec(sigmas=(0.2,), seed=9)]
+        lanes = noise_table(specs, 3, 6)
+        assert lanes.shape == (6, 3, 2) and lanes.dtype == np.float64
+        for j, spec in enumerate(specs):
+            table = noise_table(spec, 3, 6)
+            assert table.shape == (6, 3) and table.dtype == np.float64
+            assert np.array_equal(table, lanes[:, :, j])
+            assert table[5].tolist() == [gaussian_noise(spec, c, 5) for c in range(3)]
+
 
 class TestRunScenario:
     def test_trace_columns_of_unequal_length_rejected(self):
@@ -252,6 +265,25 @@ class TestRunScenario:
         trace = run_scenario(scenario)
         expected = np.arange(len(trace)) * (scenario.dt * 10)
         assert np.array_equal(trace.t, expected)
+
+    def test_a_recorded_value_takes_8_bytes(self):
+        # a 35-column VTOL trace of R rows peaks within 2 R 35 8 B plus a fixed
+        # slack: one preallocated float64 block, whose columns the trace views
+        def vtol(duration):
+            return Scenario(plant_kind="vtol", plant={}, controller={},
+                            disturbance={"force": (Constant(0.5), Constant(0.0), Constant(0.0))},
+                            dt=1e-3, duration=duration)
+
+        run_scenario(vtol(0.01))  # imports and first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            trace = run_scenario(vtol(2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, columns = len(trace), len(trace.names)
+        assert (rows, columns) == (2001, 35)
+        assert peak < 2 * rows * columns * 8 + 100_000
 
     def test_divergence_reported(self):
         scenario = make_scenario(

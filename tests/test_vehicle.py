@@ -30,6 +30,12 @@ from lumped_pid.signals import Constant
 from lumped_pid.sim import Scenario, rk4_step, run_scenario
 
 
+def write_path_csv(f, path):
+    """The path's columns as a ``path.file`` CSV, floats at 17 significant digits."""
+    np.savetxt(f, np.column_stack([path.s, path.x, path.y, path.theta, path.kappa]),
+               fmt="%.17g", delimiter=",", comments="", header="s,x,y,theta,kappa")
+
+
 def vehicle_scenario(**overrides):
     base = dict(
         plant_kind="vehicle",
@@ -125,7 +131,7 @@ class TestFrenetPath:
     def test_csv_round_trip(self, tmp_path):
         path = FrenetPath.circle(20.0, 40.0)
         f = tmp_path / "path.csv"
-        path.to_csv(f)
+        write_path_csv(f, path)
         loaded = FrenetPath.from_csv(f)
         assert np.array_equal(loaded.s, path.s)
         assert np.array_equal(loaded.x, path.x)
@@ -145,7 +151,7 @@ class TestFrenetPath:
         line = FrenetPath.line(10.0)
         columns = {"s": line.s, "x": line.x, "y": line.y, "theta": line.theta, "kappa": line.kappa}
         columns[column] = np.full(len(line), 0.05 if column == "kappa" else math.pi / 2)
-        FrenetPath(**columns).to_csv(tmp_path / "path.csv")
+        write_path_csv(tmp_path / "path.csv", FrenetPath(**columns))
         with pytest.raises(ConfigError, match=f"inconsistent with {message}"):
             FrenetPath.from_csv(tmp_path / "path.csv")
 
@@ -220,7 +226,7 @@ def _curvy_csv_path():
     x = np.concatenate([[0.0], np.cumsum(0.5 * (np.cos(theta[1:]) + np.cos(theta[:-1])) * ds)])
     y = np.concatenate([[0.0], np.cumsum(0.5 * (np.sin(theta[1:]) + np.sin(theta[:-1])) * ds)])
     buf = io.StringIO()
-    FrenetPath(s, x, y, theta, 0.04 * np.sin(s / 15.0)).to_csv(buf)
+    write_path_csv(buf, FrenetPath(s, x, y, theta, 0.04 * np.sin(s / 15.0)))
     buf.seek(0)
     return FrenetPath.from_csv(buf)
 
