@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, WindowTooShortError
 from .polylti import log_grid
-from .sim import SimTrace
+from .sim import SimTrace, write_csv
 
 FINAL_WINDOW_FRAC = 0.2
 BOUND_MARGIN = 0.05  # absorbs integration and windowing error
@@ -127,10 +127,9 @@ def default_grid(omega: float, omega_f: float, points_per_decade: int = 50) -> l
     return log_grid(lo, hi, points_per_decade)
 
 
-METRICS_HEADER = (
-    "scenario_id,omega,omega_f,sigma,sse_rms,sse_max,settling,overshoot,"
-    "observer_rmse,bound,limsup,satisfied,status"
-)
+# The columns of metrics.csv and sweep.csv, in the order _metrics_fields gives them
+METRICS_COLUMNS = ("scenario_id", "omega", "omega_f", "sigma", "sse_rms", "sse_max", "settling",
+                   "overshoot", "observer_rmse", "bound", "limsup", "satisfied", "status")
 
 
 @dataclass(frozen=True)
@@ -145,37 +144,27 @@ class MetricsRow:
 
 
 def _fmt(value) -> str:
-    if value is None:
+    """A table's field: blank for None and NaN, true/false for a bool, floats
+    at 17 significant digits."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float) and math.isnan(value):
-        return ""
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def metrics_row_to_csv(row: MetricsRow) -> str:
+def table_line(row: Sequence) -> str:
+    """The CSV line of a table's row: each field through :func:`_fmt`."""
+    return ",".join(map(_fmt, row)) + "\n"
+
+
+def _metrics_fields(row: MetricsRow) -> tuple:
     m, b = row.metrics, row.bound
-    fields = [
-        row.scenario_id,
-        _fmt(row.omega),
-        _fmt(row.omega_f),
-        _fmt(row.sigma),
-        _fmt(m.sse_rms if m else None),
-        _fmt(m.sse_max if m else None),
-        _fmt(m.settling_time if m else None),
-        _fmt(m.overshoot if m else None),
-        _fmt(m.observer_rmse if m else None),
-        _fmt(b.theoretical_bound if b else None),
-        _fmt(b.measured_limsup if b else None),
-        _fmt(b.satisfied if b else None),
-        row.status,
-    ]
-    return ",".join(fields)
+    metrics = ((m.sse_rms, m.sse_max, m.settling_time, m.overshoot, m.observer_rmse)
+               if m else (None,) * 5)
+    bound = (b.theoretical_bound, b.measured_limsup, b.satisfied) if b else (None,) * 3
+    return (row.scenario_id, row.omega, row.omega_f, row.sigma, *metrics, *bound, row.status)
 
 
 def write_metrics_csv(path, rows: Sequence[MetricsRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for row in rows:
-            fh.write(metrics_row_to_csv(row) + "\n")
+    write_csv(path, METRICS_COLUMNS, map(_metrics_fields, rows), table_line)

@@ -21,14 +21,14 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .analysis import MetricsRow, default_grid, trace_metrics, write_metrics_csv
+from .analysis import MetricsRow, default_grid, table_line, trace_metrics, write_metrics_csv
 from .config import build_scenario, load_config
 from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_to_pi, reduce_to_pid, synthesize_gains
 from .errors import ConfigError, LumpedPidError
 from .plants import chain, plant_module
 from .polylti import MAX_ORDER, frequency_response
 from .signals import NoiseSpec
-from .sim import run_scenario
+from .sim import run_scenario, write_csv
 from .svgplot import write_line_plot
 
 EXIT_OK = 0
@@ -72,49 +72,39 @@ def _chain_config(args) -> ControllerConfig:
     return chain.controller_config(scenario)
 
 
+def _write_table(out: Path, names: tuple[str, ...], rows: list) -> None:
+    """Write a table to the ``--out`` file ``out``, creating its directory."""
+    with _out_errors(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_csv(out, names, rows, table_line)
+
+
 def cmd_tune(args) -> int:
     config = _chain_config(args)
-    gains = synthesize_gains(config.n, config.omega)
-    lines = [
-        f"n        = {config.n}",
-        f"b        = {config.b:g}",
-        f"omega    = {config.omega:g}",
-        f"omega_f  = {config.omega_f:g}",
-    ]
-    rows = [("n", config.n), ("b", config.b), ("omega", config.omega),
-            ("omega_f", config.omega_f)]
-    for i, a in enumerate(gains.a):
-        lines.append(f"a{i}       = {a:.12g}")
-        rows.append((f"a{i}", a))
-    if config.n == 1:
-        classic = reduce_to_pi(config)
-    elif config.n == 2:
-        classic = reduce_to_pid(config)
-    else:
-        classic = None
+    rows = [("n", config.n), ("b", config.b), ("omega", config.omega), ("omega_f", config.omega_f),
+            *((f"a{i}", a) for i, a in enumerate(synthesize_gains(config.n, config.omega).a))]
+    head = len(rows)
+    reduction = {1: reduce_to_pi, 2: reduce_to_pid}.get(config.n)
+    if reduction is not None:
+        classic = reduction(config)
+        for k, v in (("kd", classic.kd), ("kp", classic.kp), ("ki", classic.ki)):
+            if v is not None:
+                rows += [(k, v), (f"{k}_over_b", v / config.b)]
+    # stdout: the inputs at 6 significant digits, the gains at 12, and the
+    # classic gains (each followed by its value over b) on two lines
+    lines = [f"{name:<9}= {value:{'g' if i < 4 else '.12g'}}"
+             for i, (name, value) in enumerate(rows[:head])]
+    if reduction is None:
         lines.append("no classic PI/PID reduction exists beyond n = 2; "
                      "use the generalized gains above")
-    if classic is not None:
-        named = [("kp", classic.kp), ("ki", classic.ki)]
-        if classic.kd is not None:
-            named.insert(0, ("kd", classic.kd))
-        pre = "  ".join(f"{k} = {v:.12g}" for k, v in named)
-        post = "  ".join(f"{k}/b = {v / config.b:.12g}" for k, v in named)
-        lines.append(f"classic (pre-1/b):  {pre}")
-        lines.append(f"classic (post-1/b): {post}")
-        for k, v in named:
-            rows.append((k, v))
-            rows.append((f"{k}_over_b", v / config.b))
+    else:
+        pre, post = rows[head::2], rows[head + 1::2]
+        lines.append("classic (pre-1/b):  " + "  ".join(f"{k} = {v:.12g}" for k, v in pre))
+        lines.append("classic (post-1/b): " + "  ".join(
+            f"{k.replace('_over_b', '/b')} = {v:.12g}" for k, v in post))
     print("\n".join(lines))
     if args.out:
-        out = Path(args.out)
-        with _out_errors(out):
-            out.parent.mkdir(parents=True, exist_ok=True)
-            with open(out, "w", newline="") as fh:
-                fh.write("name,value\n")
-                for name, value in rows:
-                    fh.write(f"{name},{value:.17g}\n" if isinstance(value, float)
-                             else f"{name},{value}\n")
+        _write_table(Path(args.out), ("name", "value"), rows)
     return EXIT_OK
 
 
@@ -186,11 +176,10 @@ def _parse_grid(specs: list[str], axes: list[str]) -> dict[str, list[float]]:
         if name in grid:
             raise ConfigError(f"--grid: axis {name!r} given twice")
         try:
-            vals = [float(v) for v in values.split(",") if v]
+            vals = [float(v) for v in values.split(",")]
         except ValueError:
             raise ConfigError(f"--grid: bad numbers in {spec!r}") from None
-        if not vals or not all(0.0 <= v < math.inf and (v > 0.0 or name == "sigma")
-                               for v in vals):
+        if not all(0.0 <= v < math.inf and (v > 0.0 or name == "sigma") for v in vals):
             raise ConfigError(f"--grid: {name} values must be finite and positive")
         grid[name] = vals
     return grid
@@ -288,14 +277,9 @@ def cmd_bode(args) -> int:
         ("G_e", observer_tfs(config.omega_f)[1]),
     ]
     out = Path(args.out)
-    with _out_errors(out):
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", newline="") as fh:
-            fh.write("tf,freq,mag,phase_rad\n")
-            for name, tf in tables:
-                for row in frequency_response(tf, grid):
-                    fh.write(f"{name},{row.frequency:.17g},{row.magnitude:.17g},"
-                             f"{row.phase:.17g}\n")
+    _write_table(out, ("tf", "freq", "mag", "phase_rad"),
+                 [(name, row.frequency, row.magnitude, row.phase)
+                  for name, tf in tables for row in frequency_response(tf, grid)])
     print(f"wrote {out} ({len(grid)} frequencies x {len(tables)} transfer functions)")
     return EXIT_OK
 

@@ -162,9 +162,10 @@ class GeneralizedController:
       estimate-error decay and bandwidth studies use this form.
     * ``"pid"`` carries the integral in its reduced form: every a_i*x^(i)
       component of u_x (i >= 1) integrates exactly to a_i*x^(i-1), leaving a
-      running integral of x alone. This reproduces the classic PI/PID
-      arithmetic identically, step for step, for any measurement sequence
-      under a shared quadrature rule. Following the PI reduction, the n=1
+      running integral of x alone. This is the classic PI/PID law under a
+      shared quadrature rule, equal up to rounding for any measurement
+      sequence; criterion 1 bounds the per-step difference by 1e-9.
+      Following the PI reduction, the n=1
       variant omits the direct measurement term from the estimate.
 
     The two forms agree in continuous time; discretely they differ by the

@@ -234,7 +234,7 @@ def run(scenario: Scenario | Sequence[Scenario]):
             for k in range(n_steps + 1):
                 t = k * dt
                 check_state(state, t, k, lanes)
-                z = (state + noise[k] if lockstep
+                z = (state if noise is None else state + noise[k] if lockstep
                      else [x + e for x, e in zip(state, noise[k].tolist())])
                 if controller is None:
                     u = 0.0

@@ -460,8 +460,7 @@ def run(scenario: Scenario) -> SimTrace:
     ds = v * dt
     n_steps = scenario.n_steps
     # the controller sees the noised pose, the trace records the true one
-    noise = (None if scenario.noise.silent
-             else noise_table(scenario.noise, noise_channels(scenario), n_steps + 1))
+    noise = noise_table(scenario.noise, noise_channels(scenario), n_steps + 1)
     names = ["t", "x", "y", "theta", "s_d", "l", "e_theta", "delta",
              "u_x", "d_hat", "d_true", "d_lump", "r_s"]
     rec = TraceRecorder(names, n_steps, scenario.decimation)

@@ -432,8 +432,10 @@ def run(scenario: Scenario) -> SimTrace:
     params = VtolParams(mass=opts["mass"], gravity=opts["gravity"], inertia=opts["inertia"])
     reference = _build_reference(opts["reference"])
 
-    # the controller takes the four bandwidths in the order OPTIONS declares them
-    controller = VtolController(params, reference, scenario.dt, *scenario.controller.values())
+    c = scenario.controller
+    controller = VtolController(params, reference, scenario.dt, omega_pos=c["omega"],
+                                omega_f=c["omega_f"], omega_att=c["omega_att"],
+                                omega_tau=c["omega_tau"])
 
     p = reference.position(0.0) if opts["p0"] is None else opts["p0"]
     v = reference.velocity(0.0) if opts["v0"] is None else opts["v0"]
@@ -449,8 +451,7 @@ def run(scenario: Scenario) -> SimTrace:
     dt = scenario.dt
     n_steps = scenario.n_steps
     decimation = scenario.decimation
-    noise = (None if scenario.noise.silent
-             else noise_table(scenario.noise, noise_channels(scenario), n_steps + 1))
+    noise = noise_table(scenario.noise, noise_channels(scenario), n_steps + 1)
 
     names = (
         ["t", "px", "py", "pz", "vx", "vy", "vz"]

@@ -220,14 +220,17 @@ def noise_channel(spec: NoiseSpec, channel: int, n_samples: int) -> np.ndarray:
 
 def noise_table(
     spec: NoiseSpec | Sequence[NoiseSpec], n_channels: int, n_samples: int
-) -> np.ndarray:
+) -> np.ndarray | None:
     """Every sample of a run in one float64 table, 8 B per sample and channel:
     ``[n_samples, n_channels, lanes]`` for one spec per lane of a lockstep
     run, so ``table[k]`` is sample k shaped as a lockstep state, and
     ``[n_samples, n_channels]`` for a single spec (one lane), whose
     ``table[k].tolist()`` is sample k as the plain floats a single run's loop
-    adds. A Scenario's spec gives 1 or ``n_channels`` deviations."""
+    adds. A Scenario's spec gives 1 or ``n_channels`` deviations. None if
+    every lane is silent: a loop then measures the true state."""
     lanes = [spec] if isinstance(spec, NoiseSpec) else spec
+    if all(lane.silent for lane in lanes):
+        return None
     table = np.empty((n_samples, n_channels, len(lanes)))
     for c in range(n_channels):
         for j, lane in enumerate(lanes):

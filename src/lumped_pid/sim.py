@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -209,6 +209,19 @@ class Scenario:
         return int(round(self.duration / self.dt))
 
 
+# The rows a trace formats per block of plain floats: a few hundred keep the
+# block small against the trace and the per-block cost small against a row's.
+CSV_BLOCK = 256
+
+
+def write_csv(path, names: Sequence[str], rows: Iterable, line: Callable[[object], str]) -> None:
+    """Write a CSV file, as every command writes one: the header ``names``,
+    then ``line(row)``, a newline-terminated line of fields, for each row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(map(line, rows))
+
+
 class SimTrace:
     """Columnar, uniformly-gridded record of one run."""
 
@@ -236,10 +249,13 @@ class SimTrace:
         return len(self.columns["t"])
 
     def to_csv(self, path) -> None:
-        """CSV with one named column per quantity, floats at 17 significant digits."""
-        data = np.column_stack([self.columns[name] for name in self.names])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",", comments="",
-                   header=",".join(self.names))
+        """CSV with one named column per quantity, each value ``%.17g`` (NaN
+        as ``nan``): rows are taken from the columns in blocks of
+        :data:`CSV_BLOCK`, so the trace is never copied whole."""
+        columns = list(self.columns.values())
+        rows = (row for start in range(0, len(self), CSV_BLOCK)
+                for row in zip(*[c[start:start + CSV_BLOCK].tolist() for c in columns]))
+        write_csv(path, self.names, rows, (",".join(["%.17g"] * len(columns)) + "\n").__mod__)
 
 
 class _LaneColumns:

@@ -34,6 +34,10 @@ def _ticks(lo: float, hi: float) -> list[float]:  # line_plot_svg gives lo < hi
 
 def line_plot_svg(x: Sequence[float], series: dict[str, Sequence[float]],
                   title: str = "", xlabel: str = "", ylabel: str = "") -> str:
+    """The plot of each series over ``x``; a series without a finite sample
+    (an estimate a controller does not make) has no line and no legend entry,
+    and at least one series must have one."""
+    series = {name: ys for name, ys in series.items() if any(math.isfinite(v) for v in ys)}
     xs = [float(v) for v in x]
     x_lo, x_hi = min(xs), max(xs)
     y_lo = min(min(float(v) for v in ys) for ys in series.values())

@@ -401,6 +401,22 @@ class TestSimulate:
         content = (out / "plot_control.svg").read_text()
         assert "polyline" in content and ">-1</text>" in content and ">1</text>" in content
 
+    @pytest.mark.parametrize("conf,changes,svg", [
+        ("chain_step.conf", {"controller.kind": "pid"}, "plot_observer.svg"),
+        ("chain_step.conf", {"controller.kind": "none"}, "plot_observer.svg"),
+        ("vehicle_bias.conf", {"controller.kind": "known_d", "controller.omega_d": None},
+         "plot_steering.svg"),
+    ], ids=["chain_pid", "chain_none", "vehicle_known_d"])
+    def test_an_estimate_the_controller_does_not_make_is_not_plotted(
+            self, tmp_path, capsys, conf, changes, svg):
+        # its column is all NaN: a polyline of it would read "70.00,nan ..."
+        conf = write_conf(tmp_path, stock(conf, **changes, **{"sim.duration": 0.5}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", conf, "--out", str(out), "--plots"]) == 0
+        capsys.readouterr()
+        assert not any("nan" in p.read_text() for p in out.glob("*.svg"))
+        assert (out / svg).read_text().count("<polyline") == 1
+
 
 class TestOneRowTrace:
     """A trace of one row, at t = 0, spans no time: its metrics row reads ok
@@ -572,7 +588,9 @@ class TestSweep:
     @pytest.mark.parametrize("axis,message", [
         ("omega", "--grid: expected name=v1,v2,..., got 'omega'"),
         ("omega=a,b", "--grid: bad numbers in 'omega=a,b'"),
-    ], ids=["no_equals", "not_numbers"])
+        ("omega=1,,2", "--grid: bad numbers in 'omega=1,,2'"),
+        ("omega=1,", "--grid: bad numbers in 'omega=1,'"),
+    ], ids=["no_equals", "not_numbers", "empty_item", "trailing_comma"])
     def test_malformed_grid_axis(self, tmp_path, capsys, axis, message):
         conf = write_conf(tmp_path, CHAIN_CONF)
         assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
@@ -789,14 +807,69 @@ STOCK_DIGESTS = {
 }
 
 
+# stock config: SHA-256 of each SVG its simulate --plots run writes, recorded
+# before every CSV went through one writer
+STOCK_PLOT_DIGESTS = {
+    "chain_step.conf": {
+        "plot_control.svg": "524ee017f40bff9d96d6277fa3e89a591654af231e53945ace2765ec3adb654a",
+        "plot_observer.svg": "5095b801c2e3e3bd6220f35460e991d108beaaca2c98d243a5faed6dcf5c91d7",
+        "plot_state.svg": "e55657eacc030ac2c5eb7c764fcd0f38a7efa00a269c9e50314424c562790842"},
+    "bound_demo.conf": {
+        "plot_control.svg": "26ec4a9e9631c75f58808977e5192b43f2ebd279e2dd6379330e7a80e3942c80",
+        "plot_observer.svg": "4889c5c80f74c5df689b715b5066d9313a760b8ab50776f6cc4cec4fbf0fe99e",
+        "plot_state.svg": "8d934dc5b5469cf04b18838a79a142618c99b615dd624b90e5ce3675fd04e4e6"},
+    "vehicle_bias.conf": {
+        "plot_lateral.svg": "e3210712a0abe64376084c80a186dfe29d62ec0717a186992df39883e9706ca0",
+        "plot_steering.svg": "b1df4facc22b8fcffb3a01440b192613be4ffcffb09901ae14aafdeb2882da51"},
+    "vtol_wind.conf": {
+        "plot_error.svg": "bff6370e3d31d9071debf3d7b85228638986f7505964feab5da2a86f121636cd",
+        "plot_position.svg": "53b3f7a81538e6153ac477208d37b6361bc45685dd12474c870ea2b4e382560d"},
+}
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.conf")))
 def test_stock_config_bytes_match_recorded_digest(tmp_path, capsys, monkeypatch, name):
     monkeypatch.delenv("LUMPED_PID_SEED", raising=False)
     out = tmp_path / "run"
-    assert main(["simulate", "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+    assert main(["simulate", "--config", str(CONFIGS / name), "--out", str(out),
+                 "--plots"]) == 0
     capsys.readouterr()
     assert tuple(hashlib.sha256((out / csv).read_bytes()).hexdigest()
                  for csv in ("trace.csv", "metrics.csv")) == STOCK_DIGESTS[name]
+    assert {svg.name: hashlib.sha256(svg.read_bytes()).hexdigest()
+            for svg in out.glob("*.svg")} == STOCK_PLOT_DIGESTS[name]
+
+
+# CHAIN_CONF's plant.order and plant.b: SHA-256 of tune's stdout, of its --out
+# CSV and of bode's CSV, recorded before every CSV went through one writer
+TUNE_DIGESTS = {
+    "order_1": (1, 1.0, "0eab216d1023ae1d0ce452fa1a97a5b5d898d65d322108de6fb8a9d159f64da7",
+                "0365ca6d72195e198653d545c934691a6a6d398a3a8411cf9056438087322639",
+                "3e55d03231e2ed2fbc38c3cf308b2930fd7138ba58c644386e2f9ad3e7002006"),
+    "order_2": (2, 1.0, "f542e7875c6954a5f027d93868a63cacef73e570062af649b1cad0e43e45e47f",
+                "e0e7e7e949d6b2045415057de5f1fd429e3131c39a8d62ec4767ca891790cbf1",
+                "848af0ddc2d61fb8bc8409da33d1a521adc9cfdd00385f9fd93e3fac7cc59bf0"),
+    "order_3": (3, 1.0, "5afdb2e8a25eeed7e6610042ca5c5aaa10d3a9e6066fd9ed605a56865f4a28ff",
+                "4ba87670b9bba30d70c7d059037a7f93ea45c13c59ac9498957cb5b89ab28abf",
+                "aabab3e940a9d2aacdc03dc2d428e10ece7d19d44bcc9589b18f90370e569ec8"),
+    "order_2_negative_b": (
+        2, -2.5, "920b7069a2e34ffb23c9e4018a4fa49b331dbe485bec3422d331db70781ee475",
+        "fcf9b382c14603bee8710528e8ef477131008ad44255df2662822ab1ca8f1655",
+        "848af0ddc2d61fb8bc8409da33d1a521adc9cfdd00385f9fd93e3fac7cc59bf0"),
+}
+
+
+@pytest.mark.parametrize("case", TUNE_DIGESTS)
+def test_tune_and_bode_bytes_match_recorded_digest(tmp_path, capsys, case):
+    order, b, stdout, gains, bode = TUNE_DIGESTS[case]
+    conf = write_conf(tmp_path, CHAIN_CONF.replace("plant.order = 2", f"plant.order = {order}")
+                      .replace("plant.b = 1.0", f"plant.b = {b}"))
+    assert main(["tune", "--config", conf, "--out", str(tmp_path / "gains.csv")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout
+    assert main(["bode", "--config", conf, "--out", str(tmp_path / "bode.csv")]) == 0
+    capsys.readouterr()
+    assert [hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest()
+            for csv in ("gains.csv", "bode.csv")] == [gains, bode]
 
 
 # short noisy runs: config text and the SHA-256 of its simulate run's trace.csv

@@ -290,8 +290,8 @@ class TestIntegrator:
 
 
 class TestPidEquivalence:
-    """The reduced generalized form must reproduce classic PI/PID arithmetic
-    step for step, for any measurement sequence, under a shared rule."""
+    """The reduced generalized form is the classic PI/PID law under a shared
+    rule, equal up to rounding for any measurement sequence."""
 
     @pytest.mark.parametrize("rule", [RECTANGULAR, TRAPEZOIDAL])
     @pytest.mark.parametrize("n", [1, 2])

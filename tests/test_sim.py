@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lumped_pid.config import build_scenario, load_config
 from lumped_pid.controller import OBSERVER_FORMS
 from lumped_pid.errors import ConfigError, DivergedError
 from lumped_pid.plants import chain
@@ -14,7 +16,10 @@ from lumped_pid import signals
 from lumped_pid.quadrature import RULES
 from lumped_pid.signals import (Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise,
                                 noise_channel, noise_table)
-from lumped_pid.sim import Scenario, SimTrace, rk4_step, run_scenario
+from lumped_pid.sim import CSV_BLOCK, Scenario, SimTrace, rk4_step, run_scenario
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class Decay(IntegratorChain):
@@ -228,6 +233,21 @@ class TestGaussianNoise:
             assert np.array_equal(table, lanes[:, :, j])
             assert table[5].tolist() == [gaussian_noise(spec, c, 5) for c in range(3)]
 
+    def test_no_table_when_every_lane_is_silent(self):
+        silent = NoiseSpec(sigmas=(0.0, 0.0), seed=4)
+        assert noise_table(silent, 2, 6) is None
+        assert noise_table([silent, NoiseSpec()], 2, 6) is None
+        assert noise_table([silent, NoiseSpec(sigmas=(0.1,))], 2, 6).shape == (6, 2, 2)
+
+    def test_a_noise_free_chain_measures_the_true_state(self):
+        # no noise is added, not even 0.0, which would turn -0.0 into +0.0
+        trace = run_scenario(make_scenario(plant={"order": 2, "b": 1.0, "x0": [-0.0, 0.0]},
+                                           controller={"kind": "none"},
+                                           disturbance=Constant(0.0), duration=0.01))
+        for i in range(2):
+            assert trace[f"z{i}"].tobytes() == trace[f"x{i}"].tobytes()
+        assert math.copysign(1.0, trace["z0"][0]) == -1.0
+
 
 class TestRunScenario:
     def test_trace_columns_of_unequal_length_rejected(self):
@@ -284,6 +304,34 @@ class TestRunScenario:
         rows, columns = len(trace), len(trace.names)
         assert (rows, columns) == (2001, 35)
         assert peak < 2 * rows * columns * 8 + 100_000
+
+    def test_writing_a_trace_never_copies_it_whole(self, tmp_path):
+        # rows are formatted a block at a time, so writing vtol_wind.conf's
+        # 1.68 MB trace peaks well below the trace itself
+        trace = run_scenario(build_scenario(load_config(CONFIGS / "vtol_wind.conf")))
+        trace.to_csv(tmp_path / "warm.csv")  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            trace.to_csv(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, columns = len(trace), len(trace.names)
+        assert (rows, columns) == (6001, 35)
+        assert peak < rows * columns * 8 / 4
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+    def test_trace_csv_keeps_nan_and_17_digits(self, tmp_path):
+        # more rows than a block, and a value of each kind %.17g writes
+        n = 3 * CSV_BLOCK + 5
+        values = np.linspace(-1.0, 1.0, n) / 3.0
+        values[[0, CSV_BLOCK, n - 1]] = [math.nan, -0.0, math.inf]
+        trace = SimTrace({"t": np.arange(n) * 1e-3, "v": values})
+        trace.to_csv(tmp_path / "trace.csv")
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert lines == ["t,v", *("%.17g,%.17g" % row
+                                  for row in zip(trace.t.tolist(), values.tolist()))]
+        assert lines[1].endswith(",nan") and lines[CSV_BLOCK + 1].endswith(",-0")
 
     def test_divergence_reported(self):
         scenario = make_scenario(
