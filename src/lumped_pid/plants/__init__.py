@@ -6,7 +6,8 @@ spans options, which a Scenario runs once they are parsed; ``BANDWIDTH``,
 ``NO_OBSERVER`` and ``parse_disturbance``; its trace's metric ``SIGNAL``,
 ``OBSERVER`` (true, estimate) columns and ``PLOTS`` (file stem, column
 patterns, title, y label); ``LOCKSTEP``, the fewest scenarios ``run`` takes
-as the lanes of one run, or None if it takes no list; ``noise_channels``, a
+as the lanes of one run, or None if it takes no list, and with it
+``lane_compatible``, whether a list can be those lanes; ``noise_channels``, a
 scenario's count of noised measurement channels; ``run``; and ``bound``, a
 trace's ultimate-bound check or None. The registry holds modules, so a
 function replaced on one (by a profiler, say) is the one called.

@@ -182,6 +182,12 @@ def _lane_key(scenario: Scenario) -> tuple:
             scenario.duration, scenario.decimation)
 
 
+def lane_compatible(scenarios: Sequence[Scenario]) -> bool:
+    """Whether the scenarios differ in nothing but omega, omega_f and noise,
+    and so can run as the lanes of one lockstep run."""
+    return all(_lane_key(s) == _lane_key(scenarios[0]) for s in scenarios[1:])
+
+
 def run(scenario: Scenario | Sequence[Scenario]):
     """Simulate one scenario, or a list of lane-compatible ones in lockstep.
 
@@ -199,7 +205,7 @@ def run(scenario: Scenario | Sequence[Scenario]):
     lockstep = not isinstance(scenario, Scenario)
     scenarios = list(scenario) if lockstep else [scenario]
     first = scenarios[0]
-    if any(_lane_key(s) != _lane_key(first) for s in scenarios[1:]):
+    if not lane_compatible(scenarios):
         raise ConfigError("lockstep scenarios differ in more than omega, omega_f and noise")
     opts = first.plant
     plant = IntegratorChain(opts["order"], opts["b"], opts["state_coeffs"])

@@ -34,8 +34,8 @@ STEER_LIMIT = 0.5 * math.pi - 1e-9
 HEADING_LIMIT = 0.5 * math.pi  # |e_theta| must stay below this
 DEFAULT_CAPTURE = 10.0  # m
 ZERO_SPEED = 1e-9  # a step shorter than this [m] is no distance: the observer integral holds
-NEWTON_STEPS = 4  # Newton steps on the tangency root before falling back to bisection
 NEWTON_TOL = 1e-12  # a Newton step shorter than this (in segment fraction) has converged
+ROOT_STEPS = 64  # a cap on the tangency root's loop; 64 halvings narrow [0, 1] to 5e-20
 DESCENT_REACH = 50  # a hinted match searches this many samples either side of the hint
 GEOMETRY_TOL = 1e-3  # the finite-difference slack of a csv path's heading and curvature
 # Each option: its parser and default; path.file is required for a csv path.
@@ -214,83 +214,53 @@ class FrenetPath:
         return frenet
 
 
-def _tangency(path: FrenetPath, i: int, a: float, px: float, py: float) -> float:
-    """e_x cos(theta_d) + e_y sin(theta_d) at segment i, parameter a."""
-    _, x, y, th, _ = path._interp(i, a)
-    return (x - px) * math.cos(th) + (y - py) * math.sin(th)
-
-
 def _sample_tangency(path: FrenetPath, j: int, px: float, py: float) -> float:
     """The tangency function at sample j, shared by the segments on either side."""
     return (path._xf[j] - px) * path._cos_th[j] + (path._yf[j] - py) * path._sin_th[j]
 
 
-def _bisect(path: FrenetPath, i: int, g0: float, px: float, py: float) -> float:
-    """Tangency root in segment i by 60 halvings of [0, 1]; g0 is g(0)."""
-    a0, a1, ga = 0.0, 1.0, g0
-    for _ in range(60):
-        am = 0.5 * (a0 + a1)
-        gm = _tangency(path, i, am, px, py)
-        if ga * gm <= 0.0:
-            a1 = am
-        else:
-            a0, ga = am, gm
-    return 0.5 * (a0 + a1)
-
-
 def _tangency_root(path: FrenetPath, i: int, g0: float, px: float, py: float) -> float:
-    """Tangency root in bracketing segment i: Newton from the chord projection.
-
-    Falls back to bisection when a step leaves [0, 1], the derivative
-    vanishes or NEWTON_STEPS steps do not converge.
-    """
+    """Tangency root in segment i, where g changes sign (g(0) = g0 != 0):
+    Newton from the chord projection (a = 1/2 on a zero chord) in a bracket
+    [lo, hi] that each value of g narrows; a step that would leave it, or a
+    zero g', halves it instead. The loop ends on a step under NEWTON_TOL or
+    after ROOT_STEPS iterations, when round-off in g keeps every step longer."""
     x0, y0, t0 = path._xf[i], path._yf[i], path._tf[i]
     dx = path._xf[i + 1] - x0
     dy = path._yf[i + 1] - y0
     dth = path._tf[i + 1] - t0
     chord2 = dx * dx + dy * dy
-    if chord2 == 0.0:
-        return _bisect(path, i, g0, px, py)
-    a = min(max(((px - x0) * dx + (py - y0) * dy) / chord2, 0.0), 1.0)
-    for _ in range(NEWTON_STEPS):
+    a = min(max(((px - x0) * dx + (py - y0) * dy) / chord2, 0.0), 1.0) if chord2 else 0.5
+    lo, hi = 0.0, 1.0
+    for _ in range(ROOT_STEPS):
         th = t0 + a * dth
         c = math.cos(th)
         s = math.sin(th)
         ex = x0 + a * dx - px
         ey = y0 + a * dy - py
+        g = ex * c + ey * s
+        if (g < 0.0) == (g0 < 0.0):
+            lo = a
+        else:
+            hi = a
         dg = dx * c + dy * s + dth * (ey * c - ex * s)
-        if dg == 0.0:
-            break
-        step = (ex * c + ey * s) / dg
-        a -= step
-        if not 0.0 <= a <= 1.0:
-            break
-        if abs(step) <= NEWTON_TOL:
-            return a
-    return _bisect(path, i, g0, px, py)
+        step = g / dg if dg else math.inf
+        if not lo <= a - step <= hi:
+            a = 0.5 * (lo + hi)
+        elif abs(step) <= NEWTON_TOL:
+            return a - step
+        else:
+            a -= step
+    return a
 
 
-def _nearest_sample(path: FrenetPath, px: float, py: float,
-                    hint_index: int | None) -> tuple[int, float]:
-    """Index and squared distance of the nearest path sample.
-
-    Without a hint every sample is scanned. With one, the search walks
-    downhill from ``hint_index`` (clamped to the table) while the distance
-    strictly decreases, at most DESCENT_REACH samples either way; on a
-    unimodal distance profile that is the nearest sample of the window.
-    """
+def _nearest_sample(path: FrenetPath, px: float, py: float, hint_index: int) -> tuple[int, float]:
+    """Index and squared distance of the nearest path sample to the hint:
+    a downhill walk from ``hint_index`` (clamped to the table) while the
+    distance strictly decreases, at most DESCENT_REACH samples either way;
+    on a unimodal distance profile that is the nearest sample of the window."""
     xs, ys = path._xf, path._yf
     n = len(xs)
-    if hint_index is None:
-        best_i, best_d2 = 0, math.inf
-        for i in range(n):
-            dx = xs[i] - px
-            dy = ys[i] - py
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2:
-                best_d2 = d2
-                best_i = i
-        return best_i, best_d2
     start = min(max(hint_index, 0), n - 1)
     dx = xs[start] - px
     dy = ys[start] - py
@@ -322,25 +292,31 @@ def frenet_match(
     the root of the tangency constraint g(a) = e_x cos(theta_d(a)) +
     e_y sin(theta_d(a)) on the linearly interpolated table.
 
-    1. Nearest sample: a full scan, or, when tracking with ``hint_index``
-       (for example the previous ``segment``), a downhill walk from the hint
-       within +-DESCENT_REACH samples.
+    1. Nearest sample: without a hint, one vectorised pass over the table
+       (ties to the first sample) that also gives the ambiguity test; when
+       tracking with ``hint_index`` (for example the previous ``segment``),
+       a downhill walk from the hint within +-DESCENT_REACH samples.
     2. The segments before and after that sample are candidates when g
-       changes sign over them. In each, the closed-form projection onto the
-       chord starts at most NEWTON_STEPS Newton steps on g, with the analytic
-       g'(a) = dx cos(theta) + dy sin(theta) + dtheta (e_y cos(theta) -
-       e_x sin(theta)); a step that leaves [0, 1], a zero g' or no
-       convergence falls back to 60-step bisection. Both agree to 1e-12 m in
-       s_d and l. Of two candidates the nearer point wins; with none the pose
-       projects beyond a table end and is clamped to it.
+       changes sign over them. In each, :func:`_tangency_root` runs Newton
+       on g from the closed-form projection onto the chord, with the
+       analytic g'(a) = dx cos(theta) + dy sin(theta) + dtheta (e_y
+       cos(theta) - e_x sin(theta)), inside a bracket that halves whenever
+       a step would leave it. It agrees with a 60-step bisection to 1e-12 m
+       in s_d and l. Of two candidates the nearer point wins; with none the
+       pose projects beyond a table end and is clamped to it.
 
     Raises OffPathError outside the capture radius and, on an unhinted call,
     AmbiguousMatchError when two non-adjacent samples are equally close.
     """
     px, py, ptheta = float(pose[0]), float(pose[1]), float(pose[2])
-    xs, ys = path._xf, path._yf
-    n = len(xs)
-    best_i, best_d2 = _nearest_sample(path, px, py, hint_index)
+    n = len(path._xf)
+    if hint_index is None:
+        with np.errstate(over="ignore"):  # a pose that far is off the path
+            d2 = (path.x - px) ** 2 + (path.y - py) ** 2
+        best_i = int(np.argmin(d2))
+        best_d2 = float(d2[best_i])
+    else:
+        best_i, best_d2 = _nearest_sample(path, px, py, hint_index)
     if not best_d2 <= capture_radius * capture_radius:  # also rejects a NaN pose
         raise OffPathError(
             f"pose ({px:g}, {py:g}) is {math.sqrt(best_d2):g} m from the path, "
@@ -348,15 +324,10 @@ def frenet_match(
         )
     if hint_index is None:
         # ambiguity check: a non-adjacent sample essentially as close as the best
-        thresh = best_d2 + max(1e-9, 1e-6 * best_d2)
-        for i in range(n):
-            if abs(i - best_i) > 2:
-                dx = xs[i] - px
-                dy = ys[i] - py
-                if dx * dx + dy * dy <= thresh:
-                    raise AmbiguousMatchError(
-                        f"samples {best_i} and {i} are equally close to the pose"
-                    )
+        near = np.flatnonzero(d2 <= best_d2 + max(1e-9, 1e-6 * best_d2))
+        far = near[np.abs(near - best_i) > 2]
+        if len(far):
+            raise AmbiguousMatchError(f"samples {best_i} and {far[0]} are equally close to the pose")
 
     candidates = []
     for i in (best_i - 1, best_i):

@@ -322,9 +322,10 @@ def run_scenario(scenario: Scenario | Sequence[Scenario]):
 
     Given a list of scenarios of one plant, gives one outcome per scenario,
     in order: its trace, or the run failure (with ``step``) that stopped it.
-    A list of at least the plant's ``LOCKSTEP`` scenarios runs as the lanes
-    of one run; any other runs each scenario alone (:func:`run_each`). An
-    error raised before a run's loop propagates.
+    A list of at least the plant's ``LOCKSTEP`` scenarios that its
+    ``lane_compatible`` accepts runs as the lanes of one run, whose traces
+    hold the plant's lockstep columns only; any other runs each scenario
+    alone (:func:`run_each`). An error raised before a run's loop propagates.
     """
     from .plants import plant_module  # the plant modules import this one
 
@@ -334,7 +335,8 @@ def run_scenario(scenario: Scenario | Sequence[Scenario]):
     if len(kinds) != 1:
         raise ConfigError(f"a list of scenarios takes one plant, got {kinds}")
     plant = plant_module(kinds[0])
-    lockstep = plant.LOCKSTEP is not None and len(scenario) >= plant.LOCKSTEP
+    lockstep = (plant.LOCKSTEP is not None and len(scenario) >= plant.LOCKSTEP
+                and plant.lane_compatible(scenario))
     return plant.run(scenario) if lockstep else run_each(scenario)
 
 

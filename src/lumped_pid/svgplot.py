@@ -34,14 +34,19 @@ def _ticks(lo: float, hi: float) -> list[float]:  # line_plot_svg gives lo < hi
 
 def line_plot_svg(x: Sequence[float], series: dict[str, Sequence[float]],
                   title: str = "", xlabel: str = "", ylabel: str = "") -> str:
-    """The plot of each series over ``x``; a series without a finite sample
-    (an estimate a controller does not make) has no line and no legend entry,
-    and at least one series must have one."""
-    series = {name: ys for name, ys in series.items() if any(math.isfinite(v) for v in ys)}
+    """The plot of each series over ``x``, its range and lines drawn from the
+    finite samples only; a series without one (an estimate a controller does
+    not make) has no line and no legend entry, and at least one series must
+    have one."""
     xs = [float(v) for v in x]
+    lines = {}  # by series name, its finite (x, y) points
+    for name, ys in series.items():
+        points = [(xv, yv) for xv, yv in zip(xs, map(float, ys)) if math.isfinite(yv)]
+        if points:
+            lines[name] = points
     x_lo, x_hi = min(xs), max(xs)
-    y_lo = min(min(float(v) for v in ys) for ys in series.values())
-    y_hi = max(max(float(v) for v in ys) for ys in series.values())
+    y_lo = min(yv for points in lines.values() for _, yv in points)
+    y_hi = max(yv for points in lines.values() for _, yv in points)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     if x_hi == x_lo:
@@ -76,9 +81,9 @@ def line_plot_svg(x: Sequence[float], series: dict[str, Sequence[float]],
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
                  f'stroke="#333333"/>')
 
-    for i, (name, ys) in enumerate(series.items()):
+    for i, (name, points) in enumerate(lines.items()):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{px(xv):.2f},{py(float(yv)):.2f}" for xv, yv in zip(xs, ys))
+        pts = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in points)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * i

@@ -2,6 +2,8 @@ import hashlib
 import math
 import os
 import re
+import runpy
+import sys
 import weakref
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from lumped_pid.controller import synthesize_gains
 from lumped_pid.errors import ConfigError
 from lumped_pid.plants import chain, vehicle
 from lumped_pid.signals import Sum
+from lumped_pid.svgplot import line_plot_svg
 
 
 CHAIN_CONF = """
@@ -129,6 +132,17 @@ class TestConfigParsing:
 
 
 class TestTune:
+    def test_module_runs_as_a_script(self, tmp_path, capsys, monkeypatch):
+        # python -m lumped_pid.cli exits with main's status; the module is
+        # already imported here, so runpy warns that it runs it a second time
+        conf = write_conf(tmp_path, CHAIN_CONF)
+        monkeypatch.setattr(sys, "argv", ["lumped-pid", "tune", "--config", conf])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+                pytest.raises(SystemExit) as exited:
+            runpy.run_module("lumped_pid.cli", run_name="__main__")
+        assert exited.value.code == 0
+        assert "kd = 14" in capsys.readouterr().out
+
     def test_pid_values(self, tmp_path, capsys):
         conf = write_conf(tmp_path, CHAIN_CONF)
         assert main(["tune", "--config", conf]) == 0
@@ -416,6 +430,31 @@ class TestSimulate:
         capsys.readouterr()
         assert not any("nan" in p.read_text() for p in out.glob("*.svg"))
         assert (out / svg).read_text().count("<polyline") == 1
+
+    def test_infinite_samples_are_left_out_of_a_plot(self, tmp_path, capsys):
+        # an observer bandwidth of 1e308 overflows in the first step: the
+        # last row records u = -inf and f_hat = inf beside finite samples
+        conf = write_conf(tmp_path, "plant.kind = chain\ncontroller.omega_f = 1e308\n"
+                          "disturbance.kind = constant\ndisturbance.value = 1e4\n"
+                          "sim.dt = 0.001\nsim.duration = 0.001\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", conf, "--out", str(out), "--plots"]) == 0
+        capsys.readouterr()
+        last = read_rows(out / "trace.csv")[-1]
+        assert (last["u"], last["f_hat"]) == ("-inf", "inf")
+        for svg in out.glob("*.svg"):
+            text = svg.read_text()
+            assert "polyline" in text and "nan" not in text and "inf" not in text
+
+    def test_a_nan_sample_does_not_decide_the_range(self):
+        # min and max keep a NaN that comes first, and skip one that comes later
+        def y_ticks(ys):
+            svg = line_plot_svg([0.0, 1.0, 2.0], {"y": ys})
+            assert "nan" not in svg
+            return re.findall(r'text-anchor="end"[^>]*>([^<]*)</text>', svg)
+
+        assert y_ticks([math.nan, 1.0, 3.0]) == y_ticks([1.0, math.nan, 3.0])
+        assert y_ticks([1.0, math.nan, 3.0]) == ["1", "1.5", "2", "2.5", "3"]
 
 
 class TestOneRowTrace:

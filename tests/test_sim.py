@@ -16,7 +16,7 @@ from lumped_pid import signals
 from lumped_pid.quadrature import RULES
 from lumped_pid.signals import (Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise,
                                 noise_channel, noise_table)
-from lumped_pid.sim import CSV_BLOCK, Scenario, SimTrace, rk4_step, run_scenario
+from lumped_pid.sim import CSV_BLOCK, Scenario, SimTrace, rk4_step, run_each, run_scenario
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -522,6 +522,17 @@ class TestLockstep:
         for error in (outcomes[1], alone.value):
             assert error.step == 1
             assert str(error) == "diverged: |state| exceeded 1e+12 at t=0.001"
+
+    def test_mixed_list_runs_one_scenario_at_a_time(self):
+        # four scenarios that differ in dt cannot be lanes of one run
+        scenarios = [make_scenario(dt=dt, duration=0.1) for dt in (1e-3, 2e-3) * 2]
+        outcomes = list(run_scenario(scenarios))
+        alone = list(run_each(scenarios))
+        assert len(outcomes) == 4
+        for outcome, expected in zip(outcomes, alone):
+            assert outcome.names == expected.names
+            for name in expected.names:
+                assert outcome[name].tobytes() == expected[name].tobytes(), name
 
     def test_incompatible_scenarios_rejected(self):
         with pytest.raises(ConfigError, match="differ"):

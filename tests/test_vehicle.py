@@ -322,53 +322,70 @@ class TestFrenetMatchProperties:
         assume(np.all(steps[:turn] < 0) and np.all(steps[turn:] > 0))  # strictly unimodal
         assert vehicle._nearest_sample(path, px, py, hint)[0] == lo + int(np.argmin(d2[lo:hi + 1]))
 
-    def test_newton_leaving_segment_falls_back_to_bisection(self, monkeypatch):
+    def test_newton_step_leaving_segment_halves_the_bracket(self):
         # one coarse segment of a unit circle, pose near the centre of
         # curvature: g' nearly vanishes at the chord projection (a = 0.48),
-        # so the first Newton step lands at a = -2.8
+        # so the first Newton step would land at a = -2.8
         path = FrenetPath.circle(1.0, 1.0, spacing=1.0)
         px, py = -0.05, 1.06
-        calls = []
-        bisect = vehicle._bisect
-        monkeypatch.setattr(vehicle, "_bisect",
-                            lambda *args: calls.append(args) or bisect(*args))
         err = frenet_match(path, (px, py, 0.0))
-        assert len(calls) == 1
         assert abs(tangency(path, err.s_d, px, py)) <= 1e-12
         assert abs(err.s_d - bisection_match(path, px, py)) <= 1e-12
 
-    @staticmethod
-    def _match_by_bisection(monkeypatch, path, px, py):
-        """frenet_match with a spy on _bisect: the match and the spy's calls."""
-        calls = []
-        bisect = vehicle._bisect
-        monkeypatch.setattr(vehicle, "_bisect",
-                            lambda *args: calls.append(args) or bisect(*args))
-        return frenet_match(path, (px, py, 0.0)), calls
-
-    def test_zero_chord_falls_back_to_bisection(self, monkeypatch):
+    def test_zero_chord_root(self):
         # a table built directly may repeat (x, y) with distinct theta; the
         # segment from (1, 0) back to (1, 0) turns theta from 0 to pi/2, and
         # its tangency root for the pose (2, -1) is theta = pi/4, a = 1/2
         path = FrenetPath([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0],
                           [0.0, 0.0, 0.5 * math.pi], [0.0, 0.0, 0.0])
-        err, calls = self._match_by_bisection(monkeypatch, path, 2.0, -1.0)
-        assert [args[1] for args in calls] == [1]
+        err = frenet_match(path, (2.0, -1.0, 0.0))
         assert err.segment == 1
         assert err.s_d == pytest.approx(1.5, abs=1e-15)
         assert err.theta_d == pytest.approx(0.25 * math.pi, abs=1e-15)
+        assert abs(err.s_d - bisection_match(path, 2.0, -1.0)) <= 1e-12
 
-    def test_vanishing_derivative_falls_back_to_bisection(self, monkeypatch):
+    def test_vanishing_derivative_root(self):
         # chord (1, 0) and theta 0 -> 1 rad; the pose (-0.1, 1) projects
         # before the chord, so Newton starts at a = 0, where g'(0) = dx +
         # dtheta e_y = 1 - 1 is exactly 0
         path = FrenetPath([0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0])
-        err, calls = self._match_by_bisection(monkeypatch, path, -0.1, 1.0)
-        assert [args[1] for args in calls] == [0]
+        err = frenet_match(path, (-0.1, 1.0, 0.0))
+        assert err.segment == 0
         x_d, y_d = err.s_d, 0.0  # s, x and theta run together on this table
         residual = (x_d + 0.1) * math.cos(err.theta_d) + (y_d - 1.0) * math.sin(err.theta_d)
         assert abs(residual) <= 1e-15
         assert 0.0 < err.s_d < 1.0
+        assert abs(err.s_d - bisection_match(path, -0.1, 1.0)) <= 1e-12
+
+    def test_root_loop_ends_at_its_cap(self):
+        # a straight 1e-6 m segment at 0.7 rad, 1.7 m from the pose: near the
+        # root g is round-off of about 1e-16 and g' is the 1e-6 chord, so no
+        # Newton step falls below NEWTON_TOL; the bracket closes to adjacent
+        # floats and the loop stops at ROOT_STEPS, still at the projection
+        s = np.array([0.0, 1e-6, 2e-6])
+        c, sn = math.cos(0.7), math.sin(0.7)
+        path = FrenetPath(s, s * c, s * sn, np.full(3, 0.7), np.zeros(3))
+        px, py = 0.3e-6 * c - 1.7 * sn, 0.3e-6 * sn + 1.7 * c
+        err = frenet_match(path, (px, py, 0.0), capture_radius=2.0)
+        assert err.segment == 0
+        assert err.s_d == pytest.approx(0.3e-6, abs=1e-15)
+        assert abs(err.s_d - bisection_match(path, px, py)) <= 1e-12
+
+    @PROPERTY
+    @given(st.floats(0.5, 3.0), st.floats(0.05, 0.95), st.floats(-0.95, 0.95))
+    def test_coarse_circle_matches_bisection(self, spacing, where, offset):
+        # two segments, spacing and offset in radii of a unit circle: the
+        # chord projection is far from the root and Newton steps often
+        # leave the segment; the pose stays off the table ends, where the
+        # root is a sample and either side's rounding decides the bracket
+        path = FrenetPath.circle(1.0, 2.0 * spacing, spacing=spacing)
+        _, x, y, th, _ = point_at(path, where * path.length)
+        px, py = x - offset * math.sin(th), y + offset * math.cos(th)
+        s_ref = bisection_match(path, px, py)
+        assume(s_ref is not None)
+        err = frenet_match(path, (px, py, 0.0))
+        assert abs(err.s_d - s_ref) <= 1e-12
+        assert path.s[err.segment] <= err.s_d <= path.s[err.segment + 1]
 
 
 def lateral_error_derivatives(err: LateralErrorState, delta: float, d: float,
