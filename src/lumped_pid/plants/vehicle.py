@@ -125,19 +125,24 @@ class FrenetPath:
     """Arc-length tabulated path (s, x, y, theta, kappa) with linear interpolation.
 
     theta is stored unwrapped so interpolation across +-pi is well defined.
+    Every sample must be finite.
     """
 
     def __init__(self, s, x, y, theta, kappa):
-        s = np.asarray(s, float)
+        columns = [np.asarray(c, float) for c in (s, x, y, theta, kappa)]
+        for name, column in zip(("s", "x", "y", "theta", "kappa"), columns):
+            if not np.isfinite(column).all():  # a NaN in s would pass the order check
+                raise ConfigError(f"path column {name}: non-finite sample")
+        s, x, y, theta, kappa = columns
         if len(s) < 2:
             raise ConfigError("path needs at least two samples")
         if np.any(np.diff(s) <= 0.0):
             raise ConfigError("path arc length must be strictly increasing")
         self.s = s
-        self.x = np.asarray(x, float)
-        self.y = np.asarray(y, float)
-        self.theta = np.unwrap(np.asarray(theta, float))
-        self.kappa = np.asarray(kappa, float)
+        self.x = x
+        self.y = y
+        self.theta = np.unwrap(theta)
+        self.kappa = kappa
         n = len(s)
         if not all(len(a) == n for a in (self.x, self.y, self.theta, self.kappa)):
             raise ConfigError("path columns must have equal length")
@@ -159,7 +164,7 @@ class FrenetPath:
 
     def validate_geometry(self) -> None:
         """Finite-difference consistency to GEOMETRY_TOL: d(x,y)/ds vs (cos,sin)
-        theta and d(theta)/ds vs kappa, midpoint-sampled; non-finite fails it."""
+        theta and d(theta)/ds vs kappa, midpoint-sampled."""
         ds = np.diff(self.s)
         dx = np.diff(self.x) / ds
         dy = np.diff(self.y) / ds

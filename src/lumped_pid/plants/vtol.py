@@ -35,24 +35,8 @@ from ..errors import (
 )
 from ..sim import Scenario, SimTrace, TraceRecorder, check_state
 from ..signals import Constant, build_signal, noise_table, sample_triple
-from ..so3 import (
-    cross3,
-    det3,
-    dot3,
-    gram_schmidt3,
-    inv3,
-    mat_mul,
-    mat_tmul,
-    mat_tvec,
-    mat_vec,
-    norm3,
-    ortho_error3,
-    rodrigues3,
-    rodrigues_e3,
-    scale3,
-    sub3,
-    trace,
-)
+from ..so3 import (det3, gram_schmidt3, inv3, mat_mul, mat_tmul, norm3, ortho_error3,
+                   rodrigues3, rodrigues_e3)
 
 THRUST_EPS = 1e-8      # smallest ||F_d|| that still defines a thrust axis
 CROSS_EPS = 1e-8       # smallest ||b3d x b_d|| before the heading degenerates
@@ -157,30 +141,29 @@ class VtolParams:
         object.__setattr__(self, "inertia", _inertia(self.inertia, "plant.inertia"))
 
 
-def rigid_body_accel(n, w, f, tau, inv_m, g, J9, Jinv9, d_f, d_tau):
-    """(v_dot, omega_dot) of the model above, with ``inv_m = 1/m`` and the
-    disturbance values ``d_f``, ``d_tau``. The attitude enters only through
-    the thrust axis n = R e3; the integrator advances R separately
-    (R_dot = R hat(omega))."""
+def thrust_accel(n, f, inv_m, g, d_f):
+    """v_dot of the model above, with ``inv_m = 1/m`` and the force
+    disturbance value ``d_f``. The attitude enters only through the thrust
+    axis n = R e3; the integrator advances R separately (R_dot = R hat(omega))."""
+    return ((-f * n[0] + d_f[0]) * inv_m, (-f * n[1] + d_f[1]) * inv_m,
+            g + (-f * n[2] + d_f[2]) * inv_m)
+
+
+def body_accel(w, tau, J9, Jinv9, d_tau):
+    """omega_dot = J^-1 (tau - omega x (J omega) + d_tau) of the model above,
+    for the flat inertia ``J9``, its inverse ``Jinv9`` and the torque
+    disturbance value ``d_tau``."""
     wx, wy, wz = w
     J0, J1, J2, J3, J4, J5, J6, J7, J8 = J9
     K0, K1, K2, K3, K4, K5, K6, K7, K8 = Jinv9
     jx = J0 * wx + J1 * wy + J2 * wz
     jy = J3 * wx + J4 * wy + J5 * wz
     jz = J6 * wx + J7 * wy + J8 * wz
-    # tau - omega x (J omega) + d_tau
     ux = tau[0] - (wy * jz - wz * jy) + d_tau[0]
     uy = tau[1] - (wz * jx - wx * jz) + d_tau[1]
     uz = tau[2] - (wx * jy - wy * jx) + d_tau[2]
-    return (
-        (-f * n[0] + d_f[0]) * inv_m,
-        (-f * n[1] + d_f[1]) * inv_m,
-        g + (-f * n[2] + d_f[2]) * inv_m,
-    ), (
-        K0 * ux + K1 * uy + K2 * uz,
-        K3 * ux + K4 * uy + K5 * uz,
-        K6 * ux + K7 * uy + K8 * uz,
-    )
+    return (K0 * ux + K1 * uy + K2 * uz, K3 * ux + K4 * uy + K5 * uz,
+            K6 * ux + K7 * uy + K8 * uz)
 
 
 def _triple_sampler(signals):
@@ -196,42 +179,44 @@ def _triple_sampler(signals):
 def desired_attitude(F_d, psi_d):
     """Desired rotation R_d = [b2d x b3d, (b3d x b_d)/||.||, F_d/||F_d||] for
     the heading b_d = (cos psi_d, sin psi_d, 0), as a flat 9-tuple."""
-    nF = norm3(F_d)
+    fx, fy, fz = F_d
+    nF = math.sqrt(fx * fx + fy * fy + fz * fz)
     if nF <= THRUST_EPS:
         raise DegenerateThrustError(f"||F_d|| = {nF:g} too small to define a thrust axis")
-    b3 = scale3(1.0 / nF, F_d)
-    b_head = (math.cos(psi_d), math.sin(psi_d), 0.0)
-    c = cross3(b3, b_head)
-    nc = norm3(c)
+    s = 1.0 / nF
+    x3, y3, z3 = s * fx, s * fy, s * fz
+    hx, hy = math.cos(psi_d), math.sin(psi_d)
+    # c = b3d x b_d; the heading's zero z still enters as the `* 0.0` terms
+    cx, cy, cz = y3 * 0.0 - z3 * hy, z3 * hx - x3 * 0.0, x3 * hy - y3 * hx
+    nc = math.sqrt(cx * cx + cy * cy + cz * cz)
     if nc <= CROSS_EPS:
         raise GimbalDegenerateError("thrust axis is parallel to the heading vector")
-    b2 = scale3(1.0 / nc, c)
-    b1 = cross3(b2, b3)
-    return (b1[0], b2[0], b3[0], b1[1], b2[1], b3[1], b1[2], b2[2], b3[2])
+    s = 1.0 / nc
+    x2, y2, z2 = s * cx, s * cy, s * cz
+    # b1d = b2d x b3d
+    return (y2 * z3 - z2 * y3, x2, x3, z2 * x3 - x2 * z3, y2, y3, x2 * y3 - y2 * x3, z2, z3)
 
 
 def attitude_error(R9, Rd9, w, wd):
     """Error-rotation vector g~ of R~ = R_d^T R, its rate g~_dot = G w~ with
     w~ = w - R~^T w_d, and the map G, from flat 9-tuples."""
-    Rt = mat_tmul(Rd9, R9)  # R~ = R_d^T R
-    denom = trace(Rt) + 1.0
+    t0, t1, t2, t3, t4, t5, t6, t7, t8 = mat_tmul(Rd9, R9)  # R~ = R_d^T R
+    denom = t0 + t4 + t8 + 1.0
     if denom < TRACE_SINGULARITY:
         raise AttitudeSingularityError(f"tr(R~)+1 = {denom:g} below {TRACE_SINGULARITY:g}")
-    g_t = (
-        (Rt[7] - Rt[5]) / denom,
-        (Rt[2] - Rt[6]) / denom,
-        (Rt[3] - Rt[1]) / denom,
-    )
+    gx, gy, gz = g_t = ((t7 - t5) / denom, (t2 - t6) / denom, (t3 - t1) / denom)
     # G = (I + hat(g) + g g^T)/2
-    gx, gy, gz = g_t
-    G = (
+    G = G0, G1, G2, G3, G4, G5, G6, G7, G8 = (
         0.5 * (1.0 + gx * gx), 0.5 * (-gz + gx * gy), 0.5 * (gy + gx * gz),
         0.5 * (gz + gy * gx), 0.5 * (1.0 + gy * gy), 0.5 * (-gx + gy * gz),
         0.5 * (-gy + gz * gx), 0.5 * (gx + gz * gy), 0.5 * (1.0 + gz * gz),
     )
-    w_t = sub3(w, mat_tvec(Rt, wd))
-    g_dot = mat_vec(G, w_t)
-    return g_t, g_dot, G
+    dx, dy, dz = wd
+    ux = w[0] - (t0 * dx + t3 * dy + t6 * dz)  # w~ = w - R~^T w_d
+    uy = w[1] - (t1 * dx + t4 * dy + t7 * dz)
+    uz = w[2] - (t2 * dx + t5 * dy + t8 * dz)
+    return g_t, (G0 * ux + G1 * uy + G2 * uz, G3 * ux + G4 * uy + G5 * uz,
+                 G6 * ux + G7 * uy + G8 * uz), G
 
 
 # A reference gives position(t) and velocity(t) (its accelerations are
@@ -323,17 +308,18 @@ class VtolController:
     def compute(self, t, p, v, R9, w):
         dt = self.dt
         m = self.params.mass
-        p_err = sub3(p, self.reference.position(t))
+        reference = self.reference
+        rp, rv = reference.position(t), reference.velocity(t)
+        p_err = (p[0] - rp[0], p[1] - rp[1], p[2] - rp[2])
         F_x, d_f_hat, self._int_F = _observer_step3(
-            self.a_pos, p_err, sub3(v, self.reference.velocity(t)), self._int_F, self.omega_f, dt)
-        F_d = (
-            -m * (F_x[0] - d_f_hat[0]),
-            -m * (F_x[1] - d_f_hat[1]),
-            -m * (F_x[2] - d_f_hat[2] - self.params.gravity),
-        )
+            self.a_pos, p_err, (v[0] - rv[0], v[1] - rv[1], v[2] - rv[2]), self._int_F,
+            self.omega_f, dt)
+        Fx = -m * (F_x[0] - d_f_hat[0])
+        Fy = -m * (F_x[1] - d_f_hat[1])
+        Fz = -m * (F_x[2] - d_f_hat[2] - self.params.gravity)
 
-        Rd9 = desired_attitude(F_d, self.reference.psi)
-        f = dot3((R9[2], R9[5], R9[8]), F_d)
+        Rd9 = desired_attitude((Fx, Fy, Fz), reference.psi)
+        f = R9[2] * Fx + R9[5] * Fy + R9[8] * Fz
 
         if self._prev_Rd is None:
             w_d = (0.0, 0.0, 0.0)
@@ -356,7 +342,18 @@ class VtolController:
         g_t, g_dot, G = attitude_error(R9, Rd9, w, w_d)
         tau_x, d_tau_hat, self._int_T = _observer_step3(
             self.a_att, g_t, g_dot, self._int_T, self.omega_tau, dt)
-        tau = mat_vec(self.params.inertia, mat_vec(inv3(G), sub3(tau_x, d_tau_hat)))
+        # tau = J G^-1 (tau_x - d_tau_hat), with G^-1 = adj(G) / det(G) as in so3.inv3
+        ux, uy, uz = tau_x[0] - d_tau_hat[0], tau_x[1] - d_tau_hat[1], tau_x[2] - d_tau_hat[2]
+        G0, G1, G2, G3, G4, G5, G6, G7, G8 = G
+        c0, c6 = G4 * G8 - G5 * G7, G3 * G7 - G4 * G6  # minors shared by det(G) and adj(G)
+        inv_d = 1.0 / (G0 * c0 - G1 * (G3 * G8 - G5 * G6) + G2 * c6)
+        yx = c0 * inv_d * ux + (G2 * G7 - G1 * G8) * inv_d * uy + (G1 * G5 - G2 * G4) * inv_d * uz
+        yy = ((G5 * G6 - G3 * G8) * inv_d * ux + (G0 * G8 - G2 * G6) * inv_d * uy
+              + (G2 * G3 - G0 * G5) * inv_d * uz)
+        yz = c6 * inv_d * ux + (G1 * G6 - G0 * G7) * inv_d * uy + (G0 * G4 - G1 * G3) * inv_d * uz
+        J0, J1, J2, J3, J4, J5, J6, J7, J8 = self.params.inertia
+        tau = (J0 * yx + J1 * yy + J2 * yz, J3 * yx + J4 * yy + J5 * yz,
+               J6 * yx + J7 * yy + J8 * yz)
 
         self.d_f_hat = d_f_hat
         self.d_tau_hat = d_tau_hat
@@ -369,8 +366,10 @@ def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval,
     stage times by the Rodrigues exponential, then a full-step exponential
     with the RK4-averaged angular velocity and Gram-Schmidt cleanup.
 
-    The derivative reads a stage rotation only through its thrust axis R e3,
-    so the stages carry just that column."""
+    Each stage's derivative is :func:`thrust_accel` plus :func:`body_accel`.
+    The thrust half reads a stage rotation only through its thrust axis
+    R e3, so the stages carry just that column; stages 2 and 3 share the
+    midpoint axis, thrust and d_f, so their v_dot is one value, computed once."""
     half = 0.5 * dt
     inv_m = 1.0 / mass
     df0, df_m, df1 = d_f_eval(t), d_f_eval(t + half), d_f_eval(t + dt)
@@ -378,43 +377,46 @@ def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval,
     px, py, pz = p
     vx, vy, vz = v
     wx, wy, wz = w
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = R9
 
-    n_mid = mat_vec(R9, rodrigues_e3((half * wx, half * wy, half * wz)))
-    n_end = mat_vec(R9, rodrigues_e3((dt * wx, dt * wy, dt * wz)))
+    ex, ey, ez = rodrigues_e3((half * wx, half * wy, half * wz))
+    n_mid = (r0 * ex + r1 * ey + r2 * ez, r3 * ex + r4 * ey + r5 * ez, r6 * ex + r7 * ey + r8 * ez)
+    ex, ey, ez = rodrigues_e3((dt * wx, dt * wy, dt * wz))
+    n_end = (r0 * ex + r1 * ey + r2 * ez, r3 * ex + r4 * ey + r5 * ez, r6 * ex + r7 * ey + r8 * ez)
 
-    a1, l1 = rigid_body_accel((R9[2], R9[5], R9[8]), w, f, tau, inv_m, g, J9, Jinv9, df0, dt0)
-    v2 = (vx + half * a1[0], vy + half * a1[1], vz + half * a1[2])
-    w2 = (wx + half * l1[0], wy + half * l1[1], wz + half * l1[2])
-    a2, l2 = rigid_body_accel(n_mid, w2, f, tau, inv_m, g, J9, Jinv9, df_m, dt_m)
-    v3 = (vx + half * a2[0], vy + half * a2[1], vz + half * a2[2])
-    w3 = (wx + half * l2[0], wy + half * l2[1], wz + half * l2[2])
-    a3, l3 = rigid_body_accel(n_mid, w3, f, tau, inv_m, g, J9, Jinv9, df_m, dt_m)
-    v4 = (vx + dt * a3[0], vy + dt * a3[1], vz + dt * a3[2])
-    w4 = (wx + dt * l3[0], wy + dt * l3[1], wz + dt * l3[2])
-    a4, l4 = rigid_body_accel(n_end, w4, f, tau, inv_m, g, J9, Jinv9, df1, dt1)
+    a1x, a1y, a1z = thrust_accel((r2, r5, r8), f, inv_m, g, df0)
+    l1x, l1y, l1z = body_accel(w, tau, J9, Jinv9, dt0)
+    a2x, a2y, a2z = thrust_accel(n_mid, f, inv_m, g, df_m)  # also stage 3's a3
+    w2x, w2y, w2z = wx + half * l1x, wy + half * l1y, wz + half * l1z
+    l2x, l2y, l2z = body_accel((w2x, w2y, w2z), tau, J9, Jinv9, dt_m)
+    w3x, w3y, w3z = wx + half * l2x, wy + half * l2y, wz + half * l2z
+    l3x, l3y, l3z = body_accel((w3x, w3y, w3z), tau, J9, Jinv9, dt_m)
+    w4x, w4y, w4z = wx + dt * l3x, wy + dt * l3y, wz + dt * l3z
+    a4x, a4y, a4z = thrust_accel(n_end, f, inv_m, g, df1)
+    l4x, l4y, l4z = body_accel((w4x, w4y, w4z), tau, J9, Jinv9, dt1)
 
     sixth = dt / 6.0
+    # the stage velocities v + (dt/2) a1, v + (dt/2) a2 and v + dt a3
     p_new = (
-        px + sixth * (vx + 2.0 * (v2[0] + v3[0]) + v4[0]),
-        py + sixth * (vy + 2.0 * (v2[1] + v3[1]) + v4[1]),
-        pz + sixth * (vz + 2.0 * (v2[2] + v3[2]) + v4[2]),
+        px + sixth * (vx + 2.0 * ((vx + half * a1x) + (vx + half * a2x)) + (vx + dt * a2x)),
+        py + sixth * (vy + 2.0 * ((vy + half * a1y) + (vy + half * a2y)) + (vy + dt * a2y)),
+        pz + sixth * (vz + 2.0 * ((vz + half * a1z) + (vz + half * a2z)) + (vz + dt * a2z)),
     )
     v_new = (
-        vx + sixth * (a1[0] + 2.0 * (a2[0] + a3[0]) + a4[0]),
-        vy + sixth * (a1[1] + 2.0 * (a2[1] + a3[1]) + a4[1]),
-        vz + sixth * (a1[2] + 2.0 * (a2[2] + a3[2]) + a4[2]),
+        vx + sixth * (a1x + 2.0 * (a2x + a2x) + a4x),
+        vy + sixth * (a1y + 2.0 * (a2y + a2y) + a4y),
+        vz + sixth * (a1z + 2.0 * (a2z + a2z) + a4z),
     )
     w_new = (
-        wx + sixth * (l1[0] + 2.0 * (l2[0] + l3[0]) + l4[0]),
-        wy + sixth * (l1[1] + 2.0 * (l2[1] + l3[1]) + l4[1]),
-        wz + sixth * (l1[2] + 2.0 * (l2[2] + l3[2]) + l4[2]),
+        wx + sixth * (l1x + 2.0 * (l2x + l3x) + l4x),
+        wy + sixth * (l1y + 2.0 * (l2y + l3y) + l4y),
+        wz + sixth * (l1z + 2.0 * (l2z + l3z) + l4z),
     )
-    w_avg = (
-        (wx + 2.0 * (w2[0] + w3[0]) + w4[0]) / 6.0,
-        (wy + 2.0 * (w2[1] + w3[1]) + w4[1]) / 6.0,
-        (wz + 2.0 * (w2[2] + w3[2]) + w4[2]) / 6.0,
-    )
-    R_new = gram_schmidt3(mat_mul(R9, rodrigues3(scale3(dt, w_avg))))
+    R_new = gram_schmidt3(mat_mul(R9, rodrigues3((
+        dt * ((wx + 2.0 * (w2x + w3x) + w4x) / 6.0),
+        dt * ((wy + 2.0 * (w2y + w3y) + w4y) / 6.0),
+        dt * ((wz + 2.0 * (w2z + w3z) + w4z) / 6.0),
+    ))))
     return p_new, v_new, R_new, w_new
 
 

@@ -114,6 +114,11 @@ def check_state(
     """Per-step non-finite and runaway guard for simulation loops, the only
     one: a loop runs it on each step's state before anything reads it.
 
+    A float state passes at once when the sum of its absolute values is
+    within RUNAWAY_BOUND: rounding is monotone, so that sum bounds every
+    component, and it is NaN or inf when one is. Any other state is checked
+    component by component, so the first failing one gives the reason.
+
     With ``lanes``, the state is an ``[n, lanes]`` array and each failing
     lane is masked in ``lanes`` instead of raising; a lane fails for the same
     first reason, component by component, as it would alone.
@@ -124,6 +129,8 @@ def check_state(
                 lanes.fail(~np.isfinite(x), f"non-finite state at t={t:g}", t, step)
                 lanes.fail(~(np.abs(x) <= RUNAWAY_BOUND),
                            f"diverged: |state| exceeded {RUNAWAY_BOUND:g} at t={t:g}", t, step)
+        return
+    if sum(map(abs, state)) <= RUNAWAY_BOUND:
         return
     for x in state:
         if not math.isfinite(x):

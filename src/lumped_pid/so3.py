@@ -14,45 +14,8 @@ import math
 IDENTITY9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def dot3(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def cross3(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def norm3(a):
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def sub3(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def scale3(s, a):
-    return (s * a[0], s * a[1], s * a[2])
-
-
-def mat_vec(m, v):
-    return (
-        m[0] * v[0] + m[1] * v[1] + m[2] * v[2],
-        m[3] * v[0] + m[4] * v[1] + m[5] * v[2],
-        m[6] * v[0] + m[7] * v[1] + m[8] * v[2],
-    )
-
-
-def mat_tvec(m, v):
-    """m^T v."""
-    return (
-        m[0] * v[0] + m[3] * v[1] + m[6] * v[2],
-        m[1] * v[0] + m[4] * v[1] + m[7] * v[2],
-        m[2] * v[0] + m[5] * v[1] + m[8] * v[2],
-    )
 
 
 def mat_mul(a, b):
@@ -82,10 +45,6 @@ def mat_tmul(a, b):
         a[2] * b[1] + a[5] * b[4] + a[8] * b[7],
         a[2] * b[2] + a[5] * b[5] + a[8] * b[8],
     )
-
-
-def trace(m):
-    return m[0] + m[4] + m[8]
 
 
 def det3(m):
@@ -147,13 +106,15 @@ def rodrigues_e3(r):
 def gram_schmidt3(m):
     """Re-orthonormalize columns; the third column is rebuilt as a cross
     product so the result has determinant +1."""
-    c0 = (m[0], m[3], m[6])
-    c1 = (m[1], m[4], m[7])
-    b0 = scale3(1.0 / norm3(c0), c0)
-    c1p = sub3(c1, scale3(dot3(b0, c1), b0))
-    b1 = scale3(1.0 / norm3(c1p), c1p)
-    b2 = cross3(b0, b1)
-    return (b0[0], b1[0], b2[0], b0[1], b1[1], b2[1], b0[2], b1[2], b2[2])
+    m0, m1, _, m3, m4, _, m6, m7, _ = m
+    s = 1.0 / math.sqrt(m0 * m0 + m3 * m3 + m6 * m6)
+    x0, y0, z0 = s * m0, s * m3, s * m6  # b0, the first column normalized
+    d = x0 * m1 + y0 * m4 + z0 * m7
+    cx, cy, cz = m1 - d * x0, m4 - d * y0, m7 - d * z0  # the second, less its b0 part
+    s = 1.0 / math.sqrt(cx * cx + cy * cy + cz * cz)
+    x1, y1, z1 = s * cx, s * cy, s * cz
+    # b2 = b0 x b1
+    return (x0, x1, y0 * z1 - z0 * y1, y0, y1, z0 * x1 - x0 * z1, z0, z1, x0 * y1 - y0 * x1)
 
 
 def ortho_error3(m):

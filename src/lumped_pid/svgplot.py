@@ -18,6 +18,8 @@ _TICKS = 5  # at most this many tick intervals per axis
 
 def _ticks(lo: float, hi: float) -> list[float]:  # line_plot_svg gives lo < hi
     span = hi - lo
+    if not math.isfinite(hi + 1e-12 * span):  # the span or the last tick overflows
+        return [2.0 * v for v in _ticks(0.5 * lo, 0.5 * hi)]
     step = 10.0 ** math.floor(math.log10(span / _TICKS))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= _TICKS:
@@ -54,12 +56,18 @@ def line_plot_svg(x: Sequence[float], series: dict[str, Sequence[float]],
 
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
+    # each axis maps k v, with k = 1 unless the range spans nearly the float
+    # limit; then k = 2**-12, exact, keeps pw (v - lo) and the span finite
+    kx, ky = (1.0 if math.isfinite(_W * (hi - lo)) else 2.0**-12
+              for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)))
+    x0, x_span = kx * x_lo, kx * x_hi - kx * x_lo
+    y0, y_span = ky * y_lo, ky * y_hi - ky * y_lo
 
     def px(v):
-        return _ML + pw * (v - x_lo) / (x_hi - x_lo)
+        return _ML + pw * (kx * v - x0) / x_span
 
     def py(v):
-        return _MT + ph * (1.0 - (v - y_lo) / (y_hi - y_lo))
+        return _MT + ph * (1.0 - (ky * v - y0) / y_span)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

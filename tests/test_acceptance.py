@@ -19,7 +19,7 @@ from lumped_pid.controller import (
 )
 from lumped_pid.polylti import Polynomial, RationalTransferFunction, binomial_poly, dc_gain, evaluate_at, poly_mul
 from lumped_pid import so3
-from lumped_pid.plants.vtol import VtolParams, rigid_body_accel
+from lumped_pid.plants.vtol import VtolParams, body_accel, thrust_accel
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL
 from lumped_pid.signals import Constant, NoiseSpec, Sinusoid, Step
 from lumped_pid.sim import Scenario, run_scenario
@@ -193,9 +193,9 @@ def test_vtol_hover_and_wind():
     # at rest: p = v = omega = 0, R = I, zero torque and disturbance
     zero, R9 = (0.0, 0.0, 0.0), so3.IDENTITY9
     J9 = params.inertia
-    v_dot, w_dot = rigid_body_accel(
-        (R9[2], R9[5], R9[8]), zero, params.mass * params.gravity, zero,
-        1.0 / params.mass, params.gravity, J9, so3.inv3(J9), zero, zero)
+    v_dot = thrust_accel((R9[2], R9[5], R9[8]), params.mass * params.gravity,
+                         1.0 / params.mass, params.gravity, zero)
+    w_dot = body_accel(zero, zero, J9, so3.inv3(J9), zero)
     p_dot, r_dot = zero, so3.mat_mul(R9, hat3(zero))  # p_dot = v, R_dot = R hat(omega)
     residual = math.sqrt(sum(x * x for x in p_dot + v_dot + r_dot + w_dot))
     assert residual < 1e-12, f"hover derivative norm {residual:.3e}"

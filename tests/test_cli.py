@@ -456,6 +456,18 @@ class TestSimulate:
         assert y_ticks([math.nan, 1.0, 3.0]) == y_ticks([1.0, math.nan, 3.0])
         assert y_ticks([1.0, math.nan, 3.0]) == ["1", "1.5", "2", "2.5", "3"]
 
+    @pytest.mark.parametrize("ys,ticks", [
+        ([-1.7e308, 1.7e308], ["-1e+308", "0", "1e+308"]),  # the span overflows
+        ([-1e306, 1e306], ["-1e+306", "-5e+305", "0", "5e+305", "1e+306"]),  # ph * span does
+        ([1.79e308, sys.float_info.max], ["1.79e+308", "1.792e+308", "1.794e+308",
+                                          "1.796e+308"]),  # the last tick's bound does
+    ], ids=["span", "product", "tick_bound"])
+    def test_finite_samples_near_the_float_limit_are_plotted(self, ys, ticks):
+        svg = line_plot_svg([0.0, 1.0], {"u": ys})
+        assert "nan" not in svg and "inf" not in svg
+        assert re.findall(r'text-anchor="end"[^>]*>([^<]*)</text>', svg) == ticks
+        assert re.findall(r'points="([^"]*)"', svg) == ["70.00,432.00 780.00,36.00"]
+
 
 class TestOneRowTrace:
     """A trace of one row, at t = 0, spans no time: its metrics row reads ok
@@ -929,6 +941,39 @@ NOISY_DIGESTS = {
                                    "noise.sigma": 0.001}),
         "c9affc49afc740444616e8a19f58688e421af9c1bf597e28be54f47a4597de3c",
         "966b3a47b39aa08678ac385eddff299578ae863b0292d71f41008cf1f901aa77"),
+    # the VTOL paths that the stock hover run does not reach, recorded before
+    # the rigid-body derivative was split into its thrust and body halves
+    "vtol_lissajous_noisy": (
+        stock("vtol_wind.conf", **{"reference.kind": "lissajous", "reference.position": None,
+                                   "reference.amplitude": "1.0,0.5,0.3",
+                                   "reference.freq": "1.0,2.0,0.5",
+                                   "reference.phase": "0.0,0.5,0.0", "reference.height": -1.0,
+                                   "sim.duration": 2.0, "noise.sigma": 0.001}),
+        "51a594413f2c438f0bdf21014515080c455ffd3c93ca85aaaf6a1a3721a7258d",
+        "ef5821b5b79e7a7762cda9d4d30a5be52c6f107b4d5f88e3726539850aed89c9"),
+    "vtol_sinusoid_disturbance_noisy": (
+        stock("vtol_wind.conf", **{"disturbance.force.kind": "sinusoid",
+                                   "disturbance.force.value": None,
+                                   "disturbance.force.amplitude": "0.5,-0.3,0.2",
+                                   "disturbance.force.freq": 1.5, "disturbance.force.phase": 0.3,
+                                   "disturbance.torque.kind": "sinusoid",
+                                   "disturbance.torque.amplitude": "0.01,-0.02,0.005",
+                                   "disturbance.torque.freq": 3.0,
+                                   "disturbance.torque.phase": -0.4,
+                                   "sim.duration": 2.0, "noise.sigma": 0.001}),
+        "9391d0b892479a29a1a12987ddb706a27e9bf6fc02df68e963f9c38407fe3a43",
+        "c78bc4fe08f9f3651df97dfce9f73831794511654d5542db3d31ca1b971971cd"),
+    "vtol_full_inertia_noisy": (
+        stock("vtol_wind.conf", **{
+            "plant.inertia": "0.02,0.001,-0.002,0.001,0.025,0.003,-0.002,0.003,0.04",
+            "sim.duration": 2.0, "noise.sigma": 0.001}),
+        "3a0cc2c52b9714a4d085edc3cc671046409962995af9cf39c7fbaf1aa7da8670",
+        "dfa199aae53305b4418baedf1b962bf253134f93fbf3a0a08fd38bd04b9ec390"),
+    "vtol_offset_start_noisy": (
+        stock("vtol_wind.conf", **{"plant.p0": "0.5,-0.3,0.2", "plant.v0": "0.1,0.2,-0.1",
+                                   "sim.duration": 2.0, "noise.sigma": 0.001}),
+        "de2ee0523d636b5ab7c1d7074c3459f295d04ef601ffbe07200578df76cc0fb9",
+        "ff0a84bd717dcf4cf19407527f7b113368c96d8a4f075d23eaafad7062abdad6"),
 }
 
 
@@ -1192,7 +1237,7 @@ class TestCsvPath:
          "path.file: path arc length must be strictly increasing"),
         ("s,x,y,theta,kappa", LINE[:1], "path.file: path needs at least two samples"),
         ("s,x,y,theta,kappa", [*LINE[:4], "1.0,nan,0,0,0", *LINE[5:]],
-         "path.file: path tangent inconsistent with heading column"),
+         "path.file: path column x: non-finite sample"),
     ], ids=["missing_column", "s_not_increasing", "one_row", "nan_sample"])
     def test_fault_in_the_file_names_path_file(self, tmp_path, capsys, header, rows, message):
         path = tmp_path / "path.csv"

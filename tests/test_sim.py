@@ -16,7 +16,8 @@ from lumped_pid import signals
 from lumped_pid.quadrature import RULES
 from lumped_pid.signals import (Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise,
                                 noise_channel, noise_table)
-from lumped_pid.sim import CSV_BLOCK, Scenario, SimTrace, rk4_step, run_each, run_scenario
+from lumped_pid.sim import (CSV_BLOCK, RUNAWAY_BOUND, Scenario, SimTrace, check_state, rk4_step,
+                            run_each, run_scenario)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -111,6 +112,47 @@ class TestRk4Step:
             run_scenario(overflow)
         assert info.value.step == 1 and info.value.t == 2.0
         assert str(info.value) == "non-finite state at t=2"
+
+
+DIVERGED = "diverged: |state| exceeded 1e+12 at t=0.5"
+NON_FINITE = "non-finite state at t=0.5"
+
+
+class TestCheckState:
+    """A float state passes the guard at once when the sum of its absolute
+    values is within the bound; any other goes component by component."""
+
+    @pytest.mark.parametrize("state", [(1e12,), (0.0, -1e12, 0.0), (1e12, 1.0, -1e12)],
+                             ids=["alone", "beside_zeros", "sum_past_the_bound"])
+    def test_components_at_the_bound_pass(self, state):
+        check_state(state, 0.5, 7)
+
+    @pytest.mark.parametrize("state,message", [
+        ((math.nextafter(1e12, math.inf),), DIVERGED),
+        ((0.0, -math.nextafter(1e12, math.inf)), DIVERGED),
+        ((2e12, math.nan), DIVERGED),  # the reason of the first failing component
+        ((math.nan, 2e12), NON_FINITE),
+        ((1.0, -math.inf, 2e12), NON_FINITE),
+        ((1e308, 1e308, 1e308), DIVERGED),  # the sum overflows to inf
+    ], ids=["past_the_bound", "negative", "diverged_then_nan", "nan_then_diverged",
+            "inf", "sum_overflows"])
+    def test_first_failing_component_gives_the_reason(self, state, message):
+        with pytest.raises(DivergedError) as info:
+            check_state(state, 0.5, 7)
+        assert str(info.value) == message
+        assert (info.value.step, info.value.t) == (7, 0.5)
+
+    @given(st.lists(st.floats() | st.sampled_from([1e12, -1e12, 4e11, 2e12]), min_size=1,
+                    max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_passes_exactly_the_states_within_the_bound(self, state):
+        bad = next((x for x in state if not abs(x) <= RUNAWAY_BOUND), None)
+        if bad is None:
+            check_state(state, 0.5, 7)
+        else:
+            with pytest.raises(DivergedError) as info:
+                check_state(state, 0.5, 7)
+            assert str(info.value) == (NON_FINITE if not math.isfinite(bad) else DIVERGED)
 
 
 @st.composite

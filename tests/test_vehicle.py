@@ -128,6 +128,17 @@ class TestFrenetPath:
         with pytest.raises(ConfigError, match="^path columns must have equal length$"):
             FrenetPath([0.0, 1.0], [0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["s", "x", "y", "theta", "kappa"])
+    def test_non_finite_sample_rejected(self, column, bad):
+        # a NaN in s would pass the strictly-increasing check: every comparison is False
+        line = FrenetPath.line(10.0)
+        columns = {"s": line.s, "x": line.x, "y": line.y, "theta": line.theta, "kappa": line.kappa}
+        columns[column] = columns[column].copy()
+        columns[column][2] = bad
+        with pytest.raises(ConfigError, match=f"^path column {column}: non-finite sample$"):
+            FrenetPath(**columns)
+
     def test_csv_round_trip(self, tmp_path):
         path = FrenetPath.circle(20.0, 40.0)
         f = tmp_path / "path.csv"

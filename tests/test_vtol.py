@@ -20,8 +20,9 @@ from lumped_pid.plants.vtol import (
     _inertia,
     advance_rigid_body,
     attitude_error,
+    body_accel,
     desired_attitude,
-    rigid_body_accel,
+    thrust_accel,
 )
 from lumped_pid.signals import Constant, sample_triple
 from lumped_pid.sim import Scenario, run_scenario
@@ -39,8 +40,8 @@ def accel(par, f, w=(0.0, 0.0, 0.0), R9=so3.IDENTITY9, t=0.0, d_f=None, d_tau=No
     zero = (0.0, 0.0, 0.0)
     d_f = sample_triple(d_f, t) if d_f else zero
     d_tau = sample_triple(d_tau, t) if d_tau else zero
-    return rigid_body_accel((R9[2], R9[5], R9[8]), w, f, zero, 1.0 / par.mass, par.gravity,
-                            J9, so3.inv3(J9), d_f, d_tau)
+    return (thrust_accel((R9[2], R9[5], R9[8]), f, 1.0 / par.mass, par.gravity, d_f),
+            body_accel(w, zero, J9, so3.inv3(J9), d_tau))
 
 
 def mat(m9):
@@ -70,7 +71,7 @@ class TestHatVee:
         for _ in range(20):
             v = tuple(rng.uniform(-2, 2) for _ in range(3))
             w = tuple(rng.uniform(-2, 2) for _ in range(3))
-            assert np.allclose(so3.mat_vec(hat3(v), w), np.cross(v, w), atol=1e-15)
+            assert np.allclose(mat(hat3(v)) @ w, np.cross(v, w), atol=1e-15)
 
     def test_vee_inverts_hat(self):
         # attitude_error reads vee of a flat skew matrix M as (M[7], M[2], M[3])
@@ -131,6 +132,22 @@ class TestVtolDerivative:
         v_dot, _ = accel(p, p.mass * p.gravity, d_f=(Constant(0.5), Constant(0.0), Constant(0.0)))
         assert v_dot[0] == pytest.approx(0.5)
 
+    def test_torque_disturbance_enters_rotation(self):
+        p = params()
+        _, w_dot = accel(p, 0.0, d_tau=(Constant(0.01), Constant(-0.02), Constant(0.03)))
+        assert w_dot == pytest.approx((0.5, -1.0, 0.75), rel=1e-12)
+
+    def test_body_accel_matches_euler_equation(self):
+        # J omega_dot = tau - omega x (J omega) + d_tau, solved by numpy for a full inertia
+        J9 = _inertia("0.02,0.001,-0.002,0.001,0.025,0.003,-0.002,0.003,0.04", "plant.inertia")
+        J = mat(J9)
+        rng = random.Random(23)
+        for _ in range(50):
+            w, tau, d_tau = (tuple(rng.uniform(-3, 3) for _ in range(3)) for _ in range(3))
+            expected = np.linalg.solve(J, np.add(tau, d_tau) - np.cross(w, J @ w))
+            got = body_accel(w, tau, J9, so3.inv3(J9), d_tau)
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
     def test_inertia_validation(self):
         with pytest.raises(ConfigError):
             VtolParams(mass=1.0, gravity=9.81, inertia=np.diag([1.0, -1.0, 1.0]))
@@ -167,8 +184,8 @@ class TestAttitudeError:
         zero = (0.0, 0.0, 0.0)
         h = 1e-5
         for t in (0.0, 0.3, 0.9):
-            R_t = so3.mat_mul(R0, so3.rodrigues3(so3.scale3(t, omega)))
-            R_h = so3.mat_mul(R0, so3.rodrigues3(so3.scale3(t + h, omega)))
+            R_t = so3.mat_mul(R0, so3.rodrigues3(tuple(t * x for x in omega)))
+            R_h = so3.mat_mul(R0, so3.rodrigues3(tuple((t + h) * x for x in omega)))
             g_t, g_dot, _ = attitude_error(R_t, Rd9, omega, zero)
             g_h, _, _ = attitude_error(R_h, Rd9, omega, zero)
             fd = (np.array(g_h) - np.array(g_t)) / h
@@ -189,7 +206,7 @@ class TestDesiredAttitude:
         assert np.allclose(R_d @ np.array([0, 0, 1.0]), np.array(F_d) / 9.81, atol=1e-12)
         assert np.allclose(R_d, np.eye(3), atol=1e-12)
         # the thrust is F_d projected on the current thrust axis R e3, here e3
-        assert so3.dot3(so3.IDENTITY9[2::3], F_d) == pytest.approx(9.81)
+        assert np.dot(so3.IDENTITY9[2::3], F_d) == pytest.approx(9.81)
 
     def test_columns_orthonormal_for_random_inputs(self):
         rng = random.Random(17)
@@ -203,7 +220,7 @@ class TestDesiredAttitude:
     def test_thrust_is_norm_when_aligned(self):
         F_d = (1.0, -2.0, 9.0)
         Rd9 = desired_attitude(F_d, 0.3)
-        f = so3.dot3(Rd9[2::3], F_d)  # thrust through the attitude R = R_d
+        f = np.dot(Rd9[2::3], F_d)  # thrust through the attitude R = R_d
         assert f == pytest.approx(np.linalg.norm(F_d), rel=1e-12)
 
     def test_degenerate_thrust(self):
