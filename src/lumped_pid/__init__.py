@@ -17,7 +17,6 @@ from .controller import (
     ControllerConfig,
     GeneralizedController,
     HomogeneousController,
-    HomogeneousGains,
     closed_loop_tf,
     homogeneous_control,
     observer_tfs,
@@ -49,7 +48,6 @@ __all__ = [
     "ControllerConfig",
     "GeneralizedController",
     "HomogeneousController",
-    "HomogeneousGains",
     "NoiseSpec",
     "Polynomial",
     "RationalTransferFunction",

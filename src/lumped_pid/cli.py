@@ -82,7 +82,7 @@ def _write_table(out: Path, names: tuple[str, ...], rows: list) -> None:
 def cmd_tune(args) -> int:
     config = _chain_config(args)
     rows = [("n", config.n), ("b", config.b), ("omega", config.omega), ("omega_f", config.omega_f),
-            *((f"a{i}", a) for i, a in enumerate(synthesize_gains(config.n, config.omega).a))]
+            *((f"a{i}", a) for i, a in enumerate(synthesize_gains(config.n, config.omega)))]
     head = len(rows)
     reduction = {1: reduce_to_pi, 2: reduce_to_pid}.get(config.n)
     if reduction is not None:

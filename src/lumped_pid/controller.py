@@ -16,14 +16,14 @@ docstring for when the two discretizations differ). :func:`observer_step` is
 the integral form's one channel: the vehicle's lateral law steps through it,
 and the VTOL's two loops write it out on three axes.
 
-:func:`lockstep_controller` fuses per-cell controllers into one that steps
-every cell at once as a numpy lane, through the same ``step`` code.
+Each controller holds the floats and float tuples its ``step`` reads, which
+:func:`lockstep_controller` stacks to step every cell at once as a numpy
+lane, through the same ``step`` code.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -67,13 +67,6 @@ class ControllerConfig:
 
 
 @dataclass(frozen=True)
-class HomogeneousGains:
-    """State-feedback gains; ``a[i]`` multiplies ``x^(i)``, i = 0..n-1."""
-
-    a: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class ClassicPidGains:
     """Textbook gains, pre-division by b (the caller applies 1/b)."""
 
@@ -82,13 +75,12 @@ class ClassicPidGains:
     kd: Optional[float] = None
 
 
-def synthesize_gains(n: int, omega: float) -> HomogeneousGains:
-    """Equal-pole gains: coefficients of (s+omega)^n below the leading term.
-
-    ``a[i] = C(n, n-i) * omega**(n-i)``, all strictly positive.
+def synthesize_gains(n: int, omega: float) -> tuple[float, ...]:
+    """Equal-pole gains ``a``: coefficients of (s+omega)^n below the leading
+    term, ``a[i] = C(n, n-i) * omega**(n-i)`` multiplying ``x^(i)``, i =
+    0..n-1, all strictly positive.
     """
-    poly = binomial_poly(omega, n)  # validates n and omega
-    return HomogeneousGains(a=poly.coeffs[:-1])
+    return binomial_poly(omega, n).coeffs[:-1]  # validates n and omega
 
 
 def homogeneous_control(a: Sequence[float], x_derivs: Sequence[float]) -> float:
@@ -113,7 +105,7 @@ def reduce_to_pi(config: ControllerConfig) -> ClassicPidGains:
     """First-order reduction: kp = a0 = omega, ki = omega_f * a0 (pre-1/b)."""
     if config.n != 1:
         raise OrderMismatchError(f"PI reduction requires n=1, got n={config.n}")
-    (a0,) = synthesize_gains(1, config.omega).a
+    (a0,) = synthesize_gains(1, config.omega)
     return ClassicPidGains(kp=a0, ki=config.omega_f * a0, kd=None)
 
 
@@ -124,7 +116,7 @@ def reduce_to_pid(config: ControllerConfig) -> ClassicPidGains:
     """
     if config.n != 2:
         raise OrderMismatchError(f"PID reduction requires n=2, got n={config.n}")
-    a0, a1 = synthesize_gains(2, config.omega).a
+    a0, a1 = synthesize_gains(2, config.omega)
     wf = config.omega_f
     return ClassicPidGains(kp=a0 + wf * a1, ki=wf * a0, kd=a1 + wf)
 
@@ -173,11 +165,11 @@ class GeneralizedController:
     omitted direct term), which is why both are provided.
 
     The running integral starts at 0, or at the first z^(n-1) with
-    ``seed_integral``: the omitted initial-value term is part of the lumped
-    disturbance.
+    ``seed_integral`` (integral form only): the omitted initial-value term is
+    part of the lumped disturbance.
     """
 
-    LANE_FIELDS = ("gains", "_omega_f")
+    LANE_FIELDS = ("a", "omega_f")
 
     def __init__(
         self,
@@ -188,105 +180,89 @@ class GeneralizedController:
     ):
         if observer_form not in OBSERVER_FORMS:
             raise ConfigError(f"observer_form must be one of {OBSERVER_FORMS}, got {observer_form!r}")
-        self.config = config
-        self.gains = synthesize_gains(config.n, config.omega)
-        self.rule = rule
+        self.n, self.b, self.dt = config.n, config.b, config.dt
+        self.a = synthesize_gains(config.n, config.omega)
+        self.omega_f = config.omega_f
         self.observer_form = observer_form
-        self.seed_integral = seed_integral
-        self._omega_f = config.omega_f
+        self._seed_pending = seed_integral
         self._integ = Integrator(rule)
         self.u_x = 0.0
         self.f_hat = 0.0
-        self._first = True
 
     def step(self, z: Sequence[float]) -> float:
         """Consume one measurement vector (x^(0)..x^(n-1)), return u."""
-        cfg = self.config
-        n = cfg.n
+        n = self.n
         if len(z) != n:
             raise DimensionMismatchError(f"expected {n} measurements, got {len(z)}")
-        a = self.gains.a
+        a = self.a
         if self.observer_form == "integral":
-            if self._first and self.seed_integral:
+            if self._seed_pending:
                 self._integ.total = z[n - 1]
-            ux, f_hat = observer_step(a, z, self._integ, self._omega_f, cfg.dt)
+                self._seed_pending = False
+            ux, f_hat = observer_step(a, z, self._integ, self.omega_f, self.dt)
         else:
             ux = homogeneous_control(a, z)
-            integral = self._integ.push(z[0], cfg.dt)
+            integral = self._integ.push(z[0], self.dt)
             red = a[0] * integral
             for i in range(1, n):
                 red += a[i] * z[i - 1]
             top = z[n - 1] if n >= 2 else 0.0
-            f_hat = self._omega_f * (top + red)
-        self._first = False
+            f_hat = self.omega_f * (top + red)
         self.u_x = ux
         self.f_hat = f_hat
-        return (ux - f_hat) / cfg.b
+        return (ux - f_hat) / self.b
 
 
 class HomogeneousController:
     """State feedback only (f_hat = 0); the uncompensated loop."""
 
-    LANE_FIELDS = ("gains",)
+    LANE_FIELDS = ("a",)
 
     def __init__(self, config: ControllerConfig):
-        self.config = config
-        self.gains = synthesize_gains(config.n, config.omega)
-        self.u_x = 0.0
+        self.n, self.b = config.n, config.b
+        self.a = synthesize_gains(config.n, config.omega)
         self.f_hat = 0.0
 
     def step(self, z: Sequence[float]) -> float:
-        if len(z) != self.config.n:
-            raise DimensionMismatchError(f"expected {self.config.n} measurements, got {len(z)}")
-        self.u_x = homogeneous_control(self.gains.a, z)
-        return self.u_x / self.config.b
+        if len(z) != self.n:
+            raise DimensionMismatchError(f"expected {self.n} measurements, got {len(z)}")
+        return homogeneous_control(self.a, z) / self.b
 
 
 class ClassicPidController:
     """Textbook PI/PID stepping (n = 1 or 2) with the gains of
     :func:`reduce_to_pi` / :func:`reduce_to_pid`:
     ``u = -(kd*e_dot + kp*e + ki*integral(e))/b``, the integral accumulated
-    with the observer's quadrature rule; a PI (``kd`` of None) has no
-    derivative term."""
+    with the observer's quadrature rule; a PI holds ``kd = 0.0`` against
+    its zero ``e_dot``."""
 
-    LANE_FIELDS = ("gains",)
+    LANE_FIELDS = ("kp", "ki", "kd")
 
     def __init__(self, config: ControllerConfig, rule: str = RECTANGULAR):
-        if config.n == 1:
-            self.gains = reduce_to_pi(config)
-        elif config.n == 2:
-            self.gains = reduce_to_pid(config)
-        else:
+        if config.n not in (1, 2):
             raise OrderMismatchError(f"classic PID stepping requires n in {{1, 2}}, got {config.n}")
-        self.config = config
-        self.rule = rule
+        gains = reduce_to_pi(config) if config.n == 1 else reduce_to_pid(config)
+        self.n, self.b, self.dt = config.n, config.b, config.dt
+        self.kp, self.ki = gains.kp, gains.ki
+        self.kd = 0.0 if gains.kd is None else gains.kd
         self._integ = Integrator(rule)
         self.f_hat = math.nan  # the classic form has no separate estimate
 
     def step(self, z: Sequence[float]) -> float:
-        cfg = self.config
-        if len(z) != cfg.n:
-            raise DimensionMismatchError(f"expected {cfg.n} measurements, got {len(z)}")
+        n = self.n
+        if len(z) != n:
+            raise DimensionMismatchError(f"expected {n} measurements, got {len(z)}")
         e = z[0]
-        e_dot = z[1] if cfg.n == 2 else 0.0
-        integral = self._integ.push(e, cfg.dt)
-        kd = self.gains.kd if self.gains.kd is not None else 0.0
-        return -(kd * e_dot + self.gains.kp * e + self.gains.ki * integral) / cfg.b
+        e_dot = z[1] if n == 2 else 0.0
+        integral = self._integ.push(e, self.dt)
+        return -(self.kd * e_dot + self.kp * e + self.ki * integral) / self.b
 
 
 def _stack_lanes(values: Sequence):
     """Per-lane values of one field as lanes: floats become a ``[lanes]``
-    float64 array, tuples and dataclasses are stacked field by field."""
-    first = values[0]
-    if first is None:
-        return None
-    if isinstance(first, tuple):
-        return tuple(_stack_lanes(column) for column in zip(*values))
-    if dataclasses.is_dataclass(first):
-        return dataclasses.replace(first, **{
-            f.name: _stack_lanes([getattr(v, f.name) for v in values])
-            for f in dataclasses.fields(first)
-        })
+    float64 array, tuples of floats a tuple of them, entry by entry."""
+    if isinstance(values[0], tuple):
+        return tuple(np.array(column, dtype=float) for column in zip(*values))
     return np.array(values, dtype=float)
 
 
@@ -295,16 +271,15 @@ def lockstep_controller(controllers: Sequence):
 
     The controllers must be fresh (never stepped) instances of one class whose
     configs differ only in ``omega`` and ``omega_f``. The result is a copy of
-    the first with each field of its class's ``LANE_FIELDS`` (gains, observer
-    bandwidth) stacked into ``[lanes]`` float64 arrays. Its ``step`` is the
-    class's own: it takes the measurements as an ``[n, lanes]`` array, whose
-    rows it reads one by one, and returns ``u`` as a ``[lanes]`` array. Every
-    operation of a ``step`` is an elementwise ``+``,
-    ``-``, ``*`` or ``/`` applied in the same order as on floats, and numpy
-    rounds each one exactly as Python does, so lane j of every result equals
-    ``controllers[j].step`` on lane j of the inputs, bit for bit. Its
-    ``config`` stays the first lane's; ``step`` reads only the shared
-    ``n``, ``b`` and ``dt`` from it.
+    the first with each attribute its class names in ``LANE_FIELDS`` (gains,
+    observer bandwidth) stacked into ``[lanes]`` float64 arrays; ``n``, ``b``
+    and ``dt`` are shared by every lane. Its ``step`` is the class's own: it
+    takes the measurements as an ``[n, lanes]`` array, whose rows it reads
+    one by one, and returns ``u`` as a ``[lanes]`` array. Every operation of
+    a ``step`` is an elementwise ``+``, ``-``, ``*`` or ``/`` applied in the
+    same order as on floats, and numpy rounds each one exactly as Python
+    does, so lane j of every result equals ``controllers[j].step`` on lane j
+    of the inputs, bit for bit.
     """
     lanes = copy.deepcopy(controllers[0])
     for name in lanes.LANE_FIELDS:

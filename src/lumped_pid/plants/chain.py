@@ -266,7 +266,6 @@ def run(scenario: Scenario | Sequence[Scenario]):
 def bound(trace: SimTrace, scenario: Scenario) -> BoundReport | None:
     """The ultimate-bound check of a homogeneous run, if its tail is long enough."""
     if scenario.controller["kind"] == "homogeneous":
-        config = controller_config(scenario)
         with suppress(WindowTooShortError):
-            return check_bound(trace, config.omega, config.n)
+            return check_bound(trace, scenario.controller["omega"], scenario.plant["order"])
     return None

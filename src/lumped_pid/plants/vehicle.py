@@ -228,8 +228,9 @@ def _tangency_root(path: FrenetPath, i: int, g0: float, px: float, py: float) ->
     """Tangency root in segment i, where g changes sign (g(0) = g0 != 0):
     Newton from the chord projection (a = 1/2 on a zero chord) in a bracket
     [lo, hi] that each value of g narrows; a step that would leave it, or a
-    zero g', halves it instead. The loop ends on a step under NEWTON_TOL or
-    after ROOT_STEPS iterations, when round-off in g keeps every step longer."""
+    zero g', halves it instead. The loop ends on a step under NEWTON_TOL, on
+    a halving that leaves the bracket no wider than NEWTON_TOL (round-off in
+    g can keep every step longer), or after ROOT_STEPS iterations."""
     x0, y0, t0 = path._xf[i], path._yf[i], path._tf[i]
     dx = path._xf[i + 1] - x0
     dy = path._yf[i + 1] - y0
@@ -252,6 +253,8 @@ def _tangency_root(path: FrenetPath, i: int, g0: float, px: float, py: float) ->
         step = g / dg if dg else math.inf
         if not lo <= a - step <= hi:
             a = 0.5 * (lo + hi)
+            if hi - lo <= NEWTON_TOL:
+                return a
         elif abs(step) <= NEWTON_TOL:
             return a - step
         else:
@@ -424,7 +427,7 @@ def run(scenario: Scenario) -> SimTrace:
     plant = Bicycle(L, v)
     path = _build_path(opts["path"])
 
-    a = synthesize_gains(2, copts["omega"]).a
+    a = synthesize_gains(2, copts["omega"])
     bias = scenario.disturbance  # steering disturbance signal d(t) [rad]
 
     controller = (LateralObserverController(L, a, copts["omega_d"], rule=copts["quadrature"])

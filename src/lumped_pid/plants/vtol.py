@@ -131,16 +131,6 @@ LOCKSTEP = None
 bound = None  # no ultimate-bound check applies
 
 
-@dataclass(frozen=True)
-class VtolParams:
-    mass: float
-    gravity: float
-    inertia: tuple  # any value plant.inertia takes; kept as its parser's 9-tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "inertia", _inertia(self.inertia, "plant.inertia"))
-
-
 def thrust_accel(n, f, inv_m, g, d_f):
     """v_dot of the model above, with ``inv_m = 1/m`` and the force
     disturbance value ``d_f``. The attitude enters only through the thrust
@@ -286,17 +276,16 @@ def _observer_step3(a, e, e_dot, integral, omega_f, dt):
 
 class VtolController:
     """Translational + attitude loops, each the n = 2 law on three axes
-    (:func:`_observer_step3`) with its own equal-pole gains and observer."""
+    (:func:`_observer_step3`) with its own equal-pole gains and observer.
+    ``inertia`` is any value plant.inertia takes, kept as its parser's 9-tuple."""
 
-    def __init__(self, params: VtolParams, reference, dt: float,
+    def __init__(self, mass: float, gravity: float, inertia, reference, dt: float,
                  omega_pos: float, omega_f: float, omega_att: float, omega_tau: float):
-        self.params = params
+        self.mass, self.gravity, self.inertia = mass, gravity, _inertia(inertia, "plant.inertia")
         self.reference = reference
         self.dt = dt
-        self.a_pos = synthesize_gains(2, omega_pos).a
-        self.a_att = synthesize_gains(2, omega_att).a
-        self.omega_f = omega_f
-        self.omega_tau = omega_tau
+        self.a_pos, self.omega_f = synthesize_gains(2, omega_pos), omega_f
+        self.a_att, self.omega_tau = synthesize_gains(2, omega_att), omega_tau
         self._int_F = (0.0, 0.0, 0.0)  # the observer integrals of F_x and tau_x
         self._int_T = (0.0, 0.0, 0.0)
         self._prev_Rd = None
@@ -307,7 +296,7 @@ class VtolController:
 
     def compute(self, t, p, v, R9, w):
         dt = self.dt
-        m = self.params.mass
+        m = self.mass
         reference = self.reference
         rp, rv = reference.position(t), reference.velocity(t)
         p_err = (p[0] - rp[0], p[1] - rp[1], p[2] - rp[2])
@@ -316,7 +305,7 @@ class VtolController:
             self.omega_f, dt)
         Fx = -m * (F_x[0] - d_f_hat[0])
         Fy = -m * (F_x[1] - d_f_hat[1])
-        Fz = -m * (F_x[2] - d_f_hat[2] - self.params.gravity)
+        Fz = -m * (F_x[2] - d_f_hat[2] - self.gravity)
 
         Rd9 = desired_attitude((Fx, Fy, Fz), reference.psi)
         f = R9[2] * Fx + R9[5] * Fy + R9[8] * Fz
@@ -351,7 +340,7 @@ class VtolController:
         yy = ((G5 * G6 - G3 * G8) * inv_d * ux + (G0 * G8 - G2 * G6) * inv_d * uy
               + (G2 * G3 - G0 * G5) * inv_d * uz)
         yz = c6 * inv_d * ux + (G1 * G6 - G0 * G7) * inv_d * uy + (G0 * G4 - G1 * G3) * inv_d * uz
-        J0, J1, J2, J3, J4, J5, J6, J7, J8 = self.params.inertia
+        J0, J1, J2, J3, J4, J5, J6, J7, J8 = self.inertia
         tau = (J0 * yx + J1 * yy + J2 * yz, J3 * yx + J4 * yy + J5 * yz,
                J6 * yx + J7 * yy + J8 * yz)
 
@@ -431,21 +420,19 @@ def _build_reference(opts: dict) -> HoverRef | CircleRef | LissajousRef:
 
 def run(scenario: Scenario) -> SimTrace:
     opts = scenario.plant
-    params = VtolParams(mass=opts["mass"], gravity=opts["gravity"], inertia=opts["inertia"])
+    m, g = opts["mass"], opts["gravity"]
     reference = _build_reference(opts["reference"])
 
     c = scenario.controller
-    controller = VtolController(params, reference, scenario.dt, omega_pos=c["omega"],
-                                omega_f=c["omega_f"], omega_att=c["omega_att"],
-                                omega_tau=c["omega_tau"])
+    controller = VtolController(m, g, opts["inertia"], reference, scenario.dt, c["omega"],
+                                c["omega_f"], c["omega_att"], c["omega_tau"])
 
     p = reference.position(0.0) if opts["p0"] is None else opts["p0"]
     v = reference.velocity(0.0) if opts["v0"] is None else opts["v0"]
     R9 = so3.IDENTITY9
     w = (0.0, 0.0, 0.0)
 
-    m, g = params.mass, params.gravity
-    J9 = params.inertia
+    J9 = controller.inertia
     Jinv9 = inv3(J9)
     d_f_eval = _triple_sampler(scenario.disturbance.get("force"))
     d_tau_eval = _triple_sampler(scenario.disturbance.get("torque"))

@@ -19,7 +19,7 @@ from lumped_pid.controller import (
 )
 from lumped_pid.polylti import Polynomial, RationalTransferFunction, binomial_poly, dc_gain, evaluate_at, poly_mul
 from lumped_pid import so3
-from lumped_pid.plants.vtol import VtolParams, body_accel, thrust_accel
+from lumped_pid.plants.vtol import _inertia, body_accel, thrust_accel
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL
 from lumped_pid.signals import Constant, NoiseSpec, Sinusoid, Step
 from lumped_pid.sim import Scenario, run_scenario
@@ -189,12 +189,10 @@ def test_noise_monotonicity():
 
 @criterion("criterion 7: VTOL hover equilibrium and wind rejection")
 def test_vtol_hover_and_wind():
-    params = VtolParams(mass=1.0, gravity=9.81, inertia=np.diag([0.02, 0.02, 0.04]))
+    m, g, J9 = 1.0, 9.81, _inertia(np.diag([0.02, 0.02, 0.04]), "plant.inertia")
     # at rest: p = v = omega = 0, R = I, zero torque and disturbance
     zero, R9 = (0.0, 0.0, 0.0), so3.IDENTITY9
-    J9 = params.inertia
-    v_dot = thrust_accel((R9[2], R9[5], R9[8]), params.mass * params.gravity,
-                         1.0 / params.mass, params.gravity, zero)
+    v_dot = thrust_accel((R9[2], R9[5], R9[8]), m * g, 1.0 / m, g, zero)
     w_dot = body_accel(zero, zero, J9, so3.inv3(J9), zero)
     p_dot, r_dot = zero, so3.mat_mul(R9, hat3(zero))  # p_dot = v, R_dot = R hat(omega)
     residual = math.sqrt(sum(x * x for x in p_dot + v_dot + r_dot + w_dot))

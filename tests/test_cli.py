@@ -192,7 +192,7 @@ class TestTune:
         omega = float(row["omega"])
         assert float(gains["omega"]) == omega == 1.0
         assert float(gains["omega_f"]) == float(row["omega_f"])
-        a = synthesize_gains(2, omega).a
+        a = synthesize_gains(2, omega)
         assert [float(gains["a0"]), float(gains["a1"])] == list(a)
 
 
@@ -467,6 +467,18 @@ class TestSimulate:
         assert "nan" not in svg and "inf" not in svg
         assert re.findall(r'text-anchor="end"[^>]*>([^<]*)</text>', svg) == ticks
         assert re.findall(r'points="([^"]*)"', svg) == ["70.00,432.00 780.00,36.00"]
+
+    @pytest.mark.parametrize("x,ys", [
+        ([0.0, 1.0], [1e300, 1e300]),  # 1e300 - 1.0 is 1e300
+        ([1e20, 1e20], [0.0, 1.0]),
+        ([0.0, 1.0], [8e15, 8e15]),  # 8e15 - 1.0 moves, but a 0.5 tick step does not
+        ([0.0, 1.0], [sys.float_info.max] * 2),
+        ([sys.float_info.max] * 2, [-sys.float_info.max] * 2),
+    ], ids=["y_1e300", "x_1e20", "y_8e15", "y_max", "x_max"])
+    def test_a_constant_range_past_unit_rounding_is_widened(self, x, ys):
+        svg = line_plot_svg(x, {"u": ys})
+        assert "nan" not in svg and "inf" not in svg
+        assert len(re.findall(r'text-anchor="end"', svg)) >= 2
 
 
 class TestOneRowTrace:
@@ -788,6 +800,9 @@ class TestLockstepSweep:
             assert not (tmp_path / "x" / "sweep.csv").exists()
 
 
+# 8 chain cells, enough to run in lockstep
+LANE_GRID = ("omega=1,2", "omega_f=10,20", "sigma=0,0.01")
+
 # name: (config text, grid, extra arguments, LUMPED_PID_SEED, exit code, SHA-256 of
 # sweep.csv). The vehicle and VTOL digests were recorded before sweep cells were
 # derived from the base scenario, so they pin that every cell runs as it did when
@@ -828,6 +843,32 @@ SWEEP_DIGESTS = {
         stock("chain_step.conf", **{"sim.duration": 1.0}),
         ("omega=1,2", "omega_f=10,20", "sigma=0.01,0.02"), ("--seed-policy", "per-cell"),
         "7", 0, "a2fcdea4d23464ff06e6a365743f126f9eadfaf8dcadd5f3be31ce5de782635e"),
+    # the chain controller settings the cases above leave at their defaults,
+    # 8 cells in lockstep each, recorded before each controller held its
+    # gains as plain attributes
+    "chain_step_2s_pid": (
+        stock("chain_step.conf", **{"sim.duration": 2.0, "controller.kind": "pid"}),
+        LANE_GRID, (),
+        None, 0, "e42aff4df51ec8fef5552e7cf1d2e138ee8e2a13bdd8c312d9e40588aae4a84f"),
+    "chain_step_2s_pi": (
+        stock("chain_step.conf", **{"sim.duration": 2.0, "controller.kind": "pid",
+                                    "plant.order": 1}),
+        LANE_GRID, (),
+        None, 0, "73873c47bf2029148043d2c9f4a847442de779b762a47d2966853faaf9b8ed6c"),
+    "chain_step_2s_observer_form_pid": (
+        stock("chain_step.conf", **{"sim.duration": 2.0, "controller.observer_form": "pid"}),
+        LANE_GRID, (),
+        None, 0, "986f4d64dc6fd4cdce9dfbacbf4ae9381408b4e3a0e4f9207c760786bbf26c54"),
+    "chain_step_2s_seed_integral": (
+        stock("chain_step.conf", **{"sim.duration": 2.0, "controller.seed_integral": "true",
+                                    "plant.x0": "0.5,0.3"}),
+        LANE_GRID, (),
+        None, 0, "b6e43a74c4dd313a63614af285200e125d0caf2f2b88f4e397321d0d3e90ba8b"),
+    "chain_step_2s_trapezoidal": (
+        stock("chain_step.conf", **{"sim.duration": 2.0,
+                                    "controller.quadrature": "trapezoidal"}),
+        LANE_GRID, (),
+        None, 0, "fe3304bf406aeaf9d9ecef5c0dded647e02a635d7db97d8b94170b32647229f3"),
 }
 
 
@@ -974,6 +1015,18 @@ NOISY_DIGESTS = {
                                    "sim.duration": 2.0, "noise.sigma": 0.001}),
         "de2ee0523d636b5ab7c1d7074c3459f295d04ef601ffbe07200578df76cc0fb9",
         "ff0a84bd717dcf4cf19407527f7b113368c96d8a4f075d23eaafad7062abdad6"),
+    # the float paths of the classic PI and of the reduced observer form,
+    # recorded before each controller held its gains as plain attributes
+    "chain_pi_noisy": (
+        stock("chain_step.conf", **{"controller.kind": "pid", "plant.order": 1,
+                                    "sim.duration": 2.0, "noise.sigma": 0.01}),
+        "a370392c11815d4f55c11cbcf6d59f4dd2afafa80a3e6846bc2f8fae09a1ca30",
+        "083e22bef605306609b7966f0a49d52e4a0aca16db25ca029b6072920f604cf4"),
+    "chain_observer_form_pid_noisy": (
+        stock("chain_step.conf", **{"controller.observer_form": "pid", "sim.duration": 2.0,
+                                    "noise.sigma": "0.01,0.02"}),
+        "71c4348af648e8b709b87eb13ad9ea2e16f84bfe66509543eaac94b5bc3caf17",
+        "0d3ef32ffb8dd8014e15f81765c2c11bef38e197ac16c42a42bbcb8b2f89e12a"),
 }
 
 

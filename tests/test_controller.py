@@ -59,19 +59,19 @@ class TestConfigValidation:
 
 class TestSynthesizeGains:
     def test_first_order(self):
-        assert synthesize_gains(1, 5.0).a == (5.0,)
+        assert synthesize_gains(1, 5.0) == (5.0,)
 
     def test_second_order(self):
-        assert synthesize_gains(2, 2.0).a == (4.0, 4.0)
+        assert synthesize_gains(2, 2.0) == (4.0, 4.0)
 
     def test_third_order_against_binomial(self):
         # oracle: binomial_poly(2,3) = [8,12,6,1], drop the leading term
-        assert synthesize_gains(3, 2.0).a == binomial_poly(2.0, 3).coeffs[:-1]
-        assert synthesize_gains(3, 2.0).a == (8.0, 12.0, 6.0)
+        assert synthesize_gains(3, 2.0) == binomial_poly(2.0, 3).coeffs[:-1]
+        assert synthesize_gains(3, 2.0) == (8.0, 12.0, 6.0)
 
     def test_all_positive(self):
         for n in range(1, 9):
-            assert all(ai > 0 for ai in synthesize_gains(n, 0.7).a)
+            assert all(ai > 0 for ai in synthesize_gains(n, 0.7))
 
 
 class TestHomogeneousControl:
@@ -162,7 +162,7 @@ class TestReductions:
     def test_pid_gains_are_built_on_synthesize_gains(self, omega):
         # with glibc 2.36, omega**2 (synthesize_gains) and omega * omega
         # differ by one ulp at the second omega; the PI/PID pair shares a0
-        a0, a1 = synthesize_gains(2, omega).a
+        a0, a1 = synthesize_gains(2, omega)
         g = reduce_to_pid(cfg(n=2, omega=omega, omega_f=7.0))
         assert (g.kd, g.kp, g.ki) == (a1 + 7.0, a0 + 7.0 * a1, 7.0 * a0)
 
@@ -338,7 +338,7 @@ class TestGeneralizedController:
         # f_hat = omega_f (z_{n-1} - sum of past u_x dt), u = (u_x - f_hat)/b
         config = cfg(n=3, b=1.7, omega=1.5, omega_f=6.0, dt=1e-3)
         gen = GeneralizedController(config)
-        a = synthesize_gains(config.n, config.omega).a
+        a = synthesize_gains(config.n, config.omega)
         integral = 0.0
         rng = random.Random(5)
         for _ in range(200):

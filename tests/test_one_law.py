@@ -39,7 +39,7 @@ class TestVehicle:
     @given(st.floats(0.05, 5.0), st.floats(0.1, 20.0), st.floats(1e-4, 0.5),
            st.sampled_from([RECTANGULAR, TRAPEZOIDAL]), lateral_errors)
     def test_lateral_observer_is_the_chain_law(self, omega, omega_d, ds, rule, errors):
-        ctrl = vehicle.LateralObserverController(2.7, synthesize_gains(2, omega).a, omega_d,
+        ctrl = vehicle.LateralObserverController(2.7, synthesize_gains(2, omega), omega_d,
                                                  rule=rule)
         chain = chain_law(omega, omega_d, ds, rule)
         for l, e_theta in errors:
@@ -82,9 +82,9 @@ class TestVtol:
            st.lists(st.tuples(triple, triple, triple, triple), min_size=1, max_size=30))
     def test_each_axis_of_both_loops_is_the_chain_law(self, omega, omega_f, omega_att,
                                                       omega_tau, dt, poses):
-        params = vtol.VtolParams(mass=1.2, gravity=9.81,
-                                 inertia=((0.02, 0.0, 0.0), (0.0, 0.03, 0.0), (0.0, 0.0, 0.04)))
-        ctrl = vtol.VtolController(params, vtol.HoverRef((0.0, 0.0, 0.0)), dt,
+        ctrl = vtol.VtolController(1.2, 9.81,
+                                   ((0.02, 0.0, 0.0), (0.0, 0.03, 0.0), (0.0, 0.0, 0.04)),
+                                   vtol.HoverRef((0.0, 0.0, 0.0)), dt,
                                    omega, omega_f, omega_att, omega_tau)
         force = [chain_law(omega, omega_f, dt) for _ in range(3)]
         torque = [chain_law(omega_att, omega_tau, dt) for _ in range(3)]

@@ -368,19 +368,46 @@ class TestFrenetMatchProperties:
         assert 0.0 < err.s_d < 1.0
         assert abs(err.s_d - bisection_match(path, -0.1, 1.0)) <= 1e-12
 
-    def test_root_loop_ends_at_its_cap(self):
-        # a straight 1e-6 m segment at 0.7 rad, 1.7 m from the pose: near the
-        # root g is round-off of about 1e-16 and g' is the 1e-6 chord, so no
-        # Newton step falls below NEWTON_TOL; the bracket closes to adjacent
-        # floats and the loop stops at ROOT_STEPS, still at the projection
-        s = np.array([0.0, 1e-6, 2e-6])
-        c, sn = math.cos(0.7), math.sin(0.7)
-        path = FrenetPath(s, s * c, s * sn, np.full(3, 0.7), np.zeros(3))
-        px, py = 0.3e-6 * c - 1.7 * sn, 0.3e-6 * sn + 1.7 * c
-        err = frenet_match(path, (px, py, 0.0), capture_radius=2.0)
+    # a straight 1e-6 m segment at 0.7 rad, 1.7 m from the pose: near the
+    # root g is round-off of about 1e-16 and g' is the 1e-6 chord, so no
+    # Newton step falls below NEWTON_TOL and each one halves the bracket
+    TINY_SEGMENT = (0.7, np.array([0.0, 1e-6, 2e-6]), 0.3e-6, 1.7)
+
+    def tiny_segment_match(self, monkeypatch):
+        """frenet_match on TINY_SEGMENT and the math.cos calls it makes, one
+        per root iteration and one for the lateral error."""
+        th, s, along, off = self.TINY_SEGMENT
+        c, sn = math.cos(th), math.sin(th)
+        path = FrenetPath(s, s * c, s * sn, np.full(3, th), np.zeros(3))
+        px, py = along * c - off * sn, along * sn + off * c
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def cos(self, x):
+                calls.append(x)
+                return math.cos(x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(vehicle, "math", CountingMath())
+            err = frenet_match(path, (px, py, 0.0), capture_radius=2.0)
+        return err, len(calls), bisection_match(path, px, py)
+
+    def test_root_loop_ends_when_its_bracket_closes(self, monkeypatch):
+        err, cos_calls, s_ref = self.tiny_segment_match(monkeypatch)
+        assert cos_calls <= 12  # 65, ROOT_STEPS + 1, before the bracket test
         assert err.segment == 0
         assert err.s_d == pytest.approx(0.3e-6, abs=1e-15)
-        assert abs(err.s_d - bisection_match(path, px, py)) <= 1e-12
+        assert abs(err.s_d - s_ref) <= 1e-12
+
+    def test_root_loop_ends_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(vehicle, "ROOT_STEPS", 3)
+        err, cos_calls, s_ref = self.tiny_segment_match(monkeypatch)
+        assert cos_calls == 3 + 1
+        assert err.segment == 0
+        assert 0.0 <= err.s_d <= 1e-6
 
     @PROPERTY
     @given(st.floats(0.5, 3.0), st.floats(0.05, 0.95), st.floats(-0.95, 0.95))

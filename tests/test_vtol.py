@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from lumped_pid.errors import (
 )
 from lumped_pid.plants.vtol import (
     VtolController,
-    VtolParams,
     HoverRef,
     _inertia,
     advance_rigid_body,
@@ -30,7 +30,13 @@ from lumped_pid import so3
 
 
 def params(m=1.0, g=9.81, J=(0.02, 0.02, 0.04)):
-    return VtolParams(mass=m, gravity=g, inertia=np.diag(J))
+    """The rigid body's mass, gravity and flat 9-tuple inertia."""
+    return SimpleNamespace(mass=m, gravity=g, inertia=_inertia(np.diag(J), "plant.inertia"))
+
+
+def hover_controller(m, g, J, position=(0.0, 0.0, 0.0), psi=0.0):
+    return VtolController(m, g, J, HoverRef(position, psi=psi), dt=1e-3,
+                          omega_pos=2.0, omega_f=8.0, omega_att=10.0, omega_tau=20.0)
 
 
 def accel(par, f, w=(0.0, 0.0, 0.0), R9=so3.IDENTITY9, t=0.0, d_f=None, d_tau=None):
@@ -150,11 +156,11 @@ class TestVtolDerivative:
 
     def test_inertia_validation(self):
         with pytest.raises(ConfigError):
-            VtolParams(mass=1.0, gravity=9.81, inertia=np.diag([1.0, -1.0, 1.0]))
-        # VtolParams checks its inertia with the plant.inertia parser
+            hover_controller(1.0, 9.81, np.diag([1.0, -1.0, 1.0]))
+        # a controller built in code checks its inertia with the plant.inertia parser
         with pytest.raises(ConfigError,
                            match=r"^plant.inertia: expected 3 \(diagonal\) or 9 values$"):
-            VtolParams(mass=1.0, gravity=9.81, inertia=np.eye(2))
+            hover_controller(1.0, 9.81, np.eye(2))
         with pytest.raises(ConfigError, match="^plant.mass: must be positive, got 0.0"):
             vtol_scenario(plant={"mass": 0.0})
 
@@ -266,8 +272,7 @@ class TestRigidBodyIntegration:
 class TestVtolController:
     def test_perfect_hover_outputs_weight_and_zero_torque(self):
         p = params()
-        ctrl = VtolController(p, HoverRef((0.0, 0.0, 0.0)), dt=1e-3,
-                              omega_pos=2.0, omega_f=8.0, omega_att=10.0, omega_tau=20.0)
+        ctrl = hover_controller(p.mass, p.gravity, p.inertia)
         f, tau = ctrl.compute(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), so3.IDENTITY9,
                               (0.0, 0.0, 0.0))
         assert f == pytest.approx(p.mass * p.gravity, rel=1e-15)
@@ -345,10 +350,8 @@ class TestNativeFloats:
 
     def test_closed_loop_state_stays_on_floats(self):
         J = np.array([[0.02, 0.001, -0.002], [0.001, 0.025, 0.0015], [-0.002, 0.0015, 0.04]])
-        par = VtolParams(mass=1.2, gravity=9.81, inertia=J)
-        ctrl = VtolController(par, HoverRef((0.1, -0.2, 0.3), psi=0.2), dt=1e-3,
-                              omega_pos=2.0, omega_f=8.0, omega_att=10.0, omega_tau=20.0)
-        J9 = par.inertia
+        ctrl = hover_controller(1.2, 9.81, J, (0.1, -0.2, 0.3), psi=0.2)
+        J9 = ctrl.inertia
         Jinv9 = so3.inv3(J9)
         wind = lambda t: (0.5, -0.1, 0.0)
         spin = lambda t: (0.001, 0.0, -0.002)
@@ -356,7 +359,7 @@ class TestNativeFloats:
         for k in range(5):
             f, tau = ctrl.compute(k * 1e-3, p, v, R9, w)
             p, v, R9, w = advance_rigid_body(p, v, R9, w, f, tau, k * 1e-3, 1e-3,
-                                             par.mass, par.gravity, J9, Jinv9, wind, spin)
+                                             ctrl.mass, ctrl.gravity, J9, Jinv9, wind, spin)
         for name, values in (("f", (f,)), ("tau", tau), ("p", p), ("v", v), ("R9", R9),
                              ("w", w)):
             assert all(type(x) is float for x in values), name
