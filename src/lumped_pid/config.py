@@ -32,7 +32,7 @@ import math
 import operator
 from collections import UserDict
 
-from .errors import ConfigError
+from .errors import ConfigError, check_positive
 from .signals import Sum, build_signal
 from .sim import FIELDS, Scenario, nest
 
@@ -84,10 +84,7 @@ def _float(value, key):
 
 def _positive(value, key):
     """A finite number > 0."""
-    number = _float(value, key)
-    if not number > 0.0:
-        raise ConfigError(f"{key}: must be positive, got {number!r}")
-    return number
+    return check_positive(_float(value, key), key)
 
 
 def _int(value, key):

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, OrderMismatchError
+from .errors import ConfigError, DimensionMismatchError, OrderMismatchError, check_positive
 from .polylti import MAX_ORDER, Polynomial, RationalTransferFunction, binomial_poly, poly_mul
 from .quadrature import RECTANGULAR, Integrator
 
@@ -58,12 +58,8 @@ class ControllerConfig:
             raise ConfigError(f"n: order must be an integer in [1, {MAX_ORDER}], got {self.n!r}")
         if not (self.b != 0.0 and math.isfinite(self.b)):
             raise ConfigError(f"b: input coefficient must be finite and nonzero, got {self.b!r}")
-        if not (self.omega > 0.0):
-            raise ConfigError(f"omega: bandwidth must be positive, got {self.omega!r}")
-        if not (self.omega_f > 0.0):
-            raise ConfigError(f"omega_f: observer bandwidth must be positive, got {self.omega_f!r}")
-        if not (self.dt > 0.0):
-            raise ConfigError(f"dt: step must be positive, got {self.dt!r}")
+        for name in ("omega", "omega_f", "dt"):
+            check_positive(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,7 @@ def closed_loop_tf(config: ControllerConfig) -> RationalTransferFunction:
 def observer_tfs(omega_f: float) -> tuple[RationalTransferFunction, RationalTransferFunction]:
     """Observer lag ``G_o = omega_f/(s+omega_f)`` and its complement
     ``G_e = s/(s+omega_f)`` (estimation-error path); G_o + G_e = 1."""
-    if not (omega_f > 0.0):
-        raise ConfigError(f"omega_f must be positive, got {omega_f!r}")
-    den = Polynomial((omega_f, 1.0))
+    den = Polynomial((check_positive(omega_f, "omega_f"), 1.0))
     g_o = RationalTransferFunction(Polynomial((omega_f,)), den)
     g_e = RationalTransferFunction(Polynomial((0.0, 1.0)), den)
     return g_o, g_e
@@ -165,8 +159,9 @@ class GeneralizedController:
     omitted direct term), which is why both are provided.
 
     The running integral starts at 0, or at the first z^(n-1) with
-    ``seed_integral`` (integral form only): the omitted initial-value term is
-    part of the lumped disturbance.
+    ``seed_integral``: the omitted initial-value term is part of the lumped
+    disturbance. The ``"pid"`` form integrates x, not u_x, so it has no such
+    integral to seed and rejects ``seed_integral`` with a ConfigError.
     """
 
     LANE_FIELDS = ("a", "omega_f")
@@ -180,6 +175,8 @@ class GeneralizedController:
     ):
         if observer_form not in OBSERVER_FORMS:
             raise ConfigError(f"observer_form must be one of {OBSERVER_FORMS}, got {observer_form!r}")
+        if seed_integral and observer_form == "pid":
+            raise ConfigError("seed_integral: not read by observer_form 'pid'")
         self.n, self.b, self.dt = config.n, config.b, config.dt
         self.a = synthesize_gains(config.n, config.omega)
         self.omega_f = config.omega_f

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a positive number."""
+
+import math
 
 
 class LumpedPidError(Exception):
@@ -20,6 +22,16 @@ class LumpedPidError(Exception):
 
 class ConfigError(LumpedPidError):
     """Invalid configuration value or scenario field."""
+
+
+def check_positive(value, key):
+    """``value`` if it is a finite number > 0, else a ConfigError naming
+    ``key``: the check of every bandwidth and step, option or argument."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    if not value > 0.0:
+        raise ConfigError(f"{key}: must be positive, got {value!r}")
+    return value
 
 
 class OrderMismatchError(ConfigError):

@@ -25,6 +25,7 @@ from ..errors import (
     LumpedPidError,
     OffPathError,
     SteeringLimitError,
+    check_positive,
 )
 from ..quadrature import RECTANGULAR, RULES, Integrator
 from ..sim import Scenario, SimTrace, TraceRecorder, check_state, rk4_step
@@ -304,14 +305,16 @@ def frenet_match(
        (ties to the first sample) that also gives the ambiguity test; when
        tracking with ``hint_index`` (for example the previous ``segment``),
        a downhill walk from the hint within +-DESCENT_REACH samples.
-    2. The segments before and after that sample are candidates when g
-       changes sign over them. In each, :func:`_tangency_root` runs Newton
+    2. g is evaluated once at that sample and at each neighbour. The
+       segments before and after the sample are candidates when g changes
+       sign over them. In each, :func:`_tangency_root` runs Newton
        on g from the closed-form projection onto the chord, with the
        analytic g'(a) = dx cos(theta) + dy sin(theta) + dtheta (e_y
        cos(theta) - e_x sin(theta)), inside a bracket that halves whenever
        a step would leave it. It agrees with a 60-step bisection to 1e-12 m
-       in s_d and l. Of two candidates the nearer point wins; with none the
-       pose projects beyond a table end and is clamped to it.
+       in s_d and l. Each candidate is interpolated once, and one loop keeps
+       the nearer point, the first on a tie; with none the pose projects
+       beyond a table end and is clamped to it.
 
     Raises OffPathError outside the capture radius and, on an unhinted call,
     AmbiguousMatchError when two non-adjacent samples are equally close.
@@ -337,31 +340,28 @@ def frenet_match(
         if len(far):
             raise AmbiguousMatchError(f"samples {best_i} and {far[0]} are equally close to the pose")
 
-    candidates = []
-    for i in (best_i - 1, best_i):
-        if 0 <= i < n - 1:
-            g0 = _sample_tangency(path, i, px, py)
-            if g0 == 0.0:
-                candidates.append((i, 0.0))
-            elif g0 * _sample_tangency(path, i + 1, px, py) <= 0.0:
-                candidates.append((i, _tangency_root(path, i, g0, px, py)))
-    if not candidates:
-        # pose projects beyond the table ends; clamp to the nearest endpoint
-        i, a = (0, 0.0) if best_i == 0 else (n - 2, 1.0)
-        candidates.append((i, a))
-    i, a = candidates[0] if len(candidates) == 1 else min(
-        candidates,
-        key=lambda c: (path._interp(c[0], c[1])[1] - px) ** 2
-        + (path._interp(c[0], c[1])[2] - py) ** 2,
-    )
-
-    s_d, x_d, y_d, theta_d, kappa_d = path._interp(i, a)
+    # g once at each sample from best_i - 1 to best_i + 1 within the table
+    lo = max(best_i - 1, 0)
+    g_next = _sample_tangency(path, lo, px, py)
+    match = None
+    for i in range(lo, min(best_i + 1, n - 1)):
+        g0, g_next = g_next, _sample_tangency(path, i + 1, px, py)
+        if not (g0 == 0.0 or g0 * g_next <= 0.0):
+            continue
+        point = path._interp(i, 0.0 if g0 == 0.0 else _tangency_root(path, i, g0, px, py))
+        if match is None or ((point[1] - px) ** 2 + (point[2] - py) ** 2
+                             < (match[1] - px) ** 2 + (match[2] - py) ** 2):
+            match, segment = point, i
+    if match is None:  # the pose projects beyond a table end: clamp to it
+        segment, a = (0, 0.0) if best_i == 0 else (n - 2, 1.0)
+        match = path._interp(segment, a)
+    s_d, x_d, y_d, theta_d, kappa_d = match
     e_x = x_d - px
     e_y = y_d - py
     l = -e_x * math.sin(theta_d) + e_y * math.cos(theta_d)
     e_theta = wrap_angle(theta_d - ptheta)
     return LateralErrorState(l=l, e_theta=e_theta, s_d=s_d, theta_d=theta_d,
-                             kappa_d=kappa_d, segment=i)
+                             kappa_d=kappa_d, segment=segment)
 
 
 def _check_heading(e_theta: float) -> float:
@@ -397,7 +397,7 @@ class LateralObserverController:
                  rule: str = RECTANGULAR):
         self.L = L
         self.a = a
-        self.omega_d = omega_d
+        self.omega_d = check_positive(omega_d, "omega_d")
         self._integ = Integrator(rule)
         self.u_x = 0.0
         self.d_hat = 0.0

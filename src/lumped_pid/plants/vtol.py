@@ -32,6 +32,7 @@ from ..errors import (
     DegenerateThrustError,
     GimbalDegenerateError,
     LumpedPidError,
+    check_positive,
 )
 from ..sim import Scenario, SimTrace, TraceRecorder, check_state
 from ..signals import Constant, build_signal, noise_table, sample_triple
@@ -209,55 +210,47 @@ def attitude_error(R9, Rd9, w, wd):
                  G6 * ux + G7 * uy + G8 * uz), G
 
 
-# A reference gives position(t) and velocity(t) (its accelerations are
-# lumped) and holds the constant heading psi.
+# A reference's at(t) gives its position and velocity from one set of sines and
+# cosines (its accelerations are lumped); it holds the constant heading psi.
 @dataclass(frozen=True)
 class HoverRef:
+    """A fixed position p."""
     p: tuple
     psi: float = 0.0
 
-    def position(self, t):
-        return self.p
-
-    def velocity(self, t):
-        return (0.0, 0.0, 0.0)
+    def at(self, t):
+        return self.p, (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
 class CircleRef:
+    """(r cos wt, r sin wt, height), counterclockwise at the rate omega."""
     radius: float
     omega: float
     height: float
     psi: float = 0.0
 
-    def position(self, t):
-        return (self.radius * math.cos(self.omega * t),
-                self.radius * math.sin(self.omega * t), self.height)
-
-    def velocity(self, t):
-        rw = self.radius * self.omega
-        return (-rw * math.sin(self.omega * t), rw * math.cos(self.omega * t), 0.0)
+    def at(self, t):
+        wt = self.omega * t
+        c, s = math.cos(wt), math.sin(wt)
+        r, rw = self.radius, self.radius * self.omega
+        return (r * c, r * s, self.height), (-rw * s, rw * c, 0.0)
 
 
 @dataclass(frozen=True)
 class LissajousRef:
+    """Component i is a_i sin(f_i t + phase_i), offset by height on z."""
     amplitude: tuple
     freq: tuple
     phase: tuple
     height: float
     psi: float = 0.0
 
-    def position(self, t):
-        a, f, ph = self.amplitude, self.freq, self.phase
-        return (a[0] * math.sin(f[0] * t + ph[0]),
-                a[1] * math.sin(f[1] * t + ph[1]),
-                self.height + a[2] * math.sin(f[2] * t + ph[2]))
-
-    def velocity(self, t):
-        a, f, ph = self.amplitude, self.freq, self.phase
-        return (a[0] * f[0] * math.cos(f[0] * t + ph[0]),
-                a[1] * f[1] * math.cos(f[1] * t + ph[1]),
-                a[2] * f[2] * math.cos(f[2] * t + ph[2]))
+    def at(self, t):
+        (a0, a1, a2), (f0, f1, f2), (h0, h1, h2) = self.amplitude, self.freq, self.phase
+        w0, w1, w2 = f0 * t + h0, f1 * t + h1, f2 * t + h2
+        return ((a0 * math.sin(w0), a1 * math.sin(w1), self.height + a2 * math.sin(w2)),
+                (a0 * f0 * math.cos(w0), a1 * f1 * math.cos(w1), a2 * f2 * math.cos(w2)))
 
 
 def _observer_step3(a, e, e_dot, integral, omega_f, dt):
@@ -283,9 +276,11 @@ class VtolController:
                  omega_pos: float, omega_f: float, omega_att: float, omega_tau: float):
         self.mass, self.gravity, self.inertia = mass, gravity, _inertia(inertia, "plant.inertia")
         self.reference = reference
-        self.dt = dt
-        self.a_pos, self.omega_f = synthesize_gains(2, omega_pos), omega_f
-        self.a_att, self.omega_tau = synthesize_gains(2, omega_att), omega_tau
+        self.dt = check_positive(dt, "dt")
+        self.a_pos = synthesize_gains(2, check_positive(omega_pos, "omega_pos"))
+        self.omega_f = check_positive(omega_f, "omega_f")
+        self.a_att = synthesize_gains(2, check_positive(omega_att, "omega_att"))
+        self.omega_tau = check_positive(omega_tau, "omega_tau")
         self._int_F = (0.0, 0.0, 0.0)  # the observer integrals of F_x and tau_x
         self._int_T = (0.0, 0.0, 0.0)
         self._prev_Rd = None
@@ -298,7 +293,7 @@ class VtolController:
         dt = self.dt
         m = self.mass
         reference = self.reference
-        rp, rv = reference.position(t), reference.velocity(t)
+        rp, rv = reference.at(t)
         p_err = (p[0] - rp[0], p[1] - rp[1], p[2] - rp[2])
         F_x, d_f_hat, self._int_F = _observer_step3(
             self.a_pos, p_err, (v[0] - rv[0], v[1] - rv[1], v[2] - rv[2]), self._int_F,
@@ -427,8 +422,9 @@ def run(scenario: Scenario) -> SimTrace:
     controller = VtolController(m, g, opts["inertia"], reference, scenario.dt, c["omega"],
                                 c["omega_f"], c["omega_att"], c["omega_tau"])
 
-    p = reference.position(0.0) if opts["p0"] is None else opts["p0"]
-    v = reference.velocity(0.0) if opts["v0"] is None else opts["v0"]
+    p, v = reference.at(0.0)
+    p = p if opts["p0"] is None else opts["p0"]
+    v = v if opts["v0"] is None else opts["v0"]
     R9 = so3.IDENTITY9
     w = (0.0, 0.0, 0.0)
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, PoleHitError
+from .errors import ConfigError, PoleHitError, check_positive
 
 # Denominator magnitude below this is treated as a pole hit. This only guards
 # a literal division blow-up; callers choose frequency grids away from poles.
@@ -90,8 +90,7 @@ def binomial_poly(omega: float, n: int) -> Polynomial:
     """
     if n < 1 or n > MAX_ORDER:
         raise ConfigError(f"order n must be in [1, {MAX_ORDER}], got {n}")
-    if not (omega > 0.0):
-        raise ConfigError(f"bandwidth omega must be positive, got {omega}")
+    check_positive(omega, "omega")
     # ascending: coeffs[k] multiplies s^k, i.e. i = n - k
     return Polynomial(float(math.comb(n, n - k)) * omega ** (n - k) for k in range(n + 1))
 

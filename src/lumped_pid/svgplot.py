@@ -19,6 +19,9 @@ _FMAX = sys.float_info.max
 
 
 def _ticks(lo: float, hi: float) -> list[float]:  # line_plot_svg gives lo < hi
+    """At most _TICKS + 1 increasing ticks from lo to hi, a step of 1, 2 or 5
+    times a power of 10 apart. They end where adding the step leaves a tick
+    unchanged, as it does when the step is below half the values' rounding unit."""
     span = hi - lo
     if not math.isfinite(hi + 1e-12 * span):  # the span or the last tick overflows
         return [2.0 * v for v in _ticks(0.5 * lo, 0.5 * hi)]
@@ -27,12 +30,10 @@ def _ticks(lo: float, hi: float) -> list[float]:  # line_plot_svg gives lo < hi
         if span / (step * mult) <= _TICKS:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-12 * span:
+    out, v, last = [], math.ceil(lo / step) * step, None
+    while v != last and v <= hi + 1e-12 * span and len(out) <= _TICKS:
         out.append(0.0 if abs(v) < 1e-12 * span else v)
-        v += step
+        v, last = v + step, v
     return out
 
 
@@ -116,5 +117,8 @@ def line_plot_svg(x: Sequence[float], series: dict[str, Sequence[float]],
 
 
 def write_line_plot(path, x, series, title="", xlabel="", ylabel=""):
+    """Write :func:`line_plot_svg` to ``path``; the plot is rendered first,
+    so a plot that fails writes no file."""
+    svg = line_plot_svg(x, series, title, xlabel, ylabel)
     with open(path, "w") as fh:
-        fh.write(line_plot_svg(x, series, title, xlabel, ylabel))
+        fh.write(svg)

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import runpy
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -16,7 +17,7 @@ from lumped_pid.controller import synthesize_gains
 from lumped_pid.errors import ConfigError
 from lumped_pid.plants import chain, vehicle
 from lumped_pid.signals import Sum
-from lumped_pid.svgplot import line_plot_svg
+from lumped_pid.svgplot import line_plot_svg, write_line_plot
 
 
 CHAIN_CONF = """
@@ -479,6 +480,44 @@ class TestSimulate:
         svg = line_plot_svg(x, {"u": ys})
         assert "nan" not in svg and "inf" not in svg
         assert len(re.findall(r'text-anchor="end"', svg)) >= 2
+
+    # A tick step below half the rounding unit of the values leaves a tick
+    # unchanged when added. Each case runs in its own interpreter with a
+    # timeout and 1 GiB of data, so that a tick loop that never ends, and
+    # appends a tick on every pass, fails instead of hanging.
+    def run_python(self, tmp_path, code):
+        resource = pytest.importorskip("resource")
+        package_root = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=tmp_path, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(package_root)},
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_DATA,
+                                                                    (2**30, 2**30)))
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_a_tick_step_below_the_rounding_unit_ends_the_ticks(self, tmp_path):
+        svg = self.run_python(tmp_path, "from lumped_pid.svgplot import line_plot_svg; "
+                              "print(line_plot_svg([0.0, 1.0], {'u': [1e16, 1e16 + 2]}))")
+        ticks = [float(v) for v in re.findall(r'text-anchor="end"[^>]*>([^<]*)</text>', svg)]
+        assert 1 <= len(ticks) <= 6 and ticks == sorted(set(ticks))
+
+    def test_a_plot_of_a_huge_constant_disturbance_ends(self, tmp_path):
+        # f_true spans 9e15 ... 9e15 + 2, and its y ticks step by 0.5
+        conf = write_conf(tmp_path, "plant.kind = chain\nplant.order = 2\n"
+                          "plant.state_coeffs = 4e-8,0\ncontroller.kind = none\n"
+                          "disturbance.kind = constant\ndisturbance.value = 9e15\n"
+                          "sim.dt = 0.00001\nsim.duration = 0.0001\n")
+        out = tmp_path / "run"
+        self.run_python(tmp_path, f"from lumped_pid.cli import main; assert main(['simulate', "
+                                  f"'--config', {conf!r}, '--out', {str(out)!r}, '--plots']) == 0")
+        for name in ("plot_state.svg", "plot_control.svg", "plot_observer.svg"):
+            assert "polyline" in (out / name).read_text()
+
+    def test_a_plot_that_fails_writes_no_file(self, tmp_path):
+        with pytest.raises(ValueError):  # no series has a finite sample
+            write_line_plot(tmp_path / "plot.svg", [0.0, 1.0], {"u": [math.nan, math.nan]})
+        assert not (tmp_path / "plot.svg").exists()
 
 
 class TestOneRowTrace:
@@ -982,6 +1021,15 @@ NOISY_DIGESTS = {
                                    "noise.sigma": 0.001}),
         "c9affc49afc740444616e8a19f58688e421af9c1bf597e28be54f47a4597de3c",
         "966b3a47b39aa08678ac385eddff299578ae863b0292d71f41008cf1f901aa77"),
+    # a circle off the ground at a heading, recorded before each reference
+    # answered its position and velocity from one call
+    "vtol_circle_height_psi_noisy": (
+        stock("vtol_wind.conf", **{"reference.kind": "circle", "reference.radius": 1.5,
+                                   "reference.omega": 0.8, "reference.height": -2.0,
+                                   "reference.psi": 0.4, "sim.duration": 2.0,
+                                   "noise.sigma": 0.001}),
+        "f521079f390718e2a2680303dad4189c2b105c90e5ba64048fcdf2c612f0e2b3",
+        "68331bd601622960d0471eedd23db7e609200d8f8cd059e83f26f0505bfb0966"),
     # the VTOL paths that the stock hover run does not reach, recorded before
     # the rigid-body derivative was split into its thrust and body halves
     "vtol_lissajous_noisy": (

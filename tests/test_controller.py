@@ -50,6 +50,8 @@ class TestConfigValidation:
             {"omega": -2.0},
             {"omega_f": 0.0},
             {"dt": 0.0},
+            {"omega": math.inf},
+            {"omega_f": math.nan},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -363,6 +365,11 @@ class TestGeneralizedController:
     def test_rejects_unknown_form(self):
         with pytest.raises(ConfigError):
             GeneralizedController(cfg(), observer_form="magic")
+
+    def test_rejects_a_seed_for_the_pid_form(self):
+        # the pid form integrates x, not u_x, and would ignore the seed
+        with pytest.raises(ConfigError, match="^seed_integral: not read by observer_form 'pid'$"):
+            GeneralizedController(cfg(), observer_form="pid", seed_integral=True)
 
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)

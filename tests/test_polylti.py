@@ -78,6 +78,8 @@ class TestBinomialPoly:
             binomial_poly(0.0, 2)
         with pytest.raises(ConfigError):
             binomial_poly(-1.0, 2)
+        with pytest.raises(ConfigError, match="^omega: expected a finite number, got inf$"):
+            binomial_poly(math.inf, 2)
         with pytest.raises(ConfigError):
             binomial_poly(1.0, 0)
 

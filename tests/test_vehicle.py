@@ -227,8 +227,6 @@ class TestFrenetMatch:
         path = FrenetPath.circle(radius, 2 * math.pi * radius, spacing=0.05)
         with pytest.raises(AmbiguousMatchError):
             frenet_match(path, (0.0, radius, 0.0), capture_radius=100.0)
-
-
 def _curvy_csv_path():
     """S-curve with kappa = 0.04 sin(s/15), written to CSV and loaded back."""
     s = np.linspace(0.0, 120.0, 481)
@@ -426,6 +424,60 @@ class TestFrenetMatchProperties:
         assert path.s[err.segment] <= err.s_d <= path.s[err.segment + 1]
 
 
+@pytest.fixture
+def match_calls(monkeypatch):
+    """The ``_interp``, ``_sample_tangency`` and ``_tangency_root`` calls of
+    each ``frenet_match`` call, in order, as dicts of counts."""
+    counts = dict.fromkeys(("_interp", "_sample_tangency", "_tangency_root"), 0)
+    per_match = []
+    for owner, name in ((FrenetPath, "_interp"), (vehicle, "_sample_tangency"),
+                        (vehicle, "_tangency_root")):
+        def spy(*args, _inner=getattr(owner, name), _name=name):
+            counts[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    def match(*args, **kwargs):
+        counts.update(dict.fromkeys(counts, 0))
+        err = frenet_match(*args, **kwargs)
+        per_match.append(dict(counts))
+        return err
+
+    monkeypatch.setattr(vehicle, "frenet_match", match)
+    return per_match
+
+
+class TestFrenetMatchCalls:
+    """A match evaluates g once at each sample next to the nearest one and
+    interpolates each candidate once."""
+
+    def test_noisy_circle_run(self, match_calls):
+        # this run finds one candidate on every step but one: its pose
+        # noise never puts a tangency root in both segments
+        run_scenario(vehicle_scenario(
+            plant={"wheelbase": 2.7, "speed": 10.0,
+                   "path": {"kind": "circle", "radius": 50.0, "arc": 300.0}},
+            disturbance=Constant(math.radians(2.0)), duration=2.0, noise=(0.01, 0.01, 0.001)))
+        assert len(match_calls) == 2001
+        assert max(c["_interp"] for c in match_calls) == 1
+        assert max(c["_sample_tangency"] for c in match_calls) <= 3
+
+    # a unit circle tabulated every 2.5 rad: each pose has a tangency root in
+    # both segments, and the nearer one lies in the given segment
+    @pytest.mark.parametrize("pose,segment", [((1.35, 1.242, 0.0), 0),
+                                              ((-0.165, 2.232, 0.0), 1)])
+    def test_two_candidate_match(self, match_calls, pose, segment):
+        path = FrenetPath.circle(1.0, 5.0, spacing=2.5)
+        err = vehicle.frenet_match(path, pose)
+        (calls,) = match_calls
+        assert calls["_tangency_root"] == 2
+        assert calls["_interp"] <= 2
+        assert calls["_sample_tangency"] <= 3
+        assert err.segment == segment
+        assert abs(err.s_d - bisection_match(path, pose[0], pose[1])) <= 1e-12
+
+
 def lateral_error_derivatives(err: LateralErrorState, delta: float, d: float,
                               L: float, r_s: float, kappa_d: float) -> tuple[float, float]:
     """Distance-domain error model: l' = sin(e_theta) and
@@ -526,6 +578,10 @@ class TestObserverLaw:
         tail = trace.t >= 12.0
         assert np.max(np.abs(trace["l"][tail])) < 1e-3
         assert trace["d_hat"][-1] == pytest.approx(1.0 / 50.0, rel=0.02)
+
+    def test_rejects_a_negative_bandwidth(self):
+        with pytest.raises(ConfigError, match="^omega_d: must be positive, got -2.0$"):
+            LateralObserverController(2.7, (0.25, 1.0), -2.0)
 
     def test_zero_speed_freezes_distance_integral(self):
         ctrl = LateralObserverController(2.7, (0.25, 1.0), 2.0)

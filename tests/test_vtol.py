@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lumped_pid.cli import main
@@ -15,8 +17,10 @@ from lumped_pid.errors import (
     GimbalDegenerateError,
 )
 from lumped_pid.plants.vtol import (
+    CircleRef,
     VtolController,
     HoverRef,
+    LissajousRef,
     _inertia,
     advance_rigid_body,
     attitude_error,
@@ -283,6 +287,19 @@ class TestVtolController:
             with pytest.raises(ConfigError, match=f"^controller.{name}: must be positive"):
                 vtol_scenario(controller={name: 0.0})
 
+    # a controller built in code checks its bandwidths and step as the config does
+    @pytest.mark.parametrize("name,value,message", [
+        ("omega_f", -8.0, "must be positive, got -8.0"),
+        ("omega_tau", math.nan, "expected a finite number, got nan"),
+        ("dt", 0.0, "must be positive, got 0.0"),  # compute divided by it on its second step
+    ])
+    def test_constructor_rejects_a_bad_argument(self, name, value, message):
+        p = params()
+        args = dict(dt=1e-3, omega_pos=2.0, omega_f=8.0, omega_att=10.0, omega_tau=20.0)
+        with pytest.raises(ConfigError, match=f"^{name}: {message}$"):
+            VtolController(p.mass, p.gravity, p.inertia, HoverRef((0.0, 0.0, 0.0)),
+                           **{**args, name: value})
+
 
 def vtol_scenario(**overrides):
     base = dict(
@@ -333,6 +350,42 @@ class TestVtolScenario:
             trace = run_scenario(scenario)
             errors.append(np.max(trace["err_norm"][trace.t >= 6.0]))
         assert errors[1] < errors[0]
+
+
+REAL = st.floats(-1e3, 1e3)
+TRIPLE = st.tuples(REAL, REAL, REAL)
+
+
+def bits(pair):
+    """A (position, velocity) pair as the hex of its six floats, -0.0 apart from 0.0."""
+    return [float.hex(v) for triple in pair for v in triple]
+
+
+class TestReferences:
+    """Each reference's ``at(t)`` is its closed-form position and velocity, bit for bit."""
+
+    PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+    @PROPERTY
+    @given(st.floats(0.0, 1e4), TRIPLE, REAL)
+    def test_hover(self, t, p, psi):
+        assert bits(HoverRef(p, psi).at(t)) == bits((p, (0.0, 0.0, 0.0)))
+
+    @PROPERTY
+    @given(st.floats(0.0, 1e4), REAL, REAL, REAL)
+    def test_circle(self, t, radius, omega, height):
+        r, w = radius, omega
+        expected = ((r * math.cos(w * t), r * math.sin(w * t), height),
+                    (-(r * w) * math.sin(w * t), (r * w) * math.cos(w * t), 0.0))
+        assert bits(CircleRef(radius, omega, height).at(t)) == bits(expected)
+
+    @PROPERTY
+    @given(st.floats(0.0, 1e4), TRIPLE, TRIPLE, TRIPLE, REAL)
+    def test_lissajous(self, t, a, f, phase, height):
+        x, y, z = (a[i] * math.sin(f[i] * t + phase[i]) for i in range(3))
+        expected = ((x, y, height + z),
+                    tuple(a[i] * f[i] * math.cos(f[i] * t + phase[i]) for i in range(3)))
+        assert bits(LissajousRef(a, f, phase, height).at(t)) == bits(expected)
 
 
 class TestNativeFloats:
