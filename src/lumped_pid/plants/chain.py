@@ -103,26 +103,24 @@ class IntegratorChain:
             f += c * x
         return f
 
-    def derivative(self, state, bu, d, t):
-        """The derivative of a list of floats under the held input term ``bu`` = b*u."""
+    def derivative(self, state, bu, d):
+        """The derivative of a list of floats under the held input term ``bu`` = b*u
+        and the disturbance value ``d`` = f0."""
         return [*state[1:], self.lumped_disturbance(state, d) + bu]
 
 
 def rk4_map(plant: IntegratorChain, dt: float):
     """One RK4 step of the chain under a held ``bu`` = b*u, as the affine map
     ``x+ = M x + q bu + p0 f0(t) + pm f0(t+h/2) + p1 f0(t+h)`` that
-    :func:`rk4_step` builds on ``n + 4`` basis inputs: RK4 up to rounding.
+    :func:`rk4_step` builds on ``n + 4`` basis inputs, each value of
+    ``(*d, *x, bu)`` alone: RK4 up to rounding.
     Gives ``step(x, bu, d)`` for ``x`` a list of floats or an ``[n, lanes]``
     array and ``d`` the disturbance at t, t+h/2 and t+h: each row one sum in
     a fixed order, without terms of coefficient 0 and with those of 1 taken
     as they are, so each lane is bit-identical to its run alone."""
     n = plant.n
-    # each value of (*d, *x, bu) alone, as (state, bu, time of a unit disturbance)
-    inputs = [([0.0] * n, 0.0, at) for at in (0.0, 0.5 * dt, dt)]
-    inputs += [([float(i == j) for i in range(n)], 0.0, None) for j in range(n)]
-    inputs.append(([0.0] * n, 1.0, None))
-    basis = [rk4_step(plant, x, bu, lambda t, at=at: float(t == at), 0.0, dt)
-             for x, bu, at in inputs]
+    units = [[float(i == k) for i in range(n + 4)] for k in range(n + 4)]
+    basis = [rk4_step(plant.derivative, e[3:3 + n], e[-1], e[:3], dt) for e in units]
     # row i sums the disturbance, bu, the other state rows, then its own
     # last, as RK4 adds its increment last; None is a coefficient of 1
     rows = [[(k, None if basis[k][i] == 1.0 else basis[k][i])

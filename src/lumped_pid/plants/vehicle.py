@@ -92,19 +92,10 @@ def wrap_angle(a: float) -> float:
     return a - math.pi
 
 
-class Bicycle:
-    """Kinematic bicycle; state (x, y, theta), input delta, disturbance d."""
-
-    def __init__(self, wheelbase: float, speed: float):
-        self.wheelbase = wheelbase
-        self.speed = speed
-
-    def derivative(self, state, u, d, t):
-        return bicycle_derivative(state, self.speed, u, d, self.wheelbase)
-
-
 def bicycle_derivative(state, v: float, delta: float, d: float, L: float):
-    """(v cos th, v sin th, v tan(delta+d)/L); errors out near |delta+d| = pi/2."""
+    """The kinematic bicycle's derivative of (x, y, theta) at speed v, steering
+    delta and steering bias d: (v cos th, v sin th, v tan(delta+d)/L). Errors
+    out near |delta+d| = pi/2."""
     eff = delta + d
     if abs(eff) >= STEER_LIMIT:
         raise SteeringLimitError(f"effective steering {eff:g} rad at the +-pi/2 limit")
@@ -424,8 +415,10 @@ def run(scenario: Scenario) -> SimTrace:
     v = opts["speed"]
     capture = opts["capture_radius"]
     copts = scenario.controller
-    plant = Bicycle(L, v)
     path = _build_path(opts["path"])
+
+    def bicycle(state, delta, d):
+        return bicycle_derivative(state, v, delta, d, L)
 
     a = synthesize_gains(2, copts["omega"])
     bias = scenario.disturbance  # steering disturbance signal d(t) [rad]
@@ -436,6 +429,7 @@ def run(scenario: Scenario) -> SimTrace:
     state = opts["x0"]
 
     dt = scenario.dt
+    half = 0.5 * dt
     ds = v * dt
     n_steps = scenario.n_steps
     # the controller sees the noised pose, the trace records the true one
@@ -478,7 +472,8 @@ def run(scenario: Scenario) -> SimTrace:
             rec.record(k, [t, *state, err.s_d, err.l, err.e_theta, delta,
                            u_x, d_hat, d_now, d_lump, r_s])
             if k < n_steps:
-                state = rk4_step(plant, state, delta, bias, t, dt)
+                state = rk4_step(bicycle, state, delta,
+                                 (d_now, bias(t + half), bias(t + dt)), dt)
     except LumpedPidError as exc:
         exc.at(k, t)
         raise

@@ -142,10 +142,22 @@ def frequency_response(tf: RationalTransferFunction, freqs: Sequence[float]) -> 
 
 
 def log_grid(w_lo: float, w_hi: float, points_per_decade: int = 50) -> list[float]:
-    """Logarithmic frequency grid over ``0 < w_lo < w_hi``, endpoints included."""
+    """Logarithmic frequency grid over ``0 < w_lo < w_hi``, endpoints included.
+    Ends outside that range, infinite ones too, or a point count that is not
+    finite, are a ConfigError."""
     if points_per_decade < 1:
         raise ConfigError(f"points per decade: must be >= 1, got {points_per_decade}")
-    n = max(2, int(round(math.log10(w_hi / w_lo) * points_per_decade)) + 1)
+    if not 0.0 < w_lo < w_hi < math.inf:
+        raise ConfigError(f"frequency grid: needs finite ends 0 < w_lo < w_hi, "
+                          f"got {w_lo:g} to {w_hi:g}")
+    try:
+        count = math.log10(w_hi / w_lo) * points_per_decade
+    except OverflowError:  # an int points_per_decade past the float range
+        count = math.inf
+    if not math.isfinite(count):
+        raise ConfigError(f"frequency grid: the point count from {w_lo:g} to {w_hi:g} "
+                          f"at the given points per decade is not finite")
+    n = max(2, int(round(count)) + 1)
     step = (math.log10(w_hi) - math.log10(w_lo)) / (n - 1)
     return [10.0 ** (math.log10(w_lo) + k * step) for k in range(n)]
 

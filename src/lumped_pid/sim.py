@@ -2,8 +2,10 @@
 
 Time is kept on an integer step counter with t = k*dt (never accumulated), so
 trace timestamps sit exactly on the grid. Control inputs are held constant
-over each integration step (zero-order hold) at the integrator rate. A run is
-a pure function of its scenario, seed included.
+over each integration step (zero-order hold) at the integrator rate, and a
+step reads the disturbance only as its values at the RK4 stage times t,
+t + dt/2 and t + dt, which the plant's loop samples. A run is a pure function
+of its scenario, seed included.
 
 A lockstep run advances several scenarios at once: each per-scenario
 quantity is a ``[lanes]`` float64 array, one lane per scenario, and the state
@@ -73,38 +75,32 @@ class LaneFailures:
             self._live = np.flatnonzero(self.running)
 
 
-def rk4_step(
-    plant,
-    state: Sequence[float],
-    u,
-    d_eval: Callable[[float], object],
-    t: float,
-    dt: float,
-):
+def rk4_step(derivative, state: Sequence[float], u, d: Sequence, dt: float):
     """Classical 4th-order Runge-Kutta step with u held over the step, on a
     state of Python floats; a chain run calls it only to build its step map.
 
-    ``plant.derivative(state, u, d, t)`` gives the state derivative, a
-    sequence of floats, for the held control u and the disturbance value d.
-    The disturbance evaluator is sampled at the stage times. The new state is
-    returned unchecked, possibly non-finite: the caller's loop runs
-    :func:`check_state` on it at the top of its next step.
+    ``derivative(state, u, d)`` gives the state derivative, a sequence of
+    floats, for the held control u and the disturbance value d. ``d`` holds
+    the disturbance at the three stage times t, t + dt/2 and t + dt, the only
+    values of it a step reads. The new state is returned unchecked, possibly
+    non-finite: the caller's loop runs :func:`check_state` on it at the top
+    of its next step.
     """
     if not (dt > 0.0):
         raise ConfigError(f"dt must be positive, got {dt!r}")
     half = 0.5 * dt
-    d0, dm, d1 = d_eval(t), d_eval(t + half), d_eval(t + dt)
-    ks = [plant.derivative(state, u, d0, t)]
+    d0, dm, d1 = d
+    ks = [derivative(state, u, d0)]
     # plain loops, as a comprehension would add a frame per call
-    for h, d in ((half, dm), (half, dm), (dt, d1)):
+    for h, dh in ((half, dm), (half, dm), (dt, d1)):
         stage = []
         for x, k in zip(state, ks[-1]):
             stage.append(x + h * k)
-        ks.append(plant.derivative(stage, u, d, t + h))
+        ks.append(derivative(stage, u, dh))
     sixth = dt / 6.0
     out = []
-    for x, a, b, c, d in zip(state, *ks):
-        out.append(x + sixth * (a + 2.0 * (b + c) + d))
+    for x, a, b, c, e in zip(state, *ks):
+        out.append(x + sixth * (a + 2.0 * (b + c) + e))
     return out
 
 

@@ -16,6 +16,8 @@ _W, _H = 800, 480
 _ML, _MR, _MT, _MB = 70, 20, 36, 48  # margins
 _TICKS = 5  # at most this many tick intervals per axis
 _FMAX = sys.float_info.max
+# a span below this has a subnormal tick step, which can round to 0
+_NARROW = _TICKS * sys.float_info.min
 
 
 def _ticks(lo: float, hi: float) -> list[float]:  # line_plot_svg gives lo < hi
@@ -52,12 +54,13 @@ def line_plot_svg(x: Sequence[float], series: dict[str, Sequence[float]],
     x_lo, x_hi = min(xs), max(xs)
     y_lo = min(yv for points in lines.values() for _, yv in points)
     y_hi = max(yv for points in lines.values() for _, yv in points)
-    # a constant range is widened by 1.0, or by |v| / 2**20 where that is
-    # more, so that its ticks step past the rounding of v; never past _FMAX
-    if y_hi == y_lo:
+    # a constant or subnormal-span range is widened by 1.0, or by |v| / 2**20
+    # where that is more, so that its ticks step past the rounding of v;
+    # never past _FMAX
+    if y_hi - y_lo < _NARROW:
         pad = max(1.0, abs(y_lo) * 2.0**-20)
         y_lo, y_hi = max(y_lo - pad, -_FMAX), min(y_hi + pad, _FMAX)
-    if x_hi == x_lo:
+    if x_hi - x_lo < _NARROW:
         pad = max(1.0, abs(x_lo) * 2.0**-20)
         x_lo, x_hi = (x_lo, x_lo + pad) if x_lo + pad <= _FMAX else (x_lo - pad, x_lo)
 

@@ -481,6 +481,30 @@ class TestSimulate:
         assert "nan" not in svg and "inf" not in svg
         assert len(re.findall(r'text-anchor="end"', svg)) >= 2
 
+    @pytest.mark.parametrize("ys", [
+        [0.0, 5e-324],  # span / _TICKS underflows to 0
+        [-5e-324, 5e-324],
+        [0.0, 2.5e-323],  # 10 ** floor(log10(span / _TICKS)) does
+    ], ids=["zero_to_min", "min_to_min", "zero_to_5_min"])
+    def test_a_subnormal_range_is_widened_as_a_constant_one(self, ys):
+        svg = line_plot_svg([0.0, 1.0], {"u": ys})
+        assert re.findall(r'text-anchor="end"[^>]*>([^<]*)</text>', svg) == [
+            "-1", "-0.5", "0", "0.5", "1"]
+        assert re.findall(r'points="([^"]*)"', svg) == ["70.00,234.00 780.00,234.00"]
+        svg = line_plot_svg(ys, {"u": [0.0, 1.0]})
+        assert re.findall(r'font-size="11"[^>]*>([^<]*)</text>', svg)[:6] == [
+            "0", "0.2", "0.4", "0.6", "0.8", "1"]
+
+    def test_a_run_with_a_subnormal_state_is_plotted(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, "plant.kind = chain\nplant.order = 2\n"
+                          "plant.x0 = 5e-324,0\ncontroller.kind = homogeneous\n"
+                          "sim.dt = 0.01\nsim.duration = 1.0\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", conf, "--out", str(out), "--plots"]) == 0
+        capsys.readouterr()
+        for name in ("plot_state.svg", "plot_control.svg", "plot_observer.svg"):
+            assert "polyline" in (out / name).read_text()
+
     # A tick step below half the rounding unit of the values leaves a tick
     # unchanged when added. Each case runs in its own interpreter with a
     # timeout and 1 GiB of data, so that a tick loop that never ends, and
@@ -1075,6 +1099,16 @@ NOISY_DIGESTS = {
                                     "noise.sigma": "0.01,0.02"}),
         "71c4348af648e8b709b87eb13ad9ea2e16f84bfe66509543eaac94b5bc3caf17",
         "0d3ef32ffb8dd8014e15f81765c2c11bef38e197ac16c42a42bbcb8b2f89e12a"),
+    # a vehicle bias that varies within a step, so that each RK4 stage reads
+    # its own value, recorded before a step took those values from its caller
+    "vehicle_sinusoid_bias_noisy": (
+        stock("vehicle_bias.conf", **{"sim.duration": 2.0, "disturbance.value": None,
+                                      "disturbance.kind": "sinusoid",
+                                      "disturbance.amplitude": 0.03, "disturbance.freq": 1.3,
+                                      "disturbance.phase": 0.2,
+                                      "noise.sigma": "0.01,0.01,0.001"}),
+        "60f89964c072f920b9b1824d1a75476a4920dede4175a52434736e00b8664501",
+        "781364aa478a0923de11feaacd47cb319554927ac3feb9aff92a299da50e4b4a"),
 }
 
 
@@ -1560,6 +1594,21 @@ class TestBode:
         assert main(["bode", "--config", conf, "--out", str(out),
                      "--points-per-decade", points]) == 2
         assert f"points per decade: must be >= 1, got {points}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # valid bandwidths, which tune takes, whose grid ends leave the floats:
+    # two decades above 1e307 overflow, two below 1e-322 underflow
+    @pytest.mark.parametrize("old,new,ends", [
+        ("controller.omega_f = 10.0", "controller.omega_f = 1e307", "0.02 to inf"),
+        ("controller.omega = 2.0", "controller.omega = 1e-322", "0 to 1000"),
+    ], ids=["omega_f_1e307", "omega_1e-322"])
+    def test_a_grid_end_past_the_floats_exits_2(self, tmp_path, capsys, old, new, ends):
+        conf = write_conf(tmp_path, CHAIN_CONF.replace(old, new))
+        assert main(["tune", "--config", conf]) == 0
+        out = tmp_path / "bode.csv"
+        assert main(["bode", "--config", conf, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: frequency grid: needs finite ends 0 < w_lo < w_hi, got {ends}\n")
         assert not out.exists()
 
     def test_an_error_raised_outside_a_run_exits_2(self, tmp_path, capsys):

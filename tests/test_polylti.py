@@ -207,3 +207,16 @@ class TestFrequencyResponse:
     def test_log_grid_needs_a_point_per_decade(self, points):
         with pytest.raises(ConfigError, match="points per decade"):
             log_grid(0.01, 100.0, points_per_decade=points)
+
+    @pytest.mark.parametrize("w_lo,w_hi", [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0),
+                                           (1.0, math.inf), (math.nan, 1.0)])
+    def test_log_grid_needs_finite_increasing_positive_ends(self, w_lo, w_hi):
+        with pytest.raises(ConfigError, match="needs finite ends"):
+            log_grid(w_lo, w_hi)
+
+    @pytest.mark.parametrize("w_lo,w_hi,points", [(1e-300, 1e300, 50), (0.01, 100.0, 1e308),
+                                                  (0.01, 100.0, 10**400)],
+                             ids=["ratio", "float_points", "int_points"])
+    def test_log_grid_needs_a_finite_point_count(self, w_lo, w_hi, points):
+        with pytest.raises(ConfigError, match="point count .* is not finite"):
+            log_grid(w_lo, w_hi, points)

@@ -21,6 +21,7 @@ from lumped_pid.sim import (CSV_BLOCK, RUNAWAY_BOUND, Scenario, SimTrace, check_
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ZERO = (0.0, 0.0, 0.0)  # a zero disturbance at the three RK4 stage times
 
 
 class Decay(IntegratorChain):
@@ -48,12 +49,12 @@ def make_scenario(**overrides):
 class TestRk4Step:
     def test_zero_derivative_leaves_state(self):
         plant = IntegratorChain(1, 1.0)
-        out = rk4_step(plant, [3.25], 0.0, Constant(0.0), 0.0, 0.1)
+        out = rk4_step(plant.derivative, [3.25], 0.0, ZERO, 0.1)
         assert out == [3.25]
 
     def test_exponential_decay_accuracy(self):
         plant = Decay()
-        out = rk4_step(plant, [1.0], 0.0, Constant(0.0), 0.0, 0.1)
+        out = rk4_step(plant.derivative, [1.0], 0.0, ZERO, 0.1)
         assert abs(out[0] - math.exp(-0.1)) < 1e-7
 
     def test_harmonic_oscillator_energy_drift(self):
@@ -62,9 +63,8 @@ class TestRk4Step:
         period = 2 * math.pi / omega
         dt = period / 1000
         state = [1.0, 0.0]
-        t = 0.0
-        for k in range(1000):
-            state = rk4_step(plant, state, 0.0, Constant(0.0), k * dt, dt)
+        for _ in range(1000):
+            state = rk4_step(plant.derivative, state, 0.0, ZERO, dt)
         e0 = 0.5 * omega * omega * 1.0
         e1 = 0.5 * (omega * omega * state[0] ** 2 + state[1] ** 2)
         assert abs(e1 - e0) / e0 < 1e-8
@@ -76,8 +76,8 @@ class TestRk4Step:
         def global_error(dt):
             state = [1.0]
             steps = int(round(1.0 / dt))
-            for k in range(steps):
-                state = rk4_step(plant, state, 0.0, Constant(0.0), k * dt, dt)
+            for _ in range(steps):
+                state = rk4_step(plant.derivative, state, 0.0, ZERO, dt)
             return abs(state[0] - math.exp(-1.0))
 
         e1, e2, e3 = global_error(0.02), global_error(0.01), global_error(0.005)
@@ -86,13 +86,13 @@ class TestRk4Step:
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ConfigError):
-            rk4_step(IntegratorChain(1, 1.0), [0.0], 0.0, Constant(0.0), 0.0, 0.0)
+            rk4_step(IntegratorChain(1, 1.0).derivative, [0.0], 0.0, ZERO, 0.0)
 
     def test_nonfinite_state_is_returned_and_caught_at_the_next_step(self):
         # rk4_step does not guard its result; check_state, at the top of the
         # next step, is the run's one divergence guard
         plant = IntegratorChain(1, 1.0)
-        out = rk4_step(plant, [0.0], 0.0, Constant(1e308), 0.0, 1.0)
+        out = rk4_step(plant.derivative, [0.0], 0.0, (1e308,) * 3, 1.0)
         assert not math.isfinite(out[0])
         # a chain run steps by its RK4 map, which folds the sum k1 + 2 (k2 +
         # k3) + k4 that overflows above into one weight per stage time: the
@@ -179,8 +179,9 @@ class TestRk4Map:
     @given(chain_steps())
     def test_a_map_step_is_an_rk4_step(self, case):
         plant, dt, f0, t, state, bu = case
-        expected = rk4_step(plant, state, bu, f0, t, dt)
-        out = chain.rk4_map(plant, dt)(state, bu, (f0(t), f0(t + 0.5 * dt), f0(t + dt)))
+        d = (f0(t), f0(t + 0.5 * dt), f0(t + dt))
+        expected = rk4_step(plant.derivative, state, bu, d, dt)
+        out = chain.rk4_map(plant, dt)(state, bu, d)
         tol = 1e-12 * (1.0 + max(map(abs, state)))
         assert all(abs(a - b) <= tol for a, b in zip(out, expected)), (out, expected)
 

@@ -17,7 +17,6 @@ from lumped_pid.errors import (
     SteeringLimitError,
 )
 from lumped_pid.plants.vehicle import (
-    Bicycle,
     FrenetPath,
     LateralErrorState,
     LateralObserverController,
@@ -93,11 +92,11 @@ class TestBicycleDerivative:
         L, v, delta = 2.7, 10.0, 0.1
         radius = L / math.tan(delta)
         period = 2 * math.pi * radius / v
-        plant = Bicycle(L, v)
         dt = period / 20000
         state = [0.0, 0.0, 0.0]
-        for k in range(20000):
-            state = rk4_step(plant, state, delta, Constant(0.0), k * dt, dt)
+        for _ in range(20000):
+            state = rk4_step(lambda x, u, d: bicycle_derivative(x, v, u, d, L),
+                             state, delta, (0.0, 0.0, 0.0), dt)
         assert abs(state[0]) < 1e-6
         assert abs(state[1]) < 1e-6
         assert wrap_angle(state[2]) == pytest.approx(0.0, abs=1e-6)
@@ -476,6 +475,20 @@ class TestFrenetMatchCalls:
         assert calls["_sample_tangency"] <= 3
         assert err.segment == segment
         assert abs(err.s_d - bisection_match(path, pose[0], pose[1])) <= 1e-12
+
+
+def test_a_run_samples_its_bias_three_times_a_step():
+    # at t for the controller, the trace and the first RK4 stage, then at
+    # t + dt/2 and t + dt for the later stages; the last step samples t only
+    times = []
+
+    def bias(t):
+        times.append(t)
+        return math.radians(2.0)
+
+    run_scenario(vehicle_scenario(disturbance=bias, duration=0.05))
+    assert len(times) == 3 * 50 + 1
+    assert times[:4] == [0.0, 0.0005, 0.001, 0.001]
 
 
 def lateral_error_derivatives(err: LateralErrorState, delta: float, d: float,
