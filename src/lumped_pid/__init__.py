@@ -20,7 +20,6 @@ from .controller import (
     closed_loop_tf,
     homogeneous_control,
     observer_tfs,
-    reduce_to_pi,
     reduce_to_pid,
     synthesize_gains,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "homogeneous_control",
     "observer_tfs",
     "poly_mul",
-    "reduce_to_pi",
     "reduce_to_pid",
     "rk4_step",
     "run_scenario",

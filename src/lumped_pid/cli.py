@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .analysis import MetricsRow, default_grid, table_line, trace_metrics, write_metrics_csv
 from .config import build_scenario, load_config
-from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_to_pi, reduce_to_pid, synthesize_gains
+from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_to_pid, synthesize_gains
 from .errors import ConfigError, LumpedPidError
 from .plants import chain, plant_module
 from .polylti import MAX_ORDER, frequency_response
@@ -84,9 +84,8 @@ def cmd_tune(args) -> int:
     rows = [("n", config.n), ("b", config.b), ("omega", config.omega), ("omega_f", config.omega_f),
             *((f"a{i}", a) for i, a in enumerate(synthesize_gains(config.n, config.omega)))]
     head = len(rows)
-    reduction = {1: reduce_to_pi, 2: reduce_to_pid}.get(config.n)
-    if reduction is not None:
-        classic = reduction(config)
+    if config.n <= 2:
+        classic = reduce_to_pid(config)
         for k, v in (("kd", classic.kd), ("kp", classic.kp), ("ki", classic.ki)):
             if v is not None:
                 rows += [(k, v), (f"{k}_over_b", v / config.b)]
@@ -94,7 +93,7 @@ def cmd_tune(args) -> int:
     # classic gains (each followed by its value over b) on two lines
     lines = [f"{name:<9}= {value:{'g' if i < 4 else '.12g'}}"
              for i, (name, value) in enumerate(rows[:head])]
-    if reduction is None:
+    if config.n > 2:
         lines.append("no classic PI/PID reduction exists beyond n = 2; "
                      "use the generalized gains above")
     else:

@@ -9,8 +9,9 @@ The control input is split as ``u = (u_x - f_hat) / b`` where
   the lumped disturbance with bandwidth ``omega_f``.
 
 For first- and second-order plants this composition collapses to the classic
-PI/PID controller; :func:`reduce_to_pi` and :func:`reduce_to_pid` give the
-closed-form gains and :class:`GeneralizedController` can step either the
+PI/PID controller, whose gains are the coefficients of the closed loop's
+polynomial ``(s+omega)^n (s+omega_f)`` below the leading one
+(:func:`reduce_to_pid`); :class:`GeneralizedController` can step either the
 literal integral form or the algebraically reduced PID form (see the class
 docstring for when the two discretizations differ). :func:`observer_step` is
 the integral form's one channel: the vehicle's lateral law steps through it,
@@ -97,24 +98,19 @@ def observer_step(a: Sequence[float], z: Sequence[float], integ: Integrator,
     return u_x, omega_f * (z[-1] - integ.push(u_x, dt))
 
 
-def reduce_to_pi(config: ControllerConfig) -> ClassicPidGains:
-    """First-order reduction: kp = a0 = omega, ki = omega_f * a0 (pre-1/b)."""
-    if config.n != 1:
-        raise OrderMismatchError(f"PI reduction requires n=1, got n={config.n}")
-    (a0,) = synthesize_gains(1, config.omega)
-    return ClassicPidGains(kp=a0, ki=config.omega_f * a0, kd=None)
-
-
 def reduce_to_pid(config: ControllerConfig) -> ClassicPidGains:
-    """Second-order reduction with (a0, a1) of :func:`synthesize_gains` (pre-1/b):
+    """Classic gains of the n = 1 or 2 law (pre-1/b): the coefficients of
+    :func:`closed_loop_tf`'s denominator ``(s+omega)^n (s+omega_f)`` below
+    the leading one, ``(ki, kp)`` for a PI and ``(ki, kp, kd)`` for a PID.
 
-    kd = a1 + omega_f, kp = a0 + omega_f*a1, ki = omega_f*a0.
+    So a PI has kp = omega + omega_f, ki = omega_f*omega, and a PID with
+    (a0, a1) of :func:`synthesize_gains` has kd = a1 + omega_f,
+    kp = a0 + omega_f*a1, ki = omega_f*a0.
     """
-    if config.n != 2:
-        raise OrderMismatchError(f"PID reduction requires n=2, got n={config.n}")
-    a0, a1 = synthesize_gains(2, config.omega)
-    wf = config.omega_f
-    return ClassicPidGains(kp=a0 + wf * a1, ki=wf * a0, kd=a1 + wf)
+    if config.n not in (1, 2):
+        raise OrderMismatchError(f"PI/PID reduction requires n in {{1, 2}}, got {config.n}")
+    ki, kp, *kd = closed_loop_tf(config).denominator.coeffs[:-1]
+    return ClassicPidGains(kp=kp, ki=ki, kd=kd[0] if kd else None)
 
 
 def closed_loop_tf(config: ControllerConfig) -> RationalTransferFunction:
@@ -151,12 +147,11 @@ class GeneralizedController:
       running integral of x alone. This is the classic PI/PID law under a
       shared quadrature rule, equal up to rounding for any measurement
       sequence; criterion 1 bounds the per-step difference by 1e-9.
-      Following the PI reduction, the n=1
-      variant omits the direct measurement term from the estimate.
 
     The two forms agree in continuous time; discretely they differ by the
-    quadrature error of the top-derivative channel (and, for n=1, by the
-    omitted direct term), which is why both are provided.
+    quadrature error of the top-derivative channel, which is why both are
+    provided. At n = 1, ``u_x = -a0 x`` has no derivative channel, so the
+    two forms are one law up to rounding.
 
     The running integral starts at 0, or at the first z^(n-1) with
     ``seed_integral``: the omitted initial-value term is part of the lumped
@@ -203,8 +198,7 @@ class GeneralizedController:
             red = a[0] * integral
             for i in range(1, n):
                 red += a[i] * z[i - 1]
-            top = z[n - 1] if n >= 2 else 0.0
-            f_hat = self.omega_f * (top + red)
+            f_hat = self.omega_f * (z[n - 1] + red)
         self.u_x = ux
         self.f_hat = f_hat
         return (ux - f_hat) / self.b
@@ -228,7 +222,7 @@ class HomogeneousController:
 
 class ClassicPidController:
     """Textbook PI/PID stepping (n = 1 or 2) with the gains of
-    :func:`reduce_to_pi` / :func:`reduce_to_pid`:
+    :func:`reduce_to_pid`, which closes the loop on ``(s+omega)^n (s+omega_f)``:
     ``u = -(kd*e_dot + kp*e + ki*integral(e))/b``, the integral accumulated
     with the observer's quadrature rule; a PI holds ``kd = 0.0`` against
     its zero ``e_dot``."""
@@ -236,9 +230,7 @@ class ClassicPidController:
     LANE_FIELDS = ("kp", "ki", "kd")
 
     def __init__(self, config: ControllerConfig, rule: str = RECTANGULAR):
-        if config.n not in (1, 2):
-            raise OrderMismatchError(f"classic PID stepping requires n in {{1, 2}}, got {config.n}")
-        gains = reduce_to_pi(config) if config.n == 1 else reduce_to_pid(config)
+        gains = reduce_to_pid(config)
         self.n, self.b, self.dt = config.n, config.b, config.dt
         self.kp, self.ki = gains.kp, gains.ki
         self.kd = 0.0 if gains.kd is None else gains.kd

@@ -21,6 +21,9 @@ POLE_EPS = 1e-300
 # Synthesis order cap; binomials are computed in exact integer arithmetic.
 MAX_ORDER = 20
 
+# Frequency grid cap: log_grid builds its points as one list.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -144,7 +147,7 @@ def frequency_response(tf: RationalTransferFunction, freqs: Sequence[float]) -> 
 def log_grid(w_lo: float, w_hi: float, points_per_decade: int = 50) -> list[float]:
     """Logarithmic frequency grid over ``0 < w_lo < w_hi``, endpoints included.
     Ends outside that range, infinite ones too, or a point count that is not
-    finite, are a ConfigError."""
+    finite or above MAX_GRID_POINTS, are a ConfigError."""
     if points_per_decade < 1:
         raise ConfigError(f"points per decade: must be >= 1, got {points_per_decade}")
     if not 0.0 < w_lo < w_hi < math.inf:
@@ -158,6 +161,9 @@ def log_grid(w_lo: float, w_hi: float, points_per_decade: int = 50) -> list[floa
         raise ConfigError(f"frequency grid: the point count from {w_lo:g} to {w_hi:g} "
                           f"at the given points per decade is not finite")
     n = max(2, int(round(count)) + 1)
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(f"frequency grid: {n} points from {w_lo:g} to {w_hi:g}, "
+                          f"more than the {MAX_GRID_POINTS} a grid may hold")
     step = (math.log10(w_hi) - math.log10(w_lo)) / (n - 1)
     return [10.0 ** (math.log10(w_lo) + k * step) for k in range(n)]
 

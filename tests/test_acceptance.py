@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumped_pid.analysis import check_bound, trace_metrics
 from lumped_pid.cli import main as cli_main
@@ -96,6 +98,44 @@ def test_gain_formula_structural_identity():
     den = poly_mul(binomial_poly(2.0, 2), Polynomial((10.0, 1.0)))
     assert den.coeffs == (40.0, 44.0, 14.0, 1.0)
     assert den.coeffs[:3] == (gains.ki, gains.kp, gains.kd)
+
+
+@criterion("criterion 1b: the closed-loop PI is the decomposition (n = 1)")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([RECTANGULAR, TRAPEZOIDAL]), st.floats(0.2, 8.0), st.floats(0.5, 40.0),
+       st.floats(0.2, 5.0) | st.floats(-5.0, -0.2), st.floats(-2.0, 2.0),
+       st.floats(1e-4, 2e-3), st.integers(100, 1000), st.sampled_from([0.0, 0.01]))
+def test_pi_is_the_decomposition_on_a_closed_loop(rule, omega, omega_f, b, x0, dt, steps, sigma):
+    # the classic PI and the integral form, each closing the loop on the same
+    # noisy measurements, give the same u up to rounding
+    def control(kind):
+        return run_scenario(chain_scenario(
+            plant={"order": 1, "b": b, "x0": (x0,)},
+            controller={"kind": kind, "omega": omega, "omega_f": omega_f, "quadrature": rule},
+            disturbance=Sinusoid(1.0, 3.0), noise=(sigma,), dt=dt, duration=steps * dt))["u"]
+
+    classic, generalized = control("pid"), control("generalized")
+    gap = float(np.max(np.abs(classic - generalized)))
+    assert gap <= 1e-12 * float(np.max(np.abs(generalized))), f"max|du| {gap:.3e}"
+
+
+@criterion("criterion 2 (n = 1): the PI closes the loop on (s+omega)(s+omega_f)")
+def test_pi_gains_and_step_response():
+    config = ControllerConfig(n=1, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3)
+    gains = reduce_to_pid(config)
+    den = closed_loop_tf(config).denominator
+    assert den.coeffs == (20.0, 12.0, 1.0)
+    assert den.coeffs[:2] == (gains.ki, gains.kp)
+    # a unit step disturbance: x = (e^-2t - e^-10t) / 8, which G(s) = s/((s+2)(s+10))
+    # gives, peaks at 0.067 and never changes sign
+    trace = run_scenario(chain_scenario(
+        plant={"order": 1, "b": 1.0},
+        controller={"kind": "pid", "omega": 2.0, "omega_f": 10.0},
+        disturbance=Step(1.0, t_start=0.0)))
+    x, t = trace["x0"], trace.t
+    gap = float(np.max(np.abs(x - (np.exp(-2.0 * t) - np.exp(-10.0 * t)) / 8.0)))
+    assert gap <= 5e-4, f"max deviation from G(s)'s step response {gap:.3e}"
+    assert float(np.min(x)) >= 0.0, f"x0 goes negative: {float(np.min(x)):.3e}"
 
 
 @criterion("criterion 3: ultimate bound on the homogeneous system")

@@ -5,10 +5,13 @@ import re
 import runpy
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumped_pid import cli
 from lumped_pid.cli import main
@@ -159,8 +162,8 @@ class TestTune:
         conf = write_conf(tmp_path, text)
         assert main(["tune", "--config", conf]) == 0
         out = capsys.readouterr().out
-        assert "kp = 5" in out and "ki = 100" in out
-        assert "kp/b = 2.5" in out and "ki/b = 50" in out
+        assert "kp = 25" in out and "ki = 100" in out
+        assert "kp/b = 12.5" in out and "ki/b = 50" in out
 
     def test_higher_order_has_no_reduction(self, tmp_path, capsys):
         text = CHAIN_CONF.replace("plant.order = 2", "plant.order = 3")
@@ -544,6 +547,36 @@ class TestSimulate:
         assert not (tmp_path / "plot.svg").exists()
 
 
+def _narrow_samples(c):
+    """Samples a few ulps, or a relative 1e-9 at most, from c."""
+    return st.lists(st.integers(-8, 8).map(lambda k: c + k * math.ulp(c))
+                    | st.floats(-1e-9, 1e-9).map(lambda r: c * (1.0 + r)),
+                    min_size=1, max_size=20)
+
+
+# finite samples of any size, subnormals and +-max among them, or a narrow
+# span of 2**53-scale values
+PLOT_SAMPLES = (
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)
+             | st.sampled_from([0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]),
+             min_size=1, max_size=20)
+    | (st.floats(2.0**52, 2.0**54) | st.floats(-(2.0**54), -(2.0**52))).flatmap(_narrow_samples))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PLOT_SAMPLES, PLOT_SAMPLES)
+def test_a_plot_of_finite_samples_is_finite_and_in_its_view_box(xs, ys):
+    size = min(len(xs), len(ys))
+    start = time.perf_counter()
+    svg = line_plot_svg(xs[:size], {"u": ys[:size]})
+    assert time.perf_counter() - start < 2.0
+    assert "nan" not in svg and "inf" not in svg
+    (points,) = re.findall(r'points="([^"]*)"', svg)
+    for point in points.split():
+        px, py = map(float, point.split(","))
+        assert 0.0 <= px <= 800.0 and 0.0 <= py <= 480.0, point
+
+
 class TestOneRowTrace:
     """A trace of one row, at t = 0, spans no time: its metrics row reads ok
     and leaves the bound blank, as any tail too short for the bound does."""
@@ -908,7 +941,8 @@ SWEEP_DIGESTS = {
         "7", 0, "a2fcdea4d23464ff06e6a365743f126f9eadfaf8dcadd5f3be31ce5de782635e"),
     # the chain controller settings the cases above leave at their defaults,
     # 8 cells in lockstep each, recorded before each controller held its
-    # gains as plain attributes
+    # gains as plain attributes; the PI's re-recorded when its kp became
+    # omega + omega_f
     "chain_step_2s_pid": (
         stock("chain_step.conf", **{"sim.duration": 2.0, "controller.kind": "pid"}),
         LANE_GRID, (),
@@ -917,7 +951,7 @@ SWEEP_DIGESTS = {
         stock("chain_step.conf", **{"sim.duration": 2.0, "controller.kind": "pid",
                                     "plant.order": 1}),
         LANE_GRID, (),
-        None, 0, "73873c47bf2029148043d2c9f4a847442de779b762a47d2966853faaf9b8ed6c"),
+        None, 0, "d7cdfb8f512c088e59ba0ddc53707468e8cf2000aab76976d6812da022847f86"),
     "chain_step_2s_observer_form_pid": (
         stock("chain_step.conf", **{"sim.duration": 2.0, "controller.observer_form": "pid"}),
         LANE_GRID, (),
@@ -996,10 +1030,11 @@ def test_stock_config_bytes_match_recorded_digest(tmp_path, capsys, monkeypatch,
 
 
 # CHAIN_CONF's plant.order and plant.b: SHA-256 of tune's stdout, of its --out
-# CSV and of bode's CSV, recorded before every CSV went through one writer
+# CSV and of bode's CSV, recorded before every CSV went through one writer;
+# order 1's tune digests re-recorded when the PI's kp became omega + omega_f
 TUNE_DIGESTS = {
-    "order_1": (1, 1.0, "0eab216d1023ae1d0ce452fa1a97a5b5d898d65d322108de6fb8a9d159f64da7",
-                "0365ca6d72195e198653d545c934691a6a6d398a3a8411cf9056438087322639",
+    "order_1": (1, 1.0, "cdd4fbecf1e4219208a855571e8a08a3019c1bd3f767541a02d55c0e52277025",
+                "276aa0a7273942cfc803fff88aa409e270eb9c5c62e970cbf993c6ed6f38fdd7",
                 "3e55d03231e2ed2fbc38c3cf308b2930fd7138ba58c644386e2f9ad3e7002006"),
     "order_2": (2, 1.0, "f542e7875c6954a5f027d93868a63cacef73e570062af649b1cad0e43e45e47f",
                 "e0e7e7e949d6b2045415057de5f1fd429e3131c39a8d62ec4767ca891790cbf1",
@@ -1088,12 +1123,13 @@ NOISY_DIGESTS = {
         "de2ee0523d636b5ab7c1d7074c3459f295d04ef601ffbe07200578df76cc0fb9",
         "ff0a84bd717dcf4cf19407527f7b113368c96d8a4f075d23eaafad7062abdad6"),
     # the float paths of the classic PI and of the reduced observer form,
-    # recorded before each controller held its gains as plain attributes
+    # recorded before each controller held its gains as plain attributes;
+    # the PI's re-recorded when its kp became omega + omega_f
     "chain_pi_noisy": (
         stock("chain_step.conf", **{"controller.kind": "pid", "plant.order": 1,
                                     "sim.duration": 2.0, "noise.sigma": 0.01}),
-        "a370392c11815d4f55c11cbcf6d59f4dd2afafa80a3e6846bc2f8fae09a1ca30",
-        "083e22bef605306609b7966f0a49d52e4a0aca16db25ca029b6072920f604cf4"),
+        "f99da23531fd5afa6a6b86a2258c8f347da68f67f6d4cf4f637bae2bc4c9cf64",
+        "b97b84356ae47b91948bcf4c572659d1335309ff348f9a40a13defc0590dba01"),
     "chain_observer_form_pid_noisy": (
         stock("chain_step.conf", **{"controller.observer_form": "pid", "sim.duration": 2.0,
                                     "noise.sigma": "0.01,0.02"}),
@@ -1594,6 +1630,16 @@ class TestBode:
         assert main(["bode", "--config", conf, "--out", str(out),
                      "--points-per-decade", points]) == 2
         assert f"points per decade: must be >= 1, got {points}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_grid_past_the_point_cap_exits_at_once(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, CHAIN_CONF)
+        out = tmp_path / "bode.csv"
+        start = time.perf_counter()
+        assert main(["bode", "--config", conf, "--out", str(out),
+                     "--points-per-decade", "1000000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "more than the 1000000 a grid may hold" in capsys.readouterr().err
         assert not out.exists()
 
     # valid bandwidths, which tune takes, whose grid ends leave the floats:

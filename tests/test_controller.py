@@ -15,7 +15,6 @@ from lumped_pid.controller import (
     homogeneous_control,
     lockstep_controller,
     observer_tfs,
-    reduce_to_pi,
     reduce_to_pid,
     synthesize_gains,
 )
@@ -169,16 +168,16 @@ class TestReductions:
         assert (g.kd, g.kp, g.ki) == (a1 + 7.0, a0 + 7.0 * a1, 7.0 * a0)
 
     def test_pi_values(self):
-        g = reduce_to_pi(cfg(n=1, omega=5.0, omega_f=20.0))
-        assert (g.kp, g.ki, g.kd) == (5.0, 100.0, None)
+        g = reduce_to_pid(cfg(n=1, omega=5.0, omega_f=20.0))
+        assert (g.kp, g.ki, g.kd) == (25.0, 100.0, None)
 
     def test_pi_unit(self):
-        g = reduce_to_pi(cfg(n=1, omega=1.0, omega_f=1.0))
-        assert (g.kp, g.ki) == (1.0, 1.0)
+        g = reduce_to_pid(cfg(n=1, omega=1.0, omega_f=1.0))
+        assert (g.kp, g.ki) == (2.0, 1.0)
 
     def test_pi_fractional(self):
-        g = reduce_to_pi(cfg(n=1, omega=0.5, omega_f=4.0))
-        assert (g.kp, g.ki) == (0.5, 2.0)
+        g = reduce_to_pid(cfg(n=1, omega=0.5, omega_f=4.0))
+        assert (g.kp, g.ki) == (4.5, 2.0)
 
     def test_pid_values(self):
         g = reduce_to_pid(cfg(n=2, omega=2.0, omega_f=10.0))
@@ -195,10 +194,10 @@ class TestReductions:
         assert (g.kd, g.kp, g.ki) == (12.0, 45.0, 54.0)
 
     def test_order_mismatch(self):
-        with pytest.raises(OrderMismatchError):
-            reduce_to_pi(cfg(n=2))
-        with pytest.raises(OrderMismatchError):
-            reduce_to_pid(cfg(n=1))
+        with pytest.raises(OrderMismatchError, match="requires n in {1, 2}, got 3"):
+            reduce_to_pid(cfg(n=3))
+        reduce_to_pid(cfg(n=1))
+        reduce_to_pid(cfg(n=2))
 
 
 class TestClassicPidStep:

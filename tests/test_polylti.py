@@ -6,6 +6,7 @@ import pytest
 
 from lumped_pid.errors import ConfigError, PoleHitError
 from lumped_pid.polylti import (
+    MAX_GRID_POINTS,
     Polynomial,
     RationalTransferFunction,
     binomial_poly,
@@ -220,3 +221,9 @@ class TestFrequencyResponse:
     def test_log_grid_needs_a_finite_point_count(self, w_lo, w_hi, points):
         with pytest.raises(ConfigError, match="point count .* is not finite"):
             log_grid(w_lo, w_hi, points)
+
+    def test_log_grid_holds_at_most_the_point_cap(self):
+        # 1e3 to 1e4 at k points per decade is k + 1 points
+        assert len(log_grid(1e3, 1e4, MAX_GRID_POINTS - 1)) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match=f"{MAX_GRID_POINTS + 1} points from 1000 to 10000"):
+            log_grid(1e3, 1e4, MAX_GRID_POINTS)
