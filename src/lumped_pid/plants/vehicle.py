@@ -12,7 +12,7 @@ l'' = cos(e_theta) (r_s kappa_d - tan(delta + d)/L).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,19 +92,23 @@ def wrap_angle(a: float) -> float:
     return a - math.pi
 
 
-def bicycle_derivative(state, v: float, delta: float, d: float, L: float):
-    """The kinematic bicycle's derivative of (x, y, theta) at speed v, steering
-    delta and steering bias d: (v cos th, v sin th, v tan(delta+d)/L). Errors
-    out near |delta+d| = pi/2."""
-    eff = delta + d
-    if abs(eff) >= STEER_LIMIT:
-        raise SteeringLimitError(f"effective steering {eff:g} rad at the +-pi/2 limit")
-    theta = state[2]
-    return [v * math.cos(theta), v * math.sin(theta), v * math.tan(eff) / L]
+def bicycle(v: float, L: float):
+    """The kinematic bicycle at speed v and wheelbase L as the ``derivative(state,
+    delta, d)`` of (x, y, theta) that :func:`~lumped_pid.sim.rk4_step` takes, at
+    steering delta and steering bias d: (v cos th, v sin th, v tan(delta+d)/L).
+    Errors out near |delta+d| = pi/2."""
+
+    def derivative(state, delta: float, d: float):
+        eff = delta + d
+        if eff >= STEER_LIMIT or eff <= -STEER_LIMIT:
+            raise SteeringLimitError(f"effective steering {eff:g} rad at the +-pi/2 limit")
+        theta = state[2]
+        return v * math.cos(theta), v * math.sin(theta), v * math.tan(eff) / L
+
+    return derivative
 
 
-@dataclass(frozen=True)
-class LateralErrorState:
+class LateralErrorState(NamedTuple):
     l: float        # signed lateral error [m]
     e_theta: float  # heading error theta_d - theta, wrapped to (-pi, pi]
     s_d: float      # matched arc length [m]
@@ -228,7 +232,8 @@ def _tangency_root(path: FrenetPath, i: int, g0: float, px: float, py: float) ->
     dy = path._yf[i + 1] - y0
     dth = path._tf[i + 1] - t0
     chord2 = dx * dx + dy * dy
-    a = min(max(((px - x0) * dx + (py - y0) * dy) / chord2, 0.0), 1.0) if chord2 else 0.5
+    a = ((px - x0) * dx + (py - y0) * dy) / chord2 if chord2 else 0.5
+    a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
     lo, hi = 0.0, 1.0
     for _ in range(ROOT_STEPS):
         th = t0 + a * dth
@@ -261,12 +266,12 @@ def _nearest_sample(path: FrenetPath, px: float, py: float, hint_index: int) -> 
     on a unimodal distance profile that is the nearest sample of the window."""
     xs, ys = path._xf, path._yf
     n = len(xs)
-    start = min(max(hint_index, 0), n - 1)
+    start = 0 if hint_index < 0 else n - 1 if hint_index >= n else hint_index
     dx = xs[start] - px
     dy = ys[start] - py
     best_i, best_d2 = start, dx * dx + dy * dy
-    for step, stop in ((1, min(n - 1, start + DESCENT_REACH)),
-                       (-1, max(0, start - DESCENT_REACH))):
+    for step, stop in ((1, start + DESCENT_REACH if start + DESCENT_REACH < n else n - 1),
+                       (-1, start - DESCENT_REACH if start > DESCENT_REACH else 0)):
         while best_i != stop:
             dx = xs[best_i + step] - px
             dy = ys[best_i + step] - py
@@ -332,10 +337,10 @@ def frenet_match(
             raise AmbiguousMatchError(f"samples {best_i} and {far[0]} are equally close to the pose")
 
     # g once at each sample from best_i - 1 to best_i + 1 within the table
-    lo = max(best_i - 1, 0)
+    lo = best_i - 1 if best_i else 0
     g_next = _sample_tangency(path, lo, px, py)
     match = None
-    for i in range(lo, min(best_i + 1, n - 1)):
+    for i in range(lo, best_i + 1 if best_i < n - 1 else n - 1):
         g0, g_next = g_next, _sample_tangency(path, i + 1, px, py)
         if not (g0 == 0.0 or g0 * g_next <= 0.0):
             continue
@@ -351,8 +356,7 @@ def frenet_match(
     e_y = y_d - py
     l = -e_x * math.sin(theta_d) + e_y * math.cos(theta_d)
     e_theta = wrap_angle(theta_d - ptheta)
-    return LateralErrorState(l=l, e_theta=e_theta, s_d=s_d, theta_d=theta_d,
-                             kappa_d=kappa_d, segment=segment)
+    return LateralErrorState(l, e_theta, s_d, theta_d, kappa_d, segment)
 
 
 def _check_heading(e_theta: float) -> float:
@@ -416,9 +420,7 @@ def run(scenario: Scenario) -> SimTrace:
     capture = opts["capture_radius"]
     copts = scenario.controller
     path = _build_path(opts["path"])
-
-    def bicycle(state, delta, d):
-        return bicycle_derivative(state, v, delta, d, L)
+    derivative = bicycle(v, L)
 
     a = synthesize_gains(2, copts["omega"])
     bias = scenario.disturbance  # steering disturbance signal d(t) [rad]
@@ -449,11 +451,11 @@ def run(scenario: Scenario) -> SimTrace:
             else:
                 e = noise[k].tolist()
                 pose = (state[0] + e[0], state[1] + e[1], state[2] + e[2])
-            err = frenet_match(path, pose, capture_radius=capture, hint_index=hint)
-            hint = err.segment
+            err = frenet_match(path, pose, capture, hint)
+            l, e_theta, s_d, _, kappa_d, hint = err
             d_now = bias(t)
             if controller is None:
-                u_x = -homogeneous_control(a, (err.l, math.sin(err.e_theta)))
+                u_x = -homogeneous_control(a, (l, math.sin(e_theta)))
                 delta = lateral_controller_known_d(err, u_x, d_now, L)
                 d_hat = math.nan
             else:
@@ -461,18 +463,18 @@ def run(scenario: Scenario) -> SimTrace:
                 u_x = controller.u_x
                 d_hat = controller.d_hat
             # diagnostics: true r_s from matched-point speed, and the lumped term
-            r_s = 1.0 if prev_sd is None else (err.s_d - prev_sd) / ds
-            prev_sd = err.s_d
+            r_s = 1.0 if prev_sd is None else (s_d - prev_sd) / ds
+            prev_sd = s_d
             tan_d = math.tan(d_now)
             tan_delta = math.tan(delta)
-            d_lump = math.cos(err.e_theta) * (
-                r_s * err.kappa_d
+            d_lump = math.cos(e_theta) * (
+                r_s * kappa_d
                 - tan_d * (1.0 + tan_delta * tan_delta) / (L * (1.0 - tan_delta * tan_d))
             )
-            rec.record(k, [t, *state, err.s_d, err.l, err.e_theta, delta,
+            rec.record(k, [t, *state, s_d, l, e_theta, delta,
                            u_x, d_hat, d_now, d_lump, r_s])
             if k < n_steps:
-                state = rk4_step(bicycle, state, delta,
+                state = rk4_step(derivative, state, delta,
                                  (d_now, bias(t + half), bias(t + dt)), dt)
     except LumpedPidError as exc:
         exc.at(k, t)

@@ -77,29 +77,35 @@ class LaneFailures:
 
 def rk4_step(derivative, state: Sequence[float], u, d: Sequence, dt: float):
     """Classical 4th-order Runge-Kutta step with u held over the step, on a
-    state of Python floats; a chain run calls it only to build its step map.
-
-    ``derivative(state, u, d)`` gives the state derivative, a sequence of
-    floats, for the held control u and the disturbance value d. ``d`` holds
-    the disturbance at the three stage times t, t + dt/2 and t + dt, the only
-    values of it a step reads. The new state is returned unchecked, possibly
-    non-finite: the caller's loop runs :func:`check_state` on it at the top
-    of its next step.
+    state of Python floats; the vehicle calls it every step, a chain run only
+    to build its step map. ``derivative(state, u, d)`` gives the derivative,
+    any sequence of floats (a tuple, say), for the held control u and the
+    disturbance value d. ``d`` holds the disturbance at the three stage times
+    t, t + dt/2 and t + dt, the only values of it a step reads. The new state,
+    a list, is returned unchecked, possibly non-finite: the caller's loop
+    runs :func:`check_state` on it at the top of its next step.
     """
     if not (dt > 0.0):
         raise ConfigError(f"dt must be positive, got {dt!r}")
     half = 0.5 * dt
     d0, dm, d1 = d
-    ks = [derivative(state, u, d0)]
-    # plain loops, as a comprehension would add a frame per call
-    for h, dh in ((half, dm), (half, dm), (dt, d1)):
-        stage = []
-        for x, k in zip(state, ks[-1]):
-            stage.append(x + h * k)
-        ks.append(derivative(stage, u, dh))
+    # the stages written out in plain loops: a comprehension adds a frame
+    k1 = derivative(state, u, d0)
+    stage = []
+    for x, k in zip(state, k1):
+        stage.append(x + half * k)
+    k2 = derivative(stage, u, dm)
+    stage = []
+    for x, k in zip(state, k2):
+        stage.append(x + half * k)
+    k3 = derivative(stage, u, dm)
+    stage = []
+    for x, k in zip(state, k3):
+        stage.append(x + dt * k)
+    k4 = derivative(stage, u, d1)
     sixth = dt / 6.0
     out = []
-    for x, a, b, c, e in zip(state, *ks):
+    for x, a, b, c, e in zip(state, k1, k2, k3, k4):
         out.append(x + sixth * (a + 2.0 * (b + c) + e))
     return out
 

@@ -1145,6 +1145,30 @@ NOISY_DIGESTS = {
                                       "noise.sigma": "0.01,0.01,0.001"}),
         "60f89964c072f920b9b1824d1a75476a4920dede4175a52434736e00b8664501",
         "781364aa478a0923de11feaacd47cb319554927ac3feb9aff92a299da50e4b4a"),
+    # the vehicle paths that no other digest reaches, recorded before the
+    # bicycle derivative was bound to its speed and wheelbase: a pose beyond
+    # the centre of curvature of a coarse unit circle, where every match
+    # finds a root in both segments, the known-d law, and the trapezoidal
+    # observer
+    "vehicle_two_candidate": (
+        stock("vehicle_bias.conf", **{"path.kind": "circle", "path.radius": 1.0,
+                                      "path.arc": 5.0, "path.spacing": 2.5,
+                                      "plant.speed": 0.5,
+                                      "plant.x0": "1.35,1.242,1.6364524547615598",
+                                      "sim.duration": 0.2}),
+        "f0681d62de2d18c316ee72a960f9807479be4f06415ec2a1b7e62bd74be00ce4",
+        "c68f6d7ba72be39448565e13a51fc385d9c9cc4428f543464aca2c8b9f4c6f01"),
+    "vehicle_known_d_noisy": (
+        stock("vehicle_bias.conf", **{"sim.duration": 2.0, "controller.kind": "known_d",
+                                      "noise.sigma": "0.01,0.01,0.001"}),
+        "302cef510add180c7ee7d5d9cc237d59403956f93c539108cfdb9f72b03b96e3",
+        "dfa86b82521bed3afb73a6a60e048343308fde522517cbc0986268f168d75294"),
+    "vehicle_trapezoidal_noisy": (
+        stock("vehicle_bias.conf", **{"sim.duration": 2.0,
+                                      "controller.quadrature": "trapezoidal",
+                                      "noise.sigma": "0.01,0.01,0.001"}),
+        "0f317a0bcfd342d53012a3447b9ee78ba88e765b2259e7e747d459929b57bc97",
+        "8f4fcfeff8db180a4fde9debf4d347622b1eeba428a6e80db9d6a840d99ebb23"),
 }
 
 

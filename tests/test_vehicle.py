@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lumped_pid.config import build_scenario, load_config
 from lumped_pid.plants import vehicle
 
 from lumped_pid.errors import (
@@ -20,7 +22,7 @@ from lumped_pid.plants.vehicle import (
     FrenetPath,
     LateralErrorState,
     LateralObserverController,
-    bicycle_derivative,
+    bicycle,
     frenet_match,
     lateral_controller_known_d,
     wrap_angle,
@@ -77,12 +79,12 @@ class TestWrapAngle:
 
 class TestBicycleDerivative:
     def test_straight_line(self):
-        dx, dy, dth = bicycle_derivative([0.0, 0.0, 0.0], 5.0, 0.0, 0.0, 2.7)
+        dx, dy, dth = bicycle(5.0, 2.7)([0.0, 0.0, 0.0], 0.0, 0.0)
         assert (dx, dy, dth) == (5.0, 0.0, 0.0)
 
     def test_yaw_rate_value(self):
         # independent arithmetic: v * sin/cos instead of tan
-        _, _, dth = bicycle_derivative([0.0, 0.0, 0.0], 10.0, 0.1, 0.0, 2.7)
+        _, _, dth = bicycle(10.0, 2.7)([0.0, 0.0, 0.0], 0.1, 0.0)
         expected = 10.0 * math.sin(0.1) / math.cos(0.1) / 2.7
         assert dth == pytest.approx(expected, rel=1e-15)
         assert dth == pytest.approx(0.37160989661277977, rel=1e-12)
@@ -95,17 +97,18 @@ class TestBicycleDerivative:
         dt = period / 20000
         state = [0.0, 0.0, 0.0]
         for _ in range(20000):
-            state = rk4_step(lambda x, u, d: bicycle_derivative(x, v, u, d, L),
-                             state, delta, (0.0, 0.0, 0.0), dt)
+            state = rk4_step(bicycle(v, L), state, delta, (0.0, 0.0, 0.0), dt)
         assert abs(state[0]) < 1e-6
         assert abs(state[1]) < 1e-6
         assert wrap_angle(state[2]) == pytest.approx(0.0, abs=1e-6)
 
     def test_steering_limit(self):
         with pytest.raises(SteeringLimitError):
-            bicycle_derivative([0.0, 0.0, 0.0], 10.0, math.pi / 2, 0.0, 2.7)
+            bicycle(10.0, 2.7)([0.0, 0.0, 0.0], math.pi / 2, 0.0)
         with pytest.raises(SteeringLimitError):
-            bicycle_derivative([0.0, 0.0, 0.0], 10.0, 1.0, 0.8, 2.7)
+            bicycle(10.0, 2.7)([0.0, 0.0, 0.0], 1.0, 0.8)
+        with pytest.raises(SteeringLimitError):
+            bicycle(10.0, 2.7)([0.0, 0.0, 0.0], -1.0, -0.8)
 
 
 class TestFrenetPath:
@@ -475,6 +478,41 @@ class TestFrenetMatchCalls:
         assert calls["_sample_tangency"] <= 3
         assert err.segment == segment
         assert abs(err.s_d - bisection_match(path, pose[0], pose[1])) <= 1e-12
+
+    def test_pinned_two_candidate_run(self, match_calls):
+        # the run of NOISY_DIGESTS["vehicle_two_candidate"] in test_cli.py:
+        # every match finds a tangency root in both segments
+        run_scenario(vehicle_scenario(
+            plant={"wheelbase": 2.7, "speed": 0.5, "x0": (1.35, 1.242, 1.6364524547615598),
+                   "path": {"kind": "circle", "radius": 1.0, "arc": 5.0, "spacing": 2.5}},
+            disturbance=Constant(math.radians(2.0)), duration=0.2))
+        assert len(match_calls) == 201
+        assert all(c["_tangency_root"] == 2 for c in match_calls)
+
+
+def test_a_step_makes_24_python_calls():
+    # Python-level calls of the stock run, profiled at two lengths so that
+    # set-up and output cancel; the step made 28 before the bicycle
+    # derivative was bound to its speed and wheelbase
+    def calls(duration):
+        flat = load_config(Path(__file__).resolve().parent.parent / "configs" / "vehicle_bias.conf")
+        flat["sim.duration"] = str(duration)
+        scenario = build_scenario(flat)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            run_scenario(scenario)
+        finally:
+            sys.setprofile(outer)
+        return count
+
+    assert calls(0.1) - calls(0.05) == 24 * 50
 
 
 def test_a_run_samples_its_bias_three_times_a_step():
