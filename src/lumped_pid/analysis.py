@@ -4,6 +4,11 @@ The "final window" of a trace is its last 20%. The reported
 limsup is the maximum over that window after the transient has been given at
 least ten homogeneous time constants to settle; it is an estimate of the
 mathematical limsup, not the limit itself.
+
+Trace metrics and the bound check read a run through one reduction,
+:class:`MetricsReduction`: a lockstep run feeds it every lane's rows a block
+at a time as it goes, and a single run's trace is fed to it whole, as one
+chunk (:func:`summarise`).
 """
 
 from __future__ import annotations
@@ -54,64 +59,184 @@ def ultimate_bound(f_bar: float, omega: float, n: int) -> float:
     return f_bar / omega**n
 
 
+@dataclass(frozen=True)
+class TraceSummary:
+    """What the metrics of one run read, as a :class:`MetricsReduction`
+    keeps it: a lockstep lane's outcome, or a trace reduced by
+    :func:`summarise`."""
+
+    rows: int              # the rows reduced
+    signal: str            # the column the settling and overshoot are of
+    threshold: float       # the settling threshold
+    tail: dict             # the final window of each column reduced, by name
+    settling_time: float   # first time the signal stays below the threshold
+    overshoot: float       # max |signal| after its first zero crossing
+    defined: dict          # by further column: whether a value is not NaN
+
+
+class MetricsReduction:
+    """The facts the metrics of ``lanes`` runs read, reduced from their
+    ``rows`` rows as they are fed, a chunk at a time.
+
+    ``names`` are the columns fed: time, the metric signal, then further
+    columns (the observer's). Per lane it keeps:
+
+    * the final window of each column, its last ``_final_window(rows)``
+      rows: a contiguous ``[lanes, w]`` array, or one ``[w]`` array for a
+      column fed as one value per row shared by every lane (time, say);
+    * the time of the row after the signal's last exceedance of
+      ``threshold`` (a float, or one per lane), and whether the last row fed
+      exceeds it;
+    * the signal's first sign crossing, carried across chunks, and the
+      running max of ``|signal|`` from the crossing's row, the first whose
+      sign is opposite to the row before's;
+    * whether each further column has a value that is not NaN.
+
+    A max, a last index and a first crossing do not depend on where the
+    chunks end, and the windows hold the rows' own values contiguously, so
+    the metrics are the same bits for any chunking, a whole trace fed as
+    one chunk among them.
+    """
+
+    def __init__(self, names: Sequence[str], rows: int, threshold, lanes: int = 1):
+        self.names = tuple(names)
+        self.rows = rows
+        self.window = _final_window(rows)
+        self.threshold = threshold
+        self.lanes = lanes
+        self.fed = 0
+        self._tails: list[np.ndarray] = []  # allocated at the first chunk, shaped as its columns
+        self._above = np.zeros(lanes, dtype=bool)  # whether the last row fed exceeds
+        self._settled = np.zeros(lanes)  # time of the row after the last exceedance
+        # the sign of the last row fed, as (< 0, > 0); neither before the first
+        self._negative = np.zeros(lanes, dtype=bool)
+        self._positive = np.zeros(lanes, dtype=bool)
+        self._crossed = np.zeros(lanes, dtype=bool)
+        self._peak = np.zeros(lanes)
+        self._defined = np.zeros((len(self.names) - 2, lanes), dtype=bool)
+
+    def feed(self, columns: Sequence[np.ndarray]) -> None:
+        """Reduce the next rows: ``columns`` in the order of ``names``, time
+        as ``[m]`` and each other ``[m, lanes]``, or ``[m]`` if shared by
+        every lane."""
+        t = columns[0]
+        m = len(t)
+        k0 = self.fed
+        self.fed += m
+        start = self.rows - self.window  # the first row of the final window
+        if not self._tails:
+            self._tails = [np.empty(np.shape(c)[1:] + (self.window,)) for c in columns]
+        if self.fed > start:
+            lo = max(start, k0)
+            for tail, column in zip(self._tails, columns):
+                tail[..., lo - start:self.fed - start] = column[lo - k0:].T
+
+        x = columns[1].reshape(m, -1)
+        size = np.abs(x)
+        above = size > self.threshold
+        preceded = np.empty_like(above)  # whether the row before exceeds
+        preceded[0] = self._above
+        preceded[1:] = above[:-1]
+        self._above = above[-1].copy()
+        hit = preceded.any(axis=0)
+        if hit.any():  # none once every lane has settled
+            last = m - 1 - np.argmax(preceded[::-1], axis=0)
+            self._settled = np.where(hit, t[last], self._settled)
+
+        # a row crosses if its sign and the row before's are opposite: what
+        # sign(before) * sign(row) < 0 tests, NaN and zeros included
+        negative, positive = x < 0.0, x > 0.0
+        crossing = np.empty_like(negative)
+        crossing[0] = self._negative & positive[0] | self._positive & negative[0]
+        crossing[1:] = negative[:-1] & positive[1:] | positive[:-1] & negative[1:]
+        self._negative, self._positive = negative[-1].copy(), positive[-1].copy()
+        # the running max of |signal| from the first crossing's row: the
+        # whole chunk once crossed, from that row in the chunk it falls in
+        peak = np.where(self._crossed, size.max(axis=0), 0.0)
+        for j in np.flatnonzero(crossing.any(axis=0) & ~self._crossed):  # once a lane
+            peak[j] = size[np.argmax(crossing[:, j]):, j].max()
+            self._crossed[j] = True
+        self._peak = np.maximum(self._peak, peak)
+
+        for defined, column in zip(self._defined, columns[2:]):
+            if not defined.all():
+                defined |= ~np.isnan(column).reshape(m, -1).all(axis=0)
+
+    def summaries(self) -> list[TraceSummary]:
+        """One summary per lane, of the rows fed so far."""
+        settling = np.where(self._above, math.inf, self._settled)
+        thresholds = np.broadcast_to(self.threshold, (self.lanes,))
+        further = self.names[2:]
+        return [TraceSummary(rows=self.fed, signal=self.names[1], threshold=float(thresholds[j]),
+                             tail={name: tail if tail.ndim == 1 else tail[j]
+                                   for name, tail in zip(self.names, self._tails)},
+                             settling_time=float(settling[j]), overshoot=float(self._peak[j]),
+                             defined={name: bool(d[j]) for name, d in zip(further, self._defined)})
+                for j in range(self.lanes)]
+
+
+def summarise(trace: SimTrace, threshold: float, signal: str = "x0",
+              columns: Sequence[str] = ("f_true", "f_hat")) -> TraceSummary:
+    """The summary of a trace: its ``t``, ``signal`` and further ``columns``
+    fed to the one reduction as one chunk."""
+    if len(trace) == 0:
+        raise ConfigError("empty trace")
+    names = ("t", signal, *columns)
+    reduction = MetricsReduction(names, len(trace), threshold)
+    reduction.feed([trace[name] for name in names])
+    return reduction.summaries()[0]
+
+
 def trace_metrics(
-    trace: SimTrace,
+    trace: SimTrace | TraceSummary,
     threshold: float,
     signal: str = "x0",
     observer: tuple[str, str] | None = ("f_true", "f_hat"),
 ) -> TraceMetrics:
-    """Steady-state, settling, overshoot, and observer statistics.
+    """Steady-state, settling, overshoot, and observer statistics of a trace,
+    or of its summary, which must be of ``signal`` at ``threshold``.
 
     Settling uses permanently-below semantics: the reported time is the first
     sample after the last exceedance (inf if the trace ends above threshold).
     ``observer`` names the (true, estimate) columns of the observed lumped
     term; the observer RMSE is NaN without them or without any estimate.
     """
-    if len(trace) == 0:
-        raise ConfigError("empty trace")
-    x = trace[signal]
-    t = trace.t
-    w = _final_window(len(x))
-    tail = x[-w:]
+    if isinstance(trace, SimTrace):
+        present = observer if observer and all(c in trace for c in observer) else ()
+        trace = summarise(trace, threshold, signal, present)
+    elif (trace.signal, trace.threshold) != (signal, threshold):
+        raise ConfigError(f"a summary of {trace.signal} at threshold {trace.threshold!r} "
+                          f"gives no metrics of {signal} at {threshold!r}")
+    tail = trace.tail[signal]
     sse_rms = float(np.sqrt(np.mean(tail * tail)))
     sse_max = float(np.max(np.abs(tail)))
-
-    above = np.abs(x) > threshold
-    if not above.any():
-        settling = 0.0
-    elif above[-1]:
-        settling = math.inf
-    else:
-        settling = float(t[int(np.nonzero(above)[0][-1]) + 1])
-
-    crossings = np.nonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)[0]
-    overshoot = float(np.max(np.abs(x[crossings[0] + 1:]))) if len(crossings) else 0.0
-
-    if observer and all(c in trace for c in observer) and not np.isnan(trace[observer[1]]).all():
-        err = trace[observer[0]][-w:] - trace[observer[1]][-w:]
+    if observer and all(c in trace.defined for c in observer) and trace.defined[observer[1]]:
+        err = trace.tail[observer[0]] - trace.tail[observer[1]]
         observer_rmse = float(np.sqrt(np.mean(err * err)))
     else:
         observer_rmse = math.nan
-    return TraceMetrics(sse_rms, sse_max, settling, overshoot, observer_rmse)
+    return TraceMetrics(sse_rms, sse_max, trace.settling_time, trace.overshoot, observer_rmse)
 
 
-def check_bound(trace: SimTrace, omega: float, n: int) -> BoundReport:
-    """Empirical ultimate-bound check of ``x0`` on an uncompensated chain run.
+def check_bound(trace: SimTrace | TraceSummary, omega: float, n: int) -> BoundReport:
+    """Empirical ultimate-bound check of ``x0`` on an uncompensated chain run,
+    from the final window of its trace or summary.
 
     The trace must come from state feedback alone (no observer), so that
     x^(n) = -sum C(n,i) omega^i x^(n-i) + f. A tail shorter than ten
     homogeneous time constants, a one-row trace's too, is WindowTooShortError.
     """
-    w = _final_window(len(trace))
-    t = trace.t
-    tail_span = float(t[-1] - t[len(t) - w])
+    if isinstance(trace, SimTrace):
+        trace = summarise(trace, math.inf, "x0", ("f_true",))  # the bound reads no settling
+    t = trace.tail["t"]
+    tail_span = float(t[-1] - t[0])
     if tail_span < 10.0 / omega:
         raise WindowTooShortError(
             f"trace tail spans {tail_span:g} s, need >= {10.0 / omega:g} s (10 time constants)"
         )
-    f_bar = float(np.max(np.abs(trace["f_true"][-w:])))
+    f_bar = float(np.max(np.abs(trace.tail["f_true"])))
     bound = ultimate_bound(f_bar, omega, n)
-    measured = float(np.max(np.abs(trace["x0"][-w:])))
+    measured = float(np.max(np.abs(trace.tail["x0"])))
     return BoundReport(
         f_bar=f_bar,
         theoretical_bound=bound,

@@ -21,7 +21,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .analysis import MetricsRow, default_grid, table_line, trace_metrics, write_metrics_csv
+from .analysis import (MetricsRow, TraceSummary, default_grid, summarise, table_line, trace_metrics,
+                       write_metrics_csv)
 from .config import build_scenario, load_config
 from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_to_pid, synthesize_gains
 from .errors import ConfigError, LumpedPidError
@@ -133,12 +134,16 @@ def _run_values(scenario) -> tuple[float, float, float]:
     return scenario.controller["omega"], _observer_bandwidth(scenario)[1], scenario.noise.sigmas[0]
 
 
-def _metrics_for(trace, scenario, scenario_id: str = "scenario") -> MetricsRow:
+def _metrics_for(outcome, scenario, scenario_id: str = "scenario") -> MetricsRow:
+    """The metrics row of a run's trace, or of a lockstep lane's summary."""
     plant = plant_module(scenario.plant_kind)
+    # a trace is reduced once, for the metrics and the bound alike
+    summary = (outcome if isinstance(outcome, TraceSummary)
+               else summarise(outcome, scenario.threshold, plant.SIGNAL, plant.OBSERVER or ()))
     observer = plant.OBSERVER if _observer_bandwidth(scenario)[0] else None
-    metrics = trace_metrics(trace, scenario.threshold, signal=plant.SIGNAL, observer=observer)
+    metrics = trace_metrics(summary, scenario.threshold, signal=plant.SIGNAL, observer=observer)
     omega, omega_f, sigma = _run_values(scenario)
-    bound = plant.bound and plant.bound(trace, scenario)
+    bound = plant.bound and plant.bound(summary, scenario)
     return MetricsRow(scenario_id, omega, omega_f, sigma, metrics=metrics, bound=bound)
 
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..analysis import BoundReport, check_bound
+from ..analysis import BoundReport, MetricsReduction, TraceSummary, check_bound
 from ..config import (_bool, _check_read, _check_signal, _choice, _count, _float, _floats,
                       _positive, _scalar_signal)
 from ..controller import (
@@ -34,7 +34,7 @@ from ..sim import (
     check_state,
     rk4_step,
 )
-from ..signals import noise_table
+from ..signals import NoiseStream, noise_table
 
 # Each option: its parser and the value a scenario without it takes; an x0
 # of None is the zero state. BANDWIDTH names the option that sets the
@@ -63,11 +63,18 @@ PLOTS = (
     ("control", ("u",), "control", "u"),
     ("observer", OBSERVER, "disturbance estimate", "f"),
 )
-# One lockstep step of 2 to 6 lanes costs about 4.2 to 4.6 float steps on the
-# second-order generalized chain of chain_step.conf and 3.4 to 3.9 on the
-# homogeneous one of bound_demo.conf, so four lanes about break even and a
-# list of fewer than four runs one at a time.
-LOCKSTEP = 4
+# By controller kind, the fewest scenarios that run as the lanes of one run;
+# a shorter list runs one at a time. Each is the smallest count at which a
+# lockstep run with its metrics rows was not slower than its cells run one
+# by one: CPU time of lockstep over one by one, median of 21 interleaved
+# pairs, full-length stock configs (chain_step.conf, and bound_demo.conf for
+# homogeneous), half the cells noisy; 2-vCPU x86_64, Python 3.11, numpy 2.4.
+#   cells         3     4     5     6
+#   none         1.00  0.71  0.61  0.50
+#   homogeneous  1.40  1.03  0.84  0.67   (4: 0.95 to 1.13 over four runs)
+#   pid          1.65  1.20  0.98  0.81
+#   generalized  1.57  1.13  0.95  0.79
+LOCKSTEP = {"none": 3, "homogeneous": 4, "pid": 5, "generalized": 5}
 
 
 def check(scenario: Scenario) -> None:
@@ -190,15 +197,17 @@ def run(scenario: Scenario | Sequence[Scenario]):
     """Simulate one scenario, or a list of lane-compatible ones in lockstep.
 
     A list runs through this same loop with the state and measurements held
-    as ``[n, lanes]`` float64 arrays (row i is component i of every lane),
-    the noise as one ``[steps, n, lanes]`` table, and every other
-    per-scenario quantity as a ``[lanes]`` array: control and estimates,
-    per-lane gains and ``omega_f``. ``f0(t)`` stays one float per step,
-    shared by every lane. The plant and controllers use only elementwise
-    ``+``, ``-``, ``*`` and ``/``, so each lane is bit-identical to its
-    scenario run alone. A list gives one outcome per scenario, in order: a
-    SimTrace of the LOCKSTEP_COLUMNS, or the DivergedError that stopped that
-    scenario.
+    as ``[n, lanes]`` float64 arrays (row i is component i of every lane)
+    and every other per-scenario quantity as a ``[lanes]`` array: control
+    and estimates, per-lane gains and ``omega_f``. ``f0(t)`` stays one float
+    per step, shared by every lane. The plant and controllers use only
+    elementwise ``+``, ``-``, ``*`` and ``/``, so each lane is bit-identical
+    to its scenario run alone. Nothing a list holds grows with lanes times
+    steps: its noise is drawn a block at a time (:class:`NoiseStream`), and
+    its rows of the LOCKSTEP_COLUMNS go a block at a time to one
+    :class:`MetricsReduction`. A list gives one outcome per scenario, in
+    order: the TraceSummary of its lane, at its own ``threshold``, or the
+    DivergedError that stopped that scenario.
     """
     lockstep = not isinstance(scenario, Scenario)
     scenarios = list(scenario) if lockstep else [scenario]
@@ -219,9 +228,12 @@ def run(scenario: Scenario | Sequence[Scenario]):
     if lockstep:
         if controller is not None:
             controller = lockstep_controller(controllers)
-        noise = noise_table([s.noise for s in scenarios], n, n_steps + 1)
+        specs = [s.noise for s in scenarios]
+        noise = None if all(spec.silent for spec in specs) else iter(NoiseStream(specs, n))
         lanes = LaneFailures(len(scenarios))
-        rec = TraceRecorder(LOCKSTEP_COLUMNS, n_steps, first.decimation, lanes=len(scenarios))
+        reduction = MetricsReduction(LOCKSTEP_COLUMNS, n_steps // first.decimation + 1,
+                                     np.array([s.threshold for s in scenarios]), len(scenarios))
+        rec = TraceRecorder(LOCKSTEP_COLUMNS, n_steps, first.decimation, reduction=reduction)
         state = np.repeat(np.array(x0, dtype=float)[:, None], len(scenarios), axis=1)
     else:
         noise = noise_table(first.noise, n, n_steps + 1)
@@ -238,7 +250,7 @@ def run(scenario: Scenario | Sequence[Scenario]):
             for k in range(n_steps + 1):
                 t = k * dt
                 check_state(state, t, k, lanes)
-                z = (state if noise is None else state + noise[k] if lockstep
+                z = (state if noise is None else state + next(noise) if lockstep
                      else [x + e for x, e in zip(state, noise[k].tolist())])
                 if controller is None:
                     u = 0.0
@@ -255,13 +267,14 @@ def run(scenario: Scenario | Sequence[Scenario]):
         except LumpedPidError as exc:
             exc.at(k, t)
             raise
+        outcomes = rec.build()  # a diverged lane's last block holds inf or NaN
     if not lockstep:
-        return rec.build()
-    return [trace if error is None else error
-            for trace, error in zip(rec.build(), lanes.errors)]
+        return outcomes
+    return [summary if error is None else error
+            for summary, error in zip(outcomes, lanes.errors)]
 
 
-def bound(trace: SimTrace, scenario: Scenario) -> BoundReport | None:
+def bound(trace: SimTrace | TraceSummary, scenario: Scenario) -> BoundReport | None:
     """The ultimate-bound check of a homogeneous run, if its tail is long enough."""
     if scenario.controller["kind"] == "homogeneous":
         with suppress(WindowTooShortError):

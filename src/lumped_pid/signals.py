@@ -14,9 +14,10 @@ from it in the last bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -26,6 +27,16 @@ from .errors import ConfigError
 # Philox yields four 64-bit words per counter block; one double per word.
 _DOUBLES_PER_BLOCK = 4
 _MIN_UNIFORM = 2.0 ** -54  # keeps _ndtri finite if the stream ever yields 0.0
+# The samples or rows handled per block: the noise a lockstep run draws at a
+# time, the rows it records before reducing them, the rows a trace formats
+# per CSV write. A few hundred keep a block small against a run and the
+# per-block cost small against a row's.
+BLOCK = 256
+# The most samples one _ndtri call takes, unless one channel's draw is
+# longer: its working arrays, about six of that size, then stay near 0.8 MB
+# however many lanes a lockstep block covers, and a long run's table is
+# drawn one channel at a time.
+_NDTRI_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -208,33 +219,63 @@ def gaussian_noise(spec: NoiseSpec, channel: int, step_index: int) -> float:
     return sigma * float(_ndtri(np.array([max(u, _MIN_UNIFORM)]))[0])
 
 
-def noise_channel(spec: NoiseSpec, channel: int, n_samples: int) -> np.ndarray:
-    """The channel's first ``n_samples`` values; index k equals
-    ``gaussian_noise(spec, channel, k)``."""
-    sigma = spec.sigma_for(channel)
-    if sigma == 0.0:
-        return np.zeros(n_samples)
-    u = Generator(_stream(spec.seed, channel)).random(n_samples)
-    return sigma * _ndtri(np.maximum(u, _MIN_UNIFORM))
+class NoiseStream:
+    """The noise of a run's lanes (one spec each), drawn in order: each noisy
+    (lane, channel) keeps one Philox generator, so a draw continues where the
+    last stopped, and sample k is the same bits however the draws are sized.
+
+    Iterating it gives sample after sample, each an ``[n_channels, lanes]``
+    array, drawn ``block`` samples at a time through :func:`noise_table`, so
+    a lockstep run holds one block, not every sample of the run. Each
+    ``_ndtri`` call is elementwise, so how the draws are grouped into calls
+    leaves the bits as they are too.
+    """
+
+    def __init__(self, specs: Sequence[NoiseSpec], n_channels: int, block: int = BLOCK):
+        self.shape = (n_channels, len(specs))
+        self.block = block
+        self.noisy = [(c, j, spec.sigma_for(c), Generator(_stream(spec.seed, c)))
+                      for j, spec in enumerate(specs) for c in range(n_channels)
+                      if spec.sigma_for(c) != 0.0]
+
+    def fill(self, out: np.ndarray) -> None:
+        """Draw the next ``len(out)`` samples into the zeroed ``[samples,
+        n_channels, lanes]`` array ``out``, with one ``_ndtri`` call per
+        group of streams of :data:`_NDTRI_SAMPLES` samples or fewer (or per
+        stream, if one is longer); a silent channel stays 0.0."""
+        m = len(out)
+        group = max(1, _NDTRI_SAMPLES // m)  # the streams one call draws
+        for start in range(0, len(self.noisy), group):
+            noisy = self.noisy[start:start + group]
+            u = np.concatenate([g.random(m) for *_, g in noisy])
+            e = _ndtri(np.maximum(u, _MIN_UNIFORM, out=u))
+            for i, (c, j, sigma, _) in enumerate(noisy):
+                np.multiply(e[i * m:(i + 1) * m], sigma, out=out[:, c, j])
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        # a spent block is let go before the next is drawn
+        blocks = (noise_table(self, self.shape[0], self.block) for _ in itertools.count())
+        return itertools.chain.from_iterable(blocks)
 
 
 def noise_table(
-    spec: NoiseSpec | Sequence[NoiseSpec], n_channels: int, n_samples: int
+    spec: NoiseSpec | Sequence[NoiseSpec] | NoiseStream, n_channels: int, n_samples: int
 ) -> np.ndarray | None:
     """Every sample of a run in one float64 table, 8 B per sample and channel:
-    ``[n_samples, n_channels, lanes]`` for one spec per lane of a lockstep
-    run, so ``table[k]`` is sample k shaped as a lockstep state, and
-    ``[n_samples, n_channels]`` for a single spec (one lane), whose
-    ``table[k].tolist()`` is sample k as the plain floats a single run's loop
-    adds. A Scenario's spec gives 1 or ``n_channels`` deviations. None if
-    every lane is silent: a loop then measures the true state."""
-    lanes = [spec] if isinstance(spec, NoiseSpec) else spec
-    if all(lane.silent for lane in lanes):
+    ``[n_samples, n_channels, lanes]`` for one spec per lane, so ``table[k]``
+    is sample k shaped as a lockstep state, and ``[n_samples, n_channels]``
+    for a single spec (one lane), whose ``table[k].tolist()`` is sample k as
+    the plain floats a single run's loop adds; index k of channel c equals
+    ``gaussian_noise(spec, c, k)``. A Scenario's spec gives 1 or ``n_channels`` deviations. None if
+    every lane is silent: a loop then measures the true state. Given a
+    :class:`NoiseStream`, the table of its next ``n_samples``: a lockstep
+    run's block."""
+    stream = spec if isinstance(spec, NoiseStream) else NoiseStream(
+        [spec] if isinstance(spec, NoiseSpec) else spec, n_channels)
+    if not stream.noisy:
         return None
-    table = np.empty((n_samples, n_channels, len(lanes)))
-    for c in range(n_channels):
-        for j, lane in enumerate(lanes):
-            table[:, c, j] = noise_channel(lane, c, n_samples)
+    table = np.zeros((n_samples, *stream.shape))
+    stream.fill(table)
     return table[:, :, 0] if isinstance(spec, NoiseSpec) else table
 
 

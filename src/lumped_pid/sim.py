@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DivergedError, LumpedPidError
-from .signals import NoiseSpec
+from .signals import BLOCK, NoiseSpec
 
 # States beyond this magnitude abort the run as diverged rather than waiting
 # for overflow, so parameter sweeps can record the failure.
@@ -218,11 +218,6 @@ class Scenario:
         return int(round(self.duration / self.dt))
 
 
-# The rows a trace formats per block of plain floats: a few hundred keep the
-# block small against the trace and the per-block cost small against a row's.
-CSV_BLOCK = 256
-
-
 def write_csv(path, names: Sequence[str], rows: Iterable, line: Callable[[object], str]) -> None:
     """Write a CSV file, as every command writes one: the header ``names``,
     then ``line(row)``, a newline-terminated line of fields, for each row."""
@@ -260,70 +255,76 @@ class SimTrace:
     def to_csv(self, path) -> None:
         """CSV with one named column per quantity, each value ``%.17g`` (NaN
         as ``nan``): rows are taken from the columns in blocks of
-        :data:`CSV_BLOCK`, so the trace is never copied whole."""
+        :data:`BLOCK`, so the trace is never copied whole."""
         columns = list(self.columns.values())
-        rows = (row for start in range(0, len(self), CSV_BLOCK)
-                for row in zip(*[c[start:start + CSV_BLOCK].tolist() for c in columns]))
+        rows = (row for start in range(0, len(self), BLOCK)
+                for row in zip(*[c[start:start + BLOCK].tolist() for c in columns]))
         write_csv(path, self.names, rows, (",".join(["%.17g"] * len(columns)) + "\n").__mod__)
 
 
-class _LaneColumns:
-    """Preallocated storage for the columns of a lockstep recorder;
-    ``columns[row] = values`` writes one row, in the order of ``names``.
+class _LaneBlocks:
+    """The rows of a lockstep recorder, :data:`BLOCK` at a time:
+    ``blocks[row] = values`` writes one row, in the order of the recorder's
+    names, and each full block goes to ``reduce`` as a list of columns;
+    ``flush`` hands it the rows of the last, partial block.
 
-    A column is allocated at the first row: ``[lanes, rows]`` if its value is
-    an array, or one ``[rows]`` array shared by every lane if it is a float
+    A column is allocated at the first row: ``[BLOCK, lanes]`` if its value
+    is an array, or ``[BLOCK]``, shared by every lane, if it is a float
     (time, or a disturbance no state feeds back into).
     """
 
-    def __init__(self, names: Sequence[str], lanes: int, rows: int):
-        self.names = list(names)
+    def __init__(self, lanes: int, reduce: Callable[[list], None]):
         self.lanes = lanes
-        self.columns: dict[str, np.ndarray] = {}
-        self._arrays: list[np.ndarray] = []
-        self._capacity = rows
+        self.reduce = reduce
+        self._blocks: list[np.ndarray] = []
 
     def __setitem__(self, row: int, values: Sequence) -> None:
         if row == 0:
-            for name, value in zip(self.names, values):
-                lanes = () if isinstance(value, float) else (self.lanes,)
-                self.columns[name] = np.empty(lanes + (self._capacity,))
-            # row-first views: one assignment writes row k of every lane
-            self._arrays = [self.columns[name].T for name in self.names]
-        for array, value in zip(self._arrays, values):
-            array[row] = value
+            self._blocks = [np.empty((BLOCK,) if isinstance(v, float) else (BLOCK, self.lanes))
+                            for v in values]
+        i = row % BLOCK
+        for block, value in zip(self._blocks, values):
+            block[i] = value
+        if i == BLOCK - 1:
+            self.reduce(self._blocks)
 
-    def lane(self, j: int) -> dict[str, np.ndarray]:
-        """Lane j's columns, as views."""
-        return {name: data if data.ndim == 1 else data[j] for name, data in self.columns.items()}
+    def flush(self, rows: int) -> None:
+        """Reduce what is left of ``rows`` rows in all."""
+        if rows % BLOCK:
+            self.reduce([block[:rows % BLOCK] for block in self._blocks])
 
 
 class TraceRecorder:
-    """The decimated rows of a run of ``n_steps`` steps, written as they come
-    into float64 storage preallocated for ``n_steps // decimation + 1`` rows,
-    8 B per value: for a single run, one ``[rows, columns]`` block whose
-    columns ``build`` gives as views; with ``lanes``, :class:`_LaneColumns`
-    of floats and ``[lanes]`` arrays, which ``build`` gives as one SimTrace
-    per lane."""
+    """The decimated rows of a run of ``n_steps`` steps, ``n_steps //
+    decimation + 1`` of them, written as they come.
+
+    For a single run, they go into one ``[rows, columns]`` float64 block
+    preallocated for the whole run, 8 B per value, whose columns ``build``
+    gives as views of one SimTrace. With ``reduction`` (an
+    :class:`analysis.MetricsReduction` of lockstep lanes), they go into
+    ``[BLOCK, lanes]`` buffers that are handed to ``reduction.feed`` block by
+    block, so no column of the run is held whole; ``build`` then gives the
+    reduction's summaries, one per lane."""
 
     def __init__(self, names: Sequence[str], n_steps: int, decimation: int = 1,
-                 lanes: Optional[int] = None):
+                 reduction=None):
         self.names = list(names)
         self.decimation = decimation
-        self.lanes = lanes
-        rows = n_steps // decimation + 1
+        self.reduction = reduction
+        self.rows = n_steps // decimation + 1
         # column-major, so that each column is one contiguous view
-        self._data = (np.empty((rows, len(self.names)), order="F") if lanes is None
-                      else _LaneColumns(self.names, lanes, rows))
+        self._data = (np.empty((self.rows, len(self.names)), order="F") if reduction is None
+                      else _LaneBlocks(reduction.lanes, reduction.feed))
 
     def record(self, step_index: int, values: Sequence[float]) -> None:
         if step_index % self.decimation == 0:
             self._data[step_index // self.decimation] = values
 
-    def build(self) -> SimTrace | list[SimTrace]:
-        if self.lanes is None:
+    def build(self) -> SimTrace | list:
+        if self.reduction is None:
             return SimTrace(dict(zip(self.names, self._data.T)))
-        return [SimTrace(self._data.lane(j)) for j in range(self.lanes)]
+        self._data.flush(self.rows)
+        return self.reduction.summaries()
 
 
 def run_scenario(scenario: Scenario | Sequence[Scenario]):
@@ -331,10 +332,11 @@ def run_scenario(scenario: Scenario | Sequence[Scenario]):
 
     Given a list of scenarios of one plant, gives one outcome per scenario,
     in order: its trace, or the run failure (with ``step``) that stopped it.
-    A list of at least the plant's ``LOCKSTEP`` scenarios that its
-    ``lane_compatible`` accepts runs as the lanes of one run, whose traces
-    hold the plant's lockstep columns only; any other runs each scenario
-    alone (:func:`run_each`). An error raised before a run's loop propagates.
+    A list of at least the plant's ``LOCKSTEP`` scenarios for the controller
+    kind of the first, which its ``lane_compatible`` accepts, runs as the
+    lanes of one run, whose outcomes are the plant's lane summaries instead
+    of traces; any other runs each scenario alone (:func:`run_each`). An
+    error raised before a run's loop propagates.
     """
     from .plants import plant_module  # the plant modules import this one
 
@@ -344,8 +346,8 @@ def run_scenario(scenario: Scenario | Sequence[Scenario]):
     if len(kinds) != 1:
         raise ConfigError(f"a list of scenarios takes one plant, got {kinds}")
     plant = plant_module(kinds[0])
-    lockstep = (plant.LOCKSTEP is not None and len(scenario) >= plant.LOCKSTEP
-                and plant.lane_compatible(scenario))
+    fewest = None if plant.LOCKSTEP is None else plant.LOCKSTEP[scenario[0].controller["kind"]]
+    lockstep = fewest is not None and len(scenario) >= fewest and plant.lane_compatible(scenario)
     return plant.run(scenario) if lockstep else run_each(scenario)
 
 

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lumped_pid.analysis import (
+    MetricsReduction,
     MetricsRow,
     check_bound,
     default_grid,
@@ -104,6 +108,53 @@ class TestTraceMetrics:
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
             trace_metrics(SimTrace({"t": np.array([]), "x0": np.array([])}), 0.01)
+
+
+    def test_overshoot_counts_the_crossing_row(self):
+        t = np.arange(4) * 0.1
+        m = trace_metrics(synthetic_trace(t, [1.0, -5.0, -1.0, -0.5]), threshold=0.02)
+        assert m.overshoot == 5.0
+
+
+def settling_and_overshoot(t, x, threshold):
+    """Settling time and overshoot of one signal, computed over the whole
+    trace at once: what trace_metrics computed before its reduction."""
+    above = np.abs(x) > threshold
+    if not above.any():
+        settling = 0.0
+    elif above[-1]:
+        settling = math.inf
+    else:
+        settling = float(t[int(np.nonzero(above)[0][-1]) + 1])
+    crossings = np.nonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)[0]
+    overshoot = float(np.max(np.abs(x[crossings[0] + 1:]))) if len(crossings) else 0.0
+    return settling, overshoot
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 60), st.integers(1, 3), st.integers(1, 70))
+def test_reduction_of_any_chunking_is_the_whole_trace_computation(data, rows, lanes, chunk):
+    # values near the thresholds, signed zeros and NaN estimates included
+    value = st.sampled_from([0.0, -0.0, 0.02, -0.02, 0.5, -0.5]) | st.floats(-3.0, 3.0)
+    x = np.array(data.draw(st.lists(st.lists(value, min_size=lanes, max_size=lanes),
+                                    min_size=rows, max_size=rows)))
+    f_hat = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=lanes, max_size=lanes))),
+                     np.nan, x * 0.5)
+    thresholds = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+                                             min_size=lanes, max_size=lanes)))
+    t = np.arange(rows) * 0.1
+    f_true = np.cos(t)  # one column shared by every lane
+    reduction = MetricsReduction(("t", "x0", "f_true", "f_hat"), rows, thresholds, lanes)
+    for k in range(0, rows, chunk):
+        reduction.feed([t[k:k + chunk], x[k:k + chunk], f_true[k:k + chunk], f_hat[k:k + chunk]])
+    w = math.ceil(0.2 * rows)
+    for j, summary in enumerate(reduction.summaries()):
+        assert summary.rows == rows and summary.threshold == thresholds[j]
+        settling, overshoot = settling_and_overshoot(t, x[:, j], thresholds[j])
+        assert (summary.settling_time, summary.overshoot) == (settling, overshoot)
+        for name, column in (("t", t), ("x0", x[:, j]), ("f_true", f_true), ("f_hat", f_hat[:, j])):
+            assert summary.tail[name].tobytes() == column[-w:].tobytes(), name
+        assert summary.defined == {"f_true": True, "f_hat": not np.isnan(f_hat[:, j]).all()}
 
 
 class TestCheckBound:

@@ -786,7 +786,7 @@ class TestSweep:
 
 def sweep_bytes(tmp_path, monkeypatch, text, grid, *extra, lockstep):
     """sweep.csv bytes with every chain cell run in lockstep, or each alone."""
-    monkeypatch.setattr(chain, "LOCKSTEP", 1 if lockstep else None)
+    monkeypatch.setattr(chain, "LOCKSTEP", dict.fromkeys(chain.LOCKSTEP, 1) if lockstep else None)
     name = f"{'lockstep' if lockstep else 'alone'}{len(list(tmp_path.iterdir()))}"
     out = tmp_path / name
     code = main(["sweep", "--config", write_conf(tmp_path, text, name + ".conf"),
@@ -888,7 +888,8 @@ class TestLockstepSweep:
         # the base config is invalid, so no cell runs: exit 2, as simulate does
         conf = write_conf(tmp_path, stock("chain_step.conf", **{"sim.duration": 1.0,
                                                                 "plant.x0": "1,2,3"}))
-        for min_cells in (1, None):  # every cell in lockstep, or each alone
+        # every cell in lockstep, or each alone
+        for min_cells in (dict.fromkeys(chain.LOCKSTEP, 1), None):
             monkeypatch.setattr(chain, "LOCKSTEP", min_cells)
             assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
                          "--grid", "omega=1,2,5", "sigma=0,0.01"]) == 2
@@ -1273,8 +1274,8 @@ class TestNoObserverRows:
         assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
         (row,) = read_rows(tmp_path / "sim" / "metrics.csv")
         assert (row["omega_f"], row["observer_rmse"], row["status"]) == ("", "", "ok")
-        # five cells run in lockstep on a chain (chain.LOCKSTEP is 4), two run
-        # one by one
+        # five cells run in lockstep on a chain (chain.LOCKSTEP is 4 for the
+        # homogeneous kind and 3 for none), two run one by one
         for grid in ("omega=2,5", "omega=1,2,3,4,5"):
             out = tmp_path / grid
             assert main(["sweep", "--config", conf, "--out", str(out), "--grid", grid]) == 0

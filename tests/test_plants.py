@@ -42,16 +42,19 @@ class TestRunLookup:
         monkeypatch.setattr(chain, "run", spy)
         scenario = short_scenario("chain")
         assert run_scenario(scenario) == "traced"
-        # four chain scenarios run as the lanes of one run, three one at a time
-        assert run_scenario([scenario] * 4) == "traced"
-        assert calls == [scenario, [scenario] * 4]
+        # enough chain scenarios of a kind run as the lanes of one run, one
+        # fewer one at a time
+        fewest = chain.LOCKSTEP[scenario.controller["kind"]]
+        assert run_scenario([scenario] * fewest) == "traced"
+        assert calls == [scenario, [scenario] * fewest]
         calls.clear()
-        assert list(run_scenario([scenario] * 3)) == ["traced"] * 3
-        assert calls == [scenario] * 3
+        assert list(run_scenario([scenario] * (fewest - 1))) == ["traced"] * (fewest - 1)
+        assert calls == [scenario] * (fewest - 1)
 
     def test_lockstep_only_where_the_module_allows_it(self):
         assert {kind: module.LOCKSTEP for kind, module in plants.PLANTS.items()} == {
-            "chain": 4, "vtol": None, "vehicle": None}
+            "chain": {"none": 3, "homogeneous": 4, "pid": 5, "generalized": 5},
+            "vtol": None, "vehicle": None}
         # a list of another plant's scenarios gives each scenario's run alone
         first = short_scenario("vtol")
         second = dataclasses.replace(first, controller={**first.controller, "omega": 3.0})

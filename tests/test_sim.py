@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -9,14 +11,15 @@ from hypothesis import strategies as st
 
 from lumped_pid.config import build_scenario, load_config
 from lumped_pid.controller import OBSERVER_FORMS
-from lumped_pid.errors import ConfigError, DivergedError
+from lumped_pid.analysis import TraceSummary, check_bound, trace_metrics
+from lumped_pid.errors import ConfigError, DivergedError, WindowTooShortError
 from lumped_pid.plants import chain
 from lumped_pid.plants.chain import IntegratorChain
 from lumped_pid import signals
 from lumped_pid.quadrature import RULES
-from lumped_pid.signals import (Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise,
-                                noise_channel, noise_table)
-from lumped_pid.sim import (CSV_BLOCK, RUNAWAY_BOUND, Scenario, SimTrace, check_state, rk4_step,
+from lumped_pid.signals import (Constant, NoiseSpec, NoiseStream, Sinusoid, Step, Sum,
+                                gaussian_noise, noise_table)
+from lumped_pid.sim import (BLOCK, RUNAWAY_BOUND, Scenario, SimTrace, check_state, rk4_step,
                             run_each, run_scenario)
 
 
@@ -215,7 +218,7 @@ class TestGaussianNoise:
     def test_zero_sigma_is_exactly_zero(self):
         spec = NoiseSpec(sigmas=(0.0,), seed=1)
         assert gaussian_noise(spec, 0, 123) == 0.0
-        assert np.all(noise_channel(spec, 0, 100) == 0.0)
+        assert noise_table(spec, 1, 100) is None  # a silent spec draws nothing
 
     def test_pinned_sample(self):
         # determinism contract for the pinned generator (Philox + inverse CDF)
@@ -225,7 +228,7 @@ class TestGaussianNoise:
     def test_single_sample_matches_vectorized_stream(self):
         spec = NoiseSpec(sigmas=(0.7, 1.3), seed=99)
         for channel in (0, 1):
-            arr = noise_channel(spec, channel, 20)
+            arr = noise_table(spec, 2, 20)[:, channel]
             for k in (0, 1, 4, 7, 13, 19):
                 assert gaussian_noise(spec, channel, k) == arr[k]
 
@@ -243,8 +246,11 @@ class TestGaussianNoise:
             spec = NoiseSpec(sigmas=(1.0,), seed=seed)
             u = np.random.Generator(signals._stream(seed, channel)).random(n)
             expected = ndtri(np.maximum(u, signals._MIN_UNIFORM))
-            assert np.array_equal(noise_channel(spec, channel, n).view(np.int64),
-                                  expected.view(np.int64))
+            # the channel's samples, drawn 2**16 at a time
+            stream = NoiseStream([spec], channel + 1)
+            drawn = np.concatenate([noise_table(stream, channel + 1, min(2**16, n - k))[:, channel, 0]
+                                    for k in range(0, n, 2**16)])
+            assert np.array_equal(drawn.view(np.int64), expected.view(np.int64))
 
     def test_inverse_cdf_is_scipys_bit_for_bit_at_edges_and_branch_points(self):
         ndtri = pytest.importorskip("scipy.special").ndtri
@@ -257,7 +263,7 @@ class TestGaussianNoise:
         assert np.array_equal(signals._ndtri(ys).view(np.int64), ndtri(ys).view(np.int64))
 
     def test_moments(self):
-        big = noise_channel(NoiseSpec(sigmas=(1.0,), seed=123), 0, 10**6)
+        big = noise_table(NoiseSpec(sigmas=(1.0,), seed=123), 1, 10**6)[:, 0]
         assert abs(big.mean()) < 4.0 / math.sqrt(10**6)
         assert abs(big.std() - 1.0) < 0.01
 
@@ -281,6 +287,26 @@ class TestGaussianNoise:
         assert noise_table(silent, 2, 6) is None
         assert noise_table([silent, NoiseSpec()], 2, 6) is None
         assert noise_table([silent, NoiseSpec(sigmas=(0.1,))], 2, 6).shape == (6, 2, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 700), st.integers(1, 3), st.data())
+    def test_noise_drawn_block_by_block_is_the_whole_run_table(self, block, steps, channels,
+                                                               data):
+        # any block length, one that does not divide the step count too, and
+        # silent lanes and channels among noisy ones
+        sigma = st.sampled_from([0.0, 0.0, 0.05, 1.3])
+        lanes = data.draw(st.lists(st.tuples(
+            st.lists(sigma, min_size=1, max_size=1) | st.lists(
+                sigma, min_size=channels, max_size=channels),
+            st.integers(0, 2**64 - 1)), min_size=1, max_size=5))
+        specs = [NoiseSpec(sigmas=tuple(sigmas), seed=seed) for sigmas, seed in lanes]
+        table = noise_table(specs, channels, steps)
+        if table is None:
+            assert all(spec.silent for spec in specs)
+            return
+        drawn = np.stack(list(itertools.islice(NoiseStream(specs, channels, block), steps)))
+        assert drawn.shape == table.shape == (steps, channels, len(specs))
+        assert drawn.tobytes() == table.tobytes()
 
     def test_a_noise_free_chain_measures_the_true_state(self):
         # no noise is added, not even 0.0, which would turn -0.0 into +0.0
@@ -364,17 +390,43 @@ class TestRunScenario:
         assert peak < rows * columns * 8 / 4
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
+    def test_a_lockstep_run_holds_no_column_whole(self):
+        # 64 noisy lanes of 10 001 steps peak within lanes (2 w + BLOCK (n + 2))
+        # 8 B plus a fixed slack: per lane, the final windows of x0 and f_hat
+        # (w rows), and a block of the n noise channels, x0 and f_hat; t and
+        # the state-free f_true are shared by every lane. The 1.5 MB slack
+        # holds the working arrays of a block's noise draw (about 0.8 MB: the
+        # uniforms and _ndtri's temporaries, 2**14 samples a call) and of its
+        # reduction. Each lane's noise and columns held whole would take
+        # about 20 MB.
+        def lanes(duration):
+            return lanes_over([1.0 + 0.5 * i for i in range(8)], [5.0 * (i + 2) for i in range(8)],
+                              (0.01,), duration=duration)
+
+        chain.run(lanes(0.01))  # imports and first-call caches stay out of the count
+        scenarios = lanes(10.0)
+        tracemalloc.start()
+        try:
+            outcomes = chain.run(scenarios)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(o, TraceSummary) and o.rows == 10_001 for o in outcomes)
+        w, n = len(outcomes[0].tail["t"]), 2
+        assert (len(scenarios), w) == (64, 2001)
+        assert peak < len(scenarios) * (2 * w + BLOCK * (n + 2)) * 8 + 1_500_000
+
     def test_trace_csv_keeps_nan_and_17_digits(self, tmp_path):
         # more rows than a block, and a value of each kind %.17g writes
-        n = 3 * CSV_BLOCK + 5
+        n = 3 * BLOCK + 5
         values = np.linspace(-1.0, 1.0, n) / 3.0
-        values[[0, CSV_BLOCK, n - 1]] = [math.nan, -0.0, math.inf]
+        values[[0, BLOCK, n - 1]] = [math.nan, -0.0, math.inf]
         trace = SimTrace({"t": np.arange(n) * 1e-3, "v": values})
         trace.to_csv(tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines == ["t,v", *("%.17g,%.17g" % row
                                   for row in zip(trace.t.tolist(), values.tolist()))]
-        assert lines[1].endswith(",nan") and lines[CSV_BLOCK + 1].endswith(",-0")
+        assert lines[1].endswith(",nan") and lines[BLOCK + 1].endswith(",-0")
 
     def test_divergence_reported(self):
         scenario = make_scenario(
@@ -454,7 +506,7 @@ class TestNoiseInjectionScaling:
 
         traces = {wf: run_with(wf) for wf in (10.0, 20.0, 40.0)}
         # every run drew the same addressed realization on the top channel
-        stream = noise_channel(NoiseSpec(sigmas=(0.0, 0.01), seed=11), 1, len(traces[10.0]))
+        stream = noise_table(NoiseSpec(sigmas=(0.0, 0.01), seed=11), 2, len(traces[10.0]))[:, 1]
         for wf in (10.0, 20.0, 40.0):
             recovered = traces[wf]["z1"] - traces[wf]["x1"]
             assert np.allclose(recovered, stream, atol=1e-12)
@@ -476,9 +528,25 @@ class TestNoiseInjectionScaling:
 LOCKSTEP_COLUMNS = ("t", "x0", "f_true", "f_hat")
 
 
+def bits(report) -> list:
+    """A metrics or bound report's fields, each float as its exact hex."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
+def bound_or_error(trace, scenario):
+    """check_bound at the scenario's omega, whatever its controller, or the
+    message of the WindowTooShortError that a short tail raises."""
+    try:
+        return bits(check_bound(trace, scenario.controller["omega"], scenario.plant["order"]))
+    except WindowTooShortError as exc:
+        return str(exc)
+
+
 def assert_lockstep_matches_alone(scenarios):
-    """Every lane of a lockstep run equals its scenario run alone, bit for bit;
-    the chain's own ``run`` takes a list of any length as lanes."""
+    """Every lane of a lockstep run reduces to what its scenario run alone
+    gives, bit for bit: the row count, the final window of each column it
+    keeps, its TraceMetrics and its BoundReport. The chain's own ``run``
+    takes a list of any length as lanes."""
     outcomes = chain.run(scenarios)
     assert len(outcomes) == len(scenarios)
     for scenario, outcome in zip(scenarios, outcomes):
@@ -488,9 +556,16 @@ def assert_lockstep_matches_alone(scenarios):
             assert isinstance(outcome, DivergedError)
             assert (outcome.step, outcome.t, str(outcome)) == (exc.step, exc.t, str(exc))
             continue
-        assert not isinstance(outcome, DivergedError), outcome
+        assert isinstance(outcome, TraceSummary), outcome
+        assert outcome.rows == len(alone)
+        w = len(outcome.tail["t"])
+        assert w == math.ceil(0.2 * len(alone))
         for name in LOCKSTEP_COLUMNS:
-            assert outcome[name].tobytes() == alone[name].tobytes(), name
+            assert outcome.tail[name].tobytes() == alone[name][-w:].tobytes(), name
+        observer = None if scenario.controller["kind"] in chain.NO_OBSERVER else chain.OBSERVER
+        assert (bits(trace_metrics(outcome, scenario.threshold, observer=observer))
+                == bits(trace_metrics(alone, scenario.threshold, observer=observer)))
+        assert bound_or_error(outcome, scenario) == bound_or_error(alone, scenario)
     return outcomes
 
 
@@ -542,9 +617,53 @@ class TestLockstep:
             (1.0, 2.0), (10.0, 20.0), (0.0, 0.01),
             plant={"order": 2, "b": 1.0, "state_coeffs": (0.3, -0.2), "x0": [0.5, -1.0]},
             decimation=7, duration=0.5))
-        assert len(outcomes[0]) == 500 // 7 + 1
+        assert outcomes[0].rows == 500 // 7 + 1
         # a state-fed disturbance is a lane of its own
-        assert outcomes[0]["f_true"].tobytes() != outcomes[1]["f_true"].tobytes()
+        assert outcomes[0].tail["f_true"].tobytes() != outcomes[1].tail["f_true"].tobytes()
+
+    @pytest.mark.parametrize("row", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_first_crossing_on_a_block_boundary_matches_alone(self, row):
+        # no control and a unit disturbance: x0 = x0(0) + t first changes sign
+        # from row - 1 to row, so at BLOCK the crossing is carried from the
+        # first block of rows to the second; one row either side of it too
+        scenarios = lanes_over((1.0, 2.0), sigmas=(0.0, 0.01), controller={"kind": "none"},
+                               plant={"order": 1, "b": 1.0, "x0": [-(row - 0.5) * 1e-3]},
+                               duration=0.6)
+        outcomes = assert_lockstep_matches_alone(scenarios)
+        x = run_scenario(scenarios[0])["x0"]
+        assert np.flatnonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)[0] + 1 == row
+        assert outcomes[0].overshoot == np.max(np.abs(x[row:])) > 0.0
+
+    def test_settling_on_a_block_boundary_matches_alone(self):
+        # x0 = exp(-t) under no control; each lane's own threshold puts its
+        # last exceedance at row r, so it settles at row r + 1: from the last
+        # row of the first block of rows to the first of the second, and one
+        # row either side
+        rows = (BLOCK - 2, BLOCK - 1, BLOCK)
+        scenarios = [make_scenario(controller={"kind": "none", "omega": 1.0 + j},
+                                   plant={"order": 1, "b": 1.0, "x0": [1.0],
+                                          "state_coeffs": (-1.0,)},
+                                   disturbance=Constant(0.0), duration=0.6,
+                                   threshold=math.exp(-(r + 0.5) * 1e-3))
+                     for j, r in enumerate(rows)]
+        outcomes = assert_lockstep_matches_alone(scenarios)
+        for r, outcome in zip(rows, outcomes):
+            assert outcome.settling_time == (r + 1) * 1e-3
+
+    def test_overshoot_peak_carried_across_blocks_matches_alone(self):
+        # a damped oscillator (x'' = -400 x - 4 x' under no control) crosses
+        # zero in the first block of rows and peaks after it there too; later
+        # blocks hold smaller swings, which must not replace that peak
+        scenarios = lanes_over((1.0, 2.0), sigmas=(0.0, 0.01), controller={"kind": "none"},
+                               plant={"order": 2, "b": 1.0, "x0": [1.0, 0.0],
+                                      "state_coeffs": (-400.0, -4.0)},
+                               disturbance=Constant(0.0), duration=1.0)
+        outcomes = assert_lockstep_matches_alone(scenarios)
+        x = run_scenario(scenarios[0])["x0"]
+        first = np.flatnonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)[0] + 1
+        peak = first + int(np.argmax(np.abs(x[first:])))
+        assert peak < BLOCK < len(x)
+        assert outcomes[0].overshoot == abs(x[peak])
 
     def test_diverged_lane_keeps_its_step_and_leaves_others(self):
         # the omega = 2000 lane runs away; its neighbours finish untouched
@@ -604,7 +723,8 @@ def lockstep_lanes(draw):
     plant = {"order": order, "b": draw(st.sampled_from([1.0, -0.7, 2.5])),
              "x0": draw(st.none() | components),
              "state_coeffs": draw(st.just(()) | components)}
-    shared = dict(plant=plant, dt=1e-3, duration=draw(st.sampled_from([0.01, 0.05, 0.1])),
+    # 0.3 s records more rows than a block, so a lane's reduction carries
+    shared = dict(plant=plant, dt=1e-3, duration=draw(st.sampled_from([0.01, 0.05, 0.1, 0.3])),
                   decimation=draw(st.integers(1, 4)),
                   disturbance=draw(st.sampled_from([Constant(1.0), Sinusoid(1.0, 3.0),
                                                     Step(0.5, 0.02)])))
