@@ -5,9 +5,8 @@ the run derives it), which a Scenario applies; ``check``, every rule that
 spans options, which a Scenario runs once they are parsed; ``BANDWIDTH``,
 ``NO_OBSERVER`` and ``parse_disturbance``; its trace's metric ``SIGNAL``,
 ``OBSERVER`` (true, estimate) columns and ``PLOTS`` (file stem, column
-patterns, title, y label); ``LOCKSTEP``, by controller kind the fewest
-scenarios ``run`` takes as the lanes of one run, or None if it takes no
-list, and with it ``lane_compatible``, whether a list can be those lanes;
+patterns, title, y label); ``lockstep``, whether ``run`` takes a list of
+scenarios as the lanes of one run, or None if it takes no list;
 ``noise_channels``, a scenario's count of noised measurement channels;
 ``run``; and ``bound``, the ultimate-bound check of a trace (or of a lane's
 summary) or None. The registry holds modules, so a function replaced on one

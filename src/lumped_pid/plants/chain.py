@@ -64,11 +64,12 @@ PLOTS = (
     ("observer", OBSERVER, "disturbance estimate", "f"),
 )
 # By controller kind, the fewest scenarios that run as the lanes of one run;
-# a shorter list runs one at a time. Each is the smallest count at which a
-# lockstep run with its metrics rows was not slower than its cells run one
-# by one: CPU time of lockstep over one by one, median of 21 interleaved
-# pairs, full-length stock configs (chain_step.conf, and bound_demo.conf for
-# homogeneous), half the cells noisy; 2-vCPU x86_64, Python 3.11, numpy 2.4.
+# a shorter list runs one at a time, and so does every list under None. Each
+# is the smallest count at which a lockstep run with its metrics rows was not
+# slower than its cells run one by one: CPU time of lockstep over one by one,
+# median of 21 interleaved pairs, full-length stock configs (chain_step.conf,
+# and bound_demo.conf for homogeneous), half the cells noisy; 2-vCPU x86_64,
+# Python 3.11, numpy 2.4.
 #   cells         3     4     5     6
 #   none         1.00  0.71  0.61  0.50
 #   homogeneous  1.40  1.03  0.84  0.67   (4: 0.95 to 1.13 over four runs)
@@ -193,6 +194,13 @@ def lane_compatible(scenarios: Sequence[Scenario]) -> bool:
     return all(_lane_key(s) == _lane_key(scenarios[0]) for s in scenarios[1:])
 
 
+def lockstep(scenarios: Sequence[Scenario]) -> bool:
+    """Whether ``run`` takes the scenarios as the lanes of one run: at least
+    LOCKSTEP of them for the controller kind of the first, lane-compatible."""
+    return (LOCKSTEP is not None and len(scenarios) >= LOCKSTEP[scenarios[0].controller["kind"]]
+            and lane_compatible(scenarios))
+
+
 def run(scenario: Scenario | Sequence[Scenario]):
     """Simulate one scenario, or a list of lane-compatible ones in lockstep.
 
@@ -229,7 +237,8 @@ def run(scenario: Scenario | Sequence[Scenario]):
         if controller is not None:
             controller = lockstep_controller(controllers)
         specs = [s.noise for s in scenarios]
-        noise = None if all(spec.silent for spec in specs) else iter(NoiseStream(specs, n))
+        noise = (None if all(spec.silent for spec in specs)
+                 else iter(NoiseStream(specs, n, n_steps + 1)))
         lanes = LaneFailures(len(scenarios))
         reduction = MetricsReduction(LOCKSTEP_COLUMNS, n_steps // first.decimation + 1,
                                      np.array([s.threshold for s in scenarios]), len(scenarios))

@@ -64,7 +64,7 @@ PLOTS = (
     ("lateral", ("l", "e_theta"), "lateral error", "l [m], e_theta [rad]"),
     ("steering", ("delta", "d_hat"), "steering and estimate", "rad"),
 )
-LOCKSTEP = None
+lockstep = None  # run takes one scenario, not a list
 bound = None  # no ultimate-bound check applies
 
 

@@ -128,7 +128,7 @@ PLOTS = (
     ("position", ("px", "py", "pz"), "position", "p [m]"),
     ("error", ("err_norm",), "tracking error", "|p err| [m]"),
 )
-LOCKSTEP = None
+lockstep = None  # run takes one scenario, not a list
 bound = None  # no ultimate-bound check applies
 
 

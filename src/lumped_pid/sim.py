@@ -332,11 +332,10 @@ def run_scenario(scenario: Scenario | Sequence[Scenario]):
 
     Given a list of scenarios of one plant, gives one outcome per scenario,
     in order: its trace, or the run failure (with ``step``) that stopped it.
-    A list of at least the plant's ``LOCKSTEP`` scenarios for the controller
-    kind of the first, which its ``lane_compatible`` accepts, runs as the
-    lanes of one run, whose outcomes are the plant's lane summaries instead
-    of traces; any other runs each scenario alone (:func:`run_each`). An
-    error raised before a run's loop propagates.
+    A list that the plant's ``lockstep`` accepts runs as the lanes of one
+    run, whose outcomes are the plant's lane summaries instead of traces;
+    any other runs each scenario alone (:func:`run_each`). An error raised
+    before a run's loop propagates.
     """
     from .plants import plant_module  # the plant modules import this one
 
@@ -346,8 +345,7 @@ def run_scenario(scenario: Scenario | Sequence[Scenario]):
     if len(kinds) != 1:
         raise ConfigError(f"a list of scenarios takes one plant, got {kinds}")
     plant = plant_module(kinds[0])
-    fewest = None if plant.LOCKSTEP is None else plant.LOCKSTEP[scenario[0].controller["kind"]]
-    lockstep = fewest is not None and len(scenario) >= fewest and plant.lane_compatible(scenario)
+    lockstep = plant.lockstep is not None and plant.lockstep(scenario)
     return plant.run(scenario) if lockstep else run_each(scenario)
 
 

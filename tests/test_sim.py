@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -247,9 +246,10 @@ class TestGaussianNoise:
             u = np.random.Generator(signals._stream(seed, channel)).random(n)
             expected = ndtri(np.maximum(u, signals._MIN_UNIFORM))
             # the channel's samples, drawn 2**16 at a time
-            stream = NoiseStream([spec], channel + 1)
-            drawn = np.concatenate([noise_table(stream, channel + 1, min(2**16, n - k))[:, channel, 0]
-                                    for k in range(0, n, 2**16)])
+            stream, drawn = NoiseStream([spec], channel + 1, n), np.zeros((n, channel + 1, 1))
+            for k in range(0, n, 2**16):
+                stream.fill(drawn[k:k + 2**16])
+            drawn = drawn[:, channel, 0]
             assert np.array_equal(drawn.view(np.int64), expected.view(np.int64))
 
     def test_inverse_cdf_is_scipys_bit_for_bit_at_edges_and_branch_points(self):
@@ -304,7 +304,7 @@ class TestGaussianNoise:
         if table is None:
             assert all(spec.silent for spec in specs)
             return
-        drawn = np.stack(list(itertools.islice(NoiseStream(specs, channels, block), steps)))
+        drawn = np.stack(list(NoiseStream(specs, channels, steps, block)))
         assert drawn.shape == table.shape == (steps, channels, len(specs))
         assert drawn.tobytes() == table.tobytes()
 

@@ -10,11 +10,11 @@ directory. Without configs it then runs ``lumped-pid sweep`` on
 ``configs/chain_step.conf`` over the 16 x 8 x 2 grid of :data:`SWEEP_GRID`
 (10 001 steps a cell), once as the lanes of one lockstep run and once cell
 by cell (``chain.LOCKSTEP`` set to None), each in a fresh interpreter, and
-prints the same columns plus the sweep's wall time; ``--sweep`` runs only
-those two. ``LUMPED_PID_SEED`` is removed, so each config runs with its own
-``sim.seed``. From the repository root:
+prints the same columns plus the sweep's wall time. ``LUMPED_PID_SEED`` is
+removed, so each config runs with its own ``sim.seed``. From the repository
+root:
 
-    python tools/peak_rss.py [--sweep | config ...]
+    python tools/peak_rss.py [config ...]
 """
 
 from __future__ import annotations
@@ -85,9 +85,7 @@ def _one(args: list[str], env: dict) -> dict:
 def main(args: list[str]) -> int:
     env = {k: v for k, v in os.environ.items() if k != "LUMPED_PID_SEED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    sweep_only = args == ["--sweep"]
-    configs = [] if sweep_only else args or sorted(
-        str(p) for p in (ROOT / "configs").glob("*.conf"))
+    configs = args or sorted(str(p) for p in (ROOT / "configs").glob("*.conf"))
     print(f"{'config':<20} {'rows':>7} {'setup MB':>9} {'run MB':>8}")
     for config in configs:
         result = _one(["--one", config], env)
@@ -96,7 +94,7 @@ def main(args: list[str]) -> int:
         if result["exit"] != 0:
             print(f"{config}: simulate exited {result['exit']}", file=sys.stderr)
             return 1
-    if args and not sweep_only:
+    if args:
         return 0
     for mode in ("lockstep", "alone"):
         result = _one(["--one-sweep", mode], env)
