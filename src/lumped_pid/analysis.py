@@ -62,8 +62,8 @@ def ultimate_bound(f_bar: float, omega: float, n: int) -> float:
 @dataclass(frozen=True)
 class TraceSummary:
     """What the metrics of one run read, as a :class:`MetricsReduction`
-    keeps it: a lockstep lane's outcome, or a trace reduced by
-    :func:`summarise`."""
+    keeps it: the outcome of a scenario of a list, whichever way the list
+    runs, as a lockstep lane or as a trace reduced by :func:`summarise`."""
 
     rows: int              # the rows reduced
     signal: str            # the column the settling and overshoot are of

@@ -21,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .analysis import (MetricsRow, TraceSummary, default_grid, summarise, table_line, trace_metrics,
+from .analysis import (MetricsRow, TraceSummary, default_grid, table_line, trace_metrics,
                        write_metrics_csv)
 from .config import build_scenario, load_config
 from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_to_pid, synthesize_gains
@@ -29,7 +29,7 @@ from .errors import ConfigError, LumpedPidError
 from .plants import chain, plant_module
 from .polylti import MAX_ORDER, frequency_response
 from .signals import NoiseSpec
-from .sim import run_scenario, write_csv
+from .sim import run_scenario, summary, write_csv
 from .svgplot import write_line_plot
 
 EXIT_OK = 0
@@ -134,12 +134,9 @@ def _run_values(scenario) -> tuple[float, float, float]:
     return scenario.controller["omega"], _observer_bandwidth(scenario)[1], scenario.noise.sigmas[0]
 
 
-def _metrics_for(outcome, scenario, scenario_id: str = "scenario") -> MetricsRow:
-    """The metrics row of a run's trace, or of a lockstep lane's summary."""
+def _metrics_for(summary: TraceSummary, scenario, scenario_id: str = "scenario") -> MetricsRow:
+    """The metrics row of a run's summary (:func:`sim.summary`)."""
     plant = plant_module(scenario.plant_kind)
-    # a trace is reduced once, for the metrics and the bound alike
-    summary = (outcome if isinstance(outcome, TraceSummary)
-               else summarise(outcome, scenario.threshold, plant.SIGNAL, plant.OBSERVER or ()))
     observer = plant.OBSERVER if _observer_bandwidth(scenario)[0] else None
     metrics = trace_metrics(summary, scenario.threshold, signal=plant.SIGNAL, observer=observer)
     omega, omega_f, sigma = _run_values(scenario)
@@ -161,7 +158,8 @@ def cmd_simulate(args) -> int:
         return EXIT_RUN_FAILED
     with _out_errors(outdir):
         trace.to_csv(outdir / "trace.csv")
-        write_metrics_csv(outdir / "metrics.csv", [_metrics_for(trace, scenario)])
+        write_metrics_csv(outdir / "metrics.csv",
+                          [_metrics_for(summary(trace, scenario), scenario)])
         if args.plots:
             _write_plots(trace, plant_module(scenario.plant_kind), outdir)
     print(f"wrote {outdir / 'trace.csv'} ({len(trace)} rows)")
@@ -197,17 +195,10 @@ def _failure_status(exc: LumpedPidError) -> str:
 def _sweep_rows(cells: list) -> list[MetricsRow]:
     """The rows of a contiguous group of ``(scenario_id, scenario)`` sweep cells."""
     # a lockstep plant runs a large enough group as the lanes of one run
-    outcomes = iter(run_scenario([scenario for _, scenario in cells]))
-    rows = []
-    for scenario_id, scenario in cells:
-        outcome = next(outcomes)  # not zip(): each trace is freed before the next cell runs
-        if isinstance(outcome, LumpedPidError):
-            rows.append(MetricsRow(scenario_id, *_run_values(scenario),
-                                   status=_failure_status(outcome)))
-        else:
-            rows.append(_metrics_for(outcome, scenario, scenario_id))
-        del outcome
-    return rows
+    outcomes = run_scenario([scenario for _, scenario in cells])
+    return [MetricsRow(scenario_id, *_run_values(scenario), status=_failure_status(outcome))
+            if isinstance(outcome, LumpedPidError) else _metrics_for(outcome, scenario, scenario_id)
+            for (scenario_id, scenario), outcome in zip(cells, outcomes)]
 
 
 def cmd_sweep(args) -> int:

@@ -8,8 +8,8 @@ spans options, which a Scenario runs once they are parsed; ``BANDWIDTH``,
 patterns, title, y label); ``lockstep``, whether ``run`` takes a list of
 scenarios as the lanes of one run, or None if it takes no list;
 ``noise_channels``, a scenario's count of noised measurement channels;
-``run``; and ``bound``, the ultimate-bound check of a trace (or of a lane's
-summary) or None. The registry holds modules, so a function replaced on one
+``run``; and ``bound``, the ultimate-bound check of a run's summary (or
+its trace) or None. The registry holds modules, so a function replaced on one
 (by a profiler, say) is the one called.
 """
 

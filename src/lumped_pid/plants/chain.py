@@ -23,16 +23,18 @@ from ..controller import (
     HomogeneousController,
     lockstep_controller,
 )
-from ..errors import ConfigError, LumpedPidError, WindowTooShortError
+from ..errors import ConfigError, WindowTooShortError
 from ..polylti import MAX_ORDER
 from ..quadrature import RECTANGULAR, RULES
 from ..sim import (
+    STEP_ERRORS,
     LaneFailures,
     Scenario,
     SimTrace,
     TraceRecorder,
     check_state,
     rk4_step,
+    run_failure,
 )
 from ..signals import NoiseStream, noise_table
 
@@ -273,9 +275,13 @@ def run(scenario: Scenario | Sequence[Scenario]):
                            else [t, *state, u, f_true, f_hat, *z])
                 if k < n_steps:
                     state = step(state, plant.b * u, (d0, f0(t + half), f0(t + dt)))
-        except LumpedPidError as exc:
-            exc.at(k, t)
-            raise
+        except STEP_ERRORS as exc:
+            error = run_failure(exc, k, t)
+            if not lockstep:
+                raise error
+            # a step's error, its disturbance's say, stops each lane still
+            # running there, as it stops that lane's scenario run alone
+            return [error if e is None else e for e in lanes.errors]
         outcomes = rec.build()  # a diverged lane's last block holds inf or NaN
     if not lockstep:
         return outcomes

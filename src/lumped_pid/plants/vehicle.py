@@ -22,13 +22,14 @@ from ..controller import homogeneous_control, observer_step, synthesize_gains
 from ..errors import (
     AmbiguousMatchError,
     ConfigError,
-    LumpedPidError,
     OffPathError,
     SteeringLimitError,
     check_positive,
 )
+from ..polylti import MAX_GRID_POINTS
 from ..quadrature import RECTANGULAR, RULES, Integrator
-from ..sim import Scenario, SimTrace, TraceRecorder, check_state, rk4_step
+from ..sim import (STEP_ERRORS, Scenario, SimTrace, TraceRecorder, check_state, rk4_step,
+                   run_failure)
 from ..signals import noise_table
 
 STEER_LIMIT = 0.5 * math.pi - 1e-9
@@ -117,6 +118,17 @@ class LateralErrorState(NamedTuple):
     segment: int = 0  # path segment holding the matched point; the next call's hint
 
 
+def _samples(extent: float, spacing: float) -> int:
+    """The sample count of a path of arc length ``extent`` at ``spacing``,
+    checked before anything is allocated: more than MAX_GRID_POINTS, an
+    overflowing ratio too, is a ConfigError."""
+    ratio = extent / spacing  # inf if it overflows
+    if not ratio <= MAX_GRID_POINTS - 1:
+        raise ConfigError(f"path: an arc length of {extent!r} at path.spacing {spacing!r} needs "
+                          f"more than the {MAX_GRID_POINTS} samples a path may hold")
+    return max(2, int(math.ceil(ratio)) + 1)
+
+
 class FrenetPath:
     """Arc-length tabulated path (s, x, y, theta, kappa) with linear interpolation.
 
@@ -184,14 +196,14 @@ class FrenetPath:
     @classmethod
     def line(cls, length: float, spacing: float = 0.25) -> "FrenetPath":
         """Straight path along +x starting at the origin."""
-        n = max(2, int(math.ceil(length / spacing)) + 1)
+        n = _samples(length, spacing)
         s = np.linspace(0.0, length, n)
         return cls(s, s.copy(), np.zeros(n), np.zeros(n), np.zeros(n))
 
     @classmethod
     def circle(cls, radius: float, arc: float, spacing: float = 0.25) -> "FrenetPath":
         """Counterclockwise circle from the origin, initial heading +x."""
-        n = max(2, int(math.ceil(arc / spacing)) + 1)
+        n = _samples(arc, spacing)
         s = np.linspace(0.0, arc, n)
         ang = s / radius
         return cls(s, radius * np.sin(ang), radius * (1.0 - np.cos(ang)), ang,
@@ -476,8 +488,7 @@ def run(scenario: Scenario) -> SimTrace:
             if k < n_steps:
                 state = rk4_step(derivative, state, delta,
                                  (d_now, bias(t + half), bias(t + dt)), dt)
-    except LumpedPidError as exc:
-        exc.at(k, t)
-        raise
+    except STEP_ERRORS as exc:
+        raise run_failure(exc, k, t)
     return rec.build()
 

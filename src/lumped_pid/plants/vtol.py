@@ -19,6 +19,7 @@ the lumped torque disturbance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,9 @@ from ..errors import (
     ConfigError,
     DegenerateThrustError,
     GimbalDegenerateError,
-    LumpedPidError,
     check_positive,
 )
-from ..sim import Scenario, SimTrace, TraceRecorder, check_state
+from ..sim import STEP_ERRORS, Scenario, SimTrace, TraceRecorder, check_state, run_failure
 from ..signals import Constant, build_signal, noise_table, sample_triple
 from ..so3 import (det3, gram_schmidt3, inv3, mat_mul, mat_tmul, norm3, ortho_error3,
                    rodrigues3, rodrigues_e3)
@@ -69,6 +69,12 @@ def _inertia(value, key):
             raise ConfigError(f"{key}: must be symmetric")
     if np.any(np.linalg.eigvalsh(J) <= 0.0):
         raise ConfigError(f"{key}: must be a positive-definite matrix")
+    # the rigid body reads inv3(values), 1 / det3 times the adjugate: a
+    # determinant that is not a normal float, or an entry that overflows,
+    # gives none
+    if not (sys.float_info.min <= det3(values) < math.inf
+            and all(map(math.isfinite, inv3(values)))):
+        raise ConfigError(f"{key}: its determinant or inverse is beyond the float range")
     return values
 
 
@@ -471,8 +477,7 @@ def run(scenario: Scenario) -> SimTrace:
                 p, v, R9, w = advance_rigid_body(
                     p, v, R9, w, f, tau, t, dt, m, g, J9, Jinv9, d_f_eval, d_tau_eval
                 )
-    except LumpedPidError as exc:
-        exc.at(k, t)
-        raise
+    except STEP_ERRORS as exc:
+        raise run_failure(exc, k, t)
     return rec.build()
 

@@ -89,13 +89,18 @@ def binomial_poly(omega: float, n: int) -> Polynomial:
     """Expansion of (s + omega)**n.
 
     The coefficient of ``s**(n-i)`` is ``C(n, i) * omega**i``; binomials come
-    from exact integer arithmetic (no factorial overflow up to MAX_ORDER).
+    from exact integer arithmetic (no factorial overflow up to MAX_ORDER). A
+    coefficient beyond the float range is a ConfigError.
     """
     if n < 1 or n > MAX_ORDER:
         raise ConfigError(f"order n must be in [1, {MAX_ORDER}], got {n}")
     check_positive(omega, "omega")
-    # ascending: coeffs[k] multiplies s^k, i.e. i = n - k
-    return Polynomial(float(math.comb(n, n - k)) * omega ** (n - k) for k in range(n + 1))
+    try:
+        # ascending: coeffs[k] multiplies s^k, i.e. i = n - k
+        return Polynomial(float(math.comb(n, n - k)) * omega ** (n - k) for k in range(n + 1))
+    except OverflowError:  # a power of omega past the float range
+        raise ConfigError(f"omega = {omega!r} at order {n}: (s + omega)**{n} has a coefficient "
+                          f"beyond the float range") from None
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -17,14 +17,14 @@ RK4 step as one affine map, which :func:`rk4_step` builds once per run.
 divergence guard: a plant step returns its state unchecked, so a step that
 makes the state non-finite is reported at the next step. In a lockstep run
 it takes a :class:`LaneFailures` record and masks failing lanes instead of
-raising.
+raising. A math error inside a step is a divergence there (:func:`run_failure`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -327,15 +327,49 @@ class TraceRecorder:
         return self.reduction.summaries()
 
 
+# What a step of a run's loop may raise: a package error, or a math error
+# of its float arithmetic (``math.sin`` of inf, say)
+STEP_ERRORS = (LumpedPidError, ArithmeticError, ValueError)
+
+
+def run_failure(exc: Exception, step: int, t: float) -> LumpedPidError:
+    """The run failure that ``exc``, one of STEP_ERRORS raised in step
+    ``step`` of a run's loop at time ``t``, stops the run with: a package
+    error with its step recorded, or a math error as a DivergedError there."""
+    if not isinstance(exc, LumpedPidError):
+        exc = DivergedError(f"math error at t={t:g}: {exc}")
+    exc.at(step, t)
+    return exc
+
+
+def summary(trace: SimTrace, scenario: Scenario):
+    """The TraceSummary of a run of ``scenario``, as a lockstep lane keeps it:
+    its plant's SIGNAL and OBSERVER columns at the scenario's ``threshold``."""
+    from .analysis import summarise  # analysis.py imports this one
+    from .plants import plant_module  # the plant modules import this one
+    plant = plant_module(scenario.plant_kind)
+    return summarise(trace, scenario.threshold, plant.SIGNAL, plant.OBSERVER or ())
+
+
+def _outcome(scenario: Scenario):
+    """The summary of ``scenario`` run alone, or the run failure that stopped it."""
+    try:
+        return summary(run_scenario(scenario), scenario)
+    except LumpedPidError as exc:
+        if exc.step is None:
+            raise
+        return exc
+
+
 def run_scenario(scenario: Scenario | Sequence[Scenario]):
     """Simulate one scenario to completion; bit-reproducible for a fixed seed.
 
     Given a list of scenarios of one plant, gives one outcome per scenario,
-    in order: its trace, or the run failure (with ``step``) that stopped it.
-    A list that the plant's ``lockstep`` accepts runs as the lanes of one
-    run, whose outcomes are the plant's lane summaries instead of traces;
-    any other runs each scenario alone (:func:`run_each`). An error raised
-    before a run's loop propagates.
+    in order: its :func:`summary`, or the run failure (with ``step``) that
+    stopped it, whichever way the list runs. A list that the plant's
+    ``lockstep`` accepts runs as the lanes of one run; any other runs each
+    scenario alone as its outcome is taken, so no two traces are held at
+    once. An error raised before a run's loop propagates.
     """
     from .plants import plant_module  # the plant modules import this one
 
@@ -346,20 +380,4 @@ def run_scenario(scenario: Scenario | Sequence[Scenario]):
         raise ConfigError(f"a list of scenarios takes one plant, got {kinds}")
     plant = plant_module(kinds[0])
     lockstep = plant.lockstep is not None and plant.lockstep(scenario)
-    return plant.run(scenario) if lockstep else run_each(scenario)
-
-
-def run_each(scenarios: Sequence[Scenario]) -> Iterator:
-    """Run each scenario alone, in order, yielding its trace or the run
-    failure that stopped it; an error raised before a run's loop propagates.
-    A trace is released before the next run starts, once the caller drops it.
-    """
-    for scenario in scenarios:
-        try:
-            outcome = run_scenario(scenario)
-        except LumpedPidError as exc:
-            if exc.step is None:
-                raise
-            outcome = exc
-        yield outcome
-        del outcome
+    return plant.run(scenario) if lockstep else map(_outcome, scenario)

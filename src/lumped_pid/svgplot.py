@@ -66,18 +66,17 @@ def line_plot_svg(x: Sequence[float], series: dict[str, Sequence[float]],
 
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
-    # each axis maps k v, with k = 1 unless the range spans nearly the float
-    # limit; then k = 2**-12, exact, keeps pw (v - lo) and the span finite
-    kx, ky = (1.0 if math.isfinite(_W * (hi - lo)) else 2.0**-12
-              for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)))
-    x0, x_span = kx * x_lo, kx * x_hi - kx * x_lo
-    y0, y_span = ky * y_lo, ky * y_hi - ky * y_lo
+    # each axis maps k v with k = 2**-12, exact for a normal v, which keeps
+    # pw (v - lo) and the span finite up to the float limit
+    k = 2.0**-12
+    x0, x_span = k * x_lo, k * x_hi - k * x_lo
+    y0, y_span = k * y_lo, k * y_hi - k * y_lo
 
     def px(v):
-        return _ML + pw * (kx * v - x0) / x_span
+        return _ML + pw * (k * v - x0) / x_span
 
     def py(v):
-        return _MT + ph * (1.0 - (ky * v - y0) / y_span)
+        return _MT + ph * (1.0 - (k * v - y0) / y_span)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

@@ -19,6 +19,7 @@ from lumped_pid.config import build_scenario, load_config, parse_config_text
 from lumped_pid.controller import synthesize_gains
 from lumped_pid.errors import ConfigError
 from lumped_pid.plants import chain, vehicle
+from lumped_pid.polylti import MAX_GRID_POINTS
 from lumped_pid.signals import Sum
 from lumped_pid.svgplot import line_plot_svg, write_line_plot
 
@@ -295,6 +296,10 @@ OTHERS_REJECTED = pytest.mark.parametrize("conf,changes,message", [
      "plant.inertia: must be symmetric"),
     ("vtol_wind.conf", {"plant.inertia": "0.02,-0.02,0.04"},
      "plant.inertia: must be a positive-definite matrix"),
+    # a determinant that underflows to 0, overflows, or is subnormal (1 / det3 overflows)
+    *(("vtol_wind.conf", {"plant.inertia": f"{v},{v},{v}"},
+       "plant.inertia: its determinant or inverse is beyond the float range")
+      for v in ("1e-150", "1e103", "1e-103")),
     # a path or reference option the kind does not read, set away from its default
     ("vehicle_bias.conf", {"path.kind": "circle", "path.length": 5},
      "path.length: not read by path.kind 'circle'"),
@@ -304,7 +309,8 @@ OTHERS_REJECTED = pytest.mark.parametrize("conf,changes,message", [
     ("vtol_wind.conf", {"reference.kind": "circle", "reference.position": "1,0,0"},
      "reference.position: not read by reference.kind 'circle'"),
 ], ids=["csv_without_file", "known_d_omega_d", "known_d_quadrature", "vtol_inertia_asymmetric",
-        "vtol_inertia_indefinite", "circle_path_length", "line_path_radius",
+        "vtol_inertia_indefinite", "vtol_inertia_det_underflow", "vtol_inertia_det_overflow",
+        "vtol_inertia_det_subnormal", "circle_path_length", "line_path_radius",
         "hover_reference_radius", "circle_reference_position"])
 
 
@@ -388,6 +394,21 @@ class TestOutputPaths:
         assert main(["sweep", "--config", conf, "--out", str(tmp_path / "file" / "sweep"),
                      "--grid", "omega=1,2"]) == 2
         assert capsys.readouterr().err.startswith("config error: --out: cannot write ")
+
+
+def run_python(tmp_path, code):
+    """The stdout of ``code`` run in its own interpreter with a timeout and
+    1 GiB of data, which must exit 0: a loop that never ends, or an
+    allocation past the limit, fails instead of hanging or swapping."""
+    resource = pytest.importorskip("resource")
+    package_root = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(package_root)},
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_DATA,
+                                                                (2**30, 2**30)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestSimulate:
@@ -509,22 +530,11 @@ class TestSimulate:
             assert "polyline" in (out / name).read_text()
 
     # A tick step below half the rounding unit of the values leaves a tick
-    # unchanged when added. Each case runs in its own interpreter with a
-    # timeout and 1 GiB of data, so that a tick loop that never ends, and
-    # appends a tick on every pass, fails instead of hanging.
-    def run_python(self, tmp_path, code):
-        resource = pytest.importorskip("resource")
-        package_root = Path(cli.__file__).resolve().parent.parent
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              cwd=tmp_path, timeout=60,
-                              env={**os.environ, "PYTHONPATH": str(package_root)},
-                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_DATA,
-                                                                    (2**30, 2**30)))
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
+    # unchanged when added. Each case runs in its own interpreter
+    # (run_python), so that a tick loop that never ends, and appends a tick
+    # on every pass, fails instead of hanging.
     def test_a_tick_step_below_the_rounding_unit_ends_the_ticks(self, tmp_path):
-        svg = self.run_python(tmp_path, "from lumped_pid.svgplot import line_plot_svg; "
+        svg = run_python(tmp_path, "from lumped_pid.svgplot import line_plot_svg; "
                               "print(line_plot_svg([0.0, 1.0], {'u': [1e16, 1e16 + 2]}))")
         ticks = [float(v) for v in re.findall(r'text-anchor="end"[^>]*>([^<]*)</text>', svg)]
         assert 1 <= len(ticks) <= 6 and ticks == sorted(set(ticks))
@@ -536,7 +546,7 @@ class TestSimulate:
                           "disturbance.kind = constant\ndisturbance.value = 9e15\n"
                           "sim.dt = 0.00001\nsim.duration = 0.0001\n")
         out = tmp_path / "run"
-        self.run_python(tmp_path, f"from lumped_pid.cli import main; assert main(['simulate', "
+        run_python(tmp_path, f"from lumped_pid.cli import main; assert main(['simulate', "
                                   f"'--config', {conf!r}, '--out', {str(out)!r}, '--plots']) == 0")
         for name in ("plot_state.svg", "plot_control.svg", "plot_observer.svg"):
             assert "polyline" in (out / name).read_text()
@@ -1215,7 +1225,7 @@ class TestSweepBaseConfig:
 
         monkeypatch.setattr(vehicle, "run", spy)
         conf = write_conf(tmp_path, stock("vehicle_bias.conf", **{"sim.duration": 0.05}))
-        # two cells go through run_each, five through run_scenario's list
+        # a vehicle list runs one cell at a time, two cells as five
         for grid in ("omega=1,2", "omega=1,2,3,4,5"):
             traces.clear()
             assert main(["sweep", "--config", conf, "--out", str(tmp_path / grid),
@@ -1523,6 +1533,97 @@ class TestNonFiniteInputs:
         assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
                      "--grid", axis]) == 2
         assert "values must be finite" in capsys.readouterr().err
+
+
+class TestFloatRange:
+    """Inputs whose arithmetic leaves the float range: a config error when a
+    command finds it before a run's loop (exit 2), a run failure when a step
+    does (exit 3, and 4 for a sweep), never a traceback."""
+
+    @pytest.mark.parametrize("conf,changes", [
+        ("chain_step.conf", {"plant.order": 20, "controller.omega": 1e16}),
+        ("chain_step.conf", {"controller.omega": 1e200}),
+        ("vtol_wind.conf", {"controller.omega_att": 1e200}),
+        ("vehicle_bias.conf", {"controller.omega": 1e300}),
+    ], ids=["chain_order_20", "chain_order_2", "vtol_omega_att", "vehicle_omega"])
+    def test_bandwidth_power_overflow_exits_2(self, tmp_path, capsys, conf, changes):
+        conf_path = write_conf(tmp_path, stock(conf, **changes, **{"sim.duration": 0.05}))
+        commands = [["simulate", "--out", str(tmp_path / "sim")],
+                    ["sweep", "--out", str(tmp_path / "sweep"), "--grid", "sigma=0,0.01"]]
+        if conf == "chain_step.conf":  # tune and bode take chain plants only
+            commands += [["tune"], ["bode", "--out", str(tmp_path / "bode.csv")]]
+        for command, *args in commands:
+            assert main([command, "--config", conf_path, *args]) == 2, command
+            err = capsys.readouterr().err
+            assert "has a coefficient beyond the float range" in err, (command, err)
+        assert not any(tmp_path.glob("*/*.csv")) and not (tmp_path / "bode.csv").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"path.spacing": 1e-9},
+        {"path.length": 1e300},
+        {"path.kind": "circle", "path.length": None, "path.arc": 1e12},
+    ], ids=["spacing", "length", "circle_arc"])
+    def test_a_path_past_the_sample_bound_exits_2_before_allocating(self, tmp_path, changes):
+        # under run_python's 1 GiB data limit, which any of these tables exceeds
+        conf = write_conf(tmp_path, stock("vehicle_bias.conf", **changes, **{"sim.duration": 0.05}))
+        err = run_python(tmp_path, f"""
+import contextlib, io
+from lumped_pid.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    assert main(['simulate', '--config', {conf!r}, '--out', 'sim']) == 2
+    assert main(['sweep', '--config', {conf!r}, '--out', 'sweep', '--grid', 'sigma=0,0.01']) == 2
+print(err.getvalue())
+""")
+        assert err.count("samples a path may hold") == 2, err
+
+    def test_the_path_sample_bound_is_inclusive(self):
+        # counted, not built: a table at the bound takes about 260 MB
+        assert vehicle._samples((MAX_GRID_POINTS - 1) * 0.25, 0.25) == MAX_GRID_POINTS
+        for build in (vehicle.FrenetPath.line, lambda *a: vehicle.FrenetPath.circle(50.0, *a)):
+            with pytest.raises(ConfigError, match="samples a path may hold"):
+                build(MAX_GRID_POINTS * 0.25, 0.25)
+
+    @pytest.mark.parametrize("conf,changes,grid,step", [
+        ("vtol_wind.conf", {"controller.omega_tau": 1e308}, ("sigma=0,0.01",), 1),
+        ("vtol_wind.conf", {"controller.omega_att": 1e150}, ("sigma=0,0.01",), 1),
+        ("vehicle_bias.conf", {"plant.wheelbase": 5e-324}, ("sigma=0,0.01",), 0),
+        ("chain_step.conf", {"disturbance.kind": "sinusoid", "disturbance.value": None,
+                             "disturbance.amplitude": 1.0, "disturbance.freq": 1e308,
+                             "sim.dt": 0.5}, ("omega=1,2,3", "sigma=0,0.01"), 3),
+    ], ids=["vtol_omega_tau", "vtol_omega_att", "vehicle_wheelbase", "chain_sinusoid"])
+    def test_a_math_error_in_a_step_is_a_run_failure(self, tmp_path, capsys, conf, changes,
+                                                     grid, step):
+        # sin, cos or tan of an infinite argument inside a step
+        text = stock(conf, **changes, **{"sim.duration": 0.05 if step < 3 else 3.0})
+        assert main(["simulate", "--config", write_conf(tmp_path, text),
+                     "--out", str(tmp_path / "sim")]) == 3
+        err = capsys.readouterr().err
+        assert re.match(rf"run failed: diverged at step {step} t=\S+: math error at t=", err), err
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_conf(tmp_path, text), "--out", str(out),
+                     "--grid", *grid]) == 4
+        capsys.readouterr()
+        statuses = [row["status"] for row in read_rows(out / "sweep.csv")]
+        assert len(statuses) == math.prod(len(axis.split(",")) for axis in grid)
+        assert all(re.fullmatch(rf"diverged at step {step} t=\S+", s) for s in statuses), statuses
+
+    def test_a_math_error_fails_every_lane_as_it_fails_each_cell_alone(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # the shared disturbance's sine of an infinite argument at step 3;
+        # a sigma = 1e307 cell has a non-finite state at step 1, before it
+        text = stock("chain_step.conf", **{"disturbance.kind": "sinusoid",
+                                           "disturbance.value": None, "disturbance.amplitude": 1.0,
+                                           "disturbance.freq": 1e308, "sim.dt": 0.5,
+                                           "sim.duration": 3.0})
+        grid = ("omega=1,2", "sigma=0,0.01,1e307")
+        lockstep = sweep_bytes(tmp_path, monkeypatch, text, grid, lockstep=True)
+        alone = sweep_bytes(tmp_path, monkeypatch, text, grid, lockstep=False)
+        capsys.readouterr()
+        assert lockstep == alone
+        statuses = [line.rsplit(",", 1)[1] for line in lockstep.decode().splitlines()[1:]]
+        assert statuses == ["diverged at step 3 t=1.5"] * 2 + ["diverged at step 1 t=0.5"] + \
+            ["diverged at step 3 t=1.5"] * 2 + ["diverged at step 1 t=0.5"]
 
 
 class TestInputContract:

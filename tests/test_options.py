@@ -123,10 +123,13 @@ def test_a_value_from_config_or_from_code_has_one_outcome(data):
      "plant.inertia: expected 3 (diagonal) or 9 values"),
     ("vtol", "controller.omega_att", float("inf"),
      "controller.omega_att: expected a finite number, got inf"),
+    ("vtol", "plant.inertia", (1e-150, 1e-150, 1e-150),
+     "plant.inertia: its determinant or inverse is beyond the float range"),
 ], ids=["quadrature", "chain_omega", "order_fraction", "order_bool", "order_integral_float",
          "b_word",
         "state_coeffs_scalar", "seed_integral", "path_length", "path_arc", "path_kind",
-        "vehicle_x0", "reference_kind", "reference_position", "inertia_2x2", "vtol_omega_att_inf"])
+        "vehicle_x0", "reference_kind", "reference_position", "inertia_2x2", "vtol_omega_att_inf",
+        "inertia_det_underflow"])
 def test_a_code_built_scenario_raises_on_construction(kind, key, value, message):
     with pytest.raises(ConfigError) as raised:
         from_code(kind, key, value)

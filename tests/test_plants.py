@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from lumped_pid import plants
+from lumped_pid.analysis import TraceSummary
 from lumped_pid.config import REQUIRED, SCENARIO_OPTIONS, build_scenario, load_config
-from lumped_pid.errors import ConfigError, SteeringLimitError
+from lumped_pid.errors import ConfigError, LumpedPidError, SteeringLimitError
 from lumped_pid.plants import chain, plant_module
 from lumped_pid.signals import Constant
-from lumped_pid.sim import Scenario, SimTrace, nest, run_each, run_scenario
+from lumped_pid.sim import Scenario, SimTrace, nest, run_scenario, summary
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STOCK = {"chain": "chain_step.conf", "vtol": "vtol_wind.conf", "vehicle": "vehicle_bias.conf"}
@@ -22,6 +23,19 @@ STOCK = {"chain": "chain_step.conf", "vtol": "vtol_wind.conf", "vehicle": "vehic
 def short_scenario(kind):
     scenario = build_scenario(load_config(CONFIGS / STOCK[kind]))
     return dataclasses.replace(scenario, duration=0.05)
+
+
+def assert_same_summary(outcome, expected):
+    """Two TraceSummaries agree field by field, each array bit for bit."""
+    assert isinstance(outcome, TraceSummary), outcome
+    for field in dataclasses.fields(TraceSummary):
+        got, want = getattr(outcome, field.name), getattr(expected, field.name)
+        if field.name == "tail":
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+        else:
+            assert repr(got) == repr(want), field.name
 
 
 def test_every_plant_has_a_stock_config():
@@ -34,56 +48,60 @@ class TestRunLookup:
 
     def test_run_scenario_calls_the_module_run_of_now(self, monkeypatch):
         calls = []
+        run = chain.run
 
         def spy(scenario):
             calls.append(scenario)
-            return "traced"
+            return run(scenario)
 
         monkeypatch.setattr(chain, "run", spy)
         scenario = short_scenario("chain")
-        assert run_scenario(scenario) == "traced"
+        assert isinstance(run_scenario(scenario), SimTrace)
         # enough chain scenarios of a kind run as the lanes of one run, one
         # fewer one at a time
         fewest = chain.LOCKSTEP[scenario.controller["kind"]]
-        assert run_scenario([scenario] * fewest) == "traced"
+        assert len(run_scenario([scenario] * fewest)) == fewest
         assert calls == [scenario, [scenario] * fewest]
         calls.clear()
-        assert list(run_scenario([scenario] * (fewest - 1))) == ["traced"] * (fewest - 1)
+        outcomes = list(run_scenario([scenario] * (fewest - 1)))
+        assert all(isinstance(o, TraceSummary) for o in outcomes)
         assert calls == [scenario] * (fewest - 1)
 
     def test_lockstep_only_where_the_module_allows_it(self):
         assert {kind: module.lockstep is not None for kind, module in plants.PLANTS.items()} == {
             "chain": True, "vtol": False, "vehicle": False}
         assert chain.LOCKSTEP == {"none": 3, "homogeneous": 4, "pid": 5, "generalized": 5}
-        # a list of another plant's scenarios gives each scenario's run alone
+        # a list of another plant's scenarios gives the summary of each
+        # scenario's run alone
         first = short_scenario("vtol")
         second = dataclasses.replace(first, controller={**first.controller, "omega": 3.0})
         outcomes = list(run_scenario([first, second]))
         assert len(outcomes) == 2
         for scenario, outcome in zip([first, second], outcomes):
-            alone = run_scenario(scenario)
-            assert outcome.names == alone.names
-            assert all(np.array_equal(outcome[name], alone[name]) for name in alone.names)
-        assert not np.array_equal(outcomes[0]["px"], outcomes[1]["px"])
+            assert_same_summary(outcome, summary(run_scenario(scenario), scenario))
+        assert not np.array_equal(outcomes[0].tail["err_norm"], outcomes[1].tail["err_norm"])
         with pytest.raises(ConfigError, match="one plant"):
             run_scenario([short_scenario("vtol"), short_scenario("chain")])
 
 
 class TestRunEach:
+    """A list that does not run in lockstep runs each scenario alone, as its
+    outcome is taken."""
+
     def test_run_failure_is_an_outcome(self):
         ok = short_scenario("vehicle")
         # a 1.6 rad steering bias drives the effective steering past pi/2
         bad = build_scenario({**load_config(CONFIGS / STOCK["vehicle"]), "disturbance.value": "1.6"})
-        outcomes = list(run_each([ok, bad, ok]))
-        assert isinstance(outcomes[0], SimTrace) and isinstance(outcomes[2], SimTrace)
+        outcomes = list(run_scenario([ok, bad, ok]))
+        assert isinstance(outcomes[0], TraceSummary) and isinstance(outcomes[2], TraceSummary)
         assert isinstance(outcomes[1], SteeringLimitError) and outcomes[1].step == 0
 
     def test_error_before_the_loop_propagates(self, tmp_path):
         ok = short_scenario("vehicle")
         missing = str(tmp_path / "missing.csv")
         bad = dataclasses.replace(ok, plant={**ok.plant, "path": {"kind": "csv", "file": missing}})
-        outcomes = run_each([ok, bad])
-        assert isinstance(next(outcomes), SimTrace)
+        outcomes = iter(run_scenario([ok, bad]))
+        assert isinstance(next(outcomes), TraceSummary)
         with pytest.raises(ConfigError, match="path.file: cannot read") as raised:
             next(outcomes)
         assert raised.value.step is None
@@ -99,12 +117,61 @@ class TestRunEach:
             return trace
 
         monkeypatch.setattr(chain, "run", spy)
-        outcomes = run_each([short_scenario("chain")] * 3)
-        for _ in range(3):
-            trace = next(outcomes)
-            assert isinstance(trace, SimTrace)
-            del trace
-        assert len(traces) == 3
+        outcomes = list(run_scenario([short_scenario("chain")] * 3))
+        assert all(isinstance(o, TraceSummary) for o in outcomes)
+        assert len(traces) == 3 and traces[-1]() is None
+
+
+def with_controller(scenario, values, key="omega", **changes):
+    """A copy of ``scenario`` per value of its controller option ``key``."""
+    return [dataclasses.replace(scenario, controller={**scenario.controller, key: value},
+                                **changes) for value in values]
+
+
+def scenario_list(case):
+    """A list of scenarios whose last one stops mid-run."""
+    chain_step = short_scenario("chain")
+    fewest = chain.LOCKSTEP[chain_step.controller["kind"]]
+    # omega = 2000 runs away at this step, within 0.1 s
+    lanes = with_controller(chain_step, [*(1.0 + j for j in range(fewest - 1)), 2000.0],
+                            duration=0.1)
+    vehicle = short_scenario("vehicle")
+    vtol = short_scenario("vtol")
+    return {
+        "chain_below_lockstep": lanes[1:],
+        "chain_at_lockstep": lanes,
+        "chain_mixed": [dataclasses.replace(lanes[0], dt=2e-3), *lanes[1:]],
+        # a 1.6 rad steering bias drives the effective steering past pi/2
+        "vehicle": [*with_controller(vehicle, [0.5, 1.0]),
+                    dataclasses.replace(vehicle, disturbance=Constant(1.6))],
+        # an omega_tau of 1e308 makes the attitude step's rotation angle inf
+        "vtol": [*with_controller(vtol, [2.0, 3.0]),
+                 *with_controller(vtol, [1e308], key="omega_tau")],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["chain_below_lockstep", "chain_at_lockstep", "chain_mixed",
+                                  "vehicle", "vtol"])
+def test_a_list_gives_each_scenario_summary_or_failure(case, monkeypatch):
+    """Whichever way a list runs, each outcome is the summary of its
+    scenario's run alone, or the run failure that stopped that run."""
+    scenarios = scenario_list(case)
+    module = plant_module(scenarios[0].plant_kind)
+    calls = []
+    run = module.run
+    monkeypatch.setattr(module, "run", lambda scenario: calls.append(scenario) or run(scenario))
+    outcomes = list(run_scenario(scenarios))
+    # only the chain list at its lockstep count runs as the lanes of one run
+    assert calls == ([scenarios] if case == "chain_at_lockstep" else scenarios)
+    assert len(outcomes) == len(scenarios)
+    for scenario, outcome in zip(scenarios[:-1], outcomes):
+        assert_same_summary(outcome, summary(run_scenario(scenario), scenario))
+    with pytest.raises(LumpedPidError) as alone:
+        run_scenario(scenarios[-1])
+    failure = outcomes[-1]
+    assert type(failure) is type(alone.value) and failure.step is not None
+    assert (failure.step, failure.t, str(failure)) == (alone.value.step, alone.value.t,
+                                                         str(alone.value))
 
 
 @pytest.mark.parametrize("kind", sorted(STOCK))

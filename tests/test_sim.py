@@ -19,7 +19,7 @@ from lumped_pid.quadrature import RULES
 from lumped_pid.signals import (Constant, NoiseSpec, NoiseStream, Sinusoid, Step, Sum,
                                 gaussian_noise, noise_table)
 from lumped_pid.sim import (BLOCK, RUNAWAY_BOUND, Scenario, SimTrace, check_state, rk4_step,
-                            run_each, run_scenario)
+                            run_scenario, summary)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -686,15 +686,17 @@ class TestLockstep:
             assert str(error) == "diverged: |state| exceeded 1e+12 at t=0.001"
 
     def test_mixed_list_runs_one_scenario_at_a_time(self):
-        # four scenarios that differ in dt cannot be lanes of one run
+        # four scenarios that differ in dt cannot be lanes of one run; each
+        # gives the summary of its run alone
         scenarios = [make_scenario(dt=dt, duration=0.1) for dt in (1e-3, 2e-3) * 2]
         outcomes = list(run_scenario(scenarios))
-        alone = list(run_each(scenarios))
         assert len(outcomes) == 4
-        for outcome, expected in zip(outcomes, alone):
-            assert outcome.names == expected.names
-            for name in expected.names:
-                assert outcome[name].tobytes() == expected[name].tobytes(), name
+        for scenario, outcome in zip(scenarios, outcomes):
+            expected = summary(run_scenario(scenario), scenario)
+            assert isinstance(outcome, TraceSummary), outcome
+            assert outcome.rows == expected.rows == round(0.1 / scenario.dt) + 1
+            for name in expected.tail:
+                assert outcome.tail[name].tobytes() == expected.tail[name].tobytes(), name
 
     def test_incompatible_scenarios_rejected(self):
         with pytest.raises(ConfigError, match="differ"):
