@@ -5,10 +5,10 @@ limsup is the maximum over that window after the transient has been given at
 least ten homogeneous time constants to settle; it is an estimate of the
 mathematical limsup, not the limit itself.
 
-Trace metrics and the bound check read a run through one reduction,
-:class:`MetricsReduction`: a lockstep run feeds it every lane's rows a block
-at a time as it goes, and a single run's trace is fed to it whole, as one
-chunk (:func:`summarise`).
+Trace metrics and the bound check read only a :class:`TraceSummary`, the
+outcome of one reduction, :class:`MetricsReduction`: a lockstep run feeds it
+every lane's rows a block at a time as it goes, and a single run's trace is
+fed to it whole, as one chunk (:func:`summarise`, through ``sim.summary``).
 """
 
 from __future__ import annotations
@@ -63,11 +63,12 @@ def ultimate_bound(f_bar: float, omega: float, n: int) -> float:
 class TraceSummary:
     """What the metrics of one run read, as a :class:`MetricsReduction`
     keeps it: the outcome of a scenario of a list, whichever way the list
-    runs, as a lockstep lane or as a trace reduced by :func:`summarise`."""
+    runs, as a lockstep lane or as a trace reduced by :func:`summarise`; the
+    one input of :func:`trace_metrics` and :func:`check_bound`. Its settling
+    time is at the threshold it was reduced at."""
 
     rows: int              # the rows reduced
     signal: str            # the column the settling and overshoot are of
-    threshold: float       # the settling threshold
     tail: dict             # the final window of each column reduced, by name
     settling_time: float   # first time the signal stays below the threshold
     overshoot: float       # max |signal| after its first zero crossing
@@ -165,9 +166,8 @@ class MetricsReduction:
     def summaries(self) -> list[TraceSummary]:
         """One summary per lane, of the rows fed so far."""
         settling = np.where(self._above, math.inf, self._settled)
-        thresholds = np.broadcast_to(self.threshold, (self.lanes,))
         further = self.names[2:]
-        return [TraceSummary(rows=self.fed, signal=self.names[1], threshold=float(thresholds[j]),
+        return [TraceSummary(rows=self.fed, signal=self.names[1],
                              tail={name: tail if tail.ndim == 1 else tail[j]
                                    for name, tail in zip(self.names, self._tails)},
                              settling_time=float(settling[j]), overshoot=float(self._peak[j]),
@@ -175,8 +175,8 @@ class MetricsReduction:
                 for j in range(self.lanes)]
 
 
-def summarise(trace: SimTrace, threshold: float, signal: str = "x0",
-              columns: Sequence[str] = ("f_true", "f_hat")) -> TraceSummary:
+def summarise(trace: SimTrace, threshold: float, signal: str,
+              columns: Sequence[str]) -> TraceSummary:
     """The summary of a trace: its ``t``, ``signal`` and further ``columns``
     fed to the one reduction as one chunk."""
     if len(trace) == 0:
@@ -187,56 +187,45 @@ def summarise(trace: SimTrace, threshold: float, signal: str = "x0",
     return reduction.summaries()[0]
 
 
-def trace_metrics(
-    trace: SimTrace | TraceSummary,
-    threshold: float,
-    signal: str = "x0",
-    observer: tuple[str, str] | None = ("f_true", "f_hat"),
-) -> TraceMetrics:
-    """Steady-state, settling, overshoot, and observer statistics of a trace,
-    or of its summary, which must be of ``signal`` at ``threshold``.
+def trace_metrics(summary: TraceSummary,
+                  observer: tuple[str, str] | None = ("f_true", "f_hat")) -> TraceMetrics:
+    """Steady-state, settling, overshoot, and observer statistics of a run,
+    read from its summary: of the summary's own signal, at the threshold it
+    was reduced at.
 
     Settling uses permanently-below semantics: the reported time is the first
     sample after the last exceedance (inf if the trace ends above threshold).
     ``observer`` names the (true, estimate) columns of the observed lumped
     term; the observer RMSE is NaN without them or without any estimate.
     """
-    if isinstance(trace, SimTrace):
-        present = observer if observer and all(c in trace for c in observer) else ()
-        trace = summarise(trace, threshold, signal, present)
-    elif (trace.signal, trace.threshold) != (signal, threshold):
-        raise ConfigError(f"a summary of {trace.signal} at threshold {trace.threshold!r} "
-                          f"gives no metrics of {signal} at {threshold!r}")
-    tail = trace.tail[signal]
+    tail = summary.tail[summary.signal]
     sse_rms = float(np.sqrt(np.mean(tail * tail)))
     sse_max = float(np.max(np.abs(tail)))
-    if observer and all(c in trace.defined for c in observer) and trace.defined[observer[1]]:
-        err = trace.tail[observer[0]] - trace.tail[observer[1]]
+    if observer and all(c in summary.defined for c in observer) and summary.defined[observer[1]]:
+        err = summary.tail[observer[0]] - summary.tail[observer[1]]
         observer_rmse = float(np.sqrt(np.mean(err * err)))
     else:
         observer_rmse = math.nan
-    return TraceMetrics(sse_rms, sse_max, trace.settling_time, trace.overshoot, observer_rmse)
+    return TraceMetrics(sse_rms, sse_max, summary.settling_time, summary.overshoot, observer_rmse)
 
 
-def check_bound(trace: SimTrace | TraceSummary, omega: float, n: int) -> BoundReport:
+def check_bound(summary: TraceSummary, omega: float, n: int) -> BoundReport:
     """Empirical ultimate-bound check of ``x0`` on an uncompensated chain run,
-    from the final window of its trace or summary.
+    from the final window of its summary, which must keep ``f_true``.
 
-    The trace must come from state feedback alone (no observer), so that
+    The run must be of state feedback alone (no observer), so that
     x^(n) = -sum C(n,i) omega^i x^(n-i) + f. A tail shorter than ten
-    homogeneous time constants, a one-row trace's too, is WindowTooShortError.
+    homogeneous time constants, a one-row run's too, is WindowTooShortError.
     """
-    if isinstance(trace, SimTrace):
-        trace = summarise(trace, math.inf, "x0", ("f_true",))  # the bound reads no settling
-    t = trace.tail["t"]
+    t = summary.tail["t"]
     tail_span = float(t[-1] - t[0])
     if tail_span < 10.0 / omega:
         raise WindowTooShortError(
             f"trace tail spans {tail_span:g} s, need >= {10.0 / omega:g} s (10 time constants)"
         )
-    f_bar = float(np.max(np.abs(trace.tail["f_true"])))
+    f_bar = float(np.max(np.abs(summary.tail["f_true"])))
     bound = ultimate_bound(f_bar, omega, n)
-    measured = float(np.max(np.abs(trace.tail["x0"])))
+    measured = float(np.max(np.abs(summary.tail["x0"])))
     return BoundReport(
         f_bar=f_bar,
         theoretical_bound=bound,

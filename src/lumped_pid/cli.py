@@ -138,7 +138,7 @@ def _metrics_for(summary: TraceSummary, scenario, scenario_id: str = "scenario")
     """The metrics row of a run's summary (:func:`sim.summary`)."""
     plant = plant_module(scenario.plant_kind)
     observer = plant.OBSERVER if _observer_bandwidth(scenario)[0] else None
-    metrics = trace_metrics(summary, scenario.threshold, signal=plant.SIGNAL, observer=observer)
+    metrics = trace_metrics(summary, observer)
     omega, omega_f, sigma = _run_values(scenario)
     bound = plant.bound and plant.bound(summary, scenario)
     return MetricsRow(scenario_id, omega, omega_f, sigma, metrics=metrics, bound=bound)
@@ -181,8 +181,10 @@ def _parse_grid(specs: list[str], axes: list[str]) -> dict[str, list[float]]:
             vals = [float(v) for v in values.split(",")]
         except ValueError:
             raise ConfigError(f"--grid: bad numbers in {spec!r}") from None
-        if not all(0.0 <= v < math.inf and (v > 0.0 or name == "sigma") for v in vals):
-            raise ConfigError(f"--grid: {name} values must be finite and positive")
+        sigma = name == "sigma"  # a zero deviation is a noise-free cell
+        if not all(0.0 <= v < math.inf and (v > 0.0 or sigma) for v in vals):
+            raise ConfigError(f"--grid: {name} values must be finite and "
+                              f"{'non-negative' if sigma else 'positive'}")
         grid[name] = vals
     return grid
 

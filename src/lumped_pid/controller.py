@@ -117,9 +117,14 @@ def closed_loop_tf(config: ControllerConfig) -> RationalTransferFunction:
     """Disturbance-to-state transfer function of the compensated loop:
 
     ``G(s) = s / ((s+omega)^n (s+omega_f))`` -- the zero at the origin is
-    what rejects constant disturbances exactly.
+    what rejects constant disturbances exactly. A denominator coefficient
+    beyond the float range is a ConfigError.
     """
     den = poly_mul(binomial_poly(config.omega, config.n), Polynomial((config.omega_f, 1.0)))
+    if not all(map(math.isfinite, den.coeffs)):
+        raise ConfigError(f"omega = {config.omega!r} and omega_f = {config.omega_f!r} at order "
+                          f"{config.n}: (s + omega)**{config.n} (s + omega_f) has a coefficient "
+                          f"beyond the float range")
     return RationalTransferFunction(Polynomial((0.0, 1.0)), den)
 
 

@@ -30,7 +30,6 @@ from ..sim import (
     STEP_ERRORS,
     LaneFailures,
     Scenario,
-    SimTrace,
     TraceRecorder,
     check_state,
     rk4_step,
@@ -289,9 +288,10 @@ def run(scenario: Scenario | Sequence[Scenario]):
             for summary, error in zip(outcomes, lanes.errors)]
 
 
-def bound(trace: SimTrace | TraceSummary, scenario: Scenario) -> BoundReport | None:
-    """The ultimate-bound check of a homogeneous run, if its tail is long enough."""
+def bound(summary: TraceSummary, scenario: Scenario) -> BoundReport | None:
+    """The ultimate-bound check of a homogeneous run's summary, if its tail is
+    long enough."""
     if scenario.controller["kind"] == "homogeneous":
         with suppress(WindowTooShortError):
-            return check_bound(trace, scenario.controller["omega"], scenario.plant["order"])
+            return check_bound(summary, scenario.controller["omega"], scenario.plant["order"])
     return None

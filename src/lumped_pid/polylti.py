@@ -115,12 +115,19 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
 def evaluate_at(tf: RationalTransferFunction, s: complex) -> complex:
     """num(s)/den(s) via complex Horner evaluation.
 
-    Raises PoleHitError when |den(s)| falls below POLE_EPS.
+    Raises PoleHitError when |den(s)| falls below POLE_EPS, and ConfigError
+    when |den(s)| or the value's modulus is not finite (Horner's powers of a
+    large s overflow). Moduli are ``math.hypot``'s, which overflow to inf
+    where ``abs`` of a complex raises.
     """
     den = tf.denominator(s)
-    if abs(den) < POLE_EPS:
-        raise PoleHitError(f"denominator magnitude {abs(den):g} below {POLE_EPS:g} at s={s}")
-    return tf.numerator(s) / den
+    size = math.hypot(den.real, den.imag)
+    if size < POLE_EPS:
+        raise PoleHitError(f"denominator magnitude {size:g} below {POLE_EPS:g} at s={s}")
+    value = tf.numerator(s) / den
+    if not (size < math.inf and math.hypot(value.real, value.imag) < math.inf):
+        raise ConfigError(f"transfer function at s={s}: a value beyond the float range")
+    return value
 
 
 def dc_gain(tf: RationalTransferFunction) -> float:

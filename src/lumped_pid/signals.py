@@ -227,17 +227,15 @@ class NoiseStream:
     the same bits however the draws are sized.
 
     Iterating it gives sample after sample, each an ``[n_channels, lanes]``
-    array, drawn ``block`` samples at a time through :func:`noise_table` (the
-    last block only as many as are left), so a lockstep run holds one block,
-    not every sample of the run. Each ``_ndtri`` call is elementwise, so how
-    the draws are grouped into calls leaves the bits as they are too.
+    array, drawn :data:`BLOCK` samples at a time through :func:`noise_table`
+    (the last block only as many as are left), so a lockstep run holds one
+    block, not every sample of the run. Each ``_ndtri`` call is elementwise,
+    so how the draws are grouped into calls leaves the bits as they are too.
     """
 
-    def __init__(self, specs: Sequence[NoiseSpec], n_channels: int, n_samples: int,
-                 block: int = BLOCK):
+    def __init__(self, specs: Sequence[NoiseSpec], n_channels: int, n_samples: int):
         self.shape = (n_channels, len(specs))
         self.n_samples = n_samples
-        self.block = block
         self.noisy = [(c, j, spec.sigma_for(c), Generator(_stream(spec.seed, c)))
                       for j, spec in enumerate(specs) for c in range(n_channels)
                       if spec.sigma_for(c) != 0.0]
@@ -257,33 +255,33 @@ class NoiseStream:
                 np.multiply(e[i * m:(i + 1) * m], sigma, out=out[:, c, j])
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        for start in range(0, self.n_samples, self.block):
-            block = noise_table(self, self.shape[0], min(self.block, self.n_samples - start))
+        for start in range(0, self.n_samples, BLOCK):
+            block = noise_table(self, self.shape[0], min(BLOCK, self.n_samples - start))
             yield from block
             del block  # a spent block is let go before the next is drawn
 
 
-def noise_table(
-    spec: NoiseSpec | Sequence[NoiseSpec] | NoiseStream, n_channels: int, n_samples: int
-) -> np.ndarray | None:
-    """Every sample of a run in one float64 table, 8 B per sample and channel:
-    ``[n_samples, n_channels, lanes]`` for one spec per lane, so ``table[k]``
-    is sample k shaped as a lockstep state, and ``[n_samples, n_channels]``
-    for a single spec (one lane), whose ``table[k].tolist()`` is sample k as
-    the plain floats a single run's loop adds; index k of channel c equals
+def noise_table(spec: NoiseSpec | NoiseStream, n_channels: int,
+                n_samples: int) -> np.ndarray | None:
+    """Noise samples in one float64 table, 8 B per sample and channel.
+
+    Given a single run's spec, every sample of the run: ``[n_samples,
+    n_channels]``, whose ``table[k].tolist()`` is sample k as the plain
+    floats the run's loop adds; index k of channel c equals
     ``gaussian_noise(spec, c, k)``. A Scenario's spec gives 1 or
-    ``n_channels`` deviations. None if every lane is silent: a loop then
-    measures the true state. Given a :class:`NoiseStream`, the table of its
-    next ``n_samples``: a lockstep run's block, drawn here so that every
-    noise draw of a run, lockstep or single, is a call of this function (the
-    benchmark's per-layer trace times it as one layer)."""
-    stream = spec if isinstance(spec, NoiseStream) else NoiseStream(
-        [spec] if isinstance(spec, NoiseSpec) else spec, n_channels, n_samples)
+    ``n_channels`` deviations. Given a lockstep run's :class:`NoiseStream`,
+    its next ``n_samples``, a block: ``[n_samples, n_channels, lanes]``, so
+    ``table[k]`` is a sample shaped as a lockstep state. Every noise draw of
+    a run, lockstep or single, is a call of this function (the benchmark's
+    per-layer trace times it as one layer). None if every lane is silent: a
+    loop then measures the true state."""
+    single = isinstance(spec, NoiseSpec)
+    stream = NoiseStream([spec], n_channels, n_samples) if single else spec
     if not stream.noisy:
         return None
     table = np.zeros((n_samples, *stream.shape))
     stream.fill(table)
-    return table[:, :, 0] if isinstance(spec, NoiseSpec) else table
+    return table[:, :, 0] if single else table
 
 
 def build_signal(kind: str, field: Callable[[str, float], float], key: str) -> DisturbanceSignal:

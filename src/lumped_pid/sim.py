@@ -238,9 +238,6 @@ class SimTrace:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.columns
-
     @property
     def names(self) -> list[str]:
         return list(self.columns)

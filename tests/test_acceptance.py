@@ -24,7 +24,7 @@ from lumped_pid import so3
 from lumped_pid.plants.vtol import _inertia, body_accel, thrust_accel
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL
 from lumped_pid.signals import Constant, NoiseSpec, Sinusoid, Step
-from lumped_pid.sim import Scenario, run_scenario
+from lumped_pid.sim import Scenario, run_scenario, summary
 
 
 def criterion(label):
@@ -151,8 +151,7 @@ def test_ultimate_bound_grid():
                     dt=5e-3,
                     duration=60.0,
                 )
-                trace = run_scenario(scenario)
-                report = check_bound(trace, omega, n)
+                report = check_bound(summary(run_scenario(scenario), scenario), omega, n)
                 label = f"n={n} omega={omega} f={name}"
                 assert report.satisfied, (
                     f"{label}: limsup {report.measured_limsup:.4g} > "
@@ -401,7 +400,8 @@ def test_metrics_sweep_sanity():
             controller={"kind": "generalized", "omega": omega, "omega_f": 20.0},
             disturbance=Constant(1.0),
             duration=30.0 / omega,
+            threshold=0.005,
         )
-        m = trace_metrics(run_scenario(scenario), threshold=0.005)
+        m = trace_metrics(summary(run_scenario(scenario), scenario))
         settlings.append(m.settling_time)
     assert settlings[0] > settlings[1] > settlings[2], settlings

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumped_pid.analysis import (
@@ -11,15 +11,16 @@ from lumped_pid.analysis import (
     MetricsRow,
     check_bound,
     default_grid,
+    summarise,
     trace_metrics,
     ultimate_bound,
     write_metrics_csv,
 )
-from lumped_pid.controller import observer_tfs
-from lumped_pid.errors import ConfigError, WindowTooShortError
+from lumped_pid.controller import ControllerConfig, closed_loop_tf, observer_tfs
+from lumped_pid.errors import ConfigError, PoleHitError, WindowTooShortError
 from lumped_pid.polylti import frequency_response
 from lumped_pid.signals import Constant, Sinusoid
-from lumped_pid.sim import Scenario, SimTrace, run_scenario
+from lumped_pid.sim import Scenario, SimTrace, run_scenario, summary
 
 
 def synthetic_trace(t, x, f_true=None, f_hat=None):
@@ -30,7 +31,19 @@ def synthetic_trace(t, x, f_true=None, f_hat=None):
     return SimTrace(cols)
 
 
-def homogeneous_scenario(n, omega, disturbance, duration=60.0, dt=5e-3):
+def synthetic_summary(t, x, threshold, f_true=None, f_hat=None):
+    """The summary of a synthetic x0 trace at ``threshold``, with its
+    (f_true, f_hat) columns if given."""
+    trace = synthetic_trace(t, x, f_true, f_hat)
+    return summarise(trace, threshold, "x0", () if f_true is None else ("f_true", "f_hat"))
+
+
+def run_summary(scenario):
+    """The summary of ``scenario`` run alone, as ``simulate`` reads it."""
+    return summary(run_scenario(scenario), scenario)
+
+
+def homogeneous_scenario(n, omega, disturbance, duration=60.0, dt=5e-3, threshold=None):
     return Scenario(
         plant_kind="chain",
         plant={"order": n, "b": 1.0},
@@ -39,6 +52,7 @@ def homogeneous_scenario(n, omega, disturbance, duration=60.0, dt=5e-3):
         dt=dt,
         duration=duration,
         seed=0,
+        threshold=threshold,
     )
 
 
@@ -60,7 +74,7 @@ class TestUltimateBound:
 class TestTraceMetrics:
     def test_zero_trace(self):
         t = np.arange(100) * 0.01
-        m = trace_metrics(synthetic_trace(t, np.zeros(100)), threshold=0.02)
+        m = trace_metrics(synthetic_summary(t, np.zeros(100), threshold=0.02))
         assert m.sse_rms == 0.0 and m.sse_max == 0.0
         assert m.settling_time == 0.0
         assert m.overshoot == 0.0
@@ -70,19 +84,19 @@ class TestTraceMetrics:
         dt = 1e-3
         t = np.arange(0, 5.0, dt)
         x = np.exp(-2.0 * t)
-        m = trace_metrics(synthetic_trace(t, x), threshold=0.02)
+        m = trace_metrics(synthetic_summary(t, x, threshold=0.02))
         assert abs(m.settling_time - math.log(50.0) / 2.0) <= dt + 1e-12
 
     def test_never_settles(self):
         t = np.arange(100) * 0.01
-        m = trace_metrics(synthetic_trace(t, np.ones(100)), threshold=0.5)
+        m = trace_metrics(synthetic_summary(t, np.ones(100), threshold=0.5))
         assert m.settling_time == math.inf
 
     def test_overshoot_after_first_crossing(self):
         dt = 1e-4
         t = np.arange(0, 3.0, dt)
         x = np.exp(-t) * np.cos(5.0 * t)
-        m = trace_metrics(synthetic_trace(t, x), threshold=0.01)
+        m = trace_metrics(synthetic_summary(t, x, threshold=0.01))
         # first peak after the zero crossing at 5t = pi/2
         peak_t = (math.pi - math.atan(1.0 / 5.0)) / 5.0
         expected = abs(math.exp(-peak_t) * math.cos(5.0 * peak_t))
@@ -92,7 +106,7 @@ class TestTraceMetrics:
         t = np.arange(100) * 0.01
         f_true = np.ones(100)
         f_hat = np.ones(100) * 0.9
-        m = trace_metrics(synthetic_trace(t, np.zeros(100), f_true, f_hat), 0.01)
+        m = trace_metrics(synthetic_summary(t, np.zeros(100), 0.01, f_true, f_hat))
         assert m.observer_rmse == pytest.approx(0.1, rel=1e-12)
 
     def test_observer_rmse_named_columns(self):
@@ -100,19 +114,21 @@ class TestTraceMetrics:
         t = np.arange(100) * 0.01
         trace = SimTrace({"t": t, "l": np.zeros(100), "d_true": np.full(100, 0.5),
                           "d_lump": np.full(100, 0.2), "d_hat": np.full(100, 0.25)})
-        m = trace_metrics(trace, 0.01, signal="l", observer=("d_lump", "d_hat"))
+        observed = summarise(trace, 0.01, "l", ("d_lump", "d_hat"))
+        m = trace_metrics(observed, observer=("d_lump", "d_hat"))
         assert m.observer_rmse == pytest.approx(0.05, rel=1e-12)
-        assert math.isnan(trace_metrics(trace, 0.01, signal="l").observer_rmse)
-        assert math.isnan(trace_metrics(trace, 0.01, signal="l", observer=None).observer_rmse)
+        assert math.isnan(trace_metrics(observed).observer_rmse)
+        assert math.isnan(trace_metrics(observed, observer=None).observer_rmse)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
-            trace_metrics(SimTrace({"t": np.array([]), "x0": np.array([])}), 0.01)
+            trace_metrics(summarise(SimTrace({"t": np.array([]), "x0": np.array([])}), 0.01,
+                                    "x0", ()))
 
 
     def test_overshoot_counts_the_crossing_row(self):
         t = np.arange(4) * 0.1
-        m = trace_metrics(synthetic_trace(t, [1.0, -5.0, -1.0, -0.5]), threshold=0.02)
+        m = trace_metrics(synthetic_summary(t, [1.0, -5.0, -1.0, -0.5], threshold=0.02))
         assert m.overshoot == 5.0
 
 
@@ -149,7 +165,7 @@ def test_reduction_of_any_chunking_is_the_whole_trace_computation(data, rows, la
         reduction.feed([t[k:k + chunk], x[k:k + chunk], f_true[k:k + chunk], f_hat[k:k + chunk]])
     w = math.ceil(0.2 * rows)
     for j, summary in enumerate(reduction.summaries()):
-        assert summary.rows == rows and summary.threshold == thresholds[j]
+        assert summary.rows == rows
         settling, overshoot = settling_and_overshoot(t, x[:, j], thresholds[j])
         assert (summary.settling_time, summary.overshoot) == (settling, overshoot)
         for name, column in (("t", t), ("x0", x[:, j]), ("f_true", f_true), ("f_hat", f_hat[:, j])):
@@ -160,8 +176,8 @@ def test_reduction_of_any_chunking_is_the_whole_trace_computation(data, rows, la
 class TestCheckBound:
     def test_constant_disturbance_first_order(self):
         # steady x = 1/omega exactly (DC gain of 1/(s+omega))
-        trace = run_scenario(homogeneous_scenario(1, 2.0, Constant(1.0), duration=60.0))
-        report = check_bound(trace, 2.0, 1)
+        report = check_bound(run_summary(homogeneous_scenario(1, 2.0, Constant(1.0), duration=60.0)),
+                             2.0, 1)
         assert report.satisfied
         assert report.f_bar == pytest.approx(1.0, rel=1e-12)
         assert report.measured_limsup == pytest.approx(0.5, rel=1e-9)
@@ -169,25 +185,24 @@ class TestCheckBound:
     def test_zero_disturbance_settles_to_tiny(self):
         scenario = homogeneous_scenario(2, 2.0, Constant(0.0), duration=30.0)
         scenario.plant["x0"] = [1.0, 0.0]
-        trace = run_scenario(scenario)
-        report = check_bound(trace, 2.0, 2)
+        report = check_bound(run_summary(scenario), 2.0, 2)
         assert report.satisfied
         assert report.measured_limsup < 1e-8
 
     def test_sinusoid_matches_frequency_response(self):
         # tail amplitude ~ |1/(j nu + omega)^2| which the 1/omega^n bound dominates
         omega, nu = 5.0, 1.0
-        trace = run_scenario(homogeneous_scenario(2, omega, Sinusoid(1.0, nu), duration=60.0))
-        report = check_bound(trace, omega, 2)
+        report = check_bound(run_summary(homogeneous_scenario(2, omega, Sinusoid(1.0, nu),
+                                                              duration=60.0)), omega, 2)
         assert report.satisfied
         expected_amp = abs(1.0 / (1j * nu + omega) ** 2)
         assert report.measured_limsup == pytest.approx(expected_amp, rel=0.02)
         assert report.measured_limsup <= report.theoretical_bound
 
     def test_window_too_short(self):
-        trace = run_scenario(homogeneous_scenario(1, 1.0, Constant(1.0), duration=10.0))
+        reduced = run_summary(homogeneous_scenario(1, 1.0, Constant(1.0), duration=10.0))
         with pytest.raises(WindowTooShortError):
-            check_bound(trace, 1.0, 1)
+            check_bound(reduced, 1.0, 1)
 
 
 class TestBodeTable:
@@ -216,11 +231,32 @@ class TestBodeTable:
         assert slope2 == pytest.approx(20.0, abs=0.1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+@example(2, 150.0, 10.0)  # ki = omega_f omega^2 overflows
+@example(2, 150.0, 0.0)  # Horner's powers of s overflow along the grid
+@example(1, 200.0, 200.0)
+@example(2, 0.0, 103.0)  # |den| overflows with both parts finite
+@example(2, 0.0, 2.0)
+def test_closed_loop_bode_rows_are_finite_or_raise(n, log_omega, log_omega_f):
+    # bandwidths log-uniform over the floats: the closed loop or its table
+    # past the float range is an error, never an inf or NaN row
+    omega, omega_f = 10.0 ** log_omega, 10.0 ** log_omega_f
+    try:
+        rows = frequency_response(
+            closed_loop_tf(ControllerConfig(n=n, b=1.0, omega=omega, omega_f=omega_f, dt=1e-3)),
+            default_grid(omega, omega_f))
+    except (ConfigError, PoleHitError):
+        return
+    assert all(math.isfinite(r.magnitude) and math.isfinite(r.phase) for r in rows)
+
+
 class TestMetricsCsv:
     def test_round_trip_shape(self, tmp_path):
-        trace = run_scenario(homogeneous_scenario(1, 2.0, Constant(1.0), duration=60.0))
-        m = trace_metrics(trace, threshold=0.02)
-        b = check_bound(trace, 2.0, 1)
+        reduced = run_summary(homogeneous_scenario(1, 2.0, Constant(1.0), duration=60.0,
+                                                   threshold=0.02))
+        m = trace_metrics(reduced)
+        b = check_bound(reduced, 2.0, 1)
         rows = [
             MetricsRow("cell0", 2.0, 10.0, 0.0, m, b),
             MetricsRow("cell1", 2.0, 20.0, 0.0, None, None, status="diverged"),
@@ -250,7 +286,8 @@ class TestObserverRmseSweep:
                 dt=1e-3 / omega_f,
                 duration=1.5,
                 seed=3,
+                threshold=0.02,
             )
-            m = trace_metrics(run_scenario(scenario), threshold=0.02)
+            m = trace_metrics(run_summary(scenario))
             rmses.append(m.observer_rmse)
         assert rmses[0] > rmses[1] > rmses[2]

@@ -1534,6 +1534,21 @@ class TestNonFiniteInputs:
                      "--grid", axis]) == 2
         assert "values must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis,bound", [
+        ("sigma=-1", "non-negative"), ("sigma=0,-0.5", "non-negative"),
+        ("omega=-1", "positive"), ("omega=0", "positive"), ("omega_f=0,10", "positive"),
+    ], ids=["sigma_negative", "sigma_zero_and_negative", "omega_negative", "omega_zero",
+            "omega_f_zero"])
+    def test_grid_value_message_names_the_axis_bound(self, tmp_path, capsys, axis, bound):
+        # sigma = 0 is a noise-free cell; a zero bandwidth is no controller
+        conf = write_conf(tmp_path, stock("chain_step.conf", **{"sim.duration": 0.05}))
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--grid", axis]) == 2
+        name = axis.split("=")[0]
+        assert capsys.readouterr().err == (
+            f"config error: --grid: {name} values must be finite and {bound}\n")
+        assert not (tmp_path / "x").exists()
+
 
 class TestFloatRange:
     """Inputs whose arithmetic leaves the float range: a config error when a
@@ -1556,6 +1571,34 @@ class TestFloatRange:
             assert main([command, "--config", conf_path, *args]) == 2, command
             err = capsys.readouterr().err
             assert "has a coefficient beyond the float range" in err, (command, err)
+        assert not any(tmp_path.glob("*/*.csv")) and not (tmp_path / "bode.csv").exists()
+
+    @pytest.mark.parametrize("changes,command,message", [
+        ({"controller.omega": 1e150, "controller.omega_f": 1e10}, "tune",
+         "omega = 1e+150 and omega_f = 10000000000.0 at order 2: (s + omega)**2 (s + omega_f) "
+         "has a coefficient beyond the float range"),
+        ({"controller.omega": 1e150, "controller.omega_f": 1e10}, "bode",
+         "omega = 1e+150 and omega_f = 10000000000.0 at order 2: (s + omega)**2 (s + omega_f) "
+         "has a coefficient beyond the float range"),
+        ({"controller.omega": 1e150, "controller.omega_f": 1}, "bode",
+         "transfer function at s=181970085.86099824j: a value beyond the float range"),
+        *(({"controller.kind": "pid", "plant.order": 1, "controller.omega": 1e200,
+            "controller.omega_f": 1e200}, command,
+           "omega = 1e+200 and omega_f = 1e+200 at order 1: (s + omega)**1 (s + omega_f) "
+           "has a coefficient beyond the float range")
+          for command in ("tune", "bode", "simulate", "sweep")),
+    ], ids=["order_2_ki_tune", "order_2_ki_bode", "order_2_horner_bode", "pid_tune", "pid_bode",
+            "pid_simulate", "pid_sweep"])
+    def test_a_closed_loop_past_the_float_range_exits_2(self, tmp_path, capsys, changes,
+                                                        command, message):
+        # every power of omega is finite; the closed loop's coefficients, or
+        # Horner's powers of s along bode's grid, are not
+        conf = write_conf(tmp_path, stock("chain_step.conf", **changes, **{"sim.duration": 0.05}))
+        args = {"tune": [], "bode": ["--out", str(tmp_path / "bode.csv")],
+                "simulate": ["--out", str(tmp_path / "sim")],
+                "sweep": ["--out", str(tmp_path / "sweep"), "--grid", "sigma=0,0.01"]}[command]
+        assert main([command, "--config", conf, *args]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not any(tmp_path.glob("*/*.csv")) and not (tmp_path / "bode.csv").exists()
 
     @pytest.mark.parametrize("changes", [

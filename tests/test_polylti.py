@@ -143,6 +143,17 @@ class TestEvaluateAt:
         with pytest.raises(PoleHitError):
             evaluate_at(tf, -1.0)
 
+    @pytest.mark.parametrize("num,den,s", [
+        ([0.0, 1.0], [1e300, 1e300, 1.0], 1e9j),  # den(s) overflows
+        ([1e300, 1e300], [1.0, 1.0, 1.0], 1e10j),  # num(s) overflows
+        ([1e300], [1e-299, 1.0], 0.0),  # the ratio overflows
+        ([1.0], [1.5e308, 1.5e308], 1j),  # |den(s)| overflows, though its parts do not
+    ], ids=["den", "num", "ratio", "den_modulus"])
+    def test_a_value_past_the_float_range_is_rejected(self, num, den, s):
+        tf = RationalTransferFunction(Polynomial(num), Polynomial(den))
+        with pytest.raises(ConfigError, match="a value beyond the float range"):
+            evaluate_at(tf, s)
+
 
 class TestDcGain:
     def test_zero_at_origin_exact(self):

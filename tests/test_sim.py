@@ -274,7 +274,7 @@ class TestGaussianNoise:
     def test_table_is_one_float64_array_for_a_run_and_for_lanes(self):
         # a single spec is one lane: [samples, channels], 8 B per sample and channel
         specs = [NoiseSpec(sigmas=(0.3, 0.0, 1.1), seed=4), NoiseSpec(sigmas=(0.2,), seed=9)]
-        lanes = noise_table(specs, 3, 6)
+        lanes = np.stack(list(NoiseStream(specs, 3, 6)))
         assert lanes.shape == (6, 3, 2) and lanes.dtype == np.float64
         for j, spec in enumerate(specs):
             table = noise_table(spec, 3, 6)
@@ -285,8 +285,9 @@ class TestGaussianNoise:
     def test_no_table_when_every_lane_is_silent(self):
         silent = NoiseSpec(sigmas=(0.0, 0.0), seed=4)
         assert noise_table(silent, 2, 6) is None
-        assert noise_table([silent, NoiseSpec()], 2, 6) is None
-        assert noise_table([silent, NoiseSpec(sigmas=(0.1,))], 2, 6).shape == (6, 2, 2)
+        assert noise_table(NoiseStream([silent, NoiseSpec()], 2, 6), 2, 6) is None
+        noisy = NoiseStream([silent, NoiseSpec(sigmas=(0.1,))], 2, 6)
+        assert noise_table(noisy, 2, 6).shape == (6, 2, 2)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 700), st.integers(1, 3), st.data())
@@ -300,13 +301,17 @@ class TestGaussianNoise:
                 sigma, min_size=channels, max_size=channels),
             st.integers(0, 2**64 - 1)), min_size=1, max_size=5))
         specs = [NoiseSpec(sigmas=tuple(sigmas), seed=seed) for sigmas, seed in lanes]
-        table = noise_table(specs, channels, steps)
+        table = noise_table(NoiseStream(specs, channels, steps), channels, steps)
         if table is None:
             assert all(spec.silent for spec in specs)
             return
-        drawn = np.stack(list(NoiseStream(specs, channels, steps, block)))
-        assert drawn.shape == table.shape == (steps, channels, len(specs))
-        assert drawn.tobytes() == table.tobytes()
+        # drawn `block` samples at a time, and BLOCK at a time as a run iterates it
+        stream, drawn = NoiseStream(specs, channels, steps), np.zeros((steps, channels, len(specs)))
+        for k in range(0, steps, block):
+            stream.fill(drawn[k:k + block])
+        iterated = np.stack(list(NoiseStream(specs, channels, steps)))
+        assert drawn.shape == iterated.shape == table.shape == (steps, channels, len(specs))
+        assert drawn.tobytes() == iterated.tobytes() == table.tobytes()
 
     def test_a_noise_free_chain_measures_the_true_state(self):
         # no noise is added, not even 0.0, which would turn -0.0 into +0.0
@@ -533,11 +538,12 @@ def bits(report) -> list:
     return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
 
 
-def bound_or_error(trace, scenario):
-    """check_bound at the scenario's omega, whatever its controller, or the
-    message of the WindowTooShortError that a short tail raises."""
+def bound_or_error(reduced, scenario):
+    """check_bound of a summary at the scenario's omega, whatever its
+    controller, or the message of the WindowTooShortError that a short tail
+    raises."""
     try:
-        return bits(check_bound(trace, scenario.controller["omega"], scenario.plant["order"]))
+        return bits(check_bound(reduced, scenario.controller["omega"], scenario.plant["order"]))
     except WindowTooShortError as exc:
         return str(exc)
 
@@ -563,9 +569,10 @@ def assert_lockstep_matches_alone(scenarios):
         for name in LOCKSTEP_COLUMNS:
             assert outcome.tail[name].tobytes() == alone[name][-w:].tobytes(), name
         observer = None if scenario.controller["kind"] in chain.NO_OBSERVER else chain.OBSERVER
-        assert (bits(trace_metrics(outcome, scenario.threshold, observer=observer))
-                == bits(trace_metrics(alone, scenario.threshold, observer=observer)))
-        assert bound_or_error(outcome, scenario) == bound_or_error(alone, scenario)
+        reduced = summary(alone, scenario)
+        assert (bits(trace_metrics(outcome, observer=observer))
+                == bits(trace_metrics(reduced, observer=observer)))
+        assert bound_or_error(outcome, scenario) == bound_or_error(reduced, scenario)
     return outcomes
 
 
