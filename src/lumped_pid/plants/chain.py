@@ -70,13 +70,13 @@ PLOTS = (
 # slower than its cells run one by one: CPU time of lockstep over one by one,
 # median of 21 interleaved pairs, full-length stock configs (chain_step.conf,
 # and bound_demo.conf for homogeneous), half the cells noisy; 2-vCPU x86_64,
-# Python 3.11, numpy 2.4.
+# Python 3.11, numpy 2.4, both RK4 steps as loop-free code.
 #   cells         3     4     5     6
-#   none         1.00  0.71  0.61  0.50
-#   homogeneous  1.40  1.03  0.84  0.67   (4: 0.95 to 1.13 over four runs)
-#   pid          1.65  1.20  0.98  0.81
-#   generalized  1.57  1.13  0.95  0.79
-LOCKSTEP = {"none": 3, "homogeneous": 4, "pid": 5, "generalized": 5}
+#   none         1.11  0.83  0.68  0.56
+#   homogeneous  1.53  1.12  0.91  0.75
+#   pid          1.84  1.36  1.10  0.89
+#   generalized  1.78  1.31  1.10  0.90
+LOCKSTEP = {"none": 4, "homogeneous": 5, "pid": 6, "generalized": 6}
 
 
 def check(scenario: Scenario) -> None:
@@ -126,7 +126,8 @@ def rk4_map(plant: IntegratorChain, dt: float):
     Gives ``step(x, bu, d)`` for ``x`` a list of floats or an ``[n, lanes]``
     array and ``d`` the disturbance at t, t+h/2 and t+h: each row one sum in
     a fixed order, without terms of coefficient 0 and with those of 1 taken
-    as they are, so each lane is bit-identical to its run alone."""
+    as they are, so each lane is bit-identical to its run alone. The step is
+    loop-free code built from those rows once, by :func:`_straight_line`."""
     n = plant.n
     units = [[float(i == k) for i in range(n + 4)] for k in range(n + 4)]
     basis = [rk4_step(plant.derivative, e[3:3 + n], e[-1], e[:3], dt) for e in units]
@@ -135,18 +136,42 @@ def rk4_map(plant: IntegratorChain, dt: float):
     rows = [[(k, None if basis[k][i] == 1.0 else basis[k][i])
              for k in (0, 1, 2, 3 + n, *(3 + j for j in range(n) if j != i), 3 + i)
              if basis[k][i] != 0.0] for i in range(n)]
+    return _straight_line(rows, n)
 
-    def step(x, bu, d):
-        values = (*d, *x, bu)
-        out = x.copy()
-        for i, terms in enumerate(rows):
-            acc = 0.0
-            for k, c in terms:
-                acc = acc + (values[k] if c is None else c * values[k])
-            out[i] = acc
-        return out
 
-    return step
+def _straight_line(rows, n: int):
+    """``step(x, bu, d)`` for the rows of :func:`rk4_map`, compiled as one
+    flat statement per term: ``acc = 0.0 + term`` for a row's first, then
+    ``acc = acc + term``, the order and the operations of a loop over the
+    terms, so the same bits. Flat statements have no nesting depth to
+    outgrow at a large order, and each coefficient is a closure name, never
+    written as text, so an inf or NaN coefficient goes through as it is."""
+    values = ("d0", "dm", "d1", *(f"x{j}" for j in range(n)), "bu")
+    coeffs = []
+    body = []
+    for i, terms in enumerate(rows):
+        acc = "0.0"
+        for k, c in terms:
+            term = values[k]
+            if c is not None:
+                term = f"c{len(coeffs)} * {term}"
+                coeffs.append(c)
+            body.append(f"acc = {acc} + {term}")
+            acc = "acc"
+        body.append(f"out[{i}] = {acc}")
+    source = "\n".join([
+        f"def make({', '.join(f'c{m}' for m in range(len(coeffs)))}):",
+        "    def step(x, bu, d):",
+        "        d0, dm, d1 = d",
+        f"        {', '.join(values[3:3 + n])}, = x",
+        "        out = x.copy()",
+        *(f"        {line}" for line in body),
+        "        return out",
+        "    return step",
+    ])
+    namespace: dict = {}
+    exec(compile(source, "<chain.rk4_map>", "exec"), namespace)
+    return namespace["make"](*coeffs)
 
 
 def noise_channels(scenario: Scenario) -> int:

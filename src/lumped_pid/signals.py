@@ -256,8 +256,9 @@ class NoiseStream:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         for start in range(0, self.n_samples, BLOCK):
-            block = noise_table(self, self.shape[0], min(BLOCK, self.n_samples - start))
-            yield from block
+            m = min(BLOCK, self.n_samples - start)
+            block = noise_table(self, self.shape[0], m)
+            yield from np.zeros((m, *self.shape)) if block is None else block
             del block  # a spent block is let go before the next is drawn
 
 

@@ -13,6 +13,11 @@ one ``[n, lanes]`` array, row i holding component i. It goes through the same
 plant step and controller code as a float state does. A chain steps by its
 RK4 step as one affine map, which :func:`rk4_step` builds once per run.
 
+Both RK4 steps run as loop-free ("straight-line") code, compiled once: the
+chain's map from its rows of coefficients, and :func:`rk4_step`'s body once
+per state length. Each does the operations of the loops it replaces, in
+their order, so the bits are those of the loops.
+
 :func:`check_state`, at the top of each step of a plant's loop, is the one
 divergence guard: a plant step returns its state unchecked, so a step that
 makes the state non-finite is reported at the next step. In a lockstep run
@@ -22,6 +27,7 @@ raising. A math error inside a step is a divergence there (:func:`run_failure`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -79,35 +85,45 @@ def rk4_step(derivative, state: Sequence[float], u, d: Sequence, dt: float):
     """Classical 4th-order Runge-Kutta step with u held over the step, on a
     state of Python floats; the vehicle calls it every step, a chain run only
     to build its step map. ``derivative(state, u, d)`` gives the derivative,
-    any sequence of floats (a tuple, say), for the held control u and the
-    disturbance value d. ``d`` holds the disturbance at the three stage times
-    t, t + dt/2 and t + dt, the only values of it a step reads. The new state,
-    a list, is returned unchecked, possibly non-finite: the caller's loop
-    runs :func:`check_state` on it at the top of its next step.
+    a sequence of ``len(state)`` floats (a tuple, say), for the held control u
+    and the disturbance value d. ``d`` holds the disturbance at the three
+    stage times t, t + dt/2 and t + dt, the only values of it a step reads.
+    The new state, a list, is returned unchecked, possibly non-finite: the
+    caller's loop runs :func:`check_state` on it at the top of its next step.
     """
     if not (dt > 0.0):
         raise ConfigError(f"dt must be positive, got {dt!r}")
-    half = 0.5 * dt
-    d0, dm, d1 = d
-    # the stages written out in plain loops: a comprehension adds a frame
-    k1 = derivative(state, u, d0)
-    stage = []
-    for x, k in zip(state, k1):
-        stage.append(x + half * k)
-    k2 = derivative(stage, u, dm)
-    stage = []
-    for x, k in zip(state, k2):
-        stage.append(x + half * k)
-    k3 = derivative(stage, u, dm)
-    stage = []
-    for x, k in zip(state, k3):
-        stage.append(x + dt * k)
-    k4 = derivative(stage, u, d1)
-    sixth = dt / 6.0
-    out = []
-    for x, a, b, c, e in zip(state, k1, k2, k3, k4):
-        out.append(x + sixth * (a + 2.0 * (b + c) + e))
-    return out
+    return _rk4_kernel(len(state))(derivative, state, u, d, dt)
+
+
+@functools.cache
+def _rk4_kernel(n: int):
+    """The body of :func:`rk4_step` for a state of length n, compiled once as
+    loop-free code: each stage one list display of ``x + half * k`` (``x + dt
+    * k`` for the last), and the new state ``x + sixth * (a + 2.0 * (b + c) +
+    e)``, component by component."""
+    def names(prefix):  # the trailing comma makes n = 1 a tuple unpack too
+        return ", ".join(f"{prefix}{i}" for i in range(n)) + ","
+
+    def stage(k, h):
+        return ", ".join(f"x{i} + {h} * {k}{i}" for i in range(n))
+
+    source = "\n".join([
+        "def rk4(derivative, state, u, d, dt):",
+        "    half = 0.5 * dt",
+        "    d0, dm, d1 = d",
+        f"    {names('x')} = state",
+        f"    {names('a')} = derivative(state, u, d0)",
+        f"    {names('b')} = derivative([{stage('a', 'half')}], u, dm)",
+        f"    {names('c')} = derivative([{stage('b', 'half')}], u, dm)",
+        f"    {names('e')} = derivative([{stage('c', 'dt')}], u, d1)",
+        "    sixth = dt / 6.0",
+        "    return [" + ", ".join(f"x{i} + sixth * (a{i} + 2.0 * (b{i} + c{i}) + e{i})"
+                              for i in range(n)) + "]",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<rk4_step n={n}>", "exec"), namespace)
+    return namespace["rk4"]
 
 
 def check_state(

@@ -851,10 +851,13 @@ class TestLockstepSweep:
         statuses = [line.rsplit(",", 1)[1] for line in lockstep.decode().splitlines()[1:]]
         assert statuses == ["ok"] * cells
 
-    @pytest.mark.parametrize("case,cells", [("chain_step_benchmark_grid", 18),
-                                            ("bound_demo_benchmark_grid", 4)])
-    def test_benchmark_grid_is_one_lockstep_run(self, tmp_path, capsys, monkeypatch, case,
-                                                cells):
+    @pytest.mark.parametrize("case,runs", [("chain_step_benchmark_grid", [18]),
+                                           ("bound_demo_benchmark_grid", [1, 1, 1, 1])],
+                             ids=["chain_step_benchmark_grid", "bound_demo_benchmark_grid"])
+    def test_benchmark_grid_runs_as_chain_lockstep_says(self, tmp_path, capsys, monkeypatch,
+                                                         case, runs):
+        # the 18 generalized cells are one lockstep run; 4 homogeneous cells
+        # are fewer than chain.LOCKSTEP["homogeneous"] and run one by one
         text, grid, extra = LOCKSTEP_CASES[case]
         lanes = []
         run = chain.run
@@ -868,7 +871,7 @@ class TestLockstepSweep:
         assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
                      "--grid", *grid, *extra]) == 0
         capsys.readouterr()
-        assert lanes == [cells]
+        assert lanes == runs
 
     def test_parallel_groups_match_cells_run_alone(self, tmp_path, capsys, monkeypatch):
         text = stock("chain_step.conf", **{"sim.duration": 1.0})
@@ -1284,8 +1287,8 @@ class TestNoObserverRows:
         assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
         (row,) = read_rows(tmp_path / "sim" / "metrics.csv")
         assert (row["omega_f"], row["observer_rmse"], row["status"]) == ("", "", "ok")
-        # five cells run in lockstep on a chain (chain.LOCKSTEP is 4 for the
-        # homogeneous kind and 3 for none), two run one by one
+        # five cells run in lockstep on a chain (chain.LOCKSTEP is 5 for the
+        # homogeneous kind and 4 for none), two run one by one
         for grid in ("omega=2,5", "omega=1,2,3,4,5"):
             out = tmp_path / grid
             assert main(["sweep", "--config", conf, "--out", str(out), "--grid", grid]) == 0

@@ -70,7 +70,7 @@ class TestRunLookup:
     def test_lockstep_only_where_the_module_allows_it(self):
         assert {kind: module.lockstep is not None for kind, module in plants.PLANTS.items()} == {
             "chain": True, "vtol": False, "vehicle": False}
-        assert chain.LOCKSTEP == {"none": 3, "homogeneous": 4, "pid": 5, "generalized": 5}
+        assert chain.LOCKSTEP == {"none": 4, "homogeneous": 5, "pid": 6, "generalized": 6}
         # a list of another plant's scenarios gives the summary of each
         # scenario's run alone
         first = short_scenario("vtol")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumped_pid.config import build_scenario, load_config
@@ -115,6 +115,19 @@ class TestRk4Step:
         assert info.value.step == 1 and info.value.t == 2.0
         assert str(info.value) == "non-finite state at t=2"
 
+    def test_a_map_with_coefficients_past_the_float_range_is_caught_at_the_next_step(self):
+        # at order 3 and dt = 1e150 the map's higher-order coefficients are
+        # inf: they go through as they are, and the state they make is
+        # non-finite at step 1
+        step = chain.rk4_map(IntegratorChain(3, 1.0), 1e150)
+        assert not all(map(math.isfinite, step([1.0, 0.0, 0.0], 0.0, (1.0, 1.0, 1.0))))
+        overflow = make_scenario(plant={"order": 3, "b": 1.0, "x0": [1.0, 0.0, 0.0]},
+                                 controller={"kind": "none"}, dt=1e150, duration=3e150)
+        with pytest.raises(DivergedError) as info:
+            run_scenario(overflow)
+        assert info.value.step == 1 and info.value.t == 1e150
+        assert str(info.value) == "non-finite state at t=1e+150"
+
 
 DIVERGED = "diverged: |state| exceeded 1e+12 at t=0.5"
 NON_FINITE = "non-finite state at t=0.5"
@@ -157,11 +170,40 @@ class TestCheckState:
             assert str(info.value) == (NON_FINITE if not math.isfinite(bad) else DIVERGED)
 
 
+def loop_rk4(derivative, state, u, d, dt):
+    """RK4 as loops over the components, the reference for rk4_step's
+    loop-free body: the same operations in the same order."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = derivative(state, u, d[0])
+    k2 = derivative([x + half * k for x, k in zip(state, k1)], u, d[1])
+    k3 = derivative([x + half * k for x, k in zip(state, k2)], u, d[1])
+    k4 = derivative([x + dt * k for x, k in zip(state, k3)], u, d[2])
+    return [x + sixth * (a + 2.0 * (b + c) + e) for x, a, b, c, e in zip(state, k1, k2, k3, k4)]
+
+
+def loop_map(rows, x, bu, d):
+    """An affine step as a loop over each row's ``(k, c)`` terms, the
+    reference for the map's loop-free code."""
+    values = (*d, *x, bu)
+    out = x.copy()
+    for i, terms in enumerate(rows):
+        acc = 0.0
+        for k, c in terms:
+            acc = acc + (values[k] if c is None else c * values[k])
+        out[i] = acc
+    return out
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
 @st.composite
 def chain_steps(draw):
-    """A chain of order 1 to 3, a step size, a disturbance, a state and an
-    input term: what one RK4 step of the chain reads."""
-    order = draw(st.integers(1, 3))
+    """A chain of order 1 to 8, with or without state coupling, a step size,
+    a disturbance, a state and an input term: what one RK4 step of the chain
+    reads."""
+    order = draw(st.integers(1, 8))
     values = st.floats(-10.0, 10.0)
     plant = IntegratorChain(order, draw(st.sampled_from([1.0, -0.7, 2.5])),
                             draw(st.just(()) | st.lists(st.floats(-5.0, 5.0), min_size=order,
@@ -176,6 +218,50 @@ def chain_steps(draw):
 class TestRk4Map:
     """A chain run steps by its RK4 step as one affine map, which rk4_step
     builds; rk4_step, stage by stage, is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_steps())
+    @example((IntegratorChain(1, 1.0, (-1.0,)), 0.1, Constant(1.0), 0.0, [-0.0], 0.5))
+    def test_rk4_step_is_the_stage_loops_it_unrolls(self, case):
+        # order 1 unpacks a single name, which needs its trailing comma
+        plant, dt, f0, t, state, bu = case
+        d = (f0(t), f0(t + 0.5 * dt), f0(t + dt))
+        assert same_bits(rk4_step(plant.derivative, state, bu, d, dt),
+                         loop_rk4(plant.derivative, state, bu, d, dt))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_loop_free_code_is_the_loop_over_its_terms(self, n, data):
+        # any coefficients, inf and NaN among them, and any subset of the
+        # n + 4 inputs in any order, on a list state and on lanes
+        coeff = st.none() | st.floats(allow_nan=True, allow_infinity=True)
+        rows = []
+        for _ in range(n):
+            ks = data.draw(st.permutations(range(n + 4)))[:data.draw(st.integers(0, n + 4))]
+            rows.append([(k, data.draw(coeff)) for k in ks])
+        step = chain._straight_line(rows, n)
+        values = st.floats(-1e3, 1e3)
+        x = data.draw(st.lists(values, min_size=n, max_size=n))
+        bu, d = data.draw(values), tuple(data.draw(st.lists(values, min_size=3, max_size=3)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert same_bits(step(x, bu, d), loop_map(rows, x, bu, d))
+            lanes = np.array([x, x[::-1]]).T.copy()
+            bus = np.array([bu, -bu])
+            assert same_bits(step(lanes, bus, d), loop_map(rows, lanes, bus, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain_steps(), st.data())
+    def test_each_lane_of_a_map_step_is_its_float_step(self, case, data):
+        plant, dt, f0, t, state, bu = case
+        d = (f0(t), f0(t + 0.5 * dt), f0(t + dt))
+        values = st.floats(-10.0, 10.0)
+        extra = data.draw(st.lists(st.tuples(st.lists(values, min_size=plant.n,
+                                                      max_size=plant.n), values), max_size=4))
+        lanes = [(state, bu), *extra]
+        step = chain.rk4_map(plant, dt)
+        out = step(np.array([x for x, _ in lanes]).T.copy(), np.array([b for _, b in lanes]), d)
+        for j, (x, b) in enumerate(lanes):
+            assert same_bits(out[:, j], step(x, b, d))
 
     @settings(max_examples=200, deadline=None)
     @given(chain_steps())
@@ -289,6 +375,12 @@ class TestGaussianNoise:
         noisy = NoiseStream([silent, NoiseSpec(sigmas=(0.1,))], 2, 6)
         assert noise_table(noisy, 2, 6).shape == (6, 2, 2)
 
+    @pytest.mark.parametrize("samples", [5, BLOCK + 3])
+    def test_a_silent_stream_yields_zero_samples(self, samples):
+        drawn = list(NoiseStream([NoiseSpec(), NoiseSpec(sigmas=(0.0,), seed=3)], 1, samples))
+        assert len(drawn) == samples
+        assert all(e.shape == (1, 2) and not e.any() for e in drawn)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 700), st.integers(1, 3), st.data())
     def test_noise_drawn_block_by_block_is_the_whole_run_table(self, block, steps, channels,
@@ -304,6 +396,7 @@ class TestGaussianNoise:
         table = noise_table(NoiseStream(specs, channels, steps), channels, steps)
         if table is None:
             assert all(spec.silent for spec in specs)
+            assert not np.stack(list(NoiseStream(specs, channels, steps))).any()
             return
         # drawn `block` samples at a time, and BLOCK at a time as a run iterates it
         stream, drawn = NoiseStream(specs, channels, steps), np.zeros((steps, channels, len(specs)))
@@ -671,6 +764,18 @@ class TestLockstep:
         peak = first + int(np.argmax(np.abs(x[first:])))
         assert peak < BLOCK < len(x)
         assert outcomes[0].overshoot == abs(x[peak])
+
+    def test_an_uncontrolled_order_250_chain_with_coupling_matches_alone(self):
+        # only a controller bounds the order; the map's loop-free code has no
+        # nesting to outgrow at this size
+        n = 250
+        outcomes = assert_lockstep_matches_alone(lanes_over(
+            (1.0, 2.0), sigmas=(0.0, 0.01), controller={"kind": "none"},
+            plant={"order": n, "b": 1.0, "x0": [1.0] * n,
+                   "state_coeffs": tuple(-0.5 / (i + 1) for i in range(n))},
+            duration=0.05))
+        assert all(isinstance(o, TraceSummary) for o in outcomes)
+        assert outcomes[0].tail["x0"][-1] > 1.0
 
     def test_diverged_lane_keeps_its_step_and_leaves_others(self):
         # the omega = 2000 lane runs away; its neighbours finish untouched
