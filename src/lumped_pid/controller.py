@@ -17,14 +17,15 @@ docstring for when the two discretizations differ). :func:`observer_step` is
 the integral form's one channel: the vehicle's lateral law steps through it,
 and the VTOL's two loops write it out on three axes.
 
-Each controller holds the floats and float tuples its ``step`` reads, which
-:func:`lockstep_controller` stacks to step every cell at once as a numpy
-lane, through the same ``step`` code.
+Each controller takes the numbers its ``step`` reads (gains, ``omega_f``,
+``b``, ``dt``) as floats, or as ``[lanes]`` float64 arrays to step every cell
+of a lockstep run at once on ``[n, lanes]`` measurements through the same
+``step``: its elementwise ``+ - * /`` in the float order round as Python's,
+so each lane equals its float controller bit for bit.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,7 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, OrderMismatchError, check_positive
-from .polylti import MAX_ORDER, Polynomial, RationalTransferFunction, binomial_poly, poly_mul
+from .polylti import (MAX_ORDER, Polynomial, RationalTransferFunction, binomial_poly, check_coeffs,
+                      poly_mul)
 from .quadrature import RECTANGULAR, Integrator
 
 OBSERVER_FORMS = ("integral", "pid")
@@ -43,23 +45,22 @@ class ControllerConfig:
     """Synthesis inputs.
 
     ``n`` is the plant order, ``b`` the input coefficient, ``omega`` the
-    state-feedback (homogeneous) bandwidth, ``omega_f`` the observer
-    bandwidth, and ``dt`` the controller/integration step. Under measurement
-    noise, ``omega < omega_f`` is the recommended (not enforced) tuning.
+    state-feedback (homogeneous) bandwidth and ``omega_f`` the observer
+    bandwidth. Under measurement noise, ``omega < omega_f`` is the
+    recommended (not enforced) tuning.
     """
 
     n: int
     b: float
     omega: float
     omega_f: float
-    dt: float
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1 or self.n > MAX_ORDER:
             raise ConfigError(f"n: order must be an integer in [1, {MAX_ORDER}], got {self.n!r}")
         if not (self.b != 0.0 and math.isfinite(self.b)):
             raise ConfigError(f"b: input coefficient must be finite and nonzero, got {self.b!r}")
-        for name in ("omega", "omega_f", "dt"):
+        for name in ("omega", "omega_f"):
             check_positive(getattr(self, name), name)
 
 
@@ -118,13 +119,11 @@ def closed_loop_tf(config: ControllerConfig) -> RationalTransferFunction:
 
     ``G(s) = s / ((s+omega)^n (s+omega_f))`` -- the zero at the origin is
     what rejects constant disturbances exactly. A denominator coefficient
-    beyond the float range is a ConfigError.
+    beyond the float range, or one that rounds to 0, is a ConfigError.
     """
     den = poly_mul(binomial_poly(config.omega, config.n), Polynomial((config.omega_f, 1.0)))
-    if not all(map(math.isfinite, den.coeffs)):
-        raise ConfigError(f"omega = {config.omega!r} and omega_f = {config.omega_f!r} at order "
-                          f"{config.n}: (s + omega)**{config.n} (s + omega_f) has a coefficient "
-                          f"beyond the float range")
+    check_coeffs(den.coeffs, f"omega = {config.omega!r} and omega_f = {config.omega_f!r} at "
+                             f"order {config.n}: (s + omega)**{config.n} (s + omega_f)")
     return RationalTransferFunction(Polynomial((0.0, 1.0)), den)
 
 
@@ -137,8 +136,21 @@ def observer_tfs(omega_f: float) -> tuple[RationalTransferFunction, RationalTran
     return g_o, g_e
 
 
+def _checked(value, key: str, sign: str = ""):
+    """``value`` (a float, a ``[lanes]`` array, or a tuple of either) if it
+    holds a number and each is finite and, if ``sign`` says, ``"positive"``
+    or ``"nonzero"``; else a ConfigError naming ``key``."""
+    v = np.asarray(value, dtype=float)
+    ok = np.isfinite(v) & (v > 0.0 if sign == "positive" else v != 0.0 if sign else True)
+    if not (ok.size and ok.all()):
+        raise ConfigError(f"{key}: expected finite {sign or 'real'} numbers, got {value!r}")
+    return value
+
+
 class GeneralizedController:
-    """Stateful stepping of the full controller for any order n.
+    """Stateful stepping of the full controller for any order n = len(a):
+    gains ``a`` (such as :func:`synthesize_gains` gives), observer
+    bandwidth ``omega_f``, input coefficient ``b`` and step ``dt``.
 
     ``observer_form`` selects how the observer's running integral of u_x is
     discretized:
@@ -164,22 +176,18 @@ class GeneralizedController:
     integral to seed and rejects ``seed_integral`` with a ConfigError.
     """
 
-    LANE_FIELDS = ("a", "omega_f")
-
-    def __init__(
-        self,
-        config: ControllerConfig,
-        rule: str = RECTANGULAR,
-        observer_form: str = "integral",
-        seed_integral: bool = False,
-    ):
+    def __init__(self, a: Sequence[float], omega_f: float, b: float, dt: float,
+                 rule: str = RECTANGULAR, observer_form: str = "integral",
+                 seed_integral: bool = False):
         if observer_form not in OBSERVER_FORMS:
             raise ConfigError(f"observer_form must be one of {OBSERVER_FORMS}, got {observer_form!r}")
         if seed_integral and observer_form == "pid":
             raise ConfigError("seed_integral: not read by observer_form 'pid'")
-        self.n, self.b, self.dt = config.n, config.b, config.dt
-        self.a = synthesize_gains(config.n, config.omega)
-        self.omega_f = config.omega_f
+        self.a = _checked(a, "a")
+        self.n = len(a)
+        self.omega_f = _checked(omega_f, "omega_f", "positive")
+        self.b = _checked(b, "b", "nonzero")
+        self.dt = _checked(dt, "dt", "positive")
         self.observer_form = observer_form
         self._seed_pending = seed_integral
         self._integ = Integrator(rule)
@@ -210,13 +218,13 @@ class GeneralizedController:
 
 
 class HomogeneousController:
-    """State feedback only (f_hat = 0); the uncompensated loop."""
+    """State feedback only (f_hat = 0), the uncompensated loop: gains ``a``
+    for n = len(a), input coefficient ``b``."""
 
-    LANE_FIELDS = ("a",)
-
-    def __init__(self, config: ControllerConfig):
-        self.n, self.b = config.n, config.b
-        self.a = synthesize_gains(config.n, config.omega)
+    def __init__(self, a: Sequence[float], b: float):
+        self.a = _checked(a, "a")
+        self.n = len(a)
+        self.b = _checked(b, "b", "nonzero")
         self.f_hat = 0.0
 
     def step(self, z: Sequence[float]) -> float:
@@ -229,16 +237,16 @@ class ClassicPidController:
     """Textbook PI/PID stepping (n = 1 or 2) with the gains of
     :func:`reduce_to_pid`, which closes the loop on ``(s+omega)^n (s+omega_f)``:
     ``u = -(kd*e_dot + kp*e + ki*integral(e))/b``, the integral accumulated
-    with the observer's quadrature rule; a PI holds ``kd = 0.0`` against
-    its zero ``e_dot``."""
+    with the observer's quadrature rule over steps ``dt``. A PI (n = 1) has
+    ``kd`` None, and holds ``kd = 0.0`` against its zero ``e_dot``."""
 
-    LANE_FIELDS = ("kp", "ki", "kd")
-
-    def __init__(self, config: ControllerConfig, rule: str = RECTANGULAR):
-        gains = reduce_to_pid(config)
-        self.n, self.b, self.dt = config.n, config.b, config.dt
-        self.kp, self.ki = gains.kp, gains.ki
-        self.kd = 0.0 if gains.kd is None else gains.kd
+    def __init__(self, kp: float, ki: float, kd: Optional[float], b: float, dt: float,
+                 rule: str = RECTANGULAR):
+        self.n = 1 if kd is None else 2
+        self.kp, self.ki = _checked(kp, "kp"), _checked(ki, "ki")
+        self.kd = 0.0 if kd is None else _checked(kd, "kd")
+        self.b = _checked(b, "b", "nonzero")
+        self.dt = _checked(dt, "dt", "positive")
         self._integ = Integrator(rule)
         self.f_hat = math.nan  # the classic form has no separate estimate
 
@@ -250,32 +258,3 @@ class ClassicPidController:
         e_dot = z[1] if n == 2 else 0.0
         integral = self._integ.push(e, self.dt)
         return -(self.kd * e_dot + self.kp * e + self.ki * integral) / self.b
-
-
-def _stack_lanes(values: Sequence):
-    """Per-lane values of one field as lanes: floats become a ``[lanes]``
-    float64 array, tuples of floats a tuple of them, entry by entry."""
-    if isinstance(values[0], tuple):
-        return tuple(np.array(column, dtype=float) for column in zip(*values))
-    return np.array(values, dtype=float)
-
-
-def lockstep_controller(controllers: Sequence):
-    """One controller that steps every controller of ``controllers`` as a lane.
-
-    The controllers must be fresh (never stepped) instances of one class whose
-    configs differ only in ``omega`` and ``omega_f``. The result is a copy of
-    the first with each attribute its class names in ``LANE_FIELDS`` (gains,
-    observer bandwidth) stacked into ``[lanes]`` float64 arrays; ``n``, ``b``
-    and ``dt`` are shared by every lane. Its ``step`` is the class's own: it
-    takes the measurements as an ``[n, lanes]`` array, whose rows it reads
-    one by one, and returns ``u`` as a ``[lanes]`` array. Every operation of
-    a ``step`` is an elementwise ``+``, ``-``, ``*`` or ``/`` applied in the
-    same order as on floats, and numpy rounds each one exactly as Python
-    does, so lane j of every result equals ``controllers[j].step`` on lane j
-    of the inputs, bit for bit.
-    """
-    lanes = copy.deepcopy(controllers[0])
-    for name in lanes.LANE_FIELDS:
-        setattr(lanes, name, _stack_lanes([getattr(c, name) for c in controllers]))
-    return lanes

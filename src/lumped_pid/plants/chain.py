@@ -21,7 +21,8 @@ from ..controller import (
     ControllerConfig,
     GeneralizedController,
     HomogeneousController,
-    lockstep_controller,
+    reduce_to_pid,
+    synthesize_gains,
 )
 from ..errors import ConfigError, WindowTooShortError
 from ..polylti import MAX_ORDER
@@ -65,12 +66,12 @@ PLOTS = (
     ("observer", OBSERVER, "disturbance estimate", "f"),
 )
 # By controller kind, the fewest scenarios that run as the lanes of one run;
-# a shorter list runs one at a time, and so does every list under None. Each
-# is the smallest count at which a lockstep run with its metrics rows was not
-# slower than its cells run one by one: CPU time of lockstep over one by one,
-# median of 21 interleaved pairs, full-length stock configs (chain_step.conf,
-# and bound_demo.conf for homogeneous), half the cells noisy; 2-vCPU x86_64,
-# Python 3.11, numpy 2.4, both RK4 steps as loop-free code.
+# a shorter list runs one at a time. Each is the smallest count at which a
+# lockstep run with its metrics rows was not slower than its cells run one by
+# one: CPU time of lockstep over one by one, median of 21 interleaved pairs,
+# full-length stock configs (chain_step.conf, and bound_demo.conf for
+# homogeneous), half the cells noisy; 2-vCPU x86_64, Python 3.11, numpy 2.4,
+# both RK4 steps as loop-free code.
 #   cells         3     4     5     6
 #   none         1.11  0.83  0.68  0.56
 #   homogeneous  1.53  1.12  0.91  0.75
@@ -180,25 +181,35 @@ def noise_channels(scenario: Scenario) -> int:
 
 
 def controller_config(scenario: Scenario) -> ControllerConfig:
-    """The synthesis inputs of a chain scenario: what its controller, its
-    bound check and the ``tune`` and ``bode`` commands use."""
+    """The synthesis inputs of a chain scenario: what its controller's
+    numbers and the ``tune`` and ``bode`` commands derive from."""
     opts = scenario.controller
     return ControllerConfig(n=scenario.plant["order"], b=scenario.plant["b"],
-                            omega=opts["omega"], omega_f=opts["omega_f"], dt=scenario.dt)
+                            omega=opts["omega"], omega_f=opts["omega_f"])
 
 
-def _build_controller(scenario: Scenario):
-    opts = scenario.controller
-    kind = opts["kind"]
-    if kind == "none":
+def _build_controller(scenarios: Sequence[Scenario], lockstep: bool):
+    """The controller of a run, None for kind none: each scenario's gains and
+    omega_f as floats for one, as ``[lanes]`` arrays in ``lockstep``."""
+    opts, dt = scenarios[0].controller, scenarios[0].dt
+    if opts["kind"] == "none":
         return None
-    config = controller_config(scenario)
-    if kind == "homogeneous":
-        return HomogeneousController(config)
-    if kind == "pid":
-        return ClassicPidController(config, rule=opts["quadrature"])
-    return GeneralizedController(config, rule=opts["quadrature"],
-                                 observer_form=opts["observer_form"],
+    configs = [controller_config(s) for s in scenarios]
+    b = configs[0].b
+
+    def lanes(values):
+        return np.array(values, dtype=float) if lockstep else values[0]
+
+    if opts["kind"] == "pid":
+        gains = [reduce_to_pid(c) for c in configs]
+        kd = None if gains[0].kd is None else lanes([g.kd for g in gains])
+        return ClassicPidController(lanes([g.kp for g in gains]), lanes([g.ki for g in gains]),
+                                    kd, b, dt, rule=opts["quadrature"])
+    a = tuple(map(lanes, zip(*(synthesize_gains(c.n, c.omega) for c in configs))))
+    if opts["kind"] == "homogeneous":
+        return HomogeneousController(a, b)
+    return GeneralizedController(a, lanes([c.omega_f for c in configs]), b, dt,
+                                 rule=opts["quadrature"], observer_form=opts["observer_form"],
                                  seed_integral=opts["seed_integral"])
 
 
@@ -223,7 +234,7 @@ def lane_compatible(scenarios: Sequence[Scenario]) -> bool:
 def lockstep(scenarios: Sequence[Scenario]) -> bool:
     """Whether ``run`` takes the scenarios as the lanes of one run: at least
     LOCKSTEP of them for the controller kind of the first, lane-compatible."""
-    return (LOCKSTEP is not None and len(scenarios) >= LOCKSTEP[scenarios[0].controller["kind"]]
+    return (len(scenarios) >= LOCKSTEP[scenarios[0].controller["kind"]]
             and lane_compatible(scenarios))
 
 
@@ -253,15 +264,12 @@ def run(scenario: Scenario | Sequence[Scenario]):
     x0 = (0.0,) * plant.n if opts["x0"] is None else opts["x0"]
     n = plant.n
     step = rk4_map(plant, first.dt)
-    controllers = [_build_controller(s) for s in scenarios]
-    controller = controllers[0]
+    controller = _build_controller(scenarios, lockstep)
     f0 = first.disturbance
     dt = first.dt
     half = 0.5 * dt
     n_steps = first.n_steps
     if lockstep:
-        if controller is not None:
-            controller = lockstep_controller(controllers)
         specs = [s.noise for s in scenarios]
         noise = (None if all(spec.silent for spec in specs)
                  else iter(NoiseStream(specs, n, n_steps + 1)))

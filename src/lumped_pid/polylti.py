@@ -90,17 +90,28 @@ def binomial_poly(omega: float, n: int) -> Polynomial:
 
     The coefficient of ``s**(n-i)`` is ``C(n, i) * omega**i``; binomials come
     from exact integer arithmetic (no factorial overflow up to MAX_ORDER). A
-    coefficient beyond the float range is a ConfigError.
+    coefficient beyond the float range, or one that rounds to 0, is a
+    ConfigError.
     """
     if n < 1 or n > MAX_ORDER:
         raise ConfigError(f"order n must be in [1, {MAX_ORDER}], got {n}")
     check_positive(omega, "omega")
     try:
         # ascending: coeffs[k] multiplies s^k, i.e. i = n - k
-        return Polynomial(float(math.comb(n, n - k)) * omega ** (n - k) for k in range(n + 1))
+        coeffs = [float(math.comb(n, n - k)) * omega ** (n - k) for k in range(n + 1)]
     except OverflowError:  # a power of omega past the float range
-        raise ConfigError(f"omega = {omega!r} at order {n}: (s + omega)**{n} has a coefficient "
-                          f"beyond the float range") from None
+        coeffs = [math.inf]
+    check_coeffs(coeffs, f"omega = {omega!r} at order {n}: (s + omega)**{n}")
+    return Polynomial(coeffs)
+
+
+def check_coeffs(coeffs: Sequence[float], poly: str) -> None:
+    """A ConfigError naming ``poly`` unless each of its ``coeffs`` is finite
+    and nonzero; a nonzero subnormal passes."""
+    if not all(map(math.isfinite, coeffs)):
+        raise ConfigError(f"{poly} has a coefficient beyond the float range")
+    if 0.0 in coeffs:
+        raise ConfigError(f"{poly} has a coefficient that rounds to 0, below the float range")
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -19,6 +19,7 @@ from lumped_pid.controller import (
     GeneralizedController,
     closed_loop_tf,
     reduce_to_pid,
+    synthesize_gains,
 )
 from lumped_pid.polylti import Polynomial, RationalTransferFunction, binomial_poly, dc_gain, evaluate_at, poly_mul
 from lumped_pid import so3
@@ -77,11 +78,13 @@ def test_pi_pid_equivalence():
             b=float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])),
             omega=float(rng.uniform(0.2, 8.0)),
             omega_f=float(rng.uniform(0.5, 40.0)),
-            dt=float(10.0 ** rng.uniform(-4.0, -2.0)),
         )
+        dt = float(10.0 ** rng.uniform(-4.0, -2.0))
         rule = RECTANGULAR if trial % 2 == 0 else TRAPEZOIDAL
-        gen = GeneralizedController(config, rule=rule, observer_form="pid")
-        pid = ClassicPidController(config, rule=rule)
+        gen = GeneralizedController(synthesize_gains(n, config.omega), config.omega_f, config.b,
+                                    dt, rule=rule, observer_form="pid")
+        gains = reduce_to_pid(config)
+        pid = ClassicPidController(gains.kp, gains.ki, gains.kd, config.b, dt, rule=rule)
         for z in rng.uniform(-2.0, 2.0, size=(10_000, n)).tolist():
             diff = abs(gen.step(z) - pid.step(z))
             if diff > worst:
@@ -94,7 +97,7 @@ def test_pi_pid_equivalence():
 
 @criterion("criterion 2: gain formulas vs closed-loop denominator")
 def test_gain_formula_structural_identity():
-    config = ControllerConfig(n=2, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3)
+    config = ControllerConfig(n=2, b=1.0, omega=2.0, omega_f=10.0)
     gains = reduce_to_pid(config)
     assert (gains.kd, gains.kp, gains.ki) == (14.0, 44.0, 40.0)
     den = poly_mul(binomial_poly(2.0, 2), Polynomial((10.0, 1.0)))
@@ -123,7 +126,7 @@ def test_pi_is_the_decomposition_on_a_closed_loop(rule, omega, omega_f, b, x0, d
 
 @criterion("criterion 2 (n = 1): the PI closes the loop on (s+omega)(s+omega_f)")
 def test_pi_gains_and_step_response():
-    config = ControllerConfig(n=1, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3)
+    config = ControllerConfig(n=1, b=1.0, omega=2.0, omega_f=10.0)
     gains = reduce_to_pid(config)
     den = closed_loop_tf(config).denominator
     assert den.coeffs == (20.0, 12.0, 1.0)
@@ -194,7 +197,7 @@ def test_observer_bandwidth():
 @criterion("criterion 5: constant-disturbance rejection")
 def test_constant_disturbance_rejection():
     for n in (1, 2):
-        config = ControllerConfig(n=n, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3)
+        config = ControllerConfig(n=n, b=1.0, omega=2.0, omega_f=10.0)
         assert dc_gain(closed_loop_tf(config)) == 0.0
         scenario = chain_scenario(
             plant={"order": n, "b": 1.0},

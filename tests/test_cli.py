@@ -796,7 +796,8 @@ class TestSweep:
 
 def sweep_bytes(tmp_path, monkeypatch, text, grid, *extra, lockstep):
     """sweep.csv bytes with every chain cell run in lockstep, or each alone."""
-    monkeypatch.setattr(chain, "LOCKSTEP", dict.fromkeys(chain.LOCKSTEP, 1) if lockstep else None)
+    monkeypatch.setattr(chain, "LOCKSTEP",
+                        dict.fromkeys(chain.LOCKSTEP, 1 if lockstep else math.inf))
     name = f"{'lockstep' if lockstep else 'alone'}{len(list(tmp_path.iterdir()))}"
     out = tmp_path / name
     code = main(["sweep", "--config", write_conf(tmp_path, text, name + ".conf"),
@@ -902,8 +903,8 @@ class TestLockstepSweep:
         conf = write_conf(tmp_path, stock("chain_step.conf", **{"sim.duration": 1.0,
                                                                 "plant.x0": "1,2,3"}))
         # every cell in lockstep, or each alone
-        for min_cells in (dict.fromkeys(chain.LOCKSTEP, 1), None):
-            monkeypatch.setattr(chain, "LOCKSTEP", min_cells)
+        for min_cells in (1, math.inf):
+            monkeypatch.setattr(chain, "LOCKSTEP", dict.fromkeys(chain.LOCKSTEP, min_cells))
             assert main(["sweep", "--config", conf, "--out", str(tmp_path / "x"),
                          "--grid", "omega=1,2,5", "sigma=0,0.01"]) == 2
             assert "plant.x0: expected 2 values, got 3" in capsys.readouterr().err
@@ -1590,12 +1591,24 @@ class TestFloatRange:
            "omega = 1e+200 and omega_f = 1e+200 at order 1: (s + omega)**1 (s + omega_f) "
            "has a coefficient beyond the float range")
           for command in ("tune", "bode", "simulate", "sweep")),
+        *(({"controller.kind": "pid", "plant.order": 1, "controller.omega": 1e-200,
+            "controller.omega_f": 1e-200}, command,
+           "omega = 1e-200 and omega_f = 1e-200 at order 1: (s + omega)**1 (s + omega_f) "
+           "has a coefficient that rounds to 0, below the float range")
+          for command in ("tune", "simulate", "sweep")),
+        *(({"controller.omega": 1e-200}, command,
+           "omega = 1e-200 at order 2: (s + omega)**2 has a coefficient that rounds to 0, "
+           "below the float range")
+          for command in ("tune", "simulate", "sweep")),
     ], ids=["order_2_ki_tune", "order_2_ki_bode", "order_2_horner_bode", "pid_tune", "pid_bode",
-            "pid_simulate", "pid_sweep"])
+            "pid_simulate", "pid_sweep", "pi_ki_underflow_tune", "pi_ki_underflow_simulate",
+            "pi_ki_underflow_sweep", "a0_underflow_tune", "a0_underflow_simulate",
+            "a0_underflow_sweep"])
     def test_a_closed_loop_past_the_float_range_exits_2(self, tmp_path, capsys, changes,
                                                         command, message):
         # every power of omega is finite; the closed loop's coefficients, or
-        # Horner's powers of s along bode's grid, are not
+        # Horner's powers of s along bode's grid, are not, or a coefficient
+        # (a gain) underflows to 0
         conf = write_conf(tmp_path, stock("chain_step.conf", **changes, **{"sim.duration": 0.05}))
         args = {"tune": [], "bode": ["--out", str(tmp_path / "bode.csv")],
                 "simulate": ["--out", str(tmp_path / "sim")],
@@ -1815,13 +1828,18 @@ class TestBode:
         assert not out.exists()
 
     # valid bandwidths, which tune takes, whose grid ends leave the floats:
-    # two decades above 1e307 overflow, two below 1e-322 underflow
-    @pytest.mark.parametrize("old,new,ends", [
-        ("controller.omega_f = 10.0", "controller.omega_f = 1e307", "0.02 to inf"),
-        ("controller.omega = 2.0", "controller.omega = 1e-322", "0 to 1000"),
+    # two decades above 1e307 overflow, two below 1e-322 underflow (at order
+    # 1, where the gain a0 = 1e-322 is a nonzero subnormal)
+    @pytest.mark.parametrize("changes,ends", [
+        ({"controller.omega_f = 10.0": "controller.omega_f = 1e307"}, "0.02 to inf"),
+        ({"plant.order = 2": "plant.order = 1",
+          "controller.omega = 2.0": "controller.omega = 1e-322"}, "0 to 1000"),
     ], ids=["omega_f_1e307", "omega_1e-322"])
-    def test_a_grid_end_past_the_floats_exits_2(self, tmp_path, capsys, old, new, ends):
-        conf = write_conf(tmp_path, CHAIN_CONF.replace(old, new))
+    def test_a_grid_end_past_the_floats_exits_2(self, tmp_path, capsys, changes, ends):
+        text = CHAIN_CONF
+        for old, new in changes.items():
+            text = text.replace(old, new)
+        conf = write_conf(tmp_path, text)
         assert main(["tune", "--config", conf]) == 0
         out = tmp_path / "bode.csv"
         assert main(["bode", "--config", conf, "--out", str(out)]) == 2
@@ -1831,13 +1849,15 @@ class TestBode:
 
     def test_an_error_raised_outside_a_run_exits_2(self, tmp_path, capsys):
         # a tiny omega puts the closed loop's repeated pole so near the
-        # lowest grid frequency that |den| underflows: a PoleHitError, which
-        # is neither a config error nor a run failure
-        conf = write_conf(tmp_path, CHAIN_CONF.replace("controller.omega = 2.0",
-                                                       "controller.omega = 1e-200"))
+        # lowest grid frequency that |den| falls below POLE_EPS: a
+        # PoleHitError, which is neither a config error nor a run failure.
+        # At order 4 and omega = 1e-80 every coefficient of the closed loop is
+        # nonzero, the smallest, omega**4 omega_f, a subnormal 1e-319
+        conf = write_conf(tmp_path, CHAIN_CONF.replace("plant.order = 2", "plant.order = 4")
+                          .replace("controller.omega = 2.0", "controller.omega = 1e-80"))
         assert main(["bode", "--config", conf, "--out", str(tmp_path / "b.csv")]) == 2
         assert capsys.readouterr().err == (
-            "error: denominator magnitude 0 below 1e-300 at s=1e-202j\n")
+            "error: denominator magnitude 1.00019e-319 below 1e-300 at s=1e-82j\n")
 
 
 class TestShippedConfigs:

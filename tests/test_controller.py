@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumped_pid.controller import (
+    OBSERVER_FORMS,
     ClassicPidController,
     ControllerConfig,
     GeneralizedController,
     HomogeneousController,
     closed_loop_tf,
     homogeneous_control,
-    lockstep_controller,
     observer_tfs,
     reduce_to_pid,
     synthesize_gains,
@@ -23,8 +24,19 @@ from lumped_pid.polylti import Polynomial, binomial_poly, dc_gain, evaluate_at
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL, Integrator
 
 
-def cfg(n=2, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3):
-    return ControllerConfig(n=n, b=b, omega=omega, omega_f=omega_f, dt=dt)
+def cfg(n=2, b=1.0, omega=2.0, omega_f=10.0):
+    return ControllerConfig(n=n, b=b, omega=omega, omega_f=omega_f)
+
+
+def generalized(n=2, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3, **options):
+    """The chain's GeneralizedController at these synthesis inputs."""
+    return GeneralizedController(synthesize_gains(n, omega), omega_f, b, dt, **options)
+
+
+def classic(n=2, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3, rule=RECTANGULAR):
+    """The chain's ClassicPidController at these synthesis inputs."""
+    g = reduce_to_pid(cfg(n=n, b=b, omega=omega, omega_f=omega_f))
+    return ClassicPidController(g.kp, g.ki, g.kd, b, dt, rule=rule)
 
 
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -48,7 +60,7 @@ class TestConfigValidation:
             {"omega": 0.0},
             {"omega": -2.0},
             {"omega_f": 0.0},
-            {"dt": 0.0},
+            {"b": math.inf},
             {"omega": math.inf},
             {"omega_f": math.nan},
         ],
@@ -74,6 +86,15 @@ class TestSynthesizeGains:
         for n in range(1, 9):
             assert all(ai > 0 for ai in synthesize_gains(n, 0.7))
 
+    def test_a_gain_that_rounds_to_0_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "omega = 1e-200 at order 2: (s + omega)**2 has a coefficient that rounds to 0, "
+                "below the float range")):
+            synthesize_gains(2, 1e-200)
+        # a nonzero subnormal gain stands
+        assert synthesize_gains(1, 5e-324) == (5e-324,)
+        assert synthesize_gains(2, 1e-160) == (1e-160 ** 2, 2e-160)
+
 
 class TestHomogeneousControl:
     def test_origin(self):
@@ -94,7 +115,7 @@ class TestHomogeneousControl:
         # homogeneous_control leaves the length check to the stepping controllers
         for z in ([1.0], [1.0, 2.0, 3.0]):
             with pytest.raises(DimensionMismatchError):
-                HomogeneousController(cfg(n=2)).step(z)
+                HomogeneousController(synthesize_gains(2, 2.0), 1.0).step(z)
 
 
 class TestObserverStep:
@@ -102,7 +123,7 @@ class TestObserverStep:
     GeneralizedController steps it."""
 
     def test_at_rest(self):
-        gen = GeneralizedController(cfg(n=2))
+        gen = generalized(n=2)
         assert gen.step([0.0, 0.0]) == 0.0
         assert (gen.u_x, gen.f_hat) == (0.0, 0.0)
 
@@ -111,7 +132,7 @@ class TestObserverStep:
         # closed form: with u_x = c and z1 = 0, f_hat(k dt) = -wf*c*k*dt;
         # a0 = omega^2 = 4 and z0 = -c/4 give u_x = c exactly
         wf, c, dt = 4.0, 0.7, 0.01
-        gen = GeneralizedController(cfg(n=2, omega=2.0, omega_f=wf, dt=dt), rule=rule)
+        gen = generalized(n=2, omega=2.0, omega_f=wf, dt=dt, rule=rule)
         for k in range(50):
             gen.step([-c / 4.0, 0.0])
             assert gen.u_x == c
@@ -121,7 +142,7 @@ class TestObserverStep:
         # closed loop on xdot = f + u with constant f: the estimate must trace
         # the lag response 1 - exp(-wf t) within discretization error.
         wf, omega, f_true, dt = 10.0, 2.0, 1.0, 1e-4
-        gen = GeneralizedController(cfg(n=1, omega=omega, omega_f=wf, dt=dt))
+        gen = generalized(n=1, omega=omega, omega_f=wf, dt=dt)
         x = 0.0
         worst = 0.0
         for k in range(30000):
@@ -133,15 +154,15 @@ class TestObserverStep:
 
     def test_seeded_integral_zeroes_initial_estimate(self):
         # seeding the integral with z_{n-1}(0) makes f_hat(0) exactly zero
-        gen = GeneralizedController(cfg(n=1), seed_integral=True)
+        gen = generalized(n=1, seed_integral=True)
         gen.step([3.5])
         assert gen.f_hat == 0.0
 
     def test_rejects_bad_dt_and_rule(self):
         with pytest.raises(ConfigError):
-            GeneralizedController(cfg(dt=0.0))
+            generalized(dt=0.0)
         with pytest.raises(ConfigError):
-            GeneralizedController(cfg(), rule="simpson")
+            generalized(rule="simpson")
 
 
 class TestControlOutput:
@@ -149,13 +170,13 @@ class TestControlOutput:
     omega = 4 and omega_f = 1 at z = [1], u_x = -4 and f_hat = 1."""
 
     def test_zero(self):
-        assert GeneralizedController(cfg(n=1)).step([0.0]) == 0.0
+        assert generalized(n=1).step([0.0]) == 0.0
 
     def test_arithmetic(self):
-        assert GeneralizedController(cfg(n=1, b=2.0, omega=4.0, omega_f=1.0)).step([1.0]) == -2.5
+        assert generalized(n=1, b=2.0, omega=4.0, omega_f=1.0).step([1.0]) == -2.5
 
     def test_sign_flip_through_negative_b(self):
-        assert GeneralizedController(cfg(n=1, b=-2.0, omega=4.0, omega_f=1.0)).step([1.0]) == 2.5
+        assert generalized(n=1, b=-2.0, omega=4.0, omega_f=1.0).step([1.0]) == 2.5
 
 
 class TestReductions:
@@ -193,6 +214,14 @@ class TestReductions:
         g = reduce_to_pid(cfg(n=2, omega=3.0, omega_f=6.0))
         assert (g.kd, g.kp, g.ki) == (12.0, 45.0, 54.0)
 
+    def test_an_integral_gain_that_rounds_to_0_is_a_config_error(self):
+        # ki = omega_f * omega, each factor a normal float
+        with pytest.raises(ConfigError, match=re.escape(
+                "omega = 1e-200 and omega_f = 1e-200 at order 1: (s + omega)**1 (s + omega_f) "
+                "has a coefficient that rounds to 0, below the float range")):
+            reduce_to_pid(cfg(n=1, omega=1e-200, omega_f=1e-200))
+        assert reduce_to_pid(cfg(n=1, omega=1e-160, omega_f=1e-160)).ki == 1e-160 * 1e-160
+
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError, match="requires n in {1, 2}, got 3"):
             reduce_to_pid(cfg(n=3))
@@ -202,22 +231,24 @@ class TestReductions:
 
 class TestClassicPidStep:
     def test_zero_history(self):
-        pid = ClassicPidController(cfg(n=2, omega=2.0, omega_f=10.0))
+        pid = classic(n=2, omega=2.0, omega_f=10.0)
         assert pid.step([0.0, 0.0]) == 0.0
 
-    def test_order_beyond_two_rejected(self):
-        with pytest.raises(OrderMismatchError, match="requires n in {1, 2}, got 3"):
-            ClassicPidController(cfg(n=3, omega=2.0, omega_f=10.0))
+    def test_the_order_is_one_without_kd(self):
+        # PI gains (reduce_to_pid's kd is None) step one measurement
+        assert (classic(n=1).n, classic(n=2).n) == (1, 2)
+        with pytest.raises(DimensionMismatchError, match="expected 1 measurements, got 2"):
+            ClassicPidController(25.0, 100.0, None, 1.0, 1e-3).step([0.0, 0.0])
 
     def test_measurement_count_checked(self):
-        pid = ClassicPidController(cfg(n=2, omega=2.0, omega_f=10.0))
+        pid = classic(n=2, omega=2.0, omega_f=10.0)
         with pytest.raises(DimensionMismatchError, match="expected 2 measurements, got 1"):
             pid.step([0.0])
 
     def test_constant_error_accumulation(self):
         # u(k dt) = -44 - 40*k*dt under the rectangular rule
         dt = 0.01
-        pid = ClassicPidController(cfg(n=2, omega=2.0, omega_f=10.0, dt=dt))
+        pid = classic(n=2, omega=2.0, omega_f=10.0, dt=dt)
         for k in range(40):
             u = pid.step([1.0, 0.0])
             assert u == pytest.approx(-44.0 - 40.0 * k * dt, abs=1e-12)
@@ -299,15 +330,15 @@ class TestPidEquivalence:
     def test_matches_classic_for_random_sequences(self, n, rule):
         rng = random.Random(1000 + n)
         for trial in range(6):
-            config = cfg(
+            config = dict(
                 n=n,
                 b=rng.choice([1.0, -0.5, 2.3]),
                 omega=rng.uniform(0.2, 8.0),
                 omega_f=rng.uniform(0.5, 40.0),
                 dt=10 ** rng.uniform(-4, -2),
             )
-            gen = GeneralizedController(config, rule=rule, observer_form="pid")
-            pid = ClassicPidController(config, rule=rule)
+            gen = generalized(**config, rule=rule, observer_form="pid")
+            pid = classic(**config, rule=rule)
             worst = 0.0
             for _ in range(2000):
                 z = [rng.uniform(-2, 2) for _ in range(n)]
@@ -318,9 +349,9 @@ class TestPidEquivalence:
         # Along a consistent zero-initial-condition trajectory (the reduction
         # integrates the derivative channels exactly, which assumes x(0)=0)
         # the literal-integral and reduced forms stay within quadrature error.
-        config = cfg(n=2, omega=2.0, omega_f=10.0, dt=1e-4)
-        gen_i = GeneralizedController(config, observer_form="integral")
-        gen_p = GeneralizedController(config, observer_form="pid")
+        dt = 1e-4
+        gen_i = generalized(n=2, omega=2.0, omega_f=10.0, dt=dt, observer_form="integral")
+        gen_p = generalized(n=2, omega=2.0, omega_f=10.0, dt=dt, observer_form="pid")
         x, v = 0.0, 0.0
         worst = 0.0
         for _ in range(5000):
@@ -328,8 +359,8 @@ class TestPidEquivalence:
             u_p = gen_p.step([x, v])
             worst = max(worst, abs(u_i - u_p))
             a = 1.0 + u_i  # xddot = f + u, f = 1
-            x += v * config.dt + 0.5 * a * config.dt**2
-            v += a * config.dt
+            x += v * dt + 0.5 * a * dt**2
+            v += a * dt
         assert worst < 0.01  # O(dt) quadrature difference, not equality
 
 
@@ -337,38 +368,74 @@ class TestGeneralizedController:
     def test_matches_primitive_composition(self):
         # the stateful stepper is the paper's formula: u_x = -sum a_i z_i,
         # f_hat = omega_f (z_{n-1} - sum of past u_x dt), u = (u_x - f_hat)/b
-        config = cfg(n=3, b=1.7, omega=1.5, omega_f=6.0, dt=1e-3)
-        gen = GeneralizedController(config)
-        a = synthesize_gains(config.n, config.omega)
+        b, omega_f, dt = 1.7, 6.0, 1e-3
+        a = synthesize_gains(3, 1.5)
+        gen = GeneralizedController(a, omega_f, b, dt)
         integral = 0.0
         rng = random.Random(5)
         for _ in range(200):
             z = [rng.uniform(-1, 1) for _ in range(3)]
             u_x = -sum(ai * zi for ai, zi in zip(a, z))
-            f_hat = config.omega_f * (z[-1] - integral)
-            expected = (u_x - f_hat) / config.b
+            f_hat = omega_f * (z[-1] - integral)
+            expected = (u_x - f_hat) / b
             assert gen.step(z) == pytest.approx(expected, abs=1e-15)
-            integral += u_x * config.dt
+            integral += u_x * dt
 
     def test_dimension_check(self):
-        gen = GeneralizedController(cfg(n=2))
+        gen = generalized(n=2)
         with pytest.raises(DimensionMismatchError):
             gen.step([1.0])
 
     def test_seed_integral_option(self):
-        config = cfg(n=2)
-        gen = GeneralizedController(config, seed_integral=True)
+        gen = generalized(n=2, seed_integral=True)
         gen.step([0.5, 1.25])
         assert gen.f_hat == 0.0
 
     def test_rejects_unknown_form(self):
         with pytest.raises(ConfigError):
-            GeneralizedController(cfg(), observer_form="magic")
+            generalized(observer_form="magic")
 
     def test_rejects_a_seed_for_the_pid_form(self):
         # the pid form integrates x, not u_x, and would ignore the seed
         with pytest.raises(ConfigError, match="^seed_integral: not read by observer_form 'pid'$"):
-            GeneralizedController(cfg(), observer_form="pid", seed_integral=True)
+            generalized(observer_form="pid", seed_integral=True)
+
+
+# valid numbers for each constructor argument, the arguments each constructor
+# reads, and bad values of each
+GOOD = {"a": (4.0, 4.0), "omega_f": 10.0, "b": 1.0, "dt": 1e-3, "kp": 44.0, "ki": 40.0,
+        "kd": 14.0}
+BUILD = {
+    "generalized": lambda v: GeneralizedController(v["a"], v["omega_f"], v["b"], v["dt"]),
+    "homogeneous": lambda v: HomogeneousController(v["a"], v["b"]),
+    "classic": lambda v: ClassicPidController(v["kp"], v["ki"], v["kd"], v["b"], v["dt"]),
+}
+READS = {"generalized": ("a", "omega_f", "b", "dt"), "homogeneous": ("a", "b"),
+         "classic": ("kp", "ki", "kd", "b", "dt")}
+NOT_FINITE = (math.inf, -math.inf, math.nan)
+BAD = {"a": [(), (math.inf, 4.0), (4.0, math.nan)], "omega_f": [0.0, -1.0, *NOT_FINITE],
+       "b": [0.0, *NOT_FINITE], "dt": [0.0, -1e-3, *NOT_FINITE],
+       **dict.fromkeys(("kp", "ki", "kd"), NOT_FINITE)}
+
+
+def lanes_of(good, value):
+    """Three lanes: ``good`` in the first two and ``value`` in the last, a
+    tuple of gains as a tuple of ``[lanes]`` arrays."""
+    if isinstance(value, tuple):
+        return tuple(np.array([g, g, v]) for g, v in zip(good, value))
+    return np.array([good, good, value])
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["float", "lanes"])
+@pytest.mark.parametrize("kind,key,bad", [
+    (kind, key, bad) for kind, keys in READS.items() for key in keys for bad in BAD[key]])
+def test_a_constructor_rejects_a_bad_number(kind, key, bad, lanes):
+    values = {**GOOD, key: bad}
+    if lanes:
+        values = {k: lanes_of(GOOD[k], v) for k, v in values.items()}
+    with pytest.raises(ConfigError, match=rf"^{key}[:\[]"):
+        BUILD[kind](values)
+    BUILD[kind]({k: lanes_of(g, g) for k, g in GOOD.items()} if lanes else GOOD)
 
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -407,31 +474,33 @@ class TestLanes:
 
     @PROPERTY
     @given(st.data())
-    def test_controller_step(self, data):
-        kind = data.draw(st.sampled_from(["integral", "pid_form", "seed_integral",
-                                          "homogeneous", "classic"]))
+    def test_a_lane_controller_steps_each_lane_as_its_float_controller(self, data):
+        # every number the constructor takes is drawn per lane: gains that
+        # need not be equal-pole, omega_f, b and dt
+        kind = data.draw(st.sampled_from(["generalized", "homogeneous", "classic"]))
         n = data.draw(st.integers(1, 2) if kind == "classic" else st.integers(1, 4))
         rule = data.draw(st.sampled_from([RECTANGULAR, TRAPEZOIDAL]))
-        b = data.draw(st.sampled_from([1.0, -0.5, 2.3]))
-        dt = data.draw(st.floats(1e-4, 1e-2))
-        stream = data.draw(lane_streams(n=n))
-        configs = [
-            cfg(n=n, b=b, dt=dt, omega=data.draw(st.floats(0.1, 10.0)),
-                omega_f=data.draw(st.floats(0.1, 50.0)))
-            for _ in range(stream.shape[1])
-        ]
+        form = data.draw(st.sampled_from(OBSERVER_FORMS))
+        seed_integral = form == "integral" and data.draw(st.booleans())
+        stream = data.draw(lane_streams(n=n, max_lanes=6))
+        numbers = st.tuples(st.tuples(*[st.floats(0.01, 100.0)] * max(n, 3)),
+                            st.floats(0.1, 50.0), st.sampled_from([1.0, -0.5, 2.3]),
+                            st.floats(1e-4, 1e-2))
+        per_lane = [data.draw(numbers) for _ in range(stream.shape[1])]
 
-        def build(config):
+        def build(gains, omega_f, b, dt):
             if kind == "homogeneous":
-                return HomogeneousController(config)
+                return HomogeneousController(gains[:n], b)
             if kind == "classic":
-                return ClassicPidController(config, rule=rule)
-            form = "pid" if kind == "pid_form" else "integral"
-            return GeneralizedController(config, rule=rule, observer_form=form,
-                                         seed_integral=kind == "seed_integral")
+                kp, ki, kd = gains[:3]
+                return ClassicPidController(kp, ki, kd if n == 2 else None, b, dt, rule=rule)
+            return GeneralizedController(gains[:n], omega_f, b, dt, rule=rule,
+                                         observer_form=form, seed_integral=seed_integral)
 
-        alone = [build(c) for c in configs]
-        lanes = lockstep_controller([build(c) for c in configs])
+        alone = [build(*lane) for lane in per_lane]
+        gains, omega_f, b, dt = zip(*per_lane)
+        lanes = build(tuple(np.array(g) for g in zip(*gains)), np.array(omega_f), np.array(b),
+                      np.array(dt))
         for row in stream:
             u = lanes.step([row[:, i].copy() for i in range(n)])
             expected_u = [c.step([float(v) for v in z]) for c, z in zip(alone, row)]
@@ -443,9 +512,9 @@ class TestLanes:
            st.sampled_from([1.0, -0.5, 2.3]), st.floats(0.2, 8.0), st.floats(0.5, 40.0),
            st.floats(1e-4, 1e-2), lane_streams(n=2, max_lanes=1, max_steps=300))
     def test_pid_observer_form_matches_classic(self, n, rule, b, omega, omega_f, dt, stream):
-        config = cfg(n=n, b=b, omega=omega, omega_f=omega_f, dt=dt)
-        gen = GeneralizedController(config, rule=rule, observer_form="pid")
-        pid = ClassicPidController(config, rule=rule)
+        config = dict(n=n, b=b, omega=omega, omega_f=omega_f, dt=dt)
+        gen = generalized(**config, rule=rule, observer_form="pid")
+        pid = classic(**config, rule=rule)
         for row in stream[:, 0, :n]:
             z = [float(v) for v in row]
             # the two forms group the same products differently: equal up to

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumped_pid import so3
-from lumped_pid.controller import ControllerConfig, GeneralizedController, synthesize_gains
+from lumped_pid.controller import GeneralizedController, synthesize_gains
 from lumped_pid.errors import LumpedPidError
 from lumped_pid.plants import vehicle, vtol
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL
@@ -25,8 +25,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def chain_law(omega, omega_f, dt, rule=RECTANGULAR):
-    return GeneralizedController(ControllerConfig(n=2, b=1.0, omega=omega, omega_f=omega_f,
-                                                  dt=dt), rule=rule)
+    return GeneralizedController(synthesize_gains(2, omega), omega_f, 1.0, dt, rule=rule)
 
 
 # sequences of (l, e_theta) inside the heading limit

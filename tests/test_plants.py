@@ -13,7 +13,7 @@ from lumped_pid.analysis import TraceSummary
 from lumped_pid.config import REQUIRED, SCENARIO_OPTIONS, build_scenario, load_config
 from lumped_pid.errors import ConfigError, LumpedPidError, SteeringLimitError
 from lumped_pid.plants import chain, plant_module
-from lumped_pid.signals import Constant
+from lumped_pid.signals import Constant, NoiseSpec
 from lumped_pid.sim import Scenario, SimTrace, nest, run_scenario, summary
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -172,6 +172,17 @@ def test_a_list_gives_each_scenario_summary_or_failure(case, monkeypatch):
     assert type(failure) is type(alone.value) and failure.step is not None
     assert (failure.step, failure.t, str(failure)) == (alone.value.step, alone.value.t,
                                                          str(alone.value))
+
+
+@pytest.mark.parametrize("kind", ["none", "homogeneous", "pid", "generalized"])
+def test_a_one_scenario_chain_list_is_its_single_run(kind):
+    # chain.run takes a list of any length as lanes; one lane built from
+    # [1] arrays reduces to the summary of the float run
+    stock = short_scenario("chain")
+    scenario = dataclasses.replace(stock, controller={"kind": kind, "omega": 3.0},
+                                   noise=NoiseSpec(sigmas=(0.01,)), duration=0.3)
+    (outcome,) = chain.run([scenario])
+    assert_same_summary(outcome, summary(chain.run(scenario), scenario))
 
 
 @pytest.mark.parametrize("kind", sorted(STOCK))

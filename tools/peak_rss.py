@@ -9,10 +9,10 @@ after the run, which writes ``trace.csv`` and ``metrics.csv`` to a temporary
 directory. Without configs it then runs ``lumped-pid sweep`` on
 ``configs/chain_step.conf`` over the 16 x 8 x 2 grid of :data:`SWEEP_GRID`
 (10 001 steps a cell), once as the lanes of one lockstep run and once cell
-by cell (``chain.LOCKSTEP`` set to None), each in a fresh interpreter, and
-prints the same columns plus the sweep's wall time. ``LUMPED_PID_SEED`` is
-removed, so each config runs with its own ``sim.seed``. From the repository
-root:
+by cell (every ``chain.LOCKSTEP`` count set to infinity), each in a fresh
+interpreter, and prints the same columns plus the sweep's wall time.
+``LUMPED_PID_SEED`` is removed, so each config runs with its own
+``sim.seed``. From the repository root:
 
     python tools/peak_rss.py [config ...]
 """
@@ -20,6 +20,7 @@ root:
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -64,7 +65,7 @@ def measure_sweep(mode: str) -> dict:
 
     build_scenario(load_config(SWEEP_CONFIG))
     if mode == "alone":
-        chain.LOCKSTEP = None
+        chain.LOCKSTEP = dict.fromkeys(chain.LOCKSTEP, math.inf)
     setup = _maxrss_mb()
     with tempfile.TemporaryDirectory() as out:
         start = time.perf_counter()
