@@ -58,8 +58,7 @@ class ControllerConfig:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1 or self.n > MAX_ORDER:
             raise ConfigError(f"n: order must be an integer in [1, {MAX_ORDER}], got {self.n!r}")
-        if not (self.b != 0.0 and math.isfinite(self.b)):
-            raise ConfigError(f"b: input coefficient must be finite and nonzero, got {self.b!r}")
+        _check_nonzero(self.b, "b")
         for name in ("omega", "omega_f"):
             check_positive(getattr(self, name), name)
 
@@ -136,14 +135,14 @@ def observer_tfs(omega_f: float) -> tuple[RationalTransferFunction, RationalTran
     return g_o, g_e
 
 
-def _checked(value, key: str, sign: str = ""):
+def _check_nonzero(value, key: str):
     """``value`` (a float, a ``[lanes]`` array, or a tuple of either) if it
-    holds a number and each is finite and, if ``sign`` says, ``"positive"``
-    or ``"nonzero"``; else a ConfigError naming ``key``."""
+    holds a number and each is finite and nonzero, else a ConfigError naming
+    ``key``: the check of ``b`` and of every gain, as a gain of 0 leaves the
+    closed loop a polynomial with a coefficient of 0, never Hurwitz."""
     v = np.asarray(value, dtype=float)
-    ok = np.isfinite(v) & (v > 0.0 if sign == "positive" else v != 0.0 if sign else True)
-    if not (ok.size and ok.all()):
-        raise ConfigError(f"{key}: expected finite {sign or 'real'} numbers, got {value!r}")
+    if not (v.size and (np.isfinite(v) & (v != 0.0)).all()):
+        raise ConfigError(f"{key}: must be finite and nonzero, got {value!r}")
     return value
 
 
@@ -183,11 +182,11 @@ class GeneralizedController:
             raise ConfigError(f"observer_form must be one of {OBSERVER_FORMS}, got {observer_form!r}")
         if seed_integral and observer_form == "pid":
             raise ConfigError("seed_integral: not read by observer_form 'pid'")
-        self.a = _checked(a, "a")
+        self.a = _check_nonzero(a, "a")
         self.n = len(a)
-        self.omega_f = _checked(omega_f, "omega_f", "positive")
-        self.b = _checked(b, "b", "nonzero")
-        self.dt = _checked(dt, "dt", "positive")
+        self.omega_f = check_positive(omega_f, "omega_f")
+        self.b = _check_nonzero(b, "b")
+        self.dt = check_positive(dt, "dt")
         self.observer_form = observer_form
         self._seed_pending = seed_integral
         self._integ = Integrator(rule)
@@ -222,9 +221,9 @@ class HomogeneousController:
     for n = len(a), input coefficient ``b``."""
 
     def __init__(self, a: Sequence[float], b: float):
-        self.a = _checked(a, "a")
+        self.a = _check_nonzero(a, "a")
         self.n = len(a)
-        self.b = _checked(b, "b", "nonzero")
+        self.b = _check_nonzero(b, "b")
         self.f_hat = 0.0
 
     def step(self, z: Sequence[float]) -> float:
@@ -243,10 +242,10 @@ class ClassicPidController:
     def __init__(self, kp: float, ki: float, kd: Optional[float], b: float, dt: float,
                  rule: str = RECTANGULAR):
         self.n = 1 if kd is None else 2
-        self.kp, self.ki = _checked(kp, "kp"), _checked(ki, "ki")
-        self.kd = 0.0 if kd is None else _checked(kd, "kd")
-        self.b = _checked(b, "b", "nonzero")
-        self.dt = _checked(dt, "dt", "positive")
+        self.kp, self.ki = _check_nonzero(kp, "kp"), _check_nonzero(ki, "ki")
+        self.kd = 0.0 if kd is None else _check_nonzero(kd, "kd")
+        self.b = _check_nonzero(b, "b")
+        self.dt = check_positive(dt, "dt")
         self._integ = Integrator(rule)
         self.f_hat = math.nan  # the classic form has no separate estimate
 

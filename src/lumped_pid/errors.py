@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the check of a positive number."""
 
-import math
+import numpy as np
 
 
 class LumpedPidError(Exception):
@@ -25,11 +25,13 @@ class ConfigError(LumpedPidError):
 
 
 def check_positive(value, key):
-    """``value`` if it is a finite number > 0, else a ConfigError naming
-    ``key``: the check of every bandwidth and step, option or argument."""
-    if not math.isfinite(value):
+    """``value`` if it is a finite number > 0, or a ``[lanes]`` array of
+    them, else a ConfigError naming ``key``: the check of every bandwidth
+    and step, option or argument."""
+    v = np.asarray(value, dtype=float)
+    if not np.isfinite(v).all():
         raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-    if not value > 0.0:
+    if not (v > 0.0).all():
         raise ConfigError(f"{key}: must be positive, got {value!r}")
     return value
 

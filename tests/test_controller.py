@@ -413,9 +413,10 @@ BUILD = {
 READS = {"generalized": ("a", "omega_f", "b", "dt"), "homogeneous": ("a", "b"),
          "classic": ("kp", "ki", "kd", "b", "dt")}
 NOT_FINITE = (math.inf, -math.inf, math.nan)
-BAD = {"a": [(), (math.inf, 4.0), (4.0, math.nan)], "omega_f": [0.0, -1.0, *NOT_FINITE],
-       "b": [0.0, *NOT_FINITE], "dt": [0.0, -1e-3, *NOT_FINITE],
-       **dict.fromkeys(("kp", "ki", "kd"), NOT_FINITE)}
+BAD = {"a": [(), (math.inf, 4.0), (4.0, math.nan), (0.0, 4.0)],
+       "omega_f": [0.0, -1.0, *NOT_FINITE], "b": [0.0, *NOT_FINITE],
+       "dt": [0.0, -1e-3, *NOT_FINITE],
+       **dict.fromkeys(("kp", "ki", "kd"), (0.0, *NOT_FINITE))}
 
 
 def lanes_of(good, value):
