@@ -33,7 +33,7 @@ from .polylti import (
     frequency_response,
     poly_mul,
 )
-from .signals import Constant, NoiseSpec, Sinusoid, Step, Sum, gaussian_noise
+from .signals import Constant, NoiseSpec, Sinusoid, Step, Sum
 from .sim import Scenario, SimTrace, rk4_step, run_scenario
 
 __version__ = "0.1.0"
@@ -62,7 +62,6 @@ __all__ = [
     "dc_gain",
     "evaluate_at",
     "frequency_response",
-    "gaussian_noise",
     "homogeneous_control",
     "observer_tfs",
     "poly_mul",

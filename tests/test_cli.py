@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -20,7 +21,7 @@ from lumped_pid.controller import synthesize_gains
 from lumped_pid.errors import ConfigError
 from lumped_pid.plants import chain, vehicle
 from lumped_pid.polylti import MAX_GRID_POINTS
-from lumped_pid.signals import Sum
+from lumped_pid.signals import NoiseSpec, Sum
 from lumped_pid.svgplot import line_plot_svg, write_line_plot
 
 
@@ -919,41 +920,43 @@ LANE_GRID = ("omega=1,2", "omega_f=10,20", "sigma=0,0.01")
 # derived from the base scenario, so they pin that every cell runs as it did when
 # built from its own config text. The chain digests were re-recorded when the
 # chain's RK4 step became one affine map, a change at round-off in which no
-# cell's status moved.
+# cell's status moved. The cases with a sigma > 0 cell were re-recorded when
+# noise came to be drawn by numpy's standard_normal; their sigma = 0 rows kept
+# their bytes, and no cell's status or bound check moved.
 SWEEP_DIGESTS = {
     "chain_step_benchmark_grid": (
         stock("chain_step.conf"), ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"), (),
-        None, 0, "75364e6998f60b4c4dfbfda65094a092e35d0e6a79ff086a0e92c307200d2b98"),
+        None, 0, "ad9f3e0d67c04e752f9ed0b877aba442401d4fb197b941854c6cf0b157dcf64c"),
     "chain_step_benchmark_grid_per_cell": (
         stock("chain_step.conf"), ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"),
         ("--seed-policy", "per-cell"),
-        None, 0, "7a4fcf0ebc889f711a8ce75aef40d74c69e6c161e2b85621749523afc7df1c4a"),
+        None, 0, "a782cd314c44018621020c2f1e57abdd4cef5bcb42cb2b5b005a5dfe49d9201d"),
     "bound_demo_benchmark_grid": (
         stock("bound_demo.conf"), ("omega=2,5", "sigma=0,0.01"), (),
-        None, 0, "6ff4f1e756a24809006136d53e82cc5a7c6e4772c53960c6e7a9ee089bdd55d8"),
+        None, 0, "723b515e251815d532b052d4aeb464c8a3e1c0d1ab20789bf6ed2cb3331834de"),
     "vehicle_bias_2s": (
         stock("vehicle_bias.conf", **{"sim.duration": 2.0}), ("omega=0.5,1", "omega_f=1,2"), (),
         None, 0, "8fd1763d3d93031d56cd49b13dd9d42aa0fcf92add83975e3a53e2e8c99b168c"),
     "vtol_wind_3s": (
         stock("vtol_wind.conf", **{"sim.duration": 3.0}), ("omega=1,2", "sigma=0,0.001"),
         ("--parallel", "1"),
-        None, 0, "5a770fcf03e5baa45d01df139e2c85961397da31748919670a300f0a015b24b1"),
+        None, 0, "a490c3372c3c88e74ef2a5697ef40a59adaabcf71155d828791f04e418484ebc"),
     "vtol_wind_3s_parallel": (
         stock("vtol_wind.conf", **{"sim.duration": 3.0}), ("omega=1,2", "sigma=0,0.001"),
         ("--parallel", "2"),
-        None, 0, "5a770fcf03e5baa45d01df139e2c85961397da31748919670a300f0a015b24b1"),
+        None, 0, "a490c3372c3c88e74ef2a5697ef40a59adaabcf71155d828791f04e418484ebc"),
     "chain_step_2s_parallel_per_cell": (
         stock("chain_step.conf", **{"sim.duration": 2.0}),
         ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"),
         ("--parallel", "2", "--seed-policy", "per-cell"),
-        None, 0, "e559a473908187a09a090612d5627d504ec447dffa4fe3b6991ea58fe14a0f6b"),
+        None, 0, "36c599501869c1f78b9b92b16024be99dbc95facbf8c4737c6882a4776e7f914"),
     "chain_step_2s_diverged": (
         stock("chain_step.conf", **{"sim.duration": 2.0}), ("omega=2,2000",), (),
         None, 4, "0631bc155955e2f74f25b90da054e8b8d34bb83ba182ca7f3f233a938a1c7a76"),
     "chain_step_1s_env_seed_per_cell": (
         stock("chain_step.conf", **{"sim.duration": 1.0}),
         ("omega=1,2", "omega_f=10,20", "sigma=0.01,0.02"), ("--seed-policy", "per-cell"),
-        "7", 0, "a2fcdea4d23464ff06e6a365743f126f9eadfaf8dcadd5f3be31ce5de782635e"),
+        "7", 0, "7a9284a2a8eb51a47357e871d66e1d69c8059f70eea96dcc8363560a6868bf04"),
     # the chain controller settings the cases above leave at their defaults,
     # 8 cells in lockstep each, recorded before each controller held its
     # gains as plain attributes; the PI's re-recorded when its kp became
@@ -961,26 +964,26 @@ SWEEP_DIGESTS = {
     "chain_step_2s_pid": (
         stock("chain_step.conf", **{"sim.duration": 2.0, "controller.kind": "pid"}),
         LANE_GRID, (),
-        None, 0, "e42aff4df51ec8fef5552e7cf1d2e138ee8e2a13bdd8c312d9e40588aae4a84f"),
+        None, 0, "a144adee505047bf465a04ff1cba87dca5771d6e6cb85ffaeda23fa0cf8f01fa"),
     "chain_step_2s_pi": (
         stock("chain_step.conf", **{"sim.duration": 2.0, "controller.kind": "pid",
                                     "plant.order": 1}),
         LANE_GRID, (),
-        None, 0, "d7cdfb8f512c088e59ba0ddc53707468e8cf2000aab76976d6812da022847f86"),
+        None, 0, "5ff01efc44652522c928c0adfedf582ff3cd92954606a06b76915876f3a42638"),
     "chain_step_2s_observer_form_pid": (
         stock("chain_step.conf", **{"sim.duration": 2.0, "controller.observer_form": "pid"}),
         LANE_GRID, (),
-        None, 0, "986f4d64dc6fd4cdce9dfbacbf4ae9381408b4e3a0e4f9207c760786bbf26c54"),
+        None, 0, "7edc2a09288642f8216d1f82287fa80c87c8cfb59e7cf1065e1a18822086fcb3"),
     "chain_step_2s_seed_integral": (
         stock("chain_step.conf", **{"sim.duration": 2.0, "controller.seed_integral": "true",
                                     "plant.x0": "0.5,0.3"}),
         LANE_GRID, (),
-        None, 0, "b6e43a74c4dd313a63614af285200e125d0caf2f2b88f4e397321d0d3e90ba8b"),
+        None, 0, "e5a74ddf870ccc33984f34e5e9e59f448714b3815b3adcc7bdc9074b08289454"),
     "chain_step_2s_trapezoidal": (
         stock("chain_step.conf", **{"sim.duration": 2.0,
                                     "controller.quadrature": "trapezoidal"}),
         LANE_GRID, (),
-        None, 0, "fe3304bf406aeaf9d9ecef5c0dded647e02a635d7db97d8b94170b32647229f3"),
+        None, 0, "e8b69443f754140eae8523654b8127811742535ba02bcbe22b3c7c09ddf00f76"),
 }
 
 
@@ -1078,23 +1081,25 @@ def test_tune_and_bode_bytes_match_recorded_digest(tmp_path, capsys, case):
 
 
 # short noisy runs: config text and the SHA-256 of its simulate run's trace.csv
-# and metrics.csv, recorded before the noise table became one float64 array
+# and metrics.csv, recorded before the noise table became one float64 array;
+# the noisy ones re-recorded when noise came to be drawn by numpy's
+# standard_normal, the noise-free vehicle_two_candidate not
 NOISY_DIGESTS = {
     "chain_step_noisy": (
         stock("chain_step.conf", **{"sim.duration": 2.0, "noise.sigma": "0.01,0.02"}),
-        "5df8a2921e65d9304f7d1c4441e71d4bc45f29e939e2cf5baf01a6fc4bc06dca",
-        "09e8e3fb994519f1cbc8d7eff3dbfe407cd1c413ba4c90da5fb92c551757e0e2"),
+        "c3c09951b3233c1347f6dca505f365de6987eeec66f38e61f1f25fd9da997a2b",
+        "e911fbd13500c4319c581ee87e9be3f786c46e01705ab1b4c3daacbaefc12322"),
     "vehicle_circle_noisy": (
         stock("vehicle_bias.conf", **{"sim.duration": 2.0, "path.kind": "circle",
                                       "noise.sigma": "0.01,0.01,0.001"}),
-        "1294d68a248096b7a2e82df4fdf33e77eed92e25556415d77c52f729a31e1122",
-        "c69456360a0adac4b9380834e5e3a318b9b6ff2bf5b853d4347377367066c4ec"),
+        "61d99cf6d2d821ee0722405de033d31e7b9d3e6892a202c1a6e62a2773b7ba8c",
+        "4c2ae743a334d89f0411371d5056f5df3d52fbd83cf55cddfc1c842d8f7adf2f"),
     "vtol_circle_noisy": (
         stock("vtol_wind.conf", **{"reference.kind": "circle", "reference.radius": 1.0,
                                    "reference.omega": 1.0, "sim.duration": 2.0,
                                    "noise.sigma": 0.001}),
-        "c9affc49afc740444616e8a19f58688e421af9c1bf597e28be54f47a4597de3c",
-        "966b3a47b39aa08678ac385eddff299578ae863b0292d71f41008cf1f901aa77"),
+        "ef44af935c28b34df0a7306cc2cccebfb9ee2a63fca0f30529dc239e311447ec",
+        "2ab257c3e3003fff3fbb2ecabcabb122f4d61888e66f5662e695c7a24b18495e"),
     # a circle off the ground at a heading, recorded before each reference
     # answered its position and velocity from one call
     "vtol_circle_height_psi_noisy": (
@@ -1102,8 +1107,8 @@ NOISY_DIGESTS = {
                                    "reference.omega": 0.8, "reference.height": -2.0,
                                    "reference.psi": 0.4, "sim.duration": 2.0,
                                    "noise.sigma": 0.001}),
-        "f521079f390718e2a2680303dad4189c2b105c90e5ba64048fcdf2c612f0e2b3",
-        "68331bd601622960d0471eedd23db7e609200d8f8cd059e83f26f0505bfb0966"),
+        "65cdff4d665f0f08730e9a602316a5ec9f360d25489e636d1290c0fd4d3897df",
+        "3f0660b060752e182343130c126e29b6bbb76b1816f89de508d4b977f1dedf78"),
     # the VTOL paths that the stock hover run does not reach, recorded before
     # the rigid-body derivative was split into its thrust and body halves
     "vtol_lissajous_noisy": (
@@ -1112,8 +1117,8 @@ NOISY_DIGESTS = {
                                    "reference.freq": "1.0,2.0,0.5",
                                    "reference.phase": "0.0,0.5,0.0", "reference.height": -1.0,
                                    "sim.duration": 2.0, "noise.sigma": 0.001}),
-        "51a594413f2c438f0bdf21014515080c455ffd3c93ca85aaaf6a1a3721a7258d",
-        "ef5821b5b79e7a7762cda9d4d30a5be52c6f107b4d5f88e3726539850aed89c9"),
+        "f23ad8f81f540a30de85b2174b9bdb6ff87c58db9e3958a1047d36350332dd7b",
+        "f2c9a59da2976ee9ec3a6cdf787e68589f9207eaeacac4d42ea9966bba138b1e"),
     "vtol_sinusoid_disturbance_noisy": (
         stock("vtol_wind.conf", **{"disturbance.force.kind": "sinusoid",
                                    "disturbance.force.value": None,
@@ -1124,32 +1129,32 @@ NOISY_DIGESTS = {
                                    "disturbance.torque.freq": 3.0,
                                    "disturbance.torque.phase": -0.4,
                                    "sim.duration": 2.0, "noise.sigma": 0.001}),
-        "9391d0b892479a29a1a12987ddb706a27e9bf6fc02df68e963f9c38407fe3a43",
-        "c78bc4fe08f9f3651df97dfce9f73831794511654d5542db3d31ca1b971971cd"),
+        "b08bf789a2c1e39ddeaf640ee58f0c43b6ab17d626e01b5bd2276d3aedf8b822",
+        "08e3c2fb0482d454cceacbd763f3fb3b19299ee152a30153fe87981967d558a0"),
     "vtol_full_inertia_noisy": (
         stock("vtol_wind.conf", **{
             "plant.inertia": "0.02,0.001,-0.002,0.001,0.025,0.003,-0.002,0.003,0.04",
             "sim.duration": 2.0, "noise.sigma": 0.001}),
-        "3a0cc2c52b9714a4d085edc3cc671046409962995af9cf39c7fbaf1aa7da8670",
-        "dfa199aae53305b4418baedf1b962bf253134f93fbf3a0a08fd38bd04b9ec390"),
+        "0faf66f10282984258a4d6d828a437e236ea823b3bd94d02b8828381d9aa8fa8",
+        "35b8ce4ff2a3b1ad2f7dc933ec203c103e0c98b9a7bca2b8c067d71ac9f780e1"),
     "vtol_offset_start_noisy": (
         stock("vtol_wind.conf", **{"plant.p0": "0.5,-0.3,0.2", "plant.v0": "0.1,0.2,-0.1",
                                    "sim.duration": 2.0, "noise.sigma": 0.001}),
-        "de2ee0523d636b5ab7c1d7074c3459f295d04ef601ffbe07200578df76cc0fb9",
-        "ff0a84bd717dcf4cf19407527f7b113368c96d8a4f075d23eaafad7062abdad6"),
+        "9a16aec6ff348ac25f63d6e341f988504d8ee6e340b131baac2a6262748b9ca8",
+        "3ccdc06b7cb8f8ae6d5f63f65d44b3746bb0dfa63b5dbf182110187b1143ef3b"),
     # the float paths of the classic PI and of the reduced observer form,
     # recorded before each controller held its gains as plain attributes;
     # the PI's re-recorded when its kp became omega + omega_f
     "chain_pi_noisy": (
         stock("chain_step.conf", **{"controller.kind": "pid", "plant.order": 1,
                                     "sim.duration": 2.0, "noise.sigma": 0.01}),
-        "f99da23531fd5afa6a6b86a2258c8f347da68f67f6d4cf4f637bae2bc4c9cf64",
-        "b97b84356ae47b91948bcf4c572659d1335309ff348f9a40a13defc0590dba01"),
+        "83c4325630909d19372c8bcdc3e54e0616dd05facbf64b61d4bf35fd285222e7",
+        "7477d085198d3559da4d07cdde2838dd76321eca0a8791a262389493108f183b"),
     "chain_observer_form_pid_noisy": (
         stock("chain_step.conf", **{"controller.observer_form": "pid", "sim.duration": 2.0,
                                     "noise.sigma": "0.01,0.02"}),
-        "71c4348af648e8b709b87eb13ad9ea2e16f84bfe66509543eaac94b5bc3caf17",
-        "0d3ef32ffb8dd8014e15f81765c2c11bef38e197ac16c42a42bbcb8b2f89e12a"),
+        "04da1ad5440822d60d18314f301150f83b173877f4f84885c5be07faeb8c8761",
+        "dd86e71b2cbc335aa18be333225df8b36c4e0bb2fb71a193f86f4fb15449b560"),
     # a vehicle bias that varies within a step, so that each RK4 stage reads
     # its own value, recorded before a step took those values from its caller
     "vehicle_sinusoid_bias_noisy": (
@@ -1158,8 +1163,8 @@ NOISY_DIGESTS = {
                                       "disturbance.amplitude": 0.03, "disturbance.freq": 1.3,
                                       "disturbance.phase": 0.2,
                                       "noise.sigma": "0.01,0.01,0.001"}),
-        "60f89964c072f920b9b1824d1a75476a4920dede4175a52434736e00b8664501",
-        "781364aa478a0923de11feaacd47cb319554927ac3feb9aff92a299da50e4b4a"),
+        "dd06dd315064b8dce778815f2fea5d13efd0f8d5c2659421f6f7354bca4920e0",
+        "baed7fd127968bd0d236645013877cac8ad9409091133268651f5071440a3807"),
     # the vehicle paths that no other digest reaches, recorded before the
     # bicycle derivative was bound to its speed and wheelbase: a pose beyond
     # the centre of curvature of a coarse unit circle, where every match
@@ -1176,14 +1181,14 @@ NOISY_DIGESTS = {
     "vehicle_known_d_noisy": (
         stock("vehicle_bias.conf", **{"sim.duration": 2.0, "controller.kind": "known_d",
                                       "noise.sigma": "0.01,0.01,0.001"}),
-        "302cef510add180c7ee7d5d9cc237d59403956f93c539108cfdb9f72b03b96e3",
-        "dfa86b82521bed3afb73a6a60e048343308fde522517cbc0986268f168d75294"),
+        "f1dcac919a98c41fd64477b7b458d18b5f4db6b6732e043d1b7a82de24dfcdac",
+        "697b1a2800a61569e147ea9099e5206379a9fa65406101be209871a5a3c61ab6"),
     "vehicle_trapezoidal_noisy": (
         stock("vehicle_bias.conf", **{"sim.duration": 2.0,
                                       "controller.quadrature": "trapezoidal",
                                       "noise.sigma": "0.01,0.01,0.001"}),
-        "0f317a0bcfd342d53012a3447b9ee78ba88e765b2259e7e747d459929b57bc97",
-        "8f4fcfeff8db180a4fde9debf4d347622b1eeba428a6e80db9d6a840d99ebb23"),
+        "4053fa41e2ac6f65c5bbbb0def93a4f258d27983661bd0da481c4348acd6e245",
+        "6a2e1ae57b2e67559e69b176eb49de854ed005ed6a0187b7b54b72836de36464"),
 }
 
 
@@ -1366,6 +1371,48 @@ class TestUnreadKeys:
         # homogeneous and none read no omega_f, but other chain kinds do
         scenario = build_scenario(load_config(CONFIGS / "bound_demo.conf"))
         assert scenario.controller["omega_f"] == 1.0
+
+
+class TestSeedRange:
+    """A seed keys Philox as one 64-bit word: one outside [0, 2**64) is a
+    config error naming sim.seed, whether from a config file, from
+    LUMPED_PID_SEED or from code, not a seed that aliases another."""
+
+    TEXT = CHAIN_CONF.replace("sim.duration = 2.0", "sim.duration = 0.01") + "noise.sigma = 0.05\n"
+
+    @pytest.mark.parametrize("seed,accepted", [(-1, False), (2**64, False), (0, True),
+                                               (2**64 - 1, True)])
+    def test_a_seed_outside_64_bits_is_rejected(self, tmp_path, capsys, monkeypatch, seed,
+                                                accepted):
+        message = f"sim.seed: must be in [0, 2**64), got {seed}"
+        monkeypatch.delenv("LUMPED_PID_SEED", raising=False)
+        config = write_conf(tmp_path, self.TEXT.replace("sim.seed = 42", f"sim.seed = {seed}"))
+        codes = [main(["simulate", "--config", config, "--out", str(tmp_path / "config")])]
+        monkeypatch.setenv("LUMPED_PID_SEED", str(seed))
+        codes.append(main(["simulate", "--config", write_conf(tmp_path, self.TEXT, "env.conf"),
+                           "--out", str(tmp_path / "env")]))
+        err = capsys.readouterr().err
+        assert codes == ([0, 0] if accepted else [2, 2])
+        assert err.count(message) == (0 if accepted else 2)
+        base = build_scenario(parse_config_text(self.TEXT))
+        if accepted:
+            assert dataclasses.replace(base, seed=seed).noise.seed == seed
+            assert (tmp_path / "config" / "trace.csv").read_bytes() == (
+                tmp_path / "env" / "trace.csv").read_bytes()
+        else:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                dataclasses.replace(base, seed=seed)
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                NoiseSpec(sigmas=(0.05,), seed=seed)
+
+    def test_per_cell_seeds_past_64_bits_exit_2_before_any_cell_runs(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        monkeypatch.setenv("LUMPED_PID_SEED", str(2**64 - 2))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_conf(tmp_path, self.TEXT), "--out", str(out),
+                     "--grid", "omega=1,2,3", "--seed-policy", "per-cell"]) == 2
+        assert f"sim.seed: must be in [0, 2**64), got {2**64}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVtolTriples:

@@ -14,10 +14,8 @@ from lumped_pid.analysis import TraceSummary, check_bound, trace_metrics
 from lumped_pid.errors import ConfigError, DivergedError, WindowTooShortError
 from lumped_pid.plants import chain
 from lumped_pid.plants.chain import IntegratorChain
-from lumped_pid import signals
 from lumped_pid.quadrature import RULES
-from lumped_pid.signals import (Constant, NoiseSpec, NoiseStream, Sinusoid, Step, Sum,
-                                gaussian_noise, noise_table)
+from lumped_pid.signals import Constant, NoiseSpec, NoiseStream, Sinusoid, Step, Sum, noise_table
 from lumped_pid.sim import (BLOCK, RUNAWAY_BOUND, Scenario, SimTrace, check_state, rk4_step,
                             run_scenario, summary)
 
@@ -301,52 +299,44 @@ class TestDisturbanceSignals:
 
 class TestGaussianNoise:
     def test_zero_sigma_is_exactly_zero(self):
-        spec = NoiseSpec(sigmas=(0.0,), seed=1)
-        assert gaussian_noise(spec, 0, 123) == 0.0
-        assert noise_table(spec, 1, 100) is None  # a silent spec draws nothing
+        spec = NoiseSpec(sigmas=(0.0, 1.0), seed=1)
+        assert not noise_table(spec, 2, 100)[:, 0].any()
+        assert noise_table(NoiseSpec(sigmas=(0.0,), seed=1), 1, 100) is None  # draws nothing
 
     def test_pinned_sample(self):
-        # determinism contract for the pinned generator (Philox + inverse CDF)
+        # determinism contract for the pinned generator (Philox + standard_normal)
         spec = NoiseSpec(sigmas=(1.0,), seed=42)
-        assert gaussian_noise(spec, 0, 7) == -1.5361711008219219
+        assert noise_table(spec, 1, 8)[7, 0] == -0.025661075544929
 
-    def test_single_sample_matches_vectorized_stream(self):
-        spec = NoiseSpec(sigmas=(0.7, 1.3), seed=99)
-        for channel in (0, 1):
-            arr = noise_table(spec, 2, 20)[:, channel]
-            for k in (0, 1, 4, 7, 13, 19):
-                assert gaussian_noise(spec, channel, k) == arr[k]
+    def test_a_stream_is_its_seed_and_channel_alone(self):
+        # a (seed, channel) stream is the same bits in any lane, beside any
+        # other lanes and channels, and scaled by its own sigma alone
+        spec = NoiseSpec(sigmas=(1.0,), seed=5)
+        alone = noise_table(spec, 2, 20)
+        specs = [NoiseSpec(sigmas=(0.3, 0.0), seed=5), NoiseSpec(sigmas=(2.0,), seed=6), spec,
+                 NoiseSpec(sigmas=(0.0, 0.7), seed=5)]
+        lanes = np.stack(list(NoiseStream(specs, 2, 20)))
+        assert lanes[:, :, 2].tobytes() == alone.tobytes()
+        assert lanes[:, 0, 0].tobytes() == (0.3 * alone[:, 0]).tobytes()
+        assert lanes[:, 1, 3].tobytes() == (0.7 * alone[:, 1]).tobytes()
+        assert not lanes[:, 1, 0].any()
+        # channels of one seed, and one channel of two seeds, are different streams
+        assert not np.isin(alone[:, 0], alone[:, 1]).any()
+        assert not np.isin(lanes[:, 0, 1], lanes[:, 0, 2]).any()
 
-    def test_channel_addressing_is_order_independent(self):
-        spec = NoiseSpec(sigmas=(1.0, 1.0), seed=5)
-        later = gaussian_noise(spec, 1, 3)
-        earlier = gaussian_noise(spec, 0, 3)
-        assert gaussian_noise(spec, 1, 3) == later
-        assert gaussian_noise(spec, 0, 3) == earlier
-
-    def test_inverse_cdf_is_scipys_bit_for_bit_on_the_addressed_stream(self):
-        ndtri = pytest.importorskip("scipy.special").ndtri
+    def test_standard_normal_distribution(self):
+        # the tail frequencies within 4 binomial standard errors of the normal
+        # law's; two channels of a seed, and a channel of two adjacent seeds,
+        # uncorrelated within 4 / sqrt(N)
         n = 10**6
-        for seed, channel in ((0, 0), (2**64 - 1, 5)):
-            spec = NoiseSpec(sigmas=(1.0,), seed=seed)
-            u = np.random.Generator(signals._stream(seed, channel)).random(n)
-            expected = ndtri(np.maximum(u, signals._MIN_UNIFORM))
-            # the channel's samples, drawn 2**16 at a time
-            stream, drawn = NoiseStream([spec], channel + 1, n), np.zeros((n, channel + 1, 1))
-            for k in range(0, n, 2**16):
-                stream.fill(drawn[k:k + 2**16])
-            drawn = drawn[:, channel, 0]
-            assert np.array_equal(drawn.view(np.int64), expected.view(np.int64))
-
-    def test_inverse_cdf_is_scipys_bit_for_bit_at_edges_and_branch_points(self):
-        ndtri = pytest.importorskip("scipy.special").ndtri
-        ys = [2.0**-54, 5e-324, 0.5, 1.0 - 2.0**-53]
-        # the central/tail branch points, and y = exp(-32), where x = 8
-        # switches the tail from P1/Q1 to P2/Q2
-        for point in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32)):
-            ys += [math.nextafter(point, 0.0), point, math.nextafter(point, 1.0)]
-        ys = np.array(ys)
-        assert np.array_equal(signals._ndtri(ys).view(np.int64), ndtri(ys).view(np.int64))
+        channels = noise_table(NoiseSpec(sigmas=(1.0,), seed=123), 2, n)
+        beside = noise_table(NoiseSpec(sigmas=(1.0,), seed=124), 1, n)[:, 0]
+        z = channels[:, 0]
+        for k in (2.0, 3.0):
+            p = math.erfc(k / math.sqrt(2.0))  # P(|z| > k)
+            assert abs(np.mean(np.abs(z) > k) - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
+        for other in (channels[:, 1], beside):
+            assert abs(np.corrcoef(z, other)[0, 1]) < 4.0 / math.sqrt(n)
 
     def test_moments(self):
         big = noise_table(NoiseSpec(sigmas=(1.0,), seed=123), 1, 10**6)[:, 0]
@@ -357,6 +347,12 @@ class TestGaussianNoise:
         with pytest.raises(ConfigError):
             NoiseSpec(sigmas=(-0.1,), seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_sigma_that_is_not_finite(self, sigma):
+        # as the config does, so a code-built spec draws no infinite samples
+        with pytest.raises(ConfigError, match="^noise.sigma: expected finite numbers, got "):
+            NoiseSpec(sigmas=(0.1, sigma), seed=0)
+
     def test_table_is_one_float64_array_for_a_run_and_for_lanes(self):
         # a single spec is one lane: [samples, channels], 8 B per sample and channel
         specs = [NoiseSpec(sigmas=(0.3, 0.0, 1.1), seed=4), NoiseSpec(sigmas=(0.2,), seed=9)]
@@ -366,7 +362,6 @@ class TestGaussianNoise:
             table = noise_table(spec, 3, 6)
             assert table.shape == (6, 3) and table.dtype == np.float64
             assert np.array_equal(table, lanes[:, :, j])
-            assert table[5].tolist() == [gaussian_noise(spec, c, 5) for c in range(3)]
 
     def test_no_table_when_every_lane_is_silent(self):
         silent = NoiseSpec(sigmas=(0.0, 0.0), seed=4)
@@ -493,9 +488,8 @@ class TestRunScenario:
         # 8 B plus a fixed slack: per lane, the final windows of x0 and f_hat
         # (w rows), and a block of the n noise channels, x0 and f_hat; t and
         # the state-free f_true are shared by every lane. The 1.5 MB slack
-        # holds the working arrays of a block's noise draw (about 0.8 MB: the
-        # uniforms and _ndtri's temporaries, 2**14 samples a call) and of its
-        # reduction. Each lane's noise and columns held whole would take
+        # holds the working arrays of a block's noise draw (one stream's
+        # block, 2 kB, a draw) and of its reduction. Each lane's noise and columns held whole would take
         # about 20 MB.
         def lanes(duration):
             return lanes_over([1.0 + 0.5 * i for i in range(8)], [5.0 * (i + 2) for i in range(8)],
@@ -603,7 +597,7 @@ class TestNoiseInjectionScaling:
             return run_scenario(scenario)
 
         traces = {wf: run_with(wf) for wf in (10.0, 20.0, 40.0)}
-        # every run drew the same addressed realization on the top channel
+        # every run drew the same realization of the top channel's stream
         stream = noise_table(NoiseSpec(sigmas=(0.0, 0.01), seed=11), 2, len(traces[10.0]))[:, 1]
         for wf in (10.0, 20.0, 40.0):
             recovered = traces[wf]["z1"] - traces[wf]["x1"]

