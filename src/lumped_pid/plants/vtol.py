@@ -36,8 +36,7 @@ from ..errors import (
 )
 from ..sim import STEP_ERRORS, Scenario, SimTrace, TraceRecorder, check_state, run_failure
 from ..signals import Constant, build_signal, noise_table, sample_triple
-from ..so3 import (det3, gram_schmidt3, inv3, mat_mul, mat_tmul, norm3, ortho_error3,
-                   rodrigues3, rodrigues_e3)
+from ..so3 import det3, inv3, mat_tmul, norm3, ortho_error3
 
 THRUST_EPS = 1e-8      # smallest ||F_d|| that still defines a thrust axis
 CROSS_EPS = 1e-8       # smallest ||b3d x b_d|| before the heading degenerates
@@ -136,31 +135,6 @@ PLOTS = (
 )
 lockstep = None  # run takes one scenario, not a list
 bound = None  # no ultimate-bound check applies
-
-
-def thrust_accel(n, f, inv_m, g, d_f):
-    """v_dot of the model above, with ``inv_m = 1/m`` and the force
-    disturbance value ``d_f``. The attitude enters only through the thrust
-    axis n = R e3; the integrator advances R separately (R_dot = R hat(omega))."""
-    return ((-f * n[0] + d_f[0]) * inv_m, (-f * n[1] + d_f[1]) * inv_m,
-            g + (-f * n[2] + d_f[2]) * inv_m)
-
-
-def body_accel(w, tau, J9, Jinv9, d_tau):
-    """omega_dot = J^-1 (tau - omega x (J omega) + d_tau) of the model above,
-    for the flat inertia ``J9``, its inverse ``Jinv9`` and the torque
-    disturbance value ``d_tau``."""
-    wx, wy, wz = w
-    J0, J1, J2, J3, J4, J5, J6, J7, J8 = J9
-    K0, K1, K2, K3, K4, K5, K6, K7, K8 = Jinv9
-    jx = J0 * wx + J1 * wy + J2 * wz
-    jy = J3 * wx + J4 * wy + J5 * wz
-    jz = J6 * wx + J7 * wy + J8 * wz
-    ux = tau[0] - (wy * jz - wz * jy) + d_tau[0]
-    uy = tau[1] - (wz * jx - wx * jz) + d_tau[1]
-    uz = tau[2] - (wx * jy - wy * jx) + d_tau[2]
-    return (K0 * ux + K1 * uy + K2 * uz, K3 * ux + K4 * uy + K5 * uz,
-            K6 * ux + K7 * uy + K8 * uz)
 
 
 def _triple_sampler(signals):
@@ -356,10 +330,14 @@ def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval,
     stage times by the Rodrigues exponential, then a full-step exponential
     with the RK4-averaged angular velocity and Gram-Schmidt cleanup.
 
-    Each stage's derivative is :func:`thrust_accel` plus :func:`body_accel`.
-    The thrust half reads a stage rotation only through its thrust axis
-    R e3, so the stages carry just that column; stages 2 and 3 share the
-    midpoint axis, thrust and d_f, so their v_dot is one value, computed once."""
+    The step is straight-line float code: each stage's v_dot (the thrust
+    part of the model) and omega_dot (Euler's equation, J^-1 (tau - omega x
+    (J omega) + d_tau)) is written out component by component, as are the
+    exponentials and the cleanup. v_dot reads a stage rotation only through
+    its thrust axis R e3, so the stages carry just that column; stages 2
+    and 3 share the midpoint axis, thrust and d_f, so their v_dot is one
+    value, computed once. Gram-Schmidt rebuilds the third column, so the
+    full-step product R exp(hat(r)) is formed for its first two only."""
     half = 0.5 * dt
     inv_m = 1.0 / mass
     df0, df_m, df1 = d_f_eval(t), d_f_eval(t + half), d_f_eval(t + dt)
@@ -367,23 +345,80 @@ def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval,
     px, py, pz = p
     vx, vy, vz = v
     wx, wy, wz = w
+    tx, ty, tz = tau
     r0, r1, r2, r3, r4, r5, r6, r7, r8 = R9
+    J0, J1, J2, J3, J4, J5, J6, J7, J8 = J9
+    K0, K1, K2, K3, K4, K5, K6, K7, K8 = Jinv9
 
-    ex, ey, ez = rodrigues_e3((half * wx, half * wy, half * wz))
-    n_mid = (r0 * ex + r1 * ey + r2 * ez, r3 * ex + r4 * ey + r5 * ez, r6 * ex + r7 * ey + r8 * ez)
-    ex, ey, ez = rodrigues_e3((dt * wx, dt * wy, dt * wz))
-    n_end = (r0 * ex + r1 * ey + r2 * ez, r3 * ex + r4 * ey + r5 * ez, r6 * ex + r7 * ey + r8 * ez)
+    # the thrust axes R exp(hat(r)) e3 at the midpoint, r = (dt/2) omega, and
+    # at the end, r = dt omega; exp(hat(r)) = I + a hat(r) + b hat(r)^2 with
+    # a = sin(phi)/phi and b = (1 - cos(phi))/phi^2, by series below 1e-6 rad
+    x, y, z = half * wx, half * wy, half * wz
+    phi2 = x * x + y * y + z * z
+    phi = math.sqrt(phi2)
+    if phi < 1e-6:
+        a, b = 1.0 - phi2 / 6.0, 0.5 - phi2 / 24.0
+    else:
+        a, b = math.sin(phi) / phi, (1.0 - math.cos(phi)) / phi2
+    ex, ey, ez = b * (x * z) + a * y, b * (y * z) - a * x, 1.0 - b * (x * x + y * y)
+    nmx, nmy, nmz = (r0 * ex + r1 * ey + r2 * ez, r3 * ex + r4 * ey + r5 * ez,
+                     r6 * ex + r7 * ey + r8 * ez)
+    x, y, z = dt * wx, dt * wy, dt * wz
+    phi2 = x * x + y * y + z * z
+    phi = math.sqrt(phi2)
+    if phi < 1e-6:
+        a, b = 1.0 - phi2 / 6.0, 0.5 - phi2 / 24.0
+    else:
+        a, b = math.sin(phi) / phi, (1.0 - math.cos(phi)) / phi2
+    ex, ey, ez = b * (x * z) + a * y, b * (y * z) - a * x, 1.0 - b * (x * x + y * y)
+    nex, ney, nez = (r0 * ex + r1 * ey + r2 * ez, r3 * ex + r4 * ey + r5 * ez,
+                     r6 * ex + r7 * ey + r8 * ez)
 
-    a1x, a1y, a1z = thrust_accel((r2, r5, r8), f, inv_m, g, df0)
-    l1x, l1y, l1z = body_accel(w, tau, J9, Jinv9, dt0)
-    a2x, a2y, a2z = thrust_accel(n_mid, f, inv_m, g, df_m)  # also stage 3's a3
+    # stage 1, at (p, v, R, omega)
+    a1x, a1y, a1z = ((-f * r2 + df0[0]) * inv_m, (-f * r5 + df0[1]) * inv_m,
+                     g + (-f * r8 + df0[2]) * inv_m)
+    jx = J0 * wx + J1 * wy + J2 * wz
+    jy = J3 * wx + J4 * wy + J5 * wz
+    jz = J6 * wx + J7 * wy + J8 * wz
+    ux = tx - (wy * jz - wz * jy) + dt0[0]
+    uy = ty - (wz * jx - wx * jz) + dt0[1]
+    uz = tz - (wx * jy - wy * jx) + dt0[2]
+    l1x, l1y, l1z = (K0 * ux + K1 * uy + K2 * uz, K3 * ux + K4 * uy + K5 * uz,
+                     K6 * ux + K7 * uy + K8 * uz)
+    # stage 2; its v_dot is also stage 3's
+    a2x, a2y, a2z = ((-f * nmx + df_m[0]) * inv_m, (-f * nmy + df_m[1]) * inv_m,
+                     g + (-f * nmz + df_m[2]) * inv_m)
     w2x, w2y, w2z = wx + half * l1x, wy + half * l1y, wz + half * l1z
-    l2x, l2y, l2z = body_accel((w2x, w2y, w2z), tau, J9, Jinv9, dt_m)
+    jx = J0 * w2x + J1 * w2y + J2 * w2z
+    jy = J3 * w2x + J4 * w2y + J5 * w2z
+    jz = J6 * w2x + J7 * w2y + J8 * w2z
+    ux = tx - (w2y * jz - w2z * jy) + dt_m[0]
+    uy = ty - (w2z * jx - w2x * jz) + dt_m[1]
+    uz = tz - (w2x * jy - w2y * jx) + dt_m[2]
+    l2x, l2y, l2z = (K0 * ux + K1 * uy + K2 * uz, K3 * ux + K4 * uy + K5 * uz,
+                     K6 * ux + K7 * uy + K8 * uz)
+    # stage 3
     w3x, w3y, w3z = wx + half * l2x, wy + half * l2y, wz + half * l2z
-    l3x, l3y, l3z = body_accel((w3x, w3y, w3z), tau, J9, Jinv9, dt_m)
+    jx = J0 * w3x + J1 * w3y + J2 * w3z
+    jy = J3 * w3x + J4 * w3y + J5 * w3z
+    jz = J6 * w3x + J7 * w3y + J8 * w3z
+    ux = tx - (w3y * jz - w3z * jy) + dt_m[0]
+    uy = ty - (w3z * jx - w3x * jz) + dt_m[1]
+    uz = tz - (w3x * jy - w3y * jx) + dt_m[2]
+    l3x, l3y, l3z = (K0 * ux + K1 * uy + K2 * uz, K3 * ux + K4 * uy + K5 * uz,
+                     K6 * ux + K7 * uy + K8 * uz)
+    # stage 4
     w4x, w4y, w4z = wx + dt * l3x, wy + dt * l3y, wz + dt * l3z
-    a4x, a4y, a4z = thrust_accel(n_end, f, inv_m, g, df1)
-    l4x, l4y, l4z = body_accel((w4x, w4y, w4z), tau, J9, Jinv9, dt1)
+    a4x, a4y, a4z = ((-f * nex + df1[0]) * inv_m, (-f * ney + df1[1]) * inv_m,
+                     g + (-f * nez + df1[2]) * inv_m)
+    jx = J0 * w4x + J1 * w4y + J2 * w4z
+    jy = J3 * w4x + J4 * w4y + J5 * w4z
+    jz = J6 * w4x + J7 * w4y + J8 * w4z
+    ux = tx - (w4y * jz - w4z * jy) + dt1[0]
+    uy = ty - (w4z * jx - w4x * jz) + dt1[1]
+    uz = tz - (w4x * jy - w4y * jx) + dt1[2]
+    l4x, l4y, l4z = (K0 * ux + K1 * uy + K2 * uz, K3 * ux + K4 * uy + K5 * uz,
+                     K6 * ux + K7 * uy + K8 * uz)
 
     sixth = dt / 6.0
     # the stage velocities v + (dt/2) a1, v + (dt/2) a2 and v + dt a3
@@ -402,11 +437,34 @@ def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval,
         wy + sixth * (l1y + 2.0 * (l2y + l3y) + l4y),
         wz + sixth * (l1z + 2.0 * (l2z + l3z) + l4z),
     )
-    R_new = gram_schmidt3(mat_mul(R9, rodrigues3((
-        dt * ((wx + 2.0 * (w2x + w3x) + w4x) / 6.0),
-        dt * ((wy + 2.0 * (w2y + w3y) + w4y) / 6.0),
-        dt * ((wz + 2.0 * (w2z + w3z) + w4z) / 6.0),
-    ))))
+
+    # the full step R exp(hat(r)) for r = dt times the RK4-averaged omega
+    x = dt * ((wx + 2.0 * (w2x + w3x) + w4x) / 6.0)
+    y = dt * ((wy + 2.0 * (w2y + w3y) + w4y) / 6.0)
+    z = dt * ((wz + 2.0 * (w2z + w3z) + w4z) / 6.0)
+    xx, yy, zz = x * x, y * y, z * z
+    phi2 = xx + yy + zz
+    phi = math.sqrt(phi2)
+    if phi < 1e-6:
+        a, b = 1.0 - phi2 / 6.0, 0.5 - phi2 / 24.0
+    else:
+        a, b = math.sin(phi) / phi, (1.0 - math.cos(phi)) / phi2
+    xy, xz, yz = x * y, x * z, y * z
+    e0, e1 = 1.0 - b * (yy + zz), b * xy - a * z
+    e3, e4 = b * xy + a * z, 1.0 - b * (xx + zz)
+    e6, e7 = b * xz - a * y, b * yz + a * x
+    m0, m1 = r0 * e0 + r1 * e3 + r2 * e6, r0 * e1 + r1 * e4 + r2 * e7
+    m3, m4 = r3 * e0 + r4 * e3 + r5 * e6, r3 * e1 + r4 * e4 + r5 * e7
+    m6, m7 = r6 * e0 + r7 * e3 + r8 * e6, r6 * e1 + r7 * e4 + r8 * e7
+    # Gram-Schmidt: b0 the first column normalized, b1 the second less its
+    # b0 part, normalized, and b2 = b0 x b1, so that det = +1
+    s = 1.0 / math.sqrt(m0 * m0 + m3 * m3 + m6 * m6)
+    x0, y0, z0 = s * m0, s * m3, s * m6
+    d = x0 * m1 + y0 * m4 + z0 * m7
+    cx, cy, cz = m1 - d * x0, m4 - d * y0, m7 - d * z0
+    s = 1.0 / math.sqrt(cx * cx + cy * cy + cz * cz)
+    x1, y1, z1 = s * cx, s * cy, s * cz
+    R_new = (x0, x1, y0 * z1 - z0 * y1, y0, y1, z0 * x1 - x0 * z1, z0, z1, x0 * y1 - y0 * x1)
     return p_new, v_new, R_new, w_new
 
 

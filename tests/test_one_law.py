@@ -13,13 +13,13 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumped_pid import so3
 from lumped_pid.controller import GeneralizedController, synthesize_gains
 from lumped_pid.errors import LumpedPidError
 from lumped_pid.plants import vehicle, vtol
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL
 from lumped_pid.signals import Constant
 from lumped_pid.sim import Scenario, run_scenario
+from rigid_body_reference import rodrigues3
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -96,7 +96,7 @@ class TestVtol:
 
         with mock.patch.object(vtol, "attitude_error", attitude_error):
             for p, v, w, rotation in poses:
-                R9 = so3.rodrigues3(tuple(0.5 * r for r in rotation))
+                R9 = rodrigues3(tuple(0.5 * r for r in rotation))
                 try:
                     ctrl.compute(0.0, p, v, R9, w)
                 except LumpedPidError:

@@ -196,6 +196,15 @@ def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
+def one_nan(a):
+    """``a`` as floats with every NaN made numpy's one NaN. CPython keeps
+    a NaN's sign and payload differently in a warm (specialised) float add
+    and a cold one, and no output writes them (``%.17g`` gives ``nan``)."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a
+
+
 @st.composite
 def chain_steps(draw):
     """A chain of order 1 to 8, with or without state coupling, a step size,
@@ -242,10 +251,11 @@ class TestRk4Map:
         x = data.draw(st.lists(values, min_size=n, max_size=n))
         bu, d = data.draw(values), tuple(data.draw(st.lists(values, min_size=3, max_size=3)))
         with np.errstate(invalid="ignore", over="ignore"):
-            assert same_bits(step(x, bu, d), loop_map(rows, x, bu, d))
+            assert same_bits(one_nan(step(x, bu, d)), one_nan(loop_map(rows, x, bu, d)))
             lanes = np.array([x, x[::-1]]).T.copy()
             bus = np.array([bu, -bu])
-            assert same_bits(step(lanes, bus, d), loop_map(rows, lanes, bus, d))
+            assert same_bits(one_nan(step(lanes, bus, d)),
+                             one_nan(loop_map(rows, lanes, bus, d)))
 
     @settings(max_examples=100, deadline=None)
     @given(chain_steps(), st.data())

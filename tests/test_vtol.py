@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lumped_pid.cli import main
+from lumped_pid.config import build_scenario, load_config
 from lumped_pid.errors import (
     AttitudeSingularityError,
     ConfigError,
@@ -22,15 +25,16 @@ from lumped_pid.plants.vtol import (
     HoverRef,
     LissajousRef,
     _inertia,
+    _triple_sampler,
     advance_rigid_body,
     attitude_error,
-    body_accel,
     desired_attitude,
-    thrust_accel,
 )
-from lumped_pid.signals import Constant, sample_triple
+from lumped_pid.signals import Constant, Sinusoid, Step, sample_triple
 from lumped_pid.sim import Scenario, run_scenario
 from lumped_pid import so3
+from rigid_body_reference import (body_accel, gram_schmidt3, mat_mul, reference_step,
+                                  rodrigues3, rodrigues_e3, thrust_accel)
 
 
 def params(m=1.0, g=9.81, J=(0.02, 0.02, 0.04)):
@@ -97,22 +101,22 @@ class TestRodrigues:
         rng = random.Random(8)
         for _ in range(20):
             r = tuple(rng.uniform(-2, 2) for _ in range(3))
-            assert np.allclose(mat(so3.rodrigues3(r)), expm(mat(hat3(r))), atol=1e-12)
+            assert np.allclose(mat(rodrigues3(r)), expm(mat(hat3(r))), atol=1e-12)
 
     def test_small_angle_series(self):
         r = (1e-9, -2e-9, 5e-10)
-        assert np.allclose(mat(so3.rodrigues3(r)), expm(mat(hat3(r))), atol=1e-15)
+        assert np.allclose(mat(rodrigues3(r)), expm(mat(hat3(r))), atol=1e-15)
 
     def test_e3_column_is_bitwise_third_column(self):
         rng = random.Random(5)
         for scale in (2.0, 1e-3, 1e-7):
             for _ in range(50):
                 r = tuple(rng.uniform(-scale, scale) for _ in range(3))
-                assert so3.rodrigues_e3(r) == so3.rodrigues3(r)[2::3]
+                assert rodrigues_e3(r) == rodrigues3(r)[2::3]
 
     def test_orthonormalize_repairs_drift(self):
-        R = mat(so3.rodrigues3((0.3, -0.1, 0.7))) + 1e-6 * np.ones((3, 3))
-        fixed = mat(so3.gram_schmidt3(flat9(R)))
+        R = mat(rodrigues3((0.3, -0.1, 0.7))) + 1e-6 * np.ones((3, 3))
+        fixed = mat(gram_schmidt3(flat9(R)))
         assert np.linalg.norm(fixed.T @ fixed - np.eye(3)) < 1e-14
         assert np.linalg.det(fixed) == pytest.approx(1.0, abs=1e-14)
 
@@ -122,7 +126,7 @@ class TestVtolDerivative:
         p = params()
         w = (0.0, 0.0, 0.0)
         v_dot, w_dot = accel(p, p.mass * p.gravity, w)
-        r_dot = so3.mat_mul(so3.IDENTITY9, hat3(w))  # R_dot = R hat(omega)
+        r_dot = mat_mul(so3.IDENTITY9, hat3(w))  # R_dot = R hat(omega)
         for arr in (v_dot, w_dot):  # p_dot = v = 0 at rest
             assert np.linalg.norm(arr) < 1e-12
         assert np.linalg.norm(r_dot) < 1e-12
@@ -171,7 +175,7 @@ class TestVtolDerivative:
 
 class TestAttitudeError:
     def test_zero_error_rotation(self):
-        R9 = so3.rodrigues3((0.2, 0.1, -0.3))
+        R9 = rodrigues3((0.2, 0.1, -0.3))
         omega = (0.4, -0.2, 0.1)
         g_t, g_dot, G = attitude_error(R9, R9, omega, (0.0, 0.0, 0.0))
         assert np.allclose(g_t, 0.0, atol=1e-15)
@@ -181,21 +185,21 @@ class TestAttitudeError:
     def test_small_yaw_gives_half_angle_tangent(self):
         # oracle: direct construction at phi = 0.02
         phi = 0.02
-        R9 = so3.rodrigues3((0.0, 0.0, phi))
+        R9 = rodrigues3((0.0, 0.0, phi))
         g_t, _, _ = attitude_error(R9, so3.IDENTITY9, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
         assert g_t[2] == pytest.approx(math.tan(phi / 2), rel=1e-12)
         assert abs(g_t[0]) < 1e-15 and abs(g_t[1]) < 1e-15
 
     def test_rate_matches_finite_difference(self):
         # g~(t) from R(t) = R0 expm(hat(w) t) against g~_dot = G w~
-        R0 = so3.rodrigues3((0.3, -0.2, 0.4))
+        R0 = rodrigues3((0.3, -0.2, 0.4))
         omega = (0.7, 0.3, -0.5)
-        Rd9 = so3.rodrigues3((0.1, 0.0, -0.2))
+        Rd9 = rodrigues3((0.1, 0.0, -0.2))
         zero = (0.0, 0.0, 0.0)
         h = 1e-5
         for t in (0.0, 0.3, 0.9):
-            R_t = so3.mat_mul(R0, so3.rodrigues3(tuple(t * x for x in omega)))
-            R_h = so3.mat_mul(R0, so3.rodrigues3(tuple((t + h) * x for x in omega)))
+            R_t = mat_mul(R0, rodrigues3(tuple(t * x for x in omega)))
+            R_h = mat_mul(R0, rodrigues3(tuple((t + h) * x for x in omega)))
             g_t, g_dot, _ = attitude_error(R_t, Rd9, omega, zero)
             g_h, _, _ = attitude_error(R_h, Rd9, omega, zero)
             fd = (np.array(g_h) - np.array(g_t)) / h
@@ -203,7 +207,7 @@ class TestAttitudeError:
             assert np.linalg.norm(fd - np.array(g_dot)) / scale < 1e-3
 
     def test_singularity_detected(self):
-        R9 = so3.rodrigues3((math.pi, 0.0, 0.0))  # tr(R~) = -1
+        R9 = rodrigues3((math.pi, 0.0, 0.0))  # tr(R~) = -1
         with pytest.raises(AttitudeSingularityError):
             attitude_error(R9, so3.IDENTITY9, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -271,6 +275,49 @@ class TestRigidBodyIntegration:
                                              k * dt, dt, m, g, J9, Jinv9, zero3, zero3)
         assert v[2] == pytest.approx(9.81, rel=1e-12)
         assert p[2] == pytest.approx(0.5 * 9.81, rel=1e-12)
+
+
+def triples(draw, scale):
+    """None, or three constant, step or sinusoid signals of one kind, one
+    per component."""
+    kind = draw(st.sampled_from(["none", "constant", "step", "sinusoid"]))
+    values = draw(st.tuples(*[st.floats(-scale, scale)] * 3))
+    if kind == "none":
+        return None
+    if kind == "constant":
+        return tuple(Constant(c) for c in values)
+    if kind == "step":
+        t_start = draw(st.floats(0.0, 2.0))
+        return tuple(Step(c, t_start) for c in values)
+    freq, phase = draw(st.floats(0.0, 50.0)), draw(st.floats(-4.0, 4.0))
+    return tuple(Sinusoid(c, freq, phase) for c in values)
+
+
+@st.composite
+def rigid_body_steps(draw):
+    """A full inertia, force and torque disturbances, a state, a thrust, a
+    torque and a step: every argument of one rigid-body step."""
+    vectors = lambda bound: st.tuples(*[st.floats(-bound, bound)] * 3)
+    # J = Q diag(eigenvalues) Q^T for a rotation Q, symmetrized
+    Q = mat(rodrigues3(draw(vectors(4.0))))
+    J = Q @ np.diag(draw(st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3))) @ Q.T
+    J9 = _inertia(0.5 * (J + J.T), "plant.inertia")
+    # rates of every size, so that the exponentials' angles fall on both
+    # sides of their series threshold
+    scale = draw(st.sampled_from([1e-4, 0.1, 30.0]))
+    w = tuple(scale * c for c in draw(vectors(1.0)))
+    return (draw(vectors(100.0)), draw(vectors(100.0)), rodrigues3(draw(vectors(4.0))), w,
+            draw(st.floats(-50.0, 50.0)), draw(vectors(1.0)),
+            draw(st.floats(0.0, 10.0)), draw(st.floats(1e-5, 0.1)), draw(st.floats(0.05, 10.0)),
+            draw(st.floats(0.0, 20.0)), J9, so3.inv3(J9),
+            _triple_sampler(triples(draw, 5.0)), _triple_sampler(triples(draw, 0.1)))
+
+
+class TestStraightLineStep:
+    @settings(max_examples=300, deadline=None)
+    @given(rigid_body_steps())
+    def test_step_is_the_rk4_of_its_reference_helpers(self, args):
+        assert bits(advance_rigid_body(*args)) == bits(reference_step(*args))
 
 
 class TestVtolController:
@@ -356,9 +403,10 @@ REAL = st.floats(-1e3, 1e3)
 TRIPLE = st.tuples(REAL, REAL, REAL)
 
 
-def bits(pair):
-    """A (position, velocity) pair as the hex of its six floats, -0.0 apart from 0.0."""
-    return [float.hex(v) for triple in pair for v in triple]
+def bits(parts):
+    """Tuples of floats, such as a (position, velocity) pair, as the hex of
+    each float, -0.0 apart from 0.0."""
+    return [float.hex(v) for part in parts for v in part]
 
 
 class TestReferences:
@@ -500,3 +548,65 @@ def test_trace_bytes_match_recorded_digest(tmp_path, capsys, case):
     assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()
     assert hashlib.sha256((tmp_path / "run" / "trace.csv").read_bytes()).hexdigest() == digest
+
+
+def test_a_step_makes_15_5_python_calls():
+    # Python-level calls of the stock run, profiled at two lengths so that
+    # set-up and output cancel: 15 a step and 5 a recorded row, one row in
+    # ten steps. The step made 30.5 before advance_rigid_body was written as
+    # straight-line code. The first run's imports stay out of the count
+    def calls(duration):
+        flat = load_config(Path(__file__).resolve().parent.parent / "configs" / "vtol_wind.conf")
+        flat["sim.duration"] = str(duration)
+        scenario = build_scenario(flat)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            run_scenario(scenario)
+        finally:
+            sys.setprofile(outer)
+        return count
+
+    calls(0.05)
+    assert calls(0.1) - calls(0.05) == 15 * 50 + 5 * 5
+
+
+def test_a_run_samples_a_varying_disturbance_three_times_a_step():
+    # at t, t + dt/2 and t + dt for each stepped k, for the force and the
+    # torque; the last step, which is not stepped, samples neither
+    times = {"force": [], "torque": []}
+
+    def signal(part):
+        def sample(t):
+            times[part].append(t)
+            return 0.001
+        return sample
+
+    run_scenario(vtol_scenario(
+        disturbance={part: (signal(part), Constant(0.0), Sinusoid(0.001, 2.0))
+                     for part in times},
+        duration=0.05))
+    dt = 1e-3
+    expected = [s for k in range(50) for s in (k * dt, k * dt + 0.5 * dt, k * dt + dt)]
+    assert times == {"force": expected, "torque": expected}
+
+
+def test_an_all_constant_disturbance_is_sampled_once_a_run():
+    times = []
+
+    class Counted(Constant):
+        def __call__(self, t):
+            times.append(t)
+            return self.value
+
+    run_scenario(vtol_scenario(
+        disturbance={"force": (Counted(0.5), Counted(0.0), Counted(0.0)),
+                     "torque": (Counted(0.001), Counted(0.0), Counted(-0.0005))},
+        duration=0.05))
+    assert times == [0.0] * 6
