@@ -72,7 +72,6 @@ class TraceSummary:
     tail: dict             # the final window of each column reduced, by name
     settling_time: float   # first time the signal stays below the threshold
     overshoot: float       # max |signal| after its first zero crossing
-    defined: dict          # by further column: whether a value is not NaN
 
 
 class MetricsReduction:
@@ -90,8 +89,7 @@ class MetricsReduction:
       exceeds it;
     * the signal's first sign crossing, carried across chunks, and the
       running max of ``|signal|`` from the crossing's row, the first whose
-      sign is opposite to the row before's;
-    * whether each further column has a value that is not NaN.
+      sign is opposite to the row before's.
 
     A max, a last index and a first crossing do not depend on where the
     chunks end, and the windows hold the rows' own values contiguously, so
@@ -114,7 +112,6 @@ class MetricsReduction:
         self._positive = np.zeros(lanes, dtype=bool)
         self._crossed = np.zeros(lanes, dtype=bool)
         self._peak = np.zeros(lanes)
-        self._defined = np.zeros((len(self.names) - 2, lanes), dtype=bool)
 
     def feed(self, columns: Sequence[np.ndarray]) -> None:
         """Reduce the next rows: ``columns`` in the order of ``names``, time
@@ -159,19 +156,13 @@ class MetricsReduction:
             self._crossed[j] = True
         self._peak = np.maximum(self._peak, peak)
 
-        for defined, column in zip(self._defined, columns[2:]):
-            if not defined.all():
-                defined |= ~np.isnan(column).reshape(m, -1).all(axis=0)
-
     def summaries(self) -> list[TraceSummary]:
         """One summary per lane, of the rows fed so far."""
         settling = np.where(self._above, math.inf, self._settled)
-        further = self.names[2:]
         return [TraceSummary(rows=self.fed, signal=self.names[1],
                              tail={name: tail if tail.ndim == 1 else tail[j]
                                    for name, tail in zip(self.names, self._tails)},
-                             settling_time=float(settling[j]), overshoot=float(self._peak[j]),
-                             defined={name: bool(d[j]) for name, d in zip(further, self._defined)})
+                             settling_time=float(settling[j]), overshoot=float(self._peak[j]))
                 for j in range(self.lanes)]
 
 
@@ -196,12 +187,13 @@ def trace_metrics(summary: TraceSummary,
     Settling uses permanently-below semantics: the reported time is the first
     sample after the last exceedance (inf if the trace ends above threshold).
     ``observer`` names the (true, estimate) columns of the observed lumped
-    term; the observer RMSE is NaN without them or without any estimate.
+    term; the observer RMSE is NaN without them, or with a NaN estimate in
+    the final window.
     """
     tail = summary.tail[summary.signal]
     sse_rms = float(np.sqrt(np.mean(tail * tail)))
     sse_max = float(np.max(np.abs(tail)))
-    if observer and all(c in summary.defined for c in observer) and summary.defined[observer[1]]:
+    if observer and all(c in summary.tail for c in observer):
         err = summary.tail[observer[0]] - summary.tail[observer[1]]
         observer_rmse = float(np.sqrt(np.mean(err * err)))
     else:

@@ -137,16 +137,6 @@ lockstep = None  # run takes one scenario, not a list
 bound = None  # no ultimate-bound check applies
 
 
-def _triple_sampler(signals):
-    """t -> disturbance triple; absent or all-Constant signals are sampled once."""
-    if not signals:
-        return lambda t: (0.0, 0.0, 0.0)
-    if all(isinstance(s, Constant) for s in signals):
-        value = sample_triple(signals, 0.0)
-        return lambda t: value
-    return lambda t: sample_triple(signals, t)
-
-
 def desired_attitude(F_d, psi_d):
     """Desired rotation R_d = [b2d x b3d, (b3d x b_d)/||.||, F_d/||F_d||] for
     the heading b_d = (cos psi_d, sin psi_d, 0), as a flat 9-tuple."""
@@ -325,10 +315,12 @@ class VtolController:
         return f, tau
 
 
-def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval, d_tau_eval):
+def advance_rigid_body(p, v, R9, w, f, tau, dt, mass, g, J9, Jinv9, d_f, d_tau):
     """One integration step: RK4 on (p, v, omega) with the rotation carried to
     stage times by the Rodrigues exponential, then a full-step exponential
-    with the RK4-averaged angular velocity and Gram-Schmidt cleanup.
+    with the RK4-averaged angular velocity and Gram-Schmidt cleanup. ``d_f``
+    and ``d_tau`` are each disturbance part's values at the stage times t,
+    t + dt/2 and t + dt, three 3-tuples that the loop samples.
 
     The step is straight-line float code: each stage's v_dot (the thrust
     part of the model) and omega_dot (Euler's equation, J^-1 (tau - omega x
@@ -340,8 +332,8 @@ def advance_rigid_body(p, v, R9, w, f, tau, t, dt, mass, g, J9, Jinv9, d_f_eval,
     full-step product R exp(hat(r)) is formed for its first two only."""
     half = 0.5 * dt
     inv_m = 1.0 / mass
-    df0, df_m, df1 = d_f_eval(t), d_f_eval(t + half), d_f_eval(t + dt)
-    dt0, dt_m, dt1 = d_tau_eval(t), d_tau_eval(t + half), d_tau_eval(t + dt)
+    df0, df_m, df1 = d_f
+    dt0, dt_m, dt1 = d_tau
     px, py, pz = p
     vx, vy, vz = v
     wx, wy, wz = w
@@ -494,10 +486,16 @@ def run(scenario: Scenario) -> SimTrace:
 
     J9 = controller.inertia
     Jinv9 = inv3(J9)
-    d_f_eval = _triple_sampler(scenario.disturbance.get("force"))
-    d_tau_eval = _triple_sampler(scenario.disturbance.get("torque"))
+    # the step reads each disturbance part as its values at t, t + dt/2 and
+    # t + dt; an absent part is zero, and one all Constant is sampled once
+    force, torque = (scenario.disturbance.get(name) or (Constant(0.0),) * 3
+                     for name in ("force", "torque"))
+    fixed_f, fixed_tau = ((sample_triple(part, 0.0),) * 3
+                          if all(isinstance(s, Constant) for s in part) else None
+                          for part in (force, torque))
 
     dt = scenario.dt
+    half = 0.5 * dt
     n_steps = scenario.n_steps
     decimation = scenario.decimation
     noise = noise_table(scenario.noise, noise_channels(scenario), n_steps + 1)
@@ -532,9 +530,12 @@ def run(scenario: Scenario) -> SimTrace:
                     ortho_error3(R9), det3(R9) - 1.0,
                 ])
             if k < n_steps:
-                p, v, R9, w = advance_rigid_body(
-                    p, v, R9, w, f, tau, t, dt, m, g, J9, Jinv9, d_f_eval, d_tau_eval
-                )
+                d_f = fixed_f or (sample_triple(force, t), sample_triple(force, t + half),
+                                  sample_triple(force, t + dt))
+                d_tau = fixed_tau or (sample_triple(torque, t), sample_triple(torque, t + half),
+                                      sample_triple(torque, t + dt))
+                p, v, R9, w = advance_rigid_body(p, v, R9, w, f, tau, dt, m, g, J9, Jinv9,
+                                                 d_f, d_tau)
     except STEP_ERRORS as exc:
         raise run_failure(exc, k, t)
     return rec.build()

@@ -2,10 +2,10 @@
 
 Time is kept on an integer step counter with t = k*dt (never accumulated), so
 trace timestamps sit exactly on the grid. Control inputs are held constant
-over each integration step (zero-order hold) at the integrator rate, and a
-step reads the disturbance only as its values at the RK4 stage times t,
-t + dt/2 and t + dt, which the plant's loop samples. A run is a pure function
-of its scenario, seed included.
+over each integration step (zero-order hold) at the integrator rate, and
+every plant's step reads the disturbance only as its values at the RK4 stage
+times t, t + dt/2 and t + dt, which its loop samples and passes in. A run is
+a pure function of its scenario, seed included.
 
 A lockstep run advances several scenarios at once: each per-scenario
 quantity is a ``[lanes]`` float64 array, one lane per scenario, and the state

@@ -13,7 +13,7 @@ from lumped_pid.analysis import TraceSummary
 from lumped_pid.config import REQUIRED, SCENARIO_OPTIONS, build_scenario, load_config
 from lumped_pid.errors import ConfigError, LumpedPidError, SteeringLimitError
 from lumped_pid.plants import chain, plant_module
-from lumped_pid.signals import Constant, NoiseSpec
+from lumped_pid.signals import Constant, NoiseSpec, Sinusoid
 from lumped_pid.sim import Scenario, SimTrace, nest, run_scenario, summary
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -183,6 +183,37 @@ def test_a_one_scenario_chain_list_is_its_single_run(kind):
                                    noise=NoiseSpec(sigmas=(0.01,)), duration=0.3)
     (outcome,) = chain.run([scenario])
     assert_same_summary(outcome, summary(chain.run(scenario), scenario))
+
+
+@pytest.mark.parametrize("case", ["chain", "chain_lockstep", "vehicle", "vtol"])
+def test_a_run_samples_its_disturbance_at_the_stage_times(case):
+    # each stepped k samples at k dt, k dt + dt/2 and k dt + dt, and the
+    # step is handed those values; the chain and the vehicle read d(t) at
+    # the last k too, for the trace, and a lockstep list samples once for
+    # every lane. The VTOL samples the force and the torque apart.
+    times = {}
+
+    def signal(part):
+        def sample(t):
+            times.setdefault(part, []).append(t)
+            return 0.001
+        return sample
+
+    kind = case.partition("_")[0]
+    scenario = short_scenario(kind)
+    if kind == "vtol":
+        scenario = dataclasses.replace(scenario, disturbance={
+            part: (signal(part), Constant(0.0), Sinusoid(0.001, 2.0))
+            for part in ("force", "torque")})
+    else:
+        scenario = dataclasses.replace(scenario, disturbance=signal("d"))
+    lanes = (with_controller(scenario, [2.0, 3.0])
+             if case == "chain_lockstep" else scenario)
+    plant_module(kind).run(lanes)
+    dt, n = scenario.dt, scenario.n_steps
+    stepped = [s for k in range(n) for s in (k * dt, k * dt + 0.5 * dt, k * dt + dt)]
+    assert times == ({"force": stepped, "torque": stepped} if kind == "vtol"
+                     else {"d": stepped + [n * dt]})
 
 
 @pytest.mark.parametrize("kind", sorted(STOCK))

@@ -518,20 +518,6 @@ def test_a_step_makes_25_python_calls():
     assert calls(0.1) - calls(0.05) == 25 * 50
 
 
-def test_a_run_samples_its_bias_three_times_a_step():
-    # at t for the controller, the trace and the first RK4 stage, then at
-    # t + dt/2 and t + dt for the later stages; the last step samples t only
-    times = []
-
-    def bias(t):
-        times.append(t)
-        return math.radians(2.0)
-
-    run_scenario(vehicle_scenario(disturbance=bias, duration=0.05))
-    assert len(times) == 3 * 50 + 1
-    assert times[:4] == [0.0, 0.0005, 0.001, 0.001]
-
-
 def lateral_error_derivatives(err: LateralErrorState, delta: float, d: float,
                               L: float, r_s: float, kappa_d: float) -> tuple[float, float]:
     """Distance-domain error model: l' = sin(e_theta) and

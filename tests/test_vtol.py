@@ -25,7 +25,6 @@ from lumped_pid.plants.vtol import (
     HoverRef,
     LissajousRef,
     _inertia,
-    _triple_sampler,
     advance_rigid_body,
     attitude_error,
     desired_attitude,
@@ -246,18 +245,21 @@ class TestDesiredAttitude:
             desired_attitude((5.0, 0.0, 0.0), 0.0)
 
 
+# a disturbance part's values at the three stage times of a step: none
+NO_DISTURBANCE = ((0.0, 0.0, 0.0),) * 3
+
+
 class TestRigidBodyIntegration:
     def test_pure_spin_matches_exact_rotation(self):
         m, g = 1.0, 0.0  # gravity off; thrust zero
         J9 = params().inertia
         Jinv9 = so3.inv3(J9)
-        zero3 = lambda t: (0.0, 0.0, 0.0)
         w = (0.0, 0.0, 2.0)
         p, v, R9 = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), so3.IDENTITY9
         dt = 1e-3
         for k in range(1000):
-            p, v, R9, w = advance_rigid_body(p, v, R9, w, 0.0, (0.0, 0.0, 0.0),
-                                             k * dt, dt, m, g, J9, Jinv9, zero3, zero3)
+            p, v, R9, w = advance_rigid_body(p, v, R9, w, 0.0, (0.0, 0.0, 0.0), dt, m, g,
+                                             J9, Jinv9, NO_DISTURBANCE, NO_DISTURBANCE)
         exact = expm(mat(hat3((0.0, 0.0, 2.0 * 1.0))))
         got = mat(R9)
         assert np.allclose(got, exact, atol=1e-9)
@@ -267,12 +269,11 @@ class TestRigidBodyIntegration:
         m, g = 2.0, 9.81
         J9 = params().inertia
         Jinv9 = so3.inv3(J9)
-        zero3 = lambda t: (0.0, 0.0, 0.0)
         p, v, R9, w = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), so3.IDENTITY9, (0.0, 0.0, 0.0)
         dt = 1e-2
         for k in range(100):
-            p, v, R9, w = advance_rigid_body(p, v, R9, w, 0.0, (0.0, 0.0, 0.0),
-                                             k * dt, dt, m, g, J9, Jinv9, zero3, zero3)
+            p, v, R9, w = advance_rigid_body(p, v, R9, w, 0.0, (0.0, 0.0, 0.0), dt, m, g,
+                                             J9, Jinv9, NO_DISTURBANCE, NO_DISTURBANCE)
         assert v[2] == pytest.approx(9.81, rel=1e-12)
         assert p[2] == pytest.approx(0.5 * 9.81, rel=1e-12)
 
@@ -293,10 +294,22 @@ def triples(draw, scale):
     return tuple(Sinusoid(c, freq, phase) for c in values)
 
 
+def sampler(signals):
+    """t -> the values of a disturbance part, as a run samples it: zero when
+    absent, and an all-Constant part's value at t = 0 whatever t."""
+    if not signals:
+        return lambda t: (0.0, 0.0, 0.0)
+    if all(isinstance(s, Constant) for s in signals):
+        value = sample_triple(signals, 0.0)
+        return lambda t: value
+    return lambda t: sample_triple(signals, t)
+
+
 @st.composite
 def rigid_body_steps(draw):
     """A full inertia, force and torque disturbances, a state, a thrust, a
-    torque and a step: every argument of one rigid-body step."""
+    torque and a step: every argument of one reference step, which samples
+    its disturbances at t itself."""
     vectors = lambda bound: st.tuples(*[st.floats(-bound, bound)] * 3)
     # J = Q diag(eigenvalues) Q^T for a rotation Q, symmetrized
     Q = mat(rodrigues3(draw(vectors(4.0))))
@@ -310,14 +323,19 @@ def rigid_body_steps(draw):
             draw(st.floats(-50.0, 50.0)), draw(vectors(1.0)),
             draw(st.floats(0.0, 10.0)), draw(st.floats(1e-5, 0.1)), draw(st.floats(0.05, 10.0)),
             draw(st.floats(0.0, 20.0)), J9, so3.inv3(J9),
-            _triple_sampler(triples(draw, 5.0)), _triple_sampler(triples(draw, 0.1)))
+            sampler(triples(draw, 5.0)), sampler(triples(draw, 0.1)))
 
 
 class TestStraightLineStep:
     @settings(max_examples=300, deadline=None)
     @given(rigid_body_steps())
     def test_step_is_the_rk4_of_its_reference_helpers(self, args):
-        assert bits(advance_rigid_body(*args)) == bits(reference_step(*args))
+        # the step takes the values at t, t + dt/2 and t + dt that the
+        # reference samples
+        *state, t, dt, mass, g, J9, Jinv9, d_f, d_tau = args
+        stages = lambda sample: (sample(t), sample(t + 0.5 * dt), sample(t + dt))
+        step = advance_rigid_body(*state, dt, mass, g, J9, Jinv9, stages(d_f), stages(d_tau))
+        assert bits(step) == bits(reference_step(*args))
 
 
 class TestVtolController:
@@ -454,13 +472,13 @@ class TestNativeFloats:
         ctrl = hover_controller(1.2, 9.81, J, (0.1, -0.2, 0.3), psi=0.2)
         J9 = ctrl.inertia
         Jinv9 = so3.inv3(J9)
-        wind = lambda t: (0.5, -0.1, 0.0)
-        spin = lambda t: (0.001, 0.0, -0.002)
+        wind = ((0.5, -0.1, 0.0),) * 3
+        spin = ((0.001, 0.0, -0.002),) * 3
         p, v, R9, w = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), so3.IDENTITY9, (0.3, -0.2, 0.1)
         for k in range(5):
             f, tau = ctrl.compute(k * 1e-3, p, v, R9, w)
-            p, v, R9, w = advance_rigid_body(p, v, R9, w, f, tau, k * 1e-3, 1e-3,
-                                             ctrl.mass, ctrl.gravity, J9, Jinv9, wind, spin)
+            p, v, R9, w = advance_rigid_body(p, v, R9, w, f, tau, 1e-3, ctrl.mass,
+                                             ctrl.gravity, J9, Jinv9, wind, spin)
         for name, values in (("f", (f,)), ("tau", tau), ("p", p), ("v", v), ("R9", R9),
                              ("w", w)):
             assert all(type(x) is float for x in values), name
@@ -550,9 +568,9 @@ def test_trace_bytes_match_recorded_digest(tmp_path, capsys, case):
     assert hashlib.sha256((tmp_path / "run" / "trace.csv").read_bytes()).hexdigest() == digest
 
 
-def test_a_step_makes_15_5_python_calls():
+def test_a_step_makes_9_5_python_calls():
     # Python-level calls of the stock run, profiled at two lengths so that
-    # set-up and output cancel: 15 a step and 5 a recorded row, one row in
+    # set-up and output cancel: 9 a step and 5 a recorded row, one row in
     # ten steps. The step made 30.5 before advance_rigid_body was written as
     # straight-line code. The first run's imports stay out of the count
     def calls(duration):
@@ -574,27 +592,7 @@ def test_a_step_makes_15_5_python_calls():
         return count
 
     calls(0.05)
-    assert calls(0.1) - calls(0.05) == 15 * 50 + 5 * 5
-
-
-def test_a_run_samples_a_varying_disturbance_three_times_a_step():
-    # at t, t + dt/2 and t + dt for each stepped k, for the force and the
-    # torque; the last step, which is not stepped, samples neither
-    times = {"force": [], "torque": []}
-
-    def signal(part):
-        def sample(t):
-            times[part].append(t)
-            return 0.001
-        return sample
-
-    run_scenario(vtol_scenario(
-        disturbance={part: (signal(part), Constant(0.0), Sinusoid(0.001, 2.0))
-                     for part in times},
-        duration=0.05))
-    dt = 1e-3
-    expected = [s for k in range(50) for s in (k * dt, k * dt + 0.5 * dt, k * dt + dt)]
-    assert times == {"force": expected, "torque": expected}
+    assert calls(0.1) - calls(0.05) == 9 * 50 + 5 * 5
 
 
 def test_an_all_constant_disturbance_is_sampled_once_a_run():
