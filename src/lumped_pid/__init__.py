@@ -14,7 +14,6 @@ from .analysis import BoundReport, TraceMetrics, check_bound, trace_metrics, ult
 from .controller import (
     ClassicPidController,
     ClassicPidGains,
-    ControllerConfig,
     GeneralizedController,
     HomogeneousController,
     closed_loop_tf,
@@ -44,7 +43,6 @@ __all__ = [
     "ClassicPidGains",
     "ComplexResponse",
     "Constant",
-    "ControllerConfig",
     "GeneralizedController",
     "HomogeneousController",
     "NoiseSpec",

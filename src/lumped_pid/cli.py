@@ -24,9 +24,9 @@ from pathlib import Path
 from .analysis import (MetricsRow, TraceSummary, default_grid, table_line, trace_metrics,
                        write_metrics_csv)
 from .config import build_scenario, load_config
-from .controller import ControllerConfig, closed_loop_tf, observer_tfs, reduce_to_pid, synthesize_gains
+from .controller import closed_loop_tf, observer_tfs, reduce_to_pid, synthesize_gains
 from .errors import ConfigError, LumpedPidError
-from .plants import chain, plant_module
+from .plants import plant_module
 from .polylti import MAX_ORDER, frequency_response
 from .signals import NoiseSpec
 from .sim import run_scenario, summary, write_csv
@@ -60,9 +60,10 @@ def _out_errors(out):
                           f"{exc.strerror or exc}") from None
 
 
-def _chain_config(args) -> ControllerConfig:
-    """The synthesis inputs of the chain scenario in ``args.config``, read
-    as ``simulate`` reads it; they exist for every controller kind."""
+def _chain_config(args) -> tuple[int, float, float, float]:
+    """The synthesis inputs ``(n, b, omega, omega_f)`` of the chain scenario
+    in ``args.config``, read as ``simulate`` reads it; they exist for every
+    controller kind."""
     scenario = build_scenario(load_config(args.config))
     if scenario.plant_kind != "chain":
         raise ConfigError(f"plant.kind: {args.command} takes a chain plant, "
@@ -70,7 +71,8 @@ def _chain_config(args) -> ControllerConfig:
     if scenario.plant["order"] > MAX_ORDER:  # checked by the scenario unless kind is none
         raise ConfigError(f"plant.order: {args.command} takes at most {MAX_ORDER}, "
                           f"got {scenario.plant['order']}")
-    return chain.controller_config(scenario)
+    return (scenario.plant["order"], scenario.plant["b"], scenario.controller["omega"],
+            scenario.controller["omega_f"])
 
 
 def _write_table(out: Path, names: tuple[str, ...], rows: list) -> None:
@@ -81,20 +83,20 @@ def _write_table(out: Path, names: tuple[str, ...], rows: list) -> None:
 
 
 def cmd_tune(args) -> int:
-    config = _chain_config(args)
-    rows = [("n", config.n), ("b", config.b), ("omega", config.omega), ("omega_f", config.omega_f),
-            *((f"a{i}", a) for i, a in enumerate(synthesize_gains(config.n, config.omega)))]
+    n, b, omega, omega_f = _chain_config(args)
+    rows = [("n", n), ("b", b), ("omega", omega), ("omega_f", omega_f),
+            *((f"a{i}", a) for i, a in enumerate(synthesize_gains(n, omega)))]
     head = len(rows)
-    if config.n <= 2:
-        classic = reduce_to_pid(config)
+    if n <= 2:
+        classic = reduce_to_pid(n, omega, omega_f)
         for k, v in (("kd", classic.kd), ("kp", classic.kp), ("ki", classic.ki)):
             if v is not None:
-                rows += [(k, v), (f"{k}_over_b", v / config.b)]
+                rows += [(k, v), (f"{k}_over_b", v / b)]
     # stdout: the inputs at 6 significant digits, the gains at 12, and the
     # classic gains (each followed by its value over b) on two lines
     lines = [f"{name:<9}= {value:{'g' if i < 4 else '.12g'}}"
              for i, (name, value) in enumerate(rows[:head])]
-    if config.n > 2:
+    if n > 2:
         lines.append("no classic PI/PID reduction exists beyond n = 2; "
                      "use the generalized gains above")
     else:
@@ -266,13 +268,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bode(args) -> int:
-    config = _chain_config(args)
-    grid = default_grid(config.omega, config.omega_f, args.points_per_decade)
-    tables = [
-        ("G", closed_loop_tf(config)),
-        ("G_o", observer_tfs(config.omega_f)[0]),
-        ("G_e", observer_tfs(config.omega_f)[1]),
-    ]
+    n, _, omega, omega_f = _chain_config(args)
+    grid = default_grid(omega, omega_f, args.points_per_decade)
+    g_o, g_e = observer_tfs(omega_f)
+    tables = [("G", closed_loop_tf(n, omega, omega_f)), ("G_o", g_o), ("G_e", g_e)]
     out = Path(args.out)
     _write_table(out, ("tf", "freq", "mag", "phase_rad"),
                  [(name, row.frequency, row.magnitude, row.phase)

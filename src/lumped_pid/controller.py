@@ -33,34 +33,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, OrderMismatchError, check_positive
-from .polylti import (MAX_ORDER, Polynomial, RationalTransferFunction, binomial_poly, check_coeffs,
-                      poly_mul)
+from .polylti import Polynomial, RationalTransferFunction, binomial_poly, check_coeffs, poly_mul
 from .quadrature import RECTANGULAR, Integrator
 
 OBSERVER_FORMS = ("integral", "pid")
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Synthesis inputs.
-
-    ``n`` is the plant order, ``b`` the input coefficient, ``omega`` the
-    state-feedback (homogeneous) bandwidth and ``omega_f`` the observer
-    bandwidth. Under measurement noise, ``omega < omega_f`` is the
-    recommended (not enforced) tuning.
-    """
-
-    n: int
-    b: float
-    omega: float
-    omega_f: float
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1 or self.n > MAX_ORDER:
-            raise ConfigError(f"n: order must be an integer in [1, {MAX_ORDER}], got {self.n!r}")
-        _check_nonzero(self.b, "b")
-        for name in ("omega", "omega_f"):
-            check_positive(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -98,7 +74,7 @@ def observer_step(a: Sequence[float], z: Sequence[float], integ: Integrator,
     return u_x, omega_f * (z[-1] - integ.push(u_x, dt))
 
 
-def reduce_to_pid(config: ControllerConfig) -> ClassicPidGains:
+def reduce_to_pid(n: int, omega: float, omega_f: float) -> ClassicPidGains:
     """Classic gains of the n = 1 or 2 law (pre-1/b): the coefficients of
     :func:`closed_loop_tf`'s denominator ``(s+omega)^n (s+omega_f)`` below
     the leading one, ``(ki, kp)`` for a PI and ``(ki, kp, kd)`` for a PID.
@@ -107,22 +83,26 @@ def reduce_to_pid(config: ControllerConfig) -> ClassicPidGains:
     (a0, a1) of :func:`synthesize_gains` has kd = a1 + omega_f,
     kp = a0 + omega_f*a1, ki = omega_f*a0.
     """
-    if config.n not in (1, 2):
-        raise OrderMismatchError(f"PI/PID reduction requires n in {{1, 2}}, got {config.n}")
-    ki, kp, *kd = closed_loop_tf(config).denominator.coeffs[:-1]
+    if n not in (1, 2):
+        raise OrderMismatchError(f"PI/PID reduction requires n in {{1, 2}}, got {n}")
+    ki, kp, *kd = closed_loop_tf(n, omega, omega_f).denominator.coeffs[:-1]
     return ClassicPidGains(kp=kp, ki=ki, kd=kd[0] if kd else None)
 
 
-def closed_loop_tf(config: ControllerConfig) -> RationalTransferFunction:
-    """Disturbance-to-state transfer function of the compensated loop:
+def closed_loop_tf(n: int, omega: float, omega_f: float) -> RationalTransferFunction:
+    """Disturbance-to-state transfer function of the compensated loop of
+    order ``n``, state-feedback bandwidth ``omega`` and observer bandwidth
+    ``omega_f``:
 
     ``G(s) = s / ((s+omega)^n (s+omega_f))`` -- the zero at the origin is
-    what rejects constant disturbances exactly. A denominator coefficient
-    beyond the float range, or one that rounds to 0, is a ConfigError.
+    what rejects constant disturbances exactly. Under measurement noise,
+    ``omega < omega_f`` is the recommended (not enforced) tuning. A
+    denominator coefficient beyond the float range, or one that rounds to 0,
+    is a ConfigError.
     """
-    den = poly_mul(binomial_poly(config.omega, config.n), Polynomial((config.omega_f, 1.0)))
-    check_coeffs(den.coeffs, f"omega = {config.omega!r} and omega_f = {config.omega_f!r} at "
-                             f"order {config.n}: (s + omega)**{config.n} (s + omega_f)")
+    den = poly_mul(binomial_poly(omega, n), Polynomial((check_positive(omega_f, "omega_f"), 1.0)))
+    check_coeffs(den.coeffs, f"omega = {omega!r} and omega_f = {omega_f!r} at "
+                             f"order {n}: (s + omega)**{n} (s + omega_f)")
     return RationalTransferFunction(Polynomial((0.0, 1.0)), den)
 
 

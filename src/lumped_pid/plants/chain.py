@@ -18,7 +18,6 @@ from ..config import (_bool, _check_read, _check_signal, _choice, _count, _float
 from ..controller import (
     OBSERVER_FORMS,
     ClassicPidController,
-    ControllerConfig,
     GeneralizedController,
     HomogeneousController,
     reduce_to_pid,
@@ -180,35 +179,28 @@ def noise_channels(scenario: Scenario) -> int:
     return scenario.plant["order"]
 
 
-def controller_config(scenario: Scenario) -> ControllerConfig:
-    """The synthesis inputs of a chain scenario: what its controller's
-    numbers and the ``tune`` and ``bode`` commands derive from."""
-    opts = scenario.controller
-    return ControllerConfig(n=scenario.plant["order"], b=scenario.plant["b"],
-                            omega=opts["omega"], omega_f=opts["omega_f"])
-
-
 def _build_controller(scenarios: Sequence[Scenario], lockstep: bool):
     """The controller of a run, None for kind none: each scenario's gains and
     omega_f as floats for one, as ``[lanes]`` arrays in ``lockstep``."""
     opts, dt = scenarios[0].controller, scenarios[0].dt
     if opts["kind"] == "none":
         return None
-    configs = [controller_config(s) for s in scenarios]
-    b = configs[0].b
+    n, b = scenarios[0].plant["order"], scenarios[0].plant["b"]
+    omegas = [s.controller["omega"] for s in scenarios]
+    omega_fs = [s.controller["omega_f"] for s in scenarios]
 
     def lanes(values):
         return np.array(values, dtype=float) if lockstep else values[0]
 
     if opts["kind"] == "pid":
-        gains = [reduce_to_pid(c) for c in configs]
+        gains = [reduce_to_pid(n, omega, omega_f) for omega, omega_f in zip(omegas, omega_fs)]
         kd = None if gains[0].kd is None else lanes([g.kd for g in gains])
         return ClassicPidController(lanes([g.kp for g in gains]), lanes([g.ki for g in gains]),
                                     kd, b, dt, rule=opts["quadrature"])
-    a = tuple(map(lanes, zip(*(synthesize_gains(c.n, c.omega) for c in configs))))
+    a = tuple(map(lanes, zip(*(synthesize_gains(n, omega) for omega in omegas))))
     if opts["kind"] == "homogeneous":
         return HomogeneousController(a, b)
-    return GeneralizedController(a, lanes([c.omega_f for c in configs]), b, dt,
+    return GeneralizedController(a, lanes(omega_fs), b, dt,
                                  rule=opts["quadrature"], observer_form=opts["observer_form"],
                                  seed_integral=opts["seed_integral"])
 

@@ -322,6 +322,11 @@ def advance_rigid_body(p, v, R9, w, f, tau, dt, mass, g, J9, Jinv9, d_f, d_tau):
     and ``d_tau`` are each disturbance part's values at the stage times t,
     t + dt/2 and t + dt, three 3-tuples that the loop samples.
 
+    omega advances by RK4, fourth order in dt, as Euler's equation reads no
+    attitude; the attitude update, one exponential of the RK4-averaged omega
+    over the step, is second order: torque-free, the world angular momentum
+    R J omega drifts as dt^2.
+
     The step is straight-line float code: each stage's v_dot (the thrust
     part of the model) and omega_dot (Euler's equation, J^-1 (tau - omega x
     (J omega) + d_tau)) is written out component by component, as are the

@@ -91,10 +91,11 @@ def binomial_poly(omega: float, n: int) -> Polynomial:
     The coefficient of ``s**(n-i)`` is ``C(n, i) * omega**i``; binomials come
     from exact integer arithmetic (no factorial overflow up to MAX_ORDER). A
     coefficient beyond the float range, or one that rounds to 0, is a
-    ConfigError.
+    ConfigError, as is an order ``n`` that is not an int (a bool is not) in
+    [1, MAX_ORDER].
     """
-    if n < 1 or n > MAX_ORDER:
-        raise ConfigError(f"order n must be in [1, {MAX_ORDER}], got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_ORDER:
+        raise ConfigError(f"order n must be an integer in [1, {MAX_ORDER}], got {n!r}")
     check_positive(omega, "omega")
     try:
         # ascending: coeffs[k] multiplies s^k, i.e. i = n - k

@@ -15,7 +15,6 @@ from lumped_pid.analysis import check_bound, trace_metrics
 from lumped_pid.cli import main as cli_main
 from lumped_pid.controller import (
     ClassicPidController,
-    ControllerConfig,
     GeneralizedController,
     closed_loop_tf,
     reduce_to_pid,
@@ -23,11 +22,10 @@ from lumped_pid.controller import (
 )
 from lumped_pid.polylti import Polynomial, RationalTransferFunction, binomial_poly, dc_gain, evaluate_at, poly_mul
 from lumped_pid import so3
-from lumped_pid.plants.vtol import _inertia
+from lumped_pid.plants.vtol import _inertia, advance_rigid_body
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL
 from lumped_pid.signals import Constant, NoiseSpec, Sinusoid, Step
 from lumped_pid.sim import Scenario, run_scenario, summary
-from rigid_body_reference import body_accel, mat_mul, thrust_accel
 
 
 def criterion(label):
@@ -59,11 +57,6 @@ def chain_scenario(**overrides):
     return Scenario(**base)
 
 
-def hat3(v):
-    """The skew matrix of v, flat row-major: hat(v) w = v x w."""
-    return (0.0, -v[2], v[1], v[2], 0.0, -v[0], -v[1], v[0], 0.0)
-
-
 @criterion("criterion 1: PI/PID equivalence")
 def test_pi_pid_equivalence():
     # 100 randomized configs, 1e4-step random measurement sequences, both
@@ -74,18 +67,15 @@ def test_pi_pid_equivalence():
     worst = 0.0
     for trial in range(100):
         n = 1 if trial < 50 else 2
-        config = ControllerConfig(
-            n=n,
-            b=float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])),
-            omega=float(rng.uniform(0.2, 8.0)),
-            omega_f=float(rng.uniform(0.5, 40.0)),
-        )
+        b = float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]))
+        omega = float(rng.uniform(0.2, 8.0))
+        omega_f = float(rng.uniform(0.5, 40.0))
         dt = float(10.0 ** rng.uniform(-4.0, -2.0))
         rule = RECTANGULAR if trial % 2 == 0 else TRAPEZOIDAL
-        gen = GeneralizedController(synthesize_gains(n, config.omega), config.omega_f, config.b,
-                                    dt, rule=rule, observer_form="pid")
-        gains = reduce_to_pid(config)
-        pid = ClassicPidController(gains.kp, gains.ki, gains.kd, config.b, dt, rule=rule)
+        gen = GeneralizedController(synthesize_gains(n, omega), omega_f, b, dt, rule=rule,
+                                    observer_form="pid")
+        gains = reduce_to_pid(n, omega, omega_f)
+        pid = ClassicPidController(gains.kp, gains.ki, gains.kd, b, dt, rule=rule)
         for z in rng.uniform(-2.0, 2.0, size=(10_000, n)).tolist():
             diff = abs(gen.step(z) - pid.step(z))
             if diff > worst:
@@ -98,8 +88,7 @@ def test_pi_pid_equivalence():
 
 @criterion("criterion 2: gain formulas vs closed-loop denominator")
 def test_gain_formula_structural_identity():
-    config = ControllerConfig(n=2, b=1.0, omega=2.0, omega_f=10.0)
-    gains = reduce_to_pid(config)
+    gains = reduce_to_pid(2, 2.0, 10.0)
     assert (gains.kd, gains.kp, gains.ki) == (14.0, 44.0, 40.0)
     den = poly_mul(binomial_poly(2.0, 2), Polynomial((10.0, 1.0)))
     assert den.coeffs == (40.0, 44.0, 14.0, 1.0)
@@ -127,9 +116,8 @@ def test_pi_is_the_decomposition_on_a_closed_loop(rule, omega, omega_f, b, x0, d
 
 @criterion("criterion 2 (n = 1): the PI closes the loop on (s+omega)(s+omega_f)")
 def test_pi_gains_and_step_response():
-    config = ControllerConfig(n=1, b=1.0, omega=2.0, omega_f=10.0)
-    gains = reduce_to_pid(config)
-    den = closed_loop_tf(config).denominator
+    gains = reduce_to_pid(1, 2.0, 10.0)
+    den = closed_loop_tf(1, 2.0, 10.0).denominator
     assert den.coeffs == (20.0, 12.0, 1.0)
     assert den.coeffs[:2] == (gains.ki, gains.kp)
     # a unit step disturbance: x = (e^-2t - e^-10t) / 8, which G(s) = s/((s+2)(s+10))
@@ -198,8 +186,7 @@ def test_observer_bandwidth():
 @criterion("criterion 5: constant-disturbance rejection")
 def test_constant_disturbance_rejection():
     for n in (1, 2):
-        config = ControllerConfig(n=n, b=1.0, omega=2.0, omega_f=10.0)
-        assert dc_gain(closed_loop_tf(config)) == 0.0
+        assert dc_gain(closed_loop_tf(n, 2.0, 10.0)) == 0.0
         scenario = chain_scenario(
             plant={"order": n, "b": 1.0},
             controller={"kind": "generalized", "omega": 2.0, "omega_f": 10.0},
@@ -235,13 +222,14 @@ def test_noise_monotonicity():
 @criterion("criterion 7: VTOL hover equilibrium and wind rejection")
 def test_vtol_hover_and_wind():
     m, g, J9 = 1.0, 9.81, _inertia(np.diag([0.02, 0.02, 0.04]), "plant.inertia")
-    # at rest: p = v = omega = 0, R = I, zero torque and disturbance
+    # one step from rest (p = v = omega = 0, R = I) at thrust m g, with zero
+    # torque and disturbance, leaves the state where it was
     zero, R9 = (0.0, 0.0, 0.0), so3.IDENTITY9
-    v_dot = thrust_accel((R9[2], R9[5], R9[8]), m * g, 1.0 / m, g, zero)
-    w_dot = body_accel(zero, zero, J9, so3.inv3(J9), zero)
-    p_dot, r_dot = zero, mat_mul(R9, hat3(zero))  # p_dot = v, R_dot = R hat(omega)
-    residual = math.sqrt(sum(x * x for x in p_dot + v_dot + r_dot + w_dot))
-    assert residual < 1e-12, f"hover derivative norm {residual:.3e}"
+    rest = (zero, zero, R9, zero)
+    still = (zero,) * 3
+    stepped = advance_rigid_body(*rest, m * g, zero, 1e-3, m, g, J9, so3.inv3(J9), still, still)
+    residual = math.sqrt(sum((x - y) ** 2 for a, b in zip(stepped, rest) for x, y in zip(a, b)))
+    assert residual < 1e-12, f"hover step residual {residual:.3e}"
 
     start = time.perf_counter()
     omega = 2.0

@@ -16,7 +16,7 @@ from lumped_pid.analysis import (
     ultimate_bound,
     write_metrics_csv,
 )
-from lumped_pid.controller import ControllerConfig, closed_loop_tf, observer_tfs
+from lumped_pid.controller import closed_loop_tf, observer_tfs
 from lumped_pid.errors import ConfigError, PoleHitError, WindowTooShortError
 from lumped_pid.polylti import frequency_response
 from lumped_pid.signals import Constant, Sinusoid
@@ -220,9 +220,9 @@ class TestBodeTable:
 
     def test_closed_loop_low_frequency_slope(self):
         # +20 dB/decade below the first pole (the zero at the origin)
-        from lumped_pid.controller import ControllerConfig, closed_loop_tf
+        from lumped_pid.controller import closed_loop_tf
 
-        tf = closed_loop_tf(ControllerConfig(n=2, b=1.0, omega=2.0, omega_f=10.0))
+        tf = closed_loop_tf(2, 2.0, 10.0)
         rows = frequency_response(tf, [1e-4, 1e-3, 1e-2])
         slope1 = 20.0 * math.log10(rows[1].magnitude / rows[0].magnitude)
         slope2 = 20.0 * math.log10(rows[2].magnitude / rows[1].magnitude)
@@ -243,7 +243,7 @@ def test_closed_loop_bode_rows_are_finite_or_raise(n, log_omega, log_omega_f):
     omega, omega_f = 10.0 ** log_omega, 10.0 ** log_omega_f
     try:
         rows = frequency_response(
-            closed_loop_tf(ControllerConfig(n=n, b=1.0, omega=omega, omega_f=omega_f)),
+            closed_loop_tf(n, omega, omega_f),
             default_grid(omega, omega_f))
     except (ConfigError, PoleHitError):
         return

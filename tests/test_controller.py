@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lumped_pid.controller import (
     OBSERVER_FORMS,
     ClassicPidController,
-    ControllerConfig,
     GeneralizedController,
     HomogeneousController,
     closed_loop_tf,
@@ -24,10 +23,6 @@ from lumped_pid.polylti import Polynomial, binomial_poly, dc_gain, evaluate_at
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL, Integrator
 
 
-def cfg(n=2, b=1.0, omega=2.0, omega_f=10.0):
-    return ControllerConfig(n=n, b=b, omega=omega, omega_f=omega_f)
-
-
 def generalized(n=2, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3, **options):
     """The chain's GeneralizedController at these synthesis inputs."""
     return GeneralizedController(synthesize_gains(n, omega), omega_f, b, dt, **options)
@@ -35,7 +30,7 @@ def generalized(n=2, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3, **options):
 
 def classic(n=2, b=1.0, omega=2.0, omega_f=10.0, dt=1e-3, rule=RECTANGULAR):
     """The chain's ClassicPidController at these synthesis inputs."""
-    g = reduce_to_pid(cfg(n=n, b=b, omega=omega, omega_f=omega_f))
+    g = reduce_to_pid(n, omega, omega_f)
     return ClassicPidController(g.kp, g.ki, g.kd, b, dt, rule=rule)
 
 
@@ -48,9 +43,22 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
+# each synthesis input is checked by a function that reads it: the order and
+# omega by synthesize_gains (binomial_poly), omega_f by closed_loop_tf and b
+# by a controller's constructor; the message names the input
+SYNTHESIS = {"n": 2, "b": 1.0, "omega": 2.0, "omega_f": 10.0}
+READER = {"n": lambda v: synthesize_gains(v["n"], v["omega"]),
+          "omega": lambda v: synthesize_gains(v["n"], v["omega"]),
+          "omega_f": lambda v: closed_loop_tf(v["n"], v["omega"], v["omega_f"]),
+          "b": lambda v: generalized(**v)}
+MESSAGE = {"n": r"^order n must be an integer", "omega": r"^omega:", "omega_f": r"^omega_f:",
+           "b": r"^b:"}
+
+
 class TestConfigValidation:
     def test_accepts_valid(self):
-        cfg()
+        for read in READER.values():
+            read(SYNTHESIS)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -66,8 +74,9 @@ class TestConfigValidation:
         ],
     )
     def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ConfigError):
-            cfg(**kwargs)
+        (key,) = kwargs
+        with pytest.raises(ConfigError, match=MESSAGE[key]):
+            READER[key]({**SYNTHESIS, **kwargs})
 
 
 class TestSynthesizeGains:
@@ -81,6 +90,12 @@ class TestSynthesizeGains:
         # oracle: binomial_poly(2,3) = [8,12,6,1], drop the leading term
         assert synthesize_gains(3, 2.0) == binomial_poly(2.0, 3).coeffs[:-1]
         assert synthesize_gains(3, 2.0) == (8.0, 12.0, 6.0)
+
+    @pytest.mark.parametrize("n", [2.0, "2", True, False, 0, 21])
+    def test_an_order_that_is_not_an_int_in_range_is_a_config_error(self, n):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"order n must be an integer in [1, 20], got {n!r}")):
+            synthesize_gains(n, 1.0)
 
     def test_all_positive(self):
         for n in range(1, 9):
@@ -185,33 +200,33 @@ class TestReductions:
         # with glibc 2.36, omega**2 (synthesize_gains) and omega * omega
         # differ by one ulp at the second omega; the PI/PID pair shares a0
         a0, a1 = synthesize_gains(2, omega)
-        g = reduce_to_pid(cfg(n=2, omega=omega, omega_f=7.0))
+        g = reduce_to_pid(2, omega, 7.0)
         assert (g.kd, g.kp, g.ki) == (a1 + 7.0, a0 + 7.0 * a1, 7.0 * a0)
 
     def test_pi_values(self):
-        g = reduce_to_pid(cfg(n=1, omega=5.0, omega_f=20.0))
+        g = reduce_to_pid(1, 5.0, 20.0)
         assert (g.kp, g.ki, g.kd) == (25.0, 100.0, None)
 
     def test_pi_unit(self):
-        g = reduce_to_pid(cfg(n=1, omega=1.0, omega_f=1.0))
+        g = reduce_to_pid(1, 1.0, 1.0)
         assert (g.kp, g.ki) == (2.0, 1.0)
 
     def test_pi_fractional(self):
-        g = reduce_to_pid(cfg(n=1, omega=0.5, omega_f=4.0))
+        g = reduce_to_pid(1, 0.5, 4.0)
         assert (g.kp, g.ki) == (4.5, 2.0)
 
     def test_pid_values(self):
-        g = reduce_to_pid(cfg(n=2, omega=2.0, omega_f=10.0))
+        g = reduce_to_pid(2, 2.0, 10.0)
         assert (g.kd, g.kp, g.ki) == (14.0, 44.0, 40.0)
 
     def test_pid_small_omega_f_approaches_pd(self):
-        g = reduce_to_pid(cfg(n=2, omega=1.0, omega_f=1e-9))
+        g = reduce_to_pid(2, 1.0, 1e-9)
         assert g.kd == pytest.approx(2.0, abs=1e-8)
         assert g.kp == pytest.approx(1.0, abs=1e-8)
         assert g.ki == pytest.approx(0.0, abs=1e-8)
 
     def test_pid_second_values(self):
-        g = reduce_to_pid(cfg(n=2, omega=3.0, omega_f=6.0))
+        g = reduce_to_pid(2, 3.0, 6.0)
         assert (g.kd, g.kp, g.ki) == (12.0, 45.0, 54.0)
 
     def test_an_integral_gain_that_rounds_to_0_is_a_config_error(self):
@@ -219,14 +234,14 @@ class TestReductions:
         with pytest.raises(ConfigError, match=re.escape(
                 "omega = 1e-200 and omega_f = 1e-200 at order 1: (s + omega)**1 (s + omega_f) "
                 "has a coefficient that rounds to 0, below the float range")):
-            reduce_to_pid(cfg(n=1, omega=1e-200, omega_f=1e-200))
-        assert reduce_to_pid(cfg(n=1, omega=1e-160, omega_f=1e-160)).ki == 1e-160 * 1e-160
+            reduce_to_pid(1, 1e-200, 1e-200)
+        assert reduce_to_pid(1, 1e-160, 1e-160).ki == 1e-160 * 1e-160
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError, match="requires n in {1, 2}, got 3"):
-            reduce_to_pid(cfg(n=3))
-        reduce_to_pid(cfg(n=1))
-        reduce_to_pid(cfg(n=2))
+            reduce_to_pid(3, 2.0, 10.0)
+        reduce_to_pid(1, 2.0, 10.0)
+        reduce_to_pid(2, 2.0, 10.0)
 
 
 class TestClassicPidStep:
@@ -256,19 +271,19 @@ class TestClassicPidStep:
 
 class TestClosedLoopTf:
     def test_first_order_denominator(self):
-        tf = closed_loop_tf(cfg(n=1, omega=2.0, omega_f=10.0))
+        tf = closed_loop_tf(1, 2.0, 10.0)
         assert tf.numerator.coeffs == (0.0, 1.0)
         assert tf.denominator.coeffs == (20.0, 12.0, 1.0)
 
     def test_dc_gain_zero_for_any_config(self):
         for n in (1, 2, 3):
             for omega in (0.5, 2.0, 5.0):
-                assert dc_gain(closed_loop_tf(cfg(n=n, omega=omega, omega_f=7.0))) == 0.0
+                assert dc_gain(closed_loop_tf(n, omega, 7.0)) == 0.0
 
     def test_second_order_denominator_reproduces_pid_gains(self):
-        tf = closed_loop_tf(cfg(n=2, omega=2.0, omega_f=10.0))
+        tf = closed_loop_tf(2, 2.0, 10.0)
         assert tf.denominator.coeffs == (40.0, 44.0, 14.0, 1.0)
-        g = reduce_to_pid(cfg(n=2, omega=2.0, omega_f=10.0))
+        g = reduce_to_pid(2, 2.0, 10.0)
         assert tf.denominator.coeffs[:3] == (g.ki, g.kp, g.kd)
 
 

@@ -10,8 +10,10 @@ two signs of zero count as equal.
 import math
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from lumped_pid.controller import GeneralizedController, synthesize_gains
 from lumped_pid.errors import LumpedPidError
@@ -19,7 +21,6 @@ from lumped_pid.plants import vehicle, vtol
 from lumped_pid.quadrature import RECTANGULAR, TRAPEZOIDAL
 from lumped_pid.signals import Constant
 from lumped_pid.sim import Scenario, run_scenario
-from rigid_body_reference import rodrigues3
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -70,6 +71,12 @@ class TestVehicle:
             assert d_hat == chain.f_hat or (kind == "known_d" and math.isnan(d_hat))
 
 
+def rotation(r):
+    """exp(hat(r)) as the flat row-major 9-tuple the VTOL reads."""
+    x, y, z = r
+    return tuple(expm(np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])).ravel().tolist())
+
+
 axis = st.floats(-1.0, 1.0)
 triple = st.tuples(axis, axis, axis)
 
@@ -95,8 +102,8 @@ class TestVtol:
             return seen[-1]
 
         with mock.patch.object(vtol, "attitude_error", attitude_error):
-            for p, v, w, rotation in poses:
-                R9 = rodrigues3(tuple(0.5 * r for r in rotation))
+            for p, v, w, turn in poses:
+                R9 = rotation(tuple(0.5 * r for r in turn))
                 try:
                     ctrl.compute(0.0, p, v, R9, w)
                 except LumpedPidError:

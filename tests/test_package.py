@@ -100,3 +100,17 @@ class TestProcessPoolOnlyForParallelSweeps:
                 f"'--out', {str(tmp_path / 'out')!r}, '--grid', 'omega=1,2']) == 0")
         assert _loaded_after(code, tmp_path, *self.POOL) == "[]"
         assert (tmp_path / "out" / "sweep.csv").is_file()
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the README's one python block, run as written in a fresh directory
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    package_root = Path(lumped_pid.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                          cwd=tmp_path, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(package_root)})
+    assert proc.returncode == 0, proc.stderr
+    assert "kp=44.0, ki=40.0, kd=14.0" in proc.stdout
+    assert (tmp_path / "trace.csv").is_file()

@@ -277,6 +277,29 @@ class TestRigidBodyIntegration:
         assert v[2] == pytest.approx(9.81, rel=1e-12)
         assert p[2] == pytest.approx(0.5 * 9.81, rel=1e-12)
 
+    def test_torque_free_drift_is_second_order_in_attitude(self):
+        # torque-free tumbling of a full inertia for 2 s: the world angular
+        # momentum R J w drifts as dt^2 (the attitude update), so 4x less per
+        # halving of dt, while the energy w^T J w / 2 (w by RK4) barely moves
+        J = np.array([[0.03, 0.004, -0.002], [0.004, 0.025, 0.003], [-0.002, 0.003, 0.04]])
+        J9 = _inertia(J, "plant.inertia")
+        Jinv9 = so3.inv3(J9)
+        zero = (0.0, 0.0, 0.0)
+        w0 = np.array([3.0, -2.0, 5.0])
+        L0, E0 = J @ w0, 0.5 * w0 @ J @ w0
+        drifts = []
+        for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
+            p, v, R9, w = zero, zero, so3.IDENTITY9, tuple(w0)
+            for _ in range(round(2.0 / dt)):
+                p, v, R9, w = advance_rigid_body(p, v, R9, w, 0.0, zero, dt, 1.0, 0.0,
+                                                 J9, Jinv9, NO_DISTURBANCE, NO_DISTURBANCE)
+                assert so3.ortho_error3(R9) <= 1e-14
+            L = mat(R9) @ J @ np.array(w)
+            drifts.append(np.linalg.norm(L - L0) / np.linalg.norm(L0))
+            assert abs(0.5 * np.array(w) @ J @ np.array(w) - E0) / E0 < 1e-9
+        for coarse, fine in zip(drifts, drifts[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
 
 def triples(draw, scale):
     """None, or three constant, step or sinusoid signals of one kind, one
