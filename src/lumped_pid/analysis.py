@@ -259,9 +259,9 @@ def _fmt(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def table_line(row: Sequence) -> str:
+def table_line(row: Sequence) -> bytes:
     """The CSV line of a table's row: each field through :func:`_fmt`."""
-    return ",".join(map(_fmt, row)) + "\n"
+    return (",".join(map(_fmt, row)) + "\n").encode()
 
 
 def _metrics_fields(row: MetricsRow) -> tuple:
@@ -273,4 +273,4 @@ def _metrics_fields(row: MetricsRow) -> tuple:
 
 
 def write_metrics_csv(path, rows: Sequence[MetricsRow]) -> None:
-    write_csv(path, METRICS_COLUMNS, map(_metrics_fields, rows), table_line)
+    write_csv(path, METRICS_COLUMNS, map(table_line, map(_metrics_fields, rows)))

@@ -79,7 +79,7 @@ def _write_table(out: Path, names: tuple[str, ...], rows: list) -> None:
     """Write a table to the ``--out`` file ``out``, creating its directory."""
     with _out_errors(out):
         out.parent.mkdir(parents=True, exist_ok=True)
-        write_csv(out, names, rows, table_line)
+        write_csv(out, names, map(table_line, rows))
 
 
 def cmd_tune(args) -> int:

@@ -446,7 +446,8 @@ def run(scenario: Scenario) -> SimTrace:
     half = 0.5 * dt
     ds = v * dt
     n_steps = scenario.n_steps
-    # the controller sees the noised pose, the trace records the true one
+    # the controller sees the noised pose: the trace's x, y, theta are the
+    # true pose, but its s_d, l, e_theta (and r_s) are matched on the noised one
     noise = noise_table(scenario.noise, noise_channels(scenario), n_steps + 1)
     names = ["t", "x", "y", "theta", "s_d", "l", "e_theta", "delta",
              "u_x", "d_hat", "d_true", "d_lump", "r_s"]
@@ -474,7 +475,7 @@ def run(scenario: Scenario) -> SimTrace:
                 delta = controller.step(err, ds)
                 u_x = controller.u_x
                 d_hat = controller.d_hat
-            # diagnostics: true r_s from matched-point speed, and the lumped term
+            # diagnostics: r_s from the matched point's speed (on the noised pose), and the lumped term
             r_s = 1.0 if prev_sd is None else (s_d - prev_sd) / ds
             prev_sd = s_d
             tan_d = math.tan(d_now)

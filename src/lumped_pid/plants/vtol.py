@@ -528,7 +528,7 @@ def run(scenario: Scenario) -> SimTrace:
                 zw = (w[0] + e[6], w[1] + e[7], w[2] + e[8])
             f, tau = controller.compute(t, zp, zv, R9, zw)
             if k % decimation == 0:
-                err = controller.p_err
+                err = controller.p_err  # from the noised position
                 rec.record(k, [
                     t, *p, *v, *R9, *w, f, *tau, *err, norm3(err),
                     *controller.d_f_hat, *controller.d_tau_hat,

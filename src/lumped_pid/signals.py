@@ -23,9 +23,8 @@ from numpy.random import Generator, Philox
 from .errors import ConfigError
 
 # The samples or rows handled per block: the noise a lockstep run draws at a
-# time, the rows it records before reducing them, the rows a trace formats
-# per CSV write. A few hundred keep a block small against a run and the
-# per-block cost small against a row's.
+# time, and the rows it records before reducing them. A few hundred keep a
+# block small against a run and the per-block cost small against a row's.
 BLOCK = 256
 
 

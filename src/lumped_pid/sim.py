@@ -234,12 +234,13 @@ class Scenario:
         return int(round(self.duration / self.dt))
 
 
-def write_csv(path, names: Sequence[str], rows: Iterable, line: Callable[[object], str]) -> None:
+def write_csv(path, names: Sequence[str], lines: Iterable) -> None:
     """Write a CSV file, as every command writes one: the header ``names``,
-    then ``line(row)``, a newline-terminated line of fields, for each row."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.writelines(map(line, rows))
+    then ``lines``, each item the bytes of one or more newline-terminated
+    lines of fields."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        fh.writelines(lines)
 
 
 class SimTrace:
@@ -267,12 +268,11 @@ class SimTrace:
 
     def to_csv(self, path) -> None:
         """CSV with one named column per quantity, each value ``%.17g`` (NaN
-        as ``nan``): rows are taken from the columns in blocks of
-        :data:`BLOCK`, so the trace is never copied whole."""
-        columns = list(self.columns.values())
-        rows = (row for start in range(0, len(self), BLOCK)
-                for row in zip(*[c[start:start + BLOCK].tolist() for c in columns]))
-        write_csv(path, self.names, rows, (",".join(["%.17g"] * len(columns)) + "\n").__mod__)
+        as ``nan``), formatted by :func:`g17.csv_blocks` a block of values at
+        a time, so the trace is never copied whole."""
+        from .g17 import csv_blocks  # only a trace written out needs the formatter
+
+        write_csv(path, self.names, csv_blocks(list(self.columns.values())))
 
 
 class _LaneBlocks:
