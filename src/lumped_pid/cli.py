@@ -30,7 +30,6 @@ from .plants import plant_module
 from .polylti import MAX_ORDER, frequency_response
 from .signals import NoiseSpec
 from .sim import run_scenario, summary, write_csv
-from .svgplot import write_line_plot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,6 +111,8 @@ def cmd_tune(args) -> int:
 
 def _write_plots(trace, plant, outdir: Path) -> None:
     """The plant's SVG plots; a column pattern may name several columns."""
+    from .svgplot import write_line_plot  # only a run with --plots needs the plotter
+
     step = max(1, len(trace) // _PLOT_POINTS)
     t = trace.t[::step]
     for stem, patterns, title, ylabel in plant.PLOTS:

@@ -102,6 +102,35 @@ class TestProcessPoolOnlyForParallelSweeps:
         assert (tmp_path / "out" / "sweep.csv").is_file()
 
 
+class TestPlotterOnlyForPlots:
+    """Only ``simulate --plots`` imports the SVG plotter."""
+
+    PLOTTER = "lumped_pid.svgplot"
+
+    @staticmethod
+    def command(tmp_path, *args):
+        conf = tmp_path / "short.conf"
+        text = (ROOT / "configs" / "chain_step.conf").read_text()
+        conf.write_text(text.replace("sim.duration = 10.0", "sim.duration = 0.05"))
+        argv = [*args, "--config", str(conf), "--out", str(tmp_path / "out")]
+        return f"import lumped_pid.cli; assert lumped_pid.cli.main({argv!r}) == 0"
+
+    def test_sweep_loads_no_plotter(self, tmp_path):
+        code = self.command(tmp_path, "sweep", "--grid", "omega=1,2")
+        assert _loaded_after(code, tmp_path, self.PLOTTER) == "[]"
+        assert (tmp_path / "out" / "sweep.csv").is_file()
+
+    def test_simulate_without_plots_loads_no_plotter(self, tmp_path):
+        code = self.command(tmp_path, "simulate")
+        assert _loaded_after(code, tmp_path, self.PLOTTER) == "[]"
+        assert (tmp_path / "out" / "trace.csv").is_file()
+
+    def test_simulate_with_plots_loads_it(self, tmp_path):
+        code = self.command(tmp_path, "simulate", "--plots")
+        assert _loaded_after(code, tmp_path, self.PLOTTER) == f"[{self.PLOTTER!r}]"
+        assert (tmp_path / "out" / "plot_state.svg").is_file()
+
+
 def test_readme_quick_start_runs(tmp_path):
     # the README's one python block, run as written in a fresh directory
     blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),

@@ -300,6 +300,54 @@ class TestRigidBodyIntegration:
         for coarse, fine in zip(drifts, drifts[1:]):
             assert 3.5 <= coarse / fine <= 4.5
 
+    def test_a_constant_disturbance_moves_v_and_w_by_its_impulse(self):
+        # one step from a tumbling, thrusting state, with a constant force
+        # and then a constant torque disturbance, against the same step
+        # without: v moves by d_f dt / m (v is linear in d_f), w by
+        # J^-1 d_tau dt to O(dt^2) (the gyroscopic term couples them)
+        J = np.array([[0.03, 0.004, -0.002], [0.004, 0.025, 0.003], [-0.002, 0.003, 0.04]])
+        J9 = _inertia(J, "plant.inertia")
+        Jinv9 = so3.inv3(J9)
+        R9 = flat9(expm(mat(hat3((0.3, -0.2, 0.5)))))
+        state = ((1.0, -2.0, 0.5), (0.3, 0.1, -0.2), R9, (3.0, -2.0, 5.0), 14.0,
+                 (0.01, -0.02, 0.005))
+        m, g = 1.5, 9.81
+        d_f, d_tau = (0.7, -0.4, 1.1), (0.05, 0.03, -0.02)
+        residuals = []
+        for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
+            args = (dt, m, g, J9, Jinv9)
+            base = advance_rigid_body(*state, *args, NO_DISTURBANCE, NO_DISTURBANCE)
+            pushed = advance_rigid_body(*state, *args, (d_f,) * 3, NO_DISTURBANCE)
+            twisted = advance_rigid_body(*state, *args, NO_DISTURBANCE, (d_tau,) * 3)
+            dv = np.subtract(pushed[1], base[1]) - np.array(d_f) * dt / m
+            assert np.linalg.norm(dv) <= 1e-15
+            assert (pushed[2], pushed[3]) == (base[2], base[3])  # no torque from a force
+            dw = np.subtract(twisted[3], base[3]) - mat(Jinv9) @ np.array(d_tau) * dt
+            residuals.append(np.linalg.norm(dw))
+            assert residuals[-1] <= 2.5 * dt**2
+        for coarse, fine in zip(residuals, residuals[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    def test_the_attitude_stays_orthonormal_over_random_steps(self):
+        # 10**4 steps of random thrust, torque, disturbances and step size
+        # from a random full inertia: the Gram-Schmidt cleanup keeps R a
+        # rotation to round-off, with no drift
+        rng = random.Random(7)
+        vector = lambda scale: tuple(rng.uniform(-scale, scale) for _ in range(3))
+        J = np.diag([0.02, 0.03, 0.05]) + 0.004 * np.ones((3, 3))
+        J9 = _inertia(J, "plant.inertia")
+        Jinv9 = so3.inv3(J9)
+        p, v, R9, w = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), flat9(expm(mat(hat3((1.0, 2.0, -0.5))))), \
+            (4.0, -1.0, 2.0)
+        worst = 0.0
+        for _ in range(10**4):
+            p, v, R9, w = advance_rigid_body(
+                p, v, R9, w, rng.uniform(0.0, 30.0), vector(0.05), rng.uniform(1e-4, 1e-2),
+                1.0, 9.81, J9, Jinv9, (vector(1.0),) * 3, (vector(0.05),) * 3)
+            worst = max(worst, so3.ortho_error3(R9), abs(so3.det3(R9) - 1.0))
+        assert worst <= 1e-14
+        assert all(map(math.isfinite, R9 + w))  # a nan would hide in max()
+
 
 def triples(draw, scale):
     """None, or three constant, step or sinusoid signals of one kind, one

@@ -4,8 +4,12 @@ Runs ``pytest tests`` in this process under a ``sys.settrace`` /
 ``threading.settrace`` line counter limited to ``src/lumped_pid``, compares
 the lines hit with each module's line table (the ``co_lines()`` of its code
 object and of every code object nested in it), and prints each line never
-run as ``file:line: source``, then their count. Extra arguments go to
-pytest. It needs no coverage package; from the repository root:
+run as ``file:line: source``, then their count. Each module's line table
+and printed source come from its bytes as they were before pytest started,
+the code the run imported; a module whose bytes differ at the end of the
+run is named as changed during the run instead, and left out of the count.
+Extra arguments go to pytest. It needs no coverage package; from the
+repository root:
 
     python tools/line_reach.py [pytest arguments]
 
@@ -27,10 +31,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lumped_pid"
 
 
-def table_lines(path: Path) -> set[int]:
-    """The lines of the line tables of the module at ``path``."""
+def table_lines(source: bytes, path: Path) -> set[int]:
+    """The lines of the line tables of the module ``source`` read from ``path``."""
     lines = set()
-    codes = [compile(path.read_text(), str(path), "exec")]
+    codes = [compile(source, str(path), "exec")]
     while codes:
         code = codes.pop()
         lines.update(line for _, _, line in code.co_lines() if line is not None)
@@ -84,17 +88,23 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 
 def main(argv: list[str]) -> int:
+    sources = {path: path.read_bytes() for path in sorted(PACKAGE.rglob("*.py"))}
     status, hits = run_traced(argv)
-    unreached = []
+    unreached, changed = [], []
     total = 0
-    for path in sorted(PACKAGE.rglob("*.py")):
-        lines = table_lines(path)
+    for path, source in sources.items():
+        name = path.relative_to(ROOT)
+        if not path.is_file() or path.read_bytes() != source:
+            changed.append(f"{name}: changed during the run")
+            continue
+        lines = table_lines(source, path)
         total += len(lines)
-        source = path.read_text().splitlines()
+        text = source.decode().splitlines()
         for line in sorted(lines - hits.get(str(path), set())):
-            unreached.append(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
-    print("\n".join(unreached))
-    print(f"{len(unreached)} of {total} line-table lines unreached (pytest exit status {status})")
+            unreached.append(f"{name}:{line}: {text[line - 1].strip()}")
+    print("\n".join(unreached + changed))
+    print(f"{len(unreached)} of {total} line-table lines unreached, {len(changed)} files "
+          f"changed during the run (pytest exit status {status})")
     return 0
 
 
