@@ -518,28 +518,26 @@ def test_a_step_makes_25_python_calls():
     assert calls(0.1) - calls(0.05) == 25 * 50
 
 
-def lateral_error_derivatives(err: LateralErrorState, delta: float, d: float,
-                              L: float, r_s: float, kappa_d: float) -> tuple[float, float]:
-    """Distance-domain error model: l' = sin(e_theta) and
-    l'' = cos(e_theta) (r_s kappa_d - tan(delta+d)/L)."""
-    lp = math.sin(err.e_theta)
-    lpp = math.cos(err.e_theta) * (r_s * kappa_d - math.tan(delta + d) / L)
-    return lp, lpp
-
-
-class TestLateralErrorDerivatives:
-    def test_curvature_matched_aligned(self):
-        err = LateralErrorState(l=0.0, e_theta=0.0, s_d=0.0, theta_d=0.0, kappa_d=0.02)
-        delta = math.atan(2.7 * 0.02)
-        lp, lpp = lateral_error_derivatives(err, delta, 0.0, 2.7, 1.0, 0.02)
-        assert lp == 0.0
-        assert lpp == pytest.approx(0.0, abs=1e-15)
-
-    def test_heading_error_drives_l(self):
-        err = LateralErrorState(l=0.0, e_theta=0.1, s_d=0.0, theta_d=0.0, kappa_d=0.0)
-        lp, lpp = lateral_error_derivatives(err, 0.0, 0.0, 2.7, 1.0, 0.0)
-        assert lp == pytest.approx(math.sin(0.1), rel=1e-15)
-        assert lpp == 0.0
+def test_the_traced_lumped_term_is_the_lateral_error_model():
+    # on the straight path of vehicle_bias.conf, l'' = d_lump - cos(e_theta)
+    # tan(delta) / L: the central second difference of the traced l over ds
+    # = v dt against the mean of the right side over the two steps it spans,
+    # each holding its delta. The gap is first order in dt, against a scale
+    # of 0.013. A circle path is left out: there l'' kinks at the polyline's
+    # vertices, by far more than this gap
+    gaps = []
+    for dt in (2e-3, 1e-3, 5e-4):
+        flat = load_config(Path(__file__).resolve().parent.parent / "configs" / "vehicle_bias.conf")
+        flat["sim.dt"] = repr(dt)
+        trace = run_scenario(build_scenario(flat))
+        l, ds = trace["l"], 10.0 * dt
+        model = trace["d_lump"] - np.cos(trace["e_theta"]) * np.tan(trace["delta"]) / 2.7
+        gap = (l[2:] - 2.0 * l[1:-1] + l[:-2]) / ds**2 - 0.5 * (model[1:-1] + model[:-2])
+        gaps.append(np.max(np.abs(gap)))
+        assert np.max(np.abs(model)) > 0.01
+    assert gaps[0] <= 2e-9
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
 
 
 class TestKnownDisturbanceLaw:
@@ -554,7 +552,8 @@ class TestKnownDisturbanceLaw:
         assert delta == pytest.approx(math.atan(2.7 / 50.0) - d, rel=1e-12)
 
     def test_feedback_linearization_identity_random_states(self):
-        # substituting the law into l'' (r_s = 1) must give -k0 l - k1 l'
+        # substituting the law into the error model l'' = cos(e_theta) (kappa_d
+        # - tan(delta + d) / L) (r_s = 1) must give -k0 l - k1 l'
         rng = random.Random(2024)
         L, k0, k1 = 2.7, 0.25, 1.0
         for _ in range(300):
@@ -568,7 +567,7 @@ class TestKnownDisturbanceLaw:
             d = rng.uniform(-0.05, 0.05)
             expected = -k0 * err.l - k1 * math.sin(err.e_theta)
             delta = lateral_controller_known_d(err, -expected, d, L)
-            _, lpp = lateral_error_derivatives(err, delta, d, L, 1.0, err.kappa_d)
+            lpp = math.cos(err.e_theta) * (err.kappa_d - math.tan(delta + d) / L)
             assert lpp == pytest.approx(expected, abs=1e-9)
 
     def test_heading_singularity_guarded(self):

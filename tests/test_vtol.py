@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 
 from lumped_pid.cli import main
 from lumped_pid.config import build_scenario, load_config
@@ -32,8 +33,6 @@ from lumped_pid.plants.vtol import (
 from lumped_pid.signals import Constant, Sinusoid, Step, sample_triple
 from lumped_pid.sim import Scenario, run_scenario
 from lumped_pid import so3
-from rigid_body_reference import (body_accel, gram_schmidt3, mat_mul, reference_step,
-                                  rodrigues3, rodrigues_e3, thrust_accel)
 
 
 def params(m=1.0, g=9.81, J=(0.02, 0.02, 0.04)):
@@ -46,17 +45,6 @@ def hover_controller(m, g, J, position=(0.0, 0.0, 0.0), psi=0.0):
                           omega_pos=2.0, omega_f=8.0, omega_att=10.0, omega_tau=20.0)
 
 
-def accel(par, f, w=(0.0, 0.0, 0.0), R9=so3.IDENTITY9, t=0.0, d_f=None, d_tau=None):
-    """(v_dot, omega_dot) of ``par`` with zero control torque, under the
-    disturbance triples of signals ``d_f`` and ``d_tau`` (None: zero)."""
-    J9 = par.inertia
-    zero = (0.0, 0.0, 0.0)
-    d_f = sample_triple(d_f, t) if d_f else zero
-    d_tau = sample_triple(d_tau, t) if d_tau else zero
-    return (thrust_accel((R9[2], R9[5], R9[8]), f, 1.0 / par.mass, par.gravity, d_f),
-            body_accel(w, zero, J9, so3.inv3(J9), d_tau))
-
-
 def mat(m9):
     return np.reshape(m9, (3, 3))
 
@@ -66,139 +54,45 @@ def flat9(m):
     return tuple(np.ravel(m).tolist())
 
 
-def hat3(v):
-    """(x1,x2,x3) -> [[0,-x3,x2],[x3,0,-x1],[-x2,x1,0]]; hat(v) w = v x w."""
-    return (0.0, -v[2], v[1], v[2], 0.0, -v[0], -v[1], v[0], 0.0)
+def hat(x):
+    """The matrix of y -> x cross y: its row j is e_j cross x."""
+    return np.cross(np.eye(3), x)
 
 
-class TestHatVee:
-    def test_hat_zero(self):
-        assert hat3((0.0, 0.0, 0.0)) == (0.0,) * 9
-
-    def test_hat_display(self):
-        expected = (0.0, -3.0, 2.0, 3.0, 0.0, -1.0, -2.0, 1.0, 0.0)
-        assert hat3((1.0, 2.0, 3.0)) == expected
-
-    def test_hat_is_cross_product(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            v = tuple(rng.uniform(-2, 2) for _ in range(3))
-            w = tuple(rng.uniform(-2, 2) for _ in range(3))
-            assert np.allclose(mat(hat3(v)) @ w, np.cross(v, w), atol=1e-15)
-
-    def test_vee_inverts_hat(self):
-        # attitude_error reads vee of a flat skew matrix M as (M[7], M[2], M[3])
-        rng = random.Random(11)
-        for _ in range(100):
-            v = tuple(rng.uniform(-5, 5) for _ in range(3))
-            m = hat3(v)
-            assert (m[7], m[2], m[3]) == v
-
-
-class TestRodrigues:
-    def test_matches_matrix_exponential(self):
-        rng = random.Random(8)
-        for _ in range(20):
-            r = tuple(rng.uniform(-2, 2) for _ in range(3))
-            assert np.allclose(mat(rodrigues3(r)), expm(mat(hat3(r))), atol=1e-12)
-
-    def test_small_angle_series(self):
-        r = (1e-9, -2e-9, 5e-10)
-        assert np.allclose(mat(rodrigues3(r)), expm(mat(hat3(r))), atol=1e-15)
-
-    def test_e3_column_is_bitwise_third_column(self):
-        rng = random.Random(5)
-        for scale in (2.0, 1e-3, 1e-7):
-            for _ in range(50):
-                r = tuple(rng.uniform(-scale, scale) for _ in range(3))
-                assert rodrigues_e3(r) == rodrigues3(r)[2::3]
-
-    def test_orthonormalize_repairs_drift(self):
-        R = mat(rodrigues3((0.3, -0.1, 0.7))) + 1e-6 * np.ones((3, 3))
-        fixed = mat(gram_schmidt3(flat9(R)))
-        assert np.linalg.norm(fixed.T @ fixed - np.eye(3)) < 1e-14
-        assert np.linalg.det(fixed) == pytest.approx(1.0, abs=1e-14)
-
-
-class TestVtolDerivative:
-    def test_hover_equilibrium(self):
-        p = params()
-        w = (0.0, 0.0, 0.0)
-        v_dot, w_dot = accel(p, p.mass * p.gravity, w)
-        r_dot = mat_mul(so3.IDENTITY9, hat3(w))  # R_dot = R hat(omega)
-        for arr in (v_dot, w_dot):  # p_dot = v = 0 at rest
-            assert np.linalg.norm(arr) < 1e-12
-        assert np.linalg.norm(r_dot) < 1e-12
-
-    def test_free_fall(self):
-        p = params()
-        v_dot, _ = accel(p, 0.0)
-        assert np.allclose(v_dot, [0.0, 0.0, p.gravity])
-
-    def test_principal_axis_spin_has_zero_angular_acceleration(self):
-        p = params()
-        _, w_dot = accel(p, 0.0, w=(0.0, 0.0, 3.0))  # aligned with a principal axis
-        assert np.linalg.norm(w_dot) < 1e-14
-
-    def test_disturbance_enters_translation(self):
-        p = params()
-        v_dot, _ = accel(p, p.mass * p.gravity, d_f=(Constant(0.5), Constant(0.0), Constant(0.0)))
-        assert v_dot[0] == pytest.approx(0.5)
-
-    def test_torque_disturbance_enters_rotation(self):
-        p = params()
-        _, w_dot = accel(p, 0.0, d_tau=(Constant(0.01), Constant(-0.02), Constant(0.03)))
-        assert w_dot == pytest.approx((0.5, -1.0, 0.75), rel=1e-12)
-
-    def test_body_accel_matches_euler_equation(self):
-        # J omega_dot = tau - omega x (J omega) + d_tau, solved by numpy for a full inertia
-        J9 = _inertia("0.02,0.001,-0.002,0.001,0.025,0.003,-0.002,0.003,0.04", "plant.inertia")
-        J = mat(J9)
-        rng = random.Random(23)
-        for _ in range(50):
-            w, tau, d_tau = (tuple(rng.uniform(-3, 3) for _ in range(3)) for _ in range(3))
-            expected = np.linalg.solve(J, np.add(tau, d_tau) - np.cross(w, J @ w))
-            got = body_accel(w, tau, J9, so3.inv3(J9), d_tau)
-            assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
-
-    def test_inertia_validation(self):
-        with pytest.raises(ConfigError):
-            hover_controller(1.0, 9.81, np.diag([1.0, -1.0, 1.0]))
-        # a controller built in code checks its inertia with the plant.inertia parser
-        with pytest.raises(ConfigError,
-                           match=r"^plant.inertia: expected 3 \(diagonal\) or 9 values$"):
-            hover_controller(1.0, 9.81, np.eye(2))
-        with pytest.raises(ConfigError, match="^plant.mass: must be positive, got 0.0"):
-            vtol_scenario(plant={"mass": 0.0})
+def rotation(r):
+    """exp(hat(r)), the rotation by |r| about r, as a flat 9-tuple."""
+    return flat9(expm(hat(r)))
 
 
 class TestAttitudeError:
     def test_zero_error_rotation(self):
-        R9 = rodrigues3((0.2, 0.1, -0.3))
+        R9 = rotation((0.2, 0.1, -0.3))
         omega = (0.4, -0.2, 0.1)
         g_t, g_dot, G = attitude_error(R9, R9, omega, (0.0, 0.0, 0.0))
         assert np.allclose(g_t, 0.0, atol=1e-15)
         assert np.allclose(mat(G), 0.5 * np.eye(3), atol=1e-15)
         assert np.allclose(g_dot, 0.5 * np.array(omega), atol=1e-15)
 
-    def test_small_yaw_gives_half_angle_tangent(self):
-        # oracle: direct construction at phi = 0.02
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["roll", "pitch", "yaw"])
+    def test_a_small_turn_gives_the_half_angle_tangent_on_its_axis(self, axis):
+        # a turn by phi about e_axis reads tan(phi/2) on that axis and 0 on
+        # the others: g~ is vee(R~ - R~^T) / (tr R~ + 1), vee undoing hat
         phi = 0.02
-        R9 = rodrigues3((0.0, 0.0, phi))
+        R9 = rotation(phi * np.eye(3)[axis])
         g_t, _, _ = attitude_error(R9, so3.IDENTITY9, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        assert g_t[2] == pytest.approx(math.tan(phi / 2), rel=1e-12)
-        assert abs(g_t[0]) < 1e-15 and abs(g_t[1]) < 1e-15
+        assert g_t[axis] == pytest.approx(math.tan(phi / 2), rel=1e-12)
+        assert all(abs(g_t[i]) < 1e-15 for i in range(3) if i != axis)
 
     def test_rate_matches_finite_difference(self):
         # g~(t) from R(t) = R0 expm(hat(w) t) against g~_dot = G w~
-        R0 = rodrigues3((0.3, -0.2, 0.4))
+        R0 = expm(hat((0.3, -0.2, 0.4)))
         omega = (0.7, 0.3, -0.5)
-        Rd9 = rodrigues3((0.1, 0.0, -0.2))
+        Rd9 = rotation((0.1, 0.0, -0.2))
         zero = (0.0, 0.0, 0.0)
         h = 1e-5
         for t in (0.0, 0.3, 0.9):
-            R_t = mat_mul(R0, rodrigues3(tuple(t * x for x in omega)))
-            R_h = mat_mul(R0, rodrigues3(tuple((t + h) * x for x in omega)))
+            R_t = flat9(R0 @ expm(hat(np.multiply(t, omega))))
+            R_h = flat9(R0 @ expm(hat(np.multiply(t + h, omega))))
             g_t, g_dot, _ = attitude_error(R_t, Rd9, omega, zero)
             g_h, _, _ = attitude_error(R_h, Rd9, omega, zero)
             fd = (np.array(g_h) - np.array(g_t)) / h
@@ -206,7 +100,7 @@ class TestAttitudeError:
             assert np.linalg.norm(fd - np.array(g_dot)) / scale < 1e-3
 
     def test_singularity_detected(self):
-        R9 = rodrigues3((math.pi, 0.0, 0.0))  # tr(R~) = -1
+        R9 = rotation((math.pi, 0.0, 0.0))  # tr(R~) = -1
         with pytest.raises(AttitudeSingularityError):
             attitude_error(R9, so3.IDENTITY9, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -260,10 +154,38 @@ class TestRigidBodyIntegration:
         for k in range(1000):
             p, v, R9, w = advance_rigid_body(p, v, R9, w, 0.0, (0.0, 0.0, 0.0), dt, m, g,
                                              J9, Jinv9, NO_DISTURBANCE, NO_DISTURBANCE)
-        exact = expm(mat(hat3((0.0, 0.0, 2.0 * 1.0))))
+        exact = expm(hat((0.0, 0.0, 2.0 * 1.0)))
         got = mat(R9)
         assert np.allclose(got, exact, atol=1e-9)
         assert so3.ortho_error3(R9) < 1e-12
+
+    # the turn |w dt| of a step, on both sides of the exponentials' 1e-6 rad
+    # series threshold (the midpoint turns by half of it)
+    @pytest.mark.parametrize("turn", [1e-7, 5e-7, 1e-6, 2e-6, 1e-3])
+    def test_a_step_of_principal_axis_spin_is_the_exact_rotation(self, turn):
+        # spin about a principal axis has omega x J omega = 0: omega stays
+        # put and R turns by exactly exp(hat(w dt))
+        J9 = params().inertia
+        R0 = expm(hat((0.3, -0.2, 0.5)))
+        dt = 1e-3
+        for axis in np.eye(3):
+            w = tuple((turn / dt * axis).tolist())
+            _, _, R9, w_new = advance_rigid_body((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), flat9(R0), w,
+                                                 0.0, (0.0, 0.0, 0.0), dt, 1.0, 0.0, J9,
+                                                 so3.inv3(J9), NO_DISTURBANCE, NO_DISTURBANCE)
+            assert w_new == w
+            assert np.max(np.abs(mat(R9) - R0 @ expm(hat(np.multiply(dt, w))))) <= 1e-15
+
+    def test_a_step_repairs_a_drifted_attitude(self):
+        # R off the rotations by 1e-6 in every entry: the step's Gram-Schmidt
+        # cleanup hands back a rotation to round-off
+        J9 = params().inertia
+        R9 = flat9(expm(hat((0.3, -0.1, 0.7))) + 1e-6)
+        zero = (0.0, 0.0, 0.0)
+        _, _, R9, _ = advance_rigid_body(zero, zero, R9, zero, 0.0, zero, 1e-3, 1.0, 9.81, J9,
+                                         so3.inv3(J9), NO_DISTURBANCE, NO_DISTURBANCE)
+        assert so3.ortho_error3(R9) <= 1e-15
+        assert abs(so3.det3(R9) - 1.0) <= 1e-15
 
     def test_free_fall_kinematics(self):
         m, g = 2.0, 9.81
@@ -308,7 +230,7 @@ class TestRigidBodyIntegration:
         J = np.array([[0.03, 0.004, -0.002], [0.004, 0.025, 0.003], [-0.002, 0.003, 0.04]])
         J9 = _inertia(J, "plant.inertia")
         Jinv9 = so3.inv3(J9)
-        R9 = flat9(expm(mat(hat3((0.3, -0.2, 0.5)))))
+        R9 = rotation((0.3, -0.2, 0.5))
         state = ((1.0, -2.0, 0.5), (0.3, 0.1, -0.2), R9, (3.0, -2.0, 5.0), 14.0,
                  (0.01, -0.02, 0.005))
         m, g = 1.5, 9.81
@@ -337,8 +259,7 @@ class TestRigidBodyIntegration:
         J = np.diag([0.02, 0.03, 0.05]) + 0.004 * np.ones((3, 3))
         J9 = _inertia(J, "plant.inertia")
         Jinv9 = so3.inv3(J9)
-        p, v, R9, w = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), flat9(expm(mat(hat3((1.0, 2.0, -0.5))))), \
-            (4.0, -1.0, 2.0)
+        p, v, R9, w = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), rotation((1.0, 2.0, -0.5)), (4.0, -1.0, 2.0)
         worst = 0.0
         for _ in range(10**4):
             p, v, R9, w = advance_rigid_body(
@@ -347,6 +268,34 @@ class TestRigidBodyIntegration:
             worst = max(worst, so3.ortho_error3(R9), abs(so3.det3(R9) - 1.0))
         assert worst <= 1e-14
         assert all(map(math.isfinite, R9 + w))  # a nan would hide in max()
+
+
+def reference_step(p, v, R9, w, f, tau, dt, m, g, J9, Jinv9, d_f, d_tau):
+    """One step of the VTOL model in matrix form, written from its equations
+    and not from ``advance_rigid_body``, with the same arguments (Jinv9 is
+    not read): classical RK4 on (p, v, omega), at the stage attitudes R
+    expm(hat(h omega)) of the step's omega for the stage offsets h = 0, dt/2,
+    dt/2 and dt, with
+
+        v_dot = g e3 + (d_f - f R e3) / m
+        J omega_dot = tau + d_tau - omega x J omega   (solved by numpy)
+
+    and then R expm(hat(dt omega_bar)) for the RK4 average omega_bar of the
+    four stage rates."""
+    R, J, e3 = mat(R9), mat(J9), np.array([0.0, 0.0, 1.0])
+    x = np.array([p, v, w])
+    stages, slopes = [], []
+    for h, k in ((0.0, 0), (0.5 * dt, 1), (0.5 * dt, 1), (dt, 2)):
+        y = x + h * slopes[-1] if slopes else x
+        _, velocity, rate = y
+        thrust_axis = R @ expm(hat(h * x[2])) @ e3
+        slopes.append(np.array([
+            velocity, g * e3 + (np.array(d_f[k]) - f * thrust_axis) / m,
+            np.linalg.solve(J, np.add(tau, d_tau[k]) - np.cross(rate, J @ rate))]))
+        stages.append(y)
+    average = lambda values: (values[0] + 2.0 * values[1] + 2.0 * values[2] + values[3]) / 6.0
+    p_new, v_new, w_new = x + dt * average(slopes)
+    return p_new, v_new, R @ expm(hat(dt * average(stages)[2])), w_new
 
 
 def triples(draw, scale):
@@ -365,48 +314,61 @@ def triples(draw, scale):
     return tuple(Sinusoid(c, freq, phase) for c in values)
 
 
-def sampler(signals):
-    """t -> the values of a disturbance part, as a run samples it: zero when
-    absent, and an all-Constant part's value at t = 0 whatever t."""
-    if not signals:
-        return lambda t: (0.0, 0.0, 0.0)
-    if all(isinstance(s, Constant) for s in signals):
-        value = sample_triple(signals, 0.0)
-        return lambda t: value
-    return lambda t: sample_triple(signals, t)
-
-
 @st.composite
 def rigid_body_steps(draw):
-    """A full inertia, force and torque disturbances, a state, a thrust, a
-    torque and a step: every argument of one reference step, which samples
-    its disturbances at t itself."""
+    """Every argument of one step: a full inertia, a state, a thrust, a
+    torque, a step and the stage values of force and torque disturbances.
+
+    The step is capped by the drawn rate and inertia, so that it turns the
+    body by at most 1/4 rad and moves omega by at most a quarter of 1 +
+    |omega| at the largest angular acceleration the inertia allows. Past
+    that, RK4 is an unstable method: at dt = 0.1, |omega| = 52 and cond(J)
+    = 1000 its stage rates reach 1e17 rad/s."""
     vectors = lambda bound: st.tuples(*[st.floats(-bound, bound)] * 3)
     # J = Q diag(eigenvalues) Q^T for a rotation Q, symmetrized
-    Q = mat(rodrigues3(draw(vectors(4.0))))
+    Q = Rotation.from_rotvec(draw(vectors(4.0))).as_matrix()
     J = Q @ np.diag(draw(st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3))) @ Q.T
     J9 = _inertia(0.5 * (J + J.T), "plant.inertia")
     # rates of every size, so that the exponentials' angles fall on both
     # sides of their series threshold
     scale = draw(st.sampled_from([1e-4, 0.1, 30.0]))
     w = tuple(scale * c for c in draw(vectors(1.0)))
-    return (draw(vectors(100.0)), draw(vectors(100.0)), rodrigues3(draw(vectors(4.0))), w,
-            draw(st.floats(-50.0, 50.0)), draw(vectors(1.0)),
-            draw(st.floats(0.0, 10.0)), draw(st.floats(1e-5, 0.1)), draw(st.floats(0.05, 10.0)),
+    tau = draw(vectors(1.0))
+    # |omega_dot| <= (|tau + d_tau| + max(eig) |omega|^2) / min(eig), |d_tau| < 0.2
+    low, high = np.linalg.eigvalsh(mat(J9))[[0, -1]]
+    rate = np.linalg.norm(w)
+    w_dot = (np.linalg.norm(tau) + 0.2 + high * rate * rate) / low
+    dt = min(draw(st.floats(1e-5, 0.1)), 0.25 / (1.0 + rate), 0.25 * (1.0 + rate) / w_dot)
+    t = draw(st.floats(0.0, 10.0))
+    stages = lambda part: (NO_DISTURBANCE if part is None else
+                           tuple(sample_triple(part, t + h) for h in (0.0, 0.5 * dt, dt)))
+    # R by scipy's quaternions, a rotation to round-off: the step's
+    # Gram-Schmidt would move an expm of a 7 rad turn by up to 2e-13
+    return (draw(vectors(100.0)), draw(vectors(100.0)),
+            flat9(Rotation.from_rotvec(draw(vectors(4.0))).as_matrix()), w,
+            draw(st.floats(-50.0, 50.0)), tau, dt, draw(st.floats(0.05, 10.0)),
             draw(st.floats(0.0, 20.0)), J9, so3.inv3(J9),
-            sampler(triples(draw, 5.0)), sampler(triples(draw, 0.1)))
+            stages(triples(draw, 5.0)), stages(triples(draw, 0.1)))
 
 
-class TestStraightLineStep:
+class TestIndependentReference:
     @settings(max_examples=300, deadline=None)
     @given(rigid_body_steps())
-    def test_step_is_the_rk4_of_its_reference_helpers(self, args):
-        # the step takes the values at t, t + dt/2 and t + dt that the
-        # reference samples
-        *state, t, dt, mass, g, J9, Jinv9, d_f, d_tau = args
-        stages = lambda sample: (sample(t), sample(t + 0.5 * dt), sample(t + dt))
-        step = advance_rigid_body(*state, dt, mass, g, J9, Jinv9, stages(d_f), stages(d_tau))
-        assert bits(step) == bits(reference_step(*args))
+    def test_the_step_integrates_the_rigid_body_model(self, args):
+        # p, v and R agree to round-off; omega to round-off times cond(J), as
+        # the step multiplies by the adjugate inverse where the reference solves.
+        # Each error is relative to max(1, |reference|)
+        step, reference = advance_rigid_body(*args), reference_step(*args)
+        cond = np.linalg.cond(mat(args[9]))
+        for got, want, bound in zip(step, reference, (1e-14, 1e-14, 1e-14, 1e-14 * cond)):
+            want = np.ravel(want)
+            assert np.linalg.norm(np.subtract(got, want)) <= bound * max(1.0, np.linalg.norm(want))
+        # the drawn step is one of the domain: it turns the body by at most
+        # 1 rad, and omega moves by at most 1 + |omega|
+        w, w_new, dt = np.array(args[3]), np.array(step[3]), args[6]
+        rate = np.linalg.norm(w)
+        assert dt * max(rate, np.linalg.norm(w_new)) <= 1.0
+        assert np.linalg.norm(w_new - w) <= 1.0 + rate
 
 
 class TestVtolController:
@@ -417,6 +379,16 @@ class TestVtolController:
                               (0.0, 0.0, 0.0))
         assert f == pytest.approx(p.mass * p.gravity, rel=1e-15)
         assert all(abs(x) < 1e-15 for x in tau)
+
+    def test_inertia_validation(self):
+        with pytest.raises(ConfigError):
+            hover_controller(1.0, 9.81, np.diag([1.0, -1.0, 1.0]))
+        # a controller built in code checks its inertia with the plant.inertia parser
+        with pytest.raises(ConfigError,
+                           match=r"^plant.inertia: expected 3 \(diagonal\) or 9 values$"):
+            hover_controller(1.0, 9.81, np.eye(2))
+        with pytest.raises(ConfigError, match="^plant.mass: must be positive, got 0.0"):
+            vtol_scenario(plant={"mass": 0.0})
 
     def test_rejects_bad_bandwidths(self):
         for name in ("omega", "omega_f", "omega_att", "omega_tau"):
