@@ -540,6 +540,41 @@ def test_the_traced_lumped_term_is_the_lateral_error_model():
         assert 1.8 <= coarse / fine <= 2.2
 
 
+@pytest.mark.parametrize("e_theta", [0.1, -0.3])
+def test_a_heading_error_drives_l_at_its_sine(e_theta):
+    # the bicycle run straight with heading theta_d - e_theta on a straight
+    # path: l' = sin(e_theta) over the distance travelled, and l'' = 0
+    path = FrenetPath.line(100.0)
+    v, dt = 10.0, 1e-2
+    state = [10.0, 0.0, -e_theta]
+    err = frenet_match(path, state)
+    assert err.l == 0.0
+    for k in range(1, 200):
+        state = rk4_step(bicycle(v, 2.7), state, 0.0, (0.0, 0.0, 0.0), dt)
+        err = frenet_match(path, state, hint_index=err.segment)
+        assert err.l == pytest.approx(k * v * dt * math.sin(e_theta), abs=1e-13)
+        assert err.e_theta == pytest.approx(e_theta, abs=1e-15)
+
+
+@pytest.mark.parametrize("radius", [50.0, 20.0])
+def test_curvature_matched_steering_keeps_an_aligned_vehicle_on_a_circle(radius):
+    # from on the path and aligned, the known-disturbance law at zero error
+    # steers atan(L kappa_d), and the bicycle stays on the circle: l within
+    # the polyline's chord sag kappa spacing^2 / 8 of the table, e_theta at 0
+    path = FrenetPath.circle(radius, 150.0)
+    v, dt = 10.0, 1e-2
+    state = [0.0, 0.0, 0.0]
+    err = frenet_match(path, state)
+    for _ in range(1000):
+        delta = lateral_controller_known_d(err, 0.0, 0.0, 2.7)
+        assert delta == pytest.approx(math.atan(2.7 / radius), rel=1e-15)
+        state = rk4_step(bicycle(v, 2.7), state, delta, (0.0, 0.0, 0.0), dt)
+        err = frenet_match(path, state, hint_index=err.segment)
+        assert abs(err.l) <= 0.25**2 / (8.0 * radius)
+        assert abs(err.e_theta) <= 1e-7
+    assert err.s_d == pytest.approx(100.0, abs=0.2)
+
+
 class TestKnownDisturbanceLaw:
     def test_trivial_zero(self):
         err = LateralErrorState(l=0.0, e_theta=0.0, s_d=0.0, theta_d=0.0, kappa_d=0.0)

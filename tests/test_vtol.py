@@ -160,8 +160,9 @@ class TestRigidBodyIntegration:
         assert so3.ortho_error3(R9) < 1e-12
 
     # the turn |w dt| of a step, on both sides of the exponentials' 1e-6 rad
-    # series threshold (the midpoint turns by half of it)
-    @pytest.mark.parametrize("turn", [1e-7, 5e-7, 1e-6, 2e-6, 1e-3])
+    # series threshold (the midpoint turns by half of it), and up to the 1 rad
+    # of the reference's domain
+    @pytest.mark.parametrize("turn", [1e-7, 5e-7, 1e-6, 2e-6, 1e-3, 0.1, 1.0])
     def test_a_step_of_principal_axis_spin_is_the_exact_rotation(self, turn):
         # spin about a principal axis has omega x J omega = 0: omega stays
         # put and R turns by exactly exp(hat(w dt))
@@ -175,6 +176,38 @@ class TestRigidBodyIntegration:
                                                  so3.inv3(J9), NO_DISTURBANCE, NO_DISTURBANCE)
             assert w_new == w
             assert np.max(np.abs(mat(R9) - R0 @ expm(hat(np.multiply(dt, w))))) <= 1e-15
+
+    @pytest.mark.parametrize("turn", [1e-7, 1e-3, 0.5])
+    def test_spin_about_a_principal_axis_of_a_full_inertia_keeps_its_rate(self, turn):
+        # the eigenvectors of a full J: omega x J omega = 0 there too, while
+        # J and its inverse mix every component of omega
+        J = np.array([[0.03, 0.004, -0.002], [0.004, 0.025, 0.003], [-0.002, 0.003, 0.04]])
+        J9 = _inertia(J, "plant.inertia")
+        R0 = expm(hat((0.3, -0.2, 0.5)))
+        dt = 1e-3
+        for axis in np.linalg.eigh(J)[1].T:
+            w = tuple((turn / dt * axis).tolist())
+            _, _, R9, w_new = advance_rigid_body((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), flat9(R0), w,
+                                                 0.0, (0.0, 0.0, 0.0), dt, 1.0, 0.0, J9,
+                                                 so3.inv3(J9), NO_DISTURBANCE, NO_DISTURBANCE)
+            assert np.linalg.norm(np.subtract(w_new, w)) <= 1e-15 * np.linalg.norm(w)
+            assert np.max(np.abs(mat(R9) - R0 @ expm(hat(np.multiply(dt, w))))) <= 1e-15
+
+    def test_hover_is_a_fixed_point_of_the_step(self):
+        # at rest, level at any yaw, with thrust m g and no torque: the step
+        # leaves the state where it is
+        J = np.array([[0.03, 0.004, -0.002], [0.004, 0.025, 0.003], [-0.002, 0.003, 0.04]])
+        J9 = _inertia(J, "plant.inertia")
+        zero = (0.0, 0.0, 0.0)
+        for yaw in (0.0, 0.7, -2.5):
+            c, s = math.cos(yaw), math.sin(yaw)
+            R9 = (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)
+            for m in (0.7, 1.3, 2.0):
+                p, v, R_new, w = advance_rigid_body((1.0, -2.0, 3.0), zero, R9, zero, m * 9.81,
+                                                    zero, 1e-2, m, 9.81, J9, so3.inv3(J9),
+                                                    NO_DISTURBANCE, NO_DISTURBANCE)
+                assert (p, v, w) == ((1.0, -2.0, 3.0), zero, zero)
+                assert np.max(np.abs(np.subtract(R_new, R9))) <= 1e-15
 
     def test_a_step_repairs_a_drifted_attitude(self):
         # R off the rotations by 1e-6 in every entry: the step's Gram-Schmidt
