@@ -147,8 +147,7 @@ def desired_attitude(F_d, psi_d):
     s = 1.0 / nF
     x3, y3, z3 = s * fx, s * fy, s * fz
     hx, hy = math.cos(psi_d), math.sin(psi_d)
-    # c = b3d x b_d; the heading's zero z still enters as the `* 0.0` terms
-    cx, cy, cz = y3 * 0.0 - z3 * hy, z3 * hx - x3 * 0.0, x3 * hy - y3 * hx
+    cx, cy, cz = -z3 * hy, z3 * hx, x3 * hy - y3 * hx  # c = b3d x b_d, b_d's z = 0
     nc = math.sqrt(cx * cx + cy * cy + cz * cz)
     if nc <= CROSS_EPS:
         raise GimbalDegenerateError("thrust axis is parallel to the heading vector")
@@ -159,25 +158,22 @@ def desired_attitude(F_d, psi_d):
 
 
 def attitude_error(R9, Rd9, w, wd):
-    """Error-rotation vector g~ of R~ = R_d^T R, its rate g~_dot = G w~ with
-    w~ = w - R~^T w_d, and the map G, from flat 9-tuples."""
+    """Error-rotation vector g~ of R~ = R_d^T R and its rate g~_dot = G w~ with
+    w~ = w - R~^T w_d, from flat 9-tuples. G = (I + hat(g) + g g^T)/2 is
+    applied as G w~ = (w~ + g x w~ + g (g . w~))/2."""
     t0, t1, t2, t3, t4, t5, t6, t7, t8 = mat_tmul(Rd9, R9)  # R~ = R_d^T R
     denom = t0 + t4 + t8 + 1.0
     if denom < TRACE_SINGULARITY:
         raise AttitudeSingularityError(f"tr(R~)+1 = {denom:g} below {TRACE_SINGULARITY:g}")
     gx, gy, gz = g_t = ((t7 - t5) / denom, (t2 - t6) / denom, (t3 - t1) / denom)
-    # G = (I + hat(g) + g g^T)/2
-    G = G0, G1, G2, G3, G4, G5, G6, G7, G8 = (
-        0.5 * (1.0 + gx * gx), 0.5 * (-gz + gx * gy), 0.5 * (gy + gx * gz),
-        0.5 * (gz + gy * gx), 0.5 * (1.0 + gy * gy), 0.5 * (-gx + gy * gz),
-        0.5 * (-gy + gz * gx), 0.5 * (gx + gz * gy), 0.5 * (1.0 + gz * gz),
-    )
     dx, dy, dz = wd
     ux = w[0] - (t0 * dx + t3 * dy + t6 * dz)  # w~ = w - R~^T w_d
     uy = w[1] - (t1 * dx + t4 * dy + t7 * dz)
     uz = w[2] - (t2 * dx + t5 * dy + t8 * dz)
-    return g_t, (G0 * ux + G1 * uy + G2 * uz, G3 * ux + G4 * uy + G5 * uz,
-                 G6 * ux + G7 * uy + G8 * uz), G
+    s = gx * ux + gy * uy + gz * uz
+    return g_t, (0.5 * (ux + (gy * uz - gz * uy) + gx * s),
+                 0.5 * (uy + (gz * ux - gx * uz) + gy * s),
+                 0.5 * (uz + (gx * uy - gy * ux) + gz * s))
 
 
 # A reference's at(t) gives its position and velocity from one set of sines and
@@ -278,33 +274,28 @@ class VtolController:
         if self._prev_Rd is None:
             w_d = (0.0, 0.0, 0.0)
         else:
-            # omega_d = vee(skew part of R_d^T (R_d - R_d,prev)) / dt; only
-            # the off-diagonal entries of S = R_d^T (R_d - R_d,prev) are read
+            # omega_d = -vee(skew part of R_d^T R_d,prev) / dt, as R_d^T R_d = I;
+            # only the off-diagonal entries of R_d^T R_d,prev are read
             a0, a1, a2, a3, a4, a5, a6, a7, a8 = Rd9
             q0, q1, q2, q3, q4, q5, q6, q7, q8 = self._prev_Rd
-            d0, d1, d2 = a0 - q0, a1 - q1, a2 - q2
-            d3, d4, d5 = a3 - q3, a4 - q4, a5 - q5
-            d6, d7, d8 = a6 - q6, a7 - q7, a8 - q8
             inv2dt = 0.5 / dt
             w_d = (
-                ((a2 * d1 + a5 * d4 + a8 * d7) - (a1 * d2 + a4 * d5 + a7 * d8)) * inv2dt,
-                ((a0 * d2 + a3 * d5 + a6 * d8) - (a2 * d0 + a5 * d3 + a8 * d6)) * inv2dt,
-                ((a1 * d0 + a4 * d3 + a7 * d6) - (a0 * d1 + a3 * d4 + a6 * d7)) * inv2dt,
+                ((a1 * q2 + a4 * q5 + a7 * q8) - (a2 * q1 + a5 * q4 + a8 * q7)) * inv2dt,
+                ((a2 * q0 + a5 * q3 + a8 * q6) - (a0 * q2 + a3 * q5 + a6 * q8)) * inv2dt,
+                ((a0 * q1 + a3 * q4 + a6 * q7) - (a1 * q0 + a4 * q3 + a7 * q6)) * inv2dt,
             )
         self._prev_Rd = Rd9
 
-        g_t, g_dot, G = attitude_error(R9, Rd9, w, w_d)
+        g_t, g_dot = attitude_error(R9, Rd9, w, w_d)
         tau_x, d_tau_hat, self._int_T = _observer_step3(
             self.a_att, g_t, g_dot, self._int_T, self.omega_tau, dt)
-        # tau = J G^-1 (tau_x - d_tau_hat), with G^-1 = adj(G) / det(G) as in so3.inv3
+        # tau = J G^-1 (tau_x - d_tau_hat), with G^-1 u = 2 (u - g x u) / (1 + g^T g)
         ux, uy, uz = tau_x[0] - d_tau_hat[0], tau_x[1] - d_tau_hat[1], tau_x[2] - d_tau_hat[2]
-        G0, G1, G2, G3, G4, G5, G6, G7, G8 = G
-        c0, c6 = G4 * G8 - G5 * G7, G3 * G7 - G4 * G6  # minors shared by det(G) and adj(G)
-        inv_d = 1.0 / (G0 * c0 - G1 * (G3 * G8 - G5 * G6) + G2 * c6)
-        yx = c0 * inv_d * ux + (G2 * G7 - G1 * G8) * inv_d * uy + (G1 * G5 - G2 * G4) * inv_d * uz
-        yy = ((G5 * G6 - G3 * G8) * inv_d * ux + (G0 * G8 - G2 * G6) * inv_d * uy
-              + (G2 * G3 - G0 * G5) * inv_d * uz)
-        yz = c6 * inv_d * ux + (G1 * G6 - G0 * G7) * inv_d * uy + (G0 * G4 - G1 * G3) * inv_d * uz
+        gx, gy, gz = g_t
+        s = 2.0 / (1.0 + gx * gx + gy * gy + gz * gz)
+        yx = s * (ux - (gy * uz - gz * uy))
+        yy = s * (uy - (gz * ux - gx * uz))
+        yz = s * (uz - (gx * uy - gy * ux))
         J0, J1, J2, J3, J4, J5, J6, J7, J8 = self.inertia
         tau = (J0 * yx + J1 * yy + J2 * yz, J3 * yx + J4 * yy + J5 * yz,
                J6 * yx + J7 * yy + J8 * yz)

@@ -922,7 +922,9 @@ LANE_GRID = ("omega=1,2", "omega_f=10,20", "sigma=0,0.01")
 # chain's RK4 step became one affine map, a change at round-off in which no
 # cell's status moved. The cases with a sigma > 0 cell were re-recorded when
 # noise came to be drawn by numpy's standard_normal; their sigma = 0 rows kept
-# their bytes, and no cell's status or bound check moved.
+# their bytes, and no cell's status or bound check moved. The VTOL ones were
+# re-recorded when the attitude law took its closed forms, a change at
+# round-off in which no cell's status moved.
 SWEEP_DIGESTS = {
     "chain_step_benchmark_grid": (
         stock("chain_step.conf"), ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"), (),
@@ -940,11 +942,11 @@ SWEEP_DIGESTS = {
     "vtol_wind_3s": (
         stock("vtol_wind.conf", **{"sim.duration": 3.0}), ("omega=1,2", "sigma=0,0.001"),
         ("--parallel", "1"),
-        None, 0, "a490c3372c3c88e74ef2a5697ef40a59adaabcf71155d828791f04e418484ebc"),
+        None, 0, "058573c97c37890d26a0e2e0882231e6e79ec1665fded3e1f54329092348f84d"),
     "vtol_wind_3s_parallel": (
         stock("vtol_wind.conf", **{"sim.duration": 3.0}), ("omega=1,2", "sigma=0,0.001"),
         ("--parallel", "2"),
-        None, 0, "a490c3372c3c88e74ef2a5697ef40a59adaabcf71155d828791f04e418484ebc"),
+        None, 0, "058573c97c37890d26a0e2e0882231e6e79ec1665fded3e1f54329092348f84d"),
     "chain_step_2s_parallel_per_cell": (
         stock("chain_step.conf", **{"sim.duration": 2.0}),
         ("omega=1,2,5", "omega_f=10,20,40", "sigma=0,0.01"),
@@ -1001,7 +1003,8 @@ def test_sweep_bytes_match_recorded_digest(tmp_path, capsys, monkeypatch, case):
     assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == digest
 
 
-# stock config: SHA-256 of its simulate run's trace.csv and metrics.csv
+# stock config: SHA-256 of its simulate run's trace.csv and metrics.csv; the
+# VTOL one re-recorded when the attitude law took its closed forms
 STOCK_DIGESTS = {
     "chain_step.conf": ("9246a0c4247ea14dbcf9e71acfefaad58e95c0873fcc7247237d928b7922e52e",
                         "7fda56f00a325921ef2fdb945fe0c300925a5ddd9051810eab203dad796b01f9"),
@@ -1009,8 +1012,8 @@ STOCK_DIGESTS = {
                         "66fd89f4bf5a8ba17327e71d8799a109d30ad95159c704fac651863e9f944650"),
     "vehicle_bias.conf": ("d7840a673a7c124026cbd1875d10c97ed49eddee5321d20a7b74a8d811e719f8",
                           "e6b1b57180aed2962b3c11e831c997f5f1cec66506e3453ae1563ce4d971cb97"),
-    "vtol_wind.conf": ("50939dea75d73d5d558565db8634a05b536c5e41ef1ba6093237421933401a28",
-                       "da9fab8641e4799dcfa99fae84de4b4afb50ed524984925cc7f41a38a99b23d6"),
+    "vtol_wind.conf": ("92a44c85c4d2af516d3c13cbaa0fbca9cdba0d2bef89014d923d58ced4044840",
+                       "e29b0197889abeca4656f661b8beae44f33f275b98f343b474d8830feb705191"),
 }
 
 
@@ -1083,7 +1086,8 @@ def test_tune_and_bode_bytes_match_recorded_digest(tmp_path, capsys, case):
 # short noisy runs: config text and the SHA-256 of its simulate run's trace.csv
 # and metrics.csv, recorded before the noise table became one float64 array;
 # the noisy ones re-recorded when noise came to be drawn by numpy's
-# standard_normal, the noise-free vehicle_two_candidate not
+# standard_normal, the noise-free vehicle_two_candidate not; the VTOL ones
+# re-recorded when the attitude law took its closed forms
 NOISY_DIGESTS = {
     "chain_step_noisy": (
         stock("chain_step.conf", **{"sim.duration": 2.0, "noise.sigma": "0.01,0.02"}),
@@ -1098,7 +1102,7 @@ NOISY_DIGESTS = {
         stock("vtol_wind.conf", **{"reference.kind": "circle", "reference.radius": 1.0,
                                    "reference.omega": 1.0, "sim.duration": 2.0,
                                    "noise.sigma": 0.001}),
-        "ef44af935c28b34df0a7306cc2cccebfb9ee2a63fca0f30529dc239e311447ec",
+        "9166c29045268300b88f3d792d9973eb125e4d325b0f96a8b5b6807853569072",
         "2ab257c3e3003fff3fbb2ecabcabb122f4d61888e66f5662e695c7a24b18495e"),
     # a circle off the ground at a heading, recorded before each reference
     # answered its position and velocity from one call
@@ -1107,8 +1111,8 @@ NOISY_DIGESTS = {
                                    "reference.omega": 0.8, "reference.height": -2.0,
                                    "reference.psi": 0.4, "sim.duration": 2.0,
                                    "noise.sigma": 0.001}),
-        "65cdff4d665f0f08730e9a602316a5ec9f360d25489e636d1290c0fd4d3897df",
-        "3f0660b060752e182343130c126e29b6bbb76b1816f89de508d4b977f1dedf78"),
+        "927650f769dcb05c7be451f0057826a9c917f558be008fb3f318e07929e15ffa",
+        "bcc536b4b7b0a09c90bc15ac8b93ccc1d5ff2a7172ac1d63acef8109ad964b82"),
     # the VTOL paths that the stock hover run does not reach, recorded before
     # the rigid-body derivative was split into its thrust and body halves
     "vtol_lissajous_noisy": (
@@ -1117,8 +1121,8 @@ NOISY_DIGESTS = {
                                    "reference.freq": "1.0,2.0,0.5",
                                    "reference.phase": "0.0,0.5,0.0", "reference.height": -1.0,
                                    "sim.duration": 2.0, "noise.sigma": 0.001}),
-        "f23ad8f81f540a30de85b2174b9bdb6ff87c58db9e3958a1047d36350332dd7b",
-        "f2c9a59da2976ee9ec3a6cdf787e68589f9207eaeacac4d42ea9966bba138b1e"),
+        "14f5879712b8286553da5fad4b49505d22d8a4e285aebfe5c77a40503156032e",
+        "d74890b72c7e4d1fbe8c06d5315285625dc19f8216114c0bcd51df38440c6876"),
     "vtol_sinusoid_disturbance_noisy": (
         stock("vtol_wind.conf", **{"disturbance.force.kind": "sinusoid",
                                    "disturbance.force.value": None,
@@ -1129,19 +1133,19 @@ NOISY_DIGESTS = {
                                    "disturbance.torque.freq": 3.0,
                                    "disturbance.torque.phase": -0.4,
                                    "sim.duration": 2.0, "noise.sigma": 0.001}),
-        "b08bf789a2c1e39ddeaf640ee58f0c43b6ab17d626e01b5bd2276d3aedf8b822",
-        "08e3c2fb0482d454cceacbd763f3fb3b19299ee152a30153fe87981967d558a0"),
+        "d5bb53287a87b93dee4404f25a1e0ce3c887a87bd26e2277896cdde8459cd32e",
+        "3f542dcb664e112839eed0a617445e54ce1a55a9517478bbe93e4865cbbcac95"),
     "vtol_full_inertia_noisy": (
         stock("vtol_wind.conf", **{
             "plant.inertia": "0.02,0.001,-0.002,0.001,0.025,0.003,-0.002,0.003,0.04",
             "sim.duration": 2.0, "noise.sigma": 0.001}),
-        "0faf66f10282984258a4d6d828a437e236ea823b3bd94d02b8828381d9aa8fa8",
-        "35b8ce4ff2a3b1ad2f7dc933ec203c103e0c98b9a7bca2b8c067d71ac9f780e1"),
+        "826f24bf51207a785ab6695186bbd6f64dc8873ed28eb2e0476ed0db3d9da687",
+        "8ef26881496e88b4d0a4c898669384cff415bb0276dc20a3b49f18d0f5968830"),
     "vtol_offset_start_noisy": (
         stock("vtol_wind.conf", **{"plant.p0": "0.5,-0.3,0.2", "plant.v0": "0.1,0.2,-0.1",
                                    "sim.duration": 2.0, "noise.sigma": 0.001}),
-        "9a16aec6ff348ac25f63d6e341f988504d8ee6e340b131baac2a6262748b9ca8",
-        "3ccdc06b7cb8f8ae6d5f63f65d44b3746bb0dfa63b5dbf182110187b1143ef3b"),
+        "7e0fcd998be7a9643b9409ca3aa904656d53df08bbf358b7af38bb1f643881fc",
+        "3795185e061d607ad4798fbd89d8675418e92481788ae2509bae18e64013c5c7"),
     # the float paths of the classic PI and of the reduced observer form,
     # recorded before each controller held its gains as plain attributes;
     # the PI's re-recorded when its kp became omega + omega_f

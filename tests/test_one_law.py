@@ -112,7 +112,7 @@ class TestVtol:
                 for i in range(3):
                     force[i].step([p[i], v[i]])
                     assert ctrl.d_f_hat[i] == force[i].f_hat
-                g_t, g_dot, _ = seen[-1]
+                g_t, g_dot = seen[-1]
                 for i in range(3):
                     torque[i].step([g_t[i], g_dot[i]])
                     assert ctrl.d_tau_hat[i] == torque[i].f_hat

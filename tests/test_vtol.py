@@ -4,10 +4,11 @@ import random
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
@@ -20,6 +21,7 @@ from lumped_pid.errors import (
     DegenerateThrustError,
     GimbalDegenerateError,
 )
+from lumped_pid.plants import vtol
 from lumped_pid.plants.vtol import (
     CircleRef,
     VtolController,
@@ -68,9 +70,8 @@ class TestAttitudeError:
     def test_zero_error_rotation(self):
         R9 = rotation((0.2, 0.1, -0.3))
         omega = (0.4, -0.2, 0.1)
-        g_t, g_dot, G = attitude_error(R9, R9, omega, (0.0, 0.0, 0.0))
+        g_t, g_dot = attitude_error(R9, R9, omega, (0.0, 0.0, 0.0))
         assert np.allclose(g_t, 0.0, atol=1e-15)
-        assert np.allclose(mat(G), 0.5 * np.eye(3), atol=1e-15)
         assert np.allclose(g_dot, 0.5 * np.array(omega), atol=1e-15)
 
     @pytest.mark.parametrize("axis", [0, 1, 2], ids=["roll", "pitch", "yaw"])
@@ -79,7 +80,7 @@ class TestAttitudeError:
         # the others: g~ is vee(R~ - R~^T) / (tr R~ + 1), vee undoing hat
         phi = 0.02
         R9 = rotation(phi * np.eye(3)[axis])
-        g_t, _, _ = attitude_error(R9, so3.IDENTITY9, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        g_t, _ = attitude_error(R9, so3.IDENTITY9, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
         assert g_t[axis] == pytest.approx(math.tan(phi / 2), rel=1e-12)
         assert all(abs(g_t[i]) < 1e-15 for i in range(3) if i != axis)
 
@@ -93,8 +94,8 @@ class TestAttitudeError:
         for t in (0.0, 0.3, 0.9):
             R_t = flat9(R0 @ expm(hat(np.multiply(t, omega))))
             R_h = flat9(R0 @ expm(hat(np.multiply(t + h, omega))))
-            g_t, g_dot, _ = attitude_error(R_t, Rd9, omega, zero)
-            g_h, _, _ = attitude_error(R_h, Rd9, omega, zero)
+            g_t, g_dot = attitude_error(R_t, Rd9, omega, zero)
+            g_h, _ = attitude_error(R_h, Rd9, omega, zero)
             fd = (np.array(g_h) - np.array(g_t)) / h
             scale = np.linalg.norm(g_dot)
             assert np.linalg.norm(fd - np.array(g_dot)) / scale < 1e-3
@@ -302,6 +303,35 @@ class TestRigidBodyIntegration:
         assert worst <= 1e-14
         assert all(map(math.isfinite, R9 + w))  # a nan would hide in max()
 
+    def test_an_open_loop_run_keeps_its_recorded_bytes(self):
+        # 10**4 steps from non_diagonal_inertia's inertia and start, driven by
+        # fixed sinusoids of t in f and tau and by sinusoid disturbances at
+        # the stage times: the SHA-256 of every state, packed as float64,
+        # pins the step's bytes apart from the controller. Recorded before
+        # the attitude law took its closed forms and moved the closed-loop
+        # trace digests, so it carries the step's bytes since the step became
+        # native-float code
+        J9 = _inertia("0.02,0.001,-0.002,0.001,0.025,0.0015,-0.002,0.0015,0.04",
+                      "plant.inertia")
+        Jinv9 = so3.inv3(J9)
+        force = (Sinusoid(0.3, 2.0, 0.5), Sinusoid(-0.2, 2.0, 0.5), Sinusoid(0.1, 2.0, 0.5))
+        torque = (Sinusoid(0.002, 3.0), Sinusoid(0.001, 3.0), Sinusoid(-0.001, 3.0))
+        p, v, R9, w = (0.2, -0.1, 0.1), (0.0, 0.5, 0.0), so3.IDENTITY9, (0.0, 0.0, 0.0)
+        dt = 1e-3
+        states = []
+        for k in range(10**4):
+            t = k * dt
+            f = 9.81 + 0.5 * math.sin(2.0 * t)
+            tau = (0.003 * math.sin(1.5 * t), -0.002 * math.cos(2.5 * t),
+                   0.001 * math.sin(0.7 * t + 0.3))
+            p, v, R9, w = advance_rigid_body(
+                p, v, R9, w, f, tau, dt, 1.0, 9.81, J9, Jinv9,
+                tuple(sample_triple(force, t + h) for h in (0.0, 0.5 * dt, dt)),
+                tuple(sample_triple(torque, t + h) for h in (0.0, 0.5 * dt, dt)))
+            states.append(p + v + R9 + w)
+        assert hashlib.sha256(np.array(states).tobytes()).hexdigest() == (
+            "48c12b601faa1843fc2cf822c1381f4486dbf5e00ebff7b76e90962c4e3144bd")
+
 
 def reference_step(p, v, R9, w, f, tau, dt, m, g, J9, Jinv9, d_f, d_tau):
     """One step of the VTOL model in matrix form, written from its equations
@@ -442,6 +472,51 @@ class TestVtolController:
                            **{**args, name: value})
 
 
+class TestAttitudeLaw:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.floats(-3.0, 3.0),
+           st.tuples(*[st.floats(-4.0, 4.0)] * 3),
+           st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3),
+           st.tuples(*[st.floats(-10.0, 10.0)] * 3), st.floats(1.0, 50.0),
+           st.floats(1.0, 100.0))
+    @example((2.0, -1.0, 2.0), 3.0, (0.3, -0.2, 0.5), [0.02, 0.025, 0.04], (0.4, -0.3, 0.2),
+             10.0, 20.0)
+    def test_the_torque_is_J_times_G_inverse_of_the_law(self, axis, log_g, q, eigenvalues, w,
+                                                         omega_att, omega_tau):
+        # the first step at a hover at the origin, at rest: R_d = I, omega_d
+        # = 0 and the integral is 0, so g_dot is G w with G = (I + hat(g) +
+        # g g^T)/2, the law's u is -k0 g - (k1 + omega_tau) g_dot, and tau is
+        # J G^-1 u, each product by numpy and G^-1 u by its solve. A turn by
+        # 2 atan(|g|), up to pi - 2e-3, gives |g| from 1e-3 to 1000 and
+        # tr R~ + 1 down to 4e-6. G's condition number is about 1 + |g|, so
+        # the torque's error is relative to (1 + |g|) |J| |G^-1 u|
+        assume(np.linalg.norm(axis) > 1e-3)
+        Q = Rotation.from_rotvec(q).as_matrix()
+        J9 = _inertia(Q @ np.diag(eigenvalues) @ Q.T, "plant.inertia")
+        ctrl = VtolController(1.0, 9.81, J9, HoverRef((0.0, 0.0, 0.0)), 1e-3, 2.0, 8.0,
+                              omega_att, omega_tau)
+        seen = []
+
+        def attitude_error(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        original = vtol.attitude_error
+        angle = min(2.0 * math.atan(10.0**log_g), math.pi - 2e-3)
+        zero = (0.0, 0.0, 0.0)
+        with mock.patch.object(vtol, "attitude_error", attitude_error):
+            _, tau = ctrl.compute(0.0, zero, zero,
+                                  rotation(angle * np.array(axis) / np.linalg.norm(axis)), w)
+        g, g_dot = map(np.array, seen[0])
+        G = 0.5 * (np.eye(3) + hat(g) + np.outer(g, g))
+        assert np.linalg.norm(g_dot - G @ w) <= 1e-15 * np.linalg.norm(G, 2) * np.linalg.norm(w)
+        k0, k1 = ctrl.a_att
+        u = (-k0 * g - k1 * g_dot) - omega_tau * g_dot  # rounded as the law rounds it
+        y = np.linalg.solve(G, u)
+        scale = (1.0 + np.linalg.norm(g)) * np.linalg.norm(mat(J9), 2) * np.linalg.norm(y)
+        assert np.linalg.norm(np.subtract(tau, mat(J9) @ y)) <= 1e-15 * scale
+
+
 def vtol_scenario(**overrides):
     base = dict(
         plant_kind="vtol",
@@ -573,9 +648,13 @@ sim.duration = 2.0
 sim.seed = 0
 """
 
-# SHA-256 of trace.csv, recorded before the rigid-body loop moved to native
-# floats; every VTOL speed-up must keep these bytes. The noisy lissajous one
-# was re-recorded when noise came to be drawn by numpy's standard_normal.
+# SHA-256 of trace.csv. Re-recorded when the attitude law took its closed
+# forms for g~_dot, G^-1 and omega_d, a change at round-off: every column
+# stayed within 3e-12 of the old bytes, relative to max(1, |old|). These pin
+# the closed loop's bytes; the step's own bytes, which these pinned since the
+# rigid-body loop moved to native floats, are pinned by
+# test_an_open_loop_run_keeps_its_recorded_bytes, and its model by
+# TestIndependentReference.
 TRACE_DIGESTS = {
     "hover_constant_wind": (
         """
@@ -587,7 +666,7 @@ disturbance.force.value = 0.5,0,0
 disturbance.torque.kind = constant
 disturbance.torque.value = 0.001,0,-0.0005
 """,
-        "09ef20a2b921396e354c93f70f704bb52b3299ec5d023a4a63af6c60314d7a43",
+        "86498faf947968b4e92ea94bc4780a25f54f5c9a72615d47710a63421e05e78d",
     ),
     "sinusoid_force_and_torque": (
         """
@@ -602,7 +681,7 @@ disturbance.torque.kind = sinusoid
 disturbance.torque.amplitude = 0.002,0.001,-0.001
 disturbance.torque.freq = 3.0
 """,
-        "ff6c90ed13cf4f5c52c473ca694ec6c6b034b4e075e2fce5304f4245f1ec2ef4",
+        "5477a9f7c6aa039be40846d921dab244319dd89d2dc6cef8b1ddb773dc299574",
     ),
     "lissajous_with_noise": (
         """
@@ -614,7 +693,7 @@ reference.phase = 0,0.3,0
 reference.height = 1.0
 noise.sigma = 0.001,0.001,0.001,0.002,0.002,0.002,0.0005,0.0005,0.0005
 """,
-        "824d83203dfbf94b477b26e812992fb759af371cfb6ff9ad3d5fd6a0160de5e3",
+        "1ba25092fb31323fc425bba53bba166f451449262fa5af437ddaa9e850242d1f",
     ),
     "non_diagonal_inertia": (
         """
@@ -629,7 +708,7 @@ disturbance.torque.kind = step
 disturbance.torque.value = 0.001,-0.002,0.0005
 disturbance.torque.t_start = 0.5
 """,
-        "de5687c98257ae74b93a57d5edde2e352a13f2ee3e9d93e18cde940899c43bc5",
+        "291f867ce313677c5e704cf0ce3a96924cda8818c981d053ab4bff6b136ae4f0",
     ),
 }
 
