@@ -121,30 +121,25 @@ def _write_plots(trace, plant, outdir: Path) -> None:
         write_line_plot(outdir / f"plot_{stem}.svg", t, series, title, "t [s]", ylabel)
 
 
-def _observer_bandwidth(scenario) -> tuple[str | None, float]:
-    """The option that sets the observer bandwidth and the value a run uses;
-    (None, NaN) for a controller without an observer: a blank field."""
-    plant = plant_module(scenario.plant_kind)
+def _run_values(scenario) -> tuple[tuple[float, float, float], tuple | None]:
+    """What loop 0 of a run of ``scenario`` reports: its metrics row's (omega,
+    omega_f, sigma) and the (true, estimate) columns its metrics read; NaN (a
+    blank field) and None for a controller without an observer."""
+    _, omega, omega_f, pair, no_observer = plant_module(scenario.plant_kind).LOOPS[0]
+    sigma = scenario.noise.sigmas[0]
     # a plant with one controller (the VTOL's) declares no controller kind
-    if scenario.controller.get("kind") in plant.NO_OBSERVER:
-        return None, math.nan
-    return plant.BANDWIDTH, scenario.controller[plant.BANDWIDTH]
-
-
-def _run_values(scenario) -> tuple[float, float, float]:
-    """The (omega, omega_f, sigma) a run of ``scenario`` uses, as its metrics
-    row reports them."""
-    return scenario.controller["omega"], _observer_bandwidth(scenario)[1], scenario.noise.sigmas[0]
+    if scenario.controller.get("kind") in no_observer:
+        return (scenario.controller[omega], math.nan, sigma), None
+    return (scenario.controller[omega], scenario.controller[omega_f], sigma), pair
 
 
 def _metrics_for(summary: TraceSummary, scenario, scenario_id: str = "scenario") -> MetricsRow:
     """The metrics row of a run's summary (:func:`sim.summary`)."""
     plant = plant_module(scenario.plant_kind)
-    observer = plant.OBSERVER if _observer_bandwidth(scenario)[0] else None
+    values, observer = _run_values(scenario)
     metrics = trace_metrics(summary, observer)
-    omega, omega_f, sigma = _run_values(scenario)
     bound = plant.bound and plant.bound(summary, scenario)
-    return MetricsRow(scenario_id, omega, omega_f, sigma, metrics=metrics, bound=bound)
+    return MetricsRow(scenario_id, *values, metrics=metrics, bound=bound)
 
 
 def cmd_simulate(args) -> int:
@@ -201,7 +196,7 @@ def _sweep_rows(cells: list) -> list[MetricsRow]:
     """The rows of a contiguous group of ``(scenario_id, scenario)`` sweep cells."""
     # a lockstep plant runs a large enough group as the lanes of one run
     outcomes = run_scenario([scenario for _, scenario in cells])
-    return [MetricsRow(scenario_id, *_run_values(scenario), status=_failure_status(outcome))
+    return [MetricsRow(scenario_id, *_run_values(scenario)[0], status=_failure_status(outcome))
             if isinstance(outcome, LumpedPidError) else _metrics_for(outcome, scenario, scenario_id)
             for (scenario_id, scenario), outcome in zip(cells, outcomes)]
 
@@ -211,13 +206,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--parallel: expected a worker count >= 1, got {args.parallel}")
     base = build_scenario(load_config(args.config), seed_override=_seed_override())
     plant = plant_module(base.plant_kind)
-    # the axes: each float-valued controller option, the observer bandwidth
-    # under the name omega_f, then sigma
-    options = {("omega_f" if name == plant.BANDWIDTH else name): name
-               for name, value in base.controller.items() if isinstance(value, float)}
+    # the axes: each loop's two bandwidths, loop 0's observer bandwidth under
+    # the name omega_f, then sigma
+    options = {("omega_f" if name == plant.LOOPS[0][2] else name): name
+               for loop in plant.LOOPS for name in loop[1:3]}
     grid = _parse_grid(args.grid, [*options, "sigma"])
-    bandwidth_option = _observer_bandwidth(base)[0]
-    if "omega_f" in grid and bandwidth_option is None:
+    # a controller without an observer reports a NaN omega_f
+    if "omega_f" in grid and math.isnan(_run_values(base)[0][1]):
         raise ConfigError(
             f"--grid: omega_f: controller.kind {base.controller['kind']!r} "
             f"of plant {base.plant_kind!r} has no observer bandwidth"
@@ -236,8 +231,8 @@ def cmd_sweep(args) -> int:
             seed=base.seed + index if args.seed_policy == "per-cell" else base.seed,
         )
         # the id names the values the row reports, then each further grid axis
-        omega, omega_f, sigma = _run_values(scenario)
-        omegaf = "" if bandwidth_option is None else f"_omegaf={omega_f:g}"
+        (omega, omega_f, sigma), _ = _run_values(scenario)
+        omegaf = "" if math.isnan(omega_f) else f"_omegaf={omega_f:g}"
         further = "".join(f"_{axis}={value:g}" for axis, value in cell.items()
                           if axis in options and axis not in ("omega", "omega_f"))
         scenario_id = f"omega={omega:g}{omegaf}{further}_sigma={sigma:g}"
@@ -304,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--grid", nargs="+", required=True, metavar="AXIS=V1,V2",
-                   help="axes: the plant's float controller options, its observer bandwidth "
+                   help="axes: each loop's two bandwidths, loop 0's observer bandwidth "
                         "as omega_f, then sigma (chain and vehicle: omega, omega_f, sigma; "
                         "VTOL: omega, omega_f, omega_att, omega_tau, sigma)")
     p.add_argument("--parallel", type=int, default=1)

@@ -2,9 +2,11 @@
 
 Each declares ``OPTIONS``, each config option's parser and default (None:
 the run derives it), which a Scenario applies; ``check``, every rule that
-spans options, which a Scenario runs once they are parsed; ``BANDWIDTH``,
-``NO_OBSERVER`` and ``parse_disturbance``; its trace's metric ``SIGNAL``,
-``OBSERVER`` (true, estimate) columns and ``PLOTS`` (file stem, column
+spans options, which a Scenario runs once they are parsed;
+``parse_disturbance``; ``LOOPS``, each loop of its controller as (error
+column, state-feedback option, observer-bandwidth option, (true, estimate)
+columns or None, controller kinds without the observer), loop 0 giving a
+run's metrics and every loop two sweep axes; ``PLOTS`` (file stem, column
 patterns, title, y label); ``lockstep``, whether ``run`` takes a list of
 scenarios as the lanes of one run, or None if it takes no list;
 ``noise_channels``, a scenario's count of noised measurement channels;

@@ -38,8 +38,8 @@ from ..sim import (
 from ..signals import NoiseStream, noise_table
 
 # Each option: its parser and the value a scenario without it takes; an x0
-# of None is the zero state. BANDWIDTH names the option that sets the
-# observer bandwidth; the controller kinds in NO_OBSERVER read none.
+# of None is the zero state. LOOPS names the option that sets the
+# observer bandwidth and the controller kinds that read none.
 OPTIONS = {"plant.order": (_count, 1), "plant.b": (_float, 1.0), "plant.x0": (_floats, None),
            "plant.state_coeffs": (_floats, ()),
            "controller.kind": (_choice("none", "homogeneous", "generalized", "pid"),
@@ -48,8 +48,6 @@ OPTIONS = {"plant.order": (_count, 1), "plant.b": (_float, 1.0), "plant.x0": (_f
            "controller.quadrature": (_choice(*RULES), RECTANGULAR),
            "controller.observer_form": (_choice(*OBSERVER_FORMS), "integral"),
            "controller.seed_integral": (_bool, False)}
-BANDWIDTH = "omega_f"
-NO_OBSERVER = ("none", "homogeneous")
 # The controller options a controller setting does not read; every kind
 # reads omega and omega_f, as tune and bode do whatever the kind.
 _UNREAD = {("kind", "none"): ("quadrature", "observer_form", "seed_integral"),
@@ -57,12 +55,11 @@ _UNREAD = {("kind", "none"): ("quadrature", "observer_form", "seed_integral"),
            ("kind", "pid"): ("observer_form", "seed_integral"),
            ("observer_form", "pid"): ("seed_integral",)}
 parse_disturbance = _scalar_signal  # f0(t)
-SIGNAL = "x0"
-OBSERVER = ("f_true", "f_hat")
+LOOPS = (("x0", "omega", "omega_f", ("f_true", "f_hat"), ("none", "homogeneous")),)
 PLOTS = (
     ("state", ("x*",), "state", "x"),
     ("control", ("u",), "control", "u"),
-    ("observer", OBSERVER, "disturbance estimate", "f"),
+    ("observer", LOOPS[0][3], "disturbance estimate", "f"),
 )
 # By controller kind, the fewest scenarios that run as the lanes of one run;
 # a shorter list runs one at a time. Each is the smallest count at which a
@@ -207,7 +204,7 @@ def _build_controller(scenarios: Sequence[Scenario], lockstep: bool):
 
 # the trace columns the sweep metrics read; all a lockstep run records, its
 # row [t, state[0], f_true, f_hat]
-LOCKSTEP_COLUMNS = ("t", SIGNAL, *OBSERVER)
+LOCKSTEP_COLUMNS = ("t", LOOPS[0][0], *LOOPS[0][3])
 
 
 def _lane_key(scenario: Scenario) -> tuple:

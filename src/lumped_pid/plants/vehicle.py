@@ -52,15 +52,13 @@ OPTIONS = {"plant.wheelbase": (_positive, 2.7), "plant.speed": (_positive, 10.0)
            "controller.kind": (_choice("observer", "known_d"), "observer"),
            "controller.omega": (_positive, 0.5), "controller.omega_d": (_positive, 2.0),
            "controller.quadrature": (_choice(*RULES), RECTANGULAR)}
-BANDWIDTH = "omega_d"
-NO_OBSERVER = ("known_d",)
 _UNREAD = {("kind", "known_d"): ("omega_d", "quadrature")}  # the options it does not read
 _UNREAD_PATH = {("kind", "line"): ("radius", "arc", "file"),
                 ("kind", "circle"): ("length", "file"),
                 ("kind", "csv"): ("length", "radius", "arc", "spacing")}
 parse_disturbance = _scalar_signal  # the steering bias d(t) [rad]
-SIGNAL = "l"
-OBSERVER = ("d_lump", "d_hat")  # d_hat estimates the lumped term, not the bias d_true
+# d_hat estimates the lumped term, not the bias d_true
+LOOPS = (("l", "omega", "omega_d", ("d_lump", "d_hat"), ("known_d",)),)
 PLOTS = (
     ("lateral", ("l", "e_theta"), "lateral error", "l [m], e_theta [rad]"),
     ("steering", ("delta", "d_hat"), "steering and estimate", "rad"),

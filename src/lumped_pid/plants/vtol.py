@@ -41,8 +41,6 @@ from ..so3 import det3, inv3, mat_tmul, norm3, ortho_error3
 THRUST_EPS = 1e-8      # smallest ||F_d|| that still defines a thrust axis
 CROSS_EPS = 1e-8       # smallest ||b3d x b_d|| before the heading degenerates
 TRACE_SINGULARITY = 1e-6  # tr(R~) + 1 below this is the g~ singularity
-BANDWIDTH = "omega_f"
-NO_OBSERVER = ()
 
 
 def noise_channels(scenario: Scenario) -> int:
@@ -127,8 +125,9 @@ def check(scenario: Scenario) -> None:
     _check_read(scenario.plant["reference"], OPTIONS, _UNREAD, "reference")
 
 
-SIGNAL = "err_norm"
-OBSERVER = None  # the trace records the estimates but not the true disturbances
+# the translational and attitude loops; the trace records the estimates but
+# not the true disturbances
+LOOPS = (("err_norm", "omega", "omega_f", None, ()), (None, "omega_att", "omega_tau", None, ()))
 PLOTS = (
     ("position", ("px", "py", "pz"), "position", "p [m]"),
     ("error", ("err_norm",), "tracking error", "|p err| [m]"),

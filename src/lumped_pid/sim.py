@@ -357,11 +357,12 @@ def run_failure(exc: Exception, step: int, t: float) -> LumpedPidError:
 
 def summary(trace: SimTrace, scenario: Scenario):
     """The TraceSummary of a run of ``scenario``, as a lockstep lane keeps it:
-    its plant's SIGNAL and OBSERVER columns at the scenario's ``threshold``."""
+    the error and (true, estimate) columns of its plant's loop 0 at the
+    scenario's ``threshold``."""
     from .analysis import summarise  # analysis.py imports this one
     from .plants import plant_module  # the plant modules import this one
-    plant = plant_module(scenario.plant_kind)
-    return summarise(trace, scenario.threshold, plant.SIGNAL, plant.OBSERVER or ())
+    error, _, _, pair, _ = plant_module(scenario.plant_kind).LOOPS[0]
+    return summarise(trace, scenario.threshold, error, pair or ())
 
 
 def _outcome(scenario: Scenario):

@@ -10,7 +10,8 @@ import pytest
 
 from lumped_pid import plants
 from lumped_pid.analysis import TraceSummary
-from lumped_pid.config import REQUIRED, SCENARIO_OPTIONS, build_scenario, load_config
+from lumped_pid.config import (REQUIRED, SCENARIO_OPTIONS, _positive, build_scenario,
+                               load_config)
 from lumped_pid.errors import ConfigError, LumpedPidError, SteeringLimitError
 from lumped_pid.plants import chain, plant_module
 from lumped_pid.signals import Constant, NoiseSpec, Sinusoid
@@ -220,7 +221,8 @@ def test_a_run_samples_its_disturbance_at_the_stage_times(case):
 def test_trace_holds_every_column_the_module_names(kind):
     module = plant_module(kind)
     trace = run_scenario(short_scenario(kind))
-    named = [module.SIGNAL, *(module.OBSERVER or ())]
+    named = [name for error, _, _, pair, _ in module.LOOPS
+             for name in (error, *(pair or ())) if name is not None]
     named += [pattern for _, patterns, _, _ in module.PLOTS for pattern in patterns]
     missing = [name for name in named if not fnmatch.filter(trace.names, name)]
     assert not missing, f"{kind} trace lacks {missing}"
@@ -229,13 +231,17 @@ def test_trace_holds_every_column_the_module_names(kind):
 @pytest.mark.parametrize("kind", sorted(STOCK))
 def test_declarations_are_consistent(kind):
     module = plant_module(kind)
-    controller = [key.split(".", 1)[1] for key in module.OPTIONS if key.startswith("controller.")]
-    assert module.BANDWIDTH in controller and "omega" in controller
+    # each loop's bandwidths are positive controller options, and each kind
+    # without its observer is a controller kind of the plant
+    for _, omega, omega_f, _, no_observer in module.LOOPS:
+        assert module.OPTIONS[f"controller.{omega}"][0] is _positive
+        assert module.OPTIONS[f"controller.{omega_f}"][0] is _positive
+        for choice in no_observer:
+            assert module.OPTIONS["controller.kind"][0](choice, "controller.kind") == choice
     # every default reads back through its own parser as itself
     for key, (parse, default) in {**SCENARIO_OPTIONS, **module.OPTIONS}.items():
         if default is not None and default is not REQUIRED:
             assert parse(default, key) == default, key
-    assert not module.NO_OBSERVER or "kind" in controller
     assert all(key.split(".", 1)[0] in ("plant", "reference", "path", "controller")
                for key in module.OPTIONS)
 

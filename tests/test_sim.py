@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lumped_pid.cli import _run_values
 from lumped_pid.config import build_scenario, load_config
 from lumped_pid.controller import OBSERVER_FORMS
 from lumped_pid.analysis import TraceSummary, check_bound, trace_metrics
@@ -665,7 +666,7 @@ def assert_lockstep_matches_alone(scenarios):
         assert w == math.ceil(0.2 * len(alone))
         for name in LOCKSTEP_COLUMNS:
             assert outcome.tail[name].tobytes() == alone[name][-w:].tobytes(), name
-        observer = None if scenario.controller["kind"] in chain.NO_OBSERVER else chain.OBSERVER
+        observer = _run_values(scenario)[1]
         reduced = summary(alone, scenario)
         assert (bits(trace_metrics(outcome, observer=observer))
                 == bits(trace_metrics(reduced, observer=observer)))
